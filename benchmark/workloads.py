@@ -17,7 +17,7 @@ from itertools import takewhile
 from inputs import (beilinson_dim, beilinson_quiver_doc, catalog_expected,
                     hh_cohomology_pn, hh_homology_pn)
 
-P3_MAX_DEGREE = 5
+MAX_DEGREE = 5             # for the generated Beilinson files
 FP_PRIME = 32003
 
 # Every (catalog entry, subcommand) pair of the sweep; 98 pairs, all of
@@ -94,33 +94,34 @@ class Runner:
         return None
 
 
-class P3Workload:
-    """An op on a generated Beilinson P^3 quiver file."""
+class BeilinsonWorkload:
+    """An op on a generated Beilinson P^n quiver file."""
 
-    def __init__(self, name, field, kernels):
+    def __init__(self, name, n, field, kernels):
         self.name = name
+        self.n = n
         self.field = field
         self.kernels = kernels
 
     def write_inputs(self, out_dir, seed):
-        path = os.path.join(out_dir, f"{self.name}-p3.json")
-        doc = beilinson_quiver_doc(3, self.field, seed)
+        path = os.path.join(out_dir, f"{self.name}.json")
+        doc = beilinson_quiver_doc(self.n, self.field, seed)
         with open(path, "w") as fh:
             json.dump(doc, fh)
         return path
 
     def plan(self, path, seed):
-        common = ["--file", path, "--max-degree", str(P3_MAX_DEGREE),
+        common = ["--file", path, "--max-degree", str(MAX_DEGREE),
                   "--format", "json"]
-        dim = {("algebra", "dimension"): beilinson_dim(3)}
+        dim = {("algebra", "dimension"): beilinson_dim(self.n)}
         homology = {**dim, ("hh_homology", "dims"):
-                    hh_homology_pn(3, P3_MAX_DEGREE)}
+                    hh_homology_pn(self.n, MAX_DEGREE)}
         if self.kernels:
             op = Op("additivity", [["kernels", "additivity"] + common],
                     [homology])
         else:
             cohomology = {**dim, ("hh_cohomology", "dims"):
-                          hh_cohomology_pn(3, P3_MAX_DEGREE)}
+                          hh_cohomology_pn(self.n, MAX_DEGREE)}
             op = Op("hh", [["cohomology"] + common, ["homology"] + common],
                     [cohomology, homology])
         return op, _repeat(op)
@@ -181,9 +182,10 @@ def _passes(ops, rng):
 
 
 WORKLOADS = {
-    "hh-p3-q": P3Workload("hh-p3-q", {"kind": "q"}, kernels=False),
-    "hh-p3-fp": P3Workload("hh-p3-fp", {"kind": "fp", "p": FP_PRIME},
-                           kernels=False),
-    "kernels-p3": P3Workload("kernels-p3", {"kind": "q"}, kernels=True),
+    "hh-p3-q": BeilinsonWorkload("hh-p3-q", 3, {"kind": "q"}, kernels=False),
+    "hh-p3-fp": BeilinsonWorkload("hh-p3-fp", 3, {"kind": "fp", "p": FP_PRIME},
+                                  kernels=False),
+    "kernels-p2": BeilinsonWorkload("kernels-p2", 2, {"kind": "q"},
+                                    kernels=True),
     "catalog-sweep": SweepWorkload(),
 }

@@ -7,7 +7,8 @@ from .linalg import (FieldMismatch, FieldSpec, GF, QQ, Matrix,
 from .algebra import (Algebra, Arrow, NonAdmissible, NotFiniteDimensional,
                       PathAlgebra, Quiver, Relation, algebra_from_structure,
                       build_path_algebra, center, tensor_opposite)
-from .modules import (ModuleRep, bimodule_from_actions, dual_bimodule,
+from .modules import (Bimodule, ModuleAxiomError, ModuleRep,
+                      bimodule_from_actions, dual_bimodule,
                       free_gluing_bimodule, regular_bimodule, simple_module,
                       triangular_gluing)
 from .complexes import (ChainMap, FieldComplex, HomComplex, ModuleComplex,
@@ -40,7 +41,8 @@ __all__ = [
     "Algebra", "Arrow", "NonAdmissible", "NotFiniteDimensional",
     "PathAlgebra", "Quiver", "Relation", "algebra_from_structure",
     "build_path_algebra", "center", "tensor_opposite",
-    "ModuleRep", "bimodule_from_actions", "dual_bimodule",
+    "Bimodule", "ModuleAxiomError", "ModuleRep", "bimodule_from_actions",
+    "dual_bimodule",
     "free_gluing_bimodule", "regular_bimodule", "simple_module",
     "triangular_gluing",
     "ChainMap", "FieldComplex", "HomComplex", "ModuleComplex", "ProjComplex",

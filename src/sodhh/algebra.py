@@ -107,49 +107,30 @@ class SubspaceReducer:
         return len(self.cols)
 
 
-class LinearSolver:
-    """Repeated exact solves m @ x = rhs against a fixed matrix."""
-
-    __slots__ = ("ech",)
-
-    def __init__(self, m: Matrix):
-        self.ech = ColumnEchelon(m)
-
-    def solve(self, rhs_col: dict):
-        f = self.ech.matrix.field
-        residual, coeffs = self.ech.reduce_vector(rhs_col)
-        if residual:
-            return None
-        x: dict = {}
-        for k, factor in coeffs.items():
-            _col_axpy(f, x, self.ech.combo[k], f.neg(factor))
-        return x
-
-
 class _TensorMultRow:
     """One lazily computed row of a tensor-product multiplication table."""
 
-    __slots__ = ("table", "i", "cells")
+    __slots__ = ("env", "i", "cells")
 
-    def __init__(self, table, i):
-        self.table = table
+    def __init__(self, env, i):
+        self.env = env
         self.i = i
         self.cells = {}
 
     def __getitem__(self, j):
         cell = self.cells.get(j)
         if cell is None:
-            b, c = self.table.b, self.table.c
+            env = self.env
+            b, c = env.factors
             f = b.field
-            dim_c = c.dim
-            i1, i2 = divmod(self.i, dim_c)
-            j1, j2 = divmod(j, dim_c)
+            i1, i2 = env.index_pair(self.i)
+            j1, j2 = env.index_pair(j)
             left = b.mult[i1][j1]
             right = c.mult[j2][i2]  # second slots compose in C^op
             cell = {}
             for a, va in left.items():
                 for d, vd in right.items():
-                    cell[a * dim_c + d] = f.mul(va, vd)
+                    cell[env.pair_index(a, d)] = f.mul(va, vd)
             self.cells[j] = cell
         return cell
 
@@ -158,17 +139,16 @@ class _TensorMult:
     """Lazy multiplication table of B (x) C^op; large enveloping algebras
     never materialize the full dim^2 x dim^2 table."""
 
-    __slots__ = ("b", "c", "rows")
+    __slots__ = ("env", "rows")
 
-    def __init__(self, b, c):
-        self.b = b
-        self.c = c
+    def __init__(self, env):
+        self.env = env
         self.rows = {}
 
     def __getitem__(self, i):
         row = self.rows.get(i)
         if row is None:
-            row = _TensorMultRow(self, i)
+            row = _TensorMultRow(self.env, i)
             self.rows[i] = row
         return row
 
@@ -337,9 +317,6 @@ class Algebra:
             self._cache["op"] = op
         return self._cache["op"]
 
-    def pair_index(self, i, j):
-        return i * self.dim + j
-
     def enveloping(self) -> "Algebra":
         """A (x) A^op; left modules over it are (A,A)-bimodules via
         (a (x) b) . m = a m b."""
@@ -348,34 +325,55 @@ class Algebra:
         return self._cache["env"]
 
 
-def tensor_opposite(b: Algebra, c: Algebra) -> Algebra:
-    """The algebra B (x) C^op; left modules over it are (B,C)-bimodules.
-    The multiplication table is computed lazily cell by cell."""
-    if b.field != c.field:
-        raise ValueError("field mismatch")
-    f = b.field
-    dim_c = c.dim
-    labels = []
-    for i in range(b.dim):
-        for j in range(dim_c):
-            labels.append(f"{b.labels[i]}(x){c.labels[j]}")
-    idems = []
-    vnames = []
-    for v, e in enumerate(b.idempotents):
-        for w, e2 in enumerate(c.idempotents):
-            idems.append(e * dim_c + e2)
-            vnames.append(f"({b.vertex_names[v]},{c.vertex_names[w]})")
-    # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q))
-    src = []
-    tgt = []
-    for i in range(b.dim):
-        for j in range(dim_c):
-            src.append(b.src[i] * c.num_vertices + c.tgt[j])
-            tgt.append(b.tgt[i] * c.num_vertices + c.src[j])
-    prod = Algebra(f, labels, _TensorMult(b, c), idems, vnames,
-                   grading=(tuple(src), tuple(tgt)))
-    prod._pair = (b, c)
-    return prod
+class TensorOpposite(Algebra):
+    """The algebra B (x) C^op; its left modules are (B,C)-bimodules.
+
+    The basis element b_i (x) c_j has index i * dim C + j and the vertex
+    (v, w) has position v * |C_0| + w.  The methods below are the only
+    place these encodings are written down.  The multiplication table is
+    computed lazily cell by cell."""
+
+    def __init__(self, b: Algebra, c: Algebra):
+        if b.field != c.field:
+            raise ValueError("field mismatch")
+        self.factors = (b, c)
+        labels = [f"{bl}(x){cl}" for bl in b.labels for cl in c.labels]
+        idems = [self.pair_index(e, e2)
+                 for e in b.idempotents for e2 in c.idempotents]
+        vnames = [f"({v},{w})" for v in b.vertex_names for w in c.vertex_names]
+        # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q))
+        src = tuple(self.vertex(b.src[i], c.tgt[j])
+                    for i in range(b.dim) for j in range(c.dim))
+        tgt = tuple(self.vertex(b.tgt[i], c.src[j])
+                    for i in range(b.dim) for j in range(c.dim))
+        super().__init__(b.field, labels, _TensorMult(self), idems, vnames,
+                         grading=(src, tgt))
+
+    def pair_index(self, i, j):
+        """Basis index of b_i (x) c_j."""
+        return i * self.factors[1].dim + j
+
+    def index_pair(self, k):
+        """(i, j) with basis element k equal to b_i (x) c_j."""
+        return divmod(k, self.factors[1].dim)
+
+    def terms(self, x: dict):
+        """An element as a list of (i, j, coefficient of b_i (x) c_j)."""
+        return [(*self.index_pair(k), v) for k, v in x.items()]
+
+    def vertex(self, v, w):
+        """Position of the vertex (v, w), the idempotent e_v (x) e_w."""
+        return v * self.factors[1].num_vertices + w
+
+    def vertex_pair(self, code):
+        """(v, w) with vertex position `code` equal to (v, w)."""
+        return divmod(code, self.factors[1].num_vertices)
+
+
+def tensor_opposite(b: Algebra, c: Algebra) -> TensorOpposite:
+    """The algebra B (x) C^op; left modules over it are (B,C)-bimodules,
+    stored as modules.Bimodule action pairs."""
+    return TensorOpposite(b, c)
 
 
 class PathAlgebra(Algebra):
@@ -395,9 +393,6 @@ class PathAlgebra(Algebra):
                 return {k: self.field.one}
         # arrows are never reducible modulo an admissible ideal
         raise KeyError(name)
-
-    def path_label(self, k):
-        return self.labels[k]
 
 
 def _path_label(arrow_names) -> str:
@@ -683,10 +678,10 @@ def algebra_from_structure(field, vertex_names, labels, mult, idempotents,
         cob_cols.append(vec)
     assert len(cob_cols) == raw.dim, "graded basis did not span"
     cob = Matrix(f, raw.dim, raw.dim, cob_cols)
-    solver = LinearSolver(cob)
+    cob_echelon = ColumnEchelon(cob)
 
     def in_new_coords(vec):
-        x = solver.solve(vec)
+        x = cob_echelon.solve(vec)
         assert x is not None
         return x
 

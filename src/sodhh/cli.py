@@ -37,8 +37,8 @@ from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
 from .linalg import GF, QQ, FieldSpec, Matrix
-from .modules import ModuleRep, bimodule_from_actions, dual_bimodule, \
-    regular_bimodule, simple_module
+from .modules import Bimodule, ModuleAxiomError, bimodule_from_actions, \
+    dual_bimodule, regular_bimodule, simple_module
 from .report import Report
 
 
@@ -136,7 +136,7 @@ def parse_quiver_file(path) -> QuiverDocument:
     return parse_quiver_document(doc)
 
 
-def parse_bimodule_file(path, A) -> ModuleRep:
+def parse_bimodule_file(path, A) -> Bimodule:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -155,6 +155,8 @@ def parse_bimodule_file(path, A) -> ModuleRep:
         for lbl, rows in mats.items():
             if lbl not in label_pos:
                 raise SchemaError(f"{which}: unknown basis label {lbl!r}")
+            if len(rows) != d or any(len(row) != d for row in rows):
+                raise SchemaError(f"{which}.{lbl}: expected a {d} x {d} matrix")
             out[label_pos[lbl]] = Matrix.from_rows(A.field, rows, d)
         return out
 
@@ -162,7 +164,7 @@ def parse_bimodule_file(path, A) -> ModuleRep:
     right = load(doc["right_action"], "right_action")
     try:
         return bimodule_from_actions(A, A, left, right, check=True)
-    except AssertionError as exc:
+    except ModuleAxiomError as exc:
         raise SchemaError(f"bimodule file: {exc}") from exc
 
 
@@ -471,11 +473,21 @@ def cmd_catalog(args, report):
 # ---------------------------------------------------------------------------
 
 
+def _degree(s: str) -> int:
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {n}")
+    return n
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--catalog", help="built-in algebra name")
     common.add_argument("--file", help="quiver JSON document")
-    common.add_argument("--max-degree", type=int, default=6)
+    common.add_argument("--max-degree", type=_degree, default=6)
     common.add_argument("--field", default="q", help="q or fp:<prime>")
     common.add_argument("--format", default="table", choices=("json", "table"))
     p = argparse.ArgumentParser(

@@ -21,16 +21,12 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-from .algebra import Algebra, LinearSolver, SubspaceReducer
+from .algebra import Algebra, SubspaceReducer
 from .linalg import ColumnEchelon, Matrix, rank
 
 
 class SideMismatch(ValueError):
     """Complexes or modules with incompatible module structures."""
-
-
-def _elem_mul(alg, x, y):
-    return alg.multiply(x, y)
 
 
 def _elem_add_into(field, acc, vec, scale):
@@ -343,9 +339,6 @@ class FieldComplex:
                 out[n] = h
         return out
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
 
 class ModuleComplex:
     """Bounded complex of (not necessarily projective) modules over L."""
@@ -648,32 +641,11 @@ def minimalize(X: ProjComplex) -> ProjComplex:
 # Tensor products over the base algebra A
 
 
-def _env_pair(env):
-    b, c = env._pair
-    return b, c
-
-
-def _decode_env_vertex(env, pos):
-    b, c = env._pair
-    return divmod(pos, c.num_vertices)
-
-
-def _encode_env_vertex(env, v, w):
-    b, c = env._pair
-    return v * c.num_vertices + w
-
-
-def _decode_env_elem(env, x):
-    """Split an enveloping-algebra element into (a_idx, b_idx, coeff) terms."""
-    b, c = env._pair
-    return [(k // c.dim, k % c.dim, v) for k, v in x.items()]
-
-
 def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     """Convolution of bimodule complexes: P (x)_A Q, both over env(A)."""
     env = P.algebra
     assert Q.algebra is env
-    A, _ = _env_pair(env)
+    A, _ = env.factors
     f = A.field
     summands = {}  # degree -> list of (p, s1, s2, mu)
     for p, t1 in P.terms.items():
@@ -681,9 +653,9 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
             n = p + q
             lst = summands.setdefault(n, [])
             for s1, pos1 in enumerate(t1):
-                v, w = _decode_env_vertex(env, pos1)
+                v, w = env.vertex_pair(pos1)
                 for s2, pos2 in enumerate(t2):
-                    v2, w2 = _decode_env_vertex(env, pos2)
+                    v2, w2 = env.vertex_pair(pos2)
                     for mu in A.slice_indices(w, v2):
                         lst.append((p, s1, s2, mu))
     terms = {}
@@ -691,9 +663,9 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     for n, lst in summands.items():
         labels = []
         for p, s1, s2, mu in lst:
-            v, _ = _decode_env_vertex(env, P.terms[p][s1])
-            _, w2 = _decode_env_vertex(env, Q.terms[n - p][s2])
-            labels.append(_encode_env_vertex(env, v, w2))
+            v, _ = env.vertex_pair(P.terms[p][s1])
+            _, w2 = env.vertex_pair(Q.terms[n - p][s2])
+            labels.append(env.vertex(v, w2))
         terms[n] = tuple(labels)
         pos_index[n] = {key: i for i, key in enumerate(lst)}
     diffs = {}
@@ -710,15 +682,15 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
                     x = row[s1]
                     if not x:
                         continue
-                    for (a, bidx, cf) in _decode_env_elem(env, x):
+                    for (a, bidx, cf) in env.terms(x):
                         # new middle: y . mu ; outer entry x (x) e_{w2}
                         newmid = A.multiply({bidx: f.one}, {mu: f.one})
                         for mu2, cmid in newmid.items():
                             r = tgt_pos.get((p + 1, i1, s2, mu2))
                             if r is None:
                                 continue
-                            _, w2 = _decode_env_vertex(env, Q.terms[q][s2])
-                            ekey = A.pair_index(a, A.idempotents[w2])
+                            _, w2 = env.vertex_pair(Q.terms[q][s2])
+                            ekey = env.pair_index(a, A.idempotents[w2])
                             _elem_add_into(f, d[r][col], {ekey: f.mul(cf, cmid)}, f.one)
             # (-1)^p id (x) d_Q
             if q in Q.diffs:
@@ -727,14 +699,14 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
                     x = row[s2]
                     if not x:
                         continue
-                    for (a, bidx, cf) in _decode_env_elem(env, x):
+                    for (a, bidx, cf) in env.terms(x):
                         newmid = A.multiply({mu: f.one}, {a: f.one})
                         for mu2, cmid in newmid.items():
                             r = tgt_pos.get((p, s1, i2, mu2))
                             if r is None:
                                 continue
-                            v, _ = _decode_env_vertex(env, P.terms[p][s1])
-                            ekey = A.pair_index(A.idempotents[v], bidx)
+                            v, _ = env.vertex_pair(P.terms[p][s1])
+                            ekey = env.pair_index(A.idempotents[v], bidx)
                             _elem_add_into(f, d[r][col],
                                            {ekey: f.mul(sign, f.mul(cf, cmid))}, f.one)
         diffs[n] = d
@@ -745,7 +717,7 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
     """Apply a bimodule complex to a left-module complex: P (x)_A X."""
     env = P.algebra
     A = X.algebra
-    if _env_pair(env)[0] is not A:
+    if env.factors[0] is not A:
         raise SideMismatch("bimodule complex does not act on this algebra's "
                            "left modules")
     f = A.field
@@ -754,7 +726,7 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
         for q, t2 in X.terms.items():
             lst = summands.setdefault(p + q, [])
             for s1, pos1 in enumerate(t1):
-                v, w = _decode_env_vertex(env, pos1)
+                v, w = env.vertex_pair(pos1)
                 for s2, u in enumerate(t2):
                     for mu in A.slice_indices(w, u):
                         lst.append((p, s1, s2, mu))
@@ -763,7 +735,7 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
     for n, lst in summands.items():
         labels = []
         for p, s1, s2, mu in lst:
-            v, _ = _decode_env_vertex(env, P.terms[p][s1])
+            v, _ = env.vertex_pair(P.terms[p][s1])
             labels.append(v)
         terms[n] = tuple(labels)
         pos_index[n] = {key: i for i, key in enumerate(lst)}
@@ -778,7 +750,7 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
             if p in P.diffs:
                 for i1, row in enumerate(P.diffs[p]):
                     x = row[s1]
-                    for (a, bidx, cf) in _decode_env_elem(env, x):
+                    for (a, bidx, cf) in env.terms(x):
                         newmid = A.multiply({bidx: f.one}, {mu: f.one})
                         for mu2, cmid in newmid.items():
                             r = tgt_pos.get((p + 1, i1, s2, mu2))
@@ -794,7 +766,7 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
                     for mu2, cmid in newmid.items():
                         r = tgt_pos.get((p, s1, i2, mu2))
                         if r is not None:
-                            v, _ = _decode_env_vertex(env, P.terms[p][s1])
+                            v, _ = env.vertex_pair(P.terms[p][s1])
                             ekey = A.idempotents[v]
                             _elem_add_into(f, d[r][col],
                                            {ekey: f.mul(sign, cmid)}, f.one)
@@ -854,19 +826,16 @@ def tensor_right_left(F: ProjComplex, G: ProjComplex) -> FieldComplex:
     return FieldComplex(f, dims, diffs)
 
 
-def _decode_grading(env, code):
-    _, c = env._pair
-    return divmod(code, c.num_vertices)
-
-
 def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     """P (x)_A M for a bimodule complex P and a single bimodule M: the
-    termwise twist (A e_v (x) e_w A) (x)_A M = A e_v (x) e_w M.  Used to
-    convolve kernels with the Serre kernel DA."""
-    from .modules import ModuleRep
+    termwise twist (A e_v (x) e_w A) (x)_A M = A e_v (x) e_w M, on which A
+    acts from the left on the first factor and from the right on M.  Used
+    to convolve kernels with the Serre kernel DA."""
+    from .modules import Bimodule
     env = P.algebra
-    A, _ = _env_pair(env)
+    A, _ = env.factors
     f = A.field
+    sides = [env.vertex_pair(code) for code in M.grading]
     blocks = {}   # degree -> list of (summand, a, m) basis
     pos = {}
     mods = {}
@@ -874,32 +843,40 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
         basis = []
         grading = []
         for s, code in enumerate(t):
-            v, w = _decode_env_vertex(env, code)
+            v, w = env.vertex_pair(code)
             for a in A.column_indices(v):
                 for m in range(M.dim):
-                    if _decode_grading(env, M.grading[m])[0] == w:
+                    if sides[m][0] == w:
                         basis.append((s, a, m))
-                        grading.append(_encode_env_vertex(
-                            env, A.tgt[a], _decode_grading(env, M.grading[m])[1]))
+                        grading.append(env.vertex(A.tgt[a], sides[m][1]))
         blocks[p] = basis
-        pos[p] = {b: i for i, b in enumerate(basis)}
+        index = pos[p] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
-        action = []
+        n = len(basis)
+        left = []
         for i in range(A.dim):
-            for j in range(A.dim):
-                cols = []
-                for (s, a, m) in basis:
-                    col = {}
-                    for a2, c1 in A.mult[i][a].items():
-                        for m2, c2 in M.action[A.pair_index(
-                                A.idempotents[_decode_grading(env, M.grading[m])[0]], j)].cols[m].items():
-                            r = pos[p].get((s, a2, m2))
-                            if r is not None:
-                                col[r] = f.add(col.get(r, f.zero), f.mul(c1, c2))
-                    cols.append({k: v for k, v in col.items() if v})
-                action.append(Matrix(f, len(basis), len(basis), cols))
-        mods[p] = ModuleRep(env, len(basis), action, tuple(grading), check=False)
+            cols = []
+            for (s, a, m) in basis:
+                col = {}
+                for a2, c in A.mult[i][a].items():
+                    r = index.get((s, a2, m))
+                    if r is not None and c:
+                        col[r] = c
+                cols.append(col)
+            left.append(Matrix(f, n, n, cols))
+        right = []
+        for j in range(A.dim):
+            cols = []
+            for (s, a, m) in basis:
+                col = {}
+                for m2, c in M.right[j].cols[m].items():
+                    r = index.get((s, a, m2))
+                    if r is not None:
+                        col[r] = c
+                cols.append(col)
+            right.append(Matrix(f, n, n, cols))
+        mods[p] = Bimodule(env, n, left, right, grading, check=False)
     diffs = {}
     for p in P.diffs:
         if p not in mods or (p + 1) not in mods:
@@ -911,12 +888,10 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
                 x = row[s]
                 if not x:
                     continue
-                w = _decode_grading(env, M.grading[m])[0]
-                for (xi, yi, cf) in _decode_env_elem(env, x):
+                for (xi, yi, cf) in env.terms(x):
                     prod = A.multiply({a: f.one}, {xi: f.one})
                     # left action of y on e_w M
-                    yact = M.action[A.pair_index(yi, A.idempotents[
-                        _decode_grading(env, M.grading[m])[1]])].cols[m]
+                    yact = M.left[yi].cols[m]
                     for a2, c1 in prod.items():
                         for m2, c2 in yact.items():
                             r = tgt_pos.get((i1, a2, m2))
@@ -1171,13 +1146,13 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
         if n == 0:
             for v in range(A.num_vertices):
                 index[("v", v)] = len(labels)
-                labels.append(_encode_env_vertex(env, v, v))
+                labels.append(env.vertex(v, v))
         else:
             for t in tl:
                 v = A.tgt[t[0]]
                 w = A.src[t[-1]]
                 index[t] = len(labels)
-                labels.append(_encode_env_vertex(env, v, w))
+                labels.append(env.vertex(v, w))
         terms[-n] = tuple(labels)
         pos[n] = index
     diffs = {}
@@ -1195,7 +1170,7 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
             key = ("v", A.src[head]) if n == 1 else t[1:]
             r = pos[n - 1][key]
             _elem_add_into(f, d[r][col],
-                           {A.pair_index(head, A.idempotents[w]): f.one}, f.one)
+                           {env.pair_index(head, A.idempotents[w]): f.one}, f.one)
             # 0 < i < n: contract adjacent radical slots; entry e_v (x) e_w
             for i in range(1, n):
                 prod = A.mult[t[i - 1]][t[i]]
@@ -1204,7 +1179,7 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
                     assert s not in A._idem_set  # rad is an ideal
                     t2 = t[:i - 1] + (s,) + t[i + 1:]
                     r2 = pos[n - 1][t2]
-                    ekey2 = A.pair_index(A.idempotents[v], A.idempotents[w])
+                    ekey2 = env.pair_index(A.idempotents[v], A.idempotents[w])
                     _elem_add_into(f, d[r2][col], {ekey2: f.mul(sign, c)}, f.one)
             # i = n: slide r_n into the right A slot; entry e_v (x) r_n
             tail = t[-1]
@@ -1212,7 +1187,7 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
             r3 = pos[n - 1][key3]
             sign = f.one if n % 2 == 0 else f.neg(f.one)
             _elem_add_into(f, d[r3][col],
-                           {A.pair_index(A.idempotents[v], tail): sign}, f.one)
+                           {env.pair_index(A.idempotents[v], tail): sign}, f.one)
         diffs[-n] = d
     return ProjComplex(env, terms, diffs, check=True)
 
@@ -1224,7 +1199,7 @@ def bar_augmentation_matrix(A: Algebra, bar: ProjComplex) -> Matrix:
     bases = bar.realize_bases()[0]
     entries = {}
     for col, (s, k) in enumerate(bases):
-        i, j = divmod(k, A.dim)
+        i, j = env.index_pair(k)
         prod = A.mult[i][j]
         for t, c in prod.items():
             entries[(t, col)] = f.add(entries.get((t, col), f.zero), c)
@@ -1282,8 +1257,8 @@ def projective_resolution(M, length: int) -> ProjComplex:
         if not kernel_vecs:
             break
         # syzygy module: basis = kernel vectors, action by solving back
-        solver = LinearSolver(Matrix(f, len(cover_cols), len(kernel_vecs),
-                                     kernel_vecs))
+        solver = ColumnEchelon(Matrix(f, len(cover_cols), len(kernel_vecs),
+                                      kernel_vecs))
         grading = []
         for kv in kernel_vecs:
             vv = {alg.tgt[cover_basis[c][1]] for c in kv}

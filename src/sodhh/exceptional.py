@@ -194,11 +194,6 @@ class ExceptionalCollection:
     def __len__(self):
         return len(self.objects)
 
-    def ext_table(self):
-        n = len(self.objects)
-        return [[ext_profile(self.objects[i], self.objects[j])
-                 for j in range(n)] for i in range(n)]
-
 
 def projective_collection(A: Algebra, order=None) -> ExceptionalCollection:
     """The indecomposable projectives in a semiorthogonal (directed)

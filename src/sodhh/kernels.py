@@ -29,7 +29,7 @@ from .complexes import (ModuleComplex, ModuleHomComplex, ProjComplex,
                         tensor_right_module_complex)
 from .exceptional import ExceptionalCollection, dual_collection
 from .hochschild import HHProfile, hh_cohomology, hh_homology
-from .modules import ModuleRep, dual_bimodule
+from .modules import Bimodule, ModuleRep, dual_bimodule
 
 
 class UnsupportedKernelShape(ValueError):
@@ -67,7 +67,7 @@ class Kernel:
 
     @staticmethod
     def general(P: ProjComplex) -> "Kernel":
-        A, _ = P.algebra._pair
+        A, _ = P.algebra.factors
         return Kernel(A, "general", complex=P)
 
     @staticmethod
@@ -124,7 +124,7 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
         for p, s1, s2 in lst:
             v = E.terms[p][s1]
             w = Fp.terms[n - p][s2]
-            labels.append(_encode_env_vertex(env, v, w))
+            labels.append(env.vertex(v, w))
         terms[n] = tuple(labels)
         pos[n] = {key: i for i, key in enumerate(lst)}
     diffs = {}
@@ -144,7 +144,7 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
                     r = tgt_pos.get((p + 1, i1, s2))
                     if r is not None:
                         for k, c in x.items():
-                            key = A.pair_index(k, A.idempotents[w])
+                            key = env.pair_index(k, A.idempotents[w])
                             d[r][col][key] = c
             if q in Fp.diffs:
                 sign = f.one if p % 2 == 0 else f.neg(f.one)
@@ -156,15 +156,10 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
                     r = tgt_pos.get((p, s1, i2))
                     if r is not None:
                         for k, c in z.items():
-                            key = A.pair_index(A.idempotents[v], k)
+                            key = env.pair_index(A.idempotents[v], k)
                             d[r][col][key] = f.mul(sign, c)
         diffs[n] = d
     return ProjComplex(env, terms, diffs, check=True)
-
-
-def _encode_env_vertex(env, v, w):
-    _, c = env._pair
-    return v * c.num_vertices + w
 
 
 def serre_kernel(A: Algebra) -> Kernel:
@@ -291,13 +286,9 @@ def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
 
 def _dual_as_left(A: Algebra) -> ModuleRep:
     """DA with only its left A-action (grading by the left vertex)."""
-    from .modules import env_left_action
     D = dual_bimodule(A)
-    env = D.algebra
-    _, c = env._pair
-    action = [env_left_action(D, i) for i in range(A.dim)]
-    grading = tuple(code // c.num_vertices for code in D.grading)
-    return ModuleRep(A, D.dim, action, grading, check=False)
+    grading = tuple(D.algebra.vertex_pair(code)[0] for code in D.grading)
+    return ModuleRep(A, D.dim, D.left, grading, check=False)
 
 
 def ext_between(K1: Kernel, K2, n_max: int, depth: int = 8) -> dict:
@@ -467,7 +458,7 @@ def additivity_check(A: Algebra, coll: ExceptionalCollection,
     }
 
 
-def les_check(b: Algebra, c: Algebra, m: ModuleRep, n_max: int = 6) -> dict:
+def les_check(b: Algebra, c: Algebra, m: Bimodule, n_max: int = 6) -> dict:
     """Euler identity (and, in the hereditary case, the full dimension
     chase) for the long exact sequence relating HH of a triangular gluing
     to HH of its pieces and the endomorphisms of the gluing bimodule."""

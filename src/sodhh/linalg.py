@@ -172,13 +172,6 @@ class Matrix:
     def entry(self, i, j):
         return self.cols[j].get(i, self.field.zero)
 
-    def to_rows(self):
-        rows = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
     def is_zero(self):
         return all(not c for c in self.cols)
 
@@ -244,13 +237,6 @@ class Matrix:
             cols.append(acc)
         return Matrix(f, self.nrows, other.ncols, cols)
 
-    def transpose(self):
-        cols = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                cols[i][j] = v
-        return Matrix(self.field, self.ncols, self.nrows, cols)
-
     def apply(self, coldict):
         """Image of a sparse vector {index: scalar} under this matrix."""
         f = self.field
@@ -263,15 +249,6 @@ class Matrix:
                 elif i in acc:
                     del acc[i]
         return acc
-
-    def hstack(self, other):
-        self._check(other)
-        assert self.nrows == other.nrows
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      list(self.cols) + list(other.cols))
-
-    def submatrix_cols(self, js):
-        return Matrix(self.field, self.nrows, len(js), [dict(self.cols[j]) for j in js])
 
 
 def _col_axpy(field, c, pc, factor):
@@ -349,6 +326,17 @@ class ColumnEchelon:
             coeffs[k] = f.add(coeffs.get(k, f.zero), factor)
         return c, coeffs
 
+    def solve(self, coldict):
+        """Some x with m @ x == coldict, or None if there is none."""
+        f = self.matrix.field
+        residual, coeffs = self.reduce_vector(coldict)
+        if residual:
+            return None
+        x: dict = {}
+        for k, factor in coeffs.items():
+            _col_axpy(f, x, self.combo[k], f.neg(factor))
+        return x
+
 
 def rank_kernel_image(m: Matrix):
     """(rank, kernel basis as a ncols x k matrix, image basis as nrows x r)."""
@@ -367,18 +355,14 @@ def solve_linear(m: Matrix, rhs: Matrix):
     """Some x with m @ x == rhs, or None if the system is inconsistent."""
     m._check(rhs)
     assert m.nrows == rhs.nrows
-    f = m.field
     ech = ColumnEchelon(m)
     xcols = []
     for col in rhs.cols:
-        residual, coeffs = ech.reduce_vector(col)
-        if residual:
+        x = ech.solve(col)
+        if x is None:
             return None
-        x: dict = {}
-        for k, factor in coeffs.items():
-            _col_axpy(f, x, ech.combo[k], f.neg(factor))
         xcols.append(x)
-    return Matrix(f, m.ncols, rhs.ncols, xcols)
+    return Matrix(m.field, m.ncols, rhs.ncols, xcols)
 
 
 def kronecker_tensor(a: Matrix, b: Matrix) -> Matrix:

@@ -1,62 +1,129 @@
 """Finite-dimensional module representations.
 
-A ModuleRep is always a *left* module over its acting algebra; right
-modules are left modules over the opposite algebra and (A,B)-bimodules are
-left modules over A (x) B^op.  Module bases are vertex-graded: basis
-vector m is fixed by the idempotent of `grading[m]` and killed by the
-others, which keeps every Hom computation block-sparse.
+A ModuleRep is a *left* module over its acting algebra, given by one
+action matrix per basis element; right modules are left modules over the
+opposite algebra.  A (B,C)-bimodule is a Bimodule: a left module over
+B (x) C^op stored as a pair of commuting action lists, `left[i]` for
+b_i (x) 1 and `right[j]` for 1 (x) c_j.  Module bases are vertex-graded:
+basis vector m is fixed by the idempotent of `grading[m]` and killed by
+the others, which keeps every Hom computation block-sparse.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, PathAlgebra, algebra_from_structure, tensor_opposite
-from .linalg import Matrix
+from .algebra import (Algebra, PathAlgebra, TensorOpposite,
+                      algebra_from_structure, tensor_opposite)
+from .complexes import SideMismatch
+from .linalg import ColumnEchelon, Matrix, rank_kernel_image
+
+
+class ModuleAxiomError(ValueError):
+    """Action matrices that do not form a module or a bimodule."""
+
+
+def _check_action(alg: Algebra, mats, dim, opposite, what):
+    """Raise unless mats is a unital left module over alg (over alg^op if
+    `opposite`, i.e. a right alg-module)."""
+    f = alg.field
+    unit = Matrix.zeros(f, dim, dim)
+    for e in alg.idempotents:
+        unit = unit.add(mats[e])
+    if unit != Matrix.identity(f, dim):
+        raise ModuleAxiomError(f"{what}: unit does not act as the identity")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = mats[i].mul(mats[j])
+            rhs = Matrix.zeros(f, dim, dim)
+            for k, c in (alg.mult[j][i] if opposite else alg.mult[i][j]).items():
+                rhs = rhs.add(mats[k].scale(c))
+            if lhs != rhs:
+                raise ModuleAxiomError(f"{what}: action not multiplicative on "
+                                       f"{alg.labels[i]}, {alg.labels[j]}")
+
+
+def _check_fixed(mat, m, what):
+    if mat.cols[m] != {m: mat.field.one}:
+        raise ModuleAxiomError(f"{what}: basis is not graded as declared")
 
 
 class ModuleRep:
+    """A left module given by one dim x dim action matrix per basis
+    element of its algebra.  Used for one-sided modules and for the
+    syzygies `projective_resolution` builds; bimodules are Bimodule."""
+
     __slots__ = ("algebra", "dim", "action", "grading")
 
     def __init__(self, algebra: Algebra, dim: int, action, grading, check=True):
         self.algebra = algebra
         self.dim = dim
-        self.action = list(action)  # per algebra basis element, a dim x dim Matrix
+        self.action = action  # indexable by algebra basis element: a dim x dim Matrix
         self.grading = tuple(grading)
-        assert len(self.action) == algebra.dim and len(self.grading) == dim
+        if len(self.action) != algebra.dim or len(self.grading) != dim:
+            raise ModuleAxiomError("action or grading has the wrong length")
         if check:
             self.check_axioms()
 
     def check_axioms(self):
         alg = self.algebra
-        f = alg.field
-        ident = Matrix.identity(f, self.dim)
-        unit = Matrix.zeros(f, self.dim, self.dim)
-        for e in alg.idempotents:
-            unit = unit.add(self.action[e])
-        assert unit == ident, "unit does not act as the identity"
+        _check_action(alg, self.action, self.dim, False, "module")
         for m in range(self.dim):
-            col = self.action[alg.idempotents[self.grading[m]]].cols[m]
-            assert col == {m: f.one}, "basis is not graded as declared"
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.action[i].mul(self.action[j])
-                rhs = Matrix.zeros(f, self.dim, self.dim)
-                for k, c in alg.mult[i][j].items():
-                    rhs = rhs.add(self.action[k].scale(c))
-                assert lhs == rhs, (
-                    f"action not multiplicative on {alg.labels[i]}, {alg.labels[j]}")
+            _check_fixed(self.action[alg.idempotents[self.grading[m]]], m, "module")
 
-    def act(self, elem: dict, vec: dict) -> dict:
-        f = self.algebra.field
-        out: dict = {}
-        for k, c in elem.items():
-            for m, v in vec.items():
-                for m2, w in self.action[k].cols[m].items():
-                    s = f.add(out.get(m2, f.zero), f.mul(c, f.mul(v, w)))
-                    if s:
-                        out[m2] = s
-                    elif m2 in out:
-                        del out[m2]
-        return out
+
+class _PairAction:
+    """Action matrices L_i R_j of the basis elements b_i (x) c_j of a
+    bimodule, each built when first indexed and then cached."""
+
+    __slots__ = ("env", "left", "right", "cache")
+
+    def __init__(self, env, left, right):
+        self.env = env
+        self.left = left
+        self.right = right
+        self.cache = {}
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+    def __getitem__(self, k):
+        mat = self.cache.get(k)
+        if mat is None:
+            i, j = self.env.index_pair(k)
+            mat = self.cache[k] = self.left[i].mul(self.right[j])
+        return mat
+
+
+class Bimodule(ModuleRep):
+    """A (B,C)-bimodule: commuting lists `left` (b_i (x) 1, a left
+    B-action) and `right` (1 (x) c_j, a right C-action) over the algebra
+    B (x) C^op; `action[k]` of b_i (x) c_j is L_i R_j, built on demand."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, env: TensorOpposite, dim: int, left, right, grading,
+                 check=True):
+        self.left = list(left)
+        self.right = list(right)
+        super().__init__(env, dim, _PairAction(env, self.left, self.right),
+                         grading, check)
+
+    def check_axioms(self):
+        """Left and right module axioms, the grading, and L_i R_j = R_j L_i:
+        dim_B^2 + dim_C^2 + dim_B dim_C matrix products."""
+        env = self.algebra
+        b, c = env.factors
+        _check_action(b, self.left, self.dim, False, "left action")
+        _check_action(c, self.right, self.dim, True, "right action")
+        for m in range(self.dim):
+            v, w = env.vertex_pair(self.grading[m])
+            _check_fixed(self.left[b.idempotents[v]], m, "left action")
+            _check_fixed(self.right[c.idempotents[w]], m, "right action")
+        for i, lm in enumerate(self.left):
+            for j, rm in enumerate(self.right):
+                if lm.mul(rm) != rm.mul(lm):
+                    raise ModuleAxiomError(
+                        f"left and right actions do not commute on "
+                        f"{b.labels[i]}, {c.labels[j]}")
 
 
 def simple_module(A: Algebra, v: int) -> ModuleRep:
@@ -70,69 +137,42 @@ def simple_module(A: Algebra, v: int) -> ModuleRep:
     return ModuleRep(A, 1, action, (v,), check=False)
 
 
-def _env_encode(env, v, w):
-    _, c = env._pair
-    return v * c.num_vertices + w
-
-
-def regular_bimodule(A: Algebra) -> ModuleRep:
+def regular_bimodule(A: Algebra) -> Bimodule:
     """A as a bimodule over itself: the diagonal."""
     env = A.enveloping()
     f = A.field
-    action = []
+    left = [Matrix.from_cols(f, A.dim, [A.mult[i][k] for k in range(A.dim)])
+            for i in range(A.dim)]
+    right = [Matrix.from_cols(f, A.dim, [A.mult[k][j] for k in range(A.dim)])
+             for j in range(A.dim)]
+    grading = tuple(env.vertex(A.tgt[k], A.src[k]) for k in range(A.dim))
+    return Bimodule(env, A.dim, left, right, grading, check=False)
+
+
+def _dual_actions(A: Algebra, product):
+    """Per i, the matrix of p* |-> sum_x coeff_p(product(i, x)) x* on DA."""
+    mats = []
     for i in range(A.dim):
-        for j in range(A.dim):
-            cols = []
-            for k in range(A.dim):
-                cols.append(A.multiply(A.mult[i][k], {j: f.one}))
-            action.append(Matrix(f, A.dim, A.dim, cols))
-    grading = tuple(_env_encode(env, A.tgt[k], A.src[k]) for k in range(A.dim))
-    return ModuleRep(env, A.dim, action, grading, check=False)
+        cols = [dict() for _ in range(A.dim)]
+        for x in range(A.dim):
+            for p, c in product(i, x).items():
+                if c:
+                    cols[p][x] = c
+        mats.append(Matrix(A.field, A.dim, A.dim, cols))
+    return mats
 
 
-def dual_bimodule(A: Algebra) -> ModuleRep:
+def dual_bimodule(A: Algebra) -> Bimodule:
     """DA = Hom_k(A, k) with (a.f.b)(x) = f(b x a); the Serre kernel."""
     env = A.enveloping()
-    f = A.field
-    action = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            # (b_i (x) b_j) . p* = sum_x coeff_p(b_j b_x b_i) x*
-            cols = [dict() for _ in range(A.dim)]
-            for x in range(A.dim):
-                prod = A.multiply(A.mult[j][x], {i: f.one})
-                for p, c in prod.items():
-                    if c:
-                        cols[p][x] = c
-            action.append(Matrix(f, A.dim, A.dim, cols))
-    grading = tuple(_env_encode(env, A.src[k], A.tgt[k]) for k in range(A.dim))
-    return ModuleRep(env, A.dim, action, grading, check=False)
-
-
-def env_left_action(M: ModuleRep, i: int) -> Matrix:
-    """Action of b_i (x) 1 on a bimodule."""
-    env = M.algebra
-    b, c = env._pair
-    f = env.field
-    out = Matrix.zeros(f, M.dim, M.dim)
-    for e in c.idempotents:
-        out = out.add(M.action[i * c.dim + e])
-    return out
-
-
-def env_right_action(M: ModuleRep, j: int) -> Matrix:
-    """Action of 1 (x) b_j on a bimodule."""
-    env = M.algebra
-    b, c = env._pair
-    f = env.field
-    out = Matrix.zeros(f, M.dim, M.dim)
-    for e in b.idempotents:
-        out = out.add(M.action[e * c.dim + j])
-    return out
+    left = _dual_actions(A, lambda i, x: A.mult[x][i])    # (b_i.f)(x) = f(x b_i)
+    right = _dual_actions(A, lambda j, x: A.mult[j][x])   # (f.b_j)(x) = f(b_j x)
+    grading = tuple(env.vertex(A.src[k], A.tgt[k]) for k in range(A.dim))
+    return Bimodule(env, A.dim, left, right, grading, check=False)
 
 
 def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,
-                          check=True) -> ModuleRep:
+                          check=True) -> Bimodule:
     """(A,B)-bimodule from commuting left and right action matrices.
 
     The basis is regraded if necessary so that each vector is supported at
@@ -141,38 +181,30 @@ def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,
     env = A.enveloping() if B is A else tensor_opposite(A, B)
     f = A.field
     dim = left_mats[0].nrows if left_mats else 0
-    action = []
-    for i in range(A.dim):
-        for j in range(B.dim):
-            action.append(left_mats[i].mul(right_mats[j]))
     # graded basis: concatenate images of the commuting projections
     basis_cols = []
     grading = []
     for v, ev in enumerate(A.idempotents):
         for w, ew in enumerate(B.idempotents):
-            proj = left_mats[ev].mul(right_mats[ew])
-            from .linalg import rank_kernel_image
-            _, _, img = rank_kernel_image(proj)
-            for col in img.cols:
-                basis_cols.append(col)
-                grading.append(_env_encode(env, v, w))
-    assert len(basis_cols) == dim, "left/right idempotent actions do not split the basis"
-    basechange = Matrix(f, dim, dim, basis_cols)
-    from .algebra import LinearSolver
-    solver = LinearSolver(basechange)
-    new_action = []
-    for m in action:
-        cols = []
-        for col in basechange.cols:
-            img = m.apply(col)
-            sol = solver.solve(img)
-            assert sol is not None
-            cols.append(sol)
-        new_action.append(Matrix(f, dim, dim, cols))
-    return ModuleRep(env, dim, new_action, tuple(grading), check=check)
+            _, _, img = rank_kernel_image(left_mats[ev].mul(right_mats[ew]))
+            basis_cols.extend(img.cols)
+            grading.extend([env.vertex(v, w)] * img.ncols)
+    if len(basis_cols) != dim:
+        raise ModuleAxiomError(
+            "left/right idempotent actions do not split the basis")
+    basechange = ColumnEchelon(Matrix(f, dim, dim, basis_cols))
+
+    def rebase(m):
+        cols = [basechange.solve(m.apply(col)) for col in basis_cols]
+        if any(col is None for col in cols):
+            raise ModuleAxiomError("an action does not preserve the graded basis")
+        return Matrix(f, dim, dim, cols)
+
+    return Bimodule(env, dim, [rebase(m) for m in left_mats],
+                    [rebase(m) for m in right_mats], grading, check=check)
 
 
-def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> ModuleRep:
+def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> Bimodule:
     """k^d as a (b,c)-bimodule when b and c each have a single vertex
     acting through the idempotent (the catalog's gluing data)."""
     assert b.num_vertices == 1 and c.num_vertices == 1, "free gluing needs single vertices"
@@ -188,7 +220,7 @@ def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> ModuleRep:
     return bimodule_from_actions(b, c, left, right, check=False)
 
 
-def triangular_gluing(b: Algebra, c: Algebra, m: ModuleRep,
+def triangular_gluing(b: Algebra, c: Algebra, m: Bimodule,
                       arrow_name_prefix="g") -> PathAlgebra:
     """Upper-triangular extension with underlying space b (+) m (+) c and
     multiplication (b1,m1,c1)(b2,m2,c2) = (b1 b2, b1 m2 + m1 c2, c1 c2),
@@ -197,9 +229,9 @@ def triangular_gluing(b: Algebra, c: Algebra, m: ModuleRep,
     m is a (b,c)-bimodule; its elements become paths from c-vertices to
     b-vertices.  Arrow names of the re-presentation are generated.
     """
-    env2 = m.algebra
-    assert getattr(env2, "_pair", None) is not None and env2._pair[0] is b \
-        and env2._pair[1] is c, "m must be a module over b (x) c^op"
+    if not isinstance(m, Bimodule) or m.algebra.factors[0] is not b \
+            or m.algebra.factors[1] is not c:
+        raise SideMismatch("m must be a bimodule over b (x) c^op")
     m.check_axioms()
     f = b.field
     nb, nm, nc = b.dim, m.dim, c.dim
@@ -223,19 +255,13 @@ def triangular_gluing(b: Algebra, c: Algebra, m: ModuleRep,
         for j in range(nc):
             mult[OC + i][OC + j] = {OC + k: v for k, v in c.mult[i][j].items()}
     for i in range(nb):
-        la = env_left_action(m, i)
-        for k in range(nm):
-            col = la.cols[k]
+        for k, col in enumerate(m.left[i].cols):
             if col:
                 mult[OB + i][OM + k] = {OM + k2: v for k2, v in col.items()}
     for j in range(nc):
-        ra = env_right_action(m, j)
-        for k in range(nm):
-            col = ra.cols[k]
+        for k, col in enumerate(m.right[j].cols):
             if col:
                 mult[OM + k][OC + j] = {OM + k2: v for k2, v in col.items()}
     idems = [OB + e for e in b.idempotents] + [OC + e for e in c.idempotents]
-    dims_check = nb + nm + nc
-    assert dims_check == dim
     return algebra_from_structure(f, vnames, labels, mult, idems,
                                   arrow_name_prefix=arrow_name_prefix)

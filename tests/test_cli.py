@@ -206,3 +206,65 @@ def test_coeffs_with_bimodule_file(tmp_path):
         ["coeffs", "--bimodule", str(p), "--catalog", "kxk"])
     assert code == 0
     assert report.data["hh_with_coefficients"]["dims"][0] == 1
+
+
+# kronecker1 (arrow a: 1 -> 2) on k^2: each side is a module, but
+# a (x) 1 and 1 (x) e(1) do not commute
+NON_COMMUTING_DOC = {
+    "dimension": 2,
+    "left_action": {"e(1)": [[0, 0], [0, 1]], "e(2)": [[1, 0], [0, 0]],
+                    "a": [[0, 1], [0, 0]]},
+    "right_action": {"e(1)": [[0, 0], [0, 1]], "e(2)": [[1, 0], [0, 0]],
+                     "a": [[0, 0], [1, 0]]},
+}
+
+
+def test_coeffs_rejects_non_commuting_bimodule(tmp_path):
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps(NON_COMMUTING_DOC))
+    code, report = run_command(
+        ["coeffs", "--bimodule", str(p), "--catalog", "kronecker1"])
+    assert code == 2
+    assert "do not commute" in report.data["error"]
+
+
+def test_bimodule_check_survives_optimized_python(tmp_path):
+    """The bimodule axioms are checked by raising, not by assert, so
+    `python -O` still rejects a bad file."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import sodhh
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps(NON_COMMUTING_DOC))
+    src = str(pathlib.Path(sodhh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "sodhh.cli", "coeffs", "--bimodule",
+         str(p), "--catalog", "kronecker1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "do not commute" in proc.stdout
+
+
+def test_bimodule_file_with_wrong_matrix_shape(tmp_path):
+    doc = {"dimension": 2, "left_action": {"e(1)": [[1, 0]]},
+           "right_action": {}}
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps(doc))
+    code, report = run_command(
+        ["coeffs", "--bimodule", str(p), "--catalog", "kronecker1"])
+    assert code == 2
+    assert "left_action.e(1)" in report.data["error"]
+
+
+def test_negative_max_degree_is_rejected_at_parse_time(capsys):
+    from sodhh.cli import main
+    code = main(["cohomology", "--catalog", "kronecker2", "--max-degree", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--max-degree" in captured.err

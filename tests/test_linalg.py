@@ -3,8 +3,9 @@ from random import Random
 
 import pytest
 
-from sodhh.linalg import (FieldMismatch, GF, Matrix, QQ, kronecker_tensor,
-                          rank, rank_kernel_image, solve_linear)
+from sodhh.linalg import (ColumnEchelon, FieldMismatch, GF, Matrix, QQ,
+                          kronecker_tensor, rank, rank_kernel_image,
+                          solve_linear)
 
 
 def naive_row_reduction_rank(rows, field):
@@ -134,6 +135,16 @@ def test_solve_random_consistent():
             x = solve_linear(m, rhs)
             assert x is not None
             assert m.mul(x).sub(rhs).is_zero()
+
+
+def test_column_echelon_solve():
+    m = Matrix.from_rows(QQ, [[1, 2], [2, 4], [0, 1]])
+    ech = ColumnEchelon(m)
+    rhs = {0: QQ.coerce(3), 1: QQ.coerce(6), 2: QQ.coerce(1)}
+    x = ech.solve(rhs)
+    assert m.apply(x) == rhs
+    assert ech.solve({0: QQ.one}) is None
+    assert ech.solve({}) == {}
 
 
 def test_field_mismatch():

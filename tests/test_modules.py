@@ -1,0 +1,153 @@
+"""Bimodules stored as commuting left/right action pairs.
+
+The dense references below build one action matrix per basis element
+b_i (x) b_j of the enveloping algebra straight from the multiplication
+table; the pair-form modules must agree with them on every index.
+"""
+
+import pytest
+
+from sodhh.catalog import CATALOG
+from sodhh.complexes import SideMismatch, bar_resolution, tensor_env_module
+from sodhh.exceptional import projective_collection
+from sodhh.kernels import decomposable_to_env, projection_kernels
+from sodhh.linalg import QQ, Matrix
+from sodhh.modules import (Bimodule, ModuleAxiomError, bimodule_from_actions,
+                           dual_bimodule, regular_bimodule, triangular_gluing)
+
+
+def dense_regular(A):
+    """action[i * dim + j] : b_k |-> b_i b_k b_j."""
+    f = A.field
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            cols = [A.multiply(A.mult[i][k], {j: f.one}) for k in range(A.dim)]
+            out.append(Matrix(f, A.dim, A.dim, cols))
+    return out
+
+
+def dense_dual(A):
+    """action[i * dim + j] : p* |-> sum_x coeff_p(b_j b_x b_i) x*."""
+    f = A.field
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            cols = [dict() for _ in range(A.dim)]
+            for x in range(A.dim):
+                for p, c in A.multiply(A.mult[j][x], {i: f.one}).items():
+                    cols[p][x] = c
+            out.append(Matrix(f, A.dim, A.dim, cols))
+    return out
+
+
+def dense_tensor_env(A, P, M, M_dense):
+    """Per degree of P, the dense actions on A e_v (x) e_w M:
+    b_i (x) b_j sends a (x) m to b_i a (x) m b_j."""
+    f = A.field
+    n = A.num_vertices
+    out = {}
+    for p, t in P.terms.items():
+        basis = []
+        for s, code in enumerate(t):
+            v, w = divmod(code, n)
+            for a in range(A.dim):
+                if A.src[a] != v:
+                    continue
+                for m in range(M.dim):
+                    if M.grading[m] // n == w:
+                        basis.append((s, a, m))
+        if not basis:
+            continue
+        pos = {b: r for r, b in enumerate(basis)}
+        action = []
+        for i in range(A.dim):
+            for j in range(A.dim):
+                cols = []
+                for (s, a, m) in basis:
+                    # right action of b_j on m is that of e_w (x) b_j
+                    e_w = A.idempotents[M.grading[m] // n]
+                    right = M_dense[e_w * A.dim + j].cols[m]
+                    col = {}
+                    for a2, c1 in A.mult[i][a].items():
+                        for m2, c2 in right.items():
+                            r = pos[(s, a2, m2)]
+                            col[r] = f.add(col.get(r, f.zero), f.mul(c1, c2))
+                    cols.append({r: c for r, c in col.items() if c})
+                action.append(Matrix(f, len(basis), len(basis), cols))
+        out[p] = action
+    return out
+
+
+def assert_matches(M, dense):
+    assert len(M.action) == len(dense)
+    for k, mat in enumerate(dense):
+        assert M.action[k] == mat, k
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_regular_and_dual_match_dense(algebras, name):
+    A = algebras[name]
+    n = A.num_vertices
+    R = regular_bimodule(A)
+    assert_matches(R, dense_regular(A))
+    assert R.grading == tuple(A.tgt[k] * n + A.src[k] for k in range(A.dim))
+    D = dual_bimodule(A)
+    assert_matches(D, dense_dual(A))
+    assert D.grading == tuple(A.src[k] * n + A.tgt[k] for k in range(A.dim))
+    R.check_axioms()
+    D.check_axioms()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_tensor_env_module_matches_dense(algebras, name):
+    A = algebras[name]
+    D = dual_bimodule(A)
+    D_dense = dense_dual(A)
+    complexes = [bar_resolution(A, 2)]
+    if name != "loop-x2":   # no exceptional collection
+        for K in projection_kernels(projective_collection(A)):
+            complexes.append(decomposable_to_env(K.left, K.right))
+    for P in complexes:
+        twisted = tensor_env_module(P, D)
+        dense = dense_tensor_env(A, P, D, D_dense)
+        assert set(twisted.modules) == set(dense)
+        for p, M in twisted.modules.items():
+            assert isinstance(M, Bimodule)
+            assert_matches(M, dense[p])
+            M.check_axioms()
+
+
+def loop_pair(left_x, right_x):
+    loop = CATALOG["loop-x2"].algebra(QQ)
+    x = next(k for k in range(loop.dim) if k not in loop.idempotents)
+
+    def action(mx):
+        return [Matrix.from_rows(QQ, mx) if k == x else Matrix.identity(QQ, 2)
+                for k in range(loop.dim)]
+
+    return loop, action(left_x), action(right_x)
+
+
+def test_non_commuting_pair_is_rejected():
+    loop, left, right = loop_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    with pytest.raises(ModuleAxiomError, match="do not commute"):
+        bimodule_from_actions(loop, loop, left, right)
+
+
+def test_commuting_pair_is_accepted():
+    loop, left, right = loop_pair([[0, 1], [0, 0]], [[0, 1], [0, 0]])
+    M = bimodule_from_actions(loop, loop, left, right)
+    assert M.dim == 2 and len(M.action) == loop.dim ** 2
+
+
+def test_non_multiplicative_action_is_rejected():
+    loop, left, right = loop_pair([[1, 0], [0, 0]], [[0, 0], [0, 0]])
+    with pytest.raises(ModuleAxiomError, match="left action"):
+        bimodule_from_actions(loop, loop, left, right)
+
+
+def test_gluing_needs_a_bimodule_over_the_pieces(algebras):
+    A = algebras["kronecker2"]
+    with pytest.raises(SideMismatch):
+        triangular_gluing(A, A, dual_bimodule(algebras["kronecker3"]))

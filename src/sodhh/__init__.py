@@ -11,9 +11,10 @@ from .modules import (Bimodule, ModuleAxiomError, ModuleRep,
                       bimodule_from_actions, dual_bimodule,
                       free_gluing_bimodule, regular_bimodule, simple_module,
                       triangular_gluing)
-from .complexes import (ChainMap, FieldComplex, HomComplex, ModuleComplex,
-                        ProjComplex, SideMismatch, bar_resolution, cone,
-                        direct_sum, dualize, ext_profile, ext_profile_module,
+from .complexes import (ChainMap, ComplexError, FieldComplex, HomComplex,
+                        ModuleComplex, ProjComplex, SideMismatch,
+                        bar_resolution, cone, direct_sum, dualize,
+                        ext_profile, ext_profile_module,
                         hom_complex, minimalize, module_complex_single,
                         projective_resolution, single_projective,
                         zero_complex)
@@ -33,7 +34,6 @@ from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                       orthogonality_report, projection_kernels, serre_kernel)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
 from .report import Report
-from .cli import run_command
 
 __all__ = [
     "FieldMismatch", "FieldSpec", "GF", "QQ", "Matrix",
@@ -45,7 +45,8 @@ __all__ = [
     "dual_bimodule",
     "free_gluing_bimodule", "regular_bimodule", "simple_module",
     "triangular_gluing",
-    "ChainMap", "FieldComplex", "HomComplex", "ModuleComplex", "ProjComplex",
+    "ChainMap", "ComplexError", "FieldComplex", "HomComplex", "ModuleComplex",
+    "ProjComplex",
     "SideMismatch", "bar_resolution", "cone", "direct_sum", "dualize",
     "ext_profile", "ext_profile_module", "hom_complex", "minimalize",
     "module_complex_single", "projective_resolution", "single_projective",
@@ -63,5 +64,5 @@ __all__ = [
     "kernel_adjoint", "kernel_apply", "les_check", "orthogonality_report",
     "projection_kernels", "serre_kernel",
     "CATALOG", "catalog_names", "get_entry", "structure_hash",
-    "Report", "run_command",
+    "Report",
 ]

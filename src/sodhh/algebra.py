@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import ColumnEchelon, FieldSpec, Matrix, _col_axpy
+from .linalg import ColumnEchelon, FieldSpec, Matrix, SubspaceReducer
 
 
 class NonAdmissible(ValueError):
@@ -54,57 +54,6 @@ class Relation(NamedTuple):
     """Sum of (coefficient, path) terms; paths are arrow-name tuples in
     traversal order and must be parallel (shared source and target)."""
     terms: tuple
-
-
-class SubspaceReducer:
-    """Fully reduced column echelon of a growing subspace of k^dim.
-
-    Supports canonical normal forms of vectors modulo the subspace: the
-    residual of `normal_form` is supported away from all pivot rows.
-    """
-
-    __slots__ = ("field", "dim", "cols")
-
-    def __init__(self, field, dim, vectors=()):
-        self.field = field
-        self.dim = dim
-        self.cols = {}  # pivot row -> column dict, pivot entry 1, reduced
-        for v in vectors:
-            self.add(v)
-
-    def normal_form(self, vec):
-        f = self.field
-        c = dict(vec)
-        while True:
-            hit = None
-            for i in c:
-                if i in self.cols:
-                    hit = i if hit is None else max(hit, i)
-            if hit is None:
-                return c
-            _col_axpy(f, c, self.cols[hit], c[hit])
-
-    def add(self, vec) -> bool:
-        """Insert vec's class; returns True if the subspace grew."""
-        f = self.field
-        c = self.normal_form(vec)
-        if not c:
-            return False
-        low = max(c)
-        inv = f.inv(c[low])
-        c = {i: f.mul(v, inv) for i, v in c.items()}
-        for c2 in self.cols.values():
-            if low in c2:
-                _col_axpy(f, c2, c, c2[low])
-        self.cols[low] = c
-        return True
-
-    def contains(self, vec) -> bool:
-        return not self.normal_form(vec)
-
-    @property
-    def rank(self):
-        return len(self.cols)
 
 
 class _TensorMultRow:

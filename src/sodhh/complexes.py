@@ -21,12 +21,18 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-from .algebra import Algebra, SubspaceReducer
-from .linalg import ColumnEchelon, Matrix, rank
+from .algebra import Algebra
+from .linalg import ColumnEchelon, Matrix, SubspaceReducer, rank
 
 
 class SideMismatch(ValueError):
     """Complexes or modules with incompatible module structures."""
+
+
+class ComplexError(ValueError):
+    """A differential or chain map fails a construction-time check: wrong
+    shape, an entry outside its e_v L e_w slice, d^2 != 0, a chain map
+    that does not commute, or a differential that is not L-linear."""
 
 
 def _elem_add_into(field, acc, vec, scale):
@@ -56,12 +62,14 @@ class ProjComplex:
         alg = self.algebra
         for n, d in self.diffs.items():
             src_s, tgt_s = self.terms[n], self.terms[n + 1]
-            assert len(d) == len(tgt_s) and all(len(row) == len(src_s) for row in d)
+            if len(d) != len(tgt_s) or any(len(row) != len(src_s) for row in d):
+                raise ComplexError(f"differential at degree {n} has the wrong shape")
             for i, row in enumerate(d):
                 for j, x in enumerate(row):
                     for k in x:
-                        assert alg.tgt[k] == src_s[j] and alg.src[k] == tgt_s[i], \
-                            f"entry not in e_v L e_w slice at degree {n}"
+                        if alg.tgt[k] != src_s[j] or alg.src[k] != tgt_s[i]:
+                            raise ComplexError(
+                                f"entry not in e_v L e_w slice at degree {n}")
         for n in self.diffs:
             if (n + 1) not in self.diffs:
                 continue
@@ -80,7 +88,8 @@ class ProjComplex:
                                     acc[k] = s
                                 else:
                                     del acc[k]
-                    assert not acc, f"d^2 != 0 at degree {n}"
+                    if acc:
+                        raise ComplexError(f"d^2 != 0 at degree {n}")
 
     # -- structure -----------------------------------------------------------
 
@@ -230,11 +239,14 @@ class ChainMap:
         for n, m in self.mats.items():
             src_s = self.source.terms[n]
             tgt_s = self.target.terms[n]
-            assert len(m) == len(tgt_s) and all(len(r) == len(src_s) for r in m)
+            if len(m) != len(tgt_s) or any(len(r) != len(src_s) for r in m):
+                raise ComplexError(f"chain map at degree {n} has the wrong shape")
             for i, row in enumerate(m):
                 for j, x in enumerate(row):
                     for k in x:
-                        assert alg.tgt[k] == src_s[j] and alg.src[k] == tgt_s[i]
+                        if alg.tgt[k] != src_s[j] or alg.src[k] != tgt_s[i]:
+                            raise ComplexError("chain map entry not in "
+                                               f"e_v L e_w slice at degree {n}")
         degs = (set(self.source.diffs) | set(self.target.diffs)
                 | set(self.mats) | {n - 1 for n in self.mats})
         for n in degs:
@@ -255,7 +267,8 @@ class ChainMap:
                         if dX[i][j] and fm1[h][i]:
                             _elem_add_into(f, acc, alg.multiply(dX[i][j], fm1[h][i]),
                                            f.neg(f.one))
-                    assert not acc, f"chain map does not commute at degree {n}"
+                    if acc:
+                        raise ComplexError(f"chain map does not commute at degree {n}")
 
 
 def cone(f: ChainMap) -> ProjComplex:
@@ -322,8 +335,8 @@ class FieldComplex:
                 self.diffs[n] = m
         if check:
             for n, m in self.diffs.items():
-                if (n + 1) in self.diffs:
-                    assert self.diffs[n + 1].mul(m).is_zero(), f"d^2 != 0 at {n}"
+                if (n + 1) in self.diffs and not self.diffs[n + 1].mul(m).is_zero():
+                    raise ComplexError(f"d^2 != 0 at degree {n}")
 
     def diff(self, n):
         if n in self.diffs:
@@ -350,12 +363,14 @@ class ModuleComplex:
                       if n in self.modules and (n + 1) in self.modules}
         if check:
             for n, d in self.diffs.items():
-                if (n + 1) in self.diffs:
-                    assert self.diffs[n + 1].mul(d).is_zero()
+                if (n + 1) in self.diffs and not self.diffs[n + 1].mul(d).is_zero():
+                    raise ComplexError(f"d^2 != 0 at degree {n}")
                 for i in range(algebra.dim):
                     lhs = d.mul(self.modules[n].action[i])
                     rhs = self.modules[n + 1].action[i].mul(d)
-                    assert lhs == rhs, "differential is not L-linear"
+                    if lhs != rhs:
+                        raise ComplexError(
+                            f"differential at degree {n} is not L-linear")
 
     def diff(self, n):
         if n in self.diffs:

@@ -1,10 +1,18 @@
 """Exact linear algebra over Q and over prime fields.
 
-Scalars are `fractions.Fraction` over Q (always in lowest terms) and
-canonical representatives in [0, p) over F_p.  Matrices are sparse column
-collections and are treated as immutable values.  A single column-echelon
-reduction is the only elimination primitive; rank, kernel, image and
-linear solving are all derived from it.
+Scalars over Q are Python ints whenever they are integral and
+`fractions.Fraction` (in lowest terms, denominator > 1) otherwise; every
+`FieldSpec` operation returns that canonical form, so integral inputs stay
+in int arithmetic until a division forces a fraction.  Over F_p scalars are
+canonical representatives in [0, p).  Matrices are sparse column
+collections and are treated as immutable values.
+
+A single column-echelon reduction (`ColumnEchelon`) is the elimination
+primitive: rank, kernel, image and linear solving are all derived from it.
+It tracks the transformation to the original columns unless asked for the
+rank only (`transform=False`, what `rank` uses).  `SubspaceReducer` keeps
+the fully reduced echelon of a growing subspace for canonical normal forms
+modulo it; it shares the column update `_col_axpy` with `ColumnEchelon`.
 """
 
 from __future__ import annotations
@@ -30,9 +38,16 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """An exact coefficient field: the rationals or F_p for a prime p."""
+    """An exact coefficient field: the rationals or F_p for a prime p.
+
+    Over Q every operation returns the canonical scalar: an int when the
+    value is integral, a Fraction only when its denominator is not 1.
+    """
 
     __slots__ = ("kind", "characteristic")
+
+    zero = 0
+    one = 1
 
     def __init__(self, kind: str, characteristic: int = 0):
         if kind == "rationals":
@@ -59,21 +74,16 @@ class FieldSpec:
         return f"GF({self.characteristic})"
 
     # -- scalar arithmetic -------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
+    # Over Q the result of +, - and * is an int when both operands are; a
+    # Fraction result is demoted to its numerator when it became integral.
 
     def coerce(self, x):
         """Canonical scalar from an int, Fraction, or string like '-3/2'."""
         if self.kind == "rationals":
-            if isinstance(x, str):
-                return Fraction(x)
-            return Fraction(x)
+            if type(x) is int:
+                return x
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         p = self.characteristic
         if isinstance(x, str):
             if "/" in x:
@@ -86,25 +96,37 @@ class FieldSpec:
 
     def add(self, a, b):
         s = a + b
-        return s if self.kind == "rationals" else s % self.characteristic
+        if self.kind == "rationals":
+            return s if type(s) is int or s.denominator != 1 else s.numerator
+        return s % self.characteristic
 
     def sub(self, a, b):
         s = a - b
-        return s if self.kind == "rationals" else s % self.characteristic
+        if self.kind == "rationals":
+            return s if type(s) is int or s.denominator != 1 else s.numerator
+        return s % self.characteristic
 
     def mul(self, a, b):
         s = a * b
-        return s if self.kind == "rationals" else s % self.characteristic
+        if self.kind == "rationals":
+            return s if type(s) is int or s.denominator != 1 else s.numerator
+        return s % self.characteristic
 
     def neg(self, a):
         return -a if self.kind == "rationals" else (-a) % self.characteristic
 
     def inv(self, a):
         if self.kind == "rationals":
-            return Fraction(1) / a
+            return self.div(1, a)
         return pow(a, -1, self.characteristic)
 
     def div(self, a, b):
+        if self.kind == "rationals":
+            if type(a) is int and type(b) is int:
+                q, r = divmod(a, b)
+                return q if not r else Fraction(a, b)
+            s = a / b
+            return s if s.denominator != 1 else s.numerator
         return self.mul(a, self.inv(b))
 
 
@@ -268,30 +290,35 @@ class ColumnEchelon:
     ("lows") of the surviving columns is distinct.  For each original
     column j, `reduced[j]` is the reduced column and `combo[j]` expresses
     it as a combination of the original columns (m @ combo[j] == reduced[j]).
+
+    With `transform=False` the combos are not built (`combo` is None):
+    `rank`, `image_basis` and `reduce_vector` work as usual, while
+    `kernel_basis` and `solve`, which need the combos, raise RuntimeError.
     """
 
     __slots__ = ("matrix", "reduced", "combo", "pivots")
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, transform: bool = True):
         f = m.field
         pivots: dict = {}   # low row -> column position
         reduced = []
-        combo = []
+        combo = [] if transform else None
         for j, col in enumerate(m.cols):
             c = dict(col)
-            t = {j: f.one}
+            t = {j: f.one} if transform else None
             while c:
                 low = max(c)
                 k = pivots.get(low)
                 if k is None:
+                    pivots[low] = j
                     break
                 factor = f.div(c[low], reduced[k][low])
                 _col_axpy(f, c, reduced[k], factor)
-                _col_axpy(f, t, combo[k], factor)
-            if c:
-                pivots[max(c)] = j
+                if transform:
+                    _col_axpy(f, t, combo[k], factor)
             reduced.append(c)
-            combo.append(t)
+            if transform:
+                combo.append(t)
         self.matrix = m
         self.reduced = reduced
         self.combo = combo
@@ -301,8 +328,15 @@ class ColumnEchelon:
     def rank(self):
         return len(self.pivots)
 
+    def _combos(self):
+        if self.combo is None:
+            raise RuntimeError("rank-only echelon: the transformation that "
+                               "kernel_basis and solve need was not tracked")
+        return self.combo
+
     def kernel_basis(self):
-        return [self.combo[j] for j, c in enumerate(self.reduced) if not c]
+        combo = self._combos()
+        return [combo[j] for j, c in enumerate(self.reduced) if not c]
 
     def image_basis(self):
         return [c for c in self.reduced if c]
@@ -329,13 +363,65 @@ class ColumnEchelon:
     def solve(self, coldict):
         """Some x with m @ x == coldict, or None if there is none."""
         f = self.matrix.field
+        combo = self._combos()
         residual, coeffs = self.reduce_vector(coldict)
         if residual:
             return None
         x: dict = {}
         for k, factor in coeffs.items():
-            _col_axpy(f, x, self.combo[k], f.neg(factor))
+            _col_axpy(f, x, combo[k], f.neg(factor))
         return x
+
+
+class SubspaceReducer:
+    """Fully reduced column echelon of a growing subspace of k^dim.
+
+    Supports canonical normal forms of vectors modulo the subspace: the
+    residual of `normal_form` is supported away from all pivot rows.
+    """
+
+    __slots__ = ("field", "dim", "cols")
+
+    def __init__(self, field, dim, vectors=()):
+        self.field = field
+        self.dim = dim
+        self.cols = {}  # pivot row -> column dict, pivot entry 1, reduced
+        for v in vectors:
+            self.add(v)
+
+    def normal_form(self, vec):
+        f = self.field
+        c = dict(vec)
+        while True:
+            hit = None
+            for i in c:
+                if i in self.cols:
+                    hit = i if hit is None else max(hit, i)
+            if hit is None:
+                return c
+            _col_axpy(f, c, self.cols[hit], c[hit])
+
+    def add(self, vec) -> bool:
+        """Insert vec's class; returns True if the subspace grew."""
+        f = self.field
+        c = self.normal_form(vec)
+        if not c:
+            return False
+        low = max(c)
+        inv = f.inv(c[low])
+        c = {i: f.mul(v, inv) for i, v in c.items()}
+        for c2 in self.cols.values():
+            if low in c2:
+                _col_axpy(f, c2, c, c2[low])
+        self.cols[low] = c
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.normal_form(vec)
+
+    @property
+    def rank(self):
+        return len(self.cols)
 
 
 def rank_kernel_image(m: Matrix):
@@ -348,7 +434,7 @@ def rank_kernel_image(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return ColumnEchelon(m).rank
+    return ColumnEchelon(m, transform=False).rank
 
 
 def solve_linear(m: Matrix, rhs: Matrix):

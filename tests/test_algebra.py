@@ -1,11 +1,10 @@
 import pytest
 
 from sodhh.algebra import (NonAdmissible, NotFiniteDimensional, Quiver,
-                           Relation, SubspaceReducer, build_path_algebra,
-                           center)
+                           Relation, build_path_algebra, center)
 from sodhh.catalog import CATALOG, structure_hash
 from sodhh.complexes import ext_profile, single_projective
-from sodhh.linalg import QQ
+from sodhh.linalg import QQ, SubspaceReducer
 from sodhh.modules import (dual_bimodule, free_gluing_bimodule,
                            triangular_gluing)
 

@@ -268,3 +268,48 @@ def test_negative_max_degree_is_rejected_at_parse_time(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--max-degree" in captured.err
+
+
+def test_rational_relation_coefficients_end_to_end(tmp_path):
+    """Beilinson P^2 with every relation scaled by -3/2 spans the same
+    ideal, so the algebra and its Hochschild profiles are those of
+    catalog beilinson-p2."""
+    doc = {
+        "field": {"kind": "q"},
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"name": f"{x}{i}", "source": s, "target": t}
+                   for x, s, t in (("x", "1", "2"), ("y", "2", "3"))
+                   for i in range(3)],
+        "relations": [[{"coeff": "-3/2", "path": [f"x{i}", f"y{j}"]},
+                       {"coeff": "3/2", "path": [f"x{j}", f"y{i}"]}]
+                      for i in range(3) for j in range(i + 1, 3)],
+    }
+    p = tmp_path / "p2.json"
+    p.write_text(json.dumps(doc))
+    for command, key in (("cohomology", "hh_cohomology"),
+                         ("homology", "hh_homology")):
+        code, scaled = run_command([command, "--file", str(p)])
+        assert code == 0
+        code, catalog = run_command([command, "--catalog", "beilinson-p2"])
+        assert code == 0
+        assert scaled.data["algebra"]["dimension"] == 15
+        assert scaled.data[key]["dims"] == catalog.data[key]["dims"]
+
+
+def test_module_run_has_empty_stderr():
+    """`python -m sodhh.cli` runs without a RuntimeWarning about the
+    package having imported sodhh.cli already."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import sodhh
+    src = str(pathlib.Path(sodhh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sodhh.cli", "info", "--catalog", "kronecker2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

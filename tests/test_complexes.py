@@ -1,9 +1,9 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
-from sodhh.complexes import (ChainMap, bar_augmentation_matrix, bar_resolution,
-                             cone, direct_sum, dualize, ext_profile,
-                             ext_profile_module, minimalize,
+from sodhh.complexes import (ChainMap, ComplexError, bar_augmentation_matrix,
+                             bar_resolution, cone, direct_sum, dualize,
+                             ext_profile, ext_profile_module, minimalize,
                              module_complex_single, projective_resolution,
                              single_projective, tensor_env_env,
                              tensor_env_left, tensor_right_left, zero_complex)
@@ -183,7 +183,7 @@ def test_dualize_involution(A2):
 
 
 def test_d_squared_validation(A2):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ComplexError):
         cx = {0: (0,), 1: (1,), 2: (0,)}
         # a -> e_2? invalid composite: use entries whose product is nonzero
         from sodhh.complexes import ProjComplex
@@ -194,9 +194,64 @@ def test_d_squared_validation(A2):
 def test_chainmap_must_commute(A2):
     X = single_projective(A2, 1)
     Y = cone(evaluation_map(single_projective(A2, 1), single_projective(A2, 0)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ComplexError):
         # a map hitting the degree -1 term with no compatibility
         ChainMap(X.shift(1), Y, {-1: [[A2.idem(1)], [dict()]]})
+
+
+# Each construction breaks one check over beilinson-p2 and prints what it
+# raised.  P_3 -> P_2 -> P_1 by y0 then x0 composes to the nonzero path
+# x0*y0, so d^2 != 0; the same holds for the 1x1 field complex 1, 1; and
+# a nonzero map S_1 -> S_2 of simple modules is not L-linear.
+BROKEN_COMPLEXES = """
+from sodhh.catalog import get_entry
+from sodhh.complexes import (ComplexError, FieldComplex, ModuleComplex,
+                             ProjComplex)
+from sodhh.linalg import QQ, Matrix
+from sodhh.modules import simple_module
+A = get_entry("beilinson-p2").algebra(QQ)
+one = Matrix.identity(QQ, 1)
+for build in (
+        lambda: ProjComplex(A, {0: (2,), 1: (1,), 2: (0,)},
+                            {0: [[A.arrow_element("y0")]],
+                             1: [[A.arrow_element("x0")]]}),
+        lambda: FieldComplex(QQ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one},
+                             check=True),
+        lambda: ModuleComplex(A, {0: simple_module(A, 0),
+                                  1: simple_module(A, 1)}, {0: one})):
+    try:
+        build()
+        print("accepted")
+    except ComplexError as exc:
+        print("ComplexError:", exc)
+"""
+
+
+BROKEN_RAISED = ["ComplexError: d^2 != 0 at degree 0",
+                 "ComplexError: d^2 != 0 at degree 0",
+                 "ComplexError: differential at degree 0 is not L-linear"]
+
+
+def test_broken_complexes_raise_over_beilinson_p2(capsys):
+    exec(BROKEN_COMPLEXES, {})
+    assert capsys.readouterr().out.splitlines() == BROKEN_RAISED
+
+
+def test_broken_complexes_raise_under_optimized_python():
+    """The checks raise instead of asserting, so `python -O` keeps them."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import sodhh
+    src = str(pathlib.Path(sodhh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_COMPLEXES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == BROKEN_RAISED
 
 
 def test_zero_complex(A2):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodhh.linalg import (ColumnEchelon, FieldMismatch, GF, Matrix, QQ,
                           kronecker_tensor, rank, rank_kernel_image,
@@ -158,8 +160,159 @@ def test_field_mismatch():
 
 def test_scalar_canonical_forms():
     assert QQ.coerce("6/4") == Fraction(3, 2)
+    # over Q a scalar is a Fraction exactly when its denominator is not 1
+    for x in (QQ.coerce("4/2"), QQ.coerce(Fraction(6, 3)), QQ.coerce(True),
+              QQ.add(Fraction(1, 2), Fraction(1, 2)),
+              QQ.sub(Fraction(5, 3), Fraction(2, 3)),
+              QQ.mul(Fraction(2, 3), 3), QQ.div(6, -3),
+              QQ.div(Fraction(3, 2), Fraction(1, 2)),
+              QQ.inv(Fraction(-1, 3)), QQ.inv(-1), QQ.neg(4), QQ.one, QQ.zero):
+        assert type(x) is int
+    assert QQ.div(3, 6) == Fraction(1, 2) and QQ.inv(-2) == Fraction(-1, 2)
+    assert (QQ.div(2, 4), QQ.div(0, 3)) == (Fraction(1, 2), 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
     f = GF(7)
     assert f.coerce("-1") == 6
     assert f.coerce("3/2") == (3 * pow(2, -1, 7)) % 7
     with pytest.raises(ValueError):
         GF(6)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for elimination over Q: the all-Fraction column reduction that
+# linalg used before its scalars became integer-first.  It performs the same
+# eliminations in the same order, so its reduced columns, combos and
+# solutions must equal linalg's value for value.
+
+
+def _fraction_axpy(c, pc, factor):
+    """c -= factor * pc, in place on dict c."""
+    for i, v in pc.items():
+        s = c.get(i, Fraction(0)) - factor * v
+        if s:
+            c[i] = s
+        elif i in c:
+            del c[i]
+
+
+def fraction_echelon(cols):
+    """(pivots, reduced, combo) of the all-Fraction column reduction of
+    sparse columns {row: Fraction}."""
+    pivots, reduced, combo = {}, [], []
+    for j, col in enumerate(cols):
+        c = dict(col)
+        t = {j: Fraction(1)}
+        while c:
+            low = max(c)
+            k = pivots.get(low)
+            if k is None:
+                break
+            factor = c[low] / reduced[k][low]
+            _fraction_axpy(c, reduced[k], factor)
+            _fraction_axpy(t, combo[k], factor)
+        if c:
+            pivots[max(c)] = j
+        reduced.append(c)
+        combo.append(t)
+    return pivots, reduced, combo
+
+
+def fraction_solve(pivots, reduced, combo, vec):
+    c = {i: Fraction(v) for i, v in vec.items()}
+    coeffs = {}
+    while c:
+        low = max(c)
+        k = pivots.get(low)
+        if k is None:
+            return None
+        factor = c[low] / reduced[k][low]
+        _fraction_axpy(c, reduced[k], factor)
+        coeffs[k] = coeffs.get(k, Fraction(0)) + factor
+    x = {}
+    for k, factor in coeffs.items():
+        _fraction_axpy(x, combo[k], -factor)
+    return x
+
+
+def assert_canonical(vectors):
+    """Q scalars are ints, or Fractions whose denominator is not 1."""
+    for vec in vectors:
+        for v in vec.values():
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+# Mostly small ints and zeros; rationals such as -3/2 give pivots other
+# than +-1, which forces the Fraction path.  "6/3" and Fraction(-4, 2) are
+# integers written as fractions.
+Q_ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.sampled_from([Fraction(-3, 2), Fraction(1, 3),
+                                     Fraction(5, 4), "-2/7", "6/3",
+                                     Fraction(-4, 2)]))
+
+
+@st.composite
+def q_systems(draw):
+    """(matrix rows, consistent-or-not right-hand side, x0) over Q."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))
+    rows = [draw(st.lists(Q_ENTRY, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    x0 = draw(st.lists(Q_ENTRY, min_size=ncols, max_size=ncols))
+    other = draw(st.lists(Q_ENTRY, min_size=nrows, max_size=nrows))
+    return rows, x0, other
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(q_systems())
+def test_q_elimination_matches_fraction_oracle(system):
+    rows, x0, other = system
+    ncols = len(x0)
+    m = Matrix.from_rows(QQ, rows, ncols)
+    ref_cols = [{i: Fraction(r[j]) for i, r in enumerate(rows) if Fraction(r[j])}
+                for j in range(ncols)]
+    assert m.cols == ref_cols
+    pivots, ref_reduced, ref_combo = fraction_echelon(ref_cols)
+
+    ech = ColumnEchelon(m)
+    assert ech.pivots == pivots
+    assert ech.reduced == ref_reduced and ech.combo == ref_combo
+    assert_canonical(ech.reduced + ech.combo)
+    assert rank(m) == len(pivots)
+
+    r, kernel, image = rank_kernel_image(m)
+    assert r == len(pivots) and image.ncols == r
+    assert kernel.ncols == ncols - r
+    assert m.mul(kernel).is_zero()
+    assert_canonical(kernel.cols + image.cols)
+
+    rhs = Matrix.from_cols(QQ, len(rows), [
+        m.apply({j: QQ.coerce(v) for j, v in enumerate(x0) if v}),
+        {i: QQ.coerce(v) for i, v in enumerate(other) if v}])
+    for col in rhs.cols:
+        x = ech.solve(col)
+        expected = fraction_solve(pivots, ref_reduced, ref_combo, col)
+        assert x == expected
+        if x is not None:
+            assert m.apply(x) == col
+            assert_canonical([x])
+    sol = solve_linear(m, rhs)
+    if sol is not None:
+        assert m.mul(sol) == rhs
+        assert_canonical(sol.cols)
+    assert (sol is None) == any(
+        fraction_solve(pivots, ref_reduced, ref_combo, c) is None
+        for c in rhs.cols)
+
+
+def test_rank_only_echelon_refuses_kernel_and_solve():
+    m = Matrix.from_rows(QQ, [[1, 2], [2, 4], [0, "-3/2"]])
+    ech = ColumnEchelon(m, transform=False)
+    assert ech.rank == rank(m) == 2 and ech.combo is None
+    assert ech.image_basis() == ColumnEchelon(m).image_basis()
+    with pytest.raises(RuntimeError):
+        ech.kernel_basis()
+    with pytest.raises(RuntimeError):
+        ech.solve({0: QQ.one})

@@ -4,9 +4,10 @@ exact arithmetic over Q (or a prime field, as a fast mode)."""
 
 from .linalg import (FieldMismatch, FieldSpec, GF, QQ, Matrix,
                      kronecker_tensor, rank, rank_kernel_image, solve_linear)
-from .algebra import (Algebra, Arrow, NonAdmissible, NotFiniteDimensional,
-                      PathAlgebra, Quiver, Relation, algebra_from_structure,
-                      build_path_algebra, center, tensor_opposite)
+from .algebra import (Algebra, AlgebraAxiomError, Arrow, NonAdmissible,
+                      NotFiniteDimensional, PathAlgebra, Quiver, Relation,
+                      algebra_from_structure, build_path_algebra, center,
+                      tensor_opposite)
 from .modules import (Bimodule, ModuleAxiomError, ModuleRep,
                       bimodule_from_actions, dual_bimodule,
                       free_gluing_bimodule, regular_bimodule, simple_module,
@@ -38,7 +39,7 @@ from .report import Report
 __all__ = [
     "FieldMismatch", "FieldSpec", "GF", "QQ", "Matrix",
     "kronecker_tensor", "rank", "rank_kernel_image", "solve_linear",
-    "Algebra", "Arrow", "NonAdmissible", "NotFiniteDimensional",
+    "Algebra", "AlgebraAxiomError", "Arrow", "NonAdmissible", "NotFiniteDimensional",
     "PathAlgebra", "Quiver", "Relation", "algebra_from_structure",
     "build_path_algebra", "center", "tensor_opposite",
     "Bimodule", "ModuleAxiomError", "ModuleRep", "bimodule_from_actions",

@@ -25,6 +25,10 @@ class NotFiniteDimensional(ValueError):
     """Path basis did not close below the configured length cap."""
 
 
+class AlgebraAxiomError(ValueError):
+    """A multiplication table that is not unital or not associative."""
+
+
 class Arrow(NamedTuple):
     name: str
     source: str
@@ -224,18 +228,25 @@ class Algebra:
     # -- verification -------------------------------------------------------
 
     def check_axioms(self):
-        """Associativity on all basis triples and two-sided unit."""
+        """Associativity on all basis triples and two-sided unit; raises
+        AlgebraAxiomError naming the failing basis labels."""
         one = self.unit()
         for i in range(self.dim):
             bi = {i: self.field.one}
-            assert self.multiply(one, bi) == bi and self.multiply(bi, one) == bi
+            if self.multiply(one, bi) != bi or self.multiply(bi, one) != bi:
+                raise AlgebraAxiomError(
+                    f"unit does not act as the identity on {self.labels[i]}")
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.mult[i][j]
                 for k in range(self.dim):
                     left = self.multiply(ij, {k: self.field.one})
                     right = self.multiply({i: self.field.one}, self.mult[j][k])
-                    assert left == right, (self.labels[i], self.labels[j], self.labels[k])
+                    if left != right:
+                        raise AlgebraAxiomError(
+                            "multiplication is not associative on "
+                            f"{self.labels[i]}, {self.labels[j]}, "
+                            f"{self.labels[k]}")
 
     def radical_nilpotency_index(self):
         """Least N with rad^N = 0."""

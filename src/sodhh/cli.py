@@ -377,8 +377,8 @@ def cmd_kernels(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
     coll = _default_collection(A)
-    ks = projection_kernels(coll)
     if args.subcommand == "build":
+        ks = projection_kernels(coll)
         report.set("projection_kernels", [
             {"left_terms": {str(k): list(v) for k, v in P.left.terms.items()},
              "right_terms": {str(k): list(v) for k, v in P.right.terms.items()}}
@@ -386,7 +386,8 @@ def cmd_kernels(args, report):
         report.check("K0 identity: sum of kernel classes equals the "
                      "diagonal class", k0_identity_check(ks, A))
     elif args.subcommand == "orthogonality":
-        rep = orthogonality_report(ks, Kernel.serre(A), args.max_degree)
+        rep = orthogonality_report(projection_kernels(coll), Kernel.serre(A),
+                                   args.max_degree)
         report.set("ext_serre_table", rep["ext_serre_table"])
         report.set("adjoint_convolutions", rep["adjoint_convolutions"])
         report.check("off-diagonal Ext(P_i, P_j o S) vanish",

@@ -44,6 +44,43 @@ def _elem_add_into(field, acc, vec, scale):
             del acc[k]
 
 
+def _compose(alg, first, second):
+    """Nonzero entries of "first, then second" for matrices of algebra
+    elements (lists of rows): {(h, j): sum_i first[i][j] * second[h][i]}.
+    `second` is indexed by column, so only pairs of nonzero entries are
+    multiplied."""
+    f = alg.field
+    second_cols = {}
+    for h, row in enumerate(second):
+        for i, y in enumerate(row):
+            if y:
+                second_cols.setdefault(i, []).append((h, y))
+    out = {}
+    for i, row in enumerate(first):
+        hits = second_cols.get(i)
+        if not hits:
+            continue
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            for h, y in hits:
+                _elem_add_into(f, out.setdefault((h, j), {}),
+                               alg.multiply(x, y), f.one)
+    return {hj: x for hj, x in out.items() if x}
+
+
+def _check_blocks(alg, m, src_s, tgt_s, shape_msg, slice_msg):
+    """Raise unless m is a len(tgt_s) x len(src_s) matrix whose entry from
+    summand L e_v to summand L e_w lies in e_v L e_w."""
+    if len(m) != len(tgt_s) or any(len(row) != len(src_s) for row in m):
+        raise ComplexError(shape_msg)
+    for w, row in zip(tgt_s, m):
+        for v, x in zip(src_s, row):
+            for k in x:
+                if alg.tgt[k] != v or alg.src[k] != w:
+                    raise ComplexError(slice_msg)
+
+
 class ProjComplex:
     """Bounded complex of projective left L-modules, L basic."""
 
@@ -61,35 +98,13 @@ class ProjComplex:
     def _validate(self):
         alg = self.algebra
         for n, d in self.diffs.items():
-            src_s, tgt_s = self.terms[n], self.terms[n + 1]
-            if len(d) != len(tgt_s) or any(len(row) != len(src_s) for row in d):
-                raise ComplexError(f"differential at degree {n} has the wrong shape")
-            for i, row in enumerate(d):
-                for j, x in enumerate(row):
-                    for k in x:
-                        if alg.tgt[k] != src_s[j] or alg.src[k] != tgt_s[i]:
-                            raise ComplexError(
-                                f"entry not in e_v L e_w slice at degree {n}")
+            _check_blocks(alg, d, self.terms[n], self.terms[n + 1],
+                          f"differential at degree {n} has the wrong shape",
+                          f"entry not in e_v L e_w slice at degree {n}")
         for n in self.diffs:
-            if (n + 1) not in self.diffs:
-                continue
-            d0, d1 = self.diffs[n], self.diffs[n + 1]
-            for h in range(len(self.terms[n + 2])):
-                for j in range(len(self.terms[n])):
-                    acc = {}
-                    for i in range(len(self.terms[n + 1])):
-                        x = d0[i][j]
-                        y = d1[h][i]
-                        if x and y:
-                            prod = alg.multiply(x, y)
-                            for k, v in prod.items():
-                                s = alg.field.add(acc.get(k, alg.field.zero), v)
-                                if s:
-                                    acc[k] = s
-                                else:
-                                    del acc[k]
-                    if acc:
-                        raise ComplexError(f"d^2 != 0 at degree {n}")
+            if (n + 1) in self.diffs and _compose(alg, self.diffs[n],
+                                                  self.diffs[n + 1]):
+                raise ComplexError(f"d^2 != 0 at degree {n}")
 
     # -- structure -----------------------------------------------------------
 
@@ -188,12 +203,14 @@ def single_projective(algebra, v, degree=0) -> ProjComplex:
 
 def direct_sum(complexes) -> ProjComplex:
     complexes = list(complexes)
-    assert complexes
+    if not complexes:
+        raise ValueError("direct_sum needs at least one complex")
     alg = complexes[0].algebra
+    if any(c.algebra is not alg for c in complexes):
+        raise SideMismatch("direct sum of complexes over different algebras")
     terms = {}
     offsets = []  # per complex: degree -> summand offset
     for c in complexes:
-        assert c.algebra is alg
         offs = {}
         for n, t in c.terms.items():
             offs[n] = len(terms.get(n, ()))
@@ -235,40 +252,32 @@ class ChainMap:
 
     def _validate(self):
         alg = self.source.algebra
-        f = alg.field
         for n, m in self.mats.items():
-            src_s = self.source.terms[n]
-            tgt_s = self.target.terms[n]
-            if len(m) != len(tgt_s) or any(len(r) != len(src_s) for r in m):
-                raise ComplexError(f"chain map at degree {n} has the wrong shape")
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    for k in x:
-                        if alg.tgt[k] != src_s[j] or alg.src[k] != tgt_s[i]:
-                            raise ComplexError("chain map entry not in "
-                                               f"e_v L e_w slice at degree {n}")
+            _check_blocks(alg, m, self.source.terms[n], self.target.terms[n],
+                          f"chain map at degree {n} has the wrong shape",
+                          f"chain map entry not in e_v L e_w slice at degree {n}")
         degs = (set(self.source.diffs) | set(self.target.diffs)
                 | set(self.mats) | {n - 1 for n in self.mats})
         for n in degs:
             # f then d_Y  ==  d_X then f
-            fm = self.component(n)
-            fm1 = self.component(n + 1)
-            dX = self.source.diff(n)
-            dY = self.target.diff(n)
-            nt = len(self.target.terms.get(n + 1, ()))
-            ns = len(self.source.terms.get(n, ()))
-            for h in range(nt):
-                for j in range(ns):
-                    acc = {}
-                    for i in range(len(self.target.terms.get(n, ()))):
-                        if fm[i][j] and dY[h][i]:
-                            _elem_add_into(f, acc, alg.multiply(fm[i][j], dY[h][i]), f.one)
-                    for i in range(len(self.source.terms.get(n + 1, ()))):
-                        if dX[i][j] and fm1[h][i]:
-                            _elem_add_into(f, acc, alg.multiply(dX[i][j], fm1[h][i]),
-                                           f.neg(f.one))
-                    if acc:
-                        raise ComplexError(f"chain map does not commute at degree {n}")
+            if (_compose(alg, self.component(n), self.target.diff(n))
+                    != _compose(alg, self.source.diff(n), self.component(n + 1))):
+                raise ComplexError(f"chain map does not commute at degree {n}")
+
+
+def compose_chainmaps(first: ChainMap, second: ChainMap) -> ChainMap:
+    """first : X -> Y, second : Y -> Z, composite X -> Z."""
+    X, Z = first.source, second.target
+    mats = {}
+    for n in set(first.mats) | set(second.mats):
+        if n not in X.terms or n not in Z.terms:
+            continue
+        m = [[{} for _ in X.terms[n]] for _ in Z.terms[n]]
+        for (k, j), x in _compose(X.algebra, first.component(n),
+                                  second.component(n)).items():
+            m[k][j] = x
+        mats[n] = m
+    return ChainMap(X, Z, mats, check=False)
 
 
 def cone(f: ChainMap) -> ProjComplex:
@@ -518,7 +527,9 @@ class ModuleHomComplex:
     """
 
     def __init__(self, X: ProjComplex, Ycx: ModuleComplex):
-        assert X.algebra is Ycx.algebra
+        if X.algebra is not Ycx.algebra:
+            raise SideMismatch("Hom requires a complex and modules over the "
+                               "same algebra")
         alg = X.algebra
         f = alg.field
         self.X, self.Y = X, Ycx
@@ -659,7 +670,9 @@ def minimalize(X: ProjComplex) -> ProjComplex:
 def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     """Convolution of bimodule complexes: P (x)_A Q, both over env(A)."""
     env = P.algebra
-    assert Q.algebra is env
+    if Q.algebra is not env:
+        raise SideMismatch("convolution needs bimodule complexes over the "
+                           "same algebra")
     A, _ = env.factors
     f = A.field
     summands = {}  # degree -> list of (p, s1, s2, mu)
@@ -985,7 +998,9 @@ def tensor_right_module_complex(F: ProjComplex, Ycx: ModuleComplex) -> FieldComp
     """F (x)_A M for a right-module complex F (over op(A)) and a complex of
     left modules: termwise e_v A (x)_A M = e_v M."""
     A = Ycx.algebra
-    assert F.algebra is A.opposite()
+    if F.algebra is not A.opposite():
+        raise SideMismatch("contraction needs a right complex against "
+                           "left modules over the same algebra")
     f = A.field
     slots = {}
     for p, t in F.terms.items():
@@ -1232,7 +1247,7 @@ def projective_resolution(M, length: int) -> ProjComplex:
     Generators are lifted along graded complements of rad . M, so the
     differentials land in the radical (the resolution is minimal).
     """
-    from .modules import ModuleRep
+    from .modules import ModuleAxiomError, ModuleRep
     alg = M.algebra
     f = alg.field
     terms = {}
@@ -1277,7 +1292,9 @@ def projective_resolution(M, length: int) -> ProjComplex:
         grading = []
         for kv in kernel_vecs:
             vv = {alg.tgt[cover_basis[c][1]] for c in kv}
-            assert len(vv) == 1, "kernel basis not graded"
+            if len(vv) != 1:
+                raise ModuleAxiomError("kernel basis not graded: the action "
+                                       "does not respect the grading")
             grading.append(vv.pop())
         action = []
         for b in range(alg.dim):
@@ -1294,7 +1311,9 @@ def projective_resolution(M, length: int) -> ProjComplex:
                         elif ip in img:
                             del img[ip]
                 sol = solver.solve(img)
-                assert sol is not None, "kernel is not action-invariant"
+                if sol is None:
+                    raise ModuleAxiomError("kernel is not action-invariant: "
+                                           "the action is not a module action")
                 cols.append(sol)
             action.append(Matrix(f, len(kernel_vecs), len(kernel_vecs), cols))
         current = ModuleRep(alg, len(kernel_vecs), action, tuple(grading),

@@ -16,9 +16,10 @@ assembled from explicit cocycle bases of the Hom complexes.
 from __future__ import annotations
 
 from .algebra import Algebra, PathAlgebra, algebra_from_structure
-from .complexes import (ChainMap, ProjComplex, cone, direct_sum,
-                        ext_profile, ext_profile_module, hom_complex,
-                        minimalize, module_complex_single, single_projective)
+from .complexes import (ChainMap, ProjComplex, compose_chainmaps, cone,
+                        direct_sum, ext_profile, ext_profile_module,
+                        hom_complex, minimalize, module_complex_single,
+                        single_projective)
 from .modules import simple_module
 
 
@@ -53,35 +54,6 @@ def minimal_data(X: ProjComplex):
 
 def same_object(X: ProjComplex, Y: ProjComplex) -> bool:
     return minimal_data(X) == minimal_data(Y)
-
-
-def compose_chainmaps(first: ChainMap, second: ChainMap) -> ChainMap:
-    """first : X -> Y, second : Y -> Z, composite X -> Z."""
-    X, Y, Z = first.source, first.target, second.target
-    alg = X.algebra
-    f = alg.field
-    mats = {}
-    for n in set(first.mats) | set(second.mats):
-        if n not in X.terms or n not in Z.terms:
-            continue
-        a = first.component(n)
-        b = second.component(n)
-        m = [[{} for _ in X.terms[n]] for _ in Z.terms[n]]
-        for k in range(len(Z.terms[n])):
-            for j in range(len(X.terms[n])):
-                acc = {}
-                for i in range(len(Y.terms.get(n, ()))):
-                    if a[i][j] and b[k][i]:
-                        prod = alg.multiply(a[i][j], b[k][i])
-                        for key, v in prod.items():
-                            s = f.add(acc.get(key, f.zero), v)
-                            if s:
-                                acc[key] = s
-                            elif key in acc:
-                                del acc[key]
-                m[k][j] = acc
-        mats[n] = m
-    return ChainMap(X, Z, mats, check=False)
 
 
 def _assemble_map_from(pieces, maps, target) -> ChainMap:

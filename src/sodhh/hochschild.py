@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .complexes import (ModuleHomComplex, bar_resolution, FieldComplex,
-                        module_complex_single, projective_resolution,
-                        radical_tuples)
+from .complexes import (ModuleHomComplex, SideMismatch, bar_resolution,
+                        FieldComplex, module_complex_single,
+                        projective_resolution, radical_tuples)
 from .linalg import FieldSpec, Matrix
 from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
 
@@ -56,14 +56,23 @@ def global_dimension(A: Algebra, cap: int):
     """Global dimension, or None if it exceeds cap.
 
     Computed as the maximum length of the minimal projective resolutions
-    of the simple modules."""
+    of the simple modules.  The answer is kept in A's cache as either the
+    exact value, which answers every cap, or "exceeds c", which answers
+    every cap <= c."""
+    exact, exceeds = A._cache.get("global_dimension", (None, -1))
+    if exact is not None:
+        return exact if exact <= cap else None
+    if cap <= exceeds:
+        return None
     worst = 0
     for v in range(A.num_vertices):
         res = projective_resolution(simple_module(A, v), cap + 1)
         length = -min(res.terms)
         if length > cap:
+            A._cache["global_dimension"] = (None, cap)
             return None
         worst = max(worst, length)
+    A._cache["global_dimension"] = (worst, None)
     return worst
 
 
@@ -79,7 +88,8 @@ def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int,
                          note="") -> HHProfile:
     """Ext_{A-bimod}(A, M) in degrees 0..n_max via the relative bar
     resolution."""
-    assert M.algebra is A.enveloping()
+    if M.algebra is not A.enveloping():
+        raise SideMismatch("coefficients must be a bimodule over the algebra")
     bar = bar_resolution(A, n_max + 1)
     prof = ModuleHomComplex(bar, module_complex_single(M)).ext_profile()
     return HHProfile.from_dict(prof, A.field, n_max, note)

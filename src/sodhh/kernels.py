@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebra import Algebra
 from .complexes import (ModuleComplex, ModuleHomComplex, ProjComplex,
-                        bar_resolution, dualize, ext_profile,
+                        SideMismatch, bar_resolution, dualize, ext_profile,
                         hom_complex, module_complex_single,
                         projective_resolution, radical_tuples,
                         serre_twist_left, tensor_env_env, tensor_env_left,
@@ -108,8 +108,9 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
     A = E.algebra
     env = A.enveloping()
     f = A.field
-    op = Fp.algebra
-    assert op is A.opposite()
+    if Fp.algebra is not A.opposite():
+        raise SideMismatch("decomposable kernel needs a right complex over "
+                           "the left complex's algebra")
     summands = {}
     for p, t1 in E.terms.items():
         for q, t2 in Fp.terms.items():
@@ -291,24 +292,6 @@ def _dual_as_left(A: Algebra) -> ModuleRep:
     return ModuleRep(A, D.dim, D.left, grading, check=False)
 
 
-def ext_between(K1: Kernel, K2, n_max: int, depth: int = 8) -> dict:
-    """Graded dims of Ext(K1, K2) between kernels; K2 may also be a
-    ModuleComplex (e.g. a convolution with the Serre kernel)."""
-    src = as_env_complex(K1, n_max + 1 if K1.kind == "diagonal" else depth)
-    if isinstance(K2, Kernel):
-        if K2.kind == "serre":
-            env = src.algebra
-            return ModuleHomComplex(
-                src, module_complex_single(K2.module)).ext_profile()
-        tgt = as_env_complex(K2, depth)
-        return hom_complex(src, tgt).ext_profile()
-    if isinstance(K2, ModuleComplex):
-        return ModuleHomComplex(src, K2).ext_profile()
-    if isinstance(K2, ProjComplex):
-        return hom_complex(src, K2).ext_profile()
-    raise TypeError(type(K2))
-
-
 def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
     """Hochschild cohomology with support t and coefficients e:
     the graded dimensions of Ext(e, e ∘ t).
@@ -331,8 +314,7 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
     depth = n_max + 1
     src = as_env_complex(e, depth)
     if t.kind == "diagonal":
-        prof = hom_complex(src, src).ext_profile() if e.kind != "diagonal" \
-            else ext_between(e, Kernel.general(src), n_max)
+        prof = hom_complex(src, src).ext_profile()
     elif t.kind == "serre":
         target = tensor_env_module(src, t.module)
         prof = ModuleHomComplex(src, target).ext_profile()
@@ -368,12 +350,14 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
     kernels = None
     for extra in (0, 1, -1):
         candidate = []
+        env_forms = []
         total = {}
         for E, F, s in zip(coll.objects, duals, shifts):
             Fn = F.shift(s + extra)
             P = Kernel.decomposable(E, dualize(Fn))
             candidate.append(P)
-            for v, c in decomposable_to_env(P.left, P.right).euler_class().items():
+            env_forms.append(decomposable_to_env(P.left, P.right))
+            for v, c in env_forms[-1].euler_class().items():
                 total[v] = total.get(v, 0) + c
         if {v: c for v, c in total.items() if c} == target:
             kernels = candidate
@@ -382,9 +366,8 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
         raise NormalizationFailed(
             "no shift of the dual objects satisfies the K_0 identity "
             "(the collection is not full)")
-    for i, P in enumerate(kernels):
-        prof = ext_profile(decomposable_to_env(P.left, P.right),
-                           decomposable_to_env(P.left, P.right))
+    for i, envP in enumerate(env_forms):
+        prof = ext_profile(envP, envP)
         if prof.get(0, 0) < 1:
             raise NormalizationFailed(
                 f"Ext^0(P_{i+1}, P_{i+1}) has no identity class")

@@ -1,7 +1,8 @@
 import pytest
 
-from sodhh.algebra import (NonAdmissible, NotFiniteDimensional, Quiver,
-                           Relation, build_path_algebra, center)
+from sodhh.algebra import (AlgebraAxiomError, NonAdmissible,
+                           NotFiniteDimensional, Quiver, Relation,
+                           build_path_algebra, center)
 from sodhh.catalog import CATALOG, structure_hash
 from sodhh.complexes import ext_profile, single_projective
 from sodhh.linalg import QQ, SubspaceReducer
@@ -214,3 +215,50 @@ def test_subspace_reducer_normal_forms():
     assert red.contains({0: QQ.coerce(1), 2: QQ.coerce(-1)})
     nf = red.normal_form({0: QQ.coerce(1)})
     assert nf and all(i not in red.cols for i in nf)
+
+
+# The beilinson-p2 table with x0 * e_src(x0) zeroed: the unit no longer
+# acts as the identity on x0.  The grading is passed in, since the broken
+# table no longer determines it.
+BROKEN_TABLE = """
+from sodhh.algebra import Algebra, AlgebraAxiomError
+from sodhh.catalog import get_entry
+from sodhh.linalg import QQ
+A = get_entry("beilinson-p2").algebra(QQ)
+x0 = A.labels.index("x0")
+mult = [list(row) for row in A.mult]
+mult[x0][A.idempotents[A.src[x0]]] = {}
+B = Algebra(QQ, A.labels, mult, A.idempotents, A.vertex_names,
+            grading=(A.src, A.tgt))
+try:
+    B.check_axioms()
+    print("accepted")
+except AlgebraAxiomError as exc:
+    print("AlgebraAxiomError:", exc)
+"""
+
+
+def test_broken_table_raises(capsys):
+    exec(BROKEN_TABLE, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "AlgebraAxiomError: unit does not act as the identity on x0"]
+
+
+def test_broken_table_raises_under_optimized_python(run_optimized):
+    assert run_optimized(BROKEN_TABLE) == [
+        "AlgebraAxiomError: unit does not act as the identity on x0"]
+
+
+def test_non_associative_table_names_labels():
+    """Rescaling a*b in the path algebra of a -> b -> c breaks (c b) a =
+    c (b a) for the length-three path."""
+    q = Quiver.make(("1", "2", "3", "4"),
+                    (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")))
+    A = build_path_algebra(q, [], QQ)
+    A.check_axioms()
+    ba = A.multiply(A.arrow_element("b"), A.arrow_element("a"))
+    (k, _), = ba.items()
+    a, b = A.labels.index("a"), A.labels.index("b")
+    A.mult[b][a] = {k: QQ.coerce(2)}
+    with pytest.raises(AlgebraAxiomError, match="not associative on"):
+        A.check_axioms()

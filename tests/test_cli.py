@@ -313,3 +313,38 @@ def test_module_run_has_empty_stderr():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def counting_wrapper(monkeypatch, name, modules):
+    """Replace `name` in every listed sodhh module by one counting wrapper;
+    returns the list of recorded first arguments."""
+    import importlib
+    mods = [importlib.import_module(f"sodhh.{m}") for m in modules]
+    real = getattr(mods[0], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for mod in mods:
+        assert getattr(mod, name) is real
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_cohomology_resolves_each_simple_once(monkeypatch):
+    calls = counting_wrapper(monkeypatch, "projective_resolution",
+                             ["complexes", "hochschild", "kernels", "cli"])
+    code, _ = run_command(["cohomology", "--catalog", "beilinson-p2"])
+    assert code == 0
+    assert sorted(M.grading for M in calls) == [(0,), (1,), (2,)]
+
+
+def test_kernels_additivity_builds_kernels_once(monkeypatch):
+    calls = counting_wrapper(monkeypatch, "projection_kernels",
+                             ["kernels", "cli"])
+    code, _ = run_command(["kernels", "additivity", "--catalog",
+                           "beilinson-p2"])
+    assert code == 0
+    assert len(calls) == 1

@@ -1,8 +1,9 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
-from sodhh.complexes import (ChainMap, ComplexError, bar_augmentation_matrix,
-                             bar_resolution, cone, direct_sum, dualize,
+from sodhh.complexes import (ChainMap, ComplexError, _compose,
+                             bar_augmentation_matrix, bar_resolution,
+                             compose_chainmaps, cone, direct_sum, dualize,
                              ext_profile, ext_profile_module, minimalize,
                              module_complex_single, projective_resolution,
                              single_projective, tensor_env_env,
@@ -316,3 +317,231 @@ def test_degree_zero_ext_is_classical_hom(A2):
         direct_reg = classical_hom_dimension(Pv, Pv)
         prof = ext_profile(single_projective(A2, v), single_projective(A2, v))
         assert prof.get(0, 0) == direct_reg
+
+
+# ---------------------------------------------------------------------------
+# The sparse block product behind d^2 = 0, chain-map commutation and
+# chain-map composition
+
+
+def dense_compose(alg, first, second, n_tgt, n_mid, n_src):
+    """Reference for _compose: the dense loop over every (target, middle,
+    source) summand triple that the three call sites used to run."""
+    f = alg.field
+    out = {}
+    for h in range(n_tgt):
+        for j in range(n_src):
+            acc = {}
+            for i in range(n_mid):
+                x = first[i][j]
+                y = second[h][i]
+                if x and y:
+                    for k, v in alg.multiply(x, y).items():
+                        s = f.add(acc.get(k, f.zero), v)
+                        if s:
+                            acc[k] = s
+                        else:
+                            del acc[k]
+            if acc:
+                out[(h, j)] = acc
+    return out
+
+
+def alternate_columns(alg, m):
+    """m with column i negated for odd i, so that a product through m no
+    longer cancels."""
+    return [[alg.scale(x, -1) if i % 2 else x for i, x in enumerate(row)]
+            for row in m]
+
+
+def check_differential_pairs(X):
+    """_compose agrees with the dense loop on every consecutive pair of
+    differentials of X, as given and with alternating middle signs;
+    returns how many of those products were nonzero."""
+    alg = X.algebra
+    nonzero = 0
+    for n in X.diffs:
+        if (n + 1) not in X.diffs:
+            continue
+        shape = (len(X.terms[n + 2]), len(X.terms[n + 1]), len(X.terms[n]))
+        for second in (X.diffs[n + 1], alternate_columns(alg, X.diffs[n + 1])):
+            sparse = _compose(alg, X.diffs[n], second)
+            assert sparse == dense_compose(alg, X.diffs[n], second, *shape)
+            nonzero += bool(sparse)
+    return nonzero
+
+
+def test_compose_matches_dense_on_bar_and_simple_resolutions(algebras):
+    nonzero = 0
+    for A in algebras.values():
+        nonzero += check_differential_pairs(bar_resolution(A, 3))
+        for v in range(A.num_vertices):
+            nonzero += check_differential_pairs(
+                projective_resolution(simple_module(A, v), 4))
+    assert nonzero > 0
+
+
+def test_compose_matches_dense_on_evaluation_maps(algebras):
+    """Both sides of the commutation check of every evaluation map between
+    indecomposable projectives and simple modules' resolutions."""
+    nonzero = 0
+    for A in algebras.values():
+        objects = [single_projective(A, v) for v in range(A.num_vertices)]
+        objects += [projective_resolution(simple_module(A, v), 3)
+                    for v in range(A.num_vertices)]
+        for ev in [evaluation_map(E, F) for E in objects for F in objects]:
+            X, Y = ev.source, ev.target
+            for n in set(X.terms) | set(Y.terms):
+                ns, nt = len(X.terms.get(n, ())), len(Y.terms.get(n, ()))
+                ns1, nt1 = (len(X.terms.get(n + 1, ())),
+                            len(Y.terms.get(n + 1, ())))
+                lhs = _compose(A, ev.component(n), Y.diff(n))
+                rhs = _compose(A, X.diff(n), ev.component(n + 1))
+                assert lhs == dense_compose(A, ev.component(n), Y.diff(n),
+                                            nt1, nt, ns)
+                assert rhs == dense_compose(A, X.diff(n), ev.component(n + 1),
+                                            nt1, ns1, ns)
+                assert lhs == rhs
+                nonzero += bool(lhs)
+    assert nonzero > 0
+
+
+# Each check passes only because nonzero products cancel: in the bar
+# resolution of beilinson-p2 the composites d_{-1} d_{-2} are sums of
+# nonzero products that cancel, and an identity chain map on a simple's resolution commutes
+# because d . id and id . d agree entry by entry.  One flipped sign breaks
+# each.
+CANCELLING_BREAKS = """
+from sodhh.catalog import get_entry
+from sodhh.complexes import (ChainMap, ComplexError, ProjComplex,
+                             bar_resolution, projective_resolution)
+from sodhh.linalg import QQ
+from sodhh.modules import simple_module
+A = get_entry("beilinson-p2").algebra(QQ)
+bar = bar_resolution(A, 3)
+env = bar.algebra
+d2, d1 = bar.diffs[-2], bar.diffs[-1]
+i, j = next((i, j) for i, row in enumerate(d2) for j, x in enumerate(row)
+            if any(env.multiply(x, d1[h][i]) for h in range(len(d1))))
+broken = [[dict(x) for x in row] for row in d2]
+broken[i][j] = env.scale(broken[i][j], -1)
+X = projective_resolution(simple_module(A, 0), 4)
+ident = {n: [[A.idem(v) if r == c else {} for c in range(len(t))]
+             for r, v in enumerate(t)] for n, t in X.terms.items()}
+flipped = {n: [list(row) for row in m] for n, m in ident.items()}
+flipped[-1][1][1] = A.scale(A.idem(X.terms[-1][1]), -1)
+for build in (
+        lambda: ProjComplex(env, bar.terms, {-2: d2, -1: d1}),
+        lambda: ProjComplex(env, bar.terms, {-2: broken, -1: d1}),
+        lambda: ChainMap(X, X, ident),
+        lambda: ChainMap(X, X, flipped)):
+    try:
+        build()
+        print("accepted")
+    except ComplexError as exc:
+        print("ComplexError:", exc)
+"""
+
+
+CANCELLING_RAISED = ["accepted",
+                     "ComplexError: d^2 != 0 at degree -2",
+                     "accepted",
+                     "ComplexError: chain map does not commute at degree -1"]
+
+
+def test_cancelling_checks_catch_one_flipped_sign(capsys):
+    exec(CANCELLING_BREAKS, {})
+    assert capsys.readouterr().out.splitlines() == CANCELLING_RAISED
+
+
+def test_cancelling_checks_under_optimized_python(run_optimized):
+    assert run_optimized(CANCELLING_BREAKS) == CANCELLING_RAISED
+
+
+def test_compose_chainmaps_matches_dense(algebras):
+    """The composite of two evaluation-map pieces, entry by entry."""
+    A = algebras["beilinson-p2"]
+    X = projective_resolution(simple_module(A, 0), 4)
+    ev = evaluation_map(single_projective(A, 0), X)
+    ident = ChainMap(X, X, {n: [[A.idem(v) if r == c else {}
+                                 for c in range(len(t))]
+                                for r, v in enumerate(t)]
+                            for n, t in X.terms.items()})
+    comp = compose_chainmaps(ev, ident)
+    for n in comp.mats:
+        shape = (len(X.terms[n]), len(ev.target.terms[n]),
+                 len(ev.source.terms[n]))
+        dense = dense_compose(A, ev.component(n), ident.component(n), *shape)
+        assert {(h, j): x for h, row in enumerate(comp.mats[n])
+                for j, x in enumerate(row) if x} == dense
+    assert any(comp.mats.values())
+
+
+# Caller input over the wrong algebra: every builder raises SideMismatch
+# instead of asserting, so `python -O` keeps the checks.
+SIDE_MISMATCHES = """
+from sodhh.catalog import get_entry
+from sodhh.complexes import (ModuleHomComplex, SideMismatch, bar_resolution,
+                             direct_sum, dualize, module_complex_single,
+                             projective_resolution, single_projective,
+                             tensor_env_env, tensor_right_module_complex)
+from sodhh.hochschild import hh_with_coefficients
+from sodhh.kernels import decomposable_to_env
+from sodhh.linalg import QQ
+from sodhh.modules import regular_bimodule, simple_module
+K2 = get_entry("kronecker2").algebra(QQ)
+K3 = get_entry("kronecker3").algebra(QQ)
+for build in (
+        lambda: ModuleHomComplex(
+            projective_resolution(simple_module(K2, 0), 3),
+            module_complex_single(simple_module(K3, 0))).ext_profile(),
+        lambda: tensor_env_env(bar_resolution(K2, 2), bar_resolution(K3, 2)),
+        lambda: tensor_right_module_complex(
+            dualize(single_projective(K3, 0)),
+            module_complex_single(simple_module(K2, 0))),
+        lambda: direct_sum([single_projective(K2, 0),
+                            single_projective(K3, 0)]),
+        lambda: decomposable_to_env(single_projective(K2, 0),
+                                    dualize(single_projective(K3, 0))),
+        lambda: hh_with_coefficients(K2, regular_bimodule(K3), 2)):
+    try:
+        build()
+        print("accepted")
+    except SideMismatch as exc:
+        print("SideMismatch:", exc)
+"""
+
+
+SIDE_RAISED = [
+    "SideMismatch: Hom requires a complex and modules over the same algebra",
+    "SideMismatch: convolution needs bimodule complexes over the same algebra",
+    "SideMismatch: contraction needs a right complex against left modules "
+    "over the same algebra",
+    "SideMismatch: direct sum of complexes over different algebras",
+    "SideMismatch: decomposable kernel needs a right complex over the left "
+    "complex's algebra",
+    "SideMismatch: coefficients must be a bimodule over the algebra"]
+
+
+def test_side_mismatches_raise(capsys):
+    exec(SIDE_MISMATCHES, {})
+    assert capsys.readouterr().out.splitlines() == SIDE_RAISED
+
+
+def test_side_mismatches_raise_under_optimized_python(run_optimized):
+    assert run_optimized(SIDE_MISMATCHES) == SIDE_RAISED
+
+
+def test_resolution_of_a_non_module_raises(algebras):
+    """A length-two path acting while its arrows act by zero is not a
+    module; resolving it unchecked raises ModuleAxiomError."""
+    from sodhh.linalg import Matrix
+    from sodhh.modules import ModuleAxiomError, ModuleRep
+    A = algebras["beilinson-p2"]
+    acts = [Matrix.zeros(QQ, 2, 2) for _ in range(A.dim)]
+    acts[A.idempotents[2]] = Matrix(QQ, 2, 2, [{0: 1}, {}])
+    acts[A.idempotents[0]] = Matrix(QQ, 2, 2, [{}, {1: 1}])
+    acts[A.labels.index("x1*y2")] = Matrix(QQ, 2, 2, [{}, {0: -1}])
+    M = ModuleRep(A, 2, acts, (2, 0), check=False)
+    with pytest.raises(ModuleAxiomError, match="not action-invariant"):
+        projective_resolution(M, 3)

@@ -159,3 +159,28 @@ def test_profile_bound_enforced(algebras):
     prof = hh_cohomology(algebras["kronecker2"], 3)
     with pytest.raises(IndexError):
         prof.dim(4)
+
+
+def test_global_dimension_resolves_simples_once(algebras, monkeypatch):
+    """An exact value answers every cap; "exceeds c" answers caps <= c."""
+    import sodhh.hochschild as hochschild
+    from sodhh.catalog import get_entry
+    from sodhh.linalg import QQ
+    calls = []
+    real = hochschild.projective_resolution
+
+    def counting(M, length):
+        calls.append(M.grading)
+        return real(M, length)
+
+    monkeypatch.setattr(hochschild, "projective_resolution", counting)
+    B = get_entry("beilinson-p2").algebra(QQ)
+    assert [global_dimension(B, cap) for cap in (12, 6, 2, 1)] == \
+        [2, 2, 2, None]
+    assert sorted(calls) == [(0,), (1,), (2,)]
+    L = get_entry("loop-x2").algebra(QQ)
+    calls.clear()
+    assert global_dimension(L, 4) is None and global_dimension(L, 2) is None
+    assert len(calls) == 1
+    assert global_dimension(L, 5) is None
+    assert len(calls) == 2

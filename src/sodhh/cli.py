@@ -32,8 +32,7 @@ from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual)
 from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
-                      additivity_check, decomposable_to_env,
-                      fullness_certificate, generalized_hoh,
+                      additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
 from .linalg import GF, QQ, FieldSpec, Matrix
@@ -272,8 +271,7 @@ def cmd_generalized(args, report):
         idx = int(args.coeff[1:])
         if not 1 <= idx <= len(coll):
             raise SchemaError(f"--coeff: index {idx} out of range")
-        ks = projection_kernels(coll)
-        e = decomposable_to_env(ks[idx - 1].left, ks[idx - 1].right)
+        e = projection_kernels(coll)[idx - 1]
     else:
         raise SchemaError(f"--coeff: expected 'diagonal' or 'P<i>', got "
                           f"{args.coeff!r}")
@@ -441,6 +439,11 @@ def cmd_fullness(args, report):
             picks = [int(s) - 1 for s in args.objects.split(",")]
         except ValueError as exc:
             raise SchemaError(f"--objects: {exc}") from exc
+        m = len(coll)
+        for i in picks:
+            if not 0 <= i < m:
+                raise SchemaError(f"--objects: index {i + 1} is outside "
+                                  f"the valid range 1..{m}")
         subobjs = [coll.objects[i] for i in picks]
         coll = ExceptionalCollection(A, subobjs)
     cert = fullness_certificate(A, coll, args.max_degree)

@@ -15,7 +15,8 @@ Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
   cone(f)     C^n = Y^n (+) X^{n+1},  d(y, x) = (d_Y y + f x, -d_X x)
   Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X
-  tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy
+  tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, applied only
+              in _tensor_total, behind every builder of a total tensor complex
   dual        entries transposed, scaled by (-1)^m at source degree m
 """
 
@@ -667,6 +668,90 @@ def minimalize(X: ProjComplex) -> ProjComplex:
 # Tensor products over the base algebra A
 
 
+def _summands(X):
+    """A complex as (terms, diffs) at summand level: a ProjComplex as it
+    is, a ModuleComplex or FieldComplex as one summand per degree (its
+    module or its dimension) whose differential entry is a matrix."""
+    if isinstance(X, ProjComplex):
+        return X.terms, X.diffs
+    objects = X.modules if isinstance(X, ModuleComplex) else X.dims
+    return ({n: (x,) for n, x in objects.items()},
+            {n: [[m]] for n, m in X.diffs.items()})
+
+
+def _tensor_total(f, X, Y, middle, x_image, y_image):
+    """Basis and differential of the total complex of X (x) Y; the one
+    place of the rule d(x (x) y) = dx (x) y + (-1)^p x (x) dy.
+
+    Degree n has the slots (p, s1, s2, mid): summand s1 of X^p, summand s2
+    of Y^{n-p}, and mid from the pairs (mid, label) that middle(x, y)
+    yields for those two summands; slots run over p, then n - p, s1, s2
+    and mid.  x_image(a, mid, y) yields (mid2, k, c) for a nonzero entry a
+    of d_X from summand s1 to summand i1: slot mid goes to c times basis
+    element k (None for scalar entries) at the slot (p+1, i1, s2, mid2).
+    y_image(b, mid, x) does the same for d_Y, landing at (p, s1, i2,
+    mid2), and this function applies the sign (-1)^p.
+
+    Returns (index, labels, entries): index[n] maps each slot to its
+    position, labels[n] is the tuple of slot labels and entries[n] is
+    {(row, col, k): c} for every n with a term n + 1."""
+    x_terms, x_diffs = _summands(X)
+    y_terms, y_diffs = _summands(Y)
+    index, labels = {}, {}
+    for p, t1 in x_terms.items():
+        for q, t2 in y_terms.items():
+            slots = index.setdefault(p + q, {})
+            lbls = labels.setdefault(p + q, [])
+            for s1, x in enumerate(t1):
+                for s2, y in enumerate(t2):
+                    for mid, label in middle(x, y):
+                        slots[(p, s1, s2, mid)] = len(lbls)
+                        lbls.append(label)
+    entries = {}
+    for n, slots in index.items():
+        tgt = index.get(n + 1)
+        if tgt is None:
+            continue
+        ent = entries[n] = {}
+        for col, (p, s1, s2, mid) in enumerate(slots):
+            q = n - p
+            for i1, row in enumerate(x_diffs.get(p, ())):
+                if row[s1]:
+                    for mid2, k, c in x_image(row[s1], mid, y_terms[q][s2]):
+                        r = tgt.get((p + 1, i1, s2, mid2))
+                        if r is not None:
+                            ent[(r, col, k)] = f.add(
+                                ent.get((r, col, k), f.zero), c)
+            for i2, row in enumerate(y_diffs.get(q, ())):
+                if row[s2]:
+                    for mid2, k, c in y_image(row[s2], mid, x_terms[p][s1]):
+                        r = tgt.get((p, s1, i2, mid2))
+                        if r is not None:
+                            ent[(r, col, k)] = f.add(
+                                ent.get((r, col, k), f.zero),
+                                f.neg(c) if p % 2 else c)
+    return index, {n: tuple(lbls) for n, lbls in labels.items()}, entries
+
+
+def _proj_diffs(index, entries):
+    """Total-complex entries as ProjComplex differentials."""
+    diffs = {}
+    for n, ent in entries.items():
+        d = [[{} for _ in index[n]] for _ in index[n + 1]]
+        for (r, col, k), c in ent.items():
+            if c:
+                d[r][col][k] = c
+        diffs[n] = d
+    return diffs
+
+
+def _field_diffs(f, index, entries):
+    """Total-complex entries (scalar, k = None) as matrices."""
+    return {n: Matrix.from_entries(f, len(index[n + 1]), len(index[n]),
+                                   {(r, col): c for (r, col, _), c in ent.items()})
+            for n, ent in entries.items()}
+
+
 def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     """Convolution of bimodule complexes: P (x)_A Q, both over env(A)."""
     env = P.algebra
@@ -675,70 +760,27 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
                            "same algebra")
     A, _ = env.factors
     f = A.field
-    summands = {}  # degree -> list of (p, s1, s2, mu)
-    for p, t1 in P.terms.items():
-        for q, t2 in Q.terms.items():
-            n = p + q
-            lst = summands.setdefault(n, [])
-            for s1, pos1 in enumerate(t1):
-                v, w = env.vertex_pair(pos1)
-                for s2, pos2 in enumerate(t2):
-                    v2, w2 = env.vertex_pair(pos2)
-                    for mu in A.slice_indices(w, v2):
-                        lst.append((p, s1, s2, mu))
-    terms = {}
-    pos_index = {}
-    for n, lst in summands.items():
-        labels = []
-        for p, s1, s2, mu in lst:
-            v, _ = env.vertex_pair(P.terms[p][s1])
-            _, w2 = env.vertex_pair(Q.terms[n - p][s2])
-            labels.append(env.vertex(v, w2))
-        terms[n] = tuple(labels)
-        pos_index[n] = {key: i for i, key in enumerate(lst)}
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        d = [[{} for _ in summands[n]] for _ in summands[n + 1]]
-        tgt_pos = pos_index[n + 1]
-        for col, (p, s1, s2, mu) in enumerate(summands[n]):
-            q = n - p
-            # d_P (x) id
-            if p in P.diffs:
-                for i1, row in enumerate(P.diffs[p]):
-                    x = row[s1]
-                    if not x:
-                        continue
-                    for (a, bidx, cf) in env.terms(x):
-                        # new middle: y . mu ; outer entry x (x) e_{w2}
-                        newmid = A.multiply({bidx: f.one}, {mu: f.one})
-                        for mu2, cmid in newmid.items():
-                            r = tgt_pos.get((p + 1, i1, s2, mu2))
-                            if r is None:
-                                continue
-                            _, w2 = env.vertex_pair(Q.terms[q][s2])
-                            ekey = env.pair_index(a, A.idempotents[w2])
-                            _elem_add_into(f, d[r][col], {ekey: f.mul(cf, cmid)}, f.one)
-            # (-1)^p id (x) d_Q
-            if q in Q.diffs:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                for i2, row in enumerate(Q.diffs[q]):
-                    x = row[s2]
-                    if not x:
-                        continue
-                    for (a, bidx, cf) in env.terms(x):
-                        newmid = A.multiply({mu: f.one}, {a: f.one})
-                        for mu2, cmid in newmid.items():
-                            r = tgt_pos.get((p, s1, i2, mu2))
-                            if r is None:
-                                continue
-                            v, _ = env.vertex_pair(P.terms[p][s1])
-                            ekey = env.pair_index(A.idempotents[v], bidx)
-                            _elem_add_into(f, d[r][col],
-                                           {ekey: f.mul(sign, f.mul(cf, cmid))}, f.one)
-        diffs[n] = d
-    return ProjComplex(env, terms, diffs, check=False)
+
+    def middle(x, y):
+        (v, w), (v2, w2) = env.vertex_pair(x), env.vertex_pair(y)
+        return [(mu, env.vertex(v, w2)) for mu in A.slice_indices(w, v2)]
+
+    def x_image(a, mu, y):
+        # new middle b . mu; outer entry a (x) e_{w2}
+        e = A.idempotents[env.vertex_pair(y)[1]]
+        for i, j, c in env.terms(a):
+            for mu2, c2 in A.multiply({j: f.one}, {mu: f.one}).items():
+                yield mu2, env.pair_index(i, e), f.mul(c, c2)
+
+    def y_image(b, mu, x):
+        # new middle mu . a; outer entry e_v (x) b
+        e = A.idempotents[env.vertex_pair(x)[0]]
+        for i, j, c in env.terms(b):
+            for mu2, c2 in A.multiply({mu: f.one}, {i: f.one}).items():
+                yield mu2, env.pair_index(e, j), f.mul(c, c2)
+
+    index, terms, entries = _tensor_total(f, P, Q, middle, x_image, y_image)
+    return ProjComplex(env, terms, _proj_diffs(index, entries), check=False)
 
 
 def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
@@ -749,57 +791,23 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
         raise SideMismatch("bimodule complex does not act on this algebra's "
                            "left modules")
     f = A.field
-    summands = {}
-    for p, t1 in P.terms.items():
-        for q, t2 in X.terms.items():
-            lst = summands.setdefault(p + q, [])
-            for s1, pos1 in enumerate(t1):
-                v, w = env.vertex_pair(pos1)
-                for s2, u in enumerate(t2):
-                    for mu in A.slice_indices(w, u):
-                        lst.append((p, s1, s2, mu))
-    terms = {}
-    pos_index = {}
-    for n, lst in summands.items():
-        labels = []
-        for p, s1, s2, mu in lst:
-            v, _ = env.vertex_pair(P.terms[p][s1])
-            labels.append(v)
-        terms[n] = tuple(labels)
-        pos_index[n] = {key: i for i, key in enumerate(lst)}
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        d = [[{} for _ in summands[n]] for _ in summands[n + 1]]
-        tgt_pos = pos_index[n + 1]
-        for col, (p, s1, s2, mu) in enumerate(summands[n]):
-            q = n - p
-            if p in P.diffs:
-                for i1, row in enumerate(P.diffs[p]):
-                    x = row[s1]
-                    for (a, bidx, cf) in env.terms(x):
-                        newmid = A.multiply({bidx: f.one}, {mu: f.one})
-                        for mu2, cmid in newmid.items():
-                            r = tgt_pos.get((p + 1, i1, s2, mu2))
-                            if r is not None:
-                                _elem_add_into(f, d[r][col], {a: f.mul(cf, cmid)}, f.one)
-            if q in X.diffs:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                for i2, row in enumerate(X.diffs[q]):
-                    x = row[s2]
-                    if not x:
-                        continue
-                    newmid = A.multiply({mu: f.one}, x)
-                    for mu2, cmid in newmid.items():
-                        r = tgt_pos.get((p, s1, i2, mu2))
-                        if r is not None:
-                            v, _ = env.vertex_pair(P.terms[p][s1])
-                            ekey = A.idempotents[v]
-                            _elem_add_into(f, d[r][col],
-                                           {ekey: f.mul(sign, cmid)}, f.one)
-        diffs[n] = d
-    return ProjComplex(A, terms, diffs, check=False)
+
+    def middle(x, u):
+        v, w = env.vertex_pair(x)
+        return [(mu, v) for mu in A.slice_indices(w, u)]
+
+    def x_image(a, mu, u):
+        for i, j, c in env.terms(a):
+            for mu2, c2 in A.multiply({j: f.one}, {mu: f.one}).items():
+                yield mu2, i, f.mul(c, c2)
+
+    def y_image(b, mu, x):
+        e = A.idempotents[env.vertex_pair(x)[0]]
+        for mu2, c in A.multiply({mu: f.one}, b).items():
+            yield mu2, e, c
+
+    index, terms, entries = _tensor_total(f, P, X, middle, x_image, y_image)
+    return ProjComplex(A, terms, _proj_diffs(index, entries), check=False)
 
 
 def tensor_right_left(F: ProjComplex, G: ProjComplex) -> FieldComplex:
@@ -810,48 +818,21 @@ def tensor_right_left(F: ProjComplex, G: ProjComplex) -> FieldComplex:
         raise SideMismatch("contraction needs a right complex against a "
                            "left complex over the same algebra")
     f = A.field
-    slots = {}
-    for p, t1 in F.terms.items():
-        for q, t2 in G.terms.items():
-            lst = slots.setdefault(p + q, [])
-            for s1, v in enumerate(t1):
-                for s2, u in enumerate(t2):
-                    for mu in A.slice_indices(v, u):
-                        lst.append((p, s1, s2, mu))
-    pos_index = {n: {key: i for i, key in enumerate(lst)} for n, lst in slots.items()}
-    dims = {n: len(lst) for n, lst in slots.items()}
-    diffs = {}
-    for n in slots:
-        if (n + 1) not in slots:
-            continue
-        entries = {}
-        tgt_pos = pos_index[n + 1]
-        for col, (p, s1, s2, mu) in enumerate(slots[n]):
-            q = n - p
-            if p in F.diffs:
-                for i1, row in enumerate(F.diffs[p]):
-                    z = row[s1]
-                    if not z:
-                        continue
-                    img = A.multiply(z, {mu: f.one})  # left multiplication in A
-                    for mu2, c in img.items():
-                        r = tgt_pos.get((p + 1, i1, s2, mu2))
-                        if r is not None:
-                            entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
-            if q in G.diffs:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                for i2, row in enumerate(G.diffs[q]):
-                    x = row[s2]
-                    if not x:
-                        continue
-                    img = A.multiply({mu: f.one}, x)
-                    for mu2, c in img.items():
-                        r = tgt_pos.get((p, s1, i2, mu2))
-                        if r is not None:
-                            entries[(r, col)] = f.add(entries.get((r, col), f.zero),
-                                                      f.mul(sign, c))
-        diffs[n] = Matrix.from_entries(f, dims.get(n + 1, 0), dims[n], entries)
-    return FieldComplex(f, dims, diffs)
+
+    def middle(v, u):
+        return [(mu, None) for mu in A.slice_indices(v, u)]
+
+    def x_image(z, mu, u):
+        for mu2, c in A.multiply(z, {mu: f.one}).items():  # left mult. in A
+            yield mu2, None, c
+
+    def y_image(x, mu, v):
+        for mu2, c in A.multiply({mu: f.one}, x).items():
+            yield mu2, None, c
+
+    index, _, entries = _tensor_total(f, F, G, middle, x_image, y_image)
+    return FieldComplex(f, {n: len(s) for n, s in index.items()},
+                        _field_diffs(f, index, entries))
 
 
 def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
@@ -1002,47 +983,22 @@ def tensor_right_module_complex(F: ProjComplex, Ycx: ModuleComplex) -> FieldComp
         raise SideMismatch("contraction needs a right complex against "
                            "left modules over the same algebra")
     f = A.field
-    slots = {}
-    for p, t in F.terms.items():
-        for q, M in Ycx.modules.items():
-            lst = slots.setdefault(p + q, [])
-            for s1, v in enumerate(t):
-                for m in range(M.dim):
-                    if M.grading[m] == v:
-                        lst.append((p, s1, m))
-    pos_index = {n: {key: i for i, key in enumerate(lst)} for n, lst in slots.items()}
-    dims = {n: len(lst) for n, lst in slots.items()}
-    diffs = {}
-    for n in slots:
-        if (n + 1) not in slots:
-            continue
-        entries = {}
-        tgt_pos = pos_index[n + 1]
-        for col, (p, s1, m) in enumerate(slots[n]):
-            q = n - p
-            M = Ycx.modules[q]
-            if p in F.diffs:
-                for i1, row in enumerate(F.diffs[p]):
-                    z = row[s1]
-                    if not z:
-                        continue
-                    img = {}
-                    for zi, c in z.items():
-                        _elem_add_into(f, img, M.action[zi].cols[m], c)
-                    for m2, c in img.items():
-                        r = tgt_pos.get((p + 1, i1, m2))
-                        if r is not None:
-                            entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
-            dM = Ycx.diffs.get(q)
-            if dM is not None:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                for m2, c in dM.cols[m].items():
-                    r = tgt_pos.get((p, s1, m2))
-                    if r is not None:
-                        entries[(r, col)] = f.add(entries.get((r, col), f.zero),
-                                                  f.mul(sign, c))
-        diffs[n] = Matrix.from_entries(f, dims.get(n + 1, 0), dims[n], entries)
-    return FieldComplex(f, dims, diffs)
+
+    def middle(v, M):
+        return [(m, None) for m in range(M.dim) if M.grading[m] == v]
+
+    def x_image(z, m, M):
+        for zi, c in z.items():
+            for m2, c2 in M.action[zi].cols[m].items():
+                yield m2, None, f.mul(c, c2)
+
+    def y_image(dM, m, v):
+        for m2, c in dM.cols[m].items():
+            yield m2, None, c
+
+    index, _, entries = _tensor_total(f, F, Ycx, middle, x_image, y_image)
+    return FieldComplex(f, {n: len(s) for n, s in index.items()},
+                        _field_diffs(f, index, entries))
 
 
 def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> ModuleComplex:
@@ -1050,95 +1006,54 @@ def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> Mod
     from .modules import ModuleRep
     alg = Ycx.algebra
     f = alg.field
-    blocks = {}
-    pos = {}
+
+    def middle(M, d):
+        return [((m, r), M.grading[m]) for m in range(M.dim) for r in range(d)]
+
+    def x_image(dM, mr, d):
+        m, r = mr
+        for m2, c in dM.cols[m].items():
+            yield (m2, r), None, c
+
+    def y_image(dW, mr, M):
+        m, r = mr
+        for r2, c in dW.cols[r].items():
+            yield (m, r2), None, c
+
+    index, grading, entries = _tensor_total(f, Ycx, W, middle, x_image,
+                                            y_image)
     mods = {}
-    for p, M in Ycx.modules.items():
-        for q, d in W.dims.items():
-            n = p + q
-            lst = blocks.setdefault(n, [])
-            for m in range(M.dim):
-                for r in range(d):
-                    lst.append((p, m, r))
-    for n, lst in blocks.items():
-        pos[n] = {b: i for i, b in enumerate(lst)}
-        grading = [Ycx.modules[p].grading[m] for (p, m, r) in lst]
+    for n, slots in index.items():
         action = []
         for i in range(alg.dim):
             cols = []
-            for (p, m, r) in lst:
-                col = {}
-                for m2, c in Ycx.modules[p].action[i].cols[m].items():
-                    col[pos[n][(p, m2, r)]] = c
-                cols.append(col)
-            action.append(Matrix(f, len(lst), len(lst), cols))
-        mods[n] = ModuleRep(alg, len(lst), action, tuple(grading), check=False)
-    diffs = {}
-    for n in blocks:
-        if (n + 1) not in blocks:
-            continue
-        entries = {}
-        tgt_pos = pos[n + 1]
-        for col, (p, m, r) in enumerate(blocks[n]):
-            q = n - p
-            dM = Ycx.diffs.get(p)
-            if dM is not None:
-                for m2, c in dM.cols[m].items():
-                    rr = tgt_pos.get((p + 1, m2, r))
-                    if rr is not None:
-                        entries[(rr, col)] = f.add(entries.get((rr, col), f.zero), c)
-            dW = W.diffs.get(q)
-            if dW is not None:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                for r2, c in dW.cols[r].items():
-                    rr = tgt_pos.get((p, m, r2))
-                    if rr is not None:
-                        entries[(rr, col)] = f.add(entries.get((rr, col), f.zero),
-                                                   f.mul(sign, c))
-        diffs[n] = Matrix.from_entries(f, len(blocks[n + 1]), len(blocks[n]), entries)
-    return ModuleComplex(alg, mods, diffs, check=False)
+            for (p, _, _, (m, r)) in slots:
+                cols.append({slots[(p, 0, 0, (m2, r))]: c for m2, c
+                             in Ycx.modules[p].action[i].cols[m].items()})
+            action.append(Matrix(f, len(slots), len(slots), cols))
+        mods[n] = ModuleRep(alg, len(slots), action, grading[n], check=False)
+    return ModuleComplex(alg, mods, _field_diffs(f, index, entries),
+                         check=False)
 
 
 def tensor_proj_with_field_complex(X: ProjComplex, W: FieldComplex) -> ProjComplex:
     """Termwise X (x)_k W; summands of X are repeated per basis slot of W."""
     alg = X.algebra
     f = alg.field
-    summands = {}
-    for p, t in X.terms.items():
-        for q, d in W.dims.items():
-            lst = summands.setdefault(p + q, [])
-            for s, v in enumerate(t):
-                for r in range(d):
-                    lst.append((p, s, r))
-    terms = {n: tuple(X.terms[p][s] for (p, s, r) in lst)
-             for n, lst in summands.items()}
-    pos = {n: {b: i for i, b in enumerate(lst)} for n, lst in summands.items()}
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        d = [[{} for _ in summands[n]] for _ in summands[n + 1]]
-        tgt_pos = pos[n + 1]
-        for col, (p, s, r) in enumerate(summands[n]):
-            q = n - p
-            if p in X.diffs:
-                for i1, row in enumerate(X.diffs[p]):
-                    x = row[s]
-                    if x:
-                        rr = tgt_pos.get((p + 1, i1, r))
-                        if rr is not None:
-                            _elem_add_into(f, d[rr][col], x, f.one)
-            dW = W.diffs.get(q)
-            if dW is not None:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                v = X.terms[p][s]
-                for r2, c in dW.cols[r].items():
-                    rr = tgt_pos.get((p, s, r2))
-                    if rr is not None:
-                        _elem_add_into(f, d[rr][col],
-                                       {alg.idempotents[v]: f.mul(sign, c)}, f.one)
-        diffs[n] = d
-    return ProjComplex(alg, terms, diffs, check=False)
+
+    def middle(v, d):
+        return [(r, v) for r in range(d)]
+
+    def x_image(a, r, d):
+        for k, c in a.items():
+            yield r, k, c
+
+    def y_image(dW, r, v):
+        for r2, c in dW.cols[r].items():
+            yield r2, alg.idempotents[v], c
+
+    index, terms, entries = _tensor_total(f, X, W, middle, x_image, y_image)
+    return ProjComplex(alg, terms, _proj_diffs(index, entries), check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from .algebra import Algebra
 from .complexes import (ModuleComplex, ModuleHomComplex, ProjComplex,
-                        SideMismatch, bar_resolution, dualize, ext_profile,
+                        SideMismatch, _proj_diffs, _tensor_total,
+                        bar_resolution, dualize, ext_profile,
                         hom_complex, module_complex_single,
                         projective_resolution, radical_tuples,
                         serre_twist_left, tensor_env_env, tensor_env_left,
@@ -56,6 +57,7 @@ class Kernel:
         self.left = left            # decomposable: ProjComplex over A
         self.right = right          # decomposable: ProjComplex over op(A)
         self.twist = twist          # None | 'left' | 'right'
+        self._env = None            # untwisted decomposable: E (x)_k F'
 
     @staticmethod
     def diagonal(A: Algebra) -> "Kernel":
@@ -91,14 +93,17 @@ def diagonal_bar_depth(A: Algebra, requested: int) -> int:
 
 def as_env_complex(K: Kernel, depth: int) -> ProjComplex:
     """A projective bimodule complex representing the kernel (for the
-    diagonal, the bar resolution truncated at `depth`)."""
+    diagonal, the bar resolution truncated at `depth`; an untwisted
+    decomposable kernel builds its complex once and keeps it)."""
     A = K.algebra
     if K.kind == "general":
         return K.complex
     if K.kind == "diagonal":
         return bar_resolution(A, depth)
     if K.kind == "decomposable" and K.twist is None:
-        return decomposable_to_env(K.left, K.right)
+        if K._env is None:
+            K._env = decomposable_to_env(K.left, K.right)
+        return K._env
     raise UnsupportedKernelShape(f"cannot realize {K!r} as a projective "
                                  "bimodule complex")
 
@@ -107,60 +112,24 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
     """E (x)_k F' as a complex of projective bimodules."""
     A = E.algebra
     env = A.enveloping()
-    f = A.field
     if Fp.algebra is not A.opposite():
         raise SideMismatch("decomposable kernel needs a right complex over "
                            "the left complex's algebra")
-    summands = {}
-    for p, t1 in E.terms.items():
-        for q, t2 in Fp.terms.items():
-            lst = summands.setdefault(p + q, [])
-            for s1, v in enumerate(t1):
-                for s2, w in enumerate(t2):
-                    lst.append((p, s1, s2))
-    terms = {}
-    pos = {}
-    for n, lst in summands.items():
-        labels = []
-        for p, s1, s2 in lst:
-            v = E.terms[p][s1]
-            w = Fp.terms[n - p][s2]
-            labels.append(env.vertex(v, w))
-        terms[n] = tuple(labels)
-        pos[n] = {key: i for i, key in enumerate(lst)}
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        d = [[{} for _ in summands[n]] for _ in summands[n + 1]]
-        tgt_pos = pos[n + 1]
-        for col, (p, s1, s2) in enumerate(summands[n]):
-            q = n - p
-            w = Fp.terms[q][s2]
-            if p in E.diffs:
-                for i1, row in enumerate(E.diffs[p]):
-                    x = row[s1]
-                    if not x:
-                        continue
-                    r = tgt_pos.get((p + 1, i1, s2))
-                    if r is not None:
-                        for k, c in x.items():
-                            key = env.pair_index(k, A.idempotents[w])
-                            d[r][col][key] = c
-            if q in Fp.diffs:
-                sign = f.one if p % 2 == 0 else f.neg(f.one)
-                v = E.terms[p][s1]
-                for i2, row in enumerate(Fp.diffs[q]):
-                    z = row[s2]
-                    if not z:
-                        continue
-                    r = tgt_pos.get((p, s1, i2))
-                    if r is not None:
-                        for k, c in z.items():
-                            key = env.pair_index(A.idempotents[v], k)
-                            d[r][col][key] = f.mul(sign, c)
-        diffs[n] = d
-    return ProjComplex(env, terms, diffs, check=True)
+
+    def middle(v, w):
+        return [(None, env.vertex(v, w))]
+
+    def x_image(a, _, w):
+        for k, c in a.items():
+            yield None, env.pair_index(k, A.idempotents[w]), c
+
+    def y_image(b, _, v):
+        for k, c in b.items():
+            yield None, env.pair_index(A.idempotents[v], k), c
+
+    index, terms, entries = _tensor_total(A.field, E, Fp, middle, x_image,
+                                          y_image)
+    return ProjComplex(env, terms, _proj_diffs(index, entries), check=True)
 
 
 def serre_kernel(A: Algebra) -> Kernel:
@@ -199,7 +168,9 @@ def kernel_adjoint(K: Kernel, which: str) -> Kernel:
     (a twist tag) until the kernel is applied or convolved.  Taking the
     opposite adjoint of a twisted kernel undoes the twist by genuinely
     dualizing the parts again."""
-    assert which in ("left", "right")
+    if which not in ("left", "right"):
+        raise ValueError(f"adjoint side must be 'left' or 'right', got "
+                         f"{which!r}")
     if K.kind == "diagonal":
         return K
     if K.kind != "decomposable":
@@ -248,7 +219,10 @@ def convolution(L: Kernel, K: Kernel, depth: int = 8):
 def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
     """Graded homology dimensions of L ∘ K, supporting the adjoint-twisted
     decomposable shapes via the Kuenneth formula (exact over a field)."""
-    assert L.kind == "decomposable" and K.kind == "decomposable"
+    if L.kind != "decomposable" or K.kind != "decomposable":
+        raise UnsupportedKernelShape(
+            f"convolution homology needs decomposable kernels, got {L!r} "
+            f"and {K!r}")
     A = L.algebra
 
     def realized_homology(cx):
@@ -302,7 +276,8 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
     if isinstance(e, ProjComplex):
         e = Kernel.general(e)
     elif e == "diagonal":
-        assert algebra is not None
+        if algebra is None:
+            raise ValueError("diagonal coefficients need the algebra")
         e = Kernel.diagonal(algebra)
     A = e.algebra
     if isinstance(t, ProjComplex):
@@ -350,14 +325,12 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
     kernels = None
     for extra in (0, 1, -1):
         candidate = []
-        env_forms = []
         total = {}
         for E, F, s in zip(coll.objects, duals, shifts):
             Fn = F.shift(s + extra)
             P = Kernel.decomposable(E, dualize(Fn))
             candidate.append(P)
-            env_forms.append(decomposable_to_env(P.left, P.right))
-            for v, c in env_forms[-1].euler_class().items():
+            for v, c in as_env_complex(P, 0).euler_class().items():
                 total[v] = total.get(v, 0) + c
         if {v: c for v, c in total.items() if c} == target:
             kernels = candidate
@@ -366,7 +339,8 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
         raise NormalizationFailed(
             "no shift of the dual objects satisfies the K_0 identity "
             "(the collection is not full)")
-    for i, envP in enumerate(env_forms):
+    for i, P in enumerate(kernels):
+        envP = as_env_complex(P, 0)
         prof = ext_profile(envP, envP)
         if prof.get(0, 0) < 1:
             raise NormalizationFailed(
@@ -378,7 +352,7 @@ def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
     """Ext(P_i, P_j ∘ S) for all ordered pairs, plus the vanishing of the
     adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j)."""
     m = len(kernels)
-    env_forms = [decomposable_to_env(P.left, P.right) for P in kernels]
+    env_forms = [as_env_complex(P, 0) for P in kernels]
     A = serre.algebra
     table = {}
     for i in range(m):
@@ -412,7 +386,7 @@ def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
 def k0_identity_check(kernels, A: Algebra) -> bool:
     total = {}
     for P in kernels:
-        for v, c in decomposable_to_env(P.left, P.right).euler_class().items():
+        for v, c in as_env_complex(P, 0).euler_class().items():
             total[v] = total.get(v, 0) + c
     return {v: c for v, c in total.items() if c} == diagonal_class(A)
 
@@ -426,7 +400,7 @@ def additivity_check(A: Algebra, coll: ExceptionalCollection,
     hh = hh_homology(A, n_max)
     summands = []
     for P in kernels:
-        envP = decomposable_to_env(P.left, P.right)
+        envP = as_env_complex(P, 0)
         twisted = tensor_env_module(envP, serre.module)
         prof = ModuleHomComplex(envP, twisted).ext_profile()
         summands.append(HHProfile.from_dict(prof, A.field, n_max))

@@ -180,6 +180,17 @@ def test_fullness_commands():
     assert report.data["verdict"] == "not full"
 
 
+@pytest.mark.parametrize("objects", ["0", "-1", "4", "1,4"])
+def test_fullness_objects_out_of_range_exit_2(objects):
+    """beilinson-p2's collection has three objects; any index outside 1..3
+    is an input error naming the flag."""
+    code, report = run_command(
+        ["fullness", "--objects", objects, "--catalog", "beilinson-p2"])
+    assert code == 2
+    assert report.data["error"].startswith("--objects: index ")
+    assert report.data["error"].endswith("outside the valid range 1..3")
+
+
 def test_golden_report():
     """Byte-stable serialization against a checked-in golden file."""
     import pathlib

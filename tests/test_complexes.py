@@ -1,14 +1,22 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
-from sodhh.complexes import (ChainMap, ComplexError, _compose,
+from sodhh.catalog import CATALOG
+from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
+                             ModuleComplex, ProjComplex, _compose,
                              bar_augmentation_matrix, bar_resolution,
                              compose_chainmaps, cone, direct_sum, dualize,
                              ext_profile, ext_profile_module, minimalize,
                              module_complex_single, projective_resolution,
-                             single_projective, tensor_env_env,
-                             tensor_env_left, tensor_right_left, zero_complex)
-from sodhh.exceptional import evaluation_map, minimal_data
+                             serre_twist_left, single_projective,
+                             tensor_env_env, tensor_env_left,
+                             tensor_module_with_field_complex,
+                             tensor_proj_with_field_complex,
+                             tensor_right_left, tensor_right_module_complex,
+                             zero_complex)
+from sodhh.exceptional import (evaluation_map, minimal_data,
+                               projective_collection)
+from sodhh.kernels import decomposable_to_env, projection_kernels
 from sodhh.linalg import QQ, rank
 from sodhh.modules import simple_module
 
@@ -238,21 +246,9 @@ def test_broken_complexes_raise_over_beilinson_p2(capsys):
     assert capsys.readouterr().out.splitlines() == BROKEN_RAISED
 
 
-def test_broken_complexes_raise_under_optimized_python():
+def test_broken_complexes_raise_under_optimized_python(run_optimized):
     """The checks raise instead of asserting, so `python -O` keeps them."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-    import sodhh
-    src = str(pathlib.Path(sodhh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [x for x in [env.get("PYTHONPATH")] if x])
-    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_COMPLEXES],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == BROKEN_RAISED
+    assert run_optimized(BROKEN_COMPLEXES) == BROKEN_RAISED
 
 
 def test_zero_complex(A2):
@@ -545,3 +541,79 @@ def test_resolution_of_a_non_module_raises(algebras):
     M = ModuleRep(A, 2, acts, (2, 0), check=False)
     with pytest.raises(ModuleAxiomError, match="not action-invariant"):
         projective_resolution(M, 3)
+
+
+# ---------------------------------------------------------------------------
+# The seven tensor-product builders on catalog inputs
+
+
+def kuenneth(*profiles):
+    """Homology dimensions of a tensor product over k of complexes with
+    the given homology dimensions."""
+    out = {0: 1}
+    for prof in profiles:
+        nxt = {}
+        for a, da in out.items():
+            for b, db in prof.items():
+                nxt[a + b] = nxt.get(a + b, 0) + da * db
+        out = nxt
+    return {n: d for n, d in out.items() if d}
+
+
+def checked(cx):
+    """Rebuild a builder's output with every construction-time check on
+    (shape, slices and d^2 = 0; module axioms and L-linearity) and return
+    its homology dimensions."""
+    if isinstance(cx, ProjComplex):
+        return ProjComplex(cx.algebra, cx.terms, cx.diffs).homology_dims()
+    if isinstance(cx, ModuleComplex):
+        for M in cx.modules.values():
+            M.check_axioms()
+        ModuleComplex(cx.algebra, cx.modules, cx.diffs)
+        return FieldComplex(cx.algebra.field,
+                            {n: M.dim for n, M in cx.modules.items()},
+                            cx.diffs, check=True).homology_dims()
+    return FieldComplex(cx.field, cx.dims, cx.diffs, check=True).homology_dims()
+
+
+def test_tensor_builders_pass_checks_and_kuenneth(algebras):
+    """Inputs: the bar resolution, the simples' resolutions R, and as
+    left/right parts the pairs (R_v, R_w^v) and the projection kernels'."""
+    nonzero = 0
+    for name, A in algebras.items():
+        bar = bar_resolution(A, 3)
+        res = [projective_resolution(simple_module(A, v), 3)
+               for v in range(A.num_vertices)]
+        parts = [(R, dualize(S)) for R in res for S in res]
+        if CATALOG[name].has_collection:
+            parts += [(K.left, K.right)
+                      for K in projection_kernels(projective_collection(A))]
+        envs = [decomposable_to_env(E, F) for E, F in parts]
+        for (E, F), envP in zip(parts, envs):
+            assert checked(envP) == kuenneth(E.homology_dims(),
+                                             F.homology_dims())
+            nonzero += bool(envP.diffs)
+        for P in [bar] + envs[-2:]:
+            for Q in [bar] + envs[-2:]:
+                checked(tensor_env_env(P, Q))
+            for R in res:
+                checked(tensor_env_left(P, R))
+        twists = [serre_twist_left(R) for R in res]
+        Ws = []
+        for E, F in parts:
+            Ws.append(tensor_right_left(F, E))
+            for T in twists:
+                Ws.append(tensor_right_module_complex(F, T))
+        for W in Ws:
+            checked(W)
+        Ws = [W for W in Ws if W.diffs][:3]
+        nonzero += len(Ws)
+        for W in Ws:
+            hW = W.homology_dims()
+            for T in twists:
+                assert checked(tensor_module_with_field_complex(T, W)) == \
+                    kuenneth(checked(T), hW)
+            for X in res + [E for E, _ in parts[-2:]]:
+                assert checked(tensor_proj_with_field_complex(X, W)) == \
+                    kuenneth(X.homology_dims(), hW)
+    assert nonzero > 0

@@ -355,3 +355,49 @@ def test_generalized_additivity_on_kernel_triangle(K2, ks2):
              for P in ks2]
     for n in range(5):
         assert total.dim(n) == sum(p.dim(n) for p in parts)
+
+
+# Caller errors in the kernel calculus raise real exceptions, so
+# `python -O` keeps them.
+KERNEL_MISUSE = """
+from sodhh.catalog import get_entry
+from sodhh.exceptional import projective_collection
+from sodhh.kernels import (Kernel, convolution_homology_dims,
+                           generalized_hoh, kernel_adjoint,
+                           projection_kernels)
+from sodhh.linalg import QQ
+A = get_entry("kronecker2").algebra(QQ)
+P = projection_kernels(projective_collection(A))[0]
+for build in (
+        lambda: kernel_adjoint(P, "up"),
+        lambda: convolution_homology_dims(Kernel.serre(A), P),
+        lambda: generalized_hoh("diagonal", "diagonal", 2)):
+    try:
+        build()
+        print("accepted")
+    except ValueError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+KERNEL_MISUSE_RAISED = [
+    "ValueError: adjoint side must be 'left' or 'right', got 'up'",
+    "UnsupportedKernelShape: convolution homology needs decomposable "
+    "kernels, got Kernel(serre) and Kernel(decomposable)",
+    "ValueError: diagonal coefficients need the algebra"]
+
+
+def test_kernel_misuse_raises(capsys):
+    exec(KERNEL_MISUSE, {})
+    assert capsys.readouterr().out.splitlines() == KERNEL_MISUSE_RAISED
+
+
+def test_kernel_misuse_raises_under_optimized_python(run_optimized):
+    assert run_optimized(KERNEL_MISUSE) == KERNEL_MISUSE_RAISED
+
+
+def test_projection_kernels_keep_their_env_complex(ksB):
+    for P in ksB:
+        envP = as_env_complex(P, 0)
+        assert as_env_complex(P, 3) is envP
+        assert envP.terms == decomposable_to_env(P.left, P.right).terms

@@ -181,15 +181,19 @@ def _field_from_flag(s: str) -> FieldSpec:
     raise SchemaError(f"--field: expected 'q' or 'fp:<prime>', got {s!r}")
 
 
+def _catalog_entry(name):
+    try:
+        return get_entry(name)
+    except KeyError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def _load_algebra(args):
     field = _field_from_flag(args.field)
     if args.catalog and args.file:
         raise SchemaError("--catalog and --file are mutually exclusive")
     if args.catalog:
-        try:
-            entry = get_entry(args.catalog)
-        except KeyError as exc:
-            raise SchemaError(str(exc)) from exc
+        entry = _catalog_entry(args.catalog)
         return entry.algebra(field), entry
     if args.file:
         return parse_quiver_file(args.file).build(), None
@@ -267,8 +271,12 @@ def cmd_generalized(args, report):
     if args.coeff == "diagonal":
         e = "diagonal"
     elif args.coeff.startswith("P"):
+        try:
+            idx = int(args.coeff[1:])
+        except ValueError:
+            raise SchemaError(f"--coeff: expected 'diagonal' or 'P<i>' with "
+                              f"an integer i, got {args.coeff!r}") from None
         coll = _default_collection(A)
-        idx = int(args.coeff[1:])
         if not 1 <= idx <= len(coll):
             raise SchemaError(f"--coeff: index {idx} out of range")
         e = projection_kernels(coll)[idx - 1]
@@ -326,6 +334,11 @@ def cmd_collection(args, report):
     elif args.subcommand == "mutate":
         if args.index is None or args.dir not in ("left", "right"):
             raise SchemaError("mutate needs --index and --dir left|right")
+        lo, hi = (1, len(coll) - 1) if args.dir == "left" else (2, len(coll))
+        if not lo <= args.index <= hi:
+            raise SchemaError(f"--index: {args.dir} mutation index "
+                              f"{args.index} is outside the valid range "
+                              f"{lo}..{hi}")
         new = mutate(coll, args.index, args.dir)
         report.set("mutated", _collection_summary(new))
         report.check("mutated collection is exceptional", True)
@@ -355,7 +368,7 @@ def cmd_collection(args, report):
 
 
 def _parse_object_spec(spec, A):
-    if spec is None:
+    if not spec:
         raise SchemaError("--object is required (P<v> or S<v>)")
     kind, num = spec[0], spec[1:]
     try:
@@ -408,7 +421,7 @@ def cmd_les_check(args, report):
     field = _field_from_flag(args.field)
     if not args.catalog:
         raise SchemaError("les-check needs --catalog naming a gluing entry")
-    entry = get_entry(args.catalog)
+    entry = _catalog_entry(args.catalog)
     data = entry.gluing(field)
     if data is None:
         raise SchemaError(
@@ -462,7 +475,7 @@ def cmd_catalog(args, report):
             for n in catalog_names()])
         return 0
     if args.subcommand == "show":
-        entry = get_entry(args.name)
+        entry = _catalog_entry(args.name)
         A = entry.algebra(_field_from_flag(args.field))
         _algebra_summary(A, report)
         report.set("catalog_entry", {"name": entry.name,
@@ -556,7 +569,7 @@ def run_command(argv):
         report.check(type(exc).__name__, False, str(exc))
         return 1, report
     except (SchemaError, IoError, NonAdmissible, NotFiniteDimensional,
-            ValueError, KeyError, IndexError) as exc:
+            ValueError) as exc:
         report.set("error", str(exc))
         return 2, report
     if code == 0 and not report.all_passed():

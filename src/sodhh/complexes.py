@@ -6,10 +6,13 @@ terms that are finite direct sums of the indecomposable projectives L e_v;
 bimodule complexes are ProjComplexes over the enveloping algebra A (x)
 A^op, whose indecomposable projectives are the A e_v (x) e_w A.
 
-Differential entries are algebra elements: the component from a summand
-L e_v to a summand L e_w is an element x of e_v L e_w acting by right
-multiplication y |-> y x.  Composites therefore multiply left-to-right:
-"first a, then c" is the element a*c.
+A differential or chain-map component is a sparse matrix of algebra
+elements: the dict {(row, col): x} of its nonzero entries, rows indexing
+the target summands and columns the source summands.  Its shape comes
+from the terms; an absent key is zero, and so is an absent degree.  The
+entry from a summand L e_v to a summand L e_w is an element x of
+e_v L e_w acting by right multiplication y |-> y x.  Composites therefore
+multiply left-to-right: "first a, then c" is the element a*c.
 
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
@@ -22,7 +25,7 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-from .algebra import Algebra
+from .algebra import Algebra, AlgebraAxiomError
 from .linalg import ColumnEchelon, Matrix, SubspaceReducer, rank
 
 
@@ -45,45 +48,49 @@ def _elem_add_into(field, acc, vec, scale):
             del acc[k]
 
 
+def _lines(m, axis):
+    """Entries of a sparse matrix grouped by column (axis 1) or by row
+    (axis 0): {column: [(row, x), ...]} or {row: [(column, x), ...]}."""
+    out = {}
+    for rc, x in m.items():
+        out.setdefault(rc[axis], []).append((rc[1 - axis], x))
+    return out
+
+
 def _compose(alg, first, second):
-    """Nonzero entries of "first, then second" for matrices of algebra
-    elements (lists of rows): {(h, j): sum_i first[i][j] * second[h][i]}.
-    `second` is indexed by column, so only pairs of nonzero entries are
+    """Nonzero entries of "first, then second" for sparse matrices of
+    algebra elements: {(h, j): sum_i first[i, j] * second[h, i]}.
+    `second` is grouped by column, so only pairs of nonzero entries are
     multiplied."""
     f = alg.field
-    second_cols = {}
-    for h, row in enumerate(second):
-        for i, y in enumerate(row):
-            if y:
-                second_cols.setdefault(i, []).append((h, y))
+    second_cols = _lines(second, 1)
     out = {}
-    for i, row in enumerate(first):
-        hits = second_cols.get(i)
-        if not hits:
-            continue
-        for j, x in enumerate(row):
-            if not x:
-                continue
-            for h, y in hits:
-                _elem_add_into(f, out.setdefault((h, j), {}),
-                               alg.multiply(x, y), f.one)
+    for (i, j), x in first.items():
+        for h, y in second_cols.get(i, ()):
+            _elem_add_into(f, out.setdefault((h, j), {}),
+                           alg.multiply(x, y), f.one)
     return {hj: x for hj, x in out.items() if x}
 
 
 def _check_blocks(alg, m, src_s, tgt_s, shape_msg, slice_msg):
-    """Raise unless m is a len(tgt_s) x len(src_s) matrix whose entry from
-    summand L e_v to summand L e_w lies in e_v L e_w."""
-    if len(m) != len(tgt_s) or any(len(row) != len(src_s) for row in m):
-        raise ComplexError(shape_msg)
-    for w, row in zip(tgt_s, m):
-        for v, x in zip(src_s, row):
-            for k in x:
-                if alg.tgt[k] != v or alg.src[k] != w:
-                    raise ComplexError(slice_msg)
+    """Raise unless every key of m is a (row, col) inside len(tgt_s) x
+    len(src_s) and the entry from summand L e_v to summand L e_w lies in
+    e_v L e_w."""
+    for (r, c), x in m.items():
+        if not (0 <= r < len(tgt_s) and 0 <= c < len(src_s)):
+            raise ComplexError(shape_msg)
+        v, w = src_s[c], tgt_s[r]
+        for k in x:
+            if alg.tgt[k] != v or alg.src[k] != w:
+                raise ComplexError(slice_msg)
 
 
 class ProjComplex:
-    """Bounded complex of projective left L-modules, L basic."""
+    """Bounded complex of projective left L-modules, L basic.
+
+    terms[n] is the tuple of vertices v of the summands L e_v of degree n;
+    diffs[n] is the sparse matrix {(row, col): x} of the nonzero entries
+    of d^n, row a summand of degree n + 1 and col one of degree n."""
 
     def __init__(self, algebra: Algebra, terms, diffs, check=True):
         self.algebra = algebra
@@ -116,11 +123,7 @@ class ProjComplex:
         return not self.terms
 
     def diff(self, n):
-        if n in self.diffs:
-            return self.diffs[n]
-        src = self.terms.get(n, ())
-        tgt = self.terms.get(n + 1, ())
-        return [[{} for _ in src] for _ in tgt]
+        return self.diffs.get(n, {})
 
     def multiplicity_data(self):
         """Per-degree multiset of projective summands; the isomorphism
@@ -148,9 +151,8 @@ class ProjComplex:
     def shift(self, s: int) -> "ProjComplex":
         terms = {n - s: t for n, t in self.terms.items()}
         sign = 1 if s % 2 == 0 else -1
-        diffs = {}
-        for n, d in self.diffs.items():
-            diffs[n - s] = [[self.algebra.scale(x, sign) for x in row] for row in d]
+        diffs = {n - s: {rc: self.algebra.scale(x, sign) for rc, x in d.items()}
+                 for n, d in self.diffs.items()}
         return ProjComplex(self.algebra, terms, diffs, check=False)
 
     def realize(self):
@@ -169,14 +171,11 @@ class ProjComplex:
         dims = {n: len(b) for n, b in bases.items()}
         diffs = {}
         for n, d in self.diffs.items():
-            src_b = bases[n]
+            cols = _lines(d, 1)
             tgt_pos = {(s, k): i for i, (s, k) in enumerate(bases[n + 1])}
             entries = {}
-            for col, (j, y) in enumerate(src_b):
-                for i, row in enumerate(d):
-                    x = row[j]
-                    if not x:
-                        continue
+            for col, (j, y) in enumerate(bases[n]):
+                for i, x in cols.get(j, ()):
                     prod = alg.multiply({y: f.one}, x)
                     for k, v in prod.items():
                         entries[(tgt_pos[(i, k)], col)] = v
@@ -218,24 +217,21 @@ def direct_sum(complexes) -> ProjComplex:
             terms[n] = tuple(terms.get(n, ())) + t
         offsets.append(offs)
     diffs = {}
-    for n in {n for c in complexes for n in c.diffs}:
-        tgt = terms[n + 1]
-        src = terms[n]
-        d = [[{} for _ in src] for _ in tgt]
-        for c, offs in zip(complexes, offsets):
-            if n not in c.diffs:
-                continue
+    for c, offs in zip(complexes, offsets):
+        for n, d in c.diffs.items():
             oi, oj = offs[n + 1], offs[n]
-            for i, row in enumerate(c.diffs[n]):
-                for j, x in enumerate(row):
-                    if x:
-                        d[oi + i][oj + j] = dict(x)
-        diffs[n] = d
+            block = diffs.setdefault(n, {})
+            for (i, j), x in d.items():
+                block[(oi + i, oj + j)] = dict(x)
     return ProjComplex(alg, terms, diffs, check=False), offsets
 
 
 class ChainMap:
-    """Degreewise map of ProjComplexes commuting with the differentials."""
+    """Degreewise map of ProjComplexes commuting with the differentials.
+
+    mats[n] is the sparse matrix {(row, col): x} of the nonzero entries of
+    the component in degree n, row a summand of target.terms[n] and col
+    one of source.terms[n]."""
 
     def __init__(self, source: ProjComplex, target: ProjComplex, mats, check=True):
         self.source = source
@@ -246,10 +242,7 @@ class ChainMap:
             self._validate()
 
     def component(self, n):
-        if n in self.mats:
-            return self.mats[n]
-        return [[{} for _ in self.source.terms.get(n, ())]
-                for _ in self.target.terms.get(n, ())]
+        return self.mats.get(n, {})
 
     def _validate(self):
         alg = self.source.algebra
@@ -269,15 +262,9 @@ class ChainMap:
 def compose_chainmaps(first: ChainMap, second: ChainMap) -> ChainMap:
     """first : X -> Y, second : Y -> Z, composite X -> Z."""
     X, Z = first.source, second.target
-    mats = {}
-    for n in set(first.mats) | set(second.mats):
-        if n not in X.terms or n not in Z.terms:
-            continue
-        m = [[{} for _ in X.terms[n]] for _ in Z.terms[n]]
-        for (k, j), x in _compose(X.algebra, first.component(n),
-                                  second.component(n)).items():
-            m[k][j] = x
-        mats[n] = m
+    mats = {n: _compose(X.algebra, first.component(n), second.component(n))
+            for n in set(first.mats) | set(second.mats)
+            if n in X.terms and n in Z.terms}
     return ChainMap(X, Z, mats, check=False)
 
 
@@ -292,26 +279,12 @@ def cone(f: ChainMap) -> ProjComplex:
     for n in degs:
         if (n + 1) not in degs:
             continue
-        ny, nx = len(Y.terms.get(n, ())), len(X.terms.get(n + 1, ()))
-        ny1, nx1 = len(Y.terms.get(n + 1, ())), len(X.terms.get(n + 2, ()))
-        if ny + nx == 0 or ny1 + nx1 == 0:
-            continue
-        d = [[{} for _ in range(ny + nx)] for _ in range(ny1 + nx1)]
-        dY = Y.diff(n)
-        for i in range(ny1):
-            for j in range(ny):
-                if dY[i][j]:
-                    d[i][j] = dict(dY[i][j])
-        fm = f.component(n + 1)
-        for i in range(ny1):
-            for j in range(nx):
-                if fm[i][j]:
-                    d[i][ny + j] = dict(fm[i][j])
-        dX = X.diff(n + 1)
-        for i in range(nx1):
-            for j in range(nx):
-                if dX[i][j]:
-                    d[ny1 + i][ny + j] = alg.scale(dX[i][j], -1)
+        ny, ny1 = len(Y.terms.get(n, ())), len(Y.terms.get(n + 1, ()))
+        d = {rc: dict(x) for rc, x in Y.diff(n).items()}
+        for (i, j), x in f.component(n + 1).items():
+            d[(i, ny + j)] = dict(x)
+        for (i, j), x in X.diff(n + 1).items():
+            d[(ny1 + i, ny + j)] = alg.scale(x, -1)
         diffs[n] = d
     return ProjComplex(alg, terms, diffs, check=False)
 
@@ -325,11 +298,8 @@ def dualize(X: ProjComplex) -> ProjComplex:
     for m, d in X.diffs.items():
         # dual differential: (X^{m+1})^v -> (X^m)^v at dual degree -m-1
         sign = 1 if m % 2 == 0 else -1
-        src_s = X.terms[m + 1]
-        tgt_s = X.terms[m]
-        dd = [[X.algebra.scale(d[j][i], sign) for j in range(len(src_s))]
-              for i in range(len(tgt_s))]
-        diffs[-m - 1] = dd
+        diffs[-m - 1] = {(j, i): X.algebra.scale(x, sign)
+                         for (i, j), x in d.items()}
     return ProjComplex(op, terms, diffs, check=False)
 
 
@@ -436,13 +406,15 @@ class HomComplex:
         self.dims = {n: len(b) for n, b in self.basis.items()}
         self.pos = {n: {b: k for k, b in enumerate(bs)}
                     for n, bs in self.basis.items()}
+        x_rows = {m: _lines(d, 0) for m, d in X.diffs.items()}
+        y_cols = {m: _lines(d, 1) for m, d in Y.diffs.items()}
         self.mats = {}
         for n in self.basis:
             if (n + 1) in self.basis:
-                self.mats[n] = self._differential(n)
+                self.mats[n] = self._differential(n, x_rows, y_cols)
         self._field = f
 
-    def _differential(self, n):
+    def _differential(self, n, x_rows, y_cols):
         alg = self.X.algebra
         f = alg.field
         sign = f.one if n % 2 == 0 else f.neg(f.one)
@@ -450,28 +422,21 @@ class HomComplex:
         entries = {}
         for col, (i, sX, sY, t) in enumerate(self.basis[n]):
             # d_Y . phi : apply phi (element t), then the Y differential
-            dY = self.Y.diff(i + n)
-            for i2, row in enumerate(dY):
-                u = row[sY]
-                if u:
-                    prod = alg.multiply({t: f.one}, u)
-                    for k, v in prod.items():
-                        r = tgt_pos.get((i, sX, i2, k))
-                        if r is not None:
-                            entries[(r, col)] = f.add(
-                                entries.get((r, col), f.zero), v)
+            for i2, u in y_cols.get(i + n, {}).get(sY, ()):
+                prod = alg.multiply({t: f.one}, u)
+                for k, v in prod.items():
+                    r = tgt_pos.get((i, sX, i2, k))
+                    if r is not None:
+                        entries[(r, col)] = f.add(
+                            entries.get((r, col), f.zero), v)
             # -(-1)^n phi . d_X : apply d_X, then phi
-            dX = self.X.diff(i - 1)
-            if self.X.terms.get(i - 1):
-                for j2 in range(len(self.X.terms[i - 1])):
-                    a = dX[sX][j2]
-                    if a:
-                        prod = alg.multiply(a, {t: f.one})
-                        for k, v in prod.items():
-                            r = tgt_pos.get((i - 1, j2, sY, k))
-                            if r is not None:
-                                entries[(r, col)] = f.sub(
-                                    entries.get((r, col), f.zero), f.mul(sign, v))
+            for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
+                prod = alg.multiply(a, {t: f.one})
+                for k, v in prod.items():
+                    r = tgt_pos.get((i - 1, j2, sY, k))
+                    if r is not None:
+                        entries[(r, col)] = f.sub(
+                            entries.get((r, col), f.zero), f.mul(sign, v))
         m = Matrix.from_entries(f, self.dims.get(n + 1, 0), self.dims[n], entries)
         return m
 
@@ -506,9 +471,7 @@ class HomComplex:
         for pos, c in vec.items():
             i, sX, sY, t = self.basis[n][pos]
             m = i + n  # degree in X[-n] where the component sits
-            if m not in mats:
-                mats[m] = [[{} for _ in src.terms[m]] for _ in self.Y.terms[m]]
-            _elem_add_into(self._field, mats[m][sY][sX], {t: c}, self._field.one)
+            mats.setdefault(m, {}).setdefault((sY, sX), {})[t] = c
         return ChainMap(src, self.Y, mats)
 
 
@@ -550,13 +513,14 @@ class ModuleHomComplex:
         self.dims = {n: len(b) for n, b in self.basis.items()}
         self.pos = {n: {b: k for k, b in enumerate(bs)}
                     for n, bs in self.basis.items()}
+        x_rows = {m: _lines(d, 0) for m, d in X.diffs.items()}
         self.mats = {}
         for n in self.basis:
             if (n + 1) in self.basis:
-                self.mats[n] = self._differential(n)
+                self.mats[n] = self._differential(n, x_rows)
         self._field = f
 
-    def _differential(self, n):
+    def _differential(self, n, x_rows):
         alg = self.X.algebra
         f = alg.field
         sign = f.one if n % 2 == 0 else f.neg(f.one)
@@ -569,21 +533,16 @@ class ModuleHomComplex:
                     r = tgt_pos.get((i, sX, m2))
                     if r is not None:
                         entries[(r, col)] = f.add(entries.get((r, col), f.zero), v)
-            if self.X.terms.get(i - 1):
-                dX = self.X.diff(i - 1)
-                M = self.Y.modules[i + n]
-                for j2 in range(len(self.X.terms[i - 1])):
-                    a = dX[sX][j2]
-                    if not a:
-                        continue
-                    img = {}
-                    for k, c in a.items():
-                        _elem_add_into(f, img, M.action[k].cols[m], c)
-                    for m2, v in img.items():
-                        r = tgt_pos.get((i - 1, j2, m2))
-                        if r is not None:
-                            entries[(r, col)] = f.sub(
-                                entries.get((r, col), f.zero), f.mul(sign, v))
+            M = self.Y.modules[i + n]
+            for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
+                img = {}
+                for k, c in a.items():
+                    _elem_add_into(f, img, M.action[k].cols[m], c)
+                for m2, v in img.items():
+                    r = tgt_pos.get((i - 1, j2, m2))
+                    if r is not None:
+                        entries[(r, col)] = f.sub(
+                            entries.get((r, col), f.zero), f.mul(sign, v))
         return Matrix.from_entries(f, self.dims.get(n + 1, 0), self.dims[n], entries)
 
     def ext_profile(self):
@@ -607,61 +566,61 @@ def module_complex_single(M, degree=0) -> ModuleComplex:
 def minimalize(X: ProjComplex) -> ProjComplex:
     """Strip contractible two-term summands until every differential entry
     lies in the radical.  Minimal perfect complexes are unique up to
-    isomorphism, so the result's multiplicity data identifies X."""
+    isomorphism, so the result's multiplicity data identifies X.
+
+    Summands keep their positions in X while they are stripped; the
+    survivors are renumbered once at the end."""
     alg = X.algebra
     f = alg.field
-    terms = {n: list(t) for n, t in X.terms.items()}
-    diffs = {n: [[dict(x) for x in row] for row in X.diff(n)]
-             for n in X.diffs}
+    terms = X.terms
+    stripped = {n: set() for n in terms}
+    diffs = {n: {rc: dict(x) for rc, x in d.items()} for n, d in X.diffs.items()}
 
     def find_unit():
         for n, d in diffs.items():
-            for i, row in enumerate(d):
-                v_tgt = terms[n + 1][i]
-                for j, x in enumerate(row):
-                    if terms[n][j] == v_tgt and x.get(alg.idempotents[v_tgt]):
-                        return n, i, j
+            units = [(i, j) for (i, j), x in d.items()
+                     if terms[n][j] == terms[n + 1][i]
+                     and x.get(alg.idempotents[terms[n][j]])]
+            if units:
+                return n, min(units)
         return None
 
     while True:
         hit = find_unit()
         if hit is None:
             break
-        n, i, j = hit
+        n, (i, j) = hit
         d = diffs[n]
-        v = terms[n][j]
-        u = alg.local_inverse(d[i][j], v)
+        u = alg.local_inverse(d[(i, j)], terms[n][j])
         # d' = delta - gamma . u . beta  on the remaining summands
-        for i2 in range(len(terms[n + 1])):
-            if i2 == i:
-                continue
-            gamma = d[i2][j]
-            if not gamma:
-                continue
-            for j2 in range(len(terms[n])):
-                if j2 == j:
-                    continue
-                beta = d[i][j2]
-                if not beta:
-                    continue
+        gammas = [(i2, x) for (i2, j2), x in d.items() if j2 == j and i2 != i]
+        betas = [(j2, x) for (i2, j2), x in d.items() if i2 == i and j2 != j]
+        for i2, gamma in gammas:
+            for j2, beta in betas:
                 corr = alg.multiply(alg.multiply(beta, u), gamma)
-                _elem_add_into(f, d[i2][j2], corr, f.neg(f.one))
-        # drop source summand j of term n and target summand i of term n+1
-        for row in d:
-            del row[j]
-        del diffs[n][i]
+                x = d.setdefault((i2, j2), {})
+                _elem_add_into(f, x, corr, f.neg(f.one))
+                if not x:
+                    del d[(i2, j2)]
+        # strip source summand j of term n and target summand i of term n+1
+        diffs[n] = {(r, c): x for (r, c), x in d.items() if r != i and c != j}
         if (n - 1) in diffs:
-            del diffs[n - 1][j]
+            diffs[n - 1] = {(r, c): x for (r, c), x in diffs[n - 1].items()
+                            if r != j}
         if (n + 1) in diffs:
-            for row in diffs[n + 1]:
-                del row[i]
-        del terms[n][j]
-        del terms[n + 1][i]
+            diffs[n + 1] = {(r, c): x for (r, c), x in diffs[n + 1].items()
+                            if c != i}
+        stripped[n].add(j)
+        stripped[n + 1].add(i)
 
-    clean_terms = {n: tuple(t) for n, t in terms.items() if t}
-    clean_diffs = {n: d for n, d in diffs.items()
-                   if n in clean_terms and (n + 1) in clean_terms}
-    return ProjComplex(alg, clean_terms, clean_diffs, check=False)
+    kept = {n: [s for s in range(len(t)) if s not in stripped[n]]
+            for n, t in terms.items()}
+    renum = {n: {s: k for k, s in enumerate(ss)} for n, ss in kept.items()}
+    return ProjComplex(
+        alg, {n: tuple(terms[n][s] for s in ss) for n, ss in kept.items()},
+        {n: {(renum[n + 1][r], renum[n][c]): x for (r, c), x in d.items()}
+         for n, d in diffs.items()},
+        check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +635,7 @@ def _summands(X):
         return X.terms, X.diffs
     objects = X.modules if isinstance(X, ModuleComplex) else X.dims
     return ({n: (x,) for n, x in objects.items()},
-            {n: [[m]] for n, m in X.diffs.items()})
+            {n: {(0, 0): m} for n, m in X.diffs.items()})
 
 
 def _tensor_total(f, X, Y, middle, x_image, y_image):
@@ -697,6 +656,8 @@ def _tensor_total(f, X, Y, middle, x_image, y_image):
     {(row, col, k): c} for every n with a term n + 1."""
     x_terms, x_diffs = _summands(X)
     y_terms, y_diffs = _summands(Y)
+    x_cols = {p: _lines(d, 1) for p, d in x_diffs.items()}
+    y_cols = {q: _lines(d, 1) for q, d in y_diffs.items()}
     index, labels = {}, {}
     for p, t1 in x_terms.items():
         for q, t2 in y_terms.items():
@@ -715,21 +676,19 @@ def _tensor_total(f, X, Y, middle, x_image, y_image):
         ent = entries[n] = {}
         for col, (p, s1, s2, mid) in enumerate(slots):
             q = n - p
-            for i1, row in enumerate(x_diffs.get(p, ())):
-                if row[s1]:
-                    for mid2, k, c in x_image(row[s1], mid, y_terms[q][s2]):
-                        r = tgt.get((p + 1, i1, s2, mid2))
-                        if r is not None:
-                            ent[(r, col, k)] = f.add(
-                                ent.get((r, col, k), f.zero), c)
-            for i2, row in enumerate(y_diffs.get(q, ())):
-                if row[s2]:
-                    for mid2, k, c in y_image(row[s2], mid, x_terms[p][s1]):
-                        r = tgt.get((p, s1, i2, mid2))
-                        if r is not None:
-                            ent[(r, col, k)] = f.add(
-                                ent.get((r, col, k), f.zero),
-                                f.neg(c) if p % 2 else c)
+            for i1, a in x_cols.get(p, {}).get(s1, ()):
+                for mid2, k, c in x_image(a, mid, y_terms[q][s2]):
+                    r = tgt.get((p + 1, i1, s2, mid2))
+                    if r is not None:
+                        ent[(r, col, k)] = f.add(
+                            ent.get((r, col, k), f.zero), c)
+            for i2, b in y_cols.get(q, {}).get(s2, ()):
+                for mid2, k, c in y_image(b, mid, x_terms[p][s1]):
+                    r = tgt.get((p, s1, i2, mid2))
+                    if r is not None:
+                        ent[(r, col, k)] = f.add(
+                            ent.get((r, col, k), f.zero),
+                            f.neg(c) if p % 2 else c)
     return index, {n: tuple(lbls) for n, lbls in labels.items()}, entries
 
 
@@ -737,11 +696,10 @@ def _proj_diffs(index, entries):
     """Total-complex entries as ProjComplex differentials."""
     diffs = {}
     for n, ent in entries.items():
-        d = [[{} for _ in index[n]] for _ in index[n + 1]]
+        d = diffs[n] = {}
         for (r, col, k), c in ent.items():
             if c:
-                d[r][col][k] = c
-        diffs[n] = d
+                d.setdefault((r, col), {})[k] = c
     return diffs
 
 
@@ -887,16 +845,14 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
             right.append(Matrix(f, n, n, cols))
         mods[p] = Bimodule(env, n, left, right, grading, check=False)
     diffs = {}
-    for p in P.diffs:
+    for p, d in P.diffs.items():
         if p not in mods or (p + 1) not in mods:
             continue
         entries = {}
         tgt_pos = pos[p + 1]
+        d_cols = _lines(d, 1)
         for col, (s, a, m) in enumerate(blocks[p]):
-            for i1, row in enumerate(P.diffs[p]):
-                x = row[s]
-                if not x:
-                    continue
+            for i1, x in d_cols.get(s, ()):
                 for (xi, yi, cf) in env.terms(x):
                     prod = A.multiply({a: f.one}, {xi: f.one})
                     # left action of y on e_w M
@@ -951,16 +907,14 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
             action.append(Matrix(f, len(basis), len(basis), cols))
         mods[q] = ModuleRep(A, len(basis), action, tuple(grading), check=False)
     diffs = {}
-    for q in X.diffs:
+    for q, d in X.diffs.items():
         if q not in mods or (q + 1) not in mods:
             continue
         entries = {}
         tgt_pos = pos[q + 1]
+        d_cols = _lines(d, 1)
         for col, (s, p) in enumerate(blocks[q]):
-            for i1, row in enumerate(X.diffs[q]):
-                x = row[s]
-                if not x:
-                    continue
+            for i1, x in d_cols.get(s, ()):
                 # induced map g -> g . x on duals: (g.x)(z) = g(x z)
                 for xi, cf in x.items():
                     for z in range(A.dim):
@@ -1104,9 +1058,8 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
     for n in range(1, n_max + 1):
         if -n not in terms:
             break
-        src_list = tuples[n]
-        d = [[{} for _ in terms[-n]] for _ in terms[-n + 1]]
-        for t in src_list:
+        d = {}
+        for t in tuples[n]:
             col = pos[n][t]
             v = A.tgt[t[0]]
             w = A.src[t[-1]]
@@ -1114,26 +1067,31 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
             head = t[0]
             key = ("v", A.src[head]) if n == 1 else t[1:]
             r = pos[n - 1][key]
-            _elem_add_into(f, d[r][col],
+            _elem_add_into(f, d.setdefault((r, col), {}),
                            {env.pair_index(head, A.idempotents[w]): f.one}, f.one)
             # 0 < i < n: contract adjacent radical slots; entry e_v (x) e_w
             for i in range(1, n):
                 prod = A.mult[t[i - 1]][t[i]]
                 sign = f.one if i % 2 == 0 else f.neg(f.one)
                 for s, c in prod.items():
-                    assert s not in A._idem_set  # rad is an ideal
+                    if s in A._idem_set:
+                        raise AlgebraAxiomError(
+                            "radical is not an ideal: the product of "
+                            f"{A.labels[t[i - 1]]} and {A.labels[t[i]]} "
+                            f"involves {A.labels[s]}")
                     t2 = t[:i - 1] + (s,) + t[i + 1:]
                     r2 = pos[n - 1][t2]
                     ekey2 = env.pair_index(A.idempotents[v], A.idempotents[w])
-                    _elem_add_into(f, d[r2][col], {ekey2: f.mul(sign, c)}, f.one)
+                    _elem_add_into(f, d.setdefault((r2, col), {}),
+                                   {ekey2: f.mul(sign, c)}, f.one)
             # i = n: slide r_n into the right A slot; entry e_v (x) r_n
             tail = t[-1]
             key3 = ("v", A.tgt[tail]) if n == 1 else t[:-1]
             r3 = pos[n - 1][key3]
             sign = f.one if n % 2 == 0 else f.neg(f.one)
-            _elem_add_into(f, d[r3][col],
+            _elem_add_into(f, d.setdefault((r3, col), {}),
                            {env.pair_index(A.idempotents[v], tail): sign}, f.one)
-        diffs[-n] = d
+        diffs[-n] = {rc: x for rc, x in d.items() if x}
     return ProjComplex(env, terms, diffs, check=True)
 
 
@@ -1183,12 +1141,11 @@ def projective_resolution(M, length: int) -> ProjComplex:
                 if red.add({m: f.one})]
         terms[-step] = tuple(v for v, _ in gens)
         if embed is not None:
-            d = [[{} for _ in gens] for _ in terms[-step + 1]]
+            d = diffs[-step] = {}
             for s, (v, m) in enumerate(gens):
                 for colpos, c in embed[m].items():
                     s0, y = prev_cover_basis[colpos]
-                    _elem_add_into(f, d[s0][s], {y: c}, f.one)
-            diffs[-step] = d
+                    d.setdefault((s0, s), {})[y] = c
         # cover map realize(P_step) -> current
         cover_cols = []
         cover_basis = []

@@ -61,17 +61,13 @@ def _assemble_map_from(pieces, maps, target) -> ChainMap:
     S, offsets = direct_sum(pieces)
     mats = {}
     for p, cm in enumerate(maps):
-        for n in cm.mats:
+        for n, comp in cm.mats.items():
             if n not in S.terms or n not in target.terms:
                 continue
-            if n not in mats:
-                mats[n] = [[{} for _ in S.terms[n]] for _ in target.terms[n]]
-            comp = cm.component(n)
             off = offsets[p].get(n, 0)
-            for i, row in enumerate(comp):
-                for j, x in enumerate(row):
-                    if x:
-                        mats[n][i][off + j] = dict(x)
+            block = mats.setdefault(n, {})
+            for (i, j), x in comp.items():
+                block[(i, off + j)] = dict(x)
     return ChainMap(S, target, mats)
 
 
@@ -80,17 +76,13 @@ def _assemble_map_to(source, pieces, maps) -> ChainMap:
     T, offsets = direct_sum(pieces)
     mats = {}
     for p, cm in enumerate(maps):
-        for n in cm.mats:
+        for n, comp in cm.mats.items():
             if n not in source.terms or n not in T.terms:
                 continue
-            if n not in mats:
-                mats[n] = [[{} for _ in source.terms[n]] for _ in T.terms[n]]
-            comp = cm.component(n)
             off = offsets[p].get(n, 0)
-            for i, row in enumerate(comp):
-                for j, x in enumerate(row):
-                    if x:
-                        mats[n][off + i][j] = dict(x)
+            block = mats.setdefault(n, {})
+            for (i, j), x in comp.items():
+                block[(off + i, j)] = dict(x)
     return ChainMap(source, T, mats)
 
 
@@ -289,8 +281,9 @@ def sod_project(x: ProjComplex, coll: ExceptionalCollection) -> SodTower:
         T = minimalize(cone(coev).shift(-1))
         for j in range(k):
             prof = ext_profile(T, coll.objects[j])
-            assert not prof, (
-                f"truncation T_{k} has Ext against E_{j+1}: {prof}")
+            if prof:
+                raise MutationFailed(
+                    f"truncation T_{k} has Ext against E_{j+1}: {prof}")
         factors.append(minimalize(factor))
         tower.append(T)
     if not T.is_zero():
@@ -380,21 +373,14 @@ def endomorphism_algebra(coll: ExceptionalCollection,
         """Coefficients of a degree-0 cocycle (given as a chain map
         E_i -> E_k) over the chosen basis, modulo coboundaries."""
         h = hcxs[(i, k)]
-        vec = {}
-        for n, mat in cm.mats.items():
-            for r, row in enumerate(mat):
-                for c, x in enumerate(row):
-                    for t, val in x.items():
-                        vec[h.pos[0][(n, c, r, t)]] = val
-        basis_vecs = []
-        for bcm in hom_bases[(i, k)]:
-            bv = {}
-            for n, mat in bcm.mats.items():
-                for r, row in enumerate(mat):
-                    for c, x in enumerate(row):
-                        for t, val in x.items():
-                            bv[h.pos[0][(n, c, r, t)]] = val
-            basis_vecs.append(bv)
+
+        def cochain(chain_map):
+            return {h.pos[0][(n, c, r, t)]: val
+                    for n, mat in chain_map.mats.items()
+                    for (r, c), x in mat.items() for t, val in x.items()}
+
+        vec = cochain(cm)
+        basis_vecs = [cochain(bcm) for bcm in hom_bases[(i, k)]]
         dim0 = h.dims.get(0, 0)
         from .linalg import Matrix, solve_linear
         cols = list(basis_vecs)
@@ -407,7 +393,9 @@ def endomorphism_algebra(coll: ExceptionalCollection,
         M = Matrix(f, dim0, len(cols), [dict(c) for c in cols])
         rhs = Matrix(f, dim0, 1, [vec])
         sol = solve_linear(M, rhs)
-        assert sol is not None, "composite is not a combination of basis cocycles"
+        if sol is None:
+            raise MutationFailed("composite is not a combination of basis "
+                                 "cocycles")
         return {b: sol.cols[0][b] for b in range(len(basis_vecs))
                 if b in sol.cols[0]}
 

@@ -359,3 +359,48 @@ def test_kernels_additivity_builds_kernels_once(monkeypatch):
                            "beilinson-p2"])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coeff", ["Px", "P"])
+def test_generalized_coeff_without_index_exit_2(coeff):
+    code, report = run_command(
+        ["generalized", "--support", "diagonal", "--coeff", coeff,
+         "--catalog", "kronecker2"])
+    assert code == 2
+    assert report.data["error"].startswith("--coeff: ")
+    assert repr(coeff) in report.data["error"]
+
+
+def test_mutate_index_out_of_range_exit_2():
+    code, report = run_command(
+        ["collection", "mutate", "--index", "9", "--dir", "left",
+         "--catalog", "beilinson-p2"])
+    assert code == 2
+    assert report.data["error"] == ("--index: left mutation index 9 is "
+                                    "outside the valid range 1..2")
+
+
+@pytest.mark.parametrize("error", [KeyError, IndexError])
+def test_internal_lookup_errors_are_not_input_errors(monkeypatch, error):
+    """An index bug inside a command surfaces as that error, not as an
+    exit-2 report blaming the input."""
+    import sodhh.cli
+
+    def broken(args, report):
+        raise error("internal")
+
+    monkeypatch.setitem(sodhh.cli.COMMANDS, "info", broken)
+    with pytest.raises(error):
+        run_command(["info", "--catalog", "kronecker2"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["les-check", "--catalog", "nope"],
+    ["catalog", "show", "nope"],
+    ["collection", "project", "--object=", "--catalog", "kronecker2"]])
+def test_lookups_of_bad_names_exit_2(argv):
+    """Unknown catalog names and an empty --object are input errors even
+    though run_command no longer treats KeyError or IndexError as one."""
+    code, report = run_command(argv)
+    assert code == 2
+    assert "nope" in report.data["error"] or "--object" in report.data["error"]

@@ -14,7 +14,7 @@ from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
                              tensor_proj_with_field_complex,
                              tensor_right_left, tensor_right_module_complex,
                              zero_complex)
-from sodhh.exceptional import (evaluation_map, minimal_data,
+from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
 from sodhh.kernels import decomposable_to_env, projection_kernels
 from sodhh.linalg import QQ, rank
@@ -39,7 +39,7 @@ def euler(X):
 
 def test_cone_of_identity_minimalizes_to_zero(A2):
     P = single_projective(A2, 0)
-    ident = ChainMap(P, P, {0: [[A2.idem(0)]]})
+    ident = ChainMap(P, P, {0: {(0, 0): A2.idem(0)}})
     assert minimalize(cone(ident)).is_zero()
 
 
@@ -58,9 +58,8 @@ def test_evaluation_cone_resolves_simple(A2):
     M = minimalize(C)
     assert M.multiplicity_data() == {-1: ((1, 2),), 0: ((0, 1),)}
     # differential entries lie in the radical (complex already minimal)
-    for row in M.diffs[-1]:
-        for x in row:
-            assert all(k in A2.radical_indices() for k in x)
+    for x in M.diffs[-1].values():
+        assert all(k in A2.radical_indices() for k in x)
 
 
 def test_cone_euler_characteristic(A2):
@@ -142,7 +141,7 @@ def test_minimalize_preserves_homology_and_ext(A2):
     C = cone(ev)
     padded, _ = direct_sum([C, cone(ChainMap(single_projective(A2, 1),
                                              single_projective(A2, 1),
-                                             {0: [[A2.idem(1)]]}))])
+                                             {0: {(0, 0): A2.idem(1)}}))])
     M = minimalize(padded)
     assert M.multiplicity_data() == minimalize(C).multiplicity_data()
     assert padded.homology_dims() == M.homology_dims()
@@ -197,7 +196,8 @@ def test_d_squared_validation(A2):
         # a -> e_2? invalid composite: use entries whose product is nonzero
         from sodhh.complexes import ProjComplex
         ProjComplex(A2, {0: (1,), 1: (0,), 2: (0,)},
-                    {0: [[A2.arrow_element("a")]], 1: [[A2.idem(0)]]})
+                    {0: {(0, 0): A2.arrow_element("a")},
+                     1: {(0, 0): A2.idem(0)}})
 
 
 def test_chainmap_must_commute(A2):
@@ -205,7 +205,7 @@ def test_chainmap_must_commute(A2):
     Y = cone(evaluation_map(single_projective(A2, 1), single_projective(A2, 0)))
     with pytest.raises(ComplexError):
         # a map hitting the degree -1 term with no compatibility
-        ChainMap(X.shift(1), Y, {-1: [[A2.idem(1)], [dict()]]})
+        ChainMap(X.shift(1), Y, {-1: {(0, 0): A2.idem(1)}})
 
 
 # Each construction breaks one check over beilinson-p2 and prints what it
@@ -222,8 +222,8 @@ A = get_entry("beilinson-p2").algebra(QQ)
 one = Matrix.identity(QQ, 1)
 for build in (
         lambda: ProjComplex(A, {0: (2,), 1: (1,), 2: (0,)},
-                            {0: [[A.arrow_element("y0")]],
-                             1: [[A.arrow_element("x0")]]}),
+                            {0: {(0, 0): A.arrow_element("y0")},
+                             1: {(0, 0): A.arrow_element("x0")}}),
         lambda: FieldComplex(QQ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one},
                              check=True),
         lambda: ModuleComplex(A, {0: simple_module(A, 0),
@@ -320,10 +320,17 @@ def test_degree_zero_ext_is_classical_hom(A2):
 # chain-map composition
 
 
+def densify(m, nrows, ncols):
+    """A sparse {(row, col): x} matrix as a list of rows of elements."""
+    return [[m.get((r, c), {}) for c in range(ncols)] for r in range(nrows)]
+
+
 def dense_compose(alg, first, second, n_tgt, n_mid, n_src):
     """Reference for _compose: the dense loop over every (target, middle,
     source) summand triple that the three call sites used to run."""
     f = alg.field
+    first = densify(first, n_mid, n_src)
+    second = densify(second, n_tgt, n_mid)
     out = {}
     for h in range(n_tgt):
         for j in range(n_src):
@@ -346,8 +353,8 @@ def dense_compose(alg, first, second, n_tgt, n_mid, n_src):
 def alternate_columns(alg, m):
     """m with column i negated for odd i, so that a product through m no
     longer cancels."""
-    return [[alg.scale(x, -1) if i % 2 else x for i, x in enumerate(row)]
-            for row in m]
+    return {(r, i): alg.scale(x, -1) if i % 2 else x
+            for (r, i), x in m.items()}
 
 
 def check_differential_pairs(X):
@@ -417,15 +424,16 @@ A = get_entry("beilinson-p2").algebra(QQ)
 bar = bar_resolution(A, 3)
 env = bar.algebra
 d2, d1 = bar.diffs[-2], bar.diffs[-1]
-i, j = next((i, j) for i, row in enumerate(d2) for j, x in enumerate(row)
-            if any(env.multiply(x, d1[h][i]) for h in range(len(d1))))
-broken = [[dict(x) for x in row] for row in d2]
-broken[i][j] = env.scale(broken[i][j], -1)
+i, j = next((i, j) for i, j in sorted(d2)
+            if any(env.multiply(d2[i, j], y) for (h, i1), y in d1.items()
+                   if i1 == i))
+broken = dict(d2)
+broken[i, j] = env.scale(d2[i, j], -1)
 X = projective_resolution(simple_module(A, 0), 4)
-ident = {n: [[A.idem(v) if r == c else {} for c in range(len(t))]
-             for r, v in enumerate(t)] for n, t in X.terms.items()}
-flipped = {n: [list(row) for row in m] for n, m in ident.items()}
-flipped[-1][1][1] = A.scale(A.idem(X.terms[-1][1]), -1)
+ident = {n: {(r, r): A.idem(v) for r, v in enumerate(t)}
+         for n, t in X.terms.items()}
+flipped = {n: dict(m) for n, m in ident.items()}
+flipped[-1][1, 1] = A.scale(A.idem(X.terms[-1][1]), -1)
 for build in (
         lambda: ProjComplex(env, bar.terms, {-2: d2, -1: d1}),
         lambda: ProjComplex(env, bar.terms, {-2: broken, -1: d1}),
@@ -454,22 +462,50 @@ def test_cancelling_checks_under_optimized_python(run_optimized):
     assert run_optimized(CANCELLING_BREAKS) == CANCELLING_RAISED
 
 
+# Over k[x]/x^2 with x * x redefined as the unit, the radical is no ideal,
+# and the bar resolution's contraction of (x, x) reports it.
+BROKEN_RADICAL = """
+from sodhh.algebra import AlgebraAxiomError
+from sodhh.catalog import get_entry
+from sodhh.complexes import bar_resolution
+from sodhh.linalg import QQ
+A = get_entry("loop-x2").algebra(QQ)
+x = A.labels.index("x")
+A.mult[x][x] = {A.idempotents[0]: 1}
+try:
+    bar_resolution(A, 2)
+    print("accepted")
+except AlgebraAxiomError as exc:
+    print("AlgebraAxiomError:", exc)
+"""
+
+
+RADICAL_RAISED = ["AlgebraAxiomError: radical is not an ideal: the product "
+                  "of x and x involves e(1)"]
+
+
+def test_bar_resolution_rejects_a_radical_that_is_no_ideal(capsys):
+    exec(BROKEN_RADICAL, {})
+    assert capsys.readouterr().out.splitlines() == RADICAL_RAISED
+
+
+def test_bar_resolution_radical_check_under_optimized_python(run_optimized):
+    assert run_optimized(BROKEN_RADICAL) == RADICAL_RAISED
+
+
 def test_compose_chainmaps_matches_dense(algebras):
     """The composite of two evaluation-map pieces, entry by entry."""
     A = algebras["beilinson-p2"]
     X = projective_resolution(simple_module(A, 0), 4)
     ev = evaluation_map(single_projective(A, 0), X)
-    ident = ChainMap(X, X, {n: [[A.idem(v) if r == c else {}
-                                 for c in range(len(t))]
-                                for r, v in enumerate(t)]
+    ident = ChainMap(X, X, {n: {(r, r): A.idem(v) for r, v in enumerate(t)}
                             for n, t in X.terms.items()})
     comp = compose_chainmaps(ev, ident)
     for n in comp.mats:
         shape = (len(X.terms[n]), len(ev.target.terms[n]),
                  len(ev.source.terms[n]))
         dense = dense_compose(A, ev.component(n), ident.component(n), *shape)
-        assert {(h, j): x for h, row in enumerate(comp.mats[n])
-                for j, x in enumerate(row) if x} == dense
+        assert comp.mats[n] == dense
     assert any(comp.mats.values())
 
 
@@ -617,3 +653,79 @@ def test_tensor_builders_pass_checks_and_kuenneth(algebras):
                 assert checked(tensor_proj_with_field_complex(X, W)) == \
                     kuenneth(X.homology_dims(), hW)
     assert nonzero > 0
+
+
+# ---------------------------------------------------------------------------
+# The sparse {(row, col): element} form of differentials and chain maps
+
+
+def assert_sparse(m, n_rows, n_cols):
+    """Every stored key is in range and every stored element nonzero."""
+    for (r, c), x in m.items():
+        assert 0 <= r < n_rows and 0 <= c < n_cols
+        assert x and all(x.values())
+
+
+def assert_sparse_complex(X):
+    assert set(X.diffs) <= {n for n in X.terms if n + 1 in X.terms}
+    for n, d in X.diffs.items():
+        assert_sparse(d, len(X.terms[n + 1]), len(X.terms[n]))
+
+
+def assert_minimalized(X):
+    """minimalize(X) is sparse, has every entry in the radical and the
+    homology of X."""
+    M = minimalize(X)
+    assert_sparse_complex(M)
+    rad = set(M.algebra.radical_indices())
+    assert all(set(x) <= rad for d in M.diffs.values() for x in d.values())
+    assert M.homology_dims() == X.homology_dims()
+
+
+def test_sparse_form_invariants(algebras):
+    """Bar resolutions, simples' resolutions, (co)evaluation maps between
+    projectives and simples' resolutions, their mutation cones with the
+    minimalized cones, and the ProjComplex outputs of the tensor
+    builders, over every catalog algebra."""
+    cones = 0
+    for A in algebras.values():
+        bar = bar_resolution(A, 3)
+        res = [projective_resolution(simple_module(A, v), 3)
+               for v in range(A.num_vertices)]
+        objects = [single_projective(A, v)
+                   for v in range(A.num_vertices)] + res
+        for X in [bar] + res:
+            assert_sparse_complex(X)
+        for E in objects:
+            for F in objects:
+                for f, s in ((evaluation_map(E, F), 0),
+                             (coevaluation_map(F, E), -1)):
+                    for n, m in f.mats.items():
+                        assert_sparse(m, len(f.target.terms[n]),
+                                      len(f.source.terms[n]))
+                    C = cone(f).shift(s)
+                    assert_sparse_complex(C)
+                    assert_minimalized(C)
+                    cones += bool(C.diffs)
+        W = tensor_right_left(dualize(res[0]), res[-1])
+        envs = [decomposable_to_env(R, dualize(S)) for R in res for S in res]
+        for T in ([tensor_env_env(bar, bar)] + envs
+                  + [tensor_env_left(bar, R) for R in res]
+                  + [tensor_proj_with_field_complex(R, W) for R in res]):
+            assert_sparse_complex(T)
+    assert cones > 0
+
+
+def test_out_of_range_keys_have_the_wrong_shape(A2):
+    """A key outside terms x terms is a shape error, for differentials and
+    chain maps alike."""
+    terms = {0: (1,), 1: (0,)}
+    a = A2.arrow_element("a")
+    for key in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ComplexError,
+                           match="differential at degree 0 has the wrong shape"):
+            ProjComplex(A2, terms, {0: {key: a}})
+    P = single_projective(A2, 0)
+    with pytest.raises(ComplexError,
+                       match="chain map at degree 0 has the wrong shape"):
+        ChainMap(P, P, {0: {(0, 1): A2.idem(0)}})

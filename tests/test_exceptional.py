@@ -202,6 +202,49 @@ def test_sod_project_not_full(coll2, K2):
 # -- endomorphism algebras ------------------------------------------------------
 
 
+# Two checks that only an implementation bug can fail, reached by
+# replacing what they read: a truncation of the projection tower that
+# still has Ext against an earlier object (sod_project), and a composite
+# of Hom basis cocycles that the solve cannot express in the basis
+# (endomorphism_algebra).
+CHECK_FAILURES = """
+import sodhh.exceptional as ex
+import sodhh.linalg
+from sodhh.catalog import get_entry
+from sodhh.linalg import QQ
+A = get_entry("beilinson-p2").algebra(QQ)
+coll = ex.projective_collection(A)
+real_ext, real_solve = ex.ext_profile, sodhh.linalg.solve_linear
+for patch, call in (
+        (lambda: setattr(ex, "ext_profile", lambda X, Y: {0: 1}),
+         lambda: ex.sod_project(ex.single_projective(A, 0), coll)),
+        (lambda: setattr(sodhh.linalg, "solve_linear", lambda m, rhs: None),
+         lambda: ex.endomorphism_algebra(coll))):
+    patch()
+    try:
+        call()
+        print("accepted")
+    except ex.MutationFailed as exc:
+        print("MutationFailed:", exc)
+    finally:
+        ex.ext_profile, sodhh.linalg.solve_linear = real_ext, real_solve
+"""
+
+
+CHECKS_RAISED = [
+    "MutationFailed: truncation T_1 has Ext against E_1: {0: 1}",
+    "MutationFailed: composite is not a combination of basis cocycles"]
+
+
+def test_implementation_checks_raise(capsys):
+    exec(CHECK_FAILURES, {})
+    assert capsys.readouterr().out.splitlines() == CHECKS_RAISED
+
+
+def test_implementation_checks_raise_under_optimized_python(run_optimized):
+    assert run_optimized(CHECK_FAILURES) == CHECKS_RAISED
+
+
 def test_endomorphism_reconstruction_kronecker():
     for n in (1, 2, 3):
         A = kron(n)
@@ -229,7 +272,7 @@ def test_endomorphism_not_strong(K2, coll2):
     bad = ExceptionalCollection(
         K2, [single_projective(K2, 1),
              cone(ChainMap(single_projective(K2, 1), single_projective(K2, 0),
-                           {0: [[K2.arrow_element("a")]]}))],
+                           {0: {(0, 0): K2.arrow_element("a")}}))],
         verify=False)
     with pytest.raises(NotStrong):
         endomorphism_algebra(bad)

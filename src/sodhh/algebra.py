@@ -60,50 +60,15 @@ class Relation(NamedTuple):
     terms: tuple
 
 
-class _TensorMultRow:
-    """One lazily computed row of a tensor-product multiplication table."""
-
-    __slots__ = ("env", "i", "cells")
-
-    def __init__(self, env, i):
-        self.env = env
-        self.i = i
-        self.cells = {}
-
-    def __getitem__(self, j):
-        cell = self.cells.get(j)
-        if cell is None:
-            env = self.env
-            b, c = env.factors
-            f = b.field
-            i1, i2 = env.index_pair(self.i)
-            j1, j2 = env.index_pair(j)
-            left = b.mult[i1][j1]
-            right = c.mult[j2][i2]  # second slots compose in C^op
-            cell = {}
-            for a, va in left.items():
-                for d, vd in right.items():
-                    cell[env.pair_index(a, d)] = f.mul(va, vd)
-            self.cells[j] = cell
-        return cell
-
-
-class _TensorMult:
-    """Lazy multiplication table of B (x) C^op; large enveloping algebras
-    never materialize the full dim^2 x dim^2 table."""
-
-    __slots__ = ("env", "rows")
-
-    def __init__(self, env):
-        self.env = env
-        self.rows = {}
-
-    def __getitem__(self, i):
-        row = self.rows.get(i)
-        if row is None:
-            row = _TensorMultRow(self.env, i)
-            self.rows[i] = row
-        return row
+def _lines(m, axis):
+    """Entries of a sparse {(row, col): x} map grouped by column (axis 1)
+    or by row (axis 0): {column: [(row, x), ...]} or {row: [(column, x),
+    ...]}.  On a multiplication table, axis 0 groups the products by their
+    left factor and axis 1 by their right factor."""
+    out = {}
+    for rc, x in m.items():
+        out.setdefault(rc[axis], []).append((rc[1 - axis], x))
+    return out
 
 
 class Algebra:
@@ -113,6 +78,12 @@ class Algebra:
     idempotents, but `idempotents[v]` gives the basis index of e_v and every
     non-idempotent basis element lies in the radical and in a single slice
     e_{vertex tgt} A e_{vertex src}.
+
+    The multiplication table `mult` is the dict {(i, j): b_i * b_j} of the
+    nonzero products only, each a sparse vector {k: nonzero scalar}; an
+    absent key is a zero product.  Readers that need every pair read one
+    product at a time with `product(i, j)`; readers that need the products
+    of one factor group the stored ones with `_lines`.
     """
 
     def __init__(self, field: FieldSpec, labels, mult, idempotents, vertex_names,
@@ -120,7 +91,7 @@ class Algebra:
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.mult = mult  # mult[i][j] = sparse product vector of b_i * b_j
+        self.mult = mult  # {(i, j): b_i * b_j} for the nonzero products
         self.idempotents = tuple(idempotents)
         self.vertex_names = tuple(vertex_names)
         self._idem_set = frozenset(self.idempotents)
@@ -130,10 +101,11 @@ class Algebra:
             self.src = [None] * self.dim  # vertex position v with  b * e_v = b
             self.tgt = [None] * self.dim  # vertex position v with  e_v * b = b
             for k in range(self.dim):
+                fixed = {k: field.one}
                 for v, e in enumerate(self.idempotents):
-                    if self.mult[k][e].get(k) == field.one and len(self.mult[k][e]) == 1:
+                    if mult.get((k, e)) == fixed:
                         self.src[k] = v
-                    if self.mult[e][k].get(k) == field.one and len(self.mult[e][k]) == 1:
+                    if mult.get((e, k)) == fixed:
                         self.tgt[k] = v
                 if self.src[k] is None or self.tgt[k] is None:
                     raise ValueError(
@@ -168,13 +140,17 @@ class Algebra:
 
     # -- arithmetic on sparse element vectors -------------------------------
 
+    def product(self, i, j) -> dict:
+        """b_i * b_j as a sparse vector, {} when it is zero."""
+        return self.mult.get((i, j), {})
+
     def multiply(self, x: dict, y: dict) -> dict:
         f = self.field
+        product = self.product
         out: dict = {}
         for i, xi in x.items():
-            row = self.mult[i]
             for j, yj in y.items():
-                cell = row[j]
+                cell = product(i, j)
                 if not cell:
                     continue
                 c = f.mul(xi, yj)
@@ -238,10 +214,10 @@ class Algebra:
                     f"unit does not act as the identity on {self.labels[i]}")
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.mult[i][j]
+                ij = self.product(i, j)
                 for k in range(self.dim):
                     left = self.multiply(ij, {k: self.field.one})
-                    right = self.multiply({i: self.field.one}, self.mult[j][k])
+                    right = self.multiply({i: self.field.one}, self.product(j, k))
                     if left != right:
                         raise AlgebraAxiomError(
                             "multiplication is not associative on "
@@ -251,6 +227,7 @@ class Algebra:
     def radical_nilpotency_index(self):
         """Least N with rad^N = 0."""
         f = self.field
+        by_left = _lines(self.mult, 0)
         current = [{k: f.one} for k in self.radical_indices()]
         n = 1
         while current:
@@ -258,8 +235,9 @@ class Algebra:
                 raise AssertionError("radical is not nilpotent")
             nxt = []
             red = SubspaceReducer(f, self.dim)
-            for x in current:
-                for k in self.radical_indices():
+            for x in current:   # over the radical b_k with some x_i b_k != 0
+                for k in sorted({k for i in x for k, _ in by_left.get(i, ())
+                                 if k not in self._idem_set}):
                     p = self.multiply(x, {k: f.one})
                     if p and red.add(p):
                         nxt.append(p)
@@ -271,7 +249,7 @@ class Algebra:
 
     def opposite(self) -> "Algebra":
         if "op" not in self._cache:
-            mult = [[self.mult[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            mult = {(j, i): x for (i, j), x in self.mult.items()}
             op = Algebra(self.field, self.labels, mult, self.idempotents, self.vertex_names)
             op._cache["op"] = self
             self._cache["op"] = op
@@ -290,8 +268,10 @@ class TensorOpposite(Algebra):
 
     The basis element b_i (x) c_j has index i * dim C + j and the vertex
     (v, w) has position v * |C_0| + w.  The methods below are the only
-    place these encodings are written down.  The multiplication table is
-    computed lazily cell by cell."""
+    place these encodings are written down.  Products are computed when
+    first asked for: `mult` caches the products computed so far, zero ones
+    included, so its absent keys are not yet known rather than zero, and
+    it is read only through `product`."""
 
     def __init__(self, b: Algebra, c: Algebra):
         if b.field != c.field:
@@ -306,8 +286,19 @@ class TensorOpposite(Algebra):
                     for i in range(b.dim) for j in range(c.dim))
         tgt = tuple(self.vertex(b.tgt[i], c.src[j])
                     for i in range(b.dim) for j in range(c.dim))
-        super().__init__(b.field, labels, _TensorMult(self), idems, vnames,
-                         grading=(src, tgt))
+        super().__init__(b.field, labels, {}, idems, vnames, grading=(src, tgt))
+
+    def product(self, i, j) -> dict:
+        """(b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2: the
+        second slots compose in C^op."""
+        cell = self.mult.get((i, j))
+        if cell is None:
+            (i1, i2), (j1, j2) = self.index_pair(i), self.index_pair(j)
+            left, right = self.factors[0].product(i1, j1), self.factors[1].product(j2, i2)
+            cell = self.mult[(i, j)] = {
+                self.pair_index(a, d): self.field.mul(va, vd)
+                for a, va in left.items() for d, vd in right.items()}
+        return cell
 
     def pair_index(self, i, j):
         """Basis index of b_i (x) c_j."""
@@ -444,8 +435,7 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec,
             for lft_len in range(0, length - L + 1):
                 rgt_len = length - L - lft_len
                 for rvec in rvecs:
-                    src = path_src(tuple(a for a in rvec[0][1]))
-                    tgt = path_tgt(tuple(a for a in rvec[0][1]))
+                    src, tgt = path_src(rvec[0][1]), path_tgt(rvec[0][1])
                     rights = [q for q in strata.get(rgt_len, [()])
                               if rgt_len == 0 or path_tgt(q) == src]
                     lefts = [q for q in strata.get(lft_len, [()])
@@ -458,78 +448,63 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec,
                                 vec[key] = field.add(vec.get(key, field.zero), c)
                             gens.append({k: v for k, v in vec.items() if v})
         reducer = SubspaceReducer(field, len(cur), gens)
-        pivot_rows = set(reducer.cols.keys())
-        surv = [p for n, p in enumerate(cur) if n not in pivot_rows]
+        surv = [p for n, p in enumerate(cur) if n not in reducer.cols]
         strata[length] = cur
         survivors[length] = surv
-        normal[length] = {}
-        for n, p in enumerate(cur):
-            nf = reducer.normal_form({n: field.one})
-            normal[length][p] = {cur[m]: v for m, v in nf.items()}
+        normal[length] = {
+            p: {cur[m]: v for m, v in reducer.normal_form({n: field.one}).items()}
+            for n, p in enumerate(cur)}
         if not surv:
             break
 
-    max_len = max(l for l in survivors if survivors[l]) if any(survivors.values()) else 0
-
     # assemble the basis: idempotents first, then residues by length
     labels = [f"e({v})" for v in quiver.vertices]
-    descr = [("e", v) for v in quiver.vertices]
     basis_paths = [None] * len(quiver.vertices)
+    vpos = {v: i for i, v in enumerate(quiver.vertices)}
     path_pos = {}
+    ending_at = [[] for _ in quiver.vertices]  # (basis index, path) by target
     for l in sorted(survivors):
         for p in survivors[l]:
             path_pos[p] = len(labels)
+            ending_at[vpos[path_tgt(p)]].append((len(labels), p))
             names = tuple(arrows[i].name for i in p)
             labels.append(_path_label(names))
-            descr.append(("p", p))
             basis_paths.append(names)
-    dim = len(labels)
-    vpos = {v: i for i, v in enumerate(quiver.vertices)}
 
     def nf_vector(p):
-        l = len(p)
-        if l > max_len or l not in normal:
-            return {}
-        return {path_pos[q]: v for q, v in normal[l][p].items() if q in path_pos}
+        # normal forms are combinations of survivors; past the last
+        # stratum computed every path is zero
+        return {path_pos[q]: v for q, v in normal.get(len(p), {}).get(p, {}).items()}
 
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            ki, kj = descr[i], descr[j]
-            if ki[0] == "e" and kj[0] == "e":
-                if ki[1] == kj[1]:
-                    mult[i][j] = {i: field.one}
-            elif ki[0] == "e":
-                # e_v * path = path if path ends at v
-                if arrows[kj[1][-1]].target == ki[1]:
-                    mult[i][j] = {j: field.one}
-            elif kj[0] == "e":
-                if arrows[ki[1][0]].source == kj[1]:
-                    mult[i][j] = {i: field.one}
-            else:
-                p, q = ki[1], kj[1]
-                # p*q is "q then p": traversal order q followed by p
-                if arrows[q[-1]].target == arrows[p[0]].source:
-                    mult[i][j] = nf_vector(q + p)
-
-    alg = PathAlgebra(field, labels, mult, list(range(len(quiver.vertices))),
-                      quiver.vertices, quiver, relations, basis_paths)
-    return alg
+    # row-major over the composable pairs only; p*q is "q then p", so it
+    # needs q to end where p starts
+    mult = {}
+    for v in range(len(quiver.vertices)):
+        mult[(v, v)] = {v: field.one}
+        for j, _ in ending_at[v]:
+            mult[(v, j)] = {j: field.one}
+    for p, i in path_pos.items():
+        start = vpos[path_src(p)]
+        mult[(i, start)] = {i: field.one}
+        for j, q in ending_at[start]:
+            pq = nf_vector(q + p)
+            if pq:
+                mult[(i, j)] = pq
+    return PathAlgebra(field, labels, mult, list(range(len(quiver.vertices))),
+                       quiver.vertices, quiver, relations, basis_paths)
 
 
 def center(a: Algebra):
     """(dimension, basis vectors) of the center {z : zx = xz for all x}."""
     f = a.field
+    # row i * dim + k, column j: the b_k coefficient of b_j b_i - b_i b_j
     entries = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            row_base = i * a.dim
-            for k, v in a.mult[j][i].items():
-                key = (row_base + k, j)
-                entries[key] = f.add(entries.get(key, f.zero), v)
-            for k, v in a.mult[i][j].items():
-                key = (row_base + k, j)
-                entries[key] = f.sub(entries.get(key, f.zero), v)
+    for (i, j), x in a.mult.items():
+        for k, v in x.items():
+            key = (j * a.dim + k, i)
+            entries[key] = f.add(entries.get(key, f.zero), v)
+            key = (i * a.dim + k, j)
+            entries[key] = f.sub(entries.get(key, f.zero), v)
     m = Matrix.from_entries(f, a.dim * a.dim, a.dim, entries)
     from .linalg import rank_kernel_image
     _, kernel, _ = rank_kernel_image(m)
@@ -550,11 +525,9 @@ def algebra_from_structure(field, vertex_names, labels, mult, idempotents,
     f = field
     rad = raw.radical_indices()
     radsq = SubspaceReducer(f, raw.dim)
-    for i in rad:
-        for j in rad:
-            p = raw.mult[i][j]
-            if p:
-                radsq.add(p)
+    for (i, j), p in raw.mult.items():
+        if i not in raw._idem_set and j not in raw._idem_set:
+            radsq.add(p)
     # arrows: slice-wise complement of rad^2 inside rad
     arrow_vecs = []
     arrow_meta = []  # (source vertex pos, target vertex pos)
@@ -636,22 +609,24 @@ def algebra_from_structure(field, vertex_names, labels, mult, idempotents,
         new_labels.append(_path_label(tuple(arrows[i].name for i in p)))
         new_paths.append(tuple(arrows[i].name for i in p))
         cob_cols.append(vec)
-    assert len(cob_cols) == raw.dim, "graded basis did not span"
-    cob = Matrix(f, raw.dim, raw.dim, cob_cols)
-    cob_echelon = ColumnEchelon(cob)
+    if len(cob_cols) != raw.dim:
+        raise AlgebraAxiomError(
+            f"graded basis did not span: found {len(cob_cols)} of "
+            f"{raw.dim} basis elements")
+    cob_echelon = ColumnEchelon(Matrix(f, raw.dim, raw.dim, cob_cols))
 
-    def in_new_coords(vec):
-        x = cob_echelon.solve(vec)
-        assert x is not None
-        return x
-
-    dim = raw.dim
-    new_mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        xi = dict(cob_cols[i])
-        for j in range(dim):
-            prod = raw.multiply(xi, cob_cols[j])
+    # the new basis is graded like the raw one: b_i b_j needs src(i) = tgt(j)
+    ending_at = _lines({(raw.tgt[min(x)], j): x for j, x in enumerate(cob_cols)}, 0)
+    new_mult = {}
+    for i, xi in enumerate(cob_cols):
+        for j, xj in ending_at.get(raw.src[min(xi)], ()):
+            prod = raw.multiply(xi, xj)
             if prod:
-                new_mult[i][j] = in_new_coords(prod)
+                x = cob_echelon.solve(prod)
+                if x is None:
+                    raise AlgebraAxiomError(
+                        f"the product of {new_labels[i]} and {new_labels[j]} "
+                        "has no coordinates in the graded basis")
+                new_mult[(i, j)] = x
     return PathAlgebra(f, new_labels, new_mult, new_idems, vertex_names,
                        quiver, relations, new_paths)

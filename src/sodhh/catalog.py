@@ -114,9 +114,9 @@ def structure_hash(A: Algebra) -> str:
     for lbl in A.labels:
         h.update(lbl.encode())
         h.update(b"\0")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in sorted(A.mult[i][j]):
-                h.update(f"{i},{j},{k},{A.mult[i][j][k]};".encode())
+    for i, j in sorted(A.mult):
+        x = A.mult[(i, j)]
+        for k in sorted(x):
+            h.update(f"{i},{j},{k},{x[k]};".encode())
     h.update(",".join(str(e) for e in A.idempotents).encode())
     return h.hexdigest()

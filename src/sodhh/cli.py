@@ -20,12 +20,13 @@ import argparse
 import json
 import sys
 
-from .algebra import (NonAdmissible, NotFiniteDimensional, Quiver, Relation,
-                      build_path_algebra, center)
+from .algebra import (AlgebraAxiomError, NonAdmissible, NotFiniteDimensional,
+                      Quiver, Relation, build_path_algebra, center)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
-from .complexes import (ModuleHomComplex, ext_profile, ext_profile_module,
-                        module_complex_single, projective_resolution,
-                        serre_twist_left, single_projective)
+from .complexes import (ComplexError, ModuleHomComplex, SideMismatch,
+                        ext_profile, ext_profile_module, module_complex_single,
+                        projective_resolution, serre_twist_left,
+                        single_projective)
 from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
                           dual_collection, is_exceptional_collection, mutate,
                           projective_collection, sod_project)
@@ -72,12 +73,14 @@ def parse_field_spec(obj, where="field") -> FieldSpec:
             raise SchemaError(f"{where}: prime-field spec needs 'p'")
         try:
             return GF(int(obj["p"]))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise SchemaError(f"{where}.p: {exc}") from exc
     raise SchemaError(f"{where}.kind: expected 'q' or 'fp', got {obj['kind']!r}")
 
 
 def parse_quiver_document(doc) -> QuiverDocument:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"document: expected an object, got {doc!r}")
     for key in ("field", "vertices", "arrows", "relations"):
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
@@ -85,12 +88,19 @@ def parse_quiver_document(doc) -> QuiverDocument:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise SchemaError("vertices: expected a list of names")
+    for key in ("arrows", "relations"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key}: expected a list, got {doc[key]!r}")
     arrows = []
     declared = set(vertices)
     for i, a in enumerate(doc["arrows"]):
+        if not isinstance(a, dict):
+            raise SchemaError(f"arrows[{i}]: expected an object, got {a!r}")
         for key in ("name", "source", "target"):
             if key not in a:
                 raise SchemaError(f"arrows[{i}]: missing {key!r}")
+            if not isinstance(a[key], str):
+                raise SchemaError(f"arrows[{i}].{key}: expected a string, got {a[key]!r}")
         if a["source"] not in declared:
             raise SchemaError(f"arrows[{i}].source: unknown vertex {a['source']!r}")
         if a["target"] not in declared:
@@ -103,9 +113,14 @@ def parse_quiver_document(doc) -> QuiverDocument:
             raise SchemaError(f"relations[{i}]: expected a nonempty list of terms")
         terms = []
         for j, term in enumerate(rel):
+            if not isinstance(term, dict):
+                raise SchemaError(f"relations[{i}][{j}]: expected an object, got {term!r}")
             if "coeff" not in term or "path" not in term:
                 raise SchemaError(f"relations[{i}][{j}]: needs 'coeff' and 'path'")
             path = term["path"]
+            if not isinstance(path, list) or not all(isinstance(n, str) for n in path):
+                raise SchemaError(f"relations[{i}][{j}].path: expected a list "
+                                  f"of arrow names, got {path!r}")
             if len(path) < 2:
                 raise SchemaError(
                     f"relations[{i}][{j}].path: length {len(path)} < 2 "
@@ -116,7 +131,7 @@ def parse_quiver_document(doc) -> QuiverDocument:
                         f"relations[{i}][{j}].path: unknown arrow {name!r}")
             try:
                 coeff = field.coerce(term["coeff"])
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise SchemaError(f"relations[{i}][{j}].coeff: {exc}") from exc
             terms.append((coeff, tuple(path)))
         relations.append(Relation(tuple(terms)))
@@ -568,6 +583,8 @@ def run_command(argv):
         report.set("error", str(exc))
         report.check(type(exc).__name__, False, str(exc))
         return 1, report
+    except (ComplexError, SideMismatch, AlgebraAxiomError, ModuleAxiomError):
+        raise   # checks on the computation's own objects: internal faults
     except (SchemaError, IoError, NonAdmissible, NotFiniteDimensional,
             ValueError) as exc:
         report.set("error", str(exc))

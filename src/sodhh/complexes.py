@@ -25,7 +25,9 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgebraAxiomError
+import functools
+
+from .algebra import Algebra, AlgebraAxiomError, TensorOpposite, _lines
 from .linalg import ColumnEchelon, Matrix, SubspaceReducer, rank
 
 
@@ -46,15 +48,6 @@ def _elem_add_into(field, acc, vec, scale):
             acc[k] = s
         elif k in acc:
             del acc[k]
-
-
-def _lines(m, axis):
-    """Entries of a sparse matrix grouped by column (axis 1) or by row
-    (axis 0): {column: [(row, x), ...]} or {row: [(column, x), ...]}."""
-    out = {}
-    for rc, x in m.items():
-        out.setdefault(rc[axis], []).append((rc[1 - axis], x))
-    return out
 
 
 def _compose(alg, first, second):
@@ -803,6 +796,7 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     A, _ = env.factors
     f = A.field
     sides = [env.vertex_pair(code) for code in M.grading]
+    by_right = _lines(A.mult, 1)
     blocks = {}   # degree -> list of (summand, a, m) basis
     pos = {}
     mods = {}
@@ -821,17 +815,14 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
         if not basis:
             continue
         n = len(basis)
-        left = []
-        for i in range(A.dim):
-            cols = []
-            for (s, a, m) in basis:
-                col = {}
-                for a2, c in A.mult[i][a].items():
+        left_cols = [[{} for _ in basis] for _ in range(A.dim)]
+        for col, (s, a, m) in enumerate(basis):
+            for i, x in by_right.get(a, ()):   # b_i a
+                for a2, c in x.items():
                     r = index.get((s, a2, m))
-                    if r is not None and c:
-                        col[r] = c
-                cols.append(col)
-            left.append(Matrix(f, n, n, cols))
+                    if r is not None:
+                        left_cols[i][col][r] = c
+        left = [Matrix(f, n, n, cols) for cols in left_cols]
         right = []
         for j in range(A.dim):
             cols = []
@@ -879,32 +870,30 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
     blocks = {}
     pos = {}
     mods = {}
+    by_left = _lines(A.mult, 0)
     for q, t in X.terms.items():
         basis = []
         grading = []
+        at_vertex = {}   # vertex -> summands of X^q at it
         for s, v in enumerate(t):
+            at_vertex.setdefault(v, []).append(s)
             for p in range(A.dim):
                 if A.tgt[p] == v:   # duals of e_v A
                     basis.append((s, p))
                     grading.append(A.src[p])
         blocks[q] = basis
-        pos[q] = {b: i for i, b in enumerate(basis)}
+        index = pos[q] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
-        action = []
-        for i in range(A.dim):
-            cols = []
-            for (s, p) in basis:
-                # (b_i . p*)(x) = p*(x b_i)
-                col = {}
-                for x in range(A.dim):
-                    c = A.mult[x][i].get(p)
-                    if c:
-                        r = pos[q].get((s, x))
-                        if r is not None:
-                            col[r] = c
-                cols.append(col)
-            action.append(Matrix(f, len(basis), len(basis), cols))
+        # (b_i . p*)(x) = p*(x b_i)
+        cols = [[{} for _ in basis] for _ in range(A.dim)]
+        for (x, i), prod in A.mult.items():
+            for p, c in prod.items():
+                for s in at_vertex.get(A.tgt[p], ()):
+                    r = index.get((s, x))
+                    if r is not None:
+                        cols[i][index[(s, p)]][r] = c
+        action = [Matrix(f, len(basis), len(basis), c) for c in cols]
         mods[q] = ModuleRep(A, len(basis), action, tuple(grading), check=False)
     diffs = {}
     for q, d in X.diffs.items():
@@ -917,8 +906,8 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
             for i1, x in d_cols.get(s, ()):
                 # induced map g -> g . x on duals: (g.x)(z) = g(x z)
                 for xi, cf in x.items():
-                    for z in range(A.dim):
-                        c = A.mult[xi][z].get(p)
+                    for z, prod in by_left.get(xi, ()):
+                        c = prod.get(p)
                         if c:
                             r = tgt_pos.get((i1, z))
                             if r is not None:
@@ -1071,7 +1060,7 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
                            {env.pair_index(head, A.idempotents[w]): f.one}, f.one)
             # 0 < i < n: contract adjacent radical slots; entry e_v (x) e_w
             for i in range(1, n):
-                prod = A.mult[t[i - 1]][t[i]]
+                prod = A.product(t[i - 1], t[i])
                 sign = f.one if i % 2 == 0 else f.neg(f.one)
                 for s, c in prod.items():
                     if s in A._idem_set:
@@ -1103,14 +1092,32 @@ def bar_augmentation_matrix(A: Algebra, bar: ProjComplex) -> Matrix:
     entries = {}
     for col, (s, k) in enumerate(bases):
         i, j = env.index_pair(k)
-        prod = A.mult[i][j]
-        for t, c in prod.items():
+        for t, c in A.product(i, j).items():
             entries[(t, col)] = f.add(entries.get((t, col), f.zero), c)
     return Matrix.from_entries(f, A.dim, len(bases), entries)
 
 
 # ---------------------------------------------------------------------------
 # Minimal projective resolutions of modules
+
+
+def _left_factors(alg):
+    """The map y -> [(b, b y), ...] over the basis elements b with b y != 0.
+    Over B (x) C^op, (b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2
+    is nonzero exactly when both factors are, so the b come from B grouped
+    by right factor j1 and C grouped by left factor j2."""
+    if not isinstance(alg, TensorOpposite):
+        by_right = _lines(alg.mult, 1)
+        return lambda y: by_right.get(y, ())
+    b_right, c_left = _lines(alg.factors[0].mult, 1), _lines(alg.factors[1].mult, 0)
+
+    @functools.lru_cache(maxsize=None)
+    def left_factors(y):
+        j1, j2 = alg.index_pair(y)
+        bs = [alg.pair_index(i1, i2) for i1, _ in b_right.get(j1, ())
+              for i2, _ in c_left.get(j2, ())]
+        return [(b, alg.product(b, y)) for b in bs]
+    return left_factors
 
 
 def projective_resolution(M, length: int) -> ProjComplex:
@@ -1123,6 +1130,7 @@ def projective_resolution(M, length: int) -> ProjComplex:
     from .modules import ModuleAxiomError, ModuleRep
     alg = M.algebra
     f = alg.field
+    left_factors = _left_factors(alg)
     terms = {}
     diffs = {}
     current = M
@@ -1168,26 +1176,27 @@ def projective_resolution(M, length: int) -> ProjComplex:
                 raise ModuleAxiomError("kernel basis not graded: the action "
                                        "does not respect the grading")
             grading.append(vv.pop())
-        action = []
-        for b in range(alg.dim):
-            cols = []
-            for kv in kernel_vecs:
-                img: dict = {}
-                for colpos, c in kv.items():
-                    s0, y = cover_basis[colpos]
-                    for y2, c2 in alg.multiply({b: f.one}, {y: f.one}).items():
+        cols = [[{} for _ in kernel_vecs] for _ in range(alg.dim)]
+        for n, kv in enumerate(kernel_vecs):
+            imgs = {}   # b -> image of kv under b, over the b with b y != 0
+            for colpos, c in kv.items():
+                s0, y = cover_basis[colpos]
+                for b, prod in left_factors(y):
+                    img = imgs.setdefault(b, {})
+                    for y2, c2 in prod.items():
                         ip = cover_pos[(s0, y2)]
                         s2 = f.add(img.get(ip, f.zero), f.mul(c, c2))
                         if s2:
                             img[ip] = s2
                         elif ip in img:
                             del img[ip]
+            for b, img in imgs.items():
                 sol = solver.solve(img)
                 if sol is None:
                     raise ModuleAxiomError("kernel is not action-invariant: "
                                            "the action is not a module action")
-                cols.append(sol)
-            action.append(Matrix(f, len(kernel_vecs), len(kernel_vecs), cols))
+                cols[b][n] = sol
+        action = [Matrix(f, len(kernel_vecs), len(kernel_vecs), c) for c in cols]
         current = ModuleRep(alg, len(kernel_vecs), action, tuple(grading),
                             check=False)
         embed = kernel_vecs

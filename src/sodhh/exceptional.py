@@ -407,13 +407,12 @@ def endomorphism_algebra(coll: ExceptionalCollection,
         for b in range(len(basis)):
             idx[(i, j, b)] = len(labels)
             labels.append(f"h{i + 1}to{j + 1}_{b}")
-    dim = len(labels)
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    mult = {}
     for v in range(m):
-        mult[v][v] = {v: f.one}
+        mult[(v, v)] = {v: f.one}
     for (i, j, b), k in idx.items():
-        mult[j][k] = {k: f.one}   # e_tgt * h = h
-        mult[k][i] = {k: f.one}   # h * e_src = h
+        mult[(j, k)] = {k: f.one}   # e_tgt * h = h
+        mult[(k, i)] = {k: f.one}   # h * e_src = h
     for (i, j, b1), k1 in idx.items():
         for (j2, l, b2), k2 in idx.items():
             if j2 != j:
@@ -422,6 +421,7 @@ def endomorphism_algebra(coll: ExceptionalCollection,
             # E_i -> E_j -> E_l, i.e. "k1 then k2"
             comp = compose_chainmaps(hom_bases[(i, j)][b1], hom_bases[(j, l)][b2])
             coeffs = class_coefficients(i, l, comp)
-            mult[k2][k1] = {idx[(i, l, b)]: c for b, c in coeffs.items()}
+            if coeffs:
+                mult[(k2, k1)] = {idx[(i, l, b)]: c for b, c in coeffs.items()}
     return algebra_from_structure(f, vertex_names, labels, mult,
                                   list(range(m)), arrow_name_prefix="t")

@@ -138,14 +138,14 @@ def hh_homology(A: Algebra, n_max: int) -> HHProfile:
         tgt_pos = pos[n - 1]
         for col, (a0, t) in enumerate(bases[n]):
             # i = 0: absorb r_1 into the A slot
-            for s, c in A.mult[a0][t[0]].items():
+            for s, c in A.product(a0, t[0]).items():
                 r = tgt_pos.get((s, t[1:]))
                 if r is not None:
                     entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
             # 0 < i < n: contract adjacent radical slots
             for i in range(1, n):
                 sign = f.one if i % 2 == 0 else f.neg(f.one)
-                for s, c in A.mult[t[i - 1]][t[i]].items():
+                for s, c in A.product(t[i - 1], t[i]).items():
                     t2 = t[:i - 1] + (s,) + t[i + 1:]
                     r = tgt_pos.get((a0, t2))
                     if r is not None:
@@ -153,7 +153,7 @@ def hh_homology(A: Algebra, n_max: int) -> HHProfile:
                                                   f.mul(sign, c))
             # i = n: wrap r_n around to the left of the A slot
             sign = f.one if n % 2 == 0 else f.neg(f.one)
-            for s, c in A.mult[t[-1]][a0].items():
+            for s, c in A.product(t[-1], a0).items():
                 r = tgt_pos.get((s, t[:-1]))
                 if r is not None:
                     entries[(r, col)] = f.add(entries.get((r, col), f.zero),
@@ -177,10 +177,9 @@ def hh_homology(A: Algebra, n_max: int) -> HHProfile:
 def _pair_expansions(A: Algebra):
     """For each basis element k, the list of (p, q, c) with  p*q ∋ c·k."""
     table = {k: [] for k in range(A.dim)}
-    for p in range(A.dim):
-        for q in range(A.dim):
-            for k, c in A.mult[p][q].items():
-                table[k].append((p, q, c))
+    for (p, q), x in A.mult.items():
+        for k, c in x.items():
+            table[k].append((p, q, c))
     return table
 
 
@@ -209,7 +208,7 @@ def absolute_hh_cohomology(A: Algebra, n_max: int) -> HHProfile:
         for col, (t, s) in enumerate(bases[n]):
             # x . phi(...) for a fresh first argument x
             for x in range(A.dim):
-                for s2, c in A.mult[x][s].items():
+                for s2, c in A.product(x, s).items():
                     r = tgt_pos[((x,) + t, s2)]
                     entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
             # phi(.. a_i a_{i+1} ..) with (a_i, a_{i+1}) expanding slot i
@@ -223,7 +222,7 @@ def absolute_hh_cohomology(A: Algebra, n_max: int) -> HHProfile:
             # (-1)^{n+1} phi(...) . y for a fresh last argument y
             sign = f.one if (n + 1) % 2 == 0 else f.neg(f.one)
             for y in range(A.dim):
-                for s2, c in A.mult[s][y].items():
+                for s2, c in A.product(s, y).items():
                     r = tgt_pos[(t + (y,), s2)]
                     entries[(r, col)] = f.add(entries.get((r, col), f.zero),
                                               f.mul(sign, c))
@@ -253,13 +252,13 @@ def absolute_hh_homology(A: Algebra, n_max: int) -> HHProfile:
         for col, t in enumerate(bases[n]):
             for i in range(n):
                 sign = f.one if i % 2 == 0 else f.neg(f.one)
-                for s, c in A.mult[t[i]][t[i + 1]].items():
+                for s, c in A.product(t[i], t[i + 1]).items():
                     t2 = t[:i] + (s,) + t[i + 2:]
                     r = tgt_pos[t2]
                     entries[(r, col)] = f.add(entries.get((r, col), f.zero),
                                               f.mul(sign, c))
             sign = f.one if n % 2 == 0 else f.neg(f.one)
-            for s, c in A.mult[t[-1]][t[0]].items():
+            for s, c in A.product(t[-1], t[0]).items():
                 t2 = (s,) + t[1:-1]
                 r = tgt_pos[t2]
                 entries[(r, col)] = f.add(entries.get((r, col), f.zero),

@@ -11,8 +11,9 @@ A single column-echelon reduction (`ColumnEchelon`) is the elimination
 primitive: rank, kernel, image and linear solving are all derived from it.
 It tracks the transformation to the original columns unless asked for the
 rank only (`transform=False`, what `rank` uses).  `SubspaceReducer` keeps
-the fully reduced echelon of a growing subspace for canonical normal forms
-modulo it; it shares the column update `_col_axpy` with `ColumnEchelon`.
+an echelon of a growing subspace, one column per pivot row, and gives
+canonical normal forms modulo it; it shares the column update `_col_axpy`
+with `ColumnEchelon`.
 """
 
 from __future__ import annotations
@@ -374,10 +375,12 @@ class ColumnEchelon:
 
 
 class SubspaceReducer:
-    """Fully reduced column echelon of a growing subspace of k^dim.
-
-    Supports canonical normal forms of vectors modulo the subspace: the
-    residual of `normal_form` is supported away from all pivot rows.
+    """Column echelon of a growing subspace of k^dim, one column per pivot
+    row: its largest nonzero row, where it has entry 1.  It is not fully
+    reduced (a column may be nonzero at the pivot rows of later columns),
+    yet normal forms are canonical: `normal_form` always clears the largest
+    pivot row present, which changes only smaller rows, so its residual is
+    the one representative of the class supported away from all pivots.
     """
 
     __slots__ = ("field", "dim", "cols")
@@ -385,7 +388,7 @@ class SubspaceReducer:
     def __init__(self, field, dim, vectors=()):
         self.field = field
         self.dim = dim
-        self.cols = {}  # pivot row -> column dict, pivot entry 1, reduced
+        self.cols = {}  # pivot row -> column dict, pivot entry 1
         for v in vectors:
             self.add(v)
 
@@ -409,11 +412,7 @@ class SubspaceReducer:
             return False
         low = max(c)
         inv = f.inv(c[low])
-        c = {i: f.mul(v, inv) for i, v in c.items()}
-        for c2 in self.cols.values():
-            if low in c2:
-                _col_axpy(f, c2, c, c2[low])
-        self.cols[low] = c
+        self.cols[low] = {i: f.mul(v, inv) for i, v in c.items()}
         return True
 
     def contains(self, vec) -> bool:

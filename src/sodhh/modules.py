@@ -11,7 +11,7 @@ the others, which keeps every Hom computation block-sparse.
 
 from __future__ import annotations
 
-from .algebra import (Algebra, PathAlgebra, TensorOpposite,
+from .algebra import (Algebra, PathAlgebra, TensorOpposite, _lines,
                       algebra_from_structure, tensor_opposite)
 from .complexes import SideMismatch
 from .linalg import ColumnEchelon, Matrix, rank_kernel_image
@@ -34,7 +34,7 @@ def _check_action(alg: Algebra, mats, dim, opposite, what):
         for j in range(alg.dim):
             lhs = mats[i].mul(mats[j])
             rhs = Matrix.zeros(f, dim, dim)
-            for k, c in (alg.mult[j][i] if opposite else alg.mult[i][j]).items():
+            for k, c in (alg.product(j, i) if opposite else alg.product(i, j)).items():
                 rhs = rhs.add(mats[k].scale(c))
             if lhs != rhs:
                 raise ModuleAxiomError(f"{what}: action not multiplicative on "
@@ -140,24 +140,25 @@ def simple_module(A: Algebra, v: int) -> ModuleRep:
 def regular_bimodule(A: Algebra) -> Bimodule:
     """A as a bimodule over itself: the diagonal."""
     env = A.enveloping()
-    f = A.field
-    left = [Matrix.from_cols(f, A.dim, [A.mult[i][k] for k in range(A.dim)])
-            for i in range(A.dim)]
-    right = [Matrix.from_cols(f, A.dim, [A.mult[k][j] for k in range(A.dim)])
-             for j in range(A.dim)]
+    left = _product_actions(A, _lines(A.mult, 0))    # b_k |-> b_i b_k
+    right = _product_actions(A, _lines(A.mult, 1))   # b_k |-> b_k b_j
     grading = tuple(env.vertex(A.tgt[k], A.src[k]) for k in range(A.dim))
     return Bimodule(env, A.dim, left, right, grading, check=False)
 
 
-def _dual_actions(A: Algebra, product):
-    """Per i, the matrix of p* |-> sum_x coeff_p(product(i, x)) x* on DA."""
+def _product_actions(A: Algebra, lines, dual=False):
+    """Per i, the matrix of b_k |-> x on A, x the product grouped under i
+    with other factor k; with `dual`, its transpose p* |-> sum_k
+    coeff_p(x) k* on DA."""
     mats = []
     for i in range(A.dim):
-        cols = [dict() for _ in range(A.dim)]
-        for x in range(A.dim):
-            for p, c in product(i, x).items():
-                if c:
-                    cols[p][x] = c
+        cols = [{} for _ in range(A.dim)]
+        for k, x in lines.get(i, ()):
+            if dual:
+                for p, c in x.items():
+                    cols[p][k] = c
+            else:
+                cols[k] = dict(x)
         mats.append(Matrix(A.field, A.dim, A.dim, cols))
     return mats
 
@@ -165,8 +166,8 @@ def _dual_actions(A: Algebra, product):
 def dual_bimodule(A: Algebra) -> Bimodule:
     """DA = Hom_k(A, k) with (a.f.b)(x) = f(b x a); the Serre kernel."""
     env = A.enveloping()
-    left = _dual_actions(A, lambda i, x: A.mult[x][i])    # (b_i.f)(x) = f(x b_i)
-    right = _dual_actions(A, lambda j, x: A.mult[j][x])   # (f.b_j)(x) = f(b_j x)
+    left = _product_actions(A, _lines(A.mult, 1), dual=True)    # (b_i.f)(x) = f(x b_i)
+    right = _product_actions(A, _lines(A.mult, 0), dual=True)   # (f.b_j)(x) = f(b_j x)
     grading = tuple(env.vertex(A.src[k], A.tgt[k]) for k in range(A.dim))
     return Bimodule(env, A.dim, left, right, grading, check=False)
 
@@ -207,7 +208,9 @@ def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,
 def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> Bimodule:
     """k^d as a (b,c)-bimodule when b and c each have a single vertex
     acting through the idempotent (the catalog's gluing data)."""
-    assert b.num_vertices == 1 and c.num_vertices == 1, "free gluing needs single vertices"
+    if b.num_vertices != 1 or c.num_vertices != 1:
+        raise SideMismatch("free gluing needs single-vertex algebras, got "
+                           f"{b.num_vertices} and {c.num_vertices} vertices")
     f = b.field
     left = []
     for i in range(b.dim):
@@ -235,7 +238,6 @@ def triangular_gluing(b: Algebra, c: Algebra, m: Bimodule,
     m.check_axioms()
     f = b.field
     nb, nm, nc = b.dim, m.dim, c.dim
-    dim = nb + nm + nc
     OB, OM, OC = 0, nb, nb + nm
 
     # disambiguated vertex names
@@ -247,21 +249,18 @@ def triangular_gluing(b: Algebra, c: Algebra, m: Bimodule,
     labels = [f"b.{l}" for l in b.labels] + [f"m{k}" for k in range(nm)] + \
         [f"c.{l}" for l in c.labels]
 
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(nb):
-        for j in range(nb):
-            mult[OB + i][OB + j] = {OB + k: v for k, v in b.mult[i][j].items()}
-    for i in range(nc):
-        for j in range(nc):
-            mult[OC + i][OC + j] = {OC + k: v for k, v in c.mult[i][j].items()}
+    mult = {}
+    for off, alg in ((OB, b), (OC, c)):
+        for (i, j), x in alg.mult.items():
+            mult[(off + i, off + j)] = {off + k: v for k, v in x.items()}
     for i in range(nb):
         for k, col in enumerate(m.left[i].cols):
             if col:
-                mult[OB + i][OM + k] = {OM + k2: v for k2, v in col.items()}
+                mult[(OB + i, OM + k)] = {OM + k2: v for k2, v in col.items()}
     for j in range(nc):
         for k, col in enumerate(m.right[j].cols):
             if col:
-                mult[OM + k][OC + j] = {OM + k2: v for k2, v in col.items()}
+                mult[(OM + k, OC + j)] = {OM + k2: v for k2, v in col.items()}
     idems = [OB + e for e in b.idempotents] + [OC + e for e in c.idempotents]
     return algebra_from_structure(f, vnames, labels, mult, idems,
                                   arrow_name_prefix=arrow_name_prefix)

@@ -179,7 +179,8 @@ def test_criterion_11_structural_suite(algebras):
         cols = []
         for i in range(A.dim):
             for j in range(A.dim):
-                c = A.add(A.mult[i][j], A.scale(A.mult[j][i], -1))
+                bi, bj = {i: f.one}, {j: f.one}
+                c = A.add(A.multiply(bi, bj), A.scale(A.multiply(bj, bi), -1))
                 if c:
                     cols.append(c)
         comm_rank = rank(Matrix(f, A.dim, len(cols), cols)) if cols else 0

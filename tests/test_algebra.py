@@ -1,8 +1,12 @@
+import importlib.util
+import itertools
+import pathlib
+
 import pytest
 
 from sodhh.algebra import (AlgebraAxiomError, NonAdmissible,
                            NotFiniteDimensional, Quiver, Relation,
-                           build_path_algebra, center)
+                           build_path_algebra, center, tensor_opposite)
 from sodhh.catalog import CATALOG, structure_hash
 from sodhh.complexes import ext_profile, single_projective
 from sodhh.linalg import QQ, SubspaceReducer
@@ -226,8 +230,8 @@ from sodhh.catalog import get_entry
 from sodhh.linalg import QQ
 A = get_entry("beilinson-p2").algebra(QQ)
 x0 = A.labels.index("x0")
-mult = [list(row) for row in A.mult]
-mult[x0][A.idempotents[A.src[x0]]] = {}
+mult = dict(A.mult)
+del mult[(x0, A.idempotents[A.src[x0]])]
 B = Algebra(QQ, A.labels, mult, A.idempotents, A.vertex_names,
             grading=(A.src, A.tgt))
 try:
@@ -259,6 +263,160 @@ def test_non_associative_table_names_labels():
     ba = A.multiply(A.arrow_element("b"), A.arrow_element("a"))
     (k, _), = ba.items()
     a, b = A.labels.index("a"), A.labels.index("b")
-    A.mult[b][a] = {k: QQ.coerce(2)}
+    A.mult[(b, a)] = {k: QQ.coerce(2)}
     with pytest.raises(AlgebraAxiomError, match="not associative on"):
         A.check_axioms()
+
+
+# ---------------------------------------------------------------------------
+# The sparse multiplication table
+
+
+def _beilinson_doc(n, field):
+    """The generated P^n quiver document of benchmark/inputs.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.beilinson_quiver_doc(n, field, 101)
+
+
+# structure_hash of the generated Beilinson P^n algebras, recorded when the
+# table was still a dense dim x dim list; the sparse table must hash alike.
+BEILINSON_HASHES = {
+    ("q", 2): "93223871cf81a7abcd3c43e29a763e926648cae4bcd9f66de1814bf3ef07db2a",
+    ("q", 3): "17e56f539113695d19a182aaee01d544648e6fa14b46d0e6caa00b9aaf2151df",
+    ("q", 4): "893c162145eaa399c52ac75b491d20bb820a525b74ff0da4ccd48ea18a311de4",
+    ("q", 5): "7259f0a5ec6879013bae7dd90797d6a9fd63aaafea27f8642bd5f800fb299781",
+    ("fp", 2): "d1c4e0516c10b3b65a644f5259e81ea6156debc052080a3c0707d266fa7dcdcd",
+    ("fp", 3): "939ff88a91b84ef8423cb00a580b8e6a8f87c19ebc8ed393ad242e9dd0c7c9a8",
+    ("fp", 4): "518f368e9221ead0fa037bc067f8da1ef32cb7405b85a217ae832f5dd52b85e3",
+    ("fp", 5): "9619f7a9514bc4edebc62dbd92bf6599a4d60dccb2e271dd0d035b128112dc49",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(BEILINSON_HASHES))
+def test_generated_beilinson_tables_are_unchanged(kind, n):
+    from sodhh.cli import parse_quiver_document
+    field = {"kind": "q"} if kind == "q" else {"kind": "fp", "p": 32003}
+    A = parse_quiver_document(_beilinson_doc(n, field)).build()
+    assert structure_hash(A) == BEILINSON_HASHES[(kind, n)]
+
+
+def _stored_algebras():
+    """Every catalog algebra over Q, its opposite, the triangular gluing of
+    each gluing entry and the endomorphism algebra of each collection."""
+    from sodhh.exceptional import endomorphism_algebra, projective_collection
+    for name, entry in sorted(CATALOG.items()):
+        A = entry.algebra(QQ)
+        yield name, A
+        yield f"{name} op", A.opposite()
+        if entry.gluing_rank is not None:
+            yield f"{name} gluing", triangular_gluing(*entry.gluing(QQ))
+        if entry.has_collection:
+            yield f"{name} end", endomorphism_algebra(projective_collection(A))
+
+
+def test_sparse_tables_store_only_nonzero_composable_products():
+    for name, A in _stored_algebras():
+        assert A.mult, name
+        for (i, j), x in A.mult.items():
+            assert 0 <= i < A.dim and 0 <= j < A.dim, (name, i, j)
+            assert x and all(x.values()), (name, i, j)
+            assert all(0 <= k < A.dim for k in x), (name, i, j)
+            assert A.src[i] == A.tgt[j], (name, A.labels[i], A.labels[j])
+
+
+def test_tensor_opposite_products_match_the_factors(algebras):
+    """(b_i (x) c_k)(b_j (x) c_l) = b_i b_j (x) c_l c_k, computed lazily."""
+    for name, A in algebras.items():
+        env = tensor_opposite(A, A)
+        one = A.field.one
+        basis = range(A.dim)
+        prod = {(i, j): A.multiply({i: one}, {j: one})
+                for i in basis for j in basis}
+        for i1, j1, i2, j2 in itertools.product(basis, repeat=4):
+            expected = {env.pair_index(a, d): A.field.mul(va, vd)
+                        for a, va in prod[(i1, j1)].items()
+                        for d, vd in prod[(j2, i2)].items()}
+            x, y = env.pair_index(i1, i2), env.pair_index(j1, j2)
+            assert env.product(x, y) == expected, name
+            assert env.multiply({x: one}, {y: one}) == expected, name
+        assert len(env.mult) == env.dim ** 2
+
+
+# ---------------------------------------------------------------------------
+# Failed re-presentation checks raise, also under python -O
+
+# k[x] with x * x = x: x is declared radical, but rad = rad^2, so no arrow
+# is found and the paths do not span.
+NOT_SPANNED = """
+from sodhh.algebra import AlgebraAxiomError, algebra_from_structure
+from sodhh.linalg import QQ
+mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
+try:
+    algebra_from_structure(QQ, ("1",), ["e", "x"], mult, [0])
+    print("accepted")
+except AlgebraAxiomError as exc:
+    print("AlgebraAxiomError:", exc)
+"""
+
+# No input reaches the coordinates check: the chosen basis always spans.
+# With solving patched to fail, the first product reports it.
+NO_COORDINATES = """
+import sodhh.linalg
+from sodhh.algebra import AlgebraAxiomError, algebra_from_structure
+from sodhh.catalog import get_entry
+from sodhh.linalg import QQ
+A = get_entry("kronecker1").algebra(QQ)
+sodhh.linalg.ColumnEchelon.solve = lambda self, vec: None
+try:
+    algebra_from_structure(QQ, A.vertex_names, A.labels, A.mult, A.idempotents)
+    print("accepted")
+except AlgebraAxiomError as exc:
+    print("AlgebraAxiomError:", exc)
+"""
+
+# k x k has two vertices, so it cannot take part in a free gluing.
+TWO_VERTEX_GLUING = """
+from sodhh.catalog import get_entry
+from sodhh.complexes import SideMismatch
+from sodhh.linalg import QQ
+from sodhh.modules import free_gluing_bimodule
+kxk = get_entry("kxk").algebra(QQ)
+point = get_entry("kronecker1").gluing(QQ)[0]
+try:
+    free_gluing_bimodule(kxk, point, 1)
+    print("accepted")
+except SideMismatch as exc:
+    print("SideMismatch:", exc)
+"""
+
+CHECK_SCRIPTS = {
+    "not spanned": (NOT_SPANNED, [
+        "AlgebraAxiomError: graded basis did not span: found 1 of 2 "
+        "basis elements"]),
+    "no coordinates": (NO_COORDINATES, [
+        "AlgebraAxiomError: the product of e(1) and e(1) has no "
+        "coordinates in the graded basis"]),
+    "two-vertex gluing": (TWO_VERTEX_GLUING, [
+        "SideMismatch: free gluing needs single-vertex algebras, got 2 "
+        "and 1 vertices"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_SCRIPTS))
+def test_failed_checks_raise(monkeypatch, capsys, case):
+    import sodhh.linalg
+    script, expected = CHECK_SCRIPTS[case]
+    # NO_COORDINATES replaces ColumnEchelon.solve; undo that after the test
+    monkeypatch.setattr(sodhh.linalg.ColumnEchelon, "solve",
+                        sodhh.linalg.ColumnEchelon.solve)
+    exec(script, {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_SCRIPTS))
+def test_failed_checks_raise_under_optimized_python(run_optimized, case):
+    script, expected = CHECK_SCRIPTS[case]
+    assert run_optimized(script) == expected

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from sodhh.algebra import AlgebraAxiomError
 from sodhh.catalog import CATALOG, structure_hash
 from sodhh.cli import (SchemaError, parse_quiver_document, parse_quiver_file,
                        run_command)
+from sodhh.complexes import ComplexError, SideMismatch
 from sodhh.linalg import QQ
+from sodhh.modules import ModuleAxiomError
 
 
 KRON3_DOC = {
@@ -404,3 +407,64 @@ def test_lookups_of_bad_names_exit_2(argv):
     code, report = run_command(argv)
     assert code == 2
     assert "nope" in report.data["error"] or "--object" in report.data["error"]
+
+
+def _doc_with(**changes):
+    doc = json.loads(json.dumps(KRON3_DOC))
+    doc.update(changes)
+    return doc
+
+
+PATH_DOC = {
+    "field": {"kind": "q"},
+    "vertices": ["a", "b", "c"],
+    "arrows": [{"name": "x", "source": "a", "target": "b"},
+               {"name": "y", "source": "b", "target": "c"}],
+}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (5, "document"),
+    (_doc_with(arrows=5), "arrows"),
+    (_doc_with(relations=5), "relations"),
+    (_doc_with(arrows=[5]), "arrows[0]"),
+    (_doc_with(relations=[[5]]), "relations[0][0]"),
+    (dict(PATH_DOC, relations=[[{"coeff": "1", "path": "xy"}]]),
+     "relations[0][0].path"),
+    (dict(PATH_DOC, relations=[[{"coeff": "1", "path": ["x", 5]}]]),
+     "relations[0][0].path"),
+    (_doc_with(arrows=[{"name": 5, "source": "1", "target": "2"}]),
+     "arrows[0].name"),
+    (_doc_with(arrows=[{"name": "a", "source": 1, "target": "2"}]),
+     "arrows[0].source"),
+    (_doc_with(arrows=[{"name": "a", "source": "1", "target": ["2"]}]),
+     "arrows[0].target"),
+    (dict(PATH_DOC, relations=[[{"coeff": [1], "path": ["x", "y"]}]]),
+     "relations[0][0].coeff"),
+    (_doc_with(field={"kind": "fp", "p": [3]}), "field.p"),
+])
+def test_malformed_document_types_exit_2(tmp_path, doc, where):
+    """A value of the wrong JSON type is a schema error naming where it
+    sits, not a TypeError and not a silently different quiver."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, report = run_command(["info", "--file", str(p)])
+    assert code == 2
+    assert report.data["error"].startswith(where + ":")
+
+
+@pytest.mark.parametrize("error", [ComplexError, SideMismatch,
+                                   AlgebraAxiomError, ModuleAxiomError])
+def test_failed_internal_checks_are_not_input_errors(monkeypatch, error):
+    """A construction-time check that fails inside a command is a fault of
+    the computation, so it propagates instead of exiting 2 as bad input.
+    (A bimodule file that fails its axioms is still bad input: see
+    test_coeffs_rejects_non_commuting_bimodule.)"""
+    import sodhh.cli
+
+    def broken(args, report):
+        raise error("internal")
+
+    monkeypatch.setitem(sodhh.cli.COMMANDS, "info", broken)
+    with pytest.raises(error):
+        run_command(["info", "--catalog", "kronecker2"])

@@ -471,7 +471,7 @@ from sodhh.complexes import bar_resolution
 from sodhh.linalg import QQ
 A = get_entry("loop-x2").algebra(QQ)
 x = A.labels.index("x")
-A.mult[x][x] = {A.idempotents[0]: 1}
+A.mult[(x, x)] = {A.idempotents[0]: 1}
 try:
     bar_resolution(A, 2)
     print("accepted")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodhh.linalg import (ColumnEchelon, FieldMismatch, GF, Matrix, QQ,
-                          kronecker_tensor, rank, rank_kernel_image,
-                          solve_linear)
+                          SubspaceReducer, kronecker_tensor, rank,
+                          rank_kernel_image, solve_linear)
 
 
 def naive_row_reduction_rank(rows, field):
@@ -316,3 +316,79 @@ def test_rank_only_echelon_refuses_kernel_and_solve():
         ech.kernel_basis()
     with pytest.raises(RuntimeError):
         ech.solve({0: QQ.one})
+
+
+# ---------------------------------------------------------------------------
+# Oracle for SubspaceReducer: a fully reduced echelon, in which every stored
+# column is zero at the pivot rows of all the others.  SubspaceReducer keeps
+# an echelon that is not fully reduced, so its columns may differ, but the
+# subspace, the pivot rows and the normal forms must not.
+
+
+class FullyReducedSubspace:
+    def __init__(self, field):
+        self.field = field
+        self.cols = {}   # pivot row -> column, 1 at the pivot, 0 at other pivots
+
+    def normal_form(self, vec):
+        f = self.field
+        c = dict(vec)
+        for low in sorted(self.cols, reverse=True):
+            if low in c:
+                _field_axpy(f, c, self.cols[low], c[low])
+        return c
+
+    def add(self, vec):
+        f = self.field
+        c = self.normal_form(vec)
+        if not c:
+            return False
+        low = max(c)
+        inv = f.inv(c[low])
+        c = {i: f.mul(v, inv) for i, v in c.items()}
+        for other in self.cols.values():
+            if low in other:
+                _field_axpy(f, other, c, other[low])
+        self.cols[low] = c
+        return True
+
+
+def _field_axpy(f, c, pc, factor):
+    """c -= factor * pc over the field f, in place."""
+    for i, v in pc.items():
+        s = f.sub(c.get(i, f.zero), f.mul(factor, v))
+        if s:
+            c[i] = s
+        elif i in c:
+            del c[i]
+
+
+@st.composite
+def subspace_inputs(draw):
+    """(field, vectors to add, vectors to reduce) with entries from Q_ENTRY,
+    coerced into Q or a prime field."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(32003)]))
+    dim = draw(st.integers(1, 10))
+    vector = st.lists(Q_ENTRY, min_size=dim, max_size=dim).map(
+        lambda xs: {i: v for i, v in enumerate(map(field.coerce, xs)) if v})
+    return (field, draw(st.lists(vector, max_size=12)),
+            draw(st.lists(vector, max_size=6)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(subspace_inputs())
+def test_subspace_reducer_matches_fully_reduced_oracle(inputs):
+    field, vectors, probes = inputs
+    red = SubspaceReducer(field, 10)
+    ref = FullyReducedSubspace(field)
+    for vec in vectors:
+        assert red.add(vec) == ref.add(vec)
+    assert set(red.cols) == set(ref.cols)
+    assert red.rank == len(ref.cols)
+    for col in red.cols.values():
+        assert col[max(col)] == field.one
+    for vec in vectors + probes:
+        nf = red.normal_form(vec)
+        assert nf == ref.normal_form(vec)
+        assert not set(nf) & set(red.cols)
+        assert red.contains(vec) == (not nf)

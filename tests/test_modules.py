@@ -1,8 +1,9 @@
 """Bimodules stored as commuting left/right action pairs.
 
 The dense references below build one action matrix per basis element
-b_i (x) b_j of the enveloping algebra straight from the multiplication
-table; the pair-form modules must agree with them on every index.
+b_i (x) b_j of the enveloping algebra from products of basis vectors,
+whatever form the multiplication table is stored in; the pair-form
+modules must agree with them on every index.
 """
 
 import pytest
@@ -22,7 +23,8 @@ def dense_regular(A):
     out = []
     for i in range(A.dim):
         for j in range(A.dim):
-            cols = [A.multiply(A.mult[i][k], {j: f.one}) for k in range(A.dim)]
+            cols = [A.multiply(A.multiply({i: f.one}, {k: f.one}), {j: f.one})
+                    for k in range(A.dim)]
             out.append(Matrix(f, A.dim, A.dim, cols))
     return out
 
@@ -35,7 +37,8 @@ def dense_dual(A):
         for j in range(A.dim):
             cols = [dict() for _ in range(A.dim)]
             for x in range(A.dim):
-                for p, c in A.multiply(A.mult[j][x], {i: f.one}).items():
+                jx = A.multiply({j: f.one}, {x: f.one})
+                for p, c in A.multiply(jx, {i: f.one}).items():
                     cols[p][x] = c
             out.append(Matrix(f, A.dim, A.dim, cols))
     return out
@@ -69,7 +72,7 @@ def dense_tensor_env(A, P, M, M_dense):
                     e_w = A.idempotents[M.grading[m] // n]
                     right = M_dense[e_w * A.dim + j].cols[m]
                     col = {}
-                    for a2, c1 in A.mult[i][a].items():
+                    for a2, c1 in A.multiply({i: f.one}, {a: f.one}).items():
                         for m2, c2 in right.items():
                             r = pos[(s, a2, m2)]
                             col[r] = f.add(col.get(r, f.zero), f.mul(c1, c2))

@@ -15,8 +15,8 @@ from .modules import (Bimodule, ModuleAxiomError, ModuleRep,
 from .complexes import (ChainMap, ComplexError, FieldComplex, HomComplex,
                         ModuleComplex, ProjComplex, SideMismatch,
                         bar_resolution, cone, direct_sum, dualize,
-                        ext_profile, ext_profile_module,
-                        hom_complex, minimalize, module_complex_single,
+                        ext_profile, hom_complex, minimalize,
+                        module_complex_single,
                         projective_resolution, single_projective,
                         zero_complex)
 from .hochschild import (HHProfile, absolute_hh_cohomology,
@@ -49,7 +49,7 @@ __all__ = [
     "ChainMap", "ComplexError", "FieldComplex", "HomComplex", "ModuleComplex",
     "ProjComplex",
     "SideMismatch", "bar_resolution", "cone", "direct_sum", "dualize",
-    "ext_profile", "ext_profile_module", "hom_complex", "minimalize",
+    "ext_profile", "hom_complex", "minimalize",
     "module_complex_single", "projective_resolution", "single_projective",
     "zero_complex",
     "HHProfile", "absolute_hh_cohomology", "absolute_hh_homology",

@@ -232,7 +232,7 @@ class Algebra:
         n = 1
         while current:
             if n > self.dim + 1:
-                raise AssertionError("radical is not nilpotent")
+                raise AlgebraAxiomError("radical is not nilpotent")
             nxt = []
             red = SubspaceReducer(f, self.dim)
             for x in current:   # over the radical b_k with some x_i b_k != 0

@@ -17,14 +17,14 @@ composition on load.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .algebra import (AlgebraAxiomError, NonAdmissible, NotFiniteDimensional,
                       Quiver, Relation, build_path_algebra, center)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
-from .complexes import (ComplexError, ModuleHomComplex, SideMismatch,
-                        ext_profile, ext_profile_module, module_complex_single,
+from .complexes import (ComplexError, SideMismatch, ext_profile,
                         projective_resolution, serre_twist_left,
                         single_projective)
 from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
@@ -36,7 +36,7 @@ from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
-from .linalg import GF, QQ, FieldSpec, Matrix
+from .linalg import GF, QQ, FieldSpec, Matrix, ShapeError
 from .modules import Bimodule, ModuleAxiomError, bimodule_from_actions, \
     dual_bimodule, regular_bimodule, simple_module
 from .report import Report
@@ -139,39 +139,48 @@ def parse_quiver_document(doc) -> QuiverDocument:
                           tuple(relations), doc.get("name"))
 
 
-def parse_quiver_file(path) -> QuiverDocument:
+def _read_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_quiver_document(doc)
+
+
+def parse_quiver_file(path) -> QuiverDocument:
+    return parse_quiver_document(_read_json(path))
 
 
 def parse_bimodule_file(path, A) -> Bimodule:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"bimodule file: expected an object, got {doc!r}")
     for key in ("dimension", "left_action", "right_action"):
         if key not in doc:
             raise SchemaError(f"bimodule file: missing {key!r}")
-    d = int(doc["dimension"])
+    d = doc["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise SchemaError(f"dimension: expected a nonnegative integer, got {d!r}")
     label_pos = {lbl: i for i, lbl in enumerate(A.labels)}
 
     def load(mats, which):
+        if not isinstance(mats, dict):
+            raise SchemaError(f"{which}: expected an object mapping basis "
+                              f"labels to matrices, got {mats!r}")
         out = [Matrix.zeros(A.field, d, d) for _ in range(A.dim)]
         for lbl, rows in mats.items():
             if lbl not in label_pos:
                 raise SchemaError(f"{which}: unknown basis label {lbl!r}")
-            if len(rows) != d or any(len(row) != d for row in rows):
+            if (not isinstance(rows, list) or len(rows) != d
+                    or any(not isinstance(row, list) or len(row) != d
+                           for row in rows)):
                 raise SchemaError(f"{which}.{lbl}: expected a {d} x {d} matrix")
-            out[label_pos[lbl]] = Matrix.from_rows(A.field, rows, d)
+            try:
+                out[label_pos[lbl]] = Matrix.from_rows(A.field, rows, d)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise SchemaError(f"{which}.{lbl}: {exc}") from exc
         return out
 
     left = load(doc["left_action"], "left_action")
@@ -317,7 +326,7 @@ def cmd_serre_check(args, report):
     ok = True
     for kx, vx, X in probes:
         for ky, vy, Y in probes:
-            lhs = ModuleHomComplex(X, serre_twist_left(Y)).ext_profile()
+            lhs = ext_profile(X, serre_twist_left(Y))
             rhs = ext_profile(Y, X)
             match = all(lhs.get(d, 0) == rhs.get(-d, 0)
                         for d in range(-n, n + 1))
@@ -515,7 +524,9 @@ def _degree(s: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--catalog", help="built-in algebra name")
     common.add_argument("--file", help="quiver JSON document")
@@ -583,7 +594,8 @@ def run_command(argv):
         report.set("error", str(exc))
         report.check(type(exc).__name__, False, str(exc))
         return 1, report
-    except (ComplexError, SideMismatch, AlgebraAxiomError, ModuleAxiomError):
+    except (ComplexError, SideMismatch, AlgebraAxiomError, ModuleAxiomError,
+            ShapeError):
         raise   # checks on the computation's own objects: internal faults
     except (SchemaError, IoError, NonAdmissible, NotFiniteDimensional,
             ValueError) as exc:

@@ -14,10 +14,14 @@ entry from a summand L e_v to a summand L e_w is an element x of
 e_v L e_w acting by right multiplication y |-> y x.  Composites therefore
 multiply left-to-right: "first a, then c" is the element a*c.
 
+A Hom complex always maps a ProjComplex into a complex of modules; a
+projective target is read as one through its realization (_as_modules).
+
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
   cone(f)     C^n = Y^n (+) X^{n+1},  d(y, x) = (d_Y y + f x, -d_X x)
-  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X
+  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X, applied only in
+              ModuleHomComplex, behind HomComplex and ext_profile
   tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, applied only
               in _tensor_total, behind every builder of a total tensor complex
   dual        entries transposed, scaled by (-1)^m at source degree m
@@ -149,7 +153,10 @@ class ProjComplex:
         return ProjComplex(self.algebra, terms, diffs, check=False)
 
     def realize(self):
-        """Underlying complex of vector spaces (a FieldComplex)."""
+        """Underlying complex of vector spaces (a FieldComplex).  Its basis
+        in degree n is realize_bases()[n], the pairs (s, k) of a summand s
+        = L e_v and a basis element k of L e_v; realize_index()[n] maps
+        each pair to its position."""
         if "realize" in self._cache:
             return self._cache["realize"]
         alg = self.algebra
@@ -161,11 +168,12 @@ class ProjComplex:
                 for k in alg.column_indices(v):
                     basis.append((s, k))
             bases[n] = basis
+        index = {n: {sk: i for i, sk in enumerate(b)} for n, b in bases.items()}
         dims = {n: len(b) for n, b in bases.items()}
         diffs = {}
         for n, d in self.diffs.items():
             cols = _lines(d, 1)
-            tgt_pos = {(s, k): i for i, (s, k) in enumerate(bases[n + 1])}
+            tgt_pos = index[n + 1]
             entries = {}
             for col, (j, y) in enumerate(bases[n]):
                 for i, x in cols.get(j, ()):
@@ -174,13 +182,16 @@ class ProjComplex:
                         entries[(tgt_pos[(i, k)], col)] = v
             diffs[n] = Matrix.from_entries(f, dims.get(n + 1, 0), dims[n], entries)
         fc = FieldComplex(f, dims, diffs)
-        self._cache["realize"] = fc
-        self._cache["realize_bases"] = bases
+        self._cache.update(realize=fc, realize_bases=bases, realize_index=index)
         return fc
 
     def realize_bases(self):
         self.realize()
         return self._cache["realize_bases"]
+
+    def realize_index(self):
+        self.realize()
+        return self._cache["realize_index"]
 
     def homology_dims(self):
         return self.realize().homology_dims()
@@ -345,162 +356,64 @@ class ModuleComplex:
                         raise ComplexError(
                             f"differential at degree {n} is not L-linear")
 
-    def diff(self, n):
-        if n in self.diffs:
-            return self.diffs[n]
-        nr = self.modules[n + 1].dim if (n + 1) in self.modules else 0
-        nc = self.modules[n].dim if n in self.modules else 0
-        return Matrix.zeros(self.algebra.field, nr, nc)
-
 
 # ---------------------------------------------------------------------------
 # Hom complexes
 
 
-class HomComplex:
-    """Total Hom complex between two ProjComplexes over the same algebra.
+def _as_modules(Y):
+    """Y read as a complex of modules: (gradings, diffs, act) with
+    gradings[j] the vertex of each basis position of Y^j, diffs[j] the
+    matrix of d_Y^j and act(j, a, m) the image {m2: c} of position m of Y^j
+    under the element a.  A ProjComplex is read through its realization:
+    position m = (s, t) of realize_bases()[j] is graded by tgt(t) and a
+    acts on it as (s, a t)."""
+    alg = Y.algebra
+    f = alg.field
+    if isinstance(Y, ModuleComplex):
+        actions = {j: M.action for j, M in Y.modules.items()}
 
-    Basis cochains in degree n are (source degree i, source summand,
-    target summand, slice basis element) with the component living in
-    Hom(L e_v, L e_w) = e_v L e_w.
-    """
+        def act(j, a, m):
+            img = {}
+            for k, c in a.items():
+                _elem_add_into(f, img, actions[j][k].cols[m], c)
+            return img
+        return ({j: M.grading for j, M in Y.modules.items()}, Y.diffs, act)
+    bases, index = Y.realize_bases(), Y.realize_index()
 
-    def __init__(self, X: ProjComplex, Y: ProjComplex):
-        if X.algebra is not Y.algebra:
-            raise SideMismatch("Hom requires complexes over the same algebra")
-        self.X, self.Y = X, Y
-        alg = X.algebra
-        f = alg.field
-        self.basis = {}
-        slice_cache = {}
-
-        def slc(v, w):
-            if (v, w) not in slice_cache:
-                slice_cache[(v, w)] = alg.slice_indices(v, w)
-            return slice_cache[(v, w)]
-
-        degs = set()
-        for i in X.terms:
-            for j in Y.terms:
-                degs.add(j - i)
-        for n in degs:
-            basis = []
-            for i in sorted(X.terms):
-                if (i + n) not in Y.terms:
-                    continue
-                for sX, v in enumerate(X.terms[i]):
-                    for sY, w in enumerate(Y.terms[i + n]):
-                        # component L e_v -> L e_w is e_v L e_w,
-                        # i.e. tgt(t) = v and src(t) = w
-                        for t in slc(v, w):
-                            basis.append((i, sX, sY, t))
-            if basis:
-                self.basis[n] = basis
-        self.dims = {n: len(b) for n, b in self.basis.items()}
-        self.pos = {n: {b: k for k, b in enumerate(bs)}
-                    for n, bs in self.basis.items()}
-        x_rows = {m: _lines(d, 0) for m, d in X.diffs.items()}
-        y_cols = {m: _lines(d, 1) for m, d in Y.diffs.items()}
-        self.mats = {}
-        for n in self.basis:
-            if (n + 1) in self.basis:
-                self.mats[n] = self._differential(n, x_rows, y_cols)
-        self._field = f
-
-    def _differential(self, n, x_rows, y_cols):
-        alg = self.X.algebra
-        f = alg.field
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
-        tgt_pos = self.pos.get(n + 1, {})
-        entries = {}
-        for col, (i, sX, sY, t) in enumerate(self.basis[n]):
-            # d_Y . phi : apply phi (element t), then the Y differential
-            for i2, u in y_cols.get(i + n, {}).get(sY, ()):
-                prod = alg.multiply({t: f.one}, u)
-                for k, v in prod.items():
-                    r = tgt_pos.get((i, sX, i2, k))
-                    if r is not None:
-                        entries[(r, col)] = f.add(
-                            entries.get((r, col), f.zero), v)
-            # -(-1)^n phi . d_X : apply d_X, then phi
-            for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
-                prod = alg.multiply(a, {t: f.one})
-                for k, v in prod.items():
-                    r = tgt_pos.get((i - 1, j2, sY, k))
-                    if r is not None:
-                        entries[(r, col)] = f.sub(
-                            entries.get((r, col), f.zero), f.mul(sign, v))
-        m = Matrix.from_entries(f, self.dims.get(n + 1, 0), self.dims[n], entries)
-        return m
-
-    def field_complex(self) -> FieldComplex:
-        return FieldComplex(self._field, dict(self.dims), dict(self.mats))
-
-    def ext_profile(self):
-        return self.field_complex().homology_dims()
-
-    def cocycle_representatives(self, n):
-        """Vectors over the degree-n basis lifting a basis of H^n."""
-        f = self._field
-        if n not in self.basis:
-            return []
-        dn = self.mats.get(n)
-        if dn is None:
-            dn = Matrix.zeros(f, self.dims.get(n + 1, 0), self.dims[n])
-        ech = ColumnEchelon(dn)
-        kernel = ech.kernel_basis()
-        red = SubspaceReducer(f, self.dims[n])
-        prev = self.mats.get(n - 1)
-        if prev is not None:
-            for c in prev.cols:
-                if c:
-                    red.add(c)
-        return [k for k in kernel if red.add(k)]
-
-    def cochain_to_chainmap(self, vec, n) -> ChainMap:
-        """A degree-n cocycle as a chain map X[-n] -> Y."""
-        src = self.X.shift(-n)
-        mats = {}
-        for pos, c in vec.items():
-            i, sX, sY, t = self.basis[n][pos]
-            m = i + n  # degree in X[-n] where the component sits
-            mats.setdefault(m, {}).setdefault((sY, sX), {})[t] = c
-        return ChainMap(src, self.Y, mats)
-
-
-def hom_complex(X, Y) -> HomComplex:
-    return HomComplex(X, Y)
-
-
-def ext_profile(X, Y):
-    return HomComplex(X, Y).ext_profile()
+    def act(j, a, m):
+        s, t = bases[j][m]
+        return {index[j][(s, k)]: c
+                for k, c in alg.multiply(a, {t: f.one}).items()}
+    return ({j: [alg.tgt[t] for _, t in b] for j, b in bases.items()},
+            Y.realize().diffs, act)
 
 
 class ModuleHomComplex:
-    """Hom complex from a ProjComplex into a ModuleComplex.
+    """Total Hom complex from a ProjComplex X into Y, the one Hom assembler.
 
-    Hom(L e_v, M) is the graded block e_v M; basis cochains in degree n
-    are (source degree, source summand, module basis position).
+    Y is a ModuleComplex, or a ProjComplex read as a complex of modules
+    through its realization (see _as_modules).  Hom(L e_v, M) is the
+    graded block e_v M, so the basis cochains in degree n are (i, sX, m):
+    source degree i, summand sX = L e_v of X^i, and a basis position m of
+    Y^{i+n} graded by v.
     """
 
-    def __init__(self, X: ProjComplex, Ycx: ModuleComplex):
-        if X.algebra is not Ycx.algebra:
+    def __init__(self, X: ProjComplex, Y):
+        if X.algebra is not Y.algebra:
             raise SideMismatch("Hom requires a complex and modules over the "
                                "same algebra")
-        alg = X.algebra
-        f = alg.field
-        self.X, self.Y = X, Ycx
+        self.X, self.Y = X, Y
+        self._field = X.algebra.field
+        gradings, self._y_diffs, self._act = _as_modules(Y)
         self.basis = {}
-        for n in {j - i for i in X.terms for j in Ycx.modules}:
+        for n in {j - i for i in X.terms for j in gradings}:
             basis = []
             for i in sorted(X.terms):
-                M = Ycx.modules.get(i + n)
-                if M is None:
-                    continue
+                grading = gradings.get(i + n, ())
                 for sX, v in enumerate(X.terms[i]):
-                    for m in range(M.dim):
-                        if M.grading[m] == v:
-                            basis.append((i, sX, m))
+                    basis.extend((i, sX, m) for m, u in enumerate(grading)
+                                 if u == v)
             if basis:
                 self.basis[n] = basis
         self.dims = {n: len(b) for n, b in self.basis.items()}
@@ -511,27 +424,23 @@ class ModuleHomComplex:
         for n in self.basis:
             if (n + 1) in self.basis:
                 self.mats[n] = self._differential(n, x_rows)
-        self._field = f
 
     def _differential(self, n, x_rows):
-        alg = self.X.algebra
-        f = alg.field
+        f = self._field
         sign = f.one if n % 2 == 0 else f.neg(f.one)
         tgt_pos = self.pos.get(n + 1, {})
         entries = {}
         for col, (i, sX, m) in enumerate(self.basis[n]):
-            dM = self.Y.diffs.get(i + n)
-            if dM is not None:
-                for m2, v in dM.cols[m].items():
+            # d_Y . phi
+            dY = self._y_diffs.get(i + n)
+            if dY is not None:
+                for m2, v in dY.cols[m].items():
                     r = tgt_pos.get((i, sX, m2))
                     if r is not None:
                         entries[(r, col)] = f.add(entries.get((r, col), f.zero), v)
-            M = self.Y.modules[i + n]
+            # -(-1)^n phi . d_X : the entry a of d_X, then phi
             for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
-                img = {}
-                for k, c in a.items():
-                    _elem_add_into(f, img, M.action[k].cols[m], c)
-                for m2, v in img.items():
+                for m2, v in self._act(i + n, a, m).items():
                     r = tgt_pos.get((i - 1, j2, m2))
                     if r is not None:
                         entries[(r, col)] = f.sub(
@@ -542,10 +451,50 @@ class ModuleHomComplex:
         return FieldComplex(self._field, dict(self.dims), dict(self.mats)).homology_dims()
 
 
-def ext_profile_module(X: ProjComplex, Y) -> dict:
-    if isinstance(Y, ModuleComplex):
-        return ModuleHomComplex(X, Y).ext_profile()
-    return ModuleHomComplex(X, module_complex_single(Y)).ext_profile()
+class HomComplex(ModuleHomComplex):
+    """Hom complex between two ProjComplexes: the ModuleHomComplex into the
+    realized target, plus the passage between cocycles and chain maps.  In
+    a basis cochain (i, sX, m) the position m = (sY, t) of
+    Y.realize_bases()[i + n] is the component t of Hom(L e_v, L e_w) =
+    e_v L e_w from summand sX of X^i to summand sY of Y^{i+n}."""
+
+    def cocycle_representatives(self, n):
+        """Vectors over the degree-n basis lifting a basis of H^n."""
+        if n not in self.basis:
+            return []
+        fc = FieldComplex(self._field, self.dims, self.mats)
+        red = SubspaceReducer(self._field, self.dims[n], fc.diff(n - 1).cols)
+        return [k for k in ColumnEchelon(fc.diff(n)).kernel_basis() if red.add(k)]
+
+    def cochain_to_chainmap(self, vec, n) -> ChainMap:
+        """A degree-n cochain {position: c} as a chain map X[-n] -> Y."""
+        bases = self.Y.realize_bases()
+        mats = {}
+        for p, c in vec.items():
+            i, sX, m = self.basis[n][p]
+            sY, t = bases[i + n][m]
+            mats.setdefault(i + n, {}).setdefault((sY, sX), {})[t] = c
+        return ChainMap(self.X.shift(-n), self.Y, mats)
+
+    def chainmap_to_cochain(self, cm: ChainMap, n) -> dict:
+        """The degree-n cochain {position: c} of a chain map X[-n] -> Y;
+        the inverse of cochain_to_chainmap."""
+        index, pos = self.Y.realize_index(), self.pos.get(n, {})
+        return {pos[(m - n, sX, index[m][(sY, t)])]: c
+                for m, mat in cm.mats.items()
+                for (sY, sX), x in mat.items() for t, c in x.items()}
+
+
+def hom_complex(X, Y) -> HomComplex:
+    return HomComplex(X, Y)
+
+
+def ext_profile(X: ProjComplex, Y) -> dict:
+    """Graded dimensions of Ext(X, Y) for Y a ProjComplex, a ModuleComplex
+    or one module (placed in degree 0)."""
+    if not isinstance(Y, (ProjComplex, ModuleComplex)):
+        Y = module_complex_single(Y)
+    return ModuleHomComplex(X, Y).ext_profile()
 
 
 def module_complex_single(M, degree=0) -> ModuleComplex:
@@ -1005,16 +954,22 @@ def tensor_proj_with_field_complex(X: ProjComplex, W: FieldComplex) -> ProjCompl
 
 def radical_tuples(A: Algebra, n: int):
     """Composable n-tuples of radical basis elements, adjacency
-    src(r_i) = tgt(r_{i+1}) (function order, leftmost applied last)."""
-    if n == 0:
-        return [()]
-    rad = A.radical_indices()
-    tuples = [(r,) for r in rad]
-    for _ in range(n - 1):
-        tuples = [t + (r,) for t in tuples for r in rad if A.src[t[-1]] == A.tgt[r]]
-        if not tuples:
-            break
-    return tuples if tuples and len(tuples[0]) == n else []
+    src(r_i) = tgt(r_{i+1}) (function order, leftmost applied last).
+
+    The tuples are kept by length in A's cache; each new length extends
+    the one before by the radical elements ending where its tuples start."""
+    by_length = A._cache.get("radical_tuples")
+    if by_length is None:
+        by_length = A._cache["radical_tuples"] = [
+            ((),), tuple((r,) for r in A.radical_indices())]
+    if len(by_length) <= n:
+        by_tgt = {}
+        for (r,) in by_length[1]:
+            by_tgt.setdefault(A.tgt[r], []).append(r)
+        while len(by_length) <= n and by_length[-1]:
+            by_length.append(tuple(t + (r,) for t in by_length[-1]
+                                   for r in by_tgt.get(A.src[t[-1]], ())))
+    return by_length[n] if n < len(by_length) else ()
 
 
 def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
@@ -1022,11 +977,10 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
     subalgebra: B_n = A (x)_E rad^{(x)_E n} (x)_E A in degree -n."""
     env = A.enveloping()
     f = A.field
-    tuples = {n: radical_tuples(A, n) for n in range(n_max + 1)}
     terms = {}
     pos = {}
     for n in range(n_max + 1):
-        tl = tuples[n]
+        tl = radical_tuples(A, n)
         if n > 0 and not tl:
             break
         labels = []
@@ -1048,7 +1002,7 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
         if -n not in terms:
             break
         d = {}
-        for t in tuples[n]:
+        for t in radical_tuples(A, n):
             col = pos[n][t]
             v = A.tgt[t[0]]
             w = A.src[t[-1]]

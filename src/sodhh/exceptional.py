@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, PathAlgebra, algebra_from_structure
 from .complexes import (ChainMap, ProjComplex, compose_chainmaps, cone,
-                        direct_sum, ext_profile, ext_profile_module,
-                        hom_complex, minimalize, module_complex_single,
+                        direct_sum, ext_profile, hom_complex, minimalize,
                         single_projective)
 from .modules import simple_module
 
@@ -41,7 +40,7 @@ def probe_tables(X: ProjComplex):
     A = X.algebra
     out = []
     for v in range(A.num_vertices):
-        prof = ext_profile_module(X, module_complex_single(simple_module(A, v)))
+        prof = ext_profile(X, simple_module(A, v))
         out.append(tuple(sorted(prof.items())))
     return tuple(out)
 
@@ -359,44 +358,28 @@ def endomorphism_algebra(coll: ExceptionalCollection,
                 raise NotStrong(
                     f"Ext*(E_{i+1}, E_{j+1}) has degrees {sorted(prof)}")
     f = coll.algebra.field
-    # cocycle bases of the degree-0 Hom spaces, as chain maps
-    hom_bases = {}
-    hcxs = {}
+    # cocycle bases of the degree-0 Hom spaces, as cochains and chain maps
+    hcxs, reps, hom_bases = {}, {}, {}
     for i in range(m):
         for j in range(m):
-            h = hom_complex(objs[i], objs[j])
-            hcxs[(i, j)] = h
-            reps = h.cocycle_representatives(0) if i != j else []
-            hom_bases[(i, j)] = [h.cochain_to_chainmap(v, 0) for v in reps]
+            h = hcxs[(i, j)] = hom_complex(objs[i], objs[j])
+            reps[(i, j)] = h.cocycle_representatives(0) if i != j else []
+            hom_bases[(i, j)] = [h.cochain_to_chainmap(v, 0) for v in reps[(i, j)]]
 
     def class_coefficients(i, k, cm):
         """Coefficients of a degree-0 cocycle (given as a chain map
         E_i -> E_k) over the chosen basis, modulo coboundaries."""
-        h = hcxs[(i, k)]
-
-        def cochain(chain_map):
-            return {h.pos[0][(n, c, r, t)]: val
-                    for n, mat in chain_map.mats.items()
-                    for (r, c), x in mat.items() for t, val in x.items()}
-
-        vec = cochain(cm)
-        basis_vecs = [cochain(bcm) for bcm in hom_bases[(i, k)]]
-        dim0 = h.dims.get(0, 0)
         from .linalg import Matrix, solve_linear
-        cols = list(basis_vecs)
+        h = hcxs[(i, k)]
+        dim0 = h.dims.get(0, 0)
         prev = h.mats.get(-1)
-        ncob = 0
-        if prev is not None:
-            for ccol in prev.cols:
-                cols.append(dict(ccol))
-                ncob += 1
-        M = Matrix(f, dim0, len(cols), [dict(c) for c in cols])
-        rhs = Matrix(f, dim0, 1, [vec])
-        sol = solve_linear(M, rhs)
+        cols = reps[(i, k)] + (prev.cols if prev is not None else [])
+        sol = solve_linear(Matrix(f, dim0, len(cols), cols),
+                           Matrix(f, dim0, 1, [h.chainmap_to_cochain(cm, 0)]))
         if sol is None:
             raise MutationFailed("composite is not a combination of basis "
                                  "cocycles")
-        return {b: sol.cols[0][b] for b in range(len(basis_vecs))
+        return {b: sol.cols[0][b] for b in range(len(reps[(i, k)]))
                 if b in sol.cols[0]}
 
     if vertex_names is None:

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .complexes import (ModuleHomComplex, SideMismatch, bar_resolution,
-                        FieldComplex, module_complex_single,
-                        projective_resolution, radical_tuples)
+from .complexes import (SideMismatch, bar_resolution, FieldComplex,
+                        ext_profile, projective_resolution, radical_tuples)
 from .linalg import FieldSpec, Matrix
 from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
 
@@ -91,7 +90,7 @@ def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int,
     if M.algebra is not A.enveloping():
         raise SideMismatch("coefficients must be a bimodule over the algebra")
     bar = bar_resolution(A, n_max + 1)
-    prof = ModuleHomComplex(bar, module_complex_single(M)).ext_profile()
+    prof = ext_profile(bar, M)
     return HHProfile.from_dict(prof, A.field, n_max, note)
 
 

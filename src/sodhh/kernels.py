@@ -19,10 +19,9 @@ projective termwise.
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import (ModuleComplex, ModuleHomComplex, ProjComplex,
-                        SideMismatch, _proj_diffs, _tensor_total,
-                        bar_resolution, dualize, ext_profile,
-                        hom_complex, module_complex_single,
+from .complexes import (ModuleComplex, ProjComplex, SideMismatch,
+                        _proj_diffs, _tensor_total, bar_resolution, dualize,
+                        ext_profile, module_complex_single,
                         projective_resolution, radical_tuples,
                         serre_twist_left, tensor_env_env, tensor_env_left,
                         tensor_env_module, tensor_module_with_field_complex,
@@ -289,13 +288,11 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
     depth = n_max + 1
     src = as_env_complex(e, depth)
     if t.kind == "diagonal":
-        prof = hom_complex(src, src).ext_profile()
+        prof = ext_profile(src, src)
     elif t.kind == "serre":
-        target = tensor_env_module(src, t.module)
-        prof = ModuleHomComplex(src, target).ext_profile()
+        prof = ext_profile(src, tensor_env_module(src, t.module))
     else:
-        target = tensor_env_env(src, as_env_complex(t, depth))
-        prof = hom_complex(src, target).ext_profile()
+        prof = ext_profile(src, tensor_env_env(src, as_env_complex(t, depth)))
     for n in prof:
         if n < 0:
             raise ValueError(f"negative-degree class at {n}; not a support "
@@ -358,7 +355,7 @@ def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
     for i in range(m):
         for j in range(m):
             twisted = tensor_env_module(env_forms[j], serre.module)
-            prof = ModuleHomComplex(env_forms[i], twisted).ext_profile()
+            prof = ext_profile(env_forms[i], twisted)
             table[(i + 1, j + 1)] = dict(sorted(prof.items()))
     adjoint_vanishing = {}
     for i in range(m):
@@ -402,7 +399,7 @@ def additivity_check(A: Algebra, coll: ExceptionalCollection,
     for P in kernels:
         envP = as_env_complex(P, 0)
         twisted = tensor_env_module(envP, serre.module)
-        prof = ModuleHomComplex(envP, twisted).ext_profile()
+        prof = ext_profile(envP, twisted)
         summands.append(HHProfile.from_dict(prof, A.field, n_max))
     degreewise = all(
         hh.dim(n) == sum(s.dim(n) for s in summands) for n in range(n_max + 1))
@@ -425,7 +422,7 @@ def les_check(b: Algebra, c: Algebra, m: Bimodule, n_max: int = 6) -> dict:
     hhb = hh_cohomology(b, n_max)
     hhc = hh_cohomology(c, n_max)
     res = projective_resolution(m, n_max + 1)
-    extm = ModuleHomComplex(res, module_complex_single(m)).ext_profile()
+    extm = ext_profile(res, m)
     ext_prof = HHProfile.from_dict(extm, b.field, n_max)
     for prof, name in ((hhA, "HH(A)"), (hhb, "HH(b)"), (hhc, "HH(c)"),
                        (ext_prof, "Ext(m,m)")):

@@ -25,6 +25,11 @@ class FieldMismatch(ValueError):
     """Raised when operands live over different fields."""
 
 
+class ShapeError(ValueError):
+    """Matrix shapes that do not fit: a column count, a row length, the
+    operands of a sum, product or solve, or rank + nullity != columns."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -144,7 +149,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "cols")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, cols):
-        assert len(cols) == ncols
+        if len(cols) != ncols:
+            raise ShapeError(f"{len(cols)} columns given for {ncols}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -168,7 +174,8 @@ class Matrix:
             ncols = len(rows[0]) if rows else 0
         cols = [dict() for _ in range(ncols)]
         for i, row in enumerate(rows):
-            assert len(row) == ncols
+            if len(row) != ncols:
+                raise ShapeError(f"row {i} has {len(row)} entries, not {ncols}")
             for j, x in enumerate(row):
                 v = field.coerce(x)
                 if v:
@@ -217,7 +224,9 @@ class Matrix:
 
     def add(self, other):
         self._check(other)
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeError(f"sum of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
         f = self.field
         cols = []
         for a, b in zip(self.cols, other.cols):
@@ -245,7 +254,9 @@ class Matrix:
     def mul(self, other):
         """Matrix product self @ other."""
         self._check(other)
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ShapeError(f"product of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
         f = self.field
         cols = []
         for bc in other.cols:
@@ -428,7 +439,9 @@ def rank_kernel_image(m: Matrix):
     ech = ColumnEchelon(m)
     kernel = Matrix.from_cols(m.field, m.ncols, ech.kernel_basis())
     image = Matrix.from_cols(m.field, m.nrows, ech.image_basis())
-    assert ech.rank + kernel.ncols == m.ncols
+    if ech.rank + kernel.ncols != m.ncols:
+        raise ShapeError(f"rank {ech.rank} + nullity {kernel.ncols} != "
+                         f"{m.ncols} columns")
     return ech.rank, kernel, image
 
 
@@ -439,7 +452,9 @@ def rank(m: Matrix) -> int:
 def solve_linear(m: Matrix, rhs: Matrix):
     """Some x with m @ x == rhs, or None if the system is inconsistent."""
     m._check(rhs)
-    assert m.nrows == rhs.nrows
+    if m.nrows != rhs.nrows:
+        raise ShapeError(f"solve with {m.nrows} rows against a right-hand "
+                         f"side with {rhs.nrows}")
     ech = ColumnEchelon(m)
     xcols = []
     for col in rhs.cols:

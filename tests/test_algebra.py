@@ -392,6 +392,18 @@ except SideMismatch as exc:
     print("SideMismatch:", exc)
 """
 
+# k[x] with x * x = x built directly: rad = rad^2 never vanishes.
+NOT_NILPOTENT = """
+from sodhh.algebra import Algebra, AlgebraAxiomError
+from sodhh.linalg import QQ
+mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
+try:
+    Algebra(QQ, ["e", "x"], mult, [0], ["1"]).radical_nilpotency_index()
+    print("accepted")
+except AlgebraAxiomError as exc:
+    print("AlgebraAxiomError:", exc)
+"""
+
 CHECK_SCRIPTS = {
     "not spanned": (NOT_SPANNED, [
         "AlgebraAxiomError: graded basis did not span: found 1 of 2 "
@@ -399,6 +411,8 @@ CHECK_SCRIPTS = {
     "no coordinates": (NO_COORDINATES, [
         "AlgebraAxiomError: the product of e(1) and e(1) has no "
         "coordinates in the graded basis"]),
+    "not nilpotent": (NOT_NILPOTENT, [
+        "AlgebraAxiomError: radical is not nilpotent"]),
     "two-vertex gluing": (TWO_VERTEX_GLUING, [
         "SideMismatch: free gluing needs single-vertex algebras, got 2 "
         "and 1 vertices"]),
@@ -420,3 +434,26 @@ def test_failed_checks_raise(monkeypatch, capsys, case):
 def test_failed_checks_raise_under_optimized_python(run_optimized, case):
     script, expected = CHECK_SCRIPTS[case]
     assert run_optimized(script) == expected
+
+
+# ---------------------------------------------------------------------------
+# Radical tuples, kept by length
+
+
+def brute_force_radical_tuples(A, n):
+    rad = A.radical_indices()
+    return tuple(t for t in itertools.product(rad, repeat=n)
+                 if all(A.src[t[i]] == A.tgt[t[i + 1]] for i in range(n - 1)))
+
+
+def test_radical_tuples_match_brute_force(algebras):
+    from sodhh.cli import parse_quiver_document
+    from sodhh.complexes import radical_tuples
+    cases = [(name, A, 4) for name, A in algebras.items()]
+    cases += [(f"P^{n}", parse_quiver_document(
+        _beilinson_doc(n, {"kind": "q"})).build(), top)
+        for n, top in ((2, 4), (3, 3))]
+    for name, A, top in cases:
+        for n in [top, *range(top + 1)]:   # the longest first fills the cache
+            assert radical_tuples(A, n) == brute_force_radical_tuples(A, n), \
+                (name, n)

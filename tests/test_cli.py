@@ -7,7 +7,7 @@ from sodhh.catalog import CATALOG, structure_hash
 from sodhh.cli import (SchemaError, parse_quiver_document, parse_quiver_file,
                        run_command)
 from sodhh.complexes import ComplexError, SideMismatch
-from sodhh.linalg import QQ
+from sodhh.linalg import QQ, ShapeError
 from sodhh.modules import ModuleAxiomError
 
 
@@ -275,6 +275,25 @@ def test_bimodule_file_with_wrong_matrix_shape(tmp_path):
     assert "left_action.e(1)" in report.data["error"]
 
 
+@pytest.mark.parametrize("doc, where", [
+    (5, "bimodule file"),
+    ({"dimension": 1, "left_action": [], "right_action": {}}, "left_action"),
+    ({"dimension": 1, "left_action": {"e(1)": 5}, "right_action": {}},
+     "left_action.e(1)"),
+    ({"dimension": -1, "left_action": {}, "right_action": {}}, "dimension"),
+    ({"dimension": "x", "left_action": {}, "right_action": {}}, "dimension"),
+])
+def test_malformed_bimodule_file_exit_2(tmp_path, doc, where):
+    """A bimodule file of the wrong JSON shape is a schema error naming
+    where it sits, not a traceback."""
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps(doc))
+    code, report = run_command(
+        ["coeffs", "--bimodule", str(p), "--catalog", "kxk"])
+    assert code == 2
+    assert report.data["error"].startswith(where + ":")
+
+
 def test_negative_max_degree_is_rejected_at_parse_time(capsys):
     from sodhh.cli import main
     code = main(["cohomology", "--catalog", "kronecker2", "--max-degree", "-3"])
@@ -454,7 +473,8 @@ def test_malformed_document_types_exit_2(tmp_path, doc, where):
 
 
 @pytest.mark.parametrize("error", [ComplexError, SideMismatch,
-                                   AlgebraAxiomError, ModuleAxiomError])
+                                   AlgebraAxiomError, ModuleAxiomError,
+                                   ShapeError])
 def test_failed_internal_checks_are_not_input_errors(monkeypatch, error):
     """A construction-time check that fails inside a command is a fault of
     the computation, so it propagates instead of exiting 2 as bad input.

@@ -1,24 +1,27 @@
 import pytest
 
-from sodhh.algebra import Quiver, build_path_algebra
+from sodhh.algebra import Quiver, _lines, build_path_algebra
 from sodhh.catalog import CATALOG
 from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
-                             ModuleComplex, ProjComplex, _compose,
+                             HomComplex, ModuleComplex, ModuleHomComplex,
+                             ProjComplex, _compose,
                              bar_augmentation_matrix, bar_resolution,
                              compose_chainmaps, cone, direct_sum, dualize,
-                             ext_profile, ext_profile_module, minimalize,
-                             module_complex_single, projective_resolution,
-                             serre_twist_left, single_projective,
+                             ext_profile, minimalize, module_complex_single,
+                             projective_resolution, serre_twist_left,
+                             single_projective,
                              tensor_env_env, tensor_env_left,
+                             tensor_env_module,
                              tensor_module_with_field_complex,
                              tensor_proj_with_field_complex,
                              tensor_right_left, tensor_right_module_complex,
                              zero_complex)
 from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
-from sodhh.kernels import decomposable_to_env, projection_kernels
-from sodhh.linalg import QQ, rank
-from sodhh.modules import simple_module
+from sodhh.kernels import (Kernel, as_env_complex, decomposable_to_env,
+                           projection_kernels)
+from sodhh.linalg import QQ, Matrix, rank
+from sodhh.modules import dual_bimodule, regular_bimodule, simple_module
 
 
 def kron(n):
@@ -94,9 +97,9 @@ def test_ext_simples_kronecker(n):
     A = kron(n)
     res1 = projective_resolution(simple_module(A, 0), 6)
     S2 = module_complex_single(simple_module(A, 1))
-    prof = ext_profile_module(res1, S2)
+    prof = ext_profile(res1, S2)
     assert prof == {1: n}
-    prof11 = ext_profile_module(res1, module_complex_single(simple_module(A, 0)))
+    prof11 = ext_profile(res1, module_complex_single(simple_module(A, 0)))
     assert prof11 == {0: 1}
 
 
@@ -306,7 +309,7 @@ def test_degree_zero_ext_is_classical_hom(A2):
                        tuple(A2.tgt[b] for b in basis), check=True)
         for w in range(2):
             direct = classical_hom_dimension(Pv, simple_module(A2, w))
-            prof = ext_profile_module(
+            prof = ext_profile(
                 single_projective(A2, v),
                 module_complex_single(simple_module(A2, w)))
             assert prof.get(0, 0) == direct
@@ -729,3 +732,129 @@ def test_out_of_range_keys_have_the_wrong_shape(A2):
     with pytest.raises(ComplexError,
                        match="chain map at degree 0 has the wrong shape"):
         ChainMap(P, P, {0: {(0, 1): A2.idem(0)}})
+
+
+# ---------------------------------------------------------------------------
+# The one Hom assembler against the two it replaced
+
+def reference_hom(X, Y):
+    """The basis and differentials of Hom(X, Y) as the two separate
+    classes built them: for a ProjComplex Y the cochains (i, sX, sY, t)
+    with t in the slice e_v L e_w, for a ModuleComplex Y the cochains
+    (i, sX, m) with m graded by v."""
+    alg = X.algebra
+    f = alg.field
+    proj = isinstance(Y, ProjComplex)
+    targets = Y.terms if proj else Y.modules
+    basis = {}
+    for n in {j - i for i in X.terms for j in targets}:
+        b = []
+        for i in sorted(X.terms):
+            if (i + n) not in targets:
+                continue
+            for sX, v in enumerate(X.terms[i]):
+                if proj:
+                    b += [(i, sX, sY, t)
+                          for sY, w in enumerate(Y.terms[i + n])
+                          for t in alg.slice_indices(v, w)]
+                else:
+                    M = Y.modules[i + n]
+                    b += [(i, sX, m) for m in range(M.dim) if M.grading[m] == v]
+        if b:
+            basis[n] = b
+    pos = {n: {c: k for k, c in enumerate(bs)} for n, bs in basis.items()}
+    x_rows = {m: _lines(d, 0) for m, d in X.diffs.items()}
+    y_cols = {m: _lines(d, 1) for m, d in Y.diffs.items()} if proj else {}
+    mats = {}
+    for n in basis:
+        if (n + 1) not in basis:
+            continue
+        sign = f.one if n % 2 == 0 else f.neg(f.one)
+        tgt_pos = pos[n + 1]
+        entries = {}
+
+        def put(key, col, v):
+            r = tgt_pos.get(key)
+            if r is not None:
+                entries[(r, col)] = f.add(entries.get((r, col), f.zero), v)
+        for col, cochain in enumerate(basis[n]):
+            if proj:
+                i, sX, sY, t = cochain
+                for i2, u in y_cols.get(i + n, {}).get(sY, ()):
+                    for k, v in alg.multiply({t: f.one}, u).items():
+                        put((i, sX, i2, k), col, v)
+                for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
+                    for k, v in alg.multiply(a, {t: f.one}).items():
+                        put((i - 1, j2, sY, k), col, f.neg(f.mul(sign, v)))
+            else:
+                i, sX, m = cochain
+                M = Y.modules[i + n]
+                if (i + n) in Y.diffs:
+                    for m2, v in Y.diffs[i + n].cols[m].items():
+                        put((i, sX, m2), col, v)
+                for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
+                    img = {}
+                    for k, c in a.items():
+                        for m2, v in M.action[k].cols[m].items():
+                            img[m2] = f.add(img.get(m2, f.zero), f.mul(c, v))
+                    for m2, v in img.items():
+                        put((i - 1, j2, m2), col, f.neg(f.mul(sign, v)))
+        mats[n] = Matrix.from_entries(f, len(basis[n + 1]), len(basis[n]),
+                                      entries)
+    return basis, mats
+
+
+def check_hom(X, Y):
+    """ModuleHomComplex(X, Y) has the reference basis, after translating a
+    realized position m of a projective target to its (sY, t), and the
+    reference matrices; returns how many of them are nonzero."""
+    h = (HomComplex if isinstance(Y, ProjComplex) else ModuleHomComplex)(X, Y)
+    basis, mats = reference_hom(X, Y)
+    if isinstance(Y, ProjComplex):
+        realized = Y.realize_bases()
+        assert {n: [(i, sX) + realized[i + n][m] for i, sX, m in b]
+                for n, b in h.basis.items()} == basis
+    else:
+        assert h.basis == basis
+    assert h.mats == mats
+    return sum(not m.is_zero() for m in mats.values())
+
+
+def test_hom_assembler_matches_the_two_it_replaced(algebras):
+    nonzero = 0
+    for name, A in algebras.items():
+        objects = [single_projective(A, v) for v in range(A.num_vertices)]
+        objects += [cone(evaluation_map(E, F))
+                    for E in objects for F in objects if E is not F]
+        objects += [projective_resolution(simple_module(A, v), 3)
+                    for v in range(A.num_vertices)]
+        for X in objects:
+            for Y in objects:
+                nonzero += check_hom(X, Y)
+        bar = bar_resolution(A, 3)
+        for M in (regular_bimodule(A), dual_bimodule(A)):
+            nonzero += check_hom(bar, module_complex_single(M))
+        if CATALOG[name].has_collection:
+            serre = Kernel.serre(A)
+            for P in projection_kernels(projective_collection(A)):
+                envP = as_env_complex(P, 0)
+                nonzero += check_hom(envP, tensor_env_module(envP, serre.module))
+                nonzero += check_hom(envP, envP)
+    assert nonzero > 0
+
+
+def test_chainmap_to_cochain_inverts_cochain_to_chainmap(algebras):
+    count = 0
+    for A in algebras.values():
+        objects = [single_projective(A, v) for v in range(A.num_vertices)]
+        objects += [projective_resolution(simple_module(A, v), 3)
+                    for v in range(A.num_vertices)]
+        for X in objects:
+            for Y in objects:
+                h = HomComplex(X, Y)
+                for n in h.basis:
+                    for vec in h.cocycle_representatives(n):
+                        cm = h.cochain_to_chainmap(vec, n)
+                        assert h.chainmap_to_cochain(cm, n) == vec
+                        count += 1
+    assert count > 0

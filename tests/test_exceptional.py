@@ -1,8 +1,8 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
-from sodhh.complexes import (ChainMap, cone, direct_sum,
-                             ext_profile_module, hom_complex, minimalize,
+from sodhh.complexes import (ChainMap, cone, direct_sum, ext_profile,
+                             hom_complex, minimalize,
                              module_complex_single, projective_resolution,
                              single_projective)
 from sodhh.exceptional import (ExceptionalCollection, NotFull, NotStrong,
@@ -72,7 +72,7 @@ def test_simple_over_loop_not_exceptional(algebras):
     S = simple_module(A, 0)
     res = projective_resolution(S, 6)
     # the module itself has self-extensions in every degree (periodicity)
-    assert ext_profile_module(res, module_complex_single(S)).get(1) == 1
+    assert ext_profile(res, module_complex_single(S)).get(1) == 1
     ok, violations = is_exceptional_collection([res])
     assert not ok
 

@@ -1,7 +1,7 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
-from sodhh.complexes import (ModuleHomComplex, ext_profile, ext_profile_module,
+from sodhh.complexes import (ModuleHomComplex, ext_profile,
                              module_complex_single, projective_resolution,
                              serre_twist_left, single_projective)
 from sodhh.exceptional import (ExceptionalCollection, minimal_data,
@@ -163,7 +163,7 @@ def test_adjunction_probe(K2, ks2):
     for v in range(2):
         for w in range(2):
             res_v = projective_resolution(simple_module(K2, v), 6)
-            lhs = ext_profile_module(
+            lhs = ext_profile(
                 kernel_apply(P1, res_v),
                 module_complex_single(simple_module(K2, w)))
             rhs = ModuleHomComplex(
@@ -181,7 +181,7 @@ def test_left_adjunction_probe(K2, ks2):
         for w in range(2):
             res_v = projective_resolution(simple_module(K2, v), 6)
             res_w = projective_resolution(simple_module(K2, w), 6)
-            lhs = ext_profile_module(
+            lhs = ext_profile(
                 kernel_apply(ladj, res_v),
                 module_complex_single(simple_module(K2, w)))
             rhs = ext_profile(res_v, kernel_apply(P1, res_w))

@@ -392,3 +392,51 @@ def test_subspace_reducer_matches_fully_reduced_oracle(inputs):
         assert nf == ref.normal_form(vec)
         assert not set(nf) & set(red.cols)
         assert red.contains(vec) == (not nf)
+
+
+# ---------------------------------------------------------------------------
+# Shape checks raise ShapeError, also under python -O
+
+# Each call breaks one shape rule.  No input reaches the rank-nullity
+# check, so the last case patches the kernel basis away.
+SHAPE_BREAKS = """
+import sodhh.linalg
+from sodhh.linalg import QQ, Matrix, ShapeError, rank_kernel_image, solve_linear
+I2, I3 = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
+
+
+def no_kernel():
+    sodhh.linalg.ColumnEchelon.kernel_basis = lambda self: []
+    return rank_kernel_image(Matrix.zeros(QQ, 2, 2))
+
+
+for call in (lambda: Matrix(QQ, 2, 3, [{}, {}]),
+             lambda: Matrix.from_rows(QQ, [[1, 2], [3]], 2),
+             lambda: I2.add(I3), lambda: I2.mul(I3),
+             lambda: solve_linear(I2, I3), no_kernel):
+    try:
+        call()
+        print("accepted")
+    except ShapeError as exc:
+        print("ShapeError:", exc)
+"""
+
+SHAPES_RAISED = [
+    "ShapeError: 2 columns given for 3",
+    "ShapeError: row 1 has 1 entries, not 2",
+    "ShapeError: sum of a 2x2 and a 3x3 matrix",
+    "ShapeError: product of a 2x2 and a 3x3 matrix",
+    "ShapeError: solve with 2 rows against a right-hand side with 3",
+    "ShapeError: rank 0 + nullity 0 != 2 columns"]
+
+
+def test_shape_errors_raise(monkeypatch, capsys):
+    # the script replaces ColumnEchelon.kernel_basis; undo that afterwards
+    monkeypatch.setattr(ColumnEchelon, "kernel_basis",
+                        ColumnEchelon.kernel_basis)
+    exec(SHAPE_BREAKS, {})
+    assert capsys.readouterr().out.splitlines() == SHAPES_RAISED
+
+
+def test_shape_errors_raise_under_optimized_python(run_optimized):
+    assert run_optimized(SHAPE_BREAKS) == SHAPES_RAISED

@@ -267,11 +267,12 @@ class TensorOpposite(Algebra):
     """The algebra B (x) C^op; its left modules are (B,C)-bimodules.
 
     The basis element b_i (x) c_j has index i * dim C + j and the vertex
-    (v, w) has position v * |C_0| + w.  The methods below are the only
-    place these encodings are written down.  Products are computed when
-    first asked for: `mult` caches the products computed so far, zero ones
-    included, so its absent keys are not yet known rather than zero, and
-    it is read only through `product`."""
+    (v, w) has position v * |C_0| + w.  The methods below, and the grading
+    built in __init__, are the only place these encodings are written
+    down.  Products are computed when first asked for: `mult` caches the
+    products computed so far, zero ones included, so its absent keys are
+    not yet known rather than zero, and it is read only through
+    `product`."""
 
     def __init__(self, b: Algebra, c: Algebra):
         if b.field != c.field:
@@ -281,11 +282,11 @@ class TensorOpposite(Algebra):
         idems = [self.pair_index(e, e2)
                  for e in b.idempotents for e2 in c.idempotents]
         vnames = [f"({v},{w})" for v in b.vertex_names for w in c.vertex_names]
-        # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q))
-        src = tuple(self.vertex(b.src[i], c.tgt[j])
-                    for i in range(b.dim) for j in range(c.dim))
-        tgt = tuple(self.vertex(b.tgt[i], c.src[j])
-                    for i in range(b.dim) for j in range(c.dim))
+        # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q)),
+        # with vertex(v, w) spelled out: it is needed dim B * dim C times
+        nv = c.num_vertices
+        src = tuple(v * nv + w for v in b.src for w in c.tgt)
+        tgt = tuple(v * nv + w for v in b.tgt for w in c.src)
         super().__init__(b.field, labels, {}, idems, vnames, grading=(src, tgt))
 
     def product(self, i, j) -> dict:

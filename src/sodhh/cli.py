@@ -166,10 +166,14 @@ def parse_bimodule_file(path, A) -> Bimodule:
     label_pos = {lbl: i for i, lbl in enumerate(A.labels)}
 
     def load(mats, which):
+        """The supplied matrices, {basis index: Matrix}, all validated."""
         if not isinstance(mats, dict):
             raise SchemaError(f"{which}: expected an object mapping basis "
                               f"labels to matrices, got {mats!r}")
-        out = [Matrix.zeros(A.field, d, d) for _ in range(A.dim)]
+        if d and not mats:
+            raise SchemaError(f"{which}: no matrix given, so the unit cannot "
+                              f"act as the identity in dimension {d}")
+        out = {}
         for lbl, rows in mats.items():
             if lbl not in label_pos:
                 raise SchemaError(f"{which}: unknown basis label {lbl!r}")
@@ -185,8 +189,13 @@ def parse_bimodule_file(path, A) -> Bimodule:
 
     left = load(doc["left_action"], "left_action")
     right = load(doc["right_action"], "right_action")
+
+    def filled(mats):   # zero matrices for the omitted labels
+        return [mats[k] if k in mats else Matrix.zeros(A.field, d, d)
+                for k in range(A.dim)]
     try:
-        return bimodule_from_actions(A, A, left, right, check=True)
+        return bimodule_from_actions(A, A, filled(left), filled(right),
+                                     check=True)
     except ModuleAxiomError as exc:
         raise SchemaError(f"bimodule file: {exc}") from exc
 

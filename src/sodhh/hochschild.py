@@ -1,9 +1,11 @@
 """Hochschild cohomology and homology of a basic algebra.
 
 Cohomology (and cohomology with bimodule coefficients) is the cohomology
-of Hom over the vertex subalgebra E of the relative tensor powers of the
-radical, i.e. of Hom_{A-bimod}(B_*, M) for the relative bar resolution
-B_*.  Homology uses the cyclic E-coinvariant chain complex directly.
+of Hom_{A-bimod}(P_*, M) for a projective bimodule resolution P_* of A,
+the one diagonal_resolution returns: the Koszul resolution of a quadratic
+path algebra whose simples' minimal resolutions certify it Koszul, else
+the relative bar resolution over the vertex subalgebra E.  Homology uses
+the cyclic E-coinvariant chain complex directly.
 
 Truncated *absolute* bar complexes are implemented as independent oracles;
 they share nothing with the relative route except the exact rank kernel.
@@ -11,11 +13,13 @@ they share nothing with the relative route except the exact rank kernel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import Algebra
-from .complexes import (SideMismatch, bar_resolution, FieldComplex,
-                        ext_profile, projective_resolution, radical_tuples)
+from .algebra import Algebra, PathAlgebra
+from .complexes import (FieldComplex, ProjComplex, SideMismatch,
+                        bar_resolution, ext_profile, koszul_resolution,
+                        projective_resolution, radical_tuples)
 from .linalg import FieldSpec, Matrix
 from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
 
@@ -57,22 +61,64 @@ def global_dimension(A: Algebra, cap: int):
     Computed as the maximum length of the minimal projective resolutions
     of the simple modules.  The answer is kept in A's cache as either the
     exact value, which answers every cap, or "exceeds c", which answers
-    every cap <= c."""
+    every cap <= c.  With an exact value the cache also keeps, under
+    "simple_resolutions", the summand multiset of each degree of each
+    simple's resolution: a list [Counter of vertices in degree -n for n =
+    0..length] per vertex."""
     exact, exceeds = A._cache.get("global_dimension", (None, -1))
     if exact is not None:
         return exact if exact <= cap else None
     if cap <= exceeds:
         return None
-    worst = 0
+    resolutions = {}
     for v in range(A.num_vertices):
         res = projective_resolution(simple_module(A, v), cap + 1)
         length = -min(res.terms)
         if length > cap:
             A._cache["global_dimension"] = (None, cap)
             return None
-        worst = max(worst, length)
-    A._cache["global_dimension"] = (worst, None)
+        resolutions[v] = [Counter(res.terms.get(-n, ()))
+                          for n in range(length + 1)]
+    worst = max((len(r) - 1 for r in resolutions.values()), default=0)
+    A._cache.update(global_dimension=(worst, None),
+                    simple_resolutions=resolutions)
     return worst
+
+
+def _koszul_certified(A: Algebra, K: ProjComplex) -> bool:
+    """Whether the minimal resolution of every simple S_v has, in each
+    degree -n up to one past its length, the summands that K predicts:
+    one A e_u per basis element of K_n from v to u.  Ext^n(S_v, S_u) has
+    at least that dimension, with equality in every degree exactly when
+    it is pure of internal degree n, so equality everywhere certifies that
+    A is Koszul and K resolves it."""
+    env = K.algebra
+    for v, degrees in A._cache["simple_resolutions"].items():
+        for n in range(1, len(degrees) + 1):
+            from_v = Counter(end for end, start in map(env.vertex_pair,
+                                                       K.terms.get(-n, ()))
+                             if start == v)
+            if from_v != (degrees[n] if n < len(degrees) else Counter()):
+                return False
+    return True
+
+
+def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
+    """A projective bimodule resolution of A through degree -n_max.
+
+    The Koszul resolution (complexes.koszul_resolution) when A is a path
+    algebra with quadratic relations, of global dimension at most n_max,
+    whose simples' minimal resolutions certify it (_koszul_certified); it
+    is then complete.  Otherwise the relative bar resolution, truncated at
+    n_max."""
+    if isinstance(A, PathAlgebra) and all(
+            len(path) == 2 for rel in A.relations for _, path in rel.terms):
+        gd = global_dimension(A, n_max)
+        if gd is not None:
+            K = koszul_resolution(A, gd + 1)
+            if _koszul_certified(A, K):
+                return K
+    return bar_resolution(A, n_max)
 
 
 def _finiteness_note(A: Algebra, n_max: int) -> str:
@@ -85,12 +131,10 @@ def _finiteness_note(A: Algebra, n_max: int) -> str:
 
 def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int,
                          note="") -> HHProfile:
-    """Ext_{A-bimod}(A, M) in degrees 0..n_max via the relative bar
-    resolution."""
+    """Ext_{A-bimod}(A, M) in degrees 0..n_max via diagonal_resolution."""
     if M.algebra is not A.enveloping():
         raise SideMismatch("coefficients must be a bimodule over the algebra")
-    bar = bar_resolution(A, n_max + 1)
-    prof = ext_profile(bar, M)
+    prof = ext_profile(diagonal_resolution(A, n_max + 1), M)
     return HHProfile.from_dict(prof, A.field, n_max, note)
 
 

@@ -1,8 +1,8 @@
 """Bimodule kernel calculus.
 
 A kernel over A is one of
-  * the diagonal (the algebra itself; the convolution unit, resolved by
-    the relative bar resolution on demand),
+  * the diagonal (the algebra itself; the convolution unit, resolved on
+    demand by hochschild.diagonal_resolution),
   * the Serre kernel (the dual bimodule DA; convolving with it realizes
     the Serre functor),
   * a general kernel (a bounded complex of projective bimodules, i.e. a
@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from .algebra import Algebra
 from .complexes import (ModuleComplex, ProjComplex, SideMismatch,
-                        _proj_diffs, _tensor_total, bar_resolution, dualize,
-                        ext_profile, module_complex_single,
-                        projective_resolution, radical_tuples,
+                        _proj_diffs, _tensor_total, dualize, ext_profile,
+                        module_complex_single, projective_resolution,
                         serre_twist_left, tensor_env_env, tensor_env_left,
                         tensor_env_module, tensor_module_with_field_complex,
                         tensor_proj_with_field_complex, tensor_right_left,
                         tensor_right_module_complex)
 from .exceptional import ExceptionalCollection, dual_collection
-from .hochschild import HHProfile, hh_cohomology, hh_homology
+from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
+                         hh_homology)
 from .modules import Bimodule, ModuleRep, dual_bimodule
 
 
@@ -80,25 +80,15 @@ class Kernel:
         return f"Kernel({self.kind}{', twist=' + self.twist if self.twist else ''})"
 
 
-def diagonal_bar_depth(A: Algebra, requested: int) -> int:
-    """Depth at which the relative bar resolution terminates, capped at
-    the request; the resolution is finite iff the radical tensor powers
-    die (true for directed algebras)."""
-    n = 0
-    while n <= requested and radical_tuples(A, n + 1):
-        n += 1
-    return n
-
-
 def as_env_complex(K: Kernel, depth: int) -> ProjComplex:
     """A projective bimodule complex representing the kernel (for the
-    diagonal, the bar resolution truncated at `depth`; an untwisted
+    diagonal, diagonal_resolution truncated at `depth`; an untwisted
     decomposable kernel builds its complex once and keeps it)."""
     A = K.algebra
     if K.kind == "general":
         return K.complex
     if K.kind == "diagonal":
-        return bar_resolution(A, depth)
+        return diagonal_resolution(A, depth)
     if K.kind == "decomposable" and K.twist is None:
         if K._env is None:
             K._env = decomposable_to_env(K.left, K.right)
@@ -305,11 +295,14 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
 
 
 def diagonal_class(A: Algebra, cap: int = 32) -> dict:
-    depth = diagonal_bar_depth(A, cap)
-    if radical_tuples(A, depth + 1):
-        raise NormalizationFailed("the bar resolution does not terminate; "
-                                  "no K_0 class for the diagonal")
-    return bar_resolution(A, depth).euler_class()
+    """K_0 class of the diagonal, from a resolution that ends by degree
+    -cap."""
+    res = diagonal_resolution(A, cap + 1)
+    if -(cap + 1) in res.terms:
+        raise NormalizationFailed("the diagonal resolution does not end by "
+                                  f"degree -{cap}; no K_0 class for the "
+                                  "diagonal")
+    return res.euler_class()
 
 
 def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True):

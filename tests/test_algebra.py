@@ -345,6 +345,18 @@ def test_tensor_opposite_products_match_the_factors(algebras):
         assert len(env.mult) == env.dim ** 2
 
 
+def test_tensor_opposite_grading_is_fixed_by_the_idempotents(algebras):
+    """Each basis element k of B (x) C^op has e_tgt(k) k = k = k e_src(k),
+    also when B and C have different numbers of vertices."""
+    names = ["kronecker2", "beilinson-p2", "loop-x2"]
+    for b, c in itertools.product([algebras[n] for n in names], repeat=2):
+        env = tensor_opposite(b, c)
+        for k in range(env.dim):
+            fixed = {k: b.field.one}
+            assert env.product(k, env.idempotents[env.src[k]]) == fixed
+            assert env.product(env.idempotents[env.tgt[k]], k) == fixed
+
+
 # ---------------------------------------------------------------------------
 # Failed re-presentation checks raise, also under python -O
 

@@ -282,6 +282,8 @@ def test_bimodule_file_with_wrong_matrix_shape(tmp_path):
      "left_action.e(1)"),
     ({"dimension": -1, "left_action": {}, "right_action": {}}, "dimension"),
     ({"dimension": "x", "left_action": {}, "right_action": {}}, "dimension"),
+    ({"dimension": 1, "left_action": {"e(1)": [[1]], "e(2)": [[0]]},
+      "right_action": {}}, "right_action"),
 ])
 def test_malformed_bimodule_file_exit_2(tmp_path, doc, where):
     """A bimodule file of the wrong JSON shape is a schema error naming
@@ -292,6 +294,56 @@ def test_malformed_bimodule_file_exit_2(tmp_path, doc, where):
         ["coeffs", "--bimodule", str(p), "--catalog", "kxk"])
     assert code == 2
     assert report.data["error"].startswith(where + ":")
+
+
+def test_bimodule_file_without_matrices_exits_before_allocating(tmp_path):
+    """A side with no matrix cannot hold the unit's action; the file is
+    refused before any matrix of the declared dimension is allocated."""
+    import tracemalloc
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps({"dimension": 100000, "left_action": {},
+                             "right_action": {}}))
+    tracemalloc.start()
+    try:
+        code, report = run_command(
+            ["coeffs", "--bimodule", str(p), "--catalog", "kxk"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert report.data["error"].startswith("left_action: no matrix given")
+    assert peak < 2 ** 20
+
+
+def _benchmark_inputs():
+    """benchmark/inputs.py: the Beilinson quiver generator and the HKR
+    closed forms, loaded from its file."""
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("field", [{"kind": "q"}, {"kind": "fp", "p": 32003}])
+@pytest.mark.parametrize("n", [3, 4])
+def test_beilinson_files_match_hkr(tmp_path, n, field):
+    """CLI cohomology and homology of the generated Beilinson P^3 and P^4
+    files equal the HKR closed forms."""
+    inputs = _benchmark_inputs()
+    p = tmp_path / "pn.json"
+    p.write_text(json.dumps(inputs.beilinson_quiver_doc(n, field, seed=1)))
+    max_degree = n + 1
+    for command, key, closed in (
+            ("cohomology", "hh_cohomology", inputs.hh_cohomology_pn),
+            ("homology", "hh_homology", inputs.hh_homology_pn)):
+        code, report = run_command([command, "--file", str(p),
+                                    "--max-degree", str(max_degree)])
+        assert code == 0
+        assert report.data["algebra"]["dimension"] == inputs.beilinson_dim(n)
+        assert report.data[key]["dims"] == closed(n, max_degree)
 
 
 def test_negative_max_degree_is_rejected_at_parse_time(capsys):

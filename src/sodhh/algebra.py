@@ -12,6 +12,7 @@ path length (all catalog relations are).  No Groebner machinery.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 from .linalg import ColumnEchelon, FieldSpec, Matrix, SubspaceReducer
@@ -247,20 +248,35 @@ class Algebra:
 
     # -- derived algebras (cached) -------------------------------------------
 
+    def _derived(self, key, build):
+        """The algebra that build() makes, kept in the cache under key by a
+        weak reference: it refers back to self, so a strong one would make
+        a cycle that only the cyclic collector frees.  It is rebuilt only
+        after everything holding it has let it go."""
+        ref = self._cache.get(key)
+        alg = ref() if ref is not None else None
+        if alg is None:
+            alg = build()
+            self._cache[key] = weakref.ref(alg)
+        return alg
+
     def opposite(self) -> "Algebra":
-        if "op" not in self._cache:
+        """A^op; it holds A (as its own opposite) and A holds it weakly."""
+        if "op_of" in self._cache:
+            return self._cache["op_of"]
+
+        def build():
             mult = {(j, i): x for (i, j), x in self.mult.items()}
             op = Algebra(self.field, self.labels, mult, self.idempotents, self.vertex_names)
-            op._cache["op"] = self
-            self._cache["op"] = op
-        return self._cache["op"]
+            op._cache["op_of"] = self
+            return op
+        return self._derived("op", build)
 
     def enveloping(self) -> "Algebra":
         """A (x) A^op; left modules over it are (A,A)-bimodules via
-        (a (x) b) . m = a m b."""
-        if "env" not in self._cache:
-            self._cache["env"] = tensor_opposite(self, self)
-        return self._cache["env"]
+        (a (x) b) . m = a m b.  It holds A as its factors and A holds it
+        weakly."""
+        return self._derived("env", lambda: tensor_opposite(self, self))
 
 
 class TensorOpposite(Algebra):

@@ -238,6 +238,7 @@ def _default_collection(A):
 
 
 def _algebra_summary(A, report: Report):
+    """Write the algebra section; returns dim Z(A) for reuse."""
     cdim, _ = center(A)
     report.set("algebra", {
         "dimension": A.dim,
@@ -249,6 +250,7 @@ def _algebra_summary(A, report: Report):
         "field": repr(A.field),
         "structure_hash": structure_hash(A),
     })
+    return cdim
 
 
 def cmd_info(args, report):
@@ -262,10 +264,9 @@ def cmd_info(args, report):
 
 def cmd_cohomology(args, report):
     A, _ = _load_algebra(args)
-    _algebra_summary(A, report)
+    cdim = _algebra_summary(A, report)
     prof = hh_cohomology(A, args.max_degree)
     report.set("hh_cohomology", prof)
-    cdim, _ = center(A)
     report.check("HH^0 equals dim center", prof.dim(0) == cdim,
                  {"hh0": prof.dim(0), "center": cdim})
     return 0

@@ -29,8 +29,6 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-import functools
-
 from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, TensorOpposite,
                       _lines)
 from .linalg import ColumnEchelon, Matrix, SubspaceReducer, rank
@@ -1161,104 +1159,120 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
 # Minimal projective resolutions of modules
 
 
-def _left_factors(alg):
-    """The map y -> [(b, b y), ...] over the basis elements b with b y != 0.
-    Over B (x) C^op, (b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2
-    is nonzero exactly when both factors are, so the b come from B grouped
-    by right factor j1 and C grouped by left factor j2."""
-    if not isinstance(alg, TensorOpposite):
-        by_right = _lines(alg.mult, 1)
-        return lambda y: by_right.get(y, ())
-    b_right, c_left = _lines(alg.factors[0].mult, 1), _lines(alg.factors[1].mult, 0)
+def _radical_generators(alg):
+    """Basis elements g with rad = sum_g g L = sum_g L g, so that rad . X is
+    spanned by the g . x for every submodule X of a free module, and a
+    graded subspace that every g maps into itself is a submodule: the
+    arrows of a path algebra (a path is an arrow times a path, and a path
+    times an arrow); over B (x) C^op the g (x) e_w and e_v (x) h for such
+    generators g of B and h of C; the whole radical basis otherwise."""
+    if isinstance(alg, TensorOpposite):
+        b, c = alg.factors
+        return ([alg.pair_index(g, e) for g in _radical_generators(b)
+                 for e in c.idempotents]
+                + [alg.pair_index(e, h) for e in b.idempotents
+                   for h in _radical_generators(c)])
+    if isinstance(alg, PathAlgebra):
+        return [k for k, p in enumerate(alg.basis_paths) if p and len(p) == 1]
+    return alg.radical_indices()
 
-    @functools.lru_cache(maxsize=None)
-    def left_factors(y):
-        j1, j2 = alg.index_pair(y)
-        bs = [alg.pair_index(i1, i2) for i1, _ in b_right.get(j1, ())
-              for i2, _ in c_left.get(j2, ())]
-        return [(b, alg.product(b, y)) for b in bs]
-    return left_factors
+
+def _free_action(alg, basis):
+    """Left multiplication on realize(P), basis the pairs (s, y) of a
+    summand s and a basis element y of it: act(b, w) is b . w."""
+    f = alg.field
+    index = {sy: p for p, sy in enumerate(basis)}
+
+    def act(b, w):
+        out = {}
+        for p, c in w.items():
+            s, y = basis[p]
+            for y2, c2 in alg.product(b, y).items():
+                k = index[(s, y2)]
+                v = f.add(out.get(k, f.zero), f.mul(c, c2))
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return out
+    return act
 
 
 def projective_resolution(M, length: int) -> ProjComplex:
     """Minimal projective resolution of a module, in degrees -length..0.
 
     Stops early once a syzygy vanishes; the result then resolves M exactly.
-    Generators are lifted along graded complements of rad . M, so the
-    differentials land in the radical (the resolution is minimal).
-    """
-    from .modules import ModuleAxiomError, ModuleRep
+    No syzygy module is built.  Omega_0 is M with its unit vectors, and
+    Omega_n for n >= 1 stays inside the free module: the list of kernel
+    vectors of the cover P_{n-1} -> Omega_{n-1}, in the coordinates (s, y)
+    of realize(P_{n-1}), on which L acts by left multiplication.  rad .
+    Omega is spanned by the g . w over the _radical_generators g leaving
+    the vertex of w, and P_n has one summand per vector w of Omega_n
+    outside rad . Omega_n and the vectors before w, so the differentials
+    land in the radical (the resolution is minimal).  Every kernel basis
+    is checked to be graded and, where its generators are picked, to be
+    mapped into its span by every g, which with the grading is invariance
+    under all of L; either failure means M is not a module and raises
+    ModuleAxiomError."""
+    from .modules import ModuleAxiomError
     alg = M.algebra
     f = alg.field
-    left_factors = _left_factors(alg)
+    gens_at = {}
+    for g in _radical_generators(alg):
+        gens_at.setdefault(alg.src[g], []).append(g)
+    columns = {}
+
+    def generators(omega, act, dim):
+        # rad . Omega first; its span with Omega has rank dim Omega exactly
+        # when every g maps Omega into itself
+        red = SubspaceReducer(f, dim)
+        for u, w in omega:
+            for g in gens_at.get(u, ()):
+                red.add(act(g, w))
+        gens = [(u, w) for u, w in omega if red.add(w)]
+        if red.rank != len(omega):
+            raise ModuleAxiomError("kernel is not action-invariant: the "
+                                   "action is not a module action")
+        return gens
+
+    def act(b, w):
+        out = {}
+        for m, c in w.items():
+            _elem_add_into(f, out, M.action[b].cols[m], c)
+        return out
+
+    dim = M.dim   # of the space Omega lives in
+    gens = generators([(v, {m: f.one}) for m, v in enumerate(M.grading)],
+                      act, dim)
     terms = {}
     diffs = {}
-    current = M
-    embed = None        # current basis -> realize(P_{step-1}) coordinates
-    prev_cover_basis = None
+    prev_basis = None
     for step in range(length + 1):
-        if current.dim == 0:
-            break
-        # generators: a graded complement of rad . current
-        red = SubspaceReducer(f, current.dim)
-        for r in alg.radical_indices():
-            for col in current.action[r].cols:
-                if col:
-                    red.add(col)
-        gens = [(current.grading[m], m) for m in range(current.dim)
-                if red.add({m: f.one})]
-        terms[-step] = tuple(v for v, _ in gens)
-        if embed is not None:
+        terms[-step] = tuple(u for u, _ in gens)
+        if prev_basis is not None:
             d = diffs[-step] = {}
-            for s, (v, m) in enumerate(gens):
-                for colpos, c in embed[m].items():
-                    s0, y = prev_cover_basis[colpos]
+            for s, (_, w) in enumerate(gens):
+                for p, c in w.items():
+                    s0, y = prev_basis[p]
                     d.setdefault((s0, s), {})[y] = c
-        # cover map realize(P_step) -> current
-        cover_cols = []
-        cover_basis = []
-        for s, (v, m) in enumerate(gens):
-            for y in alg.column_indices(v):
-                cover_cols.append(dict(current.action[y].cols[m]))
-                cover_basis.append((s, y))
-        cover_pos = {sy: i for i, sy in enumerate(cover_basis)}
-        cover = Matrix(f, current.dim, len(cover_cols), cover_cols)
-        kernel_vecs = ColumnEchelon(cover).kernel_basis()
-        if not kernel_vecs:
+        # cover realize(P_step) -> Omega_step, (s, y) |-> y . w_s
+        basis, cols = [], []
+        for s, (u, w) in enumerate(gens):
+            if u not in columns:
+                columns[u] = alg.column_indices(u)
+            for y in columns[u]:
+                basis.append((s, y))
+                cols.append(act(y, w))
+        kernel = ColumnEchelon(Matrix(f, dim, len(cols), cols)).kernel_basis()
+        if not kernel:
             break
-        # syzygy module: basis = kernel vectors, action by solving back
-        solver = ColumnEchelon(Matrix(f, len(cover_cols), len(kernel_vecs),
-                                      kernel_vecs))
-        grading = []
-        for kv in kernel_vecs:
-            vv = {alg.tgt[cover_basis[c][1]] for c in kv}
+        omega = []
+        for kv in kernel:
+            vv = {alg.tgt[basis[p][1]] for p in kv}
             if len(vv) != 1:
                 raise ModuleAxiomError("kernel basis not graded: the action "
                                        "does not respect the grading")
-            grading.append(vv.pop())
-        cols = [[{} for _ in kernel_vecs] for _ in range(alg.dim)]
-        for n, kv in enumerate(kernel_vecs):
-            imgs = {}   # b -> image of kv under b, over the b with b y != 0
-            for colpos, c in kv.items():
-                s0, y = cover_basis[colpos]
-                for b, prod in left_factors(y):
-                    img = imgs.setdefault(b, {})
-                    for y2, c2 in prod.items():
-                        ip = cover_pos[(s0, y2)]
-                        s2 = f.add(img.get(ip, f.zero), f.mul(c, c2))
-                        if s2:
-                            img[ip] = s2
-                        elif ip in img:
-                            del img[ip]
-            for b, img in imgs.items():
-                sol = solver.solve(img)
-                if sol is None:
-                    raise ModuleAxiomError("kernel is not action-invariant: "
-                                           "the action is not a module action")
-                cols[b][n] = sol
-        action = [Matrix(f, len(kernel_vecs), len(kernel_vecs), c) for c in cols]
-        current = ModuleRep(alg, len(kernel_vecs), action, tuple(grading),
-                            check=False)
-        embed = kernel_vecs
-        prev_cover_basis = cover_basis
+            omega.append((vv.pop(), kv))
+        act, dim, prev_basis = _free_action(alg, basis), len(basis), basis
+        gens = generators(omega, act, dim)
     return ProjComplex(alg, terms, diffs, check=True)

@@ -311,7 +311,7 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
     sum_i [P_i] = [diagonal]."""
     A = coll.algebra
     duals, shifts = dual_collection(coll)
-    target = diagonal_class(A)
+    target = None
     kernels = None
     for extra in (0, 1, -1):
         candidate = []
@@ -322,6 +322,10 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
             candidate.append(P)
             for v, c in as_env_complex(P, 0).euler_class().items():
                 total[v] = total.get(v, 0) + c
+        if target is None:
+            # resolved while the candidates hold A.enveloping(), which A
+            # itself keeps only weakly, so that both use one build of it
+            target = diagonal_class(A)
         if {v: c for v, c in total.items() if c} == target:
             kernels = candidate
             break

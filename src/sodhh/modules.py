@@ -48,8 +48,8 @@ def _check_fixed(mat, m, what):
 
 class ModuleRep:
     """A left module given by one dim x dim action matrix per basis
-    element of its algebra.  Used for one-sided modules and for the
-    syzygies `projective_resolution` builds; bimodules are Bimodule."""
+    element of its algebra.  Used for one-sided modules; bimodules are
+    Bimodule."""
 
     __slots__ = ("algebra", "dim", "action", "grading")
 
@@ -127,13 +127,11 @@ class Bimodule(ModuleRep):
 
 
 def simple_module(A: Algebra, v: int) -> ModuleRep:
+    """The simple module at v: e_v acts as 1, every other basis element by
+    one shared zero matrix (matrices are immutable values)."""
     f = A.field
-    action = []
-    for k in range(A.dim):
-        if k == A.idempotents[v]:
-            action.append(Matrix.identity(f, 1))
-        else:
-            action.append(Matrix.zeros(f, 1, 1))
+    action = [Matrix.zeros(f, 1, 1)] * A.dim
+    action[A.idempotents[v]] = Matrix.identity(f, 1)
     return ModuleRep(A, 1, action, (v,), check=False)
 
 

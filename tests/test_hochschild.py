@@ -276,3 +276,40 @@ def test_failing_certificate_is_needed(field):
     assert ext_profile(koszul_resolution(A, 5), M) != bar
     assert hh_with_coefficients(A, M, 5).as_tuple() == \
         tuple(bar.get(n, 0) for n in range(6))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_resolutions_of_random_quiver_simples_match_reference(A):
+    from sodhh.modules import simple_module
+    from test_complexes import assert_matches_reference
+    for v in range(A.num_vertices):
+        assert_matches_reference(simple_module(A, v), 5)
+
+
+def test_algebra_graph_is_freed_without_the_cyclic_collector():
+    """A keeps A.enveloping() and A.opposite() by weak references, so
+    refcounting alone frees an algebra and everything built from it."""
+    import gc
+    import weakref
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        A = CATALOG["beilinson-p2"].algebra(QQ)
+        hh_cohomology(A, 3)
+        homology_via_serre_dual(A, 3)
+        op = A.opposite()
+        alive = weakref.ref(A)
+        del op
+        del A
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_derived_algebras_are_shared_while_held(algebras):
+    A = algebras["beilinson-p2"]
+    env, op = A.enveloping(), A.opposite()
+    assert A.enveloping() is env and env.factors == (A, A)
+    assert A.opposite() is op and op.opposite() is A

@@ -973,7 +973,9 @@ def radical_tuples(A: Algebra, n: int):
 
 def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """Relative bar resolution of the diagonal bimodule over the vertex
-    subalgebra: B_n = A (x)_E rad^{(x)_E n} (x)_E A in degree -n."""
+    subalgebra: B_n = A (x)_E rad^{(x)_E n} (x)_E A in degree -n.  Its
+    summands grow exponentially with n; hochschild.diagonal_resolution
+    does not use it, and it stays as an independent oracle."""
     env = A.enveloping()
     f = A.field
     terms = {}

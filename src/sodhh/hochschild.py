@@ -4,11 +4,11 @@ Cohomology (and cohomology with bimodule coefficients) is the cohomology
 of Hom_{A-bimod}(P_*, M) for a projective bimodule resolution P_* of A,
 the one diagonal_resolution returns: the Koszul resolution of a quadratic
 path algebra whose simples' minimal resolutions certify it Koszul, else
-the relative bar resolution over the vertex subalgebra E.  Homology uses
-the cyclic E-coinvariant chain complex directly.
+the minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the
+homology of P_* (x)_{A^e} A over the same resolution.
 
 Truncated *absolute* bar complexes are implemented as independent oracles;
-they share nothing with the relative route except the exact rank kernel.
+they share nothing with diagonal_resolution except the exact rank kernel.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import Algebra, PathAlgebra
-from .complexes import (FieldComplex, ProjComplex, SideMismatch,
-                        bar_resolution, ext_profile, koszul_resolution,
-                        projective_resolution, radical_tuples)
+from .algebra import Algebra, PathAlgebra, _lines
+from .complexes import (FieldComplex, ProjComplex, SideMismatch, ext_profile,
+                        koszul_resolution, projective_resolution)
 from .linalg import FieldSpec, Matrix
 from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
 
@@ -109,16 +108,32 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     The Koszul resolution (complexes.koszul_resolution) when A is a path
     algebra with quadratic relations, of global dimension at most n_max,
     whose simples' minimal resolutions certify it (_koszul_certified); it
-    is then complete.  Otherwise the relative bar resolution, truncated at
-    n_max."""
+    is then complete.  Otherwise the minimal bimodule resolution
+    projective_resolution(regular_bimodule(A), n_max), which needs no
+    certificate.
+
+    Each is built once per algebra: A's cache keeps the certified Koszul
+    resolution (it does not depend on n_max) and the minimal one of each
+    depth, as plain (terms, diffs) that name A (x) A^op's vertices and
+    basis by index only, so the cache holds no reference back to A."""
+    env = A.enveloping()
+    data = None
     if isinstance(A, PathAlgebra) and all(
             len(path) == 2 for rel in A.relations for _, path in rel.terms):
         gd = global_dimension(A, n_max)
         if gd is not None:
-            K = koszul_resolution(A, gd + 1)
-            if _koszul_certified(A, K):
-                return K
-    return bar_resolution(A, n_max)
+            if "koszul_resolution" not in A._cache:
+                K = koszul_resolution(A, gd + 1)
+                A._cache["koszul_resolution"] = (
+                    (K.terms, K.diffs) if _koszul_certified(A, K) else None)
+            data = A._cache["koszul_resolution"]
+    if data is None:
+        key = ("minimal_resolution", n_max)
+        if key not in A._cache:
+            P = projective_resolution(regular_bimodule(A), n_max)
+            A._cache[key] = (P.terms, P.diffs)
+        data = A._cache[key]
+    return ProjComplex(env, *data, check=False)
 
 
 def _finiteness_note(A: Algebra, n_max: int) -> str:
@@ -149,68 +164,38 @@ def homology_via_serre_dual(A: Algebra, n_max: int) -> HHProfile:
     return hh_with_coefficients(A, dual_bimodule(A), n_max)
 
 
-def _cyclic_basis(A: Algebra, n: int):
-    """Basis of the cyclic E-coinvariants of A (x)_E rad^{(x)_E n}:
-    pairs (a0, tuple) with src(a0) = tgt(r_1) and tgt(a0) = src(r_n)."""
-    out = []
-    if n == 0:
-        for a0 in range(A.dim):
-            if A.src[a0] == A.tgt[a0]:
-                out.append((a0, ()))
-        return out
-    for t in radical_tuples(A, n):
-        v, w = A.tgt[t[0]], A.src[t[-1]]
-        for a0 in range(A.dim):
-            if A.src[a0] == v and A.tgt[a0] == w:
-                out.append((a0, t))
-    return out
-
-
 def hh_homology(A: Algebra, n_max: int) -> HHProfile:
-    """Hochschild homology from the relative cyclic chain complex
-    C_n = (A (x)_E rad^{(x)_E n}) / [E, -]."""
+    """Hochschild homology Tor^{A^e}(A, A): the homology of P (x)_{A^e} A
+    for P = diagonal_resolution(A, n_max + 1).  A summand of P at the
+    vertex (v, w) contributes e_w A e_v, and an entry c (a (x) b) of P's
+    differential sends m to c (b m a)."""
     f = A.field
-    note = _finiteness_note(A, n_max)
-    bases = {n: _cyclic_basis(A, n) for n in range(n_max + 2)}
-    pos = {n: {b: i for i, b in enumerate(bs)} for n, bs in bases.items()}
-    boundaries = {}
-    for n in range(1, n_max + 2):
-        if not bases[n]:
-            break
+    P = diagonal_resolution(A, n_max + 1)
+    env = P.algebra
+    at_vertex = {}   # vertex (v, w) of A (x) A^op -> basis of e_w A e_v
+    for m in range(A.dim):
+        at_vertex.setdefault(env.vertex(A.src[m], A.tgt[m]), []).append(m)
+    bases = {n: [(s, m) for s, code in enumerate(t)
+                 for m in at_vertex.get(code, ())]
+             for n, t in P.terms.items()}
+    diffs = {}
+    for n, d in P.diffs.items():
+        rows = {sm: r for r, sm in enumerate(bases[n + 1])}
+        d_cols = _lines(d, 1)
         entries = {}
-        tgt_pos = pos[n - 1]
-        for col, (a0, t) in enumerate(bases[n]):
-            # i = 0: absorb r_1 into the A slot
-            for s, c in A.product(a0, t[0]).items():
-                r = tgt_pos.get((s, t[1:]))
-                if r is not None:
-                    entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
-            # 0 < i < n: contract adjacent radical slots
-            for i in range(1, n):
-                sign = f.one if i % 2 == 0 else f.neg(f.one)
-                for s, c in A.product(t[i - 1], t[i]).items():
-                    t2 = t[:i - 1] + (s,) + t[i + 1:]
-                    r = tgt_pos.get((a0, t2))
-                    if r is not None:
-                        entries[(r, col)] = f.add(entries.get((r, col), f.zero),
-                                                  f.mul(sign, c))
-            # i = n: wrap r_n around to the left of the A slot
-            sign = f.one if n % 2 == 0 else f.neg(f.one)
-            for s, c in A.product(t[-1], a0).items():
-                r = tgt_pos.get((s, t[:-1]))
-                if r is not None:
-                    entries[(r, col)] = f.add(entries.get((r, col), f.zero),
-                                              f.mul(sign, c))
-        boundaries[n] = Matrix.from_entries(f, len(bases[n - 1]), len(bases[n]),
-                                            entries)
-    from .linalg import rank
-    ranks = {n: rank(m) for n, m in boundaries.items()}
-    dims = {}
-    for n in range(n_max + 1):
-        d = len(bases.get(n, ())) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if d:
-            dims[n] = d
-    return HHProfile.from_dict(dims, f, n_max, note)
+        for col, (s, m) in enumerate(bases[n]):
+            for i, x in d_cols.get(s, ()):
+                for a, b, c in env.terms(x):
+                    for k, c1 in A.product(b, m).items():
+                        for k2, c2 in A.product(k, a).items():
+                            key = (rows[(i, k2)], col)
+                            entries[key] = f.add(entries.get(key, f.zero),
+                                                 f.mul(c, f.mul(c1, c2)))
+        diffs[n] = Matrix.from_entries(f, len(rows), len(bases[n]), entries)
+    homology = FieldComplex(f, {n: len(b) for n, b in bases.items()},
+                            diffs).homology_dims()
+    return HHProfile.from_dict({-n: h for n, h in homology.items()}, f, n_max,
+                               _finiteness_note(A, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +211,23 @@ def _pair_expansions(A: Algebra):
     return table
 
 
+def _tuples(A: Algebra, n: int):
+    """All n-tuples of basis indices."""
+    out = [()]
+    for _ in range(n):
+        out = [t + (x,) for t in out for x in range(A.dim)]
+    return out
+
+
 def absolute_hh_cohomology(A: Algebra, n_max: int) -> HHProfile:
     """Cohomology of the truncated absolute bar cochain complex
     C^n = Hom_k(A^{(x) n}, A)."""
     f = A.field
     expansions = _pair_expansions(A)
-
-    def tuples(n):
-        out = [()]
-        for _ in range(n):
-            out = [t + (x,) for t in out for x in range(A.dim)]
-        return out
-
     bases = {}
     pos = {}
     for n in range(n_max + 2):
-        bs = [(t, s) for t in tuples(n) for s in range(A.dim)]
+        bs = [(t, s) for t in _tuples(A, n) for s in range(A.dim)]
         bases[n] = bs
         pos[n] = {b: i for i, b in enumerate(bs)}
     mats = {}
@@ -279,16 +265,9 @@ def absolute_hh_homology(A: Algebra, n_max: int) -> HHProfile:
     """Homology of the truncated absolute bar chain complex
     C_n = A^{(x) n+1}."""
     f = A.field
-
-    def tuples(n):
-        out = [()]
-        for _ in range(n):
-            out = [t + (x,) for t in out for x in range(A.dim)]
-        return out
-
-    bases = {n: tuples(n + 1) for n in range(n_max + 2)}
+    bases = {n: _tuples(A, n + 1) for n in range(n_max + 2)}
     pos = {n: {b: i for i, b in enumerate(bs)} for n, bs in bases.items()}
-    boundaries = {}
+    diffs = {}   # chains in degree -n
     for n in range(1, n_max + 2):
         entries = {}
         tgt_pos = pos[n - 1]
@@ -306,13 +285,8 @@ def absolute_hh_homology(A: Algebra, n_max: int) -> HHProfile:
                 r = tgt_pos[t2]
                 entries[(r, col)] = f.add(entries.get((r, col), f.zero),
                                           f.mul(sign, c))
-        boundaries[n] = Matrix.from_entries(f, len(bases[n - 1]), len(bases[n]),
-                                            entries)
-    from .linalg import rank
-    ranks = {n: rank(m) for n, m in boundaries.items()}
-    dims = {}
-    for n in range(n_max + 1):
-        d = len(bases[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if d:
-            dims[n] = d
-    return HHProfile.from_dict(dims, f, n_max)
+        diffs[-n] = Matrix.from_entries(f, len(bases[n - 1]), len(bases[n]),
+                                        entries)
+    homology = FieldComplex(f, {-n: len(b) for n, b in bases.items()},
+                            diffs).homology_dims()
+    return HHProfile.from_dict({-n: h for n, h in homology.items()}, f, n_max)

@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sodhh.algebra import Algebra, Quiver, Relation, build_path_algebra, center
 from sodhh.catalog import CATALOG
-from sodhh.complexes import bar_resolution, ext_profile, koszul_resolution
-from sodhh.hochschild import (absolute_hh_cohomology, absolute_hh_homology,
+from sodhh.complexes import (FieldComplex, bar_resolution, ext_profile,
+                             koszul_resolution, projective_resolution,
+                             radical_tuples)
+from sodhh.hochschild import (HHProfile, absolute_hh_cohomology,
+                              absolute_hh_homology,
                               diagonal_resolution, global_dimension,
                               hh_cohomology, hh_homology,
                               hh_with_coefficients, homology_via_serre_dual)
@@ -251,9 +254,10 @@ def test_diagonal_resolution_takes_the_koszul_route_when_certified(algebras):
     assert res.terms == koszul_resolution(B, 4).terms
 
 
-def test_diagonal_resolution_falls_back_to_bar(algebras):
+def test_diagonal_resolution_falls_back_to_minimal(algebras):
     """A cubic relation, an algebra that is not a PathAlgebra and a failing
-    Koszul certificate each give the bar route."""
+    Koszul certificate each give the minimal bimodule resolution, whose Ext
+    into the regular and the dual bimodule equals the bar route's."""
     cubic = build_path_algebra(
         Quiver.make(list("1234"), [("a", "1", "2"), ("b", "2", "3"),
                                    ("c", "3", "4")]),
@@ -261,15 +265,20 @@ def test_diagonal_resolution_falls_back_to_bar(algebras):
     B = algebras["beilinson-p2"]
     table = Algebra(B.field, B.labels, B.mult, B.idempotents, B.vertex_names)
     for A in (cubic, table, _not_koszul(QQ), _not_koszul(GF(3))):
-        assert diagonal_resolution(A, 5).terms == bar_resolution(A, 5).terms
+        ours = diagonal_resolution(A, 5)
+        assert ours.terms == \
+            projective_resolution(regular_bimodule(A), 5).terms
+        bar = bar_resolution(A, 5)
+        for M in (regular_bimodule(A), dual_bimodule(A)):
+            assert ext_profile(ours, M) == ext_profile(bar, M)
     assert hh_cohomology(table, 4).as_tuple() == (1, 8, 10, 0, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_failing_certificate_is_needed(field):
     """On the non-Koszul algebra the Koszul complex is not a resolution:
-    its Ext differs from the bar route's, which diagonal_resolution
-    returns."""
+    its Ext differs from the bar route's, which equals that of the minimal
+    resolution diagonal_resolution returns."""
     A = _not_koszul(field)
     M = regular_bimodule(A)
     bar = ext_profile(bar_resolution(A, 5), M)
@@ -288,8 +297,9 @@ def test_resolutions_of_random_quiver_simples_match_reference(A):
 
 
 def test_algebra_graph_is_freed_without_the_cyclic_collector():
-    """A keeps A.enveloping() and A.opposite() by weak references, so
-    refcounting alone frees an algebra and everything built from it."""
+    """A keeps A.enveloping() and A.opposite() by weak references, and its
+    cached diagonal resolutions as plain data, so refcounting alone frees an
+    algebra and everything built from it."""
     import gc
     import weakref
     enabled = gc.isenabled()
@@ -298,6 +308,8 @@ def test_algebra_graph_is_freed_without_the_cyclic_collector():
         A = CATALOG["beilinson-p2"].algebra(QQ)
         hh_cohomology(A, 3)
         homology_via_serre_dual(A, 3)
+        hh_homology(A, 3)
+        diagonal_resolution(A, 4)
         op = A.opposite()
         alive = weakref.ref(A)
         del op
@@ -313,3 +325,164 @@ def test_derived_algebras_are_shared_while_held(algebras):
     env, op = A.enveloping(), A.opposite()
     assert A.enveloping() is env and env.factors == (A, A)
     assert A.opposite() is op and op.opposite() is A
+
+
+def _three_cycle(field):
+    """1 -a-> 2 -b-> 3 -c-> 1 with every path of length 2 zero."""
+    quiver = Quiver.make(list("123"), [("a", "1", "2"), ("b", "2", "3"),
+                                       ("c", "3", "1")])
+    return build_path_algebra(
+        quiver, [Relation(((1, p),)) for p in (("a", "b"), ("b", "c"),
+                                               ("c", "a"))], field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_three_cycle_homology(field):
+    """The radical-square-zero 3-cycle has C_1 = 0 but C_2, C_3 != 0 in the
+    relative cyclic complex; HH_* is (3, 0, 1, 1, 0, 0) on every route."""
+    A = _three_cycle(field)
+    hh = hh_homology(A, 5)
+    assert hh.as_tuple() == (3, 0, 1, 1, 0, 0)
+    assert homology_via_serre_dual(A, 5).as_tuple() == hh.as_tuple()
+    assert absolute_hh_homology(A, 3).as_tuple() == hh.as_tuple(3)
+    assert cyclic_hh_homology(A, 5).as_tuple() == hh.as_tuple()
+
+
+@pytest.mark.parametrize("field", [{"kind": "q"}, {"kind": "fp", "p": 3},
+                                   {"kind": "fp", "p": 5}])
+def test_three_cycle_homology_command(tmp_path, field):
+    import json
+    from sodhh.cli import run_command
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps({
+        "field": field, "vertices": ["1", "2", "3"],
+        "arrows": [{"name": x, "source": s, "target": t}
+                   for x, s, t in (("a", "1", "2"), ("b", "2", "3"),
+                                   ("c", "3", "1"))],
+        "relations": [[{"coeff": "1", "path": list(path)}]
+                      for path in ("ab", "bc", "ca")]}))
+    code, report = run_command(["homology", "--file", str(p)])
+    assert code == 0
+    assert report.data["hh_homology"]["dims"] == [3, 0, 1, 1, 0, 0, 0]
+    assert [c["passed"] for c in report.data["checks"]
+            if c["name"] == "HH_* equals Ext(A, DA) degreewise"] == [True]
+
+
+@st.composite
+def cyclic_monomial_quivers(draw):
+    """A random quiver on 1..3 vertices: the oriented cycle 0 -> 1 -> ... ->
+    0 (a loop on one vertex) and up to two more arrows, loops allowed, with
+    every path of length k zero for k = 2 or 3 (one more arrow at most for
+    k = 3), over Q or F_3."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([2, 3]))
+    ends = [(i, (i + 1) % n) for i in range(n)] + draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=2 if k == 2 else 1))
+    arrows = [(f"a{i}", str(s), str(t)) for i, (s, t) in enumerate(ends)]
+    paths = [(x,) for x in arrows]
+    for _ in range(k - 1):
+        paths = [p + (y,) for p in paths for y in arrows if p[-1][2] == y[1]]
+    relations = [Relation(((1, tuple(x[0] for x in p)),)) for p in paths]
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    quiver = Quiver.make([str(i) for i in range(n)], arrows)
+    return build_path_algebra(quiver, relations, field)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(cyclic_monomial_quivers())
+def test_cyclic_quivers_match_absolute_oracles(A):
+    # the absolute homology oracle has dim^5 chains in degree 4
+    assume(A.dim <= 7)
+    hh = hh_homology(A, 3).as_tuple()
+    assert homology_via_serre_dual(A, 3).as_tuple() == hh
+    assert absolute_hh_homology(A, 3).as_tuple() == hh
+    assert hh_cohomology(A, 2).as_tuple() == \
+        absolute_hh_cohomology(A, 2).as_tuple()
+
+
+def cyclic_hh_homology(A, n_max):
+    """Hochschild homology from the relative cyclic chain complex
+    C_n = (A (x)_E rad^{(x)_E n}) / [E, -], with basis the pairs (a0, t)
+    of a composable tuple t of radical basis elements and a0 in
+    e_{src(r_n)} A e_{tgt(r_1)}.  It shares only the rank kernel with
+    hochschild.hh_homology.  An empty C_n does not end the complex: on an
+    algebra with oriented cycles C_{n+1} may be nonzero again."""
+    f = A.field
+    bases = {0: [(a0, ()) for a0 in range(A.dim) if A.src[a0] == A.tgt[a0]]}
+    for n in range(1, n_max + 2):
+        bases[n] = [(a0, t) for t in radical_tuples(A, n) for a0 in range(A.dim)
+                    if A.src[a0] == A.tgt[t[0]] and A.tgt[a0] == A.src[t[-1]]]
+    pos = {n: {b: i for i, b in enumerate(bs)} for n, bs in bases.items()}
+    diffs = {}
+    for n in range(1, n_max + 2):
+        if not bases[n] or not bases[n - 1]:
+            continue
+        entries = {}
+        tgt_pos = pos[n - 1]
+
+        def add(key, c, col):
+            r = tgt_pos.get(key)
+            if r is not None:
+                entries[(r, col)] = f.add(entries.get((r, col), f.zero), c)
+        for col, (a0, t) in enumerate(bases[n]):
+            # i = 0: absorb r_1 into the A slot
+            for s, c in A.product(a0, t[0]).items():
+                add((s, t[1:]), c, col)
+            # 0 < i < n: contract adjacent radical slots
+            for i in range(1, n):
+                sign = f.one if i % 2 == 0 else f.neg(f.one)
+                for s, c in A.product(t[i - 1], t[i]).items():
+                    add((a0, t[:i - 1] + (s,) + t[i + 1:]), f.mul(sign, c),
+                        col)
+            # i = n: wrap r_n around to the left of the A slot
+            sign = f.one if n % 2 == 0 else f.neg(f.one)
+            for s, c in A.product(t[-1], a0).items():
+                add((s, t[:-1]), f.mul(sign, c), col)
+        # chains in degree -n, as for the bar resolution
+        diffs[-n] = Matrix.from_entries(f, len(bases[n - 1]), len(bases[n]),
+                                        entries)
+    homology = FieldComplex(f, {-n: len(b) for n, b in bases.items()},
+                            diffs).homology_dims()
+    return HHProfile.from_dict({-n: h for n, h in homology.items()}, f, n_max)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hh_homology_matches_cyclic_complex(field):
+    for name, entry in CATALOG.items():
+        A = entry.algebra(field)
+        assert hh_homology(A, 4).as_tuple() == \
+            cyclic_hh_homology(A, 4).as_tuple(), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hh_homology_matches_cyclic_complex_on_generated_beilinson(n):
+    from sodhh.cli import parse_quiver_document
+    from test_cli import _benchmark_inputs
+    inputs = _benchmark_inputs()
+    A = parse_quiver_document(
+        inputs.beilinson_quiver_doc(n, {"kind": "q"}, seed=1)).build()
+    hh = hh_homology(A, n + 1)
+    assert hh.as_tuple() == cyclic_hh_homology(A, n + 1).as_tuple() == \
+        tuple(inputs.hh_homology_pn(n, n + 1))
+
+
+@pytest.mark.parametrize("argv", [["kernels", "build"],
+                                  ["kernels", "additivity"], ["homology"]])
+def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
+    """Every route to the diagonal reads one Koszul resolution per algebra:
+    kernels build resolves it for the kernels and the K_0 identity check,
+    homology for HH_* and the Serre route."""
+    import sodhh.hochschild as hochschild
+    from sodhh.cli import run_command
+    calls = []
+    real = hochschild.koszul_resolution
+
+    def counting(A, n_max):
+        calls.append(n_max)
+        return real(A, n_max)
+
+    monkeypatch.setattr(hochschild, "koszul_resolution", counting)
+    code, report = run_command(argv + ["--catalog", "beilinson-p2"])
+    assert code == 0 and report.all_passed()
+    assert len(calls) == 1

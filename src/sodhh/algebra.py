@@ -90,7 +90,7 @@ class Algebra:
     def __init__(self, field: FieldSpec, labels, mult, idempotents, vertex_names,
                  grading=None):
         self.field = field
-        self.labels = tuple(labels)
+        self.labels = labels if isinstance(labels, _OuterSum) else tuple(labels)
         self.dim = len(self.labels)
         self.mult = mult  # {(i, j): b_i * b_j} for the nonzero products
         self.idempotents = tuple(idempotents)
@@ -279,31 +279,76 @@ class Algebra:
         return self._derived("env", lambda: tensor_opposite(self, self))
 
 
+class _OuterSum:
+    """The read-only sequence of first[i] + second[j] at k = i *
+    len(second) + j, for the basis of B (x) C^op: it stores only its two
+    factors, not its len(first) * len(second) entries.  Indexing follows
+    tuples (negative indices count from the end, IndexError past either
+    end), without slices; iteration runs through the indices."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+    def __len__(self):
+        return len(self.first) * len(self.second)
+
+    def __getitem__(self, k):
+        # floor division makes -len <= k < 0 count from the end, and an
+        # index past either end fails on first[i]
+        second = self.second
+        try:
+            i, j = divmod(k, len(second))
+        except ZeroDivisionError:
+            raise IndexError("index into an empty sequence") from None
+        return self.first[i] + second[j]
+
+
 class TensorOpposite(Algebra):
     """The algebra B (x) C^op; its left modules are (B,C)-bimodules.
 
     The basis element b_i (x) c_j has index i * dim C + j and the vertex
-    (v, w) has position v * |C_0| + w.  The methods below, and the grading
-    built in __init__, are the only place these encodings are written
-    down.  Products are computed when first asked for: `mult` caches the
-    products computed so far, zero ones included, so its absent keys are
-    not yet known rather than zero, and it is read only through
-    `product`."""
+    (v, w) has position v * |C_0| + w.  The methods below, and the
+    sequences built in __init__, are the only place these encodings are
+    written down.  Nothing of size dim B * dim C is stored: `labels`,
+    `src` and `tgt` compute entry k from b_i and c_j (`_OuterSum`), and
+    products are computed when first asked for: `mult` caches the products
+    computed so far, zero ones included, so its absent keys are not yet
+    known rather than zero, and it is read only through `product`."""
 
     def __init__(self, b: Algebra, c: Algebra):
         if b.field != c.field:
             raise ValueError("field mismatch")
         self.factors = (b, c)
-        labels = [f"{bl}(x){cl}" for bl in b.labels for cl in c.labels]
+        labels = _OuterSum(tuple(f"{bl}(x)" for bl in b.labels), c.labels)
         idems = [self.pair_index(e, e2)
                  for e in b.idempotents for e2 in c.idempotents]
         vnames = [f"({v},{w})" for v in b.vertex_names for w in c.vertex_names]
-        # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q)),
-        # with vertex(v, w) spelled out: it is needed dim B * dim C times
+        # basis (p, q) is graded by (src_b(p), tgt_c(q)) -> (tgt_b(p), src_c(q));
+        # of vertex(v, w) = v * |C_0| + w, the term v * |C_0| is kept per p
         nv = c.num_vertices
-        src = tuple(v * nv + w for v in b.src for w in c.tgt)
-        tgt = tuple(v * nv + w for v in b.tgt for w in c.src)
+        src = _OuterSum(tuple(v * nv for v in b.src), c.tgt)
+        tgt = _OuterSum(tuple(v * nv for v in b.tgt), c.src)
         super().__init__(b.field, labels, {}, idems, vnames, grading=(src, tgt))
+
+    def column_indices(self, v):
+        """Basis of (B (x) C^op) e_v for v = (v1, v2): the b_p (x) c_q with
+        b_p in B e_v1 and c_q in e_v2 C, in ascending index order."""
+        b, c = self.factors
+        v1, v2 = self.vertex_pair(v)
+        qs = [q for q in range(c.dim) if c.tgt[q] == v2]
+        return [p * c.dim + q for p in b.column_indices(v1) for q in qs]
+
+    def slice_indices(self, v, w):
+        """Basis of e_v (B (x) C^op) e_w for v = (v1, v2), w = (w1, w2):
+        the b_p (x) c_q with b_p in e_v1 B e_w1 and c_q in e_w2 C e_v2, in
+        ascending index order."""
+        b, c = self.factors
+        (v1, v2), (w1, w2) = self.vertex_pair(v), self.vertex_pair(w)
+        qs = c.slice_indices(w2, v2)
+        return [p * c.dim + q for p in b.slice_indices(v1, w1) for q in qs]
 
     def product(self, i, j) -> dict:
         """(b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2: the

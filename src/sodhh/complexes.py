@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, TensorOpposite,
                       _lines)
-from .linalg import ColumnEchelon, Matrix, SubspaceReducer, rank
+from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, rank
 
 
 class SideMismatch(ValueError):
@@ -762,25 +762,32 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
         index = pos[p] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
+        # only the nonzero columns are allocated, the others are ZERO_COLUMN
         n = len(basis)
-        left_cols = [[{} for _ in basis] for _ in range(A.dim)]
+        left_cols = [[ZERO_COLUMN] * n for _ in range(A.dim)]
         for col, (s, a, m) in enumerate(basis):
             for i, x in by_right.get(a, ()):   # b_i a
+                cell = {}
                 for a2, c in x.items():
                     r = index.get((s, a2, m))
                     if r is not None:
-                        left_cols[i][col][r] = c
+                        cell[r] = c
+                if cell:
+                    left_cols[i][col] = cell
         left = [Matrix(f, n, n, cols) for cols in left_cols]
         right = []
         for j in range(A.dim):
-            cols = []
-            for (s, a, m) in basis:
-                col = {}
-                for m2, c in M.right[j].cols[m].items():
-                    r = index.get((s, a, m2))
-                    if r is not None:
-                        col[r] = c
-                cols.append(col)
+            m_cols = M.right[j].cols
+            cols = [ZERO_COLUMN] * n
+            for col, (s, a, m) in enumerate(basis):
+                if m_cols[m]:
+                    cell = {}
+                    for m2, c in m_cols[m].items():
+                        r = index.get((s, a, m2))
+                        if r is not None:
+                            cell[r] = c
+                    if cell:
+                        cols[col] = cell
             right.append(Matrix(f, n, n, cols))
         mods[p] = Bimodule(env, n, left, right, grading, check=False)
     diffs = {}
@@ -833,14 +840,18 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
         index = pos[q] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
-        # (b_i . p*)(x) = p*(x b_i)
-        cols = [[{} for _ in basis] for _ in range(A.dim)]
+        # (b_i . p*)(x) = p*(x b_i); only the nonzero columns are allocated
+        cols = [[ZERO_COLUMN] * len(basis) for _ in range(A.dim)]
         for (x, i), prod in A.mult.items():
             for p, c in prod.items():
                 for s in at_vertex.get(A.tgt[p], ()):
                     r = index.get((s, x))
                     if r is not None:
-                        cols[i][index[(s, p)]][r] = c
+                        at = index[(s, p)]
+                        col = cols[i][at]
+                        if col is ZERO_COLUMN:
+                            col = cols[i][at] = {}
+                        col[r] = c
         action = [Matrix(f, len(basis), len(basis), c) for c in cols]
         mods[q] = ModuleRep(A, len(basis), action, tuple(grading), check=False)
     diffs = {}

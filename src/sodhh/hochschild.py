@@ -106,9 +106,11 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """A projective bimodule resolution of A through degree -n_max.
 
     The Koszul resolution (complexes.koszul_resolution) when A is a path
-    algebra with quadratic relations, of global dimension at most n_max,
-    whose simples' minimal resolutions certify it (_koszul_certified); it
-    is then complete.  Otherwise the minimal bimodule resolution
+    algebra with quadratic relations, of finite global dimension, whose
+    simples' minimal resolutions certify it (_koszul_certified); it is
+    then complete.  The global dimension is looked up at cap n_max, or
+    read from A's cache whatever n_max is when an exact value is there.
+    Otherwise the minimal bimodule resolution
     projective_resolution(regular_bimodule(A), n_max), which needs no
     certificate.
 
@@ -120,7 +122,9 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     data = None
     if isinstance(A, PathAlgebra) and all(
             len(path) == 2 for rel in A.relations for _, path in rel.terms):
-        gd = global_dimension(A, n_max)
+        gd = A._cache.get("global_dimension", (None,))[0]
+        if gd is None:
+            gd = global_dimension(A, n_max)
         if gd is not None:
             if "koszul_resolution" not in A._cache:
                 K = koszul_resolution(A, gd + 1)

@@ -5,7 +5,10 @@ Scalars over Q are Python ints whenever they are integral and
 `FieldSpec` operation returns that canonical form, so integral inputs stay
 in int arithmetic until a division forces a fraction.  Over F_p scalars are
 canonical representatives in [0, p).  Matrices are sparse column
-collections and are treated as immutable values.
+collections and are treated as immutable values: nothing writes into a
+column of a matrix once built, so matrices may share columns, and every
+all-zero column of a large action matrix can be the one read-only
+`ZERO_COLUMN`, which raises TypeError on a write.
 
 A single column-echelon reduction (`ColumnEchelon`) is the elimination
 primitive: rank, kernel, image and linear solving are all derived from it.
@@ -19,6 +22,10 @@ with `ColumnEchelon`.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
+
+
+ZERO_COLUMN = MappingProxyType({})   # the one shared, read-only empty column
 
 
 class FieldMismatch(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import (Algebra, PathAlgebra, TensorOpposite, _lines,
                       algebra_from_structure, tensor_opposite)
 from .complexes import SideMismatch
-from .linalg import ColumnEchelon, Matrix, rank_kernel_image
+from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, rank_kernel_image
 
 
 class ModuleAxiomError(ValueError):
@@ -147,14 +147,18 @@ def regular_bimodule(A: Algebra) -> Bimodule:
 def _product_actions(A: Algebra, lines, dual=False):
     """Per i, the matrix of b_k |-> x on A, x the product grouped under i
     with other factor k; with `dual`, its transpose p* |-> sum_k
-    coeff_p(x) k* on DA."""
+    coeff_p(x) k* on DA.  Only the nonzero columns are allocated; the
+    others are the shared ZERO_COLUMN."""
     mats = []
     for i in range(A.dim):
-        cols = [{} for _ in range(A.dim)]
+        cols = [ZERO_COLUMN] * A.dim
         for k, x in lines.get(i, ()):
             if dual:
                 for p, c in x.items():
-                    cols[p][k] = c
+                    col = cols[p]
+                    if col is ZERO_COLUMN:
+                        col = cols[p] = {}
+                    col[k] = c
             else:
                 cols[k] = dict(x)
         mats.append(Matrix(A.field, A.dim, A.dim, cols))

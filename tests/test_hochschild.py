@@ -254,6 +254,21 @@ def test_diagonal_resolution_takes_the_koszul_route_when_certified(algebras):
     assert res.terms == koszul_resolution(B, 4).terms
 
 
+def test_known_global_dimension_takes_the_koszul_route_at_any_depth():
+    """Once A's cache holds an exact global dimension (the CLI summary
+    looks it up with cap 12), a degree bound below it still reads the
+    certified Koszul resolution and builds no minimal one."""
+    from sodhh.cli import parse_quiver_document
+    from test_cli import _benchmark_inputs
+    inputs = _benchmark_inputs()
+    A = parse_quiver_document(
+        inputs.beilinson_quiver_doc(4, {"kind": "q"}, 101)).build()
+    assert global_dimension(A, 12) == 4
+    assert hh_cohomology(A, 2).as_tuple() == (1, 24, 126)
+    assert ("minimal_resolution", 3) not in A._cache
+    assert diagonal_resolution(A, 3).terms == koszul_resolution(A, 5).terms
+
+
 def test_diagonal_resolution_falls_back_to_minimal(algebras):
     """A cubic relation, an algebra that is not a PathAlgebra and a failing
     Koszul certificate each give the minimal bimodule resolution, whose Ext

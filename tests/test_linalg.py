@@ -1,12 +1,13 @@
 from fractions import Fraction
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodhh.linalg import (ColumnEchelon, FieldMismatch, GF, Matrix, QQ,
-                          SubspaceReducer, kronecker_tensor, rank,
+from sodhh.linalg import (ZERO_COLUMN, ColumnEchelon, FieldMismatch, GF,
+                          Matrix, QQ, SubspaceReducer, kronecker_tensor, rank,
                           rank_kernel_image, solve_linear)
 
 
@@ -440,3 +441,66 @@ def test_shape_errors_raise(monkeypatch, capsys):
 
 def test_shape_errors_raise_under_optimized_python(run_optimized):
     assert run_optimized(SHAPE_BREAKS) == SHAPES_RAISED
+
+
+# ---------------------------------------------------------------------------
+# Matrix columns are immutable values: read-only columns give the same
+# results, and the shared zero column refuses writes
+
+
+def read_only(m):
+    """m with every column a MappingProxyType: ZERO_COLUMN where the column
+    is zero, a read-only view of a copy elsewhere."""
+    return Matrix(m.field, m.nrows, m.ncols,
+                  [MappingProxyType(dict(c)) if c else ZERO_COLUMN
+                   for c in m.cols])
+
+
+def test_zero_column_is_read_only():
+    with pytest.raises(TypeError):
+        ZERO_COLUMN[0] = 1
+    with pytest.raises(AttributeError):
+        ZERO_COLUMN.setdefault(0, 1)
+    assert not ZERO_COLUMN and ZERO_COLUMN == {}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_read_only_columns_give_the_same_results(field):
+    """Every linalg operation reads its operands' columns and writes only
+    into columns it allocated itself, so matrices whose every column is
+    read-only give the results of plain dict columns."""
+    rng = Random(11)
+    for _ in range(40):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        a, _ = random_matrix(rng, field, n, k, density=0.4)
+        b, _ = random_matrix(rng, field, n, k, density=0.4)
+        c, _ = random_matrix(rng, field, k, rng.randint(1, 6), density=0.4)
+        ra, rb, rc = read_only(a), read_only(b), read_only(c)
+        vec = {j: field.coerce(rng.randint(1, 4)) for j in range(k)
+               if rng.random() < 0.5}
+        assert ra.add(rb) == a.add(b)
+        assert ra.sub(rb) == a.sub(b)
+        assert ra.mul(rc) == a.mul(c)
+        assert ra.scale(3) == a.scale(3) and ra.scale(0) == a.scale(0)
+        assert ra.apply(MappingProxyType(vec)) == a.apply(vec)
+        assert ra == a and ra.is_zero() == a.is_zero()
+        ours, plain = ColumnEchelon(ra), ColumnEchelon(a)
+        assert (ours.reduced, ours.combo, ours.pivots) == \
+            (plain.reduced, plain.combo, plain.pivots)
+        rhs = a.cols[0]
+        assert ours.solve(MappingProxyType(rhs)) == plain.solve(rhs)
+        assert ours.reduce_vector(ra.cols[-1]) == plain.reduce_vector(a.cols[-1])
+        assert rank(ra) == rank(a)
+        assert rank_kernel_image(ra) == rank_kernel_image(a)
+        assert solve_linear(ra, rb) == solve_linear(a, b)
+        assert solve_linear(ra, read_only(a)) == solve_linear(a, a)
+        assert kronecker_tensor(ra, rc) == kronecker_tensor(a, c)
+        ours = SubspaceReducer(field, n, ra.cols)
+        plain = SubspaceReducer(field, n, a.cols)
+        assert ours.cols == plain.cols
+        for col in b.cols:
+            assert ours.normal_form(MappingProxyType(col)) == \
+                plain.normal_form(col)
+        # nothing was written into the operands
+        assert ra == read_only(a) and all(
+            isinstance(col, MappingProxyType) for col in ra.cols)

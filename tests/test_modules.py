@@ -154,3 +154,22 @@ def test_gluing_needs_a_bimodule_over_the_pieces(algebras):
     A = algebras["kronecker2"]
     with pytest.raises(SideMismatch):
         triangular_gluing(A, A, dual_bimodule(algebras["kronecker3"]))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_read_only_action_columns_give_the_same_bimodules(algebras, name):
+    """The axiom check and the lazy L_i R_j products read action columns
+    only, so bimodules whose every column is read-only pass and fail the
+    same checks and give the same action matrices as plain dict columns."""
+    from test_linalg import read_only
+    A = algebras[name]
+    for M in (regular_bimodule(A), dual_bimodule(A)):
+        frozen = Bimodule(M.algebra, M.dim, [read_only(m) for m in M.left],
+                          [read_only(m) for m in M.right], M.grading,
+                          check=True)
+        for k in range(len(M.action)):
+            assert frozen.action[k] == M.action[k], k
+    loop, left, right = loop_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    with pytest.raises(ModuleAxiomError, match="do not commute"):
+        Bimodule(loop.enveloping(), 2, [read_only(m) for m in left],
+                 [read_only(m) for m in right], (0, 0))

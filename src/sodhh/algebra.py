@@ -5,9 +5,19 @@ of e_v * A * e_u, and p*q means "q then p".  Stored path descriptors list
 arrows in traversal order (first-traversed first), so the concatenation
 underlying p*q is q's arrows followed by p's arrows.
 
-Normal forms modulo the relation ideal are computed stratum by stratum in
-the path length, by plain linear algebra; relations must be homogeneous in
-path length (all catalog relations are).  No Groebner machinery.
+`build_path_algebra` computes the quotient by right extension, one path
+length at a time, by plain linear algebra; relations must be homogeneous
+in path length (all catalog relations are).  The ideal I in length L is
+then I_{L-1} V + sum_m kQ_{L-m} R_m, concatenating in traversal order,
+for V the arrows and R_m the relations of length m.  So A_L is spanned by
+the residue words of length L-1 each followed by one arrow, modulo the
+x r for residue words x.  The reduction pivots on the lexicographically
+largest word, which within one length is a monomial order, so the residue
+words are the normal words of the deg-lex order (G. Bergman, The diamond
+lemma for ring theory, Adv. Math. 29 (1978)): the words that lead no
+element of I.  Every prefix of a normal word is normal, so extending the
+residue words of length L-1 reaches all of them, and every normal form is
+the one modulo all of I.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import weakref
 from typing import NamedTuple
 
-from .linalg import ColumnEchelon, FieldSpec, Matrix, SubspaceReducer
+from .linalg import ColumnEchelon, FieldSpec, Matrix, SubspaceReducer, axpy
 
 
 class NonAdmissible(ValueError):
@@ -23,7 +33,8 @@ class NonAdmissible(ValueError):
 
 
 class NotFiniteDimensional(ValueError):
-    """Path basis did not close below the configured length cap."""
+    """A residue word longer than the length cap 2 |arrows| + 2 survived.
+    The cap ends the construction; it does not prove the algebra infinite."""
 
 
 class AlgebraAxiomError(ValueError):
@@ -438,121 +449,106 @@ def validate_relation(quiver: Quiver, rel: Relation, index=None):
                             "(length-homogeneous presentations only)")
 
 
-def build_path_algebra(quiver: Quiver, relations, field: FieldSpec,
-                       length_cap=None) -> PathAlgebra:
+def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgebra:
     """Quotient of the path algebra kQ by the ideal the relations generate.
 
-    The basis is computed by length-increasing closure: at each path length
-    the span of all paths is divided by the corresponding slice of the
-    ideal, and the surviving paths become basis residues.  Raises
-    NotFiniteDimensional if strata are still alive at the length cap.
+    The basis is built by right extension (see the module docstring).  At
+    length L the columns are the pairs (w, a) of a residue word w of
+    length L-1 and an arrow a leaving its end, in lexicographic order.
+    One SubspaceReducer takes the x r for residue words x and relations r
+    of total length L, each computed one arrow at a time through the arrow
+    maps of shorter lengths.  The columns that are not pivots are the
+    residue words of length L, and the normal form of column (w, a) is the
+    arrow map w -> w a.  The product "q then p" applies p's arrows to q
+    through the same maps.  Raises NotFiniteDimensional when a residue
+    word longer than 2 |arrows| + 2 survives.
     """
     quiver = Quiver.make(quiver.vertices, quiver.arrows)
     for idx, rel in enumerate(relations):
         validate_relation(quiver, rel, idx)
-    if length_cap is None:
-        length_cap = 2 * len(quiver.arrows) + 2
-
-    arrows = list(quiver.arrows)
+    cap = 2 * len(quiver.arrows) + 2
+    one = field.one
+    arrows = quiver.arrows
     arrow_ix = {a.name: i for i, a in enumerate(arrows)}
-    by_source = {}
-    for i, a in enumerate(arrows):
-        by_source.setdefault(a.source, []).append(i)
-
-    def path_src(p):
-        return arrows[p[0]].source
-
-    def path_tgt(p):
-        return arrows[p[-1]].target
-
-    rels_by_len = {}
-    for rel in relations:
-        L = len(rel.terms[0][1])
-        vec = [(field.coerce(c), tuple(arrow_ix[n] for n in pth)) for c, pth in rel.terms]
-        if all(not c for c, _ in vec):
-            continue
-        rels_by_len.setdefault(L, []).append(vec)
-
-    # strata[l] = ordered list of all composable paths of length l
-    strata = {1: [(i,) for i in range(len(arrows))]}
-    survivors = {1: list(strata[1])}  # relations have length >= 2
-    normal = {1: {p: {p: field.one} for p in strata[1]}}  # path -> residue combo
-
-    length = 1
-    while True:
-        length += 1
-        prev = strata[length - 1]
-        cur = [p + (i,) for p in prev for i in by_source.get(path_tgt(p), ())]
-        if not cur:
-            break
-        if length > length_cap:
-            raise NotFiniteDimensional(
-                f"path strata still alive at length {length_cap}")
-        index = {p: n for n, p in enumerate(cur)}
-        gens = []
-        for L, rvecs in rels_by_len.items():
-            if L > length:
-                continue
-            # all embeddings  left . relation . right  of total length
-            for lft_len in range(0, length - L + 1):
-                rgt_len = length - L - lft_len
-                for rvec in rvecs:
-                    src, tgt = path_src(rvec[0][1]), path_tgt(rvec[0][1])
-                    rights = [q for q in strata.get(rgt_len, [()])
-                              if rgt_len == 0 or path_tgt(q) == src]
-                    lefts = [q for q in strata.get(lft_len, [()])
-                             if lft_len == 0 or path_src(q) == tgt]
-                    for rgt in (rights if rgt_len else [()]):
-                        for lft in (lefts if lft_len else [()]):
-                            vec = {}
-                            for c, middle in rvec:
-                                key = index[rgt + middle + lft]
-                                vec[key] = field.add(vec.get(key, field.zero), c)
-                            gens.append({k: v for k, v in vec.items() if v})
-        reducer = SubspaceReducer(field, len(cur), gens)
-        surv = [p for n, p in enumerate(cur) if n not in reducer.cols]
-        strata[length] = cur
-        survivors[length] = surv
-        normal[length] = {
-            p: {cur[m]: v for m, v in reducer.normal_form({n: field.one}).items()}
-            for n, p in enumerate(cur)}
-        if not surv:
-            break
-
-    # assemble the basis: idempotents first, then residues by length
-    labels = [f"e({v})" for v in quiver.vertices]
-    basis_paths = [None] * len(quiver.vertices)
     vpos = {v: i for i, v in enumerate(quiver.vertices)}
-    path_pos = {}
-    ending_at = [[] for _ in quiver.vertices]  # (basis index, path) by target
-    for l in sorted(survivors):
-        for p in survivors[l]:
-            path_pos[p] = len(labels)
-            ending_at[vpos[path_tgt(p)]].append((len(labels), p))
-            names = tuple(arrows[i].name for i in p)
-            labels.append(_path_label(names))
-            basis_paths.append(names)
+    nv = len(vpos)
+    leaving = [[] for _ in range(nv)]  # arrow indices by source vertex
+    for i, a in enumerate(arrows):
+        leaving[vpos[a.source]].append(i)
+    rels = []  # (length, source vertex, [(coefficient, arrow indices)])
+    for rel in relations:
+        vec = [(field.coerce(c), tuple(arrow_ix[n] for n in pth)) for c, pth in rel.terms]
+        if any(c for c, _ in vec):
+            rels.append((len(vec[0][1]), vpos[arrows[vec[0][1][0]].source], vec))
 
-    def nf_vector(p):
-        # normal forms are combinations of survivors; past the last
-        # stratum computed every path is zero
-        return {path_pos[q]: v for q, v in normal.get(len(p), {}).get(p, {}).items()}
+    # per basis index, idempotents first and then residue words by length:
+    # the path as arrow indices, its end vertex and the basis index of the
+    # path without its last arrow (the idempotent e_source for an arrow);
+    # the arrow maps {(k, a): normal form of "b_k then a"}
+    paths = [()] * nv + [(i,) for i in range(len(arrows))]
+    tgt = list(range(nv)) + [vpos[a.target] for a in arrows]
+    prefix = [None] * nv + [vpos[a.source] for a in arrows]
+    amap = {(vpos[a.source], i): {nv + i: one} for i, a in enumerate(arrows)}
+    levels = [list(range(nv)), list(range(nv, len(paths)))]  # by length
 
-    # row-major over the composable pairs only; p*q is "q then p", so it
-    # needs q to end where p starts
+    def extend(vec, arrow_seq):
+        for a in arrow_seq:
+            out = {}
+            for k, c in vec.items():
+                axpy(field, out, amap[k, a], c)
+            vec = out
+        return vec
+
+    while levels[-1]:
+        length = len(levels)
+        cols = [(k, a) for k in levels[-1] for a in leaving[tgt[k]]]
+        col_of = {ka: n for n, ka in enumerate(cols)}
+        gens = []
+        for m, start, rvec in rels:
+            for x in levels[length - m] if m <= length else ():
+                if tgt[x] == start:
+                    g = {}
+                    for c, t in rvec:
+                        axpy(field, g, {col_of[k, t[-1]]: y for k, y in
+                                        extend({x: one}, t[:-1]).items()}, c)
+                    gens.append(g)
+        reducer = SubspaceReducer(field, len(cols), gens)
+        pos = {}
+        for n, (k, a) in enumerate(cols):
+            if n not in reducer.cols:
+                pos[n] = len(paths)
+                paths.append(paths[k] + (a,))
+                tgt.append(vpos[arrows[a].target])
+                prefix.append(k)
+        for n, ka in enumerate(cols):
+            amap[ka] = {pos[m]: v for m, v in reducer.normal_form({n: one}).items()}
+        levels.append(list(pos.values()))
+        if pos and length > cap:
+            raise NotFiniteDimensional(f"path strata still alive at length {cap}")
+
+    basis_paths = [None] * nv + [tuple(arrows[a].name for a in p) for p in paths[nv:]]
+    labels = [f"e({v})" for v in quiver.vertices] + [
+        _path_label(p) for p in basis_paths[nv:]]
+    ending_at = [[] for _ in range(nv)]  # non-idempotent basis indices by target
+    for i in range(nv, len(paths)):
+        ending_at[tgt[i]].append(i)
+
+    # row-major over the composable pairs only; b_i b_j is "b_j then b_i",
+    # so it needs b_j to end where b_i starts, and it is "b_j then
+    # b_prefix[i]", a product of an earlier row, followed by b_i's last arrow
     mult = {}
-    for v in range(len(quiver.vertices)):
-        mult[(v, v)] = {v: field.one}
-        for j, _ in ending_at[v]:
-            mult[(v, j)] = {j: field.one}
-    for p, i in path_pos.items():
-        start = vpos[path_src(p)]
-        mult[(i, start)] = {i: field.one}
-        for j, q in ending_at[start]:
-            pq = nf_vector(q + p)
+    for v in range(nv):
+        mult[(v, v)] = {v: one}
+        for j in ending_at[v]:
+            mult[(v, j)] = {j: one}
+    for i in range(nv, len(paths)):
+        start = vpos[arrows[paths[i][0]].source]
+        mult[(i, start)] = {i: one}
+        for j in ending_at[start]:
+            pq = extend(mult.get((prefix[i], j), {}), paths[i][-1:])
             if pq:
                 mult[(i, j)] = pq
-    return PathAlgebra(field, labels, mult, list(range(len(quiver.vertices))),
+    return PathAlgebra(field, labels, mult, list(range(nv)),
                        quiver.vertices, quiver, relations, basis_paths)
 
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, TensorOpposite,
                       _lines)
-from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, rank
+from .linalg import (ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy,
+                     rank)
 
 
 class SideMismatch(ValueError):
@@ -44,15 +45,6 @@ class ComplexError(ValueError):
     that does not commute, or a differential that is not L-linear."""
 
 
-def _elem_add_into(field, acc, vec, scale):
-    for k, v in vec.items():
-        s = field.add(acc.get(k, field.zero), field.mul(scale, v))
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-
-
 def _compose(alg, first, second):
     """Nonzero entries of "first, then second" for sparse matrices of
     algebra elements: {(h, j): sum_i first[i, j] * second[h, i]}.
@@ -63,8 +55,7 @@ def _compose(alg, first, second):
     out = {}
     for (i, j), x in first.items():
         for h, y in second_cols.get(i, ()):
-            _elem_add_into(f, out.setdefault((h, j), {}),
-                           alg.multiply(x, y), f.one)
+            axpy(f, out.setdefault((h, j), {}), alg.multiply(x, y), f.one)
     return {hj: x for hj, x in out.items() if x}
 
 
@@ -375,7 +366,7 @@ def _as_modules(Y):
         def act(j, a, m):
             img = {}
             for k, c in a.items():
-                _elem_add_into(f, img, actions[j][k].cols[m], c)
+                axpy(f, img, actions[j][k].cols[m], c)
             return img
         return ({j: M.grading for j, M in Y.modules.items()}, Y.diffs, act)
     bases, index = Y.realize_bases(), Y.realize_index()
@@ -540,7 +531,7 @@ def minimalize(X: ProjComplex) -> ProjComplex:
             for j2, beta in betas:
                 corr = alg.multiply(alg.multiply(beta, u), gamma)
                 x = d.setdefault((i2, j2), {})
-                _elem_add_into(f, x, corr, f.neg(f.one))
+                axpy(f, x, corr, f.neg(f.one))
                 if not x:
                     del d[(i2, j2)]
         # strip source summand j of term n and target summand i of term n+1
@@ -1022,8 +1013,8 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
             head = t[0]
             key = ("v", A.src[head]) if n == 1 else t[1:]
             r = pos[n - 1][key]
-            _elem_add_into(f, d.setdefault((r, col), {}),
-                           {env.pair_index(head, A.idempotents[w]): f.one}, f.one)
+            axpy(f, d.setdefault((r, col), {}),
+                 {env.pair_index(head, A.idempotents[w]): f.one}, f.one)
             # 0 < i < n: contract adjacent radical slots; entry e_v (x) e_w
             for i in range(1, n):
                 prod = A.product(t[i - 1], t[i])
@@ -1037,15 +1028,15 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
                     t2 = t[:i - 1] + (s,) + t[i + 1:]
                     r2 = pos[n - 1][t2]
                     ekey2 = env.pair_index(A.idempotents[v], A.idempotents[w])
-                    _elem_add_into(f, d.setdefault((r2, col), {}),
-                                   {ekey2: f.mul(sign, c)}, f.one)
+                    axpy(f, d.setdefault((r2, col), {}),
+                         {ekey2: f.mul(sign, c)}, f.one)
             # i = n: slide r_n into the right A slot; entry e_v (x) r_n
             tail = t[-1]
             key3 = ("v", A.tgt[tail]) if n == 1 else t[:-1]
             r3 = pos[n - 1][key3]
             sign = f.one if n % 2 == 0 else f.neg(f.one)
-            _elem_add_into(f, d.setdefault((r3, col), {}),
-                           {env.pair_index(A.idempotents[v], tail): sign}, f.one)
+            axpy(f, d.setdefault((r3, col), {}),
+                 {env.pair_index(A.idempotents[v], tail): sign}, f.one)
         diffs[-n] = {rc: x for rc, x in d.items() if x}
     return ProjComplex(env, terms, diffs, check=True)
 
@@ -1100,15 +1091,14 @@ def _koszul_spaces(A: PathAlgebra, n_max: int):
                 for t, c in prev[j][0].items():
                     for s, c2 in A.product(t[-1], b).items():
                         r = rows.setdefault((t[:-1], s), len(rows))
-                        _elem_add_into(f, img, {r: c2}, c)
+                        axpy(f, img, {r: c2}, c)
                 images.append(img)
             echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
             for combo in echelon.kernel_basis():
                 vec = {}
                 for p, c in combo.items():
                     j, b = cols[p]
-                    _elem_add_into(f, vec, {t + (b,): x
-                                            for t, x in prev[j][0].items()}, c)
+                    axpy(f, vec, {t + (b,): x for t, x in prev[j][0].items()}, c)
                 space.append((vec, {cols[p]: c for p, c in combo.items()}))
         spaces.append(space)
     return spaces
@@ -1159,11 +1149,11 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
                                            f"not split off {A.labels[a]}")
                     left.update({(j, a): c for j, c in x.items()})
             for (j, a), c in left.items():
-                _elem_add_into(f, d.setdefault((j, col), {}),
-                               {env.pair_index(a, e[w]): c}, f.one)
+                axpy(f, d.setdefault((j, col), {}),
+                     {env.pair_index(a, e[w]): c}, f.one)
             for (j, b), c in right.items():
-                _elem_add_into(f, d.setdefault((j, col), {}),
-                               {env.pair_index(e[v], b): c}, sign)
+                axpy(f, d.setdefault((j, col), {}),
+                     {env.pair_index(e[v], b): c}, sign)
         diffs[-n] = {rc: x for rc, x in d.items() if x}
     return ProjComplex(env, terms, diffs, check=True)
 
@@ -1251,7 +1241,7 @@ def projective_resolution(M, length: int) -> ProjComplex:
     def act(b, w):
         out = {}
         for m, c in w.items():
-            _elem_add_into(f, out, M.action[b].cols[m], c)
+            axpy(f, out, M.action[b].cols[m], c)
         return out
 
     dim = M.dim   # of the space Omega lives in

@@ -15,8 +15,8 @@ primitive: rank, kernel, image and linear solving are all derived from it.
 It tracks the transformation to the original columns unless asked for the
 rank only (`transform=False`, what `rank` uses).  `SubspaceReducer` keeps
 an echelon of a growing subspace, one column per pivot row, and gives
-canonical normal forms modulo it; it shares the column update `_col_axpy`
-with `ColumnEchelon`.
+canonical normal forms modulo it.  Every sparse update acc += s * v, in
+both of them and elsewhere, is the one `axpy`.
 """
 
 from __future__ import annotations
@@ -292,14 +292,14 @@ class Matrix:
         return acc
 
 
-def _col_axpy(field, c, pc, factor):
-    """c -= factor * pc, in place on dict c."""
-    for i, v in pc.items():
-        s = field.sub(c.get(i, field.zero), field.mul(factor, v))
+def axpy(field, acc, vec, scale):
+    """acc += scale * vec, in place on the sparse vector acc."""
+    for i, v in vec.items():
+        s = field.add(acc.get(i, field.zero), field.mul(scale, v))
         if s:
-            c[i] = s
-        elif i in c:
-            del c[i]
+            acc[i] = s
+        elif i in acc:
+            del acc[i]
 
 
 class ColumnEchelon:
@@ -331,10 +331,10 @@ class ColumnEchelon:
                 if k is None:
                     pivots[low] = j
                     break
-                factor = f.div(c[low], reduced[k][low])
-                _col_axpy(f, c, reduced[k], factor)
+                factor = f.neg(f.div(c[low], reduced[k][low]))
+                axpy(f, c, reduced[k], factor)
                 if transform:
-                    _col_axpy(f, t, combo[k], factor)
+                    axpy(f, t, combo[k], factor)
             reduced.append(c)
             if transform:
                 combo.append(t)
@@ -375,7 +375,7 @@ class ColumnEchelon:
             if k is None:
                 break
             factor = f.div(c[low], self.reduced[k][low])
-            _col_axpy(f, c, self.reduced[k], factor)
+            axpy(f, c, self.reduced[k], f.neg(factor))
             coeffs[k] = f.add(coeffs.get(k, f.zero), factor)
         return c, coeffs
 
@@ -388,7 +388,7 @@ class ColumnEchelon:
             return None
         x: dict = {}
         for k, factor in coeffs.items():
-            _col_axpy(f, x, combo[k], f.neg(factor))
+            axpy(f, x, combo[k], factor)
         return x
 
 
@@ -420,7 +420,7 @@ class SubspaceReducer:
                     hit = i if hit is None else max(hit, i)
             if hit is None:
                 return c
-            _col_axpy(f, c, self.cols[hit], c[hit])
+            axpy(f, c, self.cols[hit], f.neg(c[hit]))
 
     def add(self, vec) -> bool:
         """Insert vec's class; returns True if the subspace grew."""

@@ -1,15 +1,19 @@
 import importlib.util
 import itertools
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodhh.algebra import (AlgebraAxiomError, NonAdmissible,
-                           NotFiniteDimensional, Quiver, Relation,
-                           build_path_algebra, center, tensor_opposite)
+                           NotFiniteDimensional, PathAlgebra, Quiver,
+                           Relation, _path_label, build_path_algebra, center,
+                           tensor_opposite, validate_relation)
 from sodhh.catalog import CATALOG, structure_hash
 from sodhh.complexes import ext_profile, single_projective
-from sodhh.linalg import QQ, SubspaceReducer
+from sodhh.linalg import GF, QQ, SubspaceReducer
 from sodhh.modules import (dual_bimodule, free_gluing_bimodule,
                            triangular_gluing)
 
@@ -45,6 +49,23 @@ def test_not_finite_dimensional():
     q = Quiver.make(("1",), (("x", "1", "1"),))
     with pytest.raises(NotFiniteDimensional):
         build_path_algebra(q, [], QQ)
+
+
+def truncated_polynomials(n):
+    """k[x]/(x^n) over Q: one loop x and the one relation x^n."""
+    q = Quiver.make(("1",), (("x", "1", "1"),))
+    return build_path_algebra(q, [Relation(((1, ("x",) * n),))], QQ)
+
+
+def test_length_cap_boundary():
+    """The cap for one arrow is 2 * 1 + 2 = 4: x^4 survives at the cap and
+    dies at length 5, so k[x]/(x^5) is built; in k[x]/(x^6) x^5 survives
+    past the cap."""
+    A = truncated_polynomials(5)
+    assert A.dim == 5
+    assert A.multiply(A.arrow_element("x"), {A.dim - 1: 1}) == {}
+    with pytest.raises(NotFiniteDimensional):
+        truncated_polynomials(6)
 
 
 def test_non_admissible_relation():
@@ -292,6 +313,7 @@ BEILINSON_HASHES = {
     ("fp", 3): "939ff88a91b84ef8423cb00a580b8e6a8f87c19ebc8ed393ad242e9dd0c7c9a8",
     ("fp", 4): "518f368e9221ead0fa037bc067f8da1ef32cb7405b85a217ae832f5dd52b85e3",
     ("fp", 5): "9619f7a9514bc4edebc62dbd92bf6599a4d60dccb2e271dd0d035b128112dc49",
+    ("q", 6): "a753eab128ebe7caf5463e4069bbc9dec3c1b4e7301c54572f82de9def697bb2",
 }
 
 
@@ -539,3 +561,186 @@ def test_radical_tuples_match_brute_force(algebras):
         for n in [top, *range(top + 1)]:   # the longest first fills the cache
             assert radical_tuples(A, n) == brute_force_radical_tuples(A, n), \
                 (name, n)
+
+
+# ---------------------------------------------------------------------------
+# build_path_algebra against the stratum construction it replaced
+
+
+def reference_build(quiver, relations, field, length_cap=None):
+    """The path algebra built stratum by stratum: every composable path of
+    each length, every embedding x r y of every relation and the normal
+    form of every path.  Raises NotFiniteDimensional as soon as a path
+    stratum is still alive past the length cap, without reducing it.  The
+    oracle for build_path_algebra, which must give the same labels, paths
+    and table, key order included."""
+    quiver = Quiver.make(quiver.vertices, quiver.arrows)
+    for idx, rel in enumerate(relations):
+        validate_relation(quiver, rel, idx)
+    if length_cap is None:
+        length_cap = 2 * len(quiver.arrows) + 2
+
+    arrows = list(quiver.arrows)
+    arrow_ix = {a.name: i for i, a in enumerate(arrows)}
+    by_source = {}
+    for i, a in enumerate(arrows):
+        by_source.setdefault(a.source, []).append(i)
+
+    def path_src(p):
+        return arrows[p[0]].source
+
+    def path_tgt(p):
+        return arrows[p[-1]].target
+
+    rels_by_len = {}
+    for rel in relations:
+        L = len(rel.terms[0][1])
+        vec = [(field.coerce(c), tuple(arrow_ix[n] for n in pth)) for c, pth in rel.terms]
+        if all(not c for c, _ in vec):
+            continue
+        rels_by_len.setdefault(L, []).append(vec)
+
+    # strata[l] = ordered list of all composable paths of length l
+    strata = {1: [(i,) for i in range(len(arrows))]}
+    survivors = {1: list(strata[1])}  # relations have length >= 2
+    normal = {1: {p: {p: field.one} for p in strata[1]}}  # path -> residue combo
+
+    length = 1
+    while True:
+        length += 1
+        prev = strata[length - 1]
+        cur = [p + (i,) for p in prev for i in by_source.get(path_tgt(p), ())]
+        if not cur:
+            break
+        if length > length_cap:
+            raise NotFiniteDimensional(
+                f"path strata still alive at length {length_cap}")
+        index = {p: n for n, p in enumerate(cur)}
+        gens = []
+        for L, rvecs in rels_by_len.items():
+            if L > length:
+                continue
+            # all embeddings  left . relation . right  of total length
+            for lft_len in range(0, length - L + 1):
+                rgt_len = length - L - lft_len
+                for rvec in rvecs:
+                    src, tgt = path_src(rvec[0][1]), path_tgt(rvec[0][1])
+                    rights = [q for q in strata.get(rgt_len, [()])
+                              if rgt_len == 0 or path_tgt(q) == src]
+                    lefts = [q for q in strata.get(lft_len, [()])
+                             if lft_len == 0 or path_src(q) == tgt]
+                    for rgt in (rights if rgt_len else [()]):
+                        for lft in (lefts if lft_len else [()]):
+                            vec = {}
+                            for c, middle in rvec:
+                                key = index[rgt + middle + lft]
+                                vec[key] = field.add(vec.get(key, field.zero), c)
+                            gens.append({k: v for k, v in vec.items() if v})
+        reducer = SubspaceReducer(field, len(cur), gens)
+        surv = [p for n, p in enumerate(cur) if n not in reducer.cols]
+        strata[length] = cur
+        survivors[length] = surv
+        normal[length] = {
+            p: {cur[m]: v for m, v in reducer.normal_form({n: field.one}).items()}
+            for n, p in enumerate(cur)}
+        if not surv:
+            break
+
+    # assemble the basis: idempotents first, then residues by length
+    labels = [f"e({v})" for v in quiver.vertices]
+    basis_paths = [None] * len(quiver.vertices)
+    vpos = {v: i for i, v in enumerate(quiver.vertices)}
+    path_pos = {}
+    ending_at = [[] for _ in quiver.vertices]  # (basis index, path) by target
+    for l in sorted(survivors):
+        for p in survivors[l]:
+            path_pos[p] = len(labels)
+            ending_at[vpos[path_tgt(p)]].append((len(labels), p))
+            names = tuple(arrows[i].name for i in p)
+            labels.append(_path_label(names))
+            basis_paths.append(names)
+
+    def nf_vector(p):
+        # normal forms are combinations of survivors; past the last
+        # stratum computed every path is zero
+        return {path_pos[q]: v for q, v in normal.get(len(p), {}).get(p, {}).items()}
+
+    # row-major over the composable pairs only; p*q is "q then p", so it
+    # needs q to end where p starts
+    mult = {}
+    for v in range(len(quiver.vertices)):
+        mult[(v, v)] = {v: field.one}
+        for j, _ in ending_at[v]:
+            mult[(v, j)] = {j: field.one}
+    for p, i in path_pos.items():
+        start = vpos[path_src(p)]
+        mult[(i, start)] = {i: field.one}
+        for j, q in ending_at[start]:
+            pq = nf_vector(q + p)
+            if pq:
+                mult[(i, j)] = pq
+    return PathAlgebra(field, labels, mult, list(range(len(quiver.vertices))),
+                       quiver.vertices, quiver, relations, basis_paths)
+
+
+@st.composite
+def random_presentations(draw):
+    """A random quiver on 1..4 vertices with 1..5 arrows, loops and oriented
+    cycles allowed, and 0..6 relations of length 2..4, each a combination
+    of parallel paths with coefficients in {1, -1, 2, 1/2}, over Q or F_3.
+    Usually, and always past two arrows, every path of length 4 is killed
+    too: the quotient is then finite-dimensional, and the reference, which
+    lists every path up to the length cap 2 |arrows| + 2, stays fast."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
+    arrows = [(f"a{k}", draw(st.sampled_from(vertices)),
+               draw(st.sampled_from(vertices)))
+              for k in range(draw(st.integers(1, 5)))]
+    paths = {1: [(a,) for a in arrows]}
+    for length in (2, 3, 4):
+        paths[length] = [p + (a,) for p in paths[length - 1] for a in arrows
+                         if p[-1][2] == a[1]]
+    relations = []
+    for _ in range(draw(st.integers(0, 6))):
+        length = draw(st.integers(2, 4))
+        if not paths[length]:
+            continue
+        first = draw(st.sampled_from(paths[length]))
+        parallel = [p for p in paths[length]
+                    if (p[0][1], p[-1][2]) == (first[0][1], first[-1][2])]
+        chosen = draw(st.lists(st.sampled_from(parallel), min_size=1,
+                               max_size=3, unique=True))
+        relations.append(Relation(tuple(
+            (draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])),
+             tuple(a[0] for a in p)) for p in chosen)))
+    if len(arrows) > 2 or draw(st.integers(0, 4)):
+        relations += [Relation(((1, tuple(a[0] for a in p)),))
+                      for p in paths[4]]
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    return Quiver.make(vertices, arrows), relations, field
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_presentations())
+def test_right_extension_matches_reference_build(case):
+    """Same labels, paths, table (key order included) and hash as the
+    stratum construction, and NotFiniteDimensional on the same inputs but
+    one: the reference gives up when words of the cap's length survive,
+    even if they all die one length later, where build_path_algebra
+    checks."""
+    quiver, relations, field = case
+    try:
+        ref = reference_build(quiver, relations, field)
+    except NotFiniteDimensional:
+        try:
+            A = build_path_algebra(quiver, relations, field)
+        except NotFiniteDimensional:
+            return
+        longest = max(len(p) for p in A.basis_paths if p)
+        assert longest == 2 * len(quiver.arrows) + 2
+        return
+    A = build_path_algebra(quiver, relations, field)
+    assert A.labels == ref.labels
+    assert A.basis_paths == ref.basis_paths
+    assert list(A.mult) == list(ref.mult)
+    assert A.mult == ref.mult
+    assert structure_hash(A) == structure_hash(ref)

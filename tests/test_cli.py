@@ -63,6 +63,22 @@ def test_file_with_relations(tmp_path):
     assert parsed.build().dim == 2
 
 
+def test_truncated_polynomial_file_at_the_length_cap(tmp_path):
+    """k[x]/(x^5) has a residue word of length 4, the length cap of one
+    arrow, and none of length 5: `info` builds it."""
+    doc = {
+        "field": {"kind": "q"},
+        "vertices": ["1"],
+        "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "relations": [[{"coeff": "1", "path": ["x"] * 5}]],
+    }
+    p = tmp_path / "x5.json"
+    p.write_text(json.dumps(doc))
+    code, report = run_command(["info", "--file", str(p)])
+    assert code == 0
+    assert report.data["algebra"]["dimension"] == 5
+
+
 def test_cohomology_command_kronecker3():
     code, report = run_command(
         ["cohomology", "--catalog", "kronecker3", "--max-degree", "4"])
@@ -332,6 +348,15 @@ def _benchmark_inputs():
 def test_beilinson_files_match_hkr(tmp_path, n, field):
     """CLI cohomology and homology of the generated Beilinson P^3 and P^4
     files equal the HKR closed forms."""
+    _check_beilinson_file_against_hkr(tmp_path, n, field)
+
+
+def test_beilinson_p5_file_matches_hkr(tmp_path):
+    """The same for P^5 (dim 792) over Q."""
+    _check_beilinson_file_against_hkr(tmp_path, 5, {"kind": "q"})
+
+
+def _check_beilinson_file_against_hkr(tmp_path, n, field):
     inputs = _benchmark_inputs()
     p = tmp_path / "pn.json"
     p.write_text(json.dumps(inputs.beilinson_quiver_doc(n, field, seed=1)))

@@ -17,7 +17,9 @@ words are the normal words of the deg-lex order (G. Bergman, The diamond
 lemma for ring theory, Adv. Math. 29 (1978)): the words that lead no
 element of I.  Every prefix of a normal word is normal, so extending the
 residue words of length L-1 reaches all of them, and every normal form is
-the one modulo all of I.
+the one modulo all of I.  The quotient is graded by length, so rad^N is
+spanned by the words of length >= N: the build records the radical's
+nilpotency index, 1 + the longest residue word.
 """
 
 from __future__ import annotations
@@ -163,26 +165,13 @@ class Algebra:
         for i, xi in x.items():
             for j, yj in y.items():
                 cell = product(i, j)
-                if not cell:
-                    continue
-                c = f.mul(xi, yj)
-                for k, v in cell.items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, v))
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                if cell:
+                    axpy(f, out, cell, f.mul(xi, yj))
         return out
 
     def add(self, x: dict, y: dict) -> dict:
-        f = self.field
         out = dict(x)
-        for k, v in y.items():
-            s = f.add(out.get(k, f.zero), v)
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        axpy(self.field, out, y, self.field.one)
         return out
 
     def scale(self, x: dict, c) -> dict:
@@ -237,7 +226,11 @@ class Algebra:
                             f"{self.labels[k]}")
 
     def radical_nilpotency_index(self):
-        """Least N with rad^N = 0."""
+        """Least N with rad^N = 0: recorded by build_path_algebra, found by
+        multiplying out the powers of the radical for any other algebra."""
+        n = self._cache.get("radical_nilpotency_index")
+        if n is not None:
+            return n
         f = self.field
         by_left = _lines(self.mult, 0)
         current = [{k: f.one} for k in self.radical_indices()]
@@ -524,7 +517,9 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
             amap[ka] = {pos[m]: v for m, v in reducer.normal_form({n: one}).items()}
         levels.append(list(pos.values()))
         if pos and length > cap:
-            raise NotFiniteDimensional(f"path strata still alive at length {cap}")
+            raise NotFiniteDimensional(
+                f"length cap {cap} reached: a residue word of length "
+                f"{length} survives")
 
     basis_paths = [None] * nv + [tuple(arrows[a].name for a in p) for p in paths[nv:]]
     labels = [f"e({v})" for v in quiver.vertices] + [
@@ -548,25 +543,49 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
             pq = extend(mult.get((prefix[i], j), {}), paths[i][-1:])
             if pq:
                 mult[(i, j)] = pq
-    return PathAlgebra(field, labels, mult, list(range(nv)),
-                       quiver.vertices, quiver, relations, basis_paths)
+    alg = PathAlgebra(field, labels, mult, list(range(nv)),
+                      quiver.vertices, quiver, relations, basis_paths)
+    # graded by length, so rad^N is spanned by the words of length >= N
+    alg._cache["radical_nilpotency_index"] = len(levels) - 1  # 1 + longest
+    return alg
+
+
+def _radical_generators(alg):
+    """Basis elements g with rad = sum_g g L = sum_g L g, so that rad . X is
+    spanned by the g . x for every submodule X of a free module, and a
+    graded subspace that every g maps into itself is a submodule: the
+    arrows of a path algebra (a path is an arrow times a path, and a path
+    times an arrow); over B (x) C^op the g (x) e_w and e_v (x) h for such
+    generators g of B and h of C; the whole radical basis otherwise."""
+    if isinstance(alg, TensorOpposite):
+        b, c = alg.factors
+        return ([alg.pair_index(g, e) for g in _radical_generators(b)
+                 for e in c.idempotents]
+                + [alg.pair_index(e, h) for e in b.idempotents
+                   for h in _radical_generators(c)])
+    if isinstance(alg, PathAlgebra):
+        return [k for k, p in enumerate(alg.basis_paths) if p and len(p) == 1]
+    return alg.radical_indices()
 
 
 def center(a: Algebra):
-    """(dimension, basis vectors) of the center {z : zx = xz for all x}."""
+    """(dimension, basis vectors) of the center {z : zx = xz for all x}.
+    z commutes with the e_v exactly when it lies in the sum of the e_v A
+    e_v, and then it is central exactly when it commutes with the radical
+    generators, which generate A with the e_v."""
     f = a.field
-    # row i * dim + k, column j: the b_k coefficient of b_j b_i - b_i b_j
-    entries = {}
-    for (i, j), x in a.mult.items():
-        for k, v in x.items():
-            key = (j * a.dim + k, i)
-            entries[key] = f.add(entries.get(key, f.zero), v)
-            key = (i * a.dim + k, j)
-            entries[key] = f.sub(entries.get(key, f.zero), v)
-    m = Matrix.from_entries(f, a.dim * a.dim, a.dim, entries)
-    from .linalg import rank_kernel_image
-    _, kernel, _ = rank_kernel_image(m)
-    basis = [dict(kernel.cols[j]) for j in range(kernel.ncols)]
+    diag = [k for k in range(a.dim) if a.src[k] == a.tgt[k]]
+    gens = _radical_generators(a)
+    # row r * dim + k, column n: the b_k coefficient of b_d g_r - g_r b_d, d = diag[n]
+    cols = []
+    for d in diag:
+        col = {}
+        for r, g in enumerate(gens):
+            for x, c in ((a.product(d, g), f.one), (a.product(g, d), f.neg(f.one))):
+                axpy(f, col, {r * a.dim + k: v for k, v in x.items()}, c)
+        cols.append(col)
+    kernel = ColumnEchelon(Matrix(f, len(gens) * a.dim, len(diag), cols)).kernel_basis()
+    basis = [{diag[n]: c for n, c in z.items()} for z in kernel]
     return len(basis), basis
 
 

@@ -29,8 +29,8 @@ Sign conventions used throughout:
 
 from __future__ import annotations
 
-from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, TensorOpposite,
-                      _lines)
+from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, _lines,
+                      _radical_generators)
 from .linalg import (ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy,
                      rank)
 
@@ -361,14 +361,9 @@ def _as_modules(Y):
     alg = Y.algebra
     f = alg.field
     if isinstance(Y, ModuleComplex):
-        actions = {j: M.action for j, M in Y.modules.items()}
-
-        def act(j, a, m):
-            img = {}
-            for k, c in a.items():
-                axpy(f, img, actions[j][k].cols[m], c)
-            return img
-        return ({j: M.grading for j, M in Y.modules.items()}, Y.diffs, act)
+        modules = Y.modules
+        return ({j: M.grading for j, M in modules.items()}, Y.diffs,
+                lambda j, a, m: modules[j].act(a, {m: f.one}))
     bases, index = Y.realize_bases(), Y.realize_index()
 
     def act(j, a, m):
@@ -882,7 +877,7 @@ def tensor_right_module_complex(F: ProjComplex, Ycx: ModuleComplex) -> FieldComp
 
     def x_image(z, m, M):
         for zi, c in z.items():
-            for m2, c2 in M.action[zi].cols[m].items():
+            for m2, c2 in M.column(zi, m).items():
                 yield m2, None, f.mul(c, c2)
 
     def y_image(dM, m, v):
@@ -922,7 +917,7 @@ def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> Mod
             cols = []
             for (p, _, _, (m, r)) in slots:
                 cols.append({slots[(p, 0, 0, (m2, r))]: c for m2, c
-                             in Ycx.modules[p].action[i].cols[m].items()})
+                             in Ycx.modules[p].column(i, m).items()})
             action.append(Matrix(f, len(slots), len(slots), cols))
         mods[n] = ModuleRep(alg, len(slots), action, grading[n], check=False)
     return ModuleComplex(alg, mods, _field_diffs(f, index, entries),
@@ -1162,24 +1157,6 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
 # Minimal projective resolutions of modules
 
 
-def _radical_generators(alg):
-    """Basis elements g with rad = sum_g g L = sum_g L g, so that rad . X is
-    spanned by the g . x for every submodule X of a free module, and a
-    graded subspace that every g maps into itself is a submodule: the
-    arrows of a path algebra (a path is an arrow times a path, and a path
-    times an arrow); over B (x) C^op the g (x) e_w and e_v (x) h for such
-    generators g of B and h of C; the whole radical basis otherwise."""
-    if isinstance(alg, TensorOpposite):
-        b, c = alg.factors
-        return ([alg.pair_index(g, e) for g in _radical_generators(b)
-                 for e in c.idempotents]
-                + [alg.pair_index(e, h) for e in b.idempotents
-                   for h in _radical_generators(c)])
-    if isinstance(alg, PathAlgebra):
-        return [k for k, p in enumerate(alg.basis_paths) if p and len(p) == 1]
-    return alg.radical_indices()
-
-
 def _free_action(alg, basis):
     """Left multiplication on realize(P), basis the pairs (s, y) of a
     summand s and a basis element y of it: act(b, w) is b . w."""
@@ -1190,13 +1167,7 @@ def _free_action(alg, basis):
         out = {}
         for p, c in w.items():
             s, y = basis[p]
-            for y2, c2 in alg.product(b, y).items():
-                k = index[(s, y2)]
-                v = f.add(out.get(k, f.zero), f.mul(c, c2))
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+            axpy(f, out, {index[s, y2]: c2 for y2, c2 in alg.product(b, y).items()}, c)
         return out
     return act
 
@@ -1239,10 +1210,7 @@ def projective_resolution(M, length: int) -> ProjComplex:
         return gens
 
     def act(b, w):
-        out = {}
-        for m, c in w.items():
-            axpy(f, out, M.action[b].cols[m], c)
-        return out
+        return M.act({b: f.one}, w)
 
     dim = M.dim   # of the space Omega lives in
     gens = generators([(v, {m: f.one}) for m, v in enumerate(M.grading)],

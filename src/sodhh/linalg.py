@@ -264,31 +264,14 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        f = self.field
-        cols = []
-        for bc in other.cols:
-            acc: dict = {}
-            for k, bv in bc.items():
-                for i, av in self.cols[k].items():
-                    s = f.add(acc.get(i, f.zero), f.mul(av, bv))
-                    if s:
-                        acc[i] = s
-                    elif i in acc:
-                        del acc[i]
-            cols.append(acc)
-        return Matrix(f, self.nrows, other.ncols, cols)
+        return Matrix(self.field, self.nrows, other.ncols,
+                      [self.apply(bc) for bc in other.cols])
 
     def apply(self, coldict):
         """Image of a sparse vector {index: scalar} under this matrix."""
-        f = self.field
         acc: dict = {}
         for k, x in coldict.items():
-            for i, v in self.cols[k].items():
-                s = f.add(acc.get(i, f.zero), f.mul(v, x))
-                if s:
-                    acc[i] = s
-                elif i in acc:
-                    del acc[i]
+            axpy(self.field, acc, self.cols[k], x)
         return acc
 
 

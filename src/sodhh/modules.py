@@ -4,7 +4,9 @@ A ModuleRep is a *left* module over its acting algebra, given by one
 action matrix per basis element; right modules are left modules over the
 opposite algebra.  A (B,C)-bimodule is a Bimodule: a left module over
 B (x) C^op stored as a pair of commuting action lists, `left[i]` for
-b_i (x) 1 and `right[j]` for 1 (x) c_j.  Module bases are vertex-graded:
+b_i (x) 1 and `right[j]` for 1 (x) c_j.  The action is read one column
+at a time (`column`, `act`), on a bimodule as L_i applied to a column of
+R_j; only whole-matrix readers form L_i R_j.  Module bases are vertex-graded:
 basis vector m is fixed by the idempotent of `grading[m]` and killed by
 the others, which keeps every Hom computation block-sparse.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 from .algebra import (Algebra, PathAlgebra, TensorOpposite, _lines,
                       algebra_from_structure, tensor_opposite)
 from .complexes import SideMismatch
-from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, rank_kernel_image
+from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, axpy, rank_kernel_image
 
 
 class ModuleAxiomError(ValueError):
@@ -69,10 +71,24 @@ class ModuleRep:
         for m in range(self.dim):
             _check_fixed(self.action[alg.idempotents[self.grading[m]]], m, "module")
 
+    def column(self, k, m):
+        """b_k applied to basis vector m: column m of action[k], read only."""
+        return self.action[k].cols[m]
+
+    def act(self, a, w):
+        """a . w for an algebra element a and a vector w, both sparse."""
+        f = self.algebra.field
+        out = {}
+        for k, x in a.items():
+            for m, y in w.items():
+                axpy(f, out, self.column(k, m), f.mul(x, y))
+        return out
+
 
 class _PairAction:
     """Action matrices L_i R_j of the basis elements b_i (x) c_j of a
-    bimodule, each built when first indexed and then cached."""
+    bimodule, each built when first indexed and then cached; readers of
+    one column use Bimodule.column instead."""
 
     __slots__ = ("env", "left", "right", "cache")
 
@@ -124,6 +140,12 @@ class Bimodule(ModuleRep):
                     raise ModuleAxiomError(
                         f"left and right actions do not commute on "
                         f"{b.labels[i]}, {c.labels[j]}")
+
+    def column(self, k, m):
+        """Column m of L_i R_j for k = b_i (x) c_j, read as L_i applied to
+        column m of R_j: the product L_i R_j is not formed."""
+        i, j = self.algebra.index_pair(k)
+        return self.left[i].apply(self.right[j].cols[m])
 
 
 def simple_module(A: Algebra, v: int) -> ModuleRep:

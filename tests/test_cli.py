@@ -371,6 +371,35 @@ def _check_beilinson_file_against_hkr(tmp_path, n, field):
         assert report.data[key]["dims"] == closed(n, max_degree)
 
 
+def test_hh_of_generated_p3_forms_no_pair_product(tmp_path, monkeypatch):
+    """cohomology and homology read bimodule actions one column at a time:
+    no whole L_i R_j product is built."""
+    from sodhh import modules
+    built = []
+    monkeypatch.setattr(modules._PairAction, "__getitem__",
+                        lambda self, k: built.append(k))
+    p = tmp_path / "p3.json"
+    p.write_text(json.dumps(
+        _benchmark_inputs().beilinson_quiver_doc(3, {"kind": "q"}, seed=1)))
+    for command in ("cohomology", "homology"):
+        code, _ = run_command([command, "--file", str(p)])
+        assert code == 0
+    assert built == []
+
+
+def test_length_cap_exit_2_names_word_and_cap(tmp_path):
+    """k[x]/(x^6) reaches the length cap 4 with the word x^5."""
+    p = tmp_path / "x6.json"
+    p.write_text(json.dumps({
+        "field": {"kind": "q"}, "vertices": ["1"],
+        "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "relations": [[{"coeff": "1", "path": ["x"] * 6}]]}))
+    code, report = run_command(["info", "--file", str(p)])
+    assert code == 2
+    assert report.data["error"] == ("length cap 4 reached: a residue word of "
+                                    "length 5 survives")
+
+
 def test_negative_max_degree_is_rejected_at_parse_time(capsys):
     from sodhh.cli import main
     code = main(["cohomology", "--catalog", "kronecker2", "--max-degree", "-3"])

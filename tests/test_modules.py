@@ -121,6 +121,31 @@ def test_tensor_env_module_matches_dense(algebras, name):
             M.check_axioms()
 
 
+def assert_columns_match(M, dense):
+    """column(k, m) is column m of L_i R_j and of the dense reference."""
+    for k, mat in enumerate(dense):
+        full = M.action[k]
+        for m in range(M.dim):
+            assert M.column(k, m) == full.cols[m] == mat.cols[m], (k, m)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_column_read_matches_pair_products(algebras, name):
+    A = algebras[name]
+    D = dual_bimodule(A)
+    D_dense = dense_dual(A)
+    assert_columns_match(regular_bimodule(A), dense_regular(A))
+    assert_columns_match(D, D_dense)
+    complexes = [bar_resolution(A, 2)]
+    if name != "loop-x2":   # no exceptional collection
+        for K in projection_kernels(projective_collection(A)):
+            complexes.append(decomposable_to_env(K.left, K.right))
+    for P in complexes:
+        dense = dense_tensor_env(A, P, D, D_dense)
+        for p, M in tensor_env_module(P, D).modules.items():
+            assert_columns_match(M, dense[p])
+
+
 def loop_pair(left_x, right_x):
     loop = CATALOG["loop-x2"].algebra(QQ)
     x = next(k for k in range(loop.dim) if k not in loop.idempotents)

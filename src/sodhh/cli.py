@@ -332,11 +332,12 @@ def cmd_serre_check(args, report):
     resolutions = {v: projective_resolution(simple_module(A, v), n + 1)
                    for v in range(A.num_vertices)}
     probes += [("S", v, resolutions[v]) for v in range(A.num_vertices)]
+    twisted = [serre_twist_left(Y) for _, _, Y in probes]
     table = {}
     ok = True
     for kx, vx, X in probes:
-        for ky, vy, Y in probes:
-            lhs = ext_profile(X, serre_twist_left(Y))
+        for (ky, vy, Y), SY in zip(probes, twisted):
+            lhs = ext_profile(X, SY)
             rhs = ext_profile(Y, X)
             match = all(lhs.get(d, 0) == rhs.get(-d, 0)
                         for d in range(-n, n + 1))

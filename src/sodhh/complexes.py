@@ -730,7 +730,6 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     A, _ = env.factors
     f = A.field
     sides = [env.vertex_pair(code) for code in M.grading]
-    by_right = _lines(A.mult, 1)
     blocks = {}   # degree -> list of (summand, a, m) basis
     pos = {}
     mods = {}
@@ -748,34 +747,15 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
         index = pos[p] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
-        # only the nonzero columns are allocated, the others are ZERO_COLUMN
-        n = len(basis)
-        left_cols = [[ZERO_COLUMN] * n for _ in range(A.dim)]
-        for col, (s, a, m) in enumerate(basis):
-            for i, x in by_right.get(a, ()):   # b_i a
-                cell = {}
-                for a2, c in x.items():
-                    r = index.get((s, a2, m))
-                    if r is not None:
-                        cell[r] = c
-                if cell:
-                    left_cols[i][col] = cell
-        left = [Matrix(f, n, n, cols) for cols in left_cols]
-        right = []
-        for j in range(A.dim):
-            m_cols = M.right[j].cols
-            cols = [ZERO_COLUMN] * n
-            for col, (s, a, m) in enumerate(basis):
-                if m_cols[m]:
-                    cell = {}
-                    for m2, c in m_cols[m].items():
-                        r = index.get((s, a, m2))
-                        if r is not None:
-                            cell[r] = c
-                    if cell:
-                        cols[col] = cell
-            right.append(Matrix(f, n, n, cols))
-        mods[p] = Bimodule(env, n, left, right, grading, check=False)
+
+        def left(i, col, basis=basis, index=index):   # b_i a (x) m
+            s, a, m = basis[col]
+            return {index[(s, a2, m)]: c for a2, c in A.product(i, a).items()}
+
+        def right(j, col, basis=basis, index=index):  # a (x) m b_j
+            s, a, m = basis[col]
+            return {index[(s, a, m2)]: c for m2, c in M.right_col(j, m).items()}
+        mods[p] = Bimodule(env, len(basis), left, right, grading, check=False)
     diffs = {}
     for p, d in P.diffs.items():
         if p not in mods or (p + 1) not in mods:
@@ -786,10 +766,8 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
         for col, (s, a, m) in enumerate(blocks[p]):
             for i1, x in d_cols.get(s, ()):
                 for (xi, yi, cf) in env.terms(x):
-                    prod = A.multiply({a: f.one}, {xi: f.one})
-                    # left action of y on e_w M
-                    yact = M.left[yi].cols[m]
-                    for a2, c1 in prod.items():
+                    yact = M.left_col(yi, m)   # left action of y on e_w M
+                    for a2, c1 in A.product(a, xi).items():
                         for m2, c2 in yact.items():
                             r = tgt_pos.get((i1, a2, m2))
                             if r is not None:
@@ -805,19 +783,17 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
     """DA (x)_A X for a left-module complex X: the Serre functor applied
     termwise (DA (x)_A A e_v = D(e_v A), which is injective, not
     projective)."""
-    from .modules import ModuleRep
+    from .modules import ModuleRep, _dual_columns
     A = X.algebra
     f = A.field
     blocks = {}
     pos = {}
     mods = {}
-    by_left = _lines(A.mult, 0)
+    dual_left, dual_right = _dual_columns(A, 1), _dual_columns(A, 0)
     for q, t in X.terms.items():
         basis = []
         grading = []
-        at_vertex = {}   # vertex -> summands of X^q at it
         for s, v in enumerate(t):
-            at_vertex.setdefault(v, []).append(s)
             for p in range(A.dim):
                 if A.tgt[p] == v:   # duals of e_v A
                     basis.append((s, p))
@@ -826,20 +802,12 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
         index = pos[q] = {b: i for i, b in enumerate(basis)}
         if not basis:
             continue
-        # (b_i . p*)(x) = p*(x b_i); only the nonzero columns are allocated
-        cols = [[ZERO_COLUMN] * len(basis) for _ in range(A.dim)]
-        for (x, i), prod in A.mult.items():
-            for p, c in prod.items():
-                for s in at_vertex.get(A.tgt[p], ()):
-                    r = index.get((s, x))
-                    if r is not None:
-                        at = index[(s, p)]
-                        col = cols[i][at]
-                        if col is ZERO_COLUMN:
-                            col = cols[i][at] = {}
-                        col[r] = c
-        action = [Matrix(f, len(basis), len(basis), c) for c in cols]
-        mods[q] = ModuleRep(A, len(basis), action, tuple(grading), check=False)
+
+        def column(i, col, basis=basis, index=index):
+            s, p = basis[col]   # (b_i . p*)(x) = p*(x b_i)
+            return {index[(s, k)]: c
+                    for k, c in dual_left.get((i, p), ZERO_COLUMN).items()}
+        mods[q] = ModuleRep(A, len(basis), column, tuple(grading), check=False)
     diffs = {}
     for q, d in X.diffs.items():
         if q not in mods or (q + 1) not in mods:
@@ -851,14 +819,12 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
             for i1, x in d_cols.get(s, ()):
                 # induced map g -> g . x on duals: (g.x)(z) = g(x z)
                 for xi, cf in x.items():
-                    for z, prod in by_left.get(xi, ()):
-                        c = prod.get(p)
-                        if c:
-                            r = tgt_pos.get((i1, z))
-                            if r is not None:
-                                key = (r, col)
-                                entries[key] = f.add(entries.get(key, f.zero),
-                                                     f.mul(cf, c))
+                    for z, c in dual_right.get((xi, p), ZERO_COLUMN).items():
+                        r = tgt_pos.get((i1, z))
+                        if r is not None:
+                            key = (r, col)
+                            entries[key] = f.add(entries.get(key, f.zero),
+                                                 f.mul(cf, c))
         diffs[q] = Matrix.from_entries(f, len(blocks[q + 1]), len(blocks[q]), entries)
     return ModuleComplex(A, mods, diffs, check=False)
 
@@ -912,14 +878,11 @@ def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> Mod
                                             y_image)
     mods = {}
     for n, slots in index.items():
-        action = []
-        for i in range(alg.dim):
-            cols = []
-            for (p, _, _, (m, r)) in slots:
-                cols.append({slots[(p, 0, 0, (m2, r))]: c for m2, c
-                             in Ycx.modules[p].column(i, m).items()})
-            action.append(Matrix(f, len(slots), len(slots), cols))
-        mods[n] = ModuleRep(alg, len(slots), action, grading[n], check=False)
+        def column(i, col, slots=slots, keys=list(slots)):
+            p, _, _, (m, r) = keys[col]
+            return {slots[(p, 0, 0, (m2, r))]: c
+                    for m2, c in Ycx.modules[p].column(i, m).items()}
+        mods[n] = ModuleRep(alg, len(slots), column, grading[n], check=False)
     return ModuleComplex(alg, mods, _field_diffs(f, index, entries),
                          check=False)
 

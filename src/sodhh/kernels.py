@@ -252,7 +252,7 @@ def _dual_as_left(A: Algebra) -> ModuleRep:
     """DA with only its left A-action (grading by the left vertex)."""
     D = dual_bimodule(A)
     grading = tuple(D.algebra.vertex_pair(code)[0] for code in D.grading)
-    return ModuleRep(A, D.dim, D.left, grading, check=False)
+    return ModuleRep(A, D.dim, D.left_col, grading, check=False)
 
 
 def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:

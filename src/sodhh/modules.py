@@ -1,19 +1,24 @@
 """Finite-dimensional module representations.
 
-A ModuleRep is a *left* module over its acting algebra, given by one
-action matrix per basis element; right modules are left modules over the
-opposite algebra.  A (B,C)-bimodule is a Bimodule: a left module over
-B (x) C^op stored as a pair of commuting action lists, `left[i]` for
-b_i (x) 1 and `right[j]` for 1 (x) c_j.  The action is read one column
-at a time (`column`, `act`), on a bimodule as L_i applied to a column of
-R_j; only whole-matrix readers form L_i R_j.  Module bases are vertex-graded:
+A ModuleRep is a *left* module over its acting algebra, read one column
+at a time: `column(k, m)` is b_k applied to basis vector m.  Its action
+is given either as one action matrix per basis element (files,
+`bimodule_from_actions`) or as a column function that computes a column
+from the algebra's structure when it is read (the regular, dual, simple
+and twisted modules), which stores no action matrix.  `action[k]` is
+built from the columns when first indexed, for whole-matrix readers only.
+Right modules are left modules over the opposite algebra.  A
+(B,C)-bimodule is a Bimodule, a left module over B (x) C^op given by a
+pair of commuting actions: `left_col` for b_i (x) 1 and `right_col` for
+1 (x) c_j, the column of b_i (x) c_j being `left_col` applied to the
+entries of a column of `right_col`.  Module bases are vertex-graded:
 basis vector m is fixed by the idempotent of `grading[m]` and killed by
 the others, which keeps every Hom computation block-sparse.
 """
 
 from __future__ import annotations
 
-from .algebra import (Algebra, PathAlgebra, TensorOpposite, _lines,
+from .algebra import (Algebra, PathAlgebra, TensorOpposite,
                       algebra_from_structure, tensor_opposite)
 from .complexes import SideMismatch
 from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, axpy, rank_kernel_image
@@ -48,19 +53,61 @@ def _check_fixed(mat, m, what):
         raise ModuleAxiomError(f"{what}: basis is not graded as declared")
 
 
-class ModuleRep:
-    """A left module given by one dim x dim action matrix per basis
-    element of its algebra.  Used for one-sided modules; bimodules are
-    Bimodule."""
+class _Actions:
+    """The action matrices of a column function col(i, m) as a read-only
+    sequence: matrix i, whose column m is col(i, m), is built when first
+    indexed and then cached.  The one whole-matrix view of an action."""
 
-    __slots__ = ("algebra", "dim", "action", "grading")
+    __slots__ = ("field", "length", "dim", "col", "cache")
+
+    def __init__(self, field, length, dim, col):
+        self.field = field
+        self.length = length
+        self.dim = dim
+        self.col = col
+        self.cache = {}
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, i):
+        mat = self.cache.get(i)
+        if mat is None:
+            if not 0 <= i < self.length:
+                raise IndexError(i)
+            col = self.col
+            mat = self.cache[i] = Matrix(self.field, self.dim, self.dim,
+                                         [col(i, m) for m in range(self.dim)])
+        return mat
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.length))
+
+
+def _columns(alg: Algebra, dim, action):
+    """(column function, matrices) of an action of alg given either as one
+    Matrix per basis element or as its column function col(i, m)."""
+    if callable(action):
+        return action, _Actions(alg.field, alg.dim, dim, action)
+    mats = list(action)
+    if len(mats) != alg.dim:
+        raise ModuleAxiomError("action or grading has the wrong length")
+    return (lambda i, m: mats[i].cols[m]), mats
+
+
+class ModuleRep:
+    """A left module given by its action, as matrices or as a column
+    function (see the module docstring).  Used for one-sided modules;
+    bimodules are Bimodule."""
+
+    __slots__ = ("algebra", "dim", "action", "grading", "_column")
 
     def __init__(self, algebra: Algebra, dim: int, action, grading, check=True):
         self.algebra = algebra
         self.dim = dim
-        self.action = action  # indexable by algebra basis element: a dim x dim Matrix
+        self._column, self.action = _columns(algebra, dim, action)
         self.grading = tuple(grading)
-        if len(self.action) != algebra.dim or len(self.grading) != dim:
+        if len(self.grading) != dim:
             raise ModuleAxiomError("action or grading has the wrong length")
         if check:
             self.check_axioms()
@@ -72,55 +119,49 @@ class ModuleRep:
             _check_fixed(self.action[alg.idempotents[self.grading[m]]], m, "module")
 
     def column(self, k, m):
-        """b_k applied to basis vector m: column m of action[k], read only."""
-        return self.action[k].cols[m]
+        """b_k applied to basis vector m, read only: it may be a column
+        of the algebra's own table."""
+        return self._column(k, m)
 
     def act(self, a, w):
         """a . w for an algebra element a and a vector w, both sparse."""
         f = self.algebra.field
+        column = self._column
         out = {}
         for k, x in a.items():
             for m, y in w.items():
-                axpy(f, out, self.column(k, m), f.mul(x, y))
+                axpy(f, out, column(k, m), f.mul(x, y))
         return out
 
 
-class _PairAction:
-    """Action matrices L_i R_j of the basis elements b_i (x) c_j of a
-    bimodule, each built when first indexed and then cached; readers of
-    one column use Bimodule.column instead."""
+def _pair_column(env: TensorOpposite, left_col, right_col):
+    """The column function of b_i (x) c_j: L_i applied to column m of R_j,
+    so that no product L_i R_j is formed."""
+    f = env.field
+    index_pair = env.index_pair
 
-    __slots__ = ("env", "left", "right", "cache")
-
-    def __init__(self, env, left, right):
-        self.env = env
-        self.left = left
-        self.right = right
-        self.cache = {}
-
-    def __len__(self):
-        return len(self.left) * len(self.right)
-
-    def __getitem__(self, k):
-        mat = self.cache.get(k)
-        if mat is None:
-            i, j = self.env.index_pair(k)
-            mat = self.cache[k] = self.left[i].mul(self.right[j])
-        return mat
+    def column(k, m):
+        i, j = index_pair(k)
+        out = {}
+        for m2, c in right_col(j, m).items():
+            axpy(f, out, left_col(i, m2), c)
+        return out
+    return column
 
 
 class Bimodule(ModuleRep):
-    """A (B,C)-bimodule: commuting lists `left` (b_i (x) 1, a left
-    B-action) and `right` (1 (x) c_j, a right C-action) over the algebra
-    B (x) C^op; `action[k]` of b_i (x) c_j is L_i R_j, built on demand."""
+    """A (B,C)-bimodule over B (x) C^op: commuting actions `left` (b_i (x)
+    1, a left B-action) and `right` (1 (x) c_j, a right C-action), each
+    given as matrices or as a column function (`left_col`, `right_col`)."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "left_col", "right_col")
 
     def __init__(self, env: TensorOpposite, dim: int, left, right, grading,
                  check=True):
-        self.left = list(left)
-        self.right = list(right)
-        super().__init__(env, dim, _PairAction(env, self.left, self.right),
+        b, c = env.factors
+        self.left_col, self.left = _columns(b, dim, left)
+        self.right_col, self.right = _columns(c, dim, right)
+        super().__init__(env, dim, _pair_column(env, self.left_col, self.right_col),
                          grading, check)
 
     def check_axioms(self):
@@ -141,59 +182,47 @@ class Bimodule(ModuleRep):
                         f"left and right actions do not commute on "
                         f"{b.labels[i]}, {c.labels[j]}")
 
-    def column(self, k, m):
-        """Column m of L_i R_j for k = b_i (x) c_j, read as L_i applied to
-        column m of R_j: the product L_i R_j is not formed."""
-        i, j = self.algebra.index_pair(k)
-        return self.left[i].apply(self.right[j].cols[m])
-
 
 def simple_module(A: Algebra, v: int) -> ModuleRep:
-    """The simple module at v: e_v acts as 1, every other basis element by
-    one shared zero matrix (matrices are immutable values)."""
-    f = A.field
-    action = [Matrix.zeros(f, 1, 1)] * A.dim
-    action[A.idempotents[v]] = Matrix.identity(f, 1)
-    return ModuleRep(A, 1, action, (v,), check=False)
+    """The simple module at v: e_v acts as 1, every other basis element as
+    zero."""
+    e, unit = A.idempotents[v], {0: A.field.one}
+    return ModuleRep(A, 1, lambda k, m: unit if k == e else ZERO_COLUMN, (v,),
+                     check=False)
 
 
 def regular_bimodule(A: Algebra) -> Bimodule:
-    """A as a bimodule over itself: the diagonal."""
+    """A as a bimodule over itself, the diagonal: column m of L_i is the
+    product b_i b_m and of R_j the product b_m b_j, read from A's table."""
     env = A.enveloping()
-    left = _product_actions(A, _lines(A.mult, 0))    # b_k |-> b_i b_k
-    right = _product_actions(A, _lines(A.mult, 1))   # b_k |-> b_k b_j
+    mult = A.mult
     grading = tuple(env.vertex(A.tgt[k], A.src[k]) for k in range(A.dim))
-    return Bimodule(env, A.dim, left, right, grading, check=False)
+    return Bimodule(env, A.dim, lambda i, m: mult.get((i, m), ZERO_COLUMN),
+                    lambda j, m: mult.get((m, j), ZERO_COLUMN), grading,
+                    check=False)
 
 
-def _product_actions(A: Algebra, lines, dual=False):
-    """Per i, the matrix of b_k |-> x on A, x the product grouped under i
-    with other factor k; with `dual`, its transpose p* |-> sum_k
-    coeff_p(x) k* on DA.  Only the nonzero columns are allocated; the
-    others are the shared ZERO_COLUMN."""
-    mats = []
-    for i in range(A.dim):
-        cols = [ZERO_COLUMN] * A.dim
-        for k, x in lines.get(i, ()):
-            if dual:
-                for p, c in x.items():
-                    col = cols[p]
-                    if col is ZERO_COLUMN:
-                        col = cols[p] = {}
-                    col[k] = c
-            else:
-                cols[k] = dict(x)
-        mats.append(Matrix(A.field, A.dim, A.dim, cols))
-    return mats
+def _dual_columns(A: Algebra, axis):
+    """The action of A on DA as {(i, p): column}, the column of b_i at the
+    basis vector p*: {k: coeff_p(b_k b_i)} for the left action (axis 1,
+    (b_i.f)(x) = f(x b_i)) and {k: coeff_p(b_i b_k)} for the right one
+    (axis 0, (f.b_i)(x) = f(b_i x)); built once over the nonzero products."""
+    out = {}
+    for pair, x in A.mult.items():
+        i, k = pair[axis], pair[1 - axis]
+        for p, c in x.items():
+            out.setdefault((i, p), {})[k] = c
+    return out
 
 
 def dual_bimodule(A: Algebra) -> Bimodule:
     """DA = Hom_k(A, k) with (a.f.b)(x) = f(b x a); the Serre kernel."""
     env = A.enveloping()
-    left = _product_actions(A, _lines(A.mult, 1), dual=True)    # (b_i.f)(x) = f(x b_i)
-    right = _product_actions(A, _lines(A.mult, 0), dual=True)   # (f.b_j)(x) = f(b_j x)
+    left, right = _dual_columns(A, 1), _dual_columns(A, 0)
     grading = tuple(env.vertex(A.src[k], A.tgt[k]) for k in range(A.dim))
-    return Bimodule(env, A.dim, left, right, grading, check=False)
+    return Bimodule(env, A.dim, lambda i, p: left.get((i, p), ZERO_COLUMN),
+                    lambda j, p: right.get((j, p), ZERO_COLUMN), grading,
+                    check=False)
 
 
 def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,

@@ -372,18 +372,22 @@ def _check_beilinson_file_against_hkr(tmp_path, n, field):
 
 
 def test_hh_of_generated_p3_forms_no_pair_product(tmp_path, monkeypatch):
-    """cohomology and homology read bimodule actions one column at a time:
-    no whole L_i R_j product is built."""
+    """cohomology and homology of generated P^3 and kernels additivity of
+    generated P^2 read every action one column at a time: no whole action
+    matrix is built, neither of a bimodule nor of a one-sided module."""
     from sodhh import modules
     built = []
-    monkeypatch.setattr(modules._PairAction, "__getitem__",
+    monkeypatch.setattr(modules._Actions, "__getitem__",
                         lambda self, k: built.append(k))
-    p = tmp_path / "p3.json"
-    p.write_text(json.dumps(
-        _benchmark_inputs().beilinson_quiver_doc(3, {"kind": "q"}, seed=1)))
-    for command in ("cohomology", "homology"):
-        code, _ = run_command([command, "--file", str(p)])
-        assert code == 0
+    inputs = _benchmark_inputs()
+    for n, commands in ((3, (["cohomology"], ["homology"])),
+                        (2, (["kernels", "additivity"],))):
+        p = tmp_path / f"p{n}.json"
+        p.write_text(json.dumps(
+            inputs.beilinson_quiver_doc(n, {"kind": "q"}, seed=1)))
+        for command in commands:
+            code, _ = run_command(command + ["--file", str(p)])
+            assert code == 0
     assert built == []
 
 

@@ -9,12 +9,15 @@ modules must agree with them on every index.
 import pytest
 
 from sodhh.catalog import CATALOG
-from sodhh.complexes import SideMismatch, bar_resolution, tensor_env_module
+from sodhh.complexes import (SideMismatch, bar_resolution,
+                             projective_resolution, serre_twist_left,
+                             tensor_env_module)
 from sodhh.exceptional import projective_collection
 from sodhh.kernels import decomposable_to_env, projection_kernels
 from sodhh.linalg import QQ, Matrix
 from sodhh.modules import (Bimodule, ModuleAxiomError, bimodule_from_actions,
-                           dual_bimodule, regular_bimodule, triangular_gluing)
+                           dual_bimodule, regular_bimodule, simple_module,
+                           triangular_gluing)
 
 
 def dense_regular(A):
@@ -82,6 +85,33 @@ def dense_tensor_env(A, P, M, M_dense):
     return out
 
 
+def dense_serre_twist(A, X):
+    """Per degree of X, (grading, dense actions) on DA (x)_A X^q, the sum
+    over the summands s = A e_v of D(e_v A) with basis the duals p* of the
+    p with tgt(p) = v: b_k sends p* to x |-> p*(x b_k)."""
+    f = A.field
+    out = {}
+    for q, t in X.terms.items():
+        basis = [(s, p) for s, v in enumerate(t) for p in range(A.dim)
+                 if A.tgt[p] == v]
+        if not basis:
+            continue
+        pos = {b: r for r, b in enumerate(basis)}
+        action = []
+        for k in range(A.dim):
+            cols = []
+            for (s, p) in basis:
+                col = {}
+                for x in range(A.dim):
+                    c = A.multiply({x: f.one}, {k: f.one}).get(p)
+                    if c:
+                        col[pos[(s, x)]] = c
+                cols.append(col)
+            action.append(Matrix(f, len(basis), len(basis), cols))
+        out[q] = (tuple(A.src[p] for _, p in basis), action)
+    return out
+
+
 def assert_matches(M, dense):
     assert len(M.action) == len(dense)
     for k, mat in enumerate(dense):
@@ -144,6 +174,56 @@ def test_column_read_matches_pair_products(algebras, name):
         dense = dense_tensor_env(A, P, D, D_dense)
         for p, M in tensor_env_module(P, D).modules.items():
             assert_columns_match(M, dense[p])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in CATALOG.items()
+                                         if e.has_collection))
+def test_serre_twist_matches_dense(algebras, name):
+    """Every collection object and every simple's resolution: the grading,
+    action[k] and column(k, m) on every (k, m) of each term."""
+    A = algebras[name]
+    objects = list(projective_collection(A).objects)
+    objects += [projective_resolution(simple_module(A, v), 3)
+                for v in range(A.num_vertices)]
+    for X in objects:
+        twisted = serre_twist_left(X)
+        dense = dense_serre_twist(A, X)
+        assert set(twisted.modules) == set(dense)
+        for q, M in twisted.modules.items():
+            grading, action = dense[q]
+            assert M.grading == grading
+            assert_matches(M, action)
+            assert_columns_match(M, action)
+            M.check_axioms()
+
+
+def test_reading_actions_leaves_the_table_unchanged(algebras):
+    """Columns of the regular bimodule are the table's own dicts: the axiom
+    checks, the Hom complexes of generated P^3 and the kernel calculus on
+    beilinson-p2 read them and write nothing into A.mult."""
+    from test_algebra import _beilinson_doc
+    from sodhh.catalog import structure_hash
+    from sodhh.cli import parse_quiver_document
+    from sodhh.hochschild import hh_cohomology, homology_via_serre_dual
+    from sodhh.kernels import additivity_check
+
+    def snapshot(A):
+        return {k: dict(v) for k, v in A.mult.items()}, structure_hash(A)
+
+    for A in algebras.values():
+        before = snapshot(A)
+        for M in (regular_bimodule(A), dual_bimodule(A)):
+            M.check_axioms()
+        assert snapshot(A) == before
+    A = algebras["beilinson-p2"]
+    before = snapshot(A)
+    additivity_check(A, projective_collection(A), 3)
+    assert snapshot(A) == before
+    A = parse_quiver_document(_beilinson_doc(3, {"kind": "q"})).build()
+    before = snapshot(A)
+    assert hh_cohomology(A, 4).as_tuple() == (1, 15, 45, 35, 0)
+    assert homology_via_serre_dual(A, 4).as_tuple() == (4, 0, 0, 0, 0)
+    assert snapshot(A) == before
 
 
 def loop_pair(left_x, right_x):

@@ -14,6 +14,12 @@ A kernel over A is one of
 Convolution is the derived tensor product over A; it is computed
 termwise, which is derived-correct because a contracted side is always
 projective termwise.
+
+Ext between untwisted decomposable kernels, with or without the Serre
+twist, and their K_0 classes come from the two factors over A and A^op
+(decomposable_ext, decomposable_class; Kuenneth, exact over a field).
+Their complex over A (x) A^op (decomposable_to_env) is built only by the
+general-kernel and convolution fallbacks, and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -119,6 +125,46 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
     index, terms, entries = _tensor_total(A.field, E, Fp, middle, x_image,
                                           y_image)
     return ProjComplex(env, terms, _proj_diffs(index, entries), check=True)
+
+
+def _require_untwisted(P: Kernel, what: str):
+    if P.kind != "decomposable" or P.twist is not None:
+        raise UnsupportedKernelShape(
+            f"{what} needs an untwisted decomposable kernel, got {P!r}")
+
+
+def decomposable_ext(P: Kernel, left, right) -> dict:
+    """Graded dimensions of Ext(P, left (x)_k right) over A (x) A^op for an
+    untwisted decomposable kernel P = E (x)_k F', by Kuenneth:
+
+      Ext^n(E (x) F', E' (x) G') = (+)_{p+q=n} Ext^p_A(E, E') (x) Ext^q_{A^op}(F', G'),
+
+    as Hom_{A^e}(A e_v (x) e_w A, X (x) Y) = e_v X (x) Y e_w termwise.  For
+    Q = E' (x) G', Ext(P, Q) is decomposable_ext(P, E', G') and Ext(P, Q o S)
+    is decomposable_ext(P, E', serre_twist_left(G')): Q o S = E' (x) (G'
+    (x)_A DA), and G' (x)_A DA is serre_twist_left(G') over A^op.  When the
+    A factor has no Ext the sum is zero and the A^op factor is skipped."""
+    _require_untwisted(P, "Kuenneth Ext")
+    ext_left = ext_profile(P.left, left)
+    if not ext_left:
+        return {}
+    ext_right = ext_profile(P.right, right)
+    out = {}
+    for p, a in ext_left.items():
+        for q, b in ext_right.items():
+            out[p + q] = out.get(p + q, 0) + a * b
+    return out
+
+
+def decomposable_class(P: Kernel) -> dict:
+    """K_0 class of an untwisted decomposable kernel E (x)_k F' as
+    {(v, w): c}, the multiplicity of A e_v (x) e_w A: class_E(v) *
+    class_F'(w), which is decomposable_to_env(E, F').euler_class() without
+    building that complex."""
+    _require_untwisted(P, "a product K_0 class")
+    right = P.right.euler_class()
+    return {(v, w): a * b for v, a in P.left.euler_class().items()
+            for w, b in right.items()}
 
 
 def serre_kernel(A: Algebra) -> Kernel:
@@ -275,14 +321,20 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
         t = Kernel.diagonal(A)
     elif t == "serre":
         t = Kernel.serre(A)
-    depth = n_max + 1
-    src = as_env_complex(e, depth)
-    if t.kind == "diagonal":
-        prof = ext_profile(src, src)
-    elif t.kind == "serre":
-        prof = ext_profile(src, tensor_env_module(src, t.module))
+    if e.kind == "decomposable" and e.twist is None \
+            and t.kind in ("diagonal", "serre"):
+        right = e.right if t.kind == "diagonal" else serre_twist_left(e.right)
+        prof = decomposable_ext(e, e.left, right)
     else:
-        prof = ext_profile(src, tensor_env_env(src, as_env_complex(t, depth)))
+        depth = n_max + 1
+        src = as_env_complex(e, depth)
+        if t.kind == "diagonal":
+            tgt = src
+        elif t.kind == "serre":
+            tgt = tensor_env_module(src, t.module)
+        else:
+            tgt = tensor_env_env(src, as_env_complex(t, depth))
+        prof = ext_profile(src, tgt)
     for n in prof:
         if n < 0:
             raise ValueError(f"negative-degree class at {n}; not a support "
@@ -295,14 +347,24 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
 
 
 def diagonal_class(A: Algebra, cap: int = 32) -> dict:
-    """K_0 class of the diagonal, from a resolution that ends by degree
-    -cap."""
+    """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
+    A e_v (x) e_w A, from a resolution that ends by degree -cap."""
     res = diagonal_resolution(A, cap + 1)
     if -(cap + 1) in res.terms:
         raise NormalizationFailed("the diagonal resolution does not end by "
                                   f"degree -{cap}; no K_0 class for the "
                                   "diagonal")
-    return res.euler_class()
+    env = res.algebra
+    return {env.vertex_pair(code): c for code, c in res.euler_class().items()}
+
+
+def _class_sum(kernels) -> dict:
+    """Sum of the K_0 classes of untwisted decomposable kernels."""
+    total = {}
+    for P in kernels:
+        for vw, c in decomposable_class(P).items():
+            total[vw] = total.get(vw, 0) + c
+    return {vw: c for vw, c in total.items() if c}
 
 
 def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True):
@@ -311,22 +373,14 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
     sum_i [P_i] = [diagonal]."""
     A = coll.algebra
     duals, shifts = dual_collection(coll)
-    target = None
+    # the classes are compared as (v, w) pairs, so only the diagonal's
+    # resolution needs A (x) A^op
+    target = diagonal_class(A)
     kernels = None
     for extra in (0, 1, -1):
-        candidate = []
-        total = {}
-        for E, F, s in zip(coll.objects, duals, shifts):
-            Fn = F.shift(s + extra)
-            P = Kernel.decomposable(E, dualize(Fn))
-            candidate.append(P)
-            for v, c in as_env_complex(P, 0).euler_class().items():
-                total[v] = total.get(v, 0) + c
-        if target is None:
-            # resolved while the candidates hold A.enveloping(), which A
-            # itself keeps only weakly, so that both use one build of it
-            target = diagonal_class(A)
-        if {v: c for v, c in total.items() if c} == target:
+        candidate = [Kernel.decomposable(E, dualize(F.shift(s + extra)))
+                     for E, F, s in zip(coll.objects, duals, shifts)]
+        if _class_sum(candidate) == target:
             kernels = candidate
             break
     if kernels is None:
@@ -334,9 +388,7 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
             "no shift of the dual objects satisfies the K_0 identity "
             "(the collection is not full)")
     for i, P in enumerate(kernels):
-        envP = as_env_complex(P, 0)
-        prof = ext_profile(envP, envP)
-        if prof.get(0, 0) < 1:
+        if decomposable_ext(P, P.left, P.right).get(0, 0) < 1:
             raise NormalizationFailed(
                 f"Ext^0(P_{i+1}, P_{i+1}) has no identity class")
     return kernels
@@ -344,27 +396,24 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
 
 def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
     """Ext(P_i, P_j ∘ S) for all ordered pairs, plus the vanishing of the
-    adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j)."""
-    m = len(kernels)
-    env_forms = [as_env_complex(P, 0) for P in kernels]
-    A = serre.algebra
+    adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j).
+    The Serre kernel `serre` twists the right factor of P_j (see
+    decomposable_ext); that factor and P_j's adjoints are built once."""
+    twisted = [serre_twist_left(P.right) for P in kernels]
+    left_adj = [kernel_adjoint(P, "left") for P in kernels]
+    right_adj = [kernel_adjoint(P, "right") for P in kernels]
     table = {}
-    for i in range(m):
-        for j in range(m):
-            twisted = tensor_env_module(env_forms[j], serre.module)
-            prof = ext_profile(env_forms[i], twisted)
-            table[(i + 1, j + 1)] = dict(sorted(prof.items()))
     adjoint_vanishing = {}
-    for i in range(m):
-        for j in range(m):
+    for i, P in enumerate(kernels):
+        for j, Q in enumerate(kernels):
+            prof = decomposable_ext(P, Q.left, twisted[j])
+            table[(i + 1, j + 1)] = dict(sorted(prof.items()))
             if i < j:
-                conv = convolution_homology_dims(kernels[i],
-                                                 kernel_adjoint(kernels[j], "left"))
-                adjoint_vanishing[(i + 1, j + 1, "left")] = conv
+                adjoint_vanishing[(i + 1, j + 1, "left")] = \
+                    convolution_homology_dims(P, left_adj[j])
             elif i > j:
-                conv = convolution_homology_dims(kernels[i],
-                                                 kernel_adjoint(kernels[j], "right"))
-                adjoint_vanishing[(i + 1, j + 1, "right")] = conv
+                adjoint_vanishing[(i + 1, j + 1, "right")] = \
+                    convolution_homology_dims(P, right_adj[j])
     offdiag_zero = all(not prof for (i, j), prof in table.items() if i != j)
     diag_ok = all(prof == {0: 1} for (i, j), prof in table.items() if i == j)
     adj_zero = all(not v for v in adjoint_vanishing.values())
@@ -378,11 +427,7 @@ def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
 
 
 def k0_identity_check(kernels, A: Algebra) -> bool:
-    total = {}
-    for P in kernels:
-        for v, c in as_env_complex(P, 0).euler_class().items():
-            total[v] = total.get(v, 0) + c
-    return {v: c for v, c in total.items() if c} == diagonal_class(A)
+    return _class_sum(kernels) == diagonal_class(A)
 
 
 def additivity_check(A: Algebra, coll: ExceptionalCollection,
@@ -390,14 +435,10 @@ def additivity_check(A: Algebra, coll: ExceptionalCollection,
     """Degreewise HH_n(A) = sum_i dim Ext^n(P_i, P_i ∘ S); each summand is
     (1, 0, ...) for exceptional-object components."""
     kernels = projection_kernels(coll)
-    serre = Kernel.serre(A)
     hh = hh_homology(A, n_max)
-    summands = []
-    for P in kernels:
-        envP = as_env_complex(P, 0)
-        twisted = tensor_env_module(envP, serre.module)
-        prof = ext_profile(envP, twisted)
-        summands.append(HHProfile.from_dict(prof, A.field, n_max))
+    summands = [HHProfile.from_dict(
+        decomposable_ext(P, P.left, serre_twist_left(P.right)), A.field, n_max)
+        for P in kernels]
     degreewise = all(
         hh.dim(n) == sum(s.dim(n) for s in summands) for n in range(n_max + 1))
     each_point = all(s.as_tuple() == (1,) + (0,) * n_max for s in summands)

@@ -391,6 +391,61 @@ def test_hh_of_generated_p3_forms_no_pair_product(tmp_path, monkeypatch):
     assert built == []
 
 
+KERNEL_COMMANDS = (["kernels", "build"], ["kernels", "orthogonality"],
+                   ["kernels", "additivity"],
+                   ["generalized", "--coeff", "P1", "--support", "serre"])
+
+
+def test_kernel_commands_take_ext_and_classes_from_the_factors(tmp_path,
+                                                               monkeypatch):
+    """The kernel commands on generated P^2 compute Ext and K_0 classes of
+    the projection kernels over A and A^op: no kernel is expanded into a
+    complex over A (x) A^op and twisted there by DA."""
+    from sodhh import complexes, kernels
+    called = []
+    for module, name in ((kernels, "decomposable_to_env"),
+                         (kernels, "tensor_env_module"),
+                         (complexes, "tensor_env_module")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: called.append(name))
+    p = tmp_path / "p2.json"
+    p.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
+        2, {"kind": "q"}, seed=1)))
+    for command in KERNEL_COMMANDS:
+        code, _ = run_command(command + ["--file", str(p)])
+        assert code == 0, command
+    assert called == []
+
+
+def test_kernel_commands_build_the_enveloping_algebra_once(monkeypatch):
+    """A holds A (x) A^op only weakly; each kernel command builds it once
+    and shares it between its stages."""
+    from sodhh import algebra
+    built = []
+    init = algebra.TensorOpposite.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(algebra.TensorOpposite, "__init__", counting_init)
+    for command in KERNEL_COMMANDS:
+        built.clear()
+        code, _ = run_command(command + ["--catalog", "beilinson-p2"])
+        assert code == 0 and len(built) == 1, command
+
+
+def test_kernels_additivity_of_generated_p4(tmp_path):
+    """HH_* of P^4 is (5, 0, ...), the sum of five point summands."""
+    p = tmp_path / "p4.json"
+    p.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
+        4, {"kind": "q"}, seed=1)))
+    code, report = run_command(["kernels", "additivity", "--file", str(p)])
+    assert code == 0 and report.all_passed()
+    point = [1, 0, 0, 0, 0, 0, 0]
+    assert report.data["hh_homology"]["dims"] == [5, 0, 0, 0, 0, 0, 0]
+    assert [s["dims"] for s in report.data["summands"]] == [point] * 5
+
+
 def test_length_cap_exit_2_names_word_and_cap(tmp_path):
     """k[x]/(x^6) reaches the length cap 4 with the word x^5."""
     p = tmp_path / "x6.json"

@@ -1,21 +1,24 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
+from sodhh.catalog import CATALOG
 from sodhh.complexes import (ModuleHomComplex, ext_profile,
                              module_complex_single, projective_resolution,
-                             serre_twist_left, single_projective)
+                             serre_twist_left, single_projective,
+                             tensor_env_module)
 from sodhh.exceptional import (ExceptionalCollection, minimal_data,
                                projective_collection)
 from sodhh.hochschild import hh_homology
 from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            UnsupportedKernelShape, additivity_check,
-                           as_env_complex, convolution, decomposable_to_env,
+                           as_env_complex, convolution, decomposable_class,
+                           decomposable_ext, decomposable_to_env,
                            fullness_certificate, generalized_hoh,
                            k0_identity_check, kernel_adjoint, kernel_apply,
                            les_check, orthogonality_report,
                            projection_kernels, serre_kernel)
-from sodhh.linalg import QQ
-from sodhh.modules import free_gluing_bimodule, simple_module
+from sodhh.linalg import GF, QQ
+from sodhh.modules import dual_bimodule, free_gluing_bimodule, simple_module
 
 
 def kron(n):
@@ -401,3 +404,53 @@ def test_projection_kernels_keep_their_env_complex(ksB):
         envP = as_env_complex(P, 0)
         assert as_env_complex(P, 3) is envP
         assert envP.terms == decomposable_to_env(P.left, P.right).terms
+
+
+# -- Kuenneth over A and A^op against the A (x) A^op route ----------------------
+
+
+KUENNETH_CASES = ([(name, field) for field in ("q", "f3")
+                   for name, entry in CATALOG.items() if entry.has_collection]
+                  + [("generated-p2", "q"), ("generated-p3", "q")])
+
+
+def _case_algebra(name, field):
+    if name.startswith("generated-p"):
+        from sodhh.cli import parse_quiver_document
+        from test_cli import _benchmark_inputs
+        doc = _benchmark_inputs().beilinson_quiver_doc(int(name[-1]),
+                                                       {"kind": "q"}, 101)
+        return parse_quiver_document(doc).build()
+    return CATALOG[name].algebra(QQ if field == "q" else GF(3))
+
+
+@pytest.mark.parametrize("name,field", KUENNETH_CASES)
+def test_kuenneth_matches_the_enveloping_route(name, field):
+    """For every ordered pair of projection kernels, Ext(P_i, P_j) and
+    Ext(P_i, P_j o S) from the factors over A and A^op equal Ext of the
+    bimodule complexes decomposable_to_env, into P_j and into P_j (x)_A DA;
+    each product K_0 class equals the bimodule complex's Euler class."""
+    A = _case_algebra(name, field)
+    DA = dual_bimodule(A)
+    ks = projection_kernels(projective_collection(A))
+    envs = [decomposable_to_env(P.left, P.right) for P in ks]
+    nonzero = 0
+    for P, envP in zip(ks, envs):
+        env = envP.algebra
+        assert decomposable_class(P) == {
+            env.vertex_pair(code): c for code, c in envP.euler_class().items()}
+        for Q, envQ in zip(ks, envs):
+            plain = decomposable_ext(P, Q.left, Q.right)
+            assert plain == ext_profile(envP, envQ)
+            twisted = decomposable_ext(P, Q.left, serre_twist_left(Q.right))
+            assert twisted == ext_profile(envP, tensor_env_module(envQ, DA))
+            nonzero += bool(plain) + bool(twisted)
+    assert nonzero >= 2 * len(ks)
+
+
+def test_kuenneth_helpers_reject_twisted_kernels(ks2):
+    twisted = kernel_adjoint(ks2[0], "right")
+    with pytest.raises(UnsupportedKernelShape):
+        decomposable_ext(twisted, ks2[0].left, ks2[0].right)
+    with pytest.raises(UnsupportedKernelShape):
+        decomposable_class(twisted)

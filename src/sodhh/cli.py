@@ -32,7 +32,7 @@ from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
                           projective_collection, sod_project)
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual)
-from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
+from .kernels import (NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
@@ -436,8 +436,7 @@ def cmd_kernels(args, report):
         report.check("K0 identity: sum of kernel classes equals the "
                      "diagonal class", k0_identity_check(ks, A))
     elif args.subcommand == "orthogonality":
-        rep = orthogonality_report(projection_kernels(coll), Kernel.serre(A),
-                                   args.max_degree)
+        rep = orthogonality_report(projection_kernels(coll))
         report.set("ext_serre_table", rep["ext_serre_table"])
         report.set("adjoint_convolutions", rep["adjoint_convolutions"])
         report.check("off-diagonal Ext(P_i, P_j o S) vanish",

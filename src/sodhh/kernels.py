@@ -34,8 +34,8 @@ from .complexes import (ModuleComplex, ProjComplex, SideMismatch,
                         tensor_right_module_complex)
 from .exceptional import ExceptionalCollection, dual_collection
 from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
-                         hh_homology)
-from .modules import Bimodule, ModuleRep, dual_bimodule
+                         hh_homology, hh_with_coefficients)
+from .modules import Bimodule, ModuleRep, dual_bimodule, regular_bimodule
 
 
 class UnsupportedKernelShape(ValueError):
@@ -307,6 +307,8 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
 
     e: a Kernel, a projective bimodule complex, or 'diagonal';
     t: a Kernel, 'diagonal', 'serre', or a projective bimodule complex.
+    The diagonal with diagonal or Serre support is Ext into A or DA itself
+    (hh_with_coefficients): a truncated resolution would add false classes.
     """
     if isinstance(e, ProjComplex):
         e = Kernel.general(e)
@@ -321,6 +323,9 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
         t = Kernel.diagonal(A)
     elif t == "serre":
         t = Kernel.serre(A)
+    if e.kind == "diagonal" and t.kind in ("diagonal", "serre"):
+        return hh_with_coefficients(
+            A, regular_bimodule(A) if t.kind == "diagonal" else t.module, n_max)
     if e.kind == "decomposable" and e.twist is None \
             and t.kind in ("diagonal", "serre"):
         right = e.right if t.kind == "diagonal" else serre_twist_left(e.right)
@@ -394,10 +399,10 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
     return kernels
 
 
-def orthogonality_report(kernels, serre: Kernel, n_max: int = 6) -> dict:
+def orthogonality_report(kernels) -> dict:
     """Ext(P_i, P_j ∘ S) for all ordered pairs, plus the vanishing of the
     adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j).
-    The Serre kernel `serre` twists the right factor of P_j (see
+    The Serre functor S twists the right factor of P_j (see
     decomposable_ext); that factor and P_j's adjoints are built once."""
     twisted = [serre_twist_left(P.right) for P in kernels]
     left_adj = [kernel_adjoint(P, "left") for P in kernels]

@@ -1,132 +1,114 @@
 """Finite-dimensional module representations.
 
-A ModuleRep is a *left* module over its acting algebra, read one column
-at a time: `column(k, m)` is b_k applied to basis vector m.  Its action
-is given either as one action matrix per basis element (files,
-`bimodule_from_actions`) or as a column function that computes a column
-from the algebra's structure when it is read (the regular, dual, simple
-and twisted modules), which stores no action matrix.  `action[k]` is
-built from the columns when first indexed, for whole-matrix readers only.
-Right modules are left modules over the opposite algebra.  A
-(B,C)-bimodule is a Bimodule, a left module over B (x) C^op given by a
-pair of commuting actions: `left_col` for b_i (x) 1 and `right_col` for
-1 (x) c_j, the column of b_i (x) c_j being `left_col` applied to the
-entries of a column of `right_col`.  Module bases are vertex-graded:
-basis vector m is fixed by the idempotent of `grading[m]` and killed by
-the others, which keeps every Hom computation block-sparse.
+A ModuleRep is a *left* module over its acting algebra, given by its
+column function and nothing else: `column(k, m)` is b_k applied to basis
+vector m, computed from the algebra's structure (the regular, dual,
+simple and twisted modules) or read from a given matrix (files,
+`bimodule_from_actions`).  Right modules are left modules over the
+opposite algebra.  A (B,C)-bimodule is a Bimodule, a left module over
+B (x) C^op given by commuting actions `left_col` (b_i (x) 1) and
+`right_col` (1 (x) c_j); b_i (x) c_j is `left_col` applied to a column of
+`right_col`.  Bases are vertex-graded: basis vector m is fixed by the
+idempotent of `grading[m]` and killed by the others, which keeps Hom
+computations block-sparse and lets the axioms be checked on generators.
 """
-
 from __future__ import annotations
 
-from .algebra import (Algebra, PathAlgebra, TensorOpposite,
+from .algebra import (Algebra, PathAlgebra, TensorOpposite, _radical_generators,
                       algebra_from_structure, tensor_opposite)
 from .complexes import SideMismatch
 from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, axpy, rank_kernel_image
 
 
 class ModuleAxiomError(ValueError):
-    """Action matrices that do not form a module or a bimodule."""
+    """Actions that do not form a module or a bimodule."""
 
 
-def _check_action(alg: Algebra, mats, dim, opposite, what):
-    """Raise unless mats is a unital left module over alg (over alg^op if
-    `opposite`, i.e. a right alg-module)."""
+def _image(f, col, k, w):
+    """b_k applied to the vector w, for the action column function col."""
+    out = {}
+    for m, c in w.items():
+        axpy(f, out, col(k, m), c)
+    return out
+
+
+def _check_action(alg: Algebra, col, vertex, opposite, what):
+    """Raise unless col(i, m) is a unital left module over alg (over alg^op
+    if `opposite`, i.e. a right alg-module) with basis vector m at the
+    vertex vertex[m].  Column by column: the unit; e_v fixes the vectors
+    at v; b_y kills the vectors away from the vertex it enters (its
+    source, its target if `opposite`) and sends the others to the vertex
+    it leaves, so rho(e_v y) = rho(e_v) rho(y); and rho(g y) = rho(g)
+    rho(y) for the radical generators g, on the columns that neither side
+    kills.  The x with rho(x y) = rho(x) rho(y) for every y form a
+    subalgebra, so this checks all of alg."""
     f = alg.field
-    unit = Matrix.zeros(f, dim, dim)
-    for e in alg.idempotents:
-        unit = unit.add(mats[e])
-    if unit != Matrix.identity(f, dim):
-        raise ModuleAxiomError(f"{what}: unit does not act as the identity")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = mats[i].mul(mats[j])
-            rhs = Matrix.zeros(f, dim, dim)
-            for k, c in (alg.product(j, i) if opposite else alg.product(i, j)).items():
-                rhs = rhs.add(mats[k].scale(c))
-            if lhs != rhs:
-                raise ModuleAxiomError(f"{what}: action not multiplicative on "
-                                       f"{alg.labels[i]}, {alg.labels[j]}")
+    into, out = (alg.tgt, alg.src) if opposite else (alg.src, alg.tgt)
+    labels, idems = alg.labels, alg.idempotents
+    for m, v in enumerate(vertex):
+        unit = {}
+        for e in idems:
+            axpy(f, unit, col(e, m), f.one)
+        if unit != {m: f.one}:
+            raise ModuleAxiomError(f"{what}: unit does not act as the identity")
+        if col(idems[v], m) != {m: f.one}:
+            raise ModuleAxiomError(f"{what}: basis is not graded as declared")
 
-
-def _check_fixed(mat, m, what):
-    if mat.cols[m] != {m: mat.field.one}:
-        raise ModuleAxiomError(f"{what}: basis is not graded as declared")
-
-
-class _Actions:
-    """The action matrices of a column function col(i, m) as a read-only
-    sequence: matrix i, whose column m is col(i, m), is built when first
-    indexed and then cached.  The one whole-matrix view of an action."""
-
-    __slots__ = ("field", "length", "dim", "col", "cache")
-
-    def __init__(self, field, length, dim, col):
-        self.field = field
-        self.length = length
-        self.dim = dim
-        self.col = col
-        self.cache = {}
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, i):
-        mat = self.cache.get(i)
-        if mat is None:
-            if not 0 <= i < self.length:
-                raise IndexError(i)
-            col = self.col
-            mat = self.cache[i] = Matrix(self.field, self.dim, self.dim,
-                                         [col(i, m) for m in range(self.dim)])
-        return mat
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.length))
-
-
-def _columns(alg: Algebra, dim, action):
-    """(column function, matrices) of an action of alg given either as one
-    Matrix per basis element or as its column function col(i, m)."""
-    if callable(action):
-        return action, _Actions(alg.field, alg.dim, dim, action)
-    mats = list(action)
-    if len(mats) != alg.dim:
-        raise ModuleAxiomError("action or grading has the wrong length")
-    return (lambda i, m: mats[i].cols[m]), mats
+    def not_multiplicative(i, j):
+        return ModuleAxiomError(f"{what}: action not multiplicative on "
+                                f"{labels[i]}, {labels[j]}")
+    read = [{} for _ in range(alg.dim)]   # the columns b_y does not kill
+    for y in range(alg.dim):
+        for m, v in enumerate(vertex):
+            c = col(y, m)
+            if v != into[y]:
+                if c:
+                    raise not_multiplicative(y, idems[v])
+                continue
+            for m2 in c:
+                if vertex[m2] != out[y]:
+                    raise not_multiplicative(idems[vertex[m2]], y)
+            read[y][m] = c
+    for g in _radical_generators(alg):
+        for y in range(alg.dim):
+            if out[y] != into[g]:
+                continue
+            gy = alg.product(y, g) if opposite else alg.product(g, y)
+            for m, ym in read[y].items():
+                lhs, rhs = {}, {}
+                for k, c in gy.items():
+                    axpy(f, lhs, read[k][m], c)
+                for m2, c in ym.items():
+                    axpy(f, rhs, read[g][m2], c)
+                if lhs != rhs:
+                    raise not_multiplicative(g, y)
 
 
 class ModuleRep:
-    """A left module given by its action, as matrices or as a column
-    function (see the module docstring).  Used for one-sided modules;
-    bimodules are Bimodule."""
+    """A left module given by its column function: `column(k, m)` is b_k
+    applied to basis vector m, read only, as it may be a column of the
+    algebra's own table.  Used for one-sided modules; bimodules are
+    Bimodule."""
 
-    __slots__ = ("algebra", "dim", "action", "grading", "_column")
+    __slots__ = ("algebra", "dim", "grading", "column")
 
-    def __init__(self, algebra: Algebra, dim: int, action, grading, check=True):
+    def __init__(self, algebra: Algebra, dim: int, column, grading, check=True):
         self.algebra = algebra
         self.dim = dim
-        self._column, self.action = _columns(algebra, dim, action)
+        self.column = column
         self.grading = tuple(grading)
         if len(self.grading) != dim:
-            raise ModuleAxiomError("action or grading has the wrong length")
+            raise ModuleAxiomError("grading has the wrong length")
         if check:
             self.check_axioms()
 
     def check_axioms(self):
-        alg = self.algebra
-        _check_action(alg, self.action, self.dim, False, "module")
-        for m in range(self.dim):
-            _check_fixed(self.action[alg.idempotents[self.grading[m]]], m, "module")
-
-    def column(self, k, m):
-        """b_k applied to basis vector m, read only: it may be a column
-        of the algebra's own table."""
-        return self._column(k, m)
+        _check_action(self.algebra, self.column, self.grading, False, "module")
 
     def act(self, a, w):
         """a . w for an algebra element a and a vector w, both sparse."""
         f = self.algebra.field
-        column = self._column
+        column = self.column
         out = {}
         for k, x in a.items():
             for m, y in w.items():
@@ -142,45 +124,50 @@ def _pair_column(env: TensorOpposite, left_col, right_col):
 
     def column(k, m):
         i, j = index_pair(k)
-        out = {}
-        for m2, c in right_col(j, m).items():
-            axpy(f, out, left_col(i, m2), c)
-        return out
+        return _image(f, left_col, i, right_col(j, m))
     return column
 
 
 class Bimodule(ModuleRep):
-    """A (B,C)-bimodule over B (x) C^op: commuting actions `left` (b_i (x)
-    1, a left B-action) and `right` (1 (x) c_j, a right C-action), each
-    given as matrices or as a column function (`left_col`, `right_col`)."""
+    """A (B,C)-bimodule over B (x) C^op: commuting column functions
+    `left_col` (b_i (x) 1, a left B-action) and `right_col` (1 (x) c_j, a
+    right C-action)."""
 
-    __slots__ = ("left", "right", "left_col", "right_col")
+    __slots__ = ("left_col", "right_col")
 
-    def __init__(self, env: TensorOpposite, dim: int, left, right, grading,
-                 check=True):
-        b, c = env.factors
-        self.left_col, self.left = _columns(b, dim, left)
-        self.right_col, self.right = _columns(c, dim, right)
-        super().__init__(env, dim, _pair_column(env, self.left_col, self.right_col),
+    def __init__(self, env: TensorOpposite, dim: int, left_col, right_col,
+                 grading, check=True):
+        self.left_col, self.right_col = left_col, right_col
+        super().__init__(env, dim, _pair_column(env, left_col, right_col),
                          grading, check)
 
     def check_axioms(self):
-        """Left and right module axioms, the grading, and L_i R_j = R_j L_i:
-        dim_B^2 + dim_C^2 + dim_B dim_C matrix products."""
+        """The two module axioms (_check_action), then L_g R_h = R_h L_g for
+        the idempotents and radical generators g of B and h of C, on the
+        vectors where the radical ones act: the pairs with an idempotent,
+        compared first, show that those keep the other side's vertex, so
+        both products vanish elsewhere.  As in _check_action, the elements
+        that commute with one side form a subalgebra."""
         env = self.algebra
         b, c = env.factors
-        _check_action(b, self.left, self.dim, False, "left action")
-        _check_action(c, self.right, self.dim, True, "right action")
-        for m in range(self.dim):
-            v, w = env.vertex_pair(self.grading[m])
-            _check_fixed(self.left[b.idempotents[v]], m, "left action")
-            _check_fixed(self.right[c.idempotents[w]], m, "right action")
-        for i, lm in enumerate(self.left):
-            for j, rm in enumerate(self.right):
-                if lm.mul(rm) != rm.mul(lm):
-                    raise ModuleAxiomError(
-                        f"left and right actions do not commute on "
-                        f"{b.labels[i]}, {c.labels[j]}")
+        f = b.field
+        pairs = [env.vertex_pair(code) for code in self.grading]
+        lv, rv = [v for v, _ in pairs], [w for _, w in pairs]
+        _check_action(b, self.left_col, lv, False, "left action")
+        _check_action(c, self.right_col, rv, True, "right action")
+
+        def generators(alg, enters):   # (g, the vertex g enters or None)
+            return ([(e, None) for e in alg.idempotents]
+                    + [(g, enters[g]) for g in _radical_generators(alg)])
+        for g, v in generators(b, b.src):
+            for h, w in generators(c, c.tgt):
+                for m in range(self.dim):
+                    if v in (None, lv[m]) and w in (None, rv[m]) and (
+                            _image(f, self.left_col, g, self.right_col(h, m))
+                            != _image(f, self.right_col, h, self.left_col(g, m))):
+                        raise ModuleAxiomError(
+                            f"left and right actions do not commute on "
+                            f"{b.labels[g]}, {c.labels[h]}")
 
 
 def simple_module(A: Algebra, v: int) -> ModuleRep:
@@ -234,6 +221,8 @@ def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,
     """
     env = A.enveloping() if B is A else tensor_opposite(A, B)
     f = A.field
+    if len(left_mats) != A.dim or len(right_mats) != B.dim:
+        raise ModuleAxiomError("action has the wrong length")
     dim = left_mats[0].nrows if left_mats else 0
     # graded basis: concatenate images of the commuting projections
     basis_cols = []
@@ -248,14 +237,15 @@ def bimodule_from_actions(A: Algebra, B: Algebra, left_mats, right_mats,
             "left/right idempotent actions do not split the basis")
     basechange = ColumnEchelon(Matrix(f, dim, dim, basis_cols))
 
-    def rebase(m):
+    def rebase(m):   # the columns of m in the graded basis
         cols = [basechange.solve(m.apply(col)) for col in basis_cols]
         if any(col is None for col in cols):
             raise ModuleAxiomError("an action does not preserve the graded basis")
-        return Matrix(f, dim, dim, cols)
+        return cols
 
-    return Bimodule(env, dim, [rebase(m) for m in left_mats],
-                    [rebase(m) for m in right_mats], grading, check=check)
+    left, right = [rebase(m) for m in left_mats], [rebase(m) for m in right_mats]
+    return Bimodule(env, dim, lambda i, m: left[i][m], lambda j, m: right[j][m],
+                    grading, check=check)
 
 
 def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> Bimodule:
@@ -264,16 +254,12 @@ def free_gluing_bimodule(b: Algebra, c: Algebra, d: int) -> Bimodule:
     if b.num_vertices != 1 or c.num_vertices != 1:
         raise SideMismatch("free gluing needs single-vertex algebras, got "
                            f"{b.num_vertices} and {c.num_vertices} vertices")
-    f = b.field
-    left = []
-    for i in range(b.dim):
-        left.append(Matrix.identity(f, d) if i == b.idempotents[0]
-                    else Matrix.zeros(f, d, d))
-    right = []
-    for j in range(c.dim):
-        right.append(Matrix.identity(f, d) if j == c.idempotents[0]
-                     else Matrix.zeros(f, d, d))
-    return bimodule_from_actions(b, c, left, right, check=False)
+    env = b.enveloping() if c is b else tensor_opposite(b, c)
+    unit = [{m: b.field.one} for m in range(d)]
+    return Bimodule(env, d,
+                    lambda i, m: unit[m] if i == b.idempotents[0] else ZERO_COLUMN,
+                    lambda j, m: unit[m] if j == c.idempotents[0] else ZERO_COLUMN,
+                    (env.vertex(0, 0),) * d, check=False)
 
 
 def triangular_gluing(b: Algebra, c: Algebra, m: Bimodule,
@@ -307,11 +293,13 @@ def triangular_gluing(b: Algebra, c: Algebra, m: Bimodule,
         for (i, j), x in alg.mult.items():
             mult[(off + i, off + j)] = {off + k: v for k, v in x.items()}
     for i in range(nb):
-        for k, col in enumerate(m.left[i].cols):
+        for k in range(nm):
+            col = m.left_col(i, k)
             if col:
                 mult[(OB + i, OM + k)] = {OM + k2: v for k2, v in col.items()}
     for j in range(nc):
-        for k, col in enumerate(m.right[j].cols):
+        for k in range(nm):
+            col = m.right_col(j, k)
             if col:
                 mult[(OM + k, OC + j)] = {OM + k2: v for k2, v in col.items()}
     idems = [OB + e for e in b.idempotents] + [OC + e for e in c.idempotents]

@@ -17,7 +17,7 @@ from sodhh.exceptional import (ExceptionalCollection, bdi_check,
 from sodhh.hochschild import (absolute_hh_cohomology, absolute_hh_homology,
                               hh_cohomology, hh_homology,
                               homology_via_serre_dual)
-from sodhh.kernels import (Kernel, additivity_check, fullness_certificate,
+from sodhh.kernels import (additivity_check, fullness_certificate,
                            k0_identity_check, les_check, orthogonality_report,
                            projection_kernels)
 from sodhh.linalg import QQ, Matrix, kronecker_tensor, rank, rank_kernel_image
@@ -96,7 +96,7 @@ def test_criterion_6_orthogonality(algebras):
     for name in ("kronecker2", "beilinson-p2"):
         A = algebras[name]
         ks = projection_kernels(collection_of(name, algebras))
-        rep = orthogonality_report(ks, Kernel.serre(A))
+        rep = orthogonality_report(ks)
         assert rep["offdiagonal_zero"], name
         assert rep["diagonal_identity"], name
         assert k0_identity_check(ks, A), name

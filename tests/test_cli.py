@@ -371,26 +371,6 @@ def _check_beilinson_file_against_hkr(tmp_path, n, field):
         assert report.data[key]["dims"] == closed(n, max_degree)
 
 
-def test_hh_of_generated_p3_forms_no_pair_product(tmp_path, monkeypatch):
-    """cohomology and homology of generated P^3 and kernels additivity of
-    generated P^2 read every action one column at a time: no whole action
-    matrix is built, neither of a bimodule nor of a one-sided module."""
-    from sodhh import modules
-    built = []
-    monkeypatch.setattr(modules._Actions, "__getitem__",
-                        lambda self, k: built.append(k))
-    inputs = _benchmark_inputs()
-    for n, commands in ((3, (["cohomology"], ["homology"])),
-                        (2, (["kernels", "additivity"],))):
-        p = tmp_path / f"p{n}.json"
-        p.write_text(json.dumps(
-            inputs.beilinson_quiver_doc(n, {"kind": "q"}, seed=1)))
-        for command in commands:
-            code, _ = run_command(command + ["--file", str(p)])
-            assert code == 0
-    assert built == []
-
-
 KERNEL_COMMANDS = (["kernels", "build"], ["kernels", "orthogonality"],
                    ["kernels", "additivity"],
                    ["generalized", "--coeff", "P1", "--support", "serre"])
@@ -546,6 +526,23 @@ def test_kernels_additivity_builds_kernels_once(monkeypatch):
                            "beilinson-p2"])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("support,command,key", [
+    ("diagonal", "cohomology", "hh_cohomology"),
+    ("serre", "homology", "hh_homology")])
+def test_generalized_diagonal_of_infinite_global_dimension(support, command,
+                                                           key):
+    """k[x]/(x^2) has infinite global dimension, so every truncation of its
+    diagonal resolution has homology at its last degree; the diagonal
+    coefficients still give HH^* and HH_*."""
+    code, report = run_command(
+        ["generalized", "--coeff", "diagonal", "--support", support,
+         "--catalog", "loop-x2"])
+    assert code == 0
+    _, named = run_command([command, "--catalog", "loop-x2"])
+    assert report.data["generalized_hoh"]["dims"] == \
+        named.data[key]["dims"] == [2, 1, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("coeff", ["Px", "P"])

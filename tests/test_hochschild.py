@@ -127,10 +127,9 @@ def test_coefficients_in_dual_degree_zero(algebras):
 def test_coefficients_point_multiplicity():
     A = build_path_algebra(Quiver.make(("1",), ()), [], QQ)
     from sodhh.modules import ModuleRep
-    from sodhh.linalg import Matrix
     env = A.enveloping()
     d = 3
-    M = ModuleRep(env, d, [Matrix.identity(QQ, d)], (0,) * d, check=True)
+    M = ModuleRep(env, d, lambda k, m: {m: QQ.one}, (0,) * d, check=True)
     assert hh_with_coefficients(A, M, 3).as_tuple() == (3, 0, 0, 0)
 
 
@@ -156,11 +155,15 @@ def test_prime_field_agreement():
 
 
 def test_generalized_matches_named_routes(algebras):
+    """The paper's Ext(P_D, P_D) and Ext(P_D, P_D o S) over the diagonal
+    resolution P_D itself, and the 'diagonal' coefficients, which take Ext
+    into A and DA, give HH^* and HH_*."""
     A = algebras["kronecker2"]
-    assert generalized_hoh("diagonal", "diagonal", 4, algebra=A).as_tuple() == \
-        hh_cohomology(A, 4).as_tuple()
-    assert generalized_hoh("diagonal", "serre", 4, algebra=A).as_tuple() == \
-        hh_homology(A, 4).as_tuple()
+    for e in (diagonal_resolution(A, 5), "diagonal"):
+        assert generalized_hoh(e, "diagonal", 4, algebra=A).as_tuple() == \
+            hh_cohomology(A, 4).as_tuple()
+        assert generalized_hoh(e, "serre", 4, algebra=A).as_tuple() == \
+            hh_homology(A, 4).as_tuple()
 
 
 def test_profile_bound_enforced(algebras):

@@ -217,7 +217,7 @@ def test_k0_identity(K2, ks2, B, ksB):
 
 
 def test_orthogonality_kronecker(K2, ks2):
-    rep = orthogonality_report(ks2, Kernel.serre(K2))
+    rep = orthogonality_report(ks2)
     assert rep["offdiagonal_zero"] and rep["diagonal_identity"]
     assert rep["adjoint_vanishing"]
     assert rep["ext_serre_table"][(1, 1)] == {0: 1}
@@ -226,7 +226,7 @@ def test_orthogonality_kronecker(K2, ks2):
 
 
 def test_orthogonality_beilinson(B, ksB):
-    rep = orthogonality_report(ksB, Kernel.serre(B))
+    rep = orthogonality_report(ksB)
     assert rep["offdiagonal_zero"] and rep["diagonal_identity"]
     assert rep["adjoint_vanishing"]
     assert len([1 for (i, j) in rep["ext_serre_table"] if i != j]) == 6
@@ -242,7 +242,7 @@ def test_orthogonality_single_object_point():
     A = point()
     coll = projective_collection(A)
     ks = projection_kernels(coll)
-    rep = orthogonality_report(ks, Kernel.serre(A))
+    rep = orthogonality_report(ks)
     assert rep["ext_serre_table"] == {(1, 1): {0: 1}}
 
 

@@ -218,7 +218,7 @@ def _catalog_entry(name):
     try:
         return get_entry(name)
     except KeyError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(exc.args[0]) from exc
 
 
 def _load_algebra(args):
@@ -513,6 +513,9 @@ def cmd_catalog(args, report):
             for n in catalog_names()])
         return 0
     if args.subcommand == "show":
+        if args.name is None:
+            raise SchemaError("catalog show needs an entry name; known: "
+                              + ", ".join(catalog_names()))
         entry = _catalog_entry(args.name)
         A = entry.algebra(_field_from_flag(args.field))
         _algebra_summary(A, report)

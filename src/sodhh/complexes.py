@@ -329,9 +329,11 @@ class FieldComplex:
 
 class ModuleComplex:
     """Bounded complex of (not necessarily projective) modules over L.
-    `check` tests d^2 = 0 and d b_i = b_i d on the basis vectors at
-    src(b_i), column by column: on the others both sides vanish, as the
-    idempotents show that d keeps the vertex of each vector."""
+    `check` tests d^2 = 0 and d b_i = b_i d for the idempotents and the
+    _radical_generators b_i, on the basis vectors at src(b_i), column by
+    column.  On the other vectors both sides vanish, as the idempotents
+    show that d keeps the vertex of each vector; and the x with d x = x d
+    form a subalgebra, so this checks L-linearity for all of L."""
 
     def __init__(self, algebra, modules, diffs, check=True):
         self.algebra = algebra
@@ -340,13 +342,15 @@ class ModuleComplex:
                       if n in self.modules and (n + 1) in self.modules}
         if check:
             one = algebra.field.one
+            entering = {}
+            for i in (*algebra.idempotents, *_radical_generators(algebra)):
+                entering.setdefault(algebra.src[i], []).append(i)
             for n, d in self.diffs.items():
                 if (n + 1) in self.diffs and not self.diffs[n + 1].mul(d).is_zero():
                     raise ComplexError(f"d^2 != 0 at degree {n}")
                 M, N = self.modules[n], self.modules[n + 1]
-                entering = {v: algebra.column_indices(v) for v in set(M.grading)}
                 for m, v in enumerate(M.grading):
-                    for i in entering[v]:
+                    for i in entering.get(v, ()):
                         if d.apply(M.column(i, m)) != N.act({i: one}, d.cols[m]):
                             raise ComplexError(
                                 f"differential at degree {n} is not L-linear")

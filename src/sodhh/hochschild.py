@@ -2,10 +2,11 @@
 
 Cohomology (and cohomology with bimodule coefficients) is the cohomology
 of Hom_{A-bimod}(P_*, M) for a projective bimodule resolution P_* of A,
-the one diagonal_resolution returns: the Koszul resolution of a quadratic
-path algebra whose simples' minimal resolutions certify it Koszul, else
-the minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the
-homology of P_* (x)_{A^e} A over the same resolution.
+the one diagonal_resolution returns: the Koszul resolution K of a
+quadratic path algebra that global_dimension certifies by the exactness
+of every one-sided complex K (x)_A S_u (Priddy's criterion), else the
+minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the homology
+of P_* (x)_{A^e} A over the same resolution.
 
 Truncated *absolute* bar complexes are implemented as independent oracles;
 they share nothing with diagonal_resolution except the exact rank kernel.
@@ -13,7 +14,6 @@ they share nothing with diagonal_resolution except the exact rank kernel.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import Algebra, PathAlgebra, _lines
@@ -54,63 +54,106 @@ class HHProfile:
         return f"({s})" + (f"  [{self.note}]" if self.note else "")
 
 
+def _is_quadratic(A: Algebra) -> bool:
+    return isinstance(A, PathAlgebra) and all(
+        len(path) == 2 for rel in A.relations for _, path in rel.terms)
+
+
+def _koszul_homology(A: PathAlgebra, K: ProjComplex) -> dict:
+    """Homology dimensions of K (x)_A A_0, the direct sum over the vertices
+    u of the one-sided Koszul complexes K (x)_A S_u, from ranks alone.  A
+    summand of K at the vertex (v, u) of A (x) A^op becomes A e_v, an entry
+    term p (x) e_u acts by y |-> y p, and a term whose right factor lies in
+    the radical acts as zero."""
+    f, env = A.field, K.algebra
+    columns = [A.column_indices(v) for v in range(A.num_vertices)]
+    bases = {n: [(s, y) for s, code in enumerate(t)
+                 for y in columns[env.vertex_pair(code)[0]]]
+             for n, t in K.terms.items()}
+    diffs = {}
+    for n, d in K.diffs.items():
+        rows = {sy: r for r, sy in enumerate(bases[n + 1])}
+        terms = {}   # column summand -> [(row summand, p, c)] for p (x) e_u
+        for (r, s), x in d.items():
+            for k, c in x.items():
+                p, q = env.index_pair(k)
+                if q in A._idem_set:
+                    terms.setdefault(s, []).append((r, p, c))
+        cols = []
+        for s, y in bases[n]:
+            col = {}
+            for r, p, c in terms.get(s, ()):
+                for k, c1 in A.product(y, p).items():
+                    row = rows[r, k]
+                    col[row] = f.add(col.get(row, f.zero), f.mul(c, c1))
+            cols.append({row: c for row, c in col.items() if c})
+        diffs[n] = Matrix(f, len(rows), len(cols), cols)
+    return FieldComplex(f, {n: len(b) for n, b in bases.items()},
+                        diffs).homology_dims()
+
+
 def global_dimension(A: Algebra, cap: int):
     """Global dimension, or None if it exceeds cap.
 
-    Computed as the maximum length of the minimal projective resolutions
-    of the simple modules.  The answer is kept in A's cache as either the
-    exact value, which answers every cap, or "exceeds c", which answers
-    every cap <= c.  With an exact value the cache also keeps, under
-    "simple_resolutions", the summand multiset of each degree of each
-    simple's resolution: a list [Counter of vertices in degree -n for n =
-    0..length] per vertex."""
+    On a path algebra whose relations all have length 2 it is first read
+    from K = koszul_resolution(A, cap + 1) by Priddy's criterion: A is
+    Koszul exactly when every K (x)_A S_u is exact apart from H_0 = k.
+    Each H_0 is at least k, as the entries of d^{-1} are arrows, so
+    _koszul_homology decides this through degree -cap.  If K ends by
+    degree -cap and passes, its terms are projective on the right and
+    every finite-dimensional module is an iterated extension of simples,
+    so K resolves A; each K (x)_A S_u, whose entries are arrows, is then
+    the minimal resolution of S_u, and the global dimension is K's
+    length.  If K has a term at -(cap + 1) and passes, the global
+    dimension exceeds cap: every element of K_{cap+1} has a nonzero left
+    splitting, so the minimal resolution of some S_u reaches that degree.
+    If it fails, A is not Koszul, and here as on every other algebra the
+    answer is the maximum length of the minimal projective resolutions
+    of the simple modules.
+
+    The answer is kept in A's cache as either the exact value, which
+    answers every cap, or "exceeds c", which answers every cap <= c.
+    Under "koszul_resolution" the cache keeps the certified K as plain
+    (terms, diffs) next to an exact value, or None once the check failed."""
     exact, exceeds = A._cache.get("global_dimension", (None, -1))
     if exact is not None:
         return exact if exact <= cap else None
     if cap <= exceeds:
         return None
-    resolutions = {}
+    # a cached "koszul_resolution" here can only be a failed check
+    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
+        K = koszul_resolution(A, cap + 1)
+        homology = _koszul_homology(A, K)
+        if {n: h for n, h in homology.items() if n >= -cap} == \
+                {0: A.num_vertices}:
+            length = -min(K.terms)
+            if length > cap:
+                A._cache["global_dimension"] = (None, cap)
+                return None
+            A._cache.update(global_dimension=(length, None),
+                            koszul_resolution=(K.terms, K.diffs))
+            return length
+        A._cache["koszul_resolution"] = None
+    worst = 0
     for v in range(A.num_vertices):
-        res = projective_resolution(simple_module(A, v), cap + 1)
-        length = -min(res.terms)
+        length = -min(projective_resolution(simple_module(A, v),
+                                            cap + 1).terms)
         if length > cap:
             A._cache["global_dimension"] = (None, cap)
             return None
-        resolutions[v] = [Counter(res.terms.get(-n, ()))
-                          for n in range(length + 1)]
-    worst = max((len(r) - 1 for r in resolutions.values()), default=0)
-    A._cache.update(global_dimension=(worst, None),
-                    simple_resolutions=resolutions)
+        worst = max(worst, length)
+    A._cache["global_dimension"] = (worst, None)
     return worst
-
-
-def _koszul_certified(A: Algebra, K: ProjComplex) -> bool:
-    """Whether the minimal resolution of every simple S_v has, in each
-    degree -n up to one past its length, the summands that K predicts:
-    one A e_u per basis element of K_n from v to u.  Ext^n(S_v, S_u) has
-    at least that dimension, with equality in every degree exactly when
-    it is pure of internal degree n, so equality everywhere certifies that
-    A is Koszul and K resolves it."""
-    env = K.algebra
-    for v, degrees in A._cache["simple_resolutions"].items():
-        for n in range(1, len(degrees) + 1):
-            from_v = Counter(end for end, start in map(env.vertex_pair,
-                                                       K.terms.get(-n, ()))
-                             if start == v)
-            if from_v != (degrees[n] if n < len(degrees) else Counter()):
-                return False
-    return True
 
 
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """A projective bimodule resolution of A through degree -n_max.
 
-    The Koszul resolution (complexes.koszul_resolution) when A is a path
-    algebra with quadratic relations, of finite global dimension, whose
-    simples' minimal resolutions certify it (_koszul_certified); it is
-    then complete.  The global dimension is looked up at cap n_max, or
-    read from A's cache whatever n_max is when an exact value is there.
-    Otherwise the minimal bimodule resolution
+    The Koszul resolution that global_dimension certified and cached, if
+    it did: on a path algebra with quadratic relations that has not been
+    decided yet, global_dimension(A, n_max) is asked first.  The certified
+    resolution is complete and serves every n_max, also one below the
+    global dimension.  Otherwise the minimal bimodule resolution
     projective_resolution(regular_bimodule(A), n_max), which needs no
     certificate.
 
@@ -119,18 +162,9 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     depth, as plain (terms, diffs) that name A (x) A^op's vertices and
     basis by index only, so the cache holds no reference back to A."""
     env = A.enveloping()
-    data = None
-    if isinstance(A, PathAlgebra) and all(
-            len(path) == 2 for rel in A.relations for _, path in rel.terms):
-        gd = A._cache.get("global_dimension", (None,))[0]
-        if gd is None:
-            gd = global_dimension(A, n_max)
-        if gd is not None:
-            if "koszul_resolution" not in A._cache:
-                K = koszul_resolution(A, gd + 1)
-                A._cache["koszul_resolution"] = (
-                    (K.terms, K.diffs) if _koszul_certified(A, K) else None)
-            data = A._cache["koszul_resolution"]
+    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
+        global_dimension(A, n_max)
+    data = A._cache.get("koszul_resolution")
     if data is None:
         key = ("minimal_resolution", n_max)
         if key not in A._cache:

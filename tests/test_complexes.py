@@ -20,7 +20,7 @@ from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
 from sodhh.kernels import (Kernel, as_env_complex, decomposable_to_env,
                            projection_kernels)
-from sodhh.linalg import QQ, Matrix, rank
+from sodhh.linalg import GF, QQ, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule, simple_module
 
 
@@ -656,6 +656,94 @@ def test_tensor_builders_pass_checks_and_kuenneth(algebras):
                 assert checked(tensor_proj_with_field_complex(X, W)) == \
                     kuenneth(X.homology_dims(), hW)
     assert nonzero > 0
+
+
+def dense_linearity_error(cx):
+    """The ComplexError message of L-linearity tested on every basis
+    element b_i at the basis vectors at src(b_i), or None: the oracle of
+    ModuleComplex(check=True), which tests only the idempotents and the
+    radical generators."""
+    alg = cx.algebra
+    for n, d in cx.diffs.items():
+        M, N = cx.modules[n], cx.modules[n + 1]
+        for m, v in enumerate(M.grading):
+            for i in alg.column_indices(v):
+                if d.apply(M.column(i, m)) != N.act({i: alg.field.one},
+                                                    d.cols[m]):
+                    return f"differential at degree {n} is not L-linear"
+    return None
+
+
+def linearity_error(cx):
+    try:
+        ModuleComplex(cx.algebra, cx.modules, cx.diffs)
+    except ComplexError as exc:
+        return str(exc)
+    return None
+
+
+def column_mutants(cx, rng, count):
+    """Two-term complexes M^n -> M^{n+1} of cx, each with one column of d^n
+    doubled, cleared, or given an extra unit entry at a row of the same
+    vertex; d^2 = 0 holds on each, so only L-linearity can fail."""
+    f = cx.algebra.field
+    for n, d in cx.diffs.items():
+        M, N = cx.modules[n], cx.modules[n + 1]
+        for _ in range(count):
+            m = rng.randrange(d.ncols)
+            col, kind = dict(d.cols[m]), rng.randrange(3)
+            if kind == 0:
+                col = {r: f.add(c, c) for r, c in col.items()}
+            elif kind == 1:
+                col = {}
+            else:
+                rows = [r for r, w in enumerate(N.grading)
+                        if w == M.grading[m]]
+                if not rows:
+                    continue
+                r = rng.choice(rows)
+                col[r] = f.add(col.get(r, f.zero), f.one)
+                col = {r: c for r, c in col.items() if c}
+            cols = list(d.cols)
+            cols[m] = col
+            yield ModuleComplex(cx.algebra, {0: M, 1: N},
+                                {0: Matrix(f, d.nrows, d.ncols, cols)},
+                                check=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_linearity_check_agrees_with_dense_oracle(field):
+    """The Serre twists of the simples' resolutions, their tensor products
+    with field complexes, and tensor_env_module of the diagonal resolution
+    with the regular and the dual bimodule, on the catalog, and three
+    single-column mutants of each differential: the generator check and
+    the all-basis check accept and reject the same complexes."""
+    import random
+    from sodhh.hochschild import diagonal_resolution
+    rng = random.Random(11)
+    verdicts = {}
+    for entry in CATALOG.values():
+        A = entry.algebra(field)
+        res = [projective_resolution(simple_module(A, v), 3)
+               for v in range(A.num_vertices)]
+        twists = [serre_twist_left(R) for R in res]
+        outputs = twists + [
+            tensor_module_with_field_complex(
+                T, tensor_right_left(dualize(res[0]), res[-1]))
+            for T in twists[:2]]
+        if A.dim <= 8:
+            P = diagonal_resolution(A, 2)
+            outputs += [tensor_env_module(P, M)
+                        for M in (regular_bimodule(A), dual_bimodule(A))]
+        for cx in outputs:
+            assert linearity_error(cx) is None
+            assert dense_linearity_error(cx) is None
+            for X in column_mutants(cx, rng, 3):
+                ours = linearity_error(X)
+                assert ours == dense_linearity_error(X)
+                verdicts[ours] = verdicts.get(ours, 0) + 1
+    assert set(verdicts) == {None,
+                             "differential at degree 0 is not L-linear"}
 
 
 # ---------------------------------------------------------------------------

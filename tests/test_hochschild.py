@@ -172,29 +172,34 @@ def test_profile_bound_enforced(algebras):
         prof.dim(4)
 
 
-def test_global_dimension_resolves_simples_once(algebras, monkeypatch):
-    """An exact value answers every cap; "exceeds c" answers caps <= c."""
-    import sodhh.hochschild as hochschild
+def test_global_dimension_resolves_simples_once(monkeypatch):
+    """An exact value answers every cap; "exceeds c" answers caps <= c.
+    A Koszul algebra is answered by Koszul resolutions alone, one per cap
+    that needs a new answer; a quadratic algebra that is not Koszul
+    resolves each simple once, after one failed Koszul check."""
     from sodhh.catalog import get_entry
-    from sodhh.linalg import QQ
-    calls = []
-    real = hochschild.projective_resolution
-
-    def counting(M, length):
-        calls.append(M.grading)
-        return real(M, length)
-
-    monkeypatch.setattr(hochschild, "projective_resolution", counting)
+    from test_cli import counting_wrapper
+    minimal = counting_wrapper(monkeypatch, "projective_resolution",
+                               ["complexes", "hochschild"])
+    koszul = counting_wrapper(monkeypatch, "koszul_resolution",
+                              ["complexes", "hochschild"])
     B = get_entry("beilinson-p2").algebra(QQ)
     assert [global_dimension(B, cap) for cap in (12, 6, 2, 1)] == \
         [2, 2, 2, None]
-    assert sorted(calls) == [(0,), (1,), (2,)]
+    assert minimal == [] and koszul == [B]
     L = get_entry("loop-x2").algebra(QQ)
-    calls.clear()
+    koszul.clear()
     assert global_dimension(L, 4) is None and global_dimension(L, 2) is None
-    assert len(calls) == 1
+    assert minimal == [] and koszul == [L]
     assert global_dimension(L, 5) is None
-    assert len(calls) == 2
+    assert minimal == [] and koszul == [L, L]
+    for field in (QQ, GF(3)):
+        N = _not_koszul(field)
+        minimal.clear()
+        koszul.clear()
+        assert [global_dimension(N, cap) for cap in (12, 6, 3)] == [3, 3, 3]
+        assert [M.grading for M in minimal] == [(v,) for v in range(5)]
+        assert koszul == [N]
 
 
 @st.composite
@@ -312,6 +317,120 @@ def test_resolutions_of_random_quiver_simples_match_reference(A):
     from test_complexes import assert_matches_reference
     for v in range(A.num_vertices):
         assert_matches_reference(simple_module(A, v), 5)
+
+
+# ---------------------------------------------------------------------------
+# global_dimension against the minimal resolutions of the simples
+
+ORACLE_CAPS = (0, 1, 2, 3, 4, 5, 6, 12)
+
+
+def minimal_route_oracle(A, caps=ORACLE_CAPS):
+    """{cap: (global dimension or None, Koszul route)} by the minimal
+    resolutions of the simples: the global dimension is the longest of
+    them, and a quadratic path algebra takes the Koszul route at a cap
+    that bounds it exactly when, in every degree up to one past each
+    resolution's length, the minimal resolution of S_v has one A e_u per
+    element of K_n from v to u."""
+    from collections import Counter
+    from sodhh.algebra import PathAlgebra
+    from sodhh.modules import simple_module
+    res = [projective_resolution(simple_module(A, v), max(caps) + 1)
+           for v in range(A.num_vertices)]
+    gd = max((-min(R.terms) for R in res), default=0)
+    koszul = False
+    if gd <= max(caps) and isinstance(A, PathAlgebra) and all(
+            len(path) == 2 for rel in A.relations for _, path in rel.terms):
+        K = koszul_resolution(A, gd + 1)
+        pairs = {n: [K.algebra.vertex_pair(code) for code in t]
+                 for n, t in K.terms.items()}
+        koszul = all(
+            Counter(end for end, start in pairs.get(-n, ()) if start == v)
+            == Counter(R.terms.get(-n, ()))
+            for v, R in enumerate(res) for n in range(1, gd + 2))
+    return {cap: (gd, koszul) if gd <= cap else (None, False)
+            for cap in caps}
+
+
+def koszul_route(A, caps=ORACLE_CAPS):
+    """{cap: (global_dimension(A, cap), Koszul route)}, each cap asked of
+    an empty cache, then every cap asked again in turn of one cache."""
+    out = {}
+    for cap in caps:
+        A._cache.pop("global_dimension", None)
+        A._cache.pop("koszul_resolution", None)
+        out[cap] = (global_dimension(A, cap),
+                    A._cache.get("koszul_resolution") is not None)
+    A._cache.pop("global_dimension", None)
+    A._cache.pop("koszul_resolution", None)
+    assert [global_dimension(A, cap) for cap in caps] == \
+        [gd for gd, _ in out.values()]
+    return out
+
+
+def _generated_beilinson(n):
+    from sodhh.cli import parse_quiver_document
+    from test_cli import _benchmark_inputs
+    return parse_quiver_document(_benchmark_inputs().beilinson_quiver_doc(
+        n, {"kind": "q"}, 101)).build()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_koszul_route_matches_minimal_resolutions_on_the_catalog(field):
+    from sodhh.catalog import catalog_names, get_entry
+    routes = set()
+    for name in catalog_names():
+        A = get_entry(name).algebra(field)
+        expected = minimal_route_oracle(A)
+        assert koszul_route(A) == expected, name
+        routes.update(expected.values())
+    assert (None, False) in routes and (2, True) in routes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_koszul_route_matches_minimal_resolutions_on_generated_beilinson(n):
+    A = _generated_beilinson(n)
+    expected = minimal_route_oracle(A)
+    assert expected[12] == (n, True)
+    assert koszul_route(A) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_koszul_route_matches_minimal_resolutions_off_koszul(field):
+    """The non-Koszul algebra takes the minimal route at every cap."""
+    A = _not_koszul(field)
+    expected = minimal_route_oracle(A)
+    assert expected[12] == (3, False)
+    assert koszul_route(A) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(quadratic_quivers())
+def test_koszul_route_matches_minimal_resolutions_on_random_quivers(A):
+    assert koszul_route(A) == minimal_route_oracle(A)
+
+
+def test_truncated_koszul_complex_is_not_certified(monkeypatch):
+    """K without its last degree is still a complex, and on Beilinson P^2
+    it ends by every cap >= 1, but K (x)_A S_u then has homology at -1:
+    global_dimension must fall back to the minimal resolutions, and
+    diagonal_resolution to the minimal bimodule resolution."""
+    import sodhh.hochschild as hochschild
+    from sodhh.catalog import get_entry
+    from sodhh.complexes import ProjComplex
+    real = hochschild.koszul_resolution
+
+    def truncated(A, n_max):
+        K = real(A, n_max)
+        return ProjComplex(K.algebra, {n: t for n, t in K.terms.items()
+                                       if n > min(K.terms)}, K.diffs)
+
+    monkeypatch.setattr(hochschild, "koszul_resolution", truncated)
+    B = get_entry("beilinson-p2").algebra(QQ)
+    assert global_dimension(B, 6) == 2
+    assert B._cache["koszul_resolution"] is None
+    assert diagonal_resolution(B, 4).terms == \
+        projective_resolution(regular_bimodule(B), 4).terms
 
 
 def test_algebra_graph_is_freed_without_the_cyclic_collector():

@@ -16,6 +16,7 @@ multiply left-to-right: "first a, then c" is the element a*c.
 
 A Hom complex always maps a ProjComplex into a complex of modules; a
 projective target is read as one through its realization (_as_modules).
+Its differential is placed by offsets into the target's vertex blocks.
 
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
@@ -28,6 +29,8 @@ Sign conventions used throughout:
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, _lines,
                       _radical_generators)
@@ -42,7 +45,8 @@ class SideMismatch(ValueError):
 class ComplexError(ValueError):
     """A differential or chain map fails a construction-time check: wrong
     shape, an entry outside its e_v L e_w slice, d^2 != 0, a chain map
-    that does not commute, or a differential that is not L-linear."""
+    that does not commute, a differential that is not L-linear, or one
+    whose Hom image leaves the vertex block it must land in."""
 
 
 def _compose(alg, first, second):
@@ -390,7 +394,9 @@ class ModuleHomComplex:
     through its realization (see _as_modules).  Hom(L e_v, M) is the
     graded block e_v M, so the basis cochains in degree n are (i, sX, m):
     source degree i, summand sX = L e_v of X^i, and a basis position m of
-    Y^{i+n} graded by v.
+    Y^{i+n} graded by v, at _offsets[n][i][sX] + the place of m among
+    the positions of Y^{i+n} at v.  Y is asked for the image of m under
+    an entry a of d_X once per (Y degree, a, m).
     """
 
     def __init__(self, X: ProjComplex, Y):
@@ -399,47 +405,67 @@ class ModuleHomComplex:
                                "same algebra")
         self.X, self.Y = X, Y
         self._field = X.algebra.field
-        gradings, self._y_diffs, self._act = _as_modules(Y)
-        self.basis = {}
-        for n in {j - i for i in X.terms for j in gradings}:
-            basis = []
+        read = _as_modules(Y)   # (gradings, d_Y, act)
+        # the positions of each Y^j by vertex, and each one's place there
+        self._blocks, self._place = {}, {}
+        for j, grading in read[0].items():
+            blocks, place = self._blocks[j], self._place[j] = {}, []
+            for m, u in enumerate(grading):
+                place.append(len(blocks.setdefault(u, [])))
+                blocks[u].append(m)
+        self._offsets, self.dims = {}, {}
+        for n in {j - i for i in X.terms for j in self._blocks}:
+            offsets, start = self._offsets.setdefault(n, {}), 0
             for i in sorted(X.terms):
-                grading = gradings.get(i + n, ())
-                for sX, v in enumerate(X.terms[i]):
-                    basis.extend((i, sX, m) for m, u in enumerate(grading)
-                                 if u == v)
-            if basis:
-                self.basis[n] = basis
-        self.dims = {n: len(b) for n, b in self.basis.items()}
-        self.pos = {n: {b: k for k, b in enumerate(bs)}
-                    for n, bs in self.basis.items()}
-        x_rows = {m: _lines(d, 0) for m, d in X.diffs.items()}
-        self.mats = {}
-        for n in self.basis:
-            if (n + 1) in self.basis:
-                self.mats[n] = self._differential(n, x_rows)
+                blocks = self._blocks.get(i + n)
+                for v in X.terms[i] if blocks is not None else ():
+                    offsets.setdefault(i, []).append(start)
+                    start += len(blocks.get(v, ()))
+            if start:
+                self.dims[n] = start
+        # d_X^i by row: (column, the entry's content as a key, the entry)
+        x_rows = {i: {r: [(c, tuple(a.items()), a) for c, a in row]
+                      for r, row in _lines(d, 0).items()}
+                  for i, d in X.diffs.items()}
+        images = {}   # (Y degree, entry key, position) -> a . m
+        self.mats = {n: self._differential(n, read, x_rows, images)
+                     for n in self.dims if (n + 1) in self.dims}
 
-    def _differential(self, n, x_rows):
-        f = self._field
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
-        tgt_pos = self.pos.get(n + 1, {})
-        entries = {}
-        for col, (i, sX, m) in enumerate(self.basis[n]):
-            # d_Y . phi
-            dY = self._y_diffs.get(i + n)
+    def _differential(self, n, read, x_rows, images):
+        """The degree-n matrix, column by column; `read` is _as_modules(Y)
+        and `images` holds the a . m read so far."""
+        (gradings, y_diffs, act), f, odd = read, self._field, n % 2
+        terms, tgt, cols = self.X.terms, self._offsets[n + 1], []
+        for i in self._offsets[n]:
+            j = i + n
+            dY, rows = y_diffs.get(j), x_rows.get(i - 1, {})
+            grading, place = gradings[j], self._place[j]
             if dY is not None:
-                for m2, v in dY.cols[m].items():
-                    r = tgt_pos.get((i, sX, m2))
-                    if r is not None:
-                        entries[(r, col)] = f.add(entries.get((r, col), f.zero), v)
-            # -(-1)^n phi . d_X : the entry a of d_X, then phi
-            for j2, a in x_rows.get(i - 1, {}).get(sX, ()):
-                for m2, v in self._act(i + n, a, m).items():
-                    r = tgt_pos.get((i - 1, j2, m2))
-                    if r is not None:
-                        entries[(r, col)] = f.sub(
-                            entries.get((r, col), f.zero), f.mul(sign, v))
-        return Matrix.from_entries(f, self.dims.get(n + 1, 0), self.dims[n], entries)
+                grading1, place1 = gradings[j + 1], self._place[j + 1]
+            for sX, v in enumerate(terms[i]):
+                for m in self._blocks[j].get(v, ()):
+                    col = {}
+                    # d_Y . phi, inside the block of (i, sX)
+                    for m2, c in (dY.cols[m] if dY is not None else {}).items():
+                        if grading1[m2] != v:
+                            raise ComplexError(f"d_Y^{j} moves a position "
+                                               f"off vertex {v}")
+                        col[tgt[i][sX] + place1[m2]] = c
+                    # -(-1)^n phi . d_X : the entry a of d_X, then phi,
+                    # inside the block of (i - 1, j2)
+                    for j2, key, a in rows.get(sX, ()):
+                        img = images.get((j, key, m))
+                        if img is None:
+                            img = images[j, key, m] = act(j, a, m)
+                        base, w = tgt[i - 1][j2], terms[i - 1][j2]
+                        for m2, c in img.items():
+                            if grading[m2] != w:
+                                raise ComplexError(f"an entry of d_X moves a "
+                                                   f"position of Y^{j} off "
+                                                   f"vertex {w}")
+                            col[base + place[m2]] = c if odd else f.neg(c)
+                    cols.append(col)
+        return Matrix(f, self.dims[n + 1], self.dims[n], cols)
 
     def ext_profile(self):
         return FieldComplex(self._field, dict(self.dims), dict(self.mats)).homology_dims()
@@ -452,9 +478,18 @@ class HomComplex(ModuleHomComplex):
     Y.realize_bases()[i + n] is the component t of Hom(L e_v, L e_w) =
     e_v L e_w from summand sX of X^i to summand sY of Y^{i+n}."""
 
+    @cached_property
+    def basis(self):
+        """The cochains (i, sX, m) of each degree in column order."""
+        terms = self.X.terms
+        return {n: [(i, sX, m) for i in self._offsets[n]
+                    for sX, v in enumerate(terms[i])
+                    for m in self._blocks[i + n].get(v, ())]
+                for n in self.dims}
+
     def cocycle_representatives(self, n):
         """Vectors over the degree-n basis lifting a basis of H^n."""
-        if n not in self.basis:
+        if n not in self.dims:
             return []
         fc = FieldComplex(self._field, self.dims, self.mats)
         red = SubspaceReducer(self._field, self.dims[n], fc.diff(n - 1).cols)
@@ -473,8 +508,8 @@ class HomComplex(ModuleHomComplex):
     def chainmap_to_cochain(self, cm: ChainMap, n) -> dict:
         """The degree-n cochain {position: c} of a chain map X[-n] -> Y;
         the inverse of cochain_to_chainmap."""
-        index, pos = self.Y.realize_index(), self.pos.get(n, {})
-        return {pos[(m - n, sX, index[m][(sY, t)])]: c
+        index, offsets = self.Y.realize_index(), self._offsets.get(n, {})
+        return {offsets[m - n][sX] + self._place[m][index[m][(sY, t)]]: c
                 for m, mat in cm.mats.items()
                 for (sY, sX), x in mat.items() for t, c in x.items()}
 

@@ -90,7 +90,7 @@ def evaluation_map(E: ProjComplex, F: ProjComplex) -> ChainMap:
     basis of the Ext groups."""
     h = hom_complex(E, F)
     pieces, maps = [], []
-    for d in sorted(h.basis):
+    for d in sorted(h.dims):
         for vec in h.cocycle_representatives(d):
             cm = h.cochain_to_chainmap(vec, d)   # E[-d] -> F
             pieces.append(cm.source)
@@ -106,7 +106,7 @@ def coevaluation_map(F: ProjComplex, E: ProjComplex) -> ChainMap:
     degree-d cocycle."""
     h = hom_complex(F, E)
     pieces, maps = [], []
-    for d in sorted(h.basis):
+    for d in sorted(h.dims):
         for vec in h.cocycle_representatives(d):
             cm = h.cochain_to_chainmap(vec, d)   # F[-d] -> E
             shifted = ChainMap(F, E.shift(d),

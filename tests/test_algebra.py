@@ -379,6 +379,62 @@ def test_tensor_opposite_products_match_the_factors(algebras):
         assert len(env.mult) == env.dim ** 2
 
 
+def _random_element(rng, alg, terms):
+    """A sparse element with up to `terms` basis terms and coefficients
+    drawn from -2, -1, 1, 2 (over F_3 products of them cancel often)."""
+    return {k: alg.field.coerce(rng.choice([-2, -1, 1, 2]))
+            for k in rng.sample(range(alg.dim), min(terms, alg.dim))}
+
+
+def _in_the_factors(env, x, y):
+    """x y in B (x) C^op from products in the factors: each pair of terms
+    (b_i (x) c_j)(b_k (x) c_l) = b_i b_k (x) c_l c_j."""
+    f, (b, c) = env.field, env.factors
+    out = {}
+    for (i1, i2, xi) in env.terms(x):
+        for (k1, k2, yk) in env.terms(y):
+            left = b.multiply({i1: f.one}, {k1: f.one})
+            right = c.multiply({k2: f.one}, {i2: f.one})
+            for p, vp in left.items():
+                for q, vq in right.items():
+                    k = env.pair_index(p, q)
+                    out[k] = f.add(out.get(k, f.zero),
+                                   f.mul(f.mul(xi, yk), f.mul(vp, vq)))
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_tensor_opposite_multiply_matches_the_factors_on_sparse_elements(field):
+    """TensorOpposite.multiply, basis by basis through `product`, equals
+    the product taken in the factors on random sparse elements, and keeps
+    no zero coefficients: A^e of the catalog, B (x) C^op for factors of
+    different dimensions, and a nested one."""
+    import random
+    rng = random.Random(7)
+    algs = {name: e.algebra(field) for name, e in sorted(CATALOG.items())}
+    envs = [A.enveloping() for A in algs.values()]
+    envs += [tensor_opposite(algs[b], algs[c]) for b, c in
+             [("kronecker2", "beilinson-p2"), ("beilinson-p2", "loop-x2"),
+              ("a2-quiver", "kronecker3")]]
+    envs.append(tensor_opposite(algs["kronecker2"].enveloping(),
+                                algs["a2-quiver"]))
+    assert any(e.factors[0].dim != e.factors[1].dim for e in envs)
+    cancelled = 0
+    for env in envs:
+        for _ in range(60):
+            x = _random_element(rng, env, rng.randint(1, 8))
+            y = _random_element(rng, env, rng.randint(1, 8))
+            ours = env.multiply(x, y)
+            assert ours == _in_the_factors(env, x, y)
+            assert all(ours.values())
+            touched = {k for i in x for j in y for k in env.product(i, j)}
+            cancelled += touched != set(ours)
+        y = _random_element(rng, env, 4)
+        assert env.multiply(env.unit(), y) == y == env.multiply(y, env.unit())
+        assert env.multiply({}, y) == {} == env.multiply(y, {})
+    assert cancelled
+
+
 def test_tensor_opposite_grading_is_fixed_by_the_idempotents(algebras):
     """Each basis element k of B (x) C^op has e_tgt(k) k = k = k e_src(k),
     also when B and C have different numbers of vertices."""

@@ -19,12 +19,14 @@ element of I.  Every prefix of a normal word is normal, so extending the
 residue words of length L-1 reaches all of them, and every normal form is
 the one modulo all of I.  The quotient is graded by length, so rad^N is
 spanned by the words of length >= N: the build records the radical's
-nilpotency index, 1 + the longest residue word.
+nilpotency index, 1 + the longest residue word, and the vertex grading,
+where a word starts and ends, so neither is computed from the table.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .linalg import ColumnEchelon, FieldSpec, Matrix, SubspaceReducer, axpy
@@ -97,7 +99,8 @@ class Algebra:
     nonzero products only, each a sparse vector {k: nonzero scalar}; an
     absent key is a zero product.  Readers that need every pair read one
     product at a time with `product(i, j)`; readers that need the products
-    of one factor group the stored ones with `_lines`.
+    of one factor group the stored ones with `_lines`.  On B (x) C^op the
+    table is a read-only view computed from the factors (`_TensorTable`).
     """
 
     def __init__(self, field: FieldSpec, labels, mult, idempotents, vertex_names,
@@ -310,17 +313,51 @@ class _OuterSum:
         return self.first[i] + second[j]
 
 
+class _TensorTable(Mapping):
+    """The read-only table {(i, j): b_i * b_j} of the nonzero products of
+    B (x) C^op, computed from the tables of B and C, the only things it
+    stores: (b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2 is
+    nonzero exactly when both factor products are."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, b, c):
+        self.factors = (b, c)
+
+    def cell(self, i, j) -> dict:
+        """b_i * b_j, {} when it is zero; C's product is not taken then."""
+        (b, c), n = self.factors, self.factors[1].dim
+        (i1, i2), (j1, j2) = divmod(i, n), divmod(j, n)
+        left, mul = b.product(i1, j1), b.field.mul
+        return {a * n + d: mul(va, vd) for a, va in left.items()
+                for d, vd in c.product(j2, i2).items()} if left else {}
+
+    def __getitem__(self, key):
+        cell = self.cell(*key)
+        if not cell:
+            raise KeyError(key)
+        return cell
+
+    def __iter__(self):
+        (b, c), n = self.factors, self.factors[1].dim
+        return ((i1 * n + i2, j1 * n + j2) for i1, j1 in b.mult
+                for j2, i2 in c.mult)
+
+    def __len__(self):
+        return len(self.factors[0].mult) * len(self.factors[1].mult)
+
+
 class TensorOpposite(Algebra):
     """The algebra B (x) C^op; its left modules are (B,C)-bimodules.
 
     The basis element b_i (x) c_j has index i * dim C + j and the vertex
-    (v, w) has position v * |C_0| + w.  The methods below, and the
-    sequences built in __init__, are the only place these encodings are
-    written down.  Nothing of size dim B * dim C is stored: `labels`,
-    `src` and `tgt` compute entry k from b_i and c_j (`_OuterSum`), and
-    products are computed when first asked for: `mult` caches the products
-    computed so far, zero ones included, so its absent keys are not yet
-    known rather than zero, and it is read only through `product`."""
+    (v, w) has position v * |C_0| + w.  The methods below, `_TensorTable`
+    and the sequences built in __init__ are the only place these encodings
+    are written down.  Nothing of size dim B * dim C is stored up front:
+    `labels`, `src` and `tgt` compute entry k from b_i and c_j
+    (`_OuterSum`), `mult` is the `_TensorTable` view of the factors'
+    tables, and `product` keeps each product it computes, zero ones as {},
+    in a private memo."""
 
     def __init__(self, b: Algebra, c: Algebra):
         if b.field != c.field:
@@ -335,7 +372,9 @@ class TensorOpposite(Algebra):
         nv = c.num_vertices
         src = _OuterSum(tuple(v * nv for v in b.src), c.tgt)
         tgt = _OuterSum(tuple(v * nv for v in b.tgt), c.src)
-        super().__init__(b.field, labels, {}, idems, vnames, grading=(src, tgt))
+        super().__init__(b.field, labels, _TensorTable(b, c), idems, vnames,
+                         grading=(src, tgt))
+        self._products = {}
 
     def column_indices(self, v):
         """Basis of (B (x) C^op) e_v for v = (v1, v2): the b_p (x) c_q with
@@ -355,16 +394,16 @@ class TensorOpposite(Algebra):
         return [p * c.dim + q for p in b.slice_indices(v1, w1) for q in qs]
 
     def product(self, i, j) -> dict:
-        """(b_i1 (x) c_i2)(b_j1 (x) c_j2) = b_i1 b_j1 (x) c_j2 c_i2: the
-        second slots compose in C^op."""
-        cell = self.mult.get((i, j))
+        """b_i * b_j (see _TensorTable), computed once."""
+        cell = self._products.get((i, j))
         if cell is None:
-            (i1, i2), (j1, j2) = self.index_pair(i), self.index_pair(j)
-            left, right = self.factors[0].product(i1, j1), self.factors[1].product(j2, i2)
-            cell = self.mult[(i, j)] = {
-                self.pair_index(a, d): self.field.mul(va, vd)
-                for a, va in left.items() for d, vd in right.items()}
+            cell = self._products[i, j] = self.mult.cell(i, j)
         return cell
+
+    def radical_nilpotency_index(self):
+        """N_B + N_C - 1, as rad^n = sum_{p+q=n} rad^p B (x) rad^q C^op."""
+        b, c = self.factors
+        return b.radical_nilpotency_index() + c.radical_nilpotency_index() - 1
 
     def pair_index(self, i, j):
         """Basis index of b_i (x) c_j."""
@@ -398,8 +437,9 @@ class PathAlgebra(Algebra):
     consists of the vertex idempotents and a set of residue paths."""
 
     def __init__(self, field, labels, mult, idempotents, vertex_names,
-                 quiver, relations, basis_paths):
-        super().__init__(field, labels, mult, idempotents, vertex_names)
+                 quiver, relations, basis_paths, grading=None):
+        super().__init__(field, labels, mult, idempotents, vertex_names,
+                         grading)
         self.quiver = quiver
         self.relations = tuple(relations)
         self.basis_paths = tuple(basis_paths)  # per basis index: None or arrow-name tuple
@@ -528,6 +568,8 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
     for i in range(nv, len(paths)):
         ending_at[tgt[i]].append(i)
 
+    # a path starts where its first arrow does
+    src = list(range(nv)) + [vpos[arrows[p[0]].source] for p in paths[nv:]]
     # row-major over the composable pairs only; b_i b_j is "b_j then b_i",
     # so it needs b_j to end where b_i starts, and it is "b_j then
     # b_prefix[i]", a product of an earlier row, followed by b_i's last arrow
@@ -537,14 +579,14 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
         for j in ending_at[v]:
             mult[(v, j)] = {j: one}
     for i in range(nv, len(paths)):
-        start = vpos[arrows[paths[i][0]].source]
+        start = src[i]
         mult[(i, start)] = {i: one}
         for j in ending_at[start]:
             pq = extend(mult.get((prefix[i], j), {}), paths[i][-1:])
             if pq:
                 mult[(i, j)] = pq
-    alg = PathAlgebra(field, labels, mult, list(range(nv)),
-                      quiver.vertices, quiver, relations, basis_paths)
+    alg = PathAlgebra(field, labels, mult, list(range(nv)), quiver.vertices,
+                      quiver, relations, basis_paths, (tuple(src), tuple(tgt)))
     # graded by length, so rad^N is spanned by the words of length >= N
     alg._cache["radical_nilpotency_index"] = len(levels) - 1  # 1 + longest
     return alg

@@ -53,13 +53,24 @@ def _compose(alg, first, second):
     """Nonzero entries of "first, then second" for sparse matrices of
     algebra elements: {(h, j): sum_i first[i, j] * second[h, i]}.
     `second` is grouped by column, so only pairs of nonzero entries are
-    multiplied."""
+    multiplied, and each product of two of their terms is added into the
+    (h, j) cell where it lands, as axpy would; empty cells are dropped."""
     f = alg.field
+    add, mul, zero, product = f.add, f.mul, f.zero, alg.product
     second_cols = _lines(second, 1)
     out = {}
     for (i, j), x in first.items():
         for h, y in second_cols.get(i, ()):
-            axpy(f, out.setdefault((h, j), {}), alg.multiply(x, y), f.one)
+            cell = out.setdefault((h, j), {})
+            for p, xp in x.items():
+                for q, yq in y.items():
+                    c = mul(xp, yq)
+                    for k, v in product(p, q).items():
+                        s = add(cell.get(k, zero), mul(c, v))
+                        if s:
+                            cell[k] = s
+                        elif k in cell:
+                            del cell[k]
     return {hj: x for hj, x in out.items() if x}
 
 
@@ -375,8 +386,13 @@ def _as_modules(Y):
     f = alg.field
     if isinstance(Y, ModuleComplex):
         modules = Y.modules
-        return ({j: M.grading for j, M in modules.items()}, Y.diffs,
-                lambda j, a, m: modules[j].act(a, {m: f.one}))
+
+        def act(j, a, m):   # the columns k of m, scaled by a_k
+            column, out = modules[j].column, {}
+            for k, x in a.items():
+                axpy(f, out, column(k, m), x)
+            return out
+        return ({j: M.grading for j, M in modules.items()}, Y.diffs, act)
     bases, index = Y.realize_bases(), Y.realize_index()
 
     def act(j, a, m):
@@ -1093,8 +1109,8 @@ def _koszul_spaces(A: PathAlgebra, n_max: int):
                 for t, c in prev[j][0].items():
                     for s, c2 in A.product(t[-1], b).items():
                         r = rows.setdefault((t[:-1], s), len(rows))
-                        axpy(f, img, {r: c2}, c)
-                images.append(img)
+                        img[r] = f.add(img.get(r, f.zero), f.mul(c, c2))
+                images.append({r: c for r, c in img.items() if c})
             echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
             for combo in echelon.kernel_basis():
                 vec = {}
@@ -1150,13 +1166,13 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
                         raise ComplexError(f"a basis element of K_{n} does "
                                            f"not split off {A.labels[a]}")
                     left.update({(j, a): c for j, c in x.items()})
+            # a and b are arrows, so no a (x) e_w is an e_v (x) b and no
+            # two terms meet in one coefficient: each is written, not added
             for (j, a), c in left.items():
-                axpy(f, d.setdefault((j, col), {}),
-                     {env.pair_index(a, e[w]): c}, f.one)
+                d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
             for (j, b), c in right.items():
-                axpy(f, d.setdefault((j, col), {}),
-                     {env.pair_index(e[v], b): c}, sign)
-        diffs[-n] = {rc: x for rc, x in d.items() if x}
+                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = \
+                    f.mul(sign, c)
     return ProjComplex(env, terms, diffs, check=True)
 
 

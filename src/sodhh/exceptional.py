@@ -221,13 +221,16 @@ def dual_collection(coll: ExceptionalCollection):
     objs = coll.objects
     m = len(objs)
     duals = []
-    shifts = []
     for i in range(m):
         T = objs[i]
         for j in range(i + 1, m):
             T = right_mutation_object(T, objs[j])
         duals.append(T)
-        table = ext_profile(T, objs[i])
+    # tables[i][j] = Ext*(F_j, E_i); the diagonal gives the shifts
+    tables = [[ext_profile(F, E) for F in duals] for E in objs]
+    shifts = []
+    for i in range(m):
+        table = tables[i][i]
         if len(table) != 1 or set(table.values()) != {1}:
             raise MutationFailed(
                 f"dual object F_{i+1} has Ext table {table} against E_{i+1}")
@@ -235,7 +238,7 @@ def dual_collection(coll: ExceptionalCollection):
     # delta property across the collection
     for i in range(m):
         for j in range(m):
-            table = ext_profile(duals[j], objs[i])
+            table = tables[i][j]
             expected = {shifts[j]: 1} if i == j else {}
             if table != expected:
                 raise MutationFailed(

@@ -362,13 +362,15 @@ def test_sparse_tables_store_only_nonzero_composable_products():
 
 
 def test_tensor_opposite_products_match_the_factors(algebras):
-    """(b_i (x) c_k)(b_j (x) c_l) = b_i b_j (x) c_l c_k, computed lazily."""
+    """(b_i (x) c_k)(b_j (x) c_l) = b_i b_j (x) c_l c_k, computed lazily;
+    `mult` is the table of the nonzero ones, also on a fresh A^e."""
     for name, A in algebras.items():
-        env = tensor_opposite(A, A)
+        env, fresh = tensor_opposite(A, A), tensor_opposite(A, A)
         one = A.field.one
         basis = range(A.dim)
         prod = {(i, j): A.multiply({i: one}, {j: one})
                 for i in basis for j in basis}
+        table = {}
         for i1, j1, i2, j2 in itertools.product(basis, repeat=4):
             expected = {env.pair_index(a, d): A.field.mul(va, vd)
                         for a, va in prod[(i1, j1)].items()
@@ -376,7 +378,11 @@ def test_tensor_opposite_products_match_the_factors(algebras):
             x, y = env.pair_index(i1, i2), env.pair_index(j1, j2)
             assert env.product(x, y) == expected, name
             assert env.multiply({x: one}, {y: one}) == expected, name
-        assert len(env.mult) == env.dim ** 2
+            if expected:
+                table[(x, y)] = expected
+        for view in (env.mult, fresh.mult):
+            assert len(view) == len(table) and set(view) == set(table), name
+            assert dict(view.items()) == table, name
 
 
 def _random_element(rng, alg, terms):
@@ -433,6 +439,43 @@ def test_tensor_opposite_multiply_matches_the_factors_on_sparse_elements(field):
         assert env.multiply(env.unit(), y) == y == env.multiply(y, env.unit())
         assert env.multiply({}, y) == {} == env.multiply(y, {})
     assert cancelled
+
+
+def _dense_copy(env):
+    """B (x) C^op as a plain Algebra over the table of all its nonzero
+    products, read one at a time through `product`."""
+    mult = {(i, j): env.product(i, j) for i in range(env.dim)
+            for j in range(env.dim) if env.product(i, j)}
+    return Algebra(env.field, env.labels, mult, env.idempotents,
+                   env.vertex_names)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_fresh_enveloping_algebra_reads_like_its_dense_copy(field):
+    """The readers that take `mult` as the whole table agree with a dense
+    copy on an A^e whose products were never asked for: the structure
+    hash, the radical index (N + N - 1), the opposite, the dual columns
+    and, through the regular bimodule, HH^* of A^e; and the table of
+    A^e (x) A^op, whose first factor's table is itself a view."""
+    from sodhh.modules import _dual_columns
+    for name, entry in sorted(CATALOG.items()):
+        env = entry.algebra(field).enveloping()
+        dense = _dense_copy(tensor_opposite(*env.factors))
+        assert structure_hash(env) == structure_hash(dense), name
+        assert env.radical_nilpotency_index() == \
+            dense.radical_nilpotency_index() == \
+            2 * env.factors[0].radical_nilpotency_index() - 1, name
+        op, dense_op = env.opposite(), dense.opposite()
+        assert (op.mult, op.src, op.tgt) == \
+            (dense_op.mult, dense_op.src, dense_op.tgt), name
+        for axis in (0, 1):
+            assert _dual_columns(env, axis) == _dual_columns(dense, axis)
+        if name in ("a2-quiver", "kronecker1"):
+            assert hh_cohomology(env, 3).as_tuple() == \
+                hh_cohomology(dense, 3).as_tuple() == (1, 0, 0, 0), name
+            nested = tensor_opposite(env, env.factors[0])
+            assert dict(nested.mult.items()) == _dense_copy(
+                tensor_opposite(env, env.factors[0])).mult, name
 
 
 def test_tensor_opposite_grading_is_fixed_by_the_idempotents(algebras):
@@ -928,12 +971,19 @@ def test_center_matches_reference_on_catalog_and_beilinson(algebras):
         assert center(A)[0] == reference_center(A)
 
 
+def _assert_recorded_matches_plain(A):
+    """The radical index and the grading build_path_algebra records equal
+    the ones a plain Algebra finds from the table."""
+    plain = plain_algebra(A)
+    assert A.radical_nilpotency_index() == plain.radical_nilpotency_index()
+    assert (A.src, A.tgt) == (plain.src, plain.tgt)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(finite_presentations())
 def test_recorded_radical_index_matches_loop_on_random_quivers(A):
     assert "radical_nilpotency_index" in A._cache
-    assert A.radical_nilpotency_index() == \
-        plain_algebra(A).radical_nilpotency_index()
+    _assert_recorded_matches_plain(A)
 
 
 def test_recorded_radical_index_matches_loop_on_catalog_and_beilinson(algebras):
@@ -942,8 +992,7 @@ def test_recorded_radical_index_matches_loop_on_catalog_and_beilinson(algebras):
     cases += [parse_quiver_document(_beilinson_doc(n, fd)).build()
               for n in (2, 3, 4, 5) for fd in BEILINSON_FIELDS]
     for A in cases:
-        assert A.radical_nilpotency_index() == \
-            plain_algebra(A).radical_nilpotency_index()
+        _assert_recorded_matches_plain(A)
 
 
 def test_algebra_from_structure_multiplies_out_the_radical():

@@ -157,6 +157,29 @@ def test_dual_collections_catalog(algebras):
             assert bdi_check(coll, i), (name, i)
 
 
+def test_dual_collection_computes_each_ext_once(collB, monkeypatch):
+    """One Hom complex per (F_j, E_i), m^2 in all: the shifts are read from
+    the diagonal of the delta table.  A bad diagonal entry and a bad
+    off-diagonal one raise the messages that name them."""
+    import sodhh.exceptional as ex
+    calls, real = [], ex.ext_profile
+
+    def counting(F, E):
+        calls.append((F, E))
+        return real(F, E)
+    monkeypatch.setattr(ex, "ext_profile", counting)
+    dual_collection(collB)
+    m = len(collB)
+    assert len(calls) == len({(id(F), id(E)) for F, E in calls}) == m * m
+    for table, message in [
+            ({3: 2}, "dual object F_1 has Ext table {3: 2} against E_1"),
+            ({0: 1}, "Ext*(F_2, E_1) = {0: 1}, expected {}")]:
+        monkeypatch.setattr(ex, "ext_profile", lambda F, E: table)
+        with pytest.raises(ex.MutationFailed) as exc:
+            dual_collection(collB)
+        assert str(exc.value) == message
+
+
 def test_bdi_last_index_trivial(collB):
     assert bdi_check(collB, 3)
 

@@ -28,8 +28,8 @@ from .complexes import (ComplexError, SideMismatch, ext_profile,
                         projective_resolution, serre_twist_left,
                         single_projective)
 from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
-                          dual_collection, is_exceptional_collection, mutate,
-                          projective_collection, sod_project)
+                          dual_collection, mutate, projective_collection,
+                          sod_project)
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual)
 from .kernels import (NormalizationFailed, RangeNotCertified,
@@ -366,9 +366,8 @@ def cmd_collection(args, report):
     coll = _default_collection(A)
     report.set("collection", _collection_summary(coll))
     if args.subcommand == "check":
-        ok, violations = is_exceptional_collection(coll.objects)
-        report.set("violations", violations)
-        report.check("exceptional collection", ok)
+        report.set("violations", coll.violations)
+        report.check("exceptional collection", not coll.violations)
     elif args.subcommand == "mutate":
         if args.index is None or args.dir not in ("left", "right"):
             raise SchemaError("mutate needs --index and --dir left|right")
@@ -386,7 +385,8 @@ def cmd_collection(args, report):
             {"terms": {str(k): list(v) for k, v in d.terms.items()},
              "shift": s} for d, s in zip(duals, shifts)])
         report.check("delta-property Hom tables",
-                     all(bdi_check(coll, i + 1) for i in range(len(coll))))
+                     all(bdi_check(coll, i + 1, (duals, shifts))
+                         for i in range(len(coll))))
     elif args.subcommand == "project":
         obj = _parse_object_spec(args.object, A)
         try:

@@ -129,10 +129,16 @@ def right_mutation_object(F: ProjComplex, E: ProjComplex) -> ProjComplex:
 
 def is_exceptional_collection(objects):
     """(ok, violations): endomorphisms k and backwards Ext vanishing."""
+    _, violations = _exceptional_tables(objects)
+    return (not violations), violations
+
+
+def _exceptional_tables(objects):
+    """(Ext*(E_i, E_i) for each i, violations)."""
     violations = []
     objects = list(objects)
-    for i, X in enumerate(objects):
-        prof = ext_profile(X, X)
+    self_ext = tuple(ext_profile(X, X) for X in objects)
+    for i, prof in enumerate(self_ext):
         if prof != {0: 1}:
             violations.append(f"Ext*(E_{i+1}, E_{i+1}) = {prof}, expected k in degree 0")
     for j in range(len(objects)):
@@ -141,18 +147,22 @@ def is_exceptional_collection(objects):
             if prof:
                 violations.append(
                     f"Ext*(E_{j+1}, E_{i+1}) = {prof}, expected 0 (i < j)")
-    return (not violations), violations
+    return self_ext, violations
 
 
 class ExceptionalCollection:
+    """Verification keeps `self_ext`, the Ext*(E_i, E_i), and the (empty)
+    `violations`; both are None when `verify` is off."""
+
     def __init__(self, algebra: Algebra, objects, verify=True):
         self.algebra = algebra
         self.objects = tuple(minimalize(X) for X in objects)
+        self.self_ext = self.violations = None
         if verify:
-            ok, violations = is_exceptional_collection(self.objects)
-            if not ok:
+            self.self_ext, self.violations = _exceptional_tables(self.objects)
+            if self.violations:
                 raise ValueError("not an exceptional collection: "
-                                 + "; ".join(violations))
+                                 + "; ".join(self.violations))
 
     def __len__(self):
         return len(self.objects)
@@ -246,13 +256,16 @@ def dual_collection(coll: ExceptionalCollection):
     return duals, shifts
 
 
-def bdi_check(coll: ExceptionalCollection, i: int) -> bool:
+def bdi_check(coll: ExceptionalCollection, i: int, dual=None) -> bool:
     """Graded dims of Ext*(BD_i(E_i), E_i) equal those of Ext*(E_i, E_i)
-    after applying the shift recorded by the dual collection."""
-    duals, shifts = dual_collection(coll)
-    table = ext_profile(duals[i - 1], coll.objects[i - 1])
+    after applying the shift recorded by the dual collection (`dual`, if
+    the caller has it)."""
+    duals, shifts = dual_collection(coll) if dual is None else dual
+    E = coll.objects[i - 1]
+    table = ext_profile(duals[i - 1], E)
     shifted = {n - shifts[i - 1]: d for n, d in table.items()}
-    return shifted == ext_profile(coll.objects[i - 1], coll.objects[i - 1])
+    own = ext_profile(E, E) if coll.self_ext is None else coll.self_ext[i - 1]
+    return shifted == own
 
 
 class SodTower:

@@ -18,6 +18,9 @@ projective termwise.
 Ext between untwisted decomposable kernels, with or without the Serre
 twist, and their K_0 classes come from the two factors over A and A^op
 (decomposable_ext, decomposable_class; Kuenneth, exact over a field).
+The Serre-twisted A^op factor is read by the Nakayama isomorphism, not
+built; serre_twist_left still runs in kernel_apply, the convolutions of
+twisted adjoints and serre-check.
 Their complex over A (x) A^op (decomposable_to_env) is built only by the
 general-kernel and convolution fallbacks, and is the tests' oracle.
 """
@@ -63,6 +66,7 @@ class Kernel:
         self.right = right          # decomposable: ProjComplex over op(A)
         self.twist = twist          # None | 'left' | 'right'
         self._env = None            # untwisted decomposable: E (x)_k F'
+        self._self_ext = None       # (Ext(E, E), Ext(F', F'))
 
     @staticmethod
     def diagonal(A: Algebra) -> "Kernel":
@@ -133,22 +137,35 @@ def _require_untwisted(P: Kernel, what: str):
             f"{what} needs an untwisted decomposable kernel, got {P!r}")
 
 
-def decomposable_ext(P: Kernel, left, right) -> dict:
-    """Graded dimensions of Ext(P, left (x)_k right) over A (x) A^op for an
-    untwisted decomposable kernel P = E (x)_k F', by Kuenneth:
+def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
+    """Graded dimensions of Ext(P, Q) over A (x) A^op, or of Ext(P, Q o S)
+    when `serre`, for untwisted decomposable kernels P = E (x)_k F' and
+    Q = E' (x)_k G', by Kuenneth:
 
       Ext^n(E (x) F', E' (x) G') = (+)_{p+q=n} Ext^p_A(E, E') (x) Ext^q_{A^op}(F', G'),
 
-    as Hom_{A^e}(A e_v (x) e_w A, X (x) Y) = e_v X (x) Y e_w termwise.  For
-    Q = E' (x) G', Ext(P, Q) is decomposable_ext(P, E', G') and Ext(P, Q o S)
-    is decomposable_ext(P, E', serre_twist_left(G')): Q o S = E' (x) (G'
-    (x)_A DA), and G' (x)_A DA is serre_twist_left(G') over A^op.  When the
-    A factor has no Ext the sum is zero and the A^op factor is skipped."""
+    as Hom_{A^e}(A e_v (x) e_w A, X (x) Y) = e_v X (x) Y e_w termwise.
+    Q o S = E' (x) (G' (x)_A DA), and by the Nakayama isomorphism
+    Hom_B(B e_u, DB (x)_B B e_v) = D Hom_B(B e_v, B e_u), natural in both,
+    dim Ext^q(F', G' (x)_A DA) = dim Ext^{-q}_{A^op}(G', F') exactly.  When
+    the A factor has no Ext the A^op factor is skipped; a kernel keeps its
+    two self-Ext factors (P is Q) once computed."""
     _require_untwisted(P, "Kuenneth Ext")
-    ext_left = ext_profile(P.left, left)
-    if not ext_left:
-        return {}
-    ext_right = ext_profile(P.right, right)
+    _require_untwisted(Q, "Kuenneth Ext")
+    if P is Q:
+        if P._self_ext is None:
+            ext_left = ext_profile(P.left, P.left)
+            P._self_ext = (ext_left, ext_profile(P.right, P.right)
+                           if ext_left else {})
+        ext_left, ext_right = P._self_ext
+    else:
+        ext_left = ext_profile(P.left, Q.left)
+        if not ext_left:
+            return {}
+        ext_right = ext_profile(Q.right, P.right) if serre \
+            else ext_profile(P.right, Q.right)
+    if serre:
+        ext_right = {-q: b for q, b in ext_right.items()}
     out = {}
     for p, a in ext_left.items():
         for q, b in ext_right.items():
@@ -328,8 +345,7 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
             A, regular_bimodule(A) if t.kind == "diagonal" else t.module, n_max)
     if e.kind == "decomposable" and e.twist is None \
             and t.kind in ("diagonal", "serre"):
-        right = e.right if t.kind == "diagonal" else serre_twist_left(e.right)
-        prof = decomposable_ext(e, e.left, right)
+        prof = decomposable_ext(e, e, serre=t.kind == "serre")
     else:
         depth = n_max + 1
         src = as_env_complex(e, depth)
@@ -393,7 +409,7 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
             "no shift of the dual objects satisfies the K_0 identity "
             "(the collection is not full)")
     for i, P in enumerate(kernels):
-        if decomposable_ext(P, P.left, P.right).get(0, 0) < 1:
+        if decomposable_ext(P, P).get(0, 0) < 1:
             raise NormalizationFailed(
                 f"Ext^0(P_{i+1}, P_{i+1}) has no identity class")
     return kernels
@@ -402,16 +418,14 @@ def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True)
 def orthogonality_report(kernels) -> dict:
     """Ext(P_i, P_j ∘ S) for all ordered pairs, plus the vanishing of the
     adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j).
-    The Serre functor S twists the right factor of P_j (see
-    decomposable_ext); that factor and P_j's adjoints are built once."""
-    twisted = [serre_twist_left(P.right) for P in kernels]
+    P_j's adjoints are built once."""
     left_adj = [kernel_adjoint(P, "left") for P in kernels]
     right_adj = [kernel_adjoint(P, "right") for P in kernels]
     table = {}
     adjoint_vanishing = {}
     for i, P in enumerate(kernels):
         for j, Q in enumerate(kernels):
-            prof = decomposable_ext(P, Q.left, twisted[j])
+            prof = decomposable_ext(P, Q, serre=True)
             table[(i + 1, j + 1)] = dict(sorted(prof.items()))
             if i < j:
                 adjoint_vanishing[(i + 1, j + 1, "left")] = \
@@ -441,9 +455,8 @@ def additivity_check(A: Algebra, coll: ExceptionalCollection,
     (1, 0, ...) for exceptional-object components."""
     kernels = projection_kernels(coll)
     hh = hh_homology(A, n_max)
-    summands = [HHProfile.from_dict(
-        decomposable_ext(P, P.left, serre_twist_left(P.right)), A.field, n_max)
-        for P in kernels]
+    summands = [HHProfile.from_dict(decomposable_ext(P, P, serre=True),
+                                    A.field, n_max) for P in kernels]
     degreewise = all(
         hh.dim(n) == sum(s.dim(n) for s in summands) for n in range(n_max + 1))
     each_point = all(s.as_tuple() == (1,) + (0,) * n_max for s in summands)

@@ -533,6 +533,17 @@ def test_kernels_additivity_builds_kernels_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_serre_check_twists_each_probe_once(monkeypatch):
+    """serre-check keeps its own route: each probe P_v, S_v is twisted by
+    serre_twist_left once, and Ext into the twist is compared with the
+    reverse Ext."""
+    calls = counting_wrapper(monkeypatch, "serre_twist_left",
+                             ["complexes", "cli"])
+    code, report = run_command(["serre-check", "--catalog", "beilinson-p2"])
+    assert code == 0 and len(report.data["serre_duality_table"]) == 36
+    assert len(calls) == len({id(Y) for Y in calls}) == 6
+
+
 @pytest.mark.parametrize("support,command,key", [
     ("diagonal", "cohomology", "hh_cohomology"),
     ("serre", "homology", "hh_homology")])

@@ -1034,9 +1034,10 @@ def test_hom_assembler_matches_reference_on_diagonal_resolutions(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_hom_assembler_matches_reference_into_serre_twists(field):
-    """The A^op factors of decomposable_ext: Hom(F_i', serre_twist_left(
-    F_j')) for the right factors of the projection kernels, module
-    complexes with nonzero differentials."""
+    """Hom(F_i', serre_twist_left(F_j')) for the right factors of the
+    projection kernels, the twisted route that tests/test_kernels.py
+    compares with decomposable_ext's Nakayama reading: module complexes
+    with nonzero differentials."""
     nonzero = with_diffs = 0
     for entry in CATALOG.values():
         if not entry.has_collection:

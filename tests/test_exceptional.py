@@ -184,6 +184,49 @@ def test_bdi_last_index_trivial(collB):
     assert bdi_check(collB, 3)
 
 
+def test_collection_commands_reuse_what_they_computed(monkeypatch):
+    """`collection check` reports the violations the collection's
+    verification found, and `collection dual` computes the dual collection
+    once.  On beilinson-p2 (m = 3) that is the verification's m + m(m-1)/2
+    = 6 Ext profiles, the m^2 = 9 of the delta table and one Ext*(F_i, E_i)
+    per bdi_check; Ext*(E_i, E_i) is the verification's."""
+    import sodhh.cli as cli
+    import sodhh.exceptional as ex
+    exts, duals = [], []
+    real_ext, real_dual = ex.ext_profile, ex.dual_collection
+
+    def counting_ext(X, Y):
+        exts.append((X, Y))
+        return real_ext(X, Y)
+
+    def counting_dual(coll):
+        duals.append(coll)
+        return real_dual(coll)
+    monkeypatch.setattr(ex, "ext_profile", counting_ext)
+    for module in (ex, cli):
+        monkeypatch.setattr(module, "dual_collection", counting_dual)
+    code, report = cli.run_command(["collection", "check", "--catalog",
+                                    "beilinson-p2"])
+    assert code == 0 and report.data["violations"] == []
+    assert len(exts) == 6 and duals == []
+    exts.clear()
+    code, _ = cli.run_command(["collection", "dual", "--catalog",
+                               "beilinson-p2"])
+    assert code == 0
+    assert len(duals) == 1 and len(exts) == 6 + 9 + 3
+
+
+def test_bdi_check_reads_the_verification(collB):
+    """A verified collection keeps Ext*(E_i, E_i) and its (empty) violations
+    from the verification; an unverified one keeps neither, and bdi_check
+    computes Ext*(E_i, E_i) for it."""
+    assert collB.violations == [] and collB.self_ext == ({0: 1},) * 3
+    bare = ExceptionalCollection(collB.algebra, collB.objects, verify=False)
+    assert bare.self_ext is None and bare.violations is None
+    dual = dual_collection(collB)
+    assert all(bdi_check(bare, i, dual) for i in (1, 2, 3))
+
+
 # -- projection towers ---------------------------------------------------------
 
 

@@ -418,8 +418,9 @@ def _case_algebra(name, field):
     if name.startswith("generated-p"):
         from sodhh.cli import parse_quiver_document
         from test_cli import _benchmark_inputs
-        doc = _benchmark_inputs().beilinson_quiver_doc(int(name[-1]),
-                                                       {"kind": "q"}, 101)
+        kind = {"kind": "q"} if field == "q" else {"kind": "fp", "p": 3}
+        doc = _benchmark_inputs().beilinson_quiver_doc(int(name[-1]), kind,
+                                                       101)
         return parse_quiver_document(doc).build()
     return CATALOG[name].algebra(QQ if field == "q" else GF(3))
 
@@ -427,9 +428,10 @@ def _case_algebra(name, field):
 @pytest.mark.parametrize("name,field", KUENNETH_CASES)
 def test_kuenneth_matches_the_enveloping_route(name, field):
     """For every ordered pair of projection kernels, Ext(P_i, P_j) and
-    Ext(P_i, P_j o S) from the factors over A and A^op equal Ext of the
-    bimodule complexes decomposable_to_env, into P_j and into P_j (x)_A DA;
-    each product K_0 class equals the bimodule complex's Euler class."""
+    Ext(P_i, P_j o S) from the factors over A and A^op (the twisted A^op
+    factor read through the Nakayama isomorphism) equal Ext of the bimodule
+    complexes decomposable_to_env, into P_j and into P_j (x)_A DA; each
+    product K_0 class equals the bimodule complex's Euler class."""
     A = _case_algebra(name, field)
     DA = dual_bimodule(A)
     ks = projection_kernels(projective_collection(A))
@@ -440,17 +442,108 @@ def test_kuenneth_matches_the_enveloping_route(name, field):
         assert decomposable_class(P) == {
             env.vertex_pair(code): c for code, c in envP.euler_class().items()}
         for Q, envQ in zip(ks, envs):
-            plain = decomposable_ext(P, Q.left, Q.right)
+            plain = decomposable_ext(P, Q)
             assert plain == ext_profile(envP, envQ)
-            twisted = decomposable_ext(P, Q.left, serre_twist_left(Q.right))
+            twisted = decomposable_ext(P, Q, serre=True)
             assert twisted == ext_profile(envP, tensor_env_module(envQ, DA))
             nonzero += bool(plain) + bool(twisted)
     assert nonzero >= 2 * len(ks)
 
 
+def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
+    """additivity_check and generalized_hoh(P_i, 'serre') build no Serre
+    twist, and orthogonality_report builds only those of its convolutions
+    P_i o P_j^! (i > j), never one of a right factor; each kernel's
+    self-Ext factors Ext(E_i, E_i) and Ext(F_i', F_i') are computed once,
+    by projection_kernels, and read again by the additivity summands, the
+    diagonal of the orthogonality table and generalized_hoh."""
+    import sodhh.kernels as kn
+    twists, selfs = [], []
+    real_twist, real_ext = kn.serre_twist_left, kn.ext_profile
+
+    def counting_twist(X):
+        twists.append(X)
+        return real_twist(X)
+
+    def counting_ext(X, Y):
+        if X is Y:
+            selfs.append(X)
+        return real_ext(X, Y)
+    monkeypatch.setattr(kn, "serre_twist_left", counting_twist)
+    monkeypatch.setattr(kn, "ext_profile", counting_ext)
+    coll = projective_collection(B)
+    m = len(coll)
+    assert additivity_check(B, coll)["summands_are_points"]
+    assert twists == []
+    assert len(selfs) == len({id(X) for X in selfs}) == 2 * m
+    selfs.clear()
+    ks = projection_kernels(coll)
+    factors = {id(X) for P in ks for X in (P.left, P.right)}
+    assert {id(X) for X in selfs} == factors and len(selfs) == 2 * m
+    for P in ks:
+        assert generalized_hoh(P, "serre", 4).as_tuple() == (1, 0, 0, 0, 0)
+    assert twists == []
+    rep = orthogonality_report(ks)
+    assert rep["diagonal_identity"] and rep["adjoint_vanishing"]
+    assert len(twists) == m * (m - 1) // 2
+    assert not {id(X) for X in twists} & factors
+    assert len(selfs) == 2 * m
+
+
 def test_kuenneth_helpers_reject_twisted_kernels(ks2):
     twisted = kernel_adjoint(ks2[0], "right")
-    with pytest.raises(UnsupportedKernelShape):
-        decomposable_ext(twisted, ks2[0].left, ks2[0].right)
+    for P, Q in ((twisted, ks2[0]), (ks2[0], twisted), (twisted, twisted)):
+        for serre in (False, True):
+            with pytest.raises(UnsupportedKernelShape):
+                decomposable_ext(P, Q, serre=serre)
     with pytest.raises(UnsupportedKernelShape):
         decomposable_class(twisted)
+
+
+# -- the Nakayama isomorphism that decomposable_ext reads the twist by -------
+
+
+NAKAYAMA_CASES = ([(name, field) for field in ("q", "f3")
+                   for name, entry in CATALOG.items() if entry.has_collection]
+                  + [(f"generated-p{n}", field) for field in ("q", "f3")
+                     for n in (2, 3, 4)])
+
+
+def _reflected(prof):
+    return {-q: d for q, d in prof.items()}
+
+
+@pytest.mark.parametrize("name,field", NAKAYAMA_CASES)
+def test_ext_into_serre_twist_is_reflected_reverse_ext(name, field):
+    """ext_profile(X, serre_twist_left(Y)) is Ext^{-q}(Y, X), in every
+    degree, on every ordered pair of right factors of the projection
+    kernels: the identity decomposable_ext reads the twisted A^op factor
+    by, against the twist it no longer builds."""
+    A = _case_algebra(name, field)
+    rights = [P.right for P in projection_kernels(projective_collection(A))]
+    twisted = [serre_twist_left(Y) for Y in rights]
+    nonzero = 0
+    for X in rights:
+        for Y, SY in zip(rights, twisted):
+            lhs = ext_profile(X, SY)
+            assert lhs == _reflected(ext_profile(Y, X))
+            nonzero += bool(lhs)
+    assert nonzero >= len(rights)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_nakayama_identity_on_the_serre_check_probes(field):
+    """The same identity on the probes of serre-check, the projectives P_v
+    and the truncated resolutions of the simples S_v, over every catalog
+    algebra: exact in every degree, not only in serre-check's window."""
+    n = 6
+    for entry in CATALOG.values():
+        A = entry.algebra(field)
+        probes = [single_projective(A, v) for v in range(A.num_vertices)]
+        probes += [projective_resolution(simple_module(A, v), n + 1)
+                   for v in range(A.num_vertices)]
+        for Y in probes:
+            SY = serre_twist_left(Y)
+            for X in probes:
+                assert ext_profile(X, SY) == _reflected(ext_profile(Y, X)), \
+                    entry.name

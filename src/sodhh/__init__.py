@@ -33,7 +33,7 @@ from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                       UnsupportedKernelShape, additivity_check, convolution,
                       fullness_certificate, generalized_hoh, k0_identity_check,
                       kernel_adjoint, kernel_apply, les_check,
-                      orthogonality_report, projection_kernels, serre_kernel)
+                      orthogonality_report, projection_kernels)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
 from .report import Report
 
@@ -64,7 +64,7 @@ __all__ = [
     "UnsupportedKernelShape", "additivity_check", "convolution",
     "fullness_certificate", "generalized_hoh", "k0_identity_check",
     "kernel_adjoint", "kernel_apply", "les_check", "orthogonality_report",
-    "projection_kernels", "serre_kernel",
+    "projection_kernels",
     "CATALOG", "catalog_names", "get_entry", "structure_hash",
     "Report",
 ]

@@ -483,8 +483,12 @@ class ModuleHomComplex:
                     cols.append(col)
         return Matrix(f, self.dims[n + 1], self.dims[n], cols)
 
+    def field_complex(self) -> FieldComplex:
+        """The Hom complex as a complex of vector spaces."""
+        return FieldComplex(self._field, dict(self.dims), dict(self.mats))
+
     def ext_profile(self):
-        return FieldComplex(self._field, dict(self.dims), dict(self.mats)).homology_dims()
+        return self.field_complex().homology_dims()
 
 
 class HomComplex(ModuleHomComplex):
@@ -507,7 +511,7 @@ class HomComplex(ModuleHomComplex):
         """Vectors over the degree-n basis lifting a basis of H^n."""
         if n not in self.dims:
             return []
-        fc = FieldComplex(self._field, self.dims, self.mats)
+        fc = self.field_complex()
         red = SubspaceReducer(self._field, self.dims[n], fc.diff(n - 1).cols)
         return [k for k in ColumnEchelon(fc.diff(n)).kernel_basis() if red.add(k)]
 
@@ -755,31 +759,6 @@ def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
     return ProjComplex(A, terms, _proj_diffs(index, entries), check=False)
 
 
-def tensor_right_left(F: ProjComplex, G: ProjComplex) -> FieldComplex:
-    """Contraction of a right-module complex with a left-module complex:
-    F (x)_A G, a complex of plain vector spaces.  F lives over op(A)."""
-    A = G.algebra
-    if F.algebra is not A.opposite():
-        raise SideMismatch("contraction needs a right complex against a "
-                           "left complex over the same algebra")
-    f = A.field
-
-    def middle(v, u):
-        return [(mu, None) for mu in A.slice_indices(v, u)]
-
-    def x_image(z, mu, u):
-        for mu2, c in A.multiply(z, {mu: f.one}).items():  # left mult. in A
-            yield mu2, None, c
-
-    def y_image(x, mu, v):
-        for mu2, c in A.multiply({mu: f.one}, x).items():
-            yield mu2, None, c
-
-    index, _, entries = _tensor_total(f, F, G, middle, x_image, y_image)
-    return FieldComplex(f, {n: len(s) for n, s in index.items()},
-                        _field_diffs(f, index, entries))
-
-
 def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     """P (x)_A M for a bimodule complex P and a single bimodule M: the
     termwise twist (A e_v (x) e_w A) (x)_A M = A e_v (x) e_w M, on which A
@@ -887,32 +866,6 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
                                                  f.mul(cf, c))
         diffs[q] = Matrix.from_entries(f, len(blocks[q + 1]), len(blocks[q]), entries)
     return ModuleComplex(A, mods, diffs, check=False)
-
-
-def tensor_right_module_complex(F: ProjComplex, Ycx: ModuleComplex) -> FieldComplex:
-    """F (x)_A M for a right-module complex F (over op(A)) and a complex of
-    left modules: termwise e_v A (x)_A M = e_v M."""
-    A = Ycx.algebra
-    if F.algebra is not A.opposite():
-        raise SideMismatch("contraction needs a right complex against "
-                           "left modules over the same algebra")
-    f = A.field
-
-    def middle(v, M):
-        return [(m, None) for m in range(M.dim) if M.grading[m] == v]
-
-    def x_image(z, m, M):
-        for zi, c in z.items():
-            for m2, c2 in M.column(zi, m).items():
-                yield m2, None, f.mul(c, c2)
-
-    def y_image(dM, m, v):
-        for m2, c in dM.cols[m].items():
-            yield m2, None, c
-
-    index, _, entries = _tensor_total(f, F, Ycx, middle, x_image, y_image)
-    return FieldComplex(f, {n: len(s) for n, s in index.items()},
-                        _field_diffs(f, index, entries))
 
 
 def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> ModuleComplex:

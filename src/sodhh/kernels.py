@@ -13,32 +13,36 @@ A kernel over A is one of
 
 Convolution is the derived tensor product over A; it is computed
 termwise, which is derived-correct because a contracted side is always
-projective termwise.
+projective termwise.  Decomposable kernels contract through their inner
+factors, read as a Hom complex: for a bounded complex X of finitely
+generated projective left modules, X^v (x)_A Y = Hom_A(X, Y).  A factor
+that carries DA is read by the Nakayama isomorphism, as the reflected
+homology (q -> -q) of a dual:
+  DA (x)_A E = D Hom_A(E, A),   F' (x)_A DA = D Hom_{A^op}(F', A^op),
+  Hom_A(X, DA (x)_A G) = D Hom_A(G, X).
 
 Ext between untwisted decomposable kernels, with or without the Serre
 twist, and their K_0 classes come from the two factors over A and A^op
-(decomposable_ext, decomposable_class; Kuenneth, exact over a field).
-The Serre-twisted A^op factor is read by the Nakayama isomorphism, not
-built; serre_twist_left still runs in kernel_apply, the convolutions of
-twisted adjoints and serre-check.
-Their complex over A (x) A^op (decomposable_to_env) is built only by the
-general-kernel and convolution fallbacks, and is the tests' oracle.
+(decomposable_ext, decomposable_class; Kuenneth, exact over a field), the
+twisted A^op factor read by the same isomorphism; serre_twist_left runs
+only in kernel_apply and serre-check.  Their complex over A (x) A^op
+(decomposable_to_env) is built only by the general-kernel and convolution
+fallbacks, and is the tests' oracle.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import (ModuleComplex, ProjComplex, SideMismatch,
+from .complexes import (ModuleHomComplex, ProjComplex, SideMismatch,
                         _proj_diffs, _tensor_total, dualize, ext_profile,
-                        module_complex_single, projective_resolution,
-                        serre_twist_left, tensor_env_env, tensor_env_left,
-                        tensor_env_module, tensor_module_with_field_complex,
-                        tensor_proj_with_field_complex, tensor_right_left,
-                        tensor_right_module_complex)
+                        projective_resolution, serre_twist_left,
+                        tensor_env_env, tensor_env_left, tensor_env_module,
+                        tensor_module_with_field_complex,
+                        tensor_proj_with_field_complex)
 from .exceptional import ExceptionalCollection, dual_collection
 from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
                          hh_homology, hh_with_coefficients)
-from .modules import Bimodule, ModuleRep, dual_bimodule, regular_bimodule
+from .modules import Bimodule, dual_bimodule, regular_bimodule
 
 
 class UnsupportedKernelShape(ValueError):
@@ -184,31 +188,21 @@ def decomposable_class(P: Kernel) -> dict:
             for w, b in right.items()}
 
 
-def serre_kernel(A: Algebra) -> Kernel:
-    return Kernel.serre(A)
-
-
 def kernel_apply(K: Kernel, X: ProjComplex):
     """The kernel functor on objects: K ∘ X for a left-module complex X.
-    Returns a ProjComplex when possible, else a ModuleComplex."""
-    A = K.algebra
+    Returns a ProjComplex when possible, else a ModuleComplex.  A
+    decomposable kernel contracts through H'^v (x)_A X = Hom_A(H'^v, X)
+    (H' = K.right); the DA of a right twist is applied to X first."""
     if K.kind == "diagonal":
         return X
     if K.kind == "serre":
         return serre_twist_left(X)
     if K.kind == "general":
         return tensor_env_left(K.complex, X)
-    if K.twist is None:
-        W = tensor_right_left(K.right, X)
-        return tensor_proj_with_field_complex(K.left, W)
-    if K.twist == "left":
-        # (DA (x) G) (x) (H' (x)_A X)
-        W = tensor_right_left(K.right, X)
-        M = serre_twist_left(K.left)
-        return tensor_module_with_field_complex(M, W)
-    # twist == 'right': G (x) (H' (x)_A DA (x)_A X)
-    MX = serre_twist_left(X)
-    W = tensor_right_module_complex(K.right, MX)
+    Y = serre_twist_left(X) if K.twist == "right" else X
+    W = ModuleHomComplex(dualize(K.right), Y).field_complex()
+    if K.twist == "left":   # (DA (x) G) (x) (H' (x)_A X)
+        return tensor_module_with_field_complex(serre_twist_left(K.left), W)
     return tensor_proj_with_field_complex(K.left, W)
 
 
@@ -217,9 +211,11 @@ def kernel_adjoint(K: Kernel, which: str) -> Kernel:
 
     For K = E (x) F' the right adjoint is (DA (x)_A F'^v) (x) E^v and the
     left adjoint is F'^v (x) (E^v (x)_A DA); the DA factor stays symbolic
-    (a twist tag) until the kernel is applied or convolved.  Taking the
-    opposite adjoint of a twisted kernel undoes the twist by genuinely
-    dualizing the parts again."""
+    (a twist tag).  kernel_apply builds it; convolution_homology_dims
+    reads it by the Nakayama isomorphism, DA (x)_A E = D Hom_A(E, A),
+    F' (x)_A DA = D Hom_{A^op}(F', A^op) and Hom_A(X, DA (x)_A G) =
+    D Hom_A(G, X).  Taking the opposite adjoint of a twisted kernel undoes
+    the twist by genuinely dualizing the parts again."""
     if which not in ("left", "right"):
         raise ValueError(f"adjoint side must be 'left' or 'right', got "
                          f"{which!r}")
@@ -240,9 +236,9 @@ def kernel_adjoint(K: Kernel, which: str) -> Kernel:
 
 
 def convolution(L: Kernel, K: Kernel, depth: int = 8):
-    """L ∘ K as a kernel; the diagonal acts as the unit and decomposable
-    pairs contract through the inner plain complex."""
-    A = L.algebra if L.kind != "serre" else K.algebra
+    """L ∘ K as a kernel; the diagonal acts as the unit and untwisted
+    decomposable pairs E (x) F', G (x) H' contract through the inner plain
+    complex F' (x)_A G = Hom_A(F'^v, G)."""
     if K.kind == "diagonal":
         return L
     if L.kind == "diagonal":
@@ -259,7 +255,7 @@ def convolution(L: Kernel, K: Kernel, depth: int = 8):
         raise UnsupportedKernelShape(f"serre ∘ {K!r}")
     if L.kind == "decomposable" and K.kind == "decomposable" \
             and L.twist is None and K.twist is None:
-        W = tensor_right_left(L.right, K.left)
+        W = ModuleHomComplex(dualize(L.right), K.left).field_complex()
         E = tensor_proj_with_field_complex(L.left, W)
         return Kernel.decomposable(E, K.right)
     # fall back to projective bimodule complexes
@@ -269,39 +265,30 @@ def convolution(L: Kernel, K: Kernel, depth: int = 8):
 
 
 def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
-    """Graded homology dimensions of L ∘ K, supporting the adjoint-twisted
-    decomposable shapes via the Kuenneth formula (exact over a field)."""
+    """Graded homology dimensions of L ∘ K = E (x) (F' (x)_A G) (x) H' for
+    decomposable L = E (x) F' and K = G (x) H', by Kuenneth (exact over a
+    field), with the adjoint twists read by the Nakayama isomorphism:
+
+      middle  F' (x)_A G = Hom_A(F'^v, G), and with DA between the parts
+              H^q Hom_A(F'^v, DA (x)_A G) = D H^{-q} Hom_A(G, F'^v);
+      outer   DA (x)_A E = D Hom_A(E, A) for a left twist of L and
+              H' (x)_A DA = D Hom_{A^op}(H', A^op) for a right twist of K,
+              the homology of dualize(E) or dualize(H') reflected.
+
+    No Serre twist and no tensor complex is built."""
     if L.kind != "decomposable" or K.kind != "decomposable":
         raise UnsupportedKernelShape(
             f"convolution homology needs decomposable kernels, got {L!r} "
             f"and {K!r}")
-    A = L.algebra
-
-    def realized_homology(cx):
-        if isinstance(cx, ProjComplex):
-            return cx.realize().homology_dims()
-        if isinstance(cx, ModuleComplex):
-            from .complexes import FieldComplex
-            dims = {n: M.dim for n, M in cx.modules.items()}
-            return FieldComplex(A.field, dims, dict(cx.diffs)).homology_dims()
-        return cx.homology_dims()
-
-    # the middle contraction picks up DA when it sits between the parts
-    mid_twisted = (L.twist == "right") or (K.twist == "left")
     if L.twist == "right" and K.twist == "left":
         raise UnsupportedKernelShape("convolution of doubly twisted kernels")
-    if mid_twisted:
-        W = tensor_right_module_complex(L.right, serre_twist_left(K.left))
-    else:
-        W = tensor_right_left(L.right, K.left)
-    hL = realized_homology(L.left) if L.twist != "left" \
-        else realized_homology(serre_twist_left(L.left))
-    hW = W.homology_dims()
-    if K.twist == "right":
-        hR = tensor_right_module_complex(
-            K.right, module_complex_single(_dual_as_left(A))).homology_dims()
-    else:
-        hR = K.right.realize().homology_dims()
+    Fv = dualize(L.right)
+    hW = _reflected(ext_profile(K.left, Fv)) \
+        if L.twist == "right" or K.twist == "left" else ext_profile(Fv, K.left)
+    hL = _reflected(dualize(L.left).homology_dims()) if L.twist == "left" \
+        else L.left.homology_dims()
+    hR = _reflected(dualize(K.right).homology_dims()) if K.twist == "right" \
+        else K.right.homology_dims()
     out = {}
     for a, da in hL.items():
         for b, db in hW.items():
@@ -311,11 +298,8 @@ def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
     return {n: d for n, d in out.items() if d}
 
 
-def _dual_as_left(A: Algebra) -> ModuleRep:
-    """DA with only its left A-action (grading by the left vertex)."""
-    D = dual_bimodule(A)
-    grading = tuple(D.algebra.vertex_pair(code)[0] for code in D.grading)
-    return ModuleRep(A, D.dim, D.left_col, grading, check=False)
+def _reflected(prof: dict) -> dict:
+    return {-q: d for q, d in prof.items()}
 
 
 def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:

@@ -13,9 +13,7 @@ from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
                              tensor_env_env, tensor_env_left,
                              tensor_env_module,
                              tensor_module_with_field_complex,
-                             tensor_proj_with_field_complex,
-                             tensor_right_left, tensor_right_module_complex,
-                             zero_complex)
+                             tensor_proj_with_field_complex, zero_complex)
 from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
 from sodhh.kernels import (Kernel, as_env_complex, decomposable_to_env,
@@ -127,15 +125,16 @@ def test_tensor_projective_slice(A2):
 
 
 def test_tensor_decomposable_contraction(A2):
-    """(E (x) F') (x)_A (G (x) H') contracts through F' (x)_A G."""
+    """(E (x) F') (x)_A (G (x) H') contracts through F' (x)_A G, which is
+    the Hom complex Hom_A(F'^v, G)."""
     E = single_projective(A2, 1)
     F = dualize(single_projective(A2, 0))    # e_1 A as a right module
     G = single_projective(A2, 0)
-    W = tensor_right_left(F, G)
-    # e_1 A (x)_A A e_1 = e_1 A e_1 = k
+    W = ModuleHomComplex(dualize(F), G).field_complex()
+    # e_1 A (x)_A A e_1 = Hom(A e_1, A e_1) = e_1 A e_1 = k
     assert W.dims == {0: 1}
-    W2 = tensor_right_left(dualize(single_projective(A2, 1)), G)
-    # e_2 A (x)_A A e_1 = e_2 A e_1, dim 2
+    W2 = ModuleHomComplex(single_projective(A2, 1), G).field_complex()
+    # e_2 A (x)_A A e_1 = Hom(A e_2, A e_1) = e_2 A e_1, dim 2
     assert W2.dims == {0: 2}
 
 
@@ -572,7 +571,7 @@ from sodhh.catalog import get_entry
 from sodhh.complexes import (ModuleHomComplex, SideMismatch, bar_resolution,
                              direct_sum, dualize, module_complex_single,
                              projective_resolution, single_projective,
-                             tensor_env_env, tensor_right_module_complex)
+                             tensor_env_env)
 from sodhh.hochschild import hh_with_coefficients
 from sodhh.kernels import decomposable_to_env
 from sodhh.linalg import QQ
@@ -584,9 +583,6 @@ for build in (
             projective_resolution(simple_module(K2, 0), 3),
             module_complex_single(simple_module(K3, 0))).ext_profile(),
         lambda: tensor_env_env(bar_resolution(K2, 2), bar_resolution(K3, 2)),
-        lambda: tensor_right_module_complex(
-            dualize(single_projective(K3, 0)),
-            module_complex_single(simple_module(K2, 0))),
         lambda: direct_sum([single_projective(K2, 0),
                             single_projective(K3, 0)]),
         lambda: decomposable_to_env(single_projective(K2, 0),
@@ -603,8 +599,6 @@ for build in (
 SIDE_RAISED = [
     "SideMismatch: Hom requires a complex and modules over the same algebra",
     "SideMismatch: convolution needs bimodule complexes over the same algebra",
-    "SideMismatch: contraction needs a right complex against left modules "
-    "over the same algebra",
     "SideMismatch: direct sum of complexes over different algebras",
     "SideMismatch: decomposable kernel needs a right complex over the left "
     "complex's algebra",
@@ -636,7 +630,8 @@ def test_resolution_of_a_non_module_raises(algebras):
 
 
 # ---------------------------------------------------------------------------
-# The seven tensor-product builders on catalog inputs
+# The tensor-product builders on catalog inputs, with their vector-space
+# factors taken from Hom complexes
 
 
 def kuenneth(*profiles):
@@ -693,9 +688,11 @@ def test_tensor_builders_pass_checks_and_kuenneth(algebras):
         twists = [serre_twist_left(R) for R in res]
         Ws = []
         for E, F in parts:
-            Ws.append(tensor_right_left(F, E))
+            # F (x)_A E and F (x)_A T as Hom complexes out of F^v
+            Fv = dualize(F)
+            Ws.append(ModuleHomComplex(Fv, E).field_complex())
             for T in twists:
-                Ws.append(tensor_right_module_complex(F, T))
+                Ws.append(ModuleHomComplex(Fv, T).field_complex())
         for W in Ws:
             checked(W)
         Ws = [W for W in Ws if W.diffs][:3]
@@ -782,7 +779,7 @@ def test_linearity_check_agrees_with_dense_oracle(field):
         twists = [serre_twist_left(R) for R in res]
         outputs = twists + [
             tensor_module_with_field_complex(
-                T, tensor_right_left(dualize(res[0]), res[-1]))
+                T, ModuleHomComplex(res[0], res[-1]).field_complex())
             for T in twists[:2]]
         if A.dim <= 8:
             P = diagonal_resolution(A, 2)
@@ -851,7 +848,7 @@ def test_sparse_form_invariants(algebras):
                     assert_sparse_complex(C)
                     assert_minimalized(C)
                     cones += bool(C.diffs)
-        W = tensor_right_left(dualize(res[0]), res[-1])
+        W = ModuleHomComplex(res[0], res[-1]).field_complex()
         envs = [decomposable_to_env(R, dualize(S)) for R in res for S in res]
         for T in ([tensor_env_env(bar, bar)] + envs
                   + [tensor_env_left(bar, R) for R in res]

@@ -2,23 +2,26 @@ import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
 from sodhh.catalog import CATALOG
-from sodhh.complexes import (ModuleHomComplex, ext_profile,
+from sodhh.complexes import (FieldComplex, ModuleHomComplex, _field_diffs,
+                             _tensor_total, dualize, ext_profile,
                              module_complex_single, projective_resolution,
                              serre_twist_left, single_projective,
-                             tensor_env_module)
+                             tensor_env_module, tensor_proj_with_field_complex)
 from sodhh.exceptional import (ExceptionalCollection, minimal_data,
                                projective_collection)
 from sodhh.hochschild import hh_homology
 from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            UnsupportedKernelShape, additivity_check,
-                           as_env_complex, convolution, decomposable_class,
+                           as_env_complex, convolution,
+                           convolution_homology_dims, decomposable_class,
                            decomposable_ext, decomposable_to_env,
                            fullness_certificate, generalized_hoh,
                            k0_identity_check, kernel_adjoint, kernel_apply,
                            les_check, orthogonality_report,
-                           projection_kernels, serre_kernel)
+                           projection_kernels)
 from sodhh.linalg import GF, QQ
-from sodhh.modules import dual_bimodule, free_gluing_bimodule, simple_module
+from sodhh.modules import (ModuleRep, dual_bimodule, free_gluing_bimodule,
+                           simple_module)
 
 
 def kron(n):
@@ -82,8 +85,7 @@ def test_convolution_decomposable_contraction(K2, ks2):
 
 def test_convolution_termwise_dimensions(K2):
     """(E (x) F') o (G (x) H') realizes with termwise dimension
-    dim E * dim(F' (x)_A G) * dim H'."""
-    from sodhh.complexes import dualize, single_projective, tensor_right_left
+    dim E * dim(F' (x)_A G) * dim H', and F' (x)_A G = Hom_A(F'^v, G)."""
     E = single_projective(K2, 1)          # A e_2
     Fp = dualize(single_projective(K2, 1))  # e_2 A
     G = single_projective(K2, 0)          # A e_1
@@ -92,7 +94,7 @@ def test_convolution_termwise_dimensions(K2):
     K = Kernel.decomposable(G, Hp)
     conv = convolution(L, K)
     assert conv.kind == "decomposable"
-    W = tensor_right_left(Fp, G)          # e_2 A (x)_A A e_1, dim 2
+    W = ModuleHomComplex(dualize(Fp), G).field_complex()   # e_2 A e_1
     assert W.dims == {0: 2}
     env = decomposable_to_env(conv.left, conv.right)
     dimE = len(K2.column_indices(1))                 # dim A e_2 = 1
@@ -112,7 +114,7 @@ def test_bar_convolution_is_identity_on_homology(K2):
 
 def test_serre_point():
     A = point()
-    S = serre_kernel(A)
+    S = Kernel.serre(A)
     X = single_projective(A, 0)
     res = kernel_apply(S, X)
     from sodhh.complexes import ModuleComplex
@@ -122,7 +124,7 @@ def test_serre_point():
 
 def test_serre_duality_on_projectives(K2):
     """total dim Ext(A e_1, S(A e_2)) = dim Ext(A e_2, A e_1)."""
-    S = serre_kernel(K2)
+    S = Kernel.serre(K2)
     lhs = ModuleHomComplex(single_projective(K2, 0),
                            kernel_apply(S, single_projective(K2, 1))).ext_profile()
     rhs = ext_profile(single_projective(K2, 1), single_projective(K2, 0))
@@ -135,7 +137,7 @@ def test_serre_duality_graded_probes(K2):
     probes = [single_projective(K2, v) for v in range(2)]
     probes += [projective_resolution(simple_module(K2, v), n + 1)
                for v in range(2)]
-    S = serre_kernel(K2)
+    S = Kernel.serre(K2)
     for X in probes:
         for Y in probes:
             lhs = ModuleHomComplex(X, serre_twist_left(Y)).ext_profile()
@@ -451,9 +453,9 @@ def test_kuenneth_matches_the_enveloping_route(name, field):
 
 
 def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
-    """additivity_check and generalized_hoh(P_i, 'serre') build no Serre
-    twist, and orthogonality_report builds only those of its convolutions
-    P_i o P_j^! (i > j), never one of a right factor; each kernel's
+    """additivity_check, generalized_hoh(P_i, 'serre') and
+    orthogonality_report build no Serre twist (the adjoint convolutions
+    read theirs by the Nakayama isomorphism); each kernel's
     self-Ext factors Ext(E_i, E_i) and Ext(F_i', F_i') are computed once,
     by projection_kernels, and read again by the additivity summands, the
     diagonal of the orthogonality table and generalized_hoh."""
@@ -485,8 +487,7 @@ def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
     assert twists == []
     rep = orthogonality_report(ks)
     assert rep["diagonal_identity"] and rep["adjoint_vanishing"]
-    assert len(twists) == m * (m - 1) // 2
-    assert not {id(X) for X in twists} & factors
+    assert twists == []
     assert len(selfs) == 2 * m
 
 
@@ -547,3 +548,137 @@ def test_nakayama_identity_on_the_serre_check_probes(field):
             for X in probes:
                 assert ext_profile(X, SY) == _reflected(ext_profile(Y, X)), \
                     entry.name
+
+
+# -- the adjoint convolutions against the tensor route -------------------------
+
+
+def tensor_right_left(F, G):
+    """F (x)_A G for a right complex F (over A^op) and a left complex G of
+    projectives, as the total tensor complex: termwise e_v A (x)_A A e_u
+    = e_v A e_u."""
+    A = G.algebra
+    f = A.field
+
+    def middle(v, u):
+        return [(mu, None) for mu in A.slice_indices(v, u)]
+
+    def x_image(z, mu, u):
+        for mu2, c in A.multiply(z, {mu: f.one}).items():
+            yield mu2, None, c
+
+    def y_image(x, mu, v):
+        for mu2, c in A.multiply({mu: f.one}, x).items():
+            yield mu2, None, c
+
+    index, _, entries = _tensor_total(f, F, G, middle, x_image, y_image)
+    return FieldComplex(f, {n: len(s) for n, s in index.items()},
+                        _field_diffs(f, index, entries), check=True)
+
+
+def tensor_right_module_complex(F, Y):
+    """F (x)_A Y for a right complex F and a complex Y of left modules, as
+    the total tensor complex: termwise e_v A (x)_A M = e_v M."""
+    A = Y.algebra
+    f = A.field
+
+    def middle(v, M):
+        return [(m, None) for m in range(M.dim) if M.grading[m] == v]
+
+    def x_image(z, m, M):
+        for zi, c in z.items():
+            for m2, c2 in M.column(zi, m).items():
+                yield m2, None, f.mul(c, c2)
+
+    def y_image(dM, m, v):
+        for m2, c in dM.cols[m].items():
+            yield m2, None, c
+
+    index, _, entries = _tensor_total(f, F, Y, middle, x_image, y_image)
+    return FieldComplex(f, {n: len(s) for n, s in index.items()},
+                        _field_diffs(f, index, entries), check=True)
+
+
+def tensor_route_homology_dims(L, K):
+    """Homology dimensions of L o K with every factor built: the Serre
+    twists by serre_twist_left, DA as a left module for the right twist of
+    K, and each contraction as a total tensor complex."""
+    from test_complexes import kuenneth
+    A = L.left.algebra
+
+    def module_homology(Y):
+        return FieldComplex(A.field, {n: M.dim for n, M in Y.modules.items()},
+                            Y.diffs, check=True).homology_dims()
+    if L.twist == "right" or K.twist == "left":
+        W = tensor_right_module_complex(L.right, serre_twist_left(K.left))
+    else:
+        W = tensor_right_left(L.right, K.left)
+    hL = module_homology(serre_twist_left(L.left)) if L.twist == "left" \
+        else L.left.homology_dims()
+    if K.twist == "right":
+        D = dual_bimodule(A)
+        grading = tuple(D.algebra.vertex_pair(code)[0] for code in D.grading)
+        DA = ModuleRep(A, D.dim, D.left_col, grading, check=False)
+        hR = tensor_right_module_complex(
+            K.right, module_complex_single(DA)).homology_dims()
+    else:
+        hR = K.right.homology_dims()
+    return kuenneth(hL, W.homology_dims(), hR)
+
+
+def compare_adjoint_convolutions(algebras, shift=0):
+    """convolution_homology_dims against the tensor route on every ordered
+    pair of the shapes P_i, P_i^* and P_i^! of the projection kernels
+    E_i[shift] (x) F_i'[-2 shift] of each algebra's projective collection;
+    the doubly twisted pairs P_i^* o P_j^! are refused.  Returns the
+    profiles compared."""
+    profiles = []
+    for A in algebras:
+        ks = [Kernel.decomposable(P.left.shift(shift),
+                                  P.right.shift(-2 * shift))
+              for P in projection_kernels(projective_collection(A))]
+        shapes = ks + [kernel_adjoint(P, side) for side in ("left", "right")
+                       for P in ks]
+        for L in shapes:
+            for K in shapes:
+                if L.twist == "right" and K.twist == "left":
+                    with pytest.raises(UnsupportedKernelShape):
+                        convolution_homology_dims(L, K)
+                    continue
+                dims = convolution_homology_dims(L, K)
+                assert dims == tensor_route_homology_dims(L, K), (A, L, K)
+                profiles.append(dims)
+    return profiles
+
+
+def test_adjoint_convolutions_match_the_tensor_route():
+    """On the catalog collections (over Q and F_3) and on generated P^2
+    and P^3: Hom complexes with the twists read by the Nakayama
+    isomorphism give the homology that building every factor gives."""
+    profiles = compare_adjoint_convolutions(
+        _case_algebra(name, field) for name, field in KUENNETH_CASES)
+    assert len(profiles) == 792 and sum(map(bool, profiles)) >= 400
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_shifted_adjoint_convolutions_match_the_tensor_route(field):
+    """The same with the kernels' factors shifted apart, E_i[1] (x)
+    F_i'[-2], so that the twisted outer factors have homology off degree 0
+    and a missing reflection would show."""
+    profiles = compare_adjoint_convolutions(
+        (entry.algebra(field) for entry in CATALOG.values()
+         if entry.has_collection), shift=1)
+    assert any(set(dims) - {0} for dims in profiles)
+
+
+def test_convolution_matches_the_tensor_route(ks2, ksB):
+    """convolution(P_i, P_j) contracts through the Hom complex; its left
+    factor is the one the tensor route builds, up to isomorphism."""
+    for ks in (ks2, ksB):
+        for L in ks:
+            for K in ks:
+                conv = convolution(L, K)
+                assert conv.right is K.right
+                W = tensor_right_left(L.right, K.left)
+                assert minimal_data(conv.left) == minimal_data(
+                    tensor_proj_with_field_complex(L.left, W))

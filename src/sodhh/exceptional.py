@@ -178,8 +178,9 @@ def projective_collection(A: Algebra, order=None) -> ExceptionalCollection:
 
 
 def _directed_order(A: Algebra):
-    """Vertex order with Hom(A e_u, A e_w) = 0 for u listed before w,
-    i.e. e_u A e_w = 0; exists exactly for directed algebras."""
+    """Vertex order with Hom(A e_w, A e_u) = e_w A e_u = 0 for u listed
+    before w, so no Hom runs from a later object to an earlier one; exists
+    exactly for directed algebras."""
     verts = list(range(A.num_vertices))
     edges = {(v, w) for v in verts for w in verts
              if v != w and A.slice_indices(v, w)}

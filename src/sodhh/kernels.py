@@ -28,6 +28,12 @@ twisted A^op factor read by the same isomorphism; serre_twist_left runs
 only in kernel_apply and serre-check.  Their complex over A (x) A^op
 (decomposable_to_env) is built only by the general-kernel and convolution
 fallbacks, and is the tests' oracle.
+
+The projection kernels P_i = E_i (x) F_i^v of a full collection of
+indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
+is the minimal projective resolution of the simple right module at v_i
+(projection_kernels), and Ext into it is Ext into that simple, which the
+kernel keeps (Kernel.resolves).
 """
 
 from __future__ import annotations
@@ -39,10 +45,11 @@ from .complexes import (ModuleHomComplex, ProjComplex, SideMismatch,
                         tensor_env_env, tensor_env_left, tensor_env_module,
                         tensor_module_with_field_complex,
                         tensor_proj_with_field_complex)
-from .exceptional import ExceptionalCollection, dual_collection
+from .exceptional import ExceptionalCollection
 from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
                          hh_homology, hh_with_coefficients)
-from .modules import Bimodule, dual_bimodule, regular_bimodule
+from .modules import (Bimodule, dual_bimodule, regular_bimodule,
+                      simple_module)
 
 
 class UnsupportedKernelShape(ValueError):
@@ -50,8 +57,9 @@ class UnsupportedKernelShape(ValueError):
 
 
 class NormalizationFailed(RuntimeError):
-    """No shift of the dual objects satisfies the K_0 identity; evidence
-    that the collection is not full."""
+    """The projection kernels fail the K_0 identity or have no identity
+    class, or a right factor has no finite resolution; evidence that the
+    collection is not full."""
 
 
 class RangeNotCertified(RuntimeError):
@@ -61,7 +69,7 @@ class RangeNotCertified(RuntimeError):
 
 class Kernel:
     def __init__(self, algebra, kind, complex=None, module=None,
-                 left=None, right=None, twist=None):
+                 left=None, right=None, twist=None, resolves=None):
         self.algebra = algebra
         self.kind = kind
         self.complex = complex      # general: ProjComplex over env(A)
@@ -69,8 +77,9 @@ class Kernel:
         self.left = left            # decomposable: ProjComplex over A
         self.right = right          # decomposable: ProjComplex over op(A)
         self.twist = twist          # None | 'left' | 'right'
+        self.resolves = resolves    # decomposable: a module right resolves
         self._env = None            # untwisted decomposable: E (x)_k F'
-        self._self_ext = None       # (Ext(E, E), Ext(F', F'))
+        self._self_ext = None       # (Ext(E, E), Ext(F', _right_target))
 
     @staticmethod
     def diagonal(A: Algebra) -> "Kernel":
@@ -86,9 +95,13 @@ class Kernel:
         return Kernel(A, "general", complex=P)
 
     @staticmethod
-    def decomposable(E: ProjComplex, Fp: ProjComplex, twist=None) -> "Kernel":
+    def decomposable(E: ProjComplex, Fp: ProjComplex, twist=None,
+                     resolves=None) -> "Kernel":
+        """E (x)_k F'; `resolves` is a module that F' resolves, if known
+        (F' -> resolves a quasi-isomorphism), which Ext into F' reads."""
         return Kernel(E.algebra if twist != "left" else Fp.algebra.opposite(),
-                      "decomposable", left=E, right=Fp, twist=twist)
+                      "decomposable", left=E, right=Fp, twist=twist,
+                      resolves=resolves)
 
     def __repr__(self):
         return f"Kernel({self.kind}{', twist=' + self.twist if self.twist else ''})"
@@ -151,23 +164,26 @@ def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
     as Hom_{A^e}(A e_v (x) e_w A, X (x) Y) = e_v X (x) Y e_w termwise.
     Q o S = E' (x) (G' (x)_A DA), and by the Nakayama isomorphism
     Hom_B(B e_u, DB (x)_B B e_v) = D Hom_B(B e_v, B e_u), natural in both,
-    dim Ext^q(F', G' (x)_A DA) = dim Ext^{-q}_{A^op}(G', F') exactly.  When
-    the A factor has no Ext the A^op factor is skipped; a kernel keeps its
-    two self-Ext factors (P is Q) once computed."""
+    dim Ext^q(F', G' (x)_A DA) = dim Ext^{-q}_{A^op}(G', F') exactly.  Ext
+    into a right factor that resolves a module is Ext into that module: the
+    source is a bounded complex of projectives, so the quasi-isomorphism
+    G' -> S gives Ext(F', G') = Ext(F', S).  When the A factor has no Ext
+    the A^op factor is skipped; a kernel keeps its two self-Ext factors
+    (P is Q) once computed."""
     _require_untwisted(P, "Kuenneth Ext")
     _require_untwisted(Q, "Kuenneth Ext")
     if P is Q:
         if P._self_ext is None:
             ext_left = ext_profile(P.left, P.left)
-            P._self_ext = (ext_left, ext_profile(P.right, P.right)
+            P._self_ext = (ext_left, ext_profile(P.right, _right_target(P))
                            if ext_left else {})
         ext_left, ext_right = P._self_ext
     else:
         ext_left = ext_profile(P.left, Q.left)
         if not ext_left:
             return {}
-        ext_right = ext_profile(Q.right, P.right) if serre \
-            else ext_profile(P.right, Q.right)
+        ext_right = ext_profile(Q.right, _right_target(P)) if serre \
+            else ext_profile(P.right, _right_target(Q))
     if serre:
         ext_right = {-q: b for q, b in ext_right.items()}
     out = {}
@@ -175,6 +191,12 @@ def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
         for q, b in ext_right.items():
             out[p + q] = out.get(p + q, 0) + a * b
     return out
+
+
+def _right_target(P: Kernel):
+    """What Ext into P's right factor is taken into: the module it
+    resolves, else the factor itself."""
+    return P.right if P.resolves is None else P.resolves
 
 
 def decomposable_class(P: Kernel) -> dict:
@@ -372,26 +394,42 @@ def _class_sum(kernels) -> dict:
     return {vw: c for vw, c in total.items() if c}
 
 
-def projection_kernels(coll: ExceptionalCollection, certified_full: bool = True):
-    """Kernels P_i = E_i (x) F_i^v of the projection functors, with the
-    dual-object shifts normalized by the K_0 identity
-    sum_i [P_i] = [diagonal]."""
+def projection_kernels(coll: ExceptionalCollection):
+    """Kernels P_i = E_i (x) F_i^v of the projection functors of a full
+    collection of indecomposable projectives E_i = A e_{v_i}.
+
+    Hom_A(X, A e_v) = X^v e_v termwise, so the dual-collection condition
+    Ext^*(F_j, E_i) = delta_ij k says that F_j^v has one-dimensional
+    homology, at v_j in degree 0 after the shift that condition fixes:
+    F_i^v is the minimal projective resolution of the simple right module
+    at v_i, and the kernel records that simple for decomposable_ext.  A
+    full projective collection makes A directed, of global dimension at
+    most m - 1 for m vertices, so a resolution that reaches degree -m raises
+    NormalizationFailed, as does a failure of the K_0 identity
+    sum_i [P_i] = [diagonal] or of Ext^0(P_i, P_i) >= 1."""
     A = coll.algebra
-    duals, shifts = dual_collection(coll)
+    m = A.num_vertices
+    op = A.opposite()
+    kernels = []
+    for i, E in enumerate(coll.objects):
+        if set(E.terms) != {0} or len(E.terms[0]) != 1:
+            raise UnsupportedKernelShape(
+                f"projection kernels need a collection of indecomposable "
+                f"projectives; E_{i+1} has terms {E.terms}")
+        S = simple_module(op, E.terms[0][0])
+        Fp = projective_resolution(S, m)
+        if -m in Fp.terms:
+            raise NormalizationFailed(
+                f"the simple right module at the vertex of E_{i+1} has no "
+                f"resolution of length < {m}; A is not directed, so the "
+                "collection is not full")
+        kernels.append(Kernel.decomposable(E, Fp, resolves=S))
     # the classes are compared as (v, w) pairs, so only the diagonal's
     # resolution needs A (x) A^op
-    target = diagonal_class(A)
-    kernels = None
-    for extra in (0, 1, -1):
-        candidate = [Kernel.decomposable(E, dualize(F.shift(s + extra)))
-                     for E, F, s in zip(coll.objects, duals, shifts)]
-        if _class_sum(candidate) == target:
-            kernels = candidate
-            break
-    if kernels is None:
+    if _class_sum(kernels) != diagonal_class(A):
         raise NormalizationFailed(
-            "no shift of the dual objects satisfies the K_0 identity "
-            "(the collection is not full)")
+            "the kernel classes do not sum to the diagonal class (the "
+            "collection is not full)")
     for i, P in enumerate(kernels):
         if decomposable_ext(P, P).get(0, 0) < 1:
             raise NormalizationFailed(

@@ -5,7 +5,9 @@ The calls are the 98 (catalog entry, subcommand) pairs that exit 0, plus
 `generalized --coeff diagonal|P1 --support diagonal|serre` and
 `fullness --objects 1` on every entry where they exit 0.  The file is
 rewritten (`python tests/test_golden_reports.py --write`) only by a change
-that means to change a report.
+that means to change a report.  The `kernels` reports on generated
+Beilinson P^3 (seed 101), whose right factors are longer than any in the
+catalog, are pinned in GENERATED_P3_KERNELS.
 """
 
 import hashlib
@@ -30,6 +32,16 @@ EXTRA_SUBCOMMANDS = [
     ("generalized", "--coeff", coeff, "--support", support)
     for coeff in ("diagonal", "P1") for support in ("diagonal", "serre")
 ] + [("fullness", "--objects", "1")]
+
+
+GENERATED_P3_KERNELS = {
+    "build":
+        "87c3c34720fa0d50b2320c16733933419d411e2df6361dd0a744fa8cee28f9f9",
+    "orthogonality":
+        "5e77bc9a5525fcc72ac1ecbdd5fc48ea9df629106acfd5ec832d035dc4e1f0e1",
+    "additivity":
+        "2b5a1a74a9c959406e1c9dc359efc1e22970bce4e09dbef066dbfef3c213bc36",
+}
 
 
 def report_hash(argv):
@@ -61,6 +73,21 @@ def test_reports_match_golden_hashes():
     mismatched = [key for key, digest in golden.items()
                   if report_hash(key.split()) != (0, digest)]
     assert not mismatched
+
+
+def test_generated_p3_kernel_reports_match_pinned_hashes(tmp_path,
+                                                       monkeypatch):
+    """The `kernels build|orthogonality|additivity` JSON reports of
+    generated Beilinson P^3 (seed 101) keep their pinned sha256.  The input
+    is written under a relative name, so the report's `command` line does
+    not depend on the temporary directory."""
+    from test_cli import _benchmark_inputs
+    doc = _benchmark_inputs().beilinson_quiver_doc(3, {"kind": "q"}, 101)
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("beilinson-p3.json").write_text(json.dumps(doc))
+    for sub, digest in GENERATED_P3_KERNELS.items():
+        assert report_hash(["kernels", sub, "--file", "beilinson-p3.json",
+                            "--format", "json"]) == (0, digest), sub
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 import pytest
 
-from sodhh.algebra import Quiver, build_path_algebra
+from sodhh.algebra import Quiver, Relation, build_path_algebra
 from sodhh.catalog import CATALOG
 from sodhh.complexes import (FieldComplex, ModuleHomComplex, _field_diffs,
                              _tensor_total, dualize, ext_profile,
                              module_complex_single, projective_resolution,
                              serre_twist_left, single_projective,
                              tensor_env_module, tensor_proj_with_field_complex)
-from sodhh.exceptional import (ExceptionalCollection, minimal_data,
-                               projective_collection)
+from sodhh.exceptional import (ExceptionalCollection, dual_collection,
+                               minimal_data, mutate, projective_collection)
 from sodhh.hochschild import hh_homology
 from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            UnsupportedKernelShape, additivity_check,
@@ -248,6 +248,30 @@ def test_orthogonality_single_object_point():
     assert rep["ext_serre_table"] == {(1, 1): {0: 1}}
 
 
+def test_projection_kernels_refuse_non_projective_objects(B):
+    """A left mutation of the projective collection is exceptional and
+    full, but its first object is a two-term complex: there is no simple
+    for its right factor to resolve."""
+    coll = mutate(projective_collection(B), 1, "left")
+    assert set(coll.objects[0].terms) == {-1, 0}
+    with pytest.raises(UnsupportedKernelShape, match="indecomposable "
+                       "projectives; E_1"):
+        projection_kernels(coll)
+
+
+def test_projection_kernels_refuse_an_infinite_resolution():
+    """On the 2-cycle with radical square zero, A e_1 alone is exceptional
+    (e_1 A e_1 = k), but the simple right module at 1 has an infinite
+    resolution; the resolution stops at degree -2 (two vertices) and the
+    call raises instead of running on."""
+    q = Quiver.make(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+    A = build_path_algebra(q, [Relation(((1, ("a", "b")),)),
+                               Relation(((1, ("b", "a")),))], QQ)
+    coll = ExceptionalCollection(A, [single_projective(A, 0)])
+    with pytest.raises(NormalizationFailed, match="resolution of length < 2"):
+        projection_kernels(coll)
+
+
 # -- additivity --------------------------------------------------------------------
 
 
@@ -452,43 +476,97 @@ def test_kuenneth_matches_the_enveloping_route(name, field):
     assert nonzero >= 2 * len(ks)
 
 
+MUTATION_CASES = ([(name, field) for field in ("q", "f3")
+                   for name, entry in CATALOG.items() if entry.has_collection]
+                  + [(f"generated-p{n}", field) for field in ("q", "f3")
+                     for n in (2, 3)])
+
+
+@pytest.mark.parametrize("name,field", MUTATION_CASES)
+def test_projection_kernels_match_the_mutation_route(name, field,
+                                                     monkeypatch):
+    """The right factors, the minimal resolutions of the simple right
+    modules, are the dual objects of the mutation route, dualize(F_i[s_i])
+    from dual_collection: the same terms and the same minimal_data; and
+    decomposable_ext gives the same tables, plain and Serre-twisted, as
+    kernels on those dual objects with Ext taken into the complex itself.
+    projection_kernels runs no mutation."""
+    import sodhh.exceptional as ex
+    A = _case_algebra(name, field)
+    coll = projective_collection(A)
+    mutations = []
+    real_mutation = ex.right_mutation_object
+
+    def counting_mutation(F, E):
+        mutations.append((F, E))
+        return real_mutation(F, E)
+    monkeypatch.setattr(ex, "right_mutation_object", counting_mutation)
+    ks = projection_kernels(coll)
+    assert mutations == []
+    duals, shifts = dual_collection(coll)
+    assert len(mutations) == len(coll) * (len(coll) - 1) // 2
+    oracle = [Kernel.decomposable(E, dualize(F.shift(s)))
+              for E, F, s in zip(coll.objects, duals, shifts)]
+    for P, Q in zip(ks, oracle):
+        assert P.resolves.grading == P.left.terms[0]
+        assert P.right.terms == Q.right.terms
+        assert minimal_data(P.right) == minimal_data(Q.right)
+    for P, P0 in zip(ks, oracle):
+        for Q, Q0 in zip(ks, oracle):
+            for serre in (False, True):
+                assert decomposable_ext(P, Q, serre=serre) == \
+                    decomposable_ext(P0, Q0, serre=serre)
+
+
 def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
     """additivity_check, generalized_hoh(P_i, 'serre') and
     orthogonality_report build no Serre twist (the adjoint convolutions
     read theirs by the Nakayama isomorphism); each kernel's
-    self-Ext factors Ext(E_i, E_i) and Ext(F_i', F_i') are computed once,
-    by projection_kernels, and read again by the additivity summands, the
+    self-Ext factors Ext(E_i, E_i) and Ext(F_i', S_i), the right one taken
+    into the simple S_i that F_i' resolves, are computed once, by
+    projection_kernels, and read again by the additivity summands, the
     diagonal of the orthogonality table and generalized_hoh."""
     import sodhh.kernels as kn
-    twists, selfs = [], []
+    twists, exts, built = [], [], []
     real_twist, real_ext = kn.serre_twist_left, kn.ext_profile
+    real_kernels = kn.projection_kernels
 
     def counting_twist(X):
         twists.append(X)
         return real_twist(X)
 
     def counting_ext(X, Y):
-        if X is Y:
-            selfs.append(X)
+        exts.append((id(X), id(Y)))
         return real_ext(X, Y)
+
+    def keeping_kernels(coll):
+        built.append(real_kernels(coll))
+        return built[-1]
+
+    def self_factors(ks):
+        return {(id(X), id(Y)) for P in ks
+                for X, Y in ((P.left, P.left), (P.right, P.resolves))}
     monkeypatch.setattr(kn, "serre_twist_left", counting_twist)
     monkeypatch.setattr(kn, "ext_profile", counting_ext)
+    monkeypatch.setattr(kn, "projection_kernels", keeping_kernels)
     coll = projective_collection(B)
     m = len(coll)
     assert additivity_check(B, coll)["summands_are_points"]
     assert twists == []
-    assert len(selfs) == len({id(X) for X in selfs}) == 2 * m
-    selfs.clear()
-    ks = projection_kernels(coll)
-    factors = {id(X) for P in ks for X in (P.left, P.right)}
-    assert {id(X) for X in selfs} == factors and len(selfs) == 2 * m
+    assert len(built) == 1 and all(P.resolves is not None for P in built[0])
+    assert len(exts) == len(set(exts)) == 2 * m
+    assert set(exts) == self_factors(built[0])
+    exts.clear()
+    ks = real_kernels(coll)
+    selfs = self_factors(ks)
+    assert len(exts) == len(set(exts)) == 2 * m and set(exts) == selfs
     for P in ks:
         assert generalized_hoh(P, "serre", 4).as_tuple() == (1, 0, 0, 0, 0)
     assert twists == []
     rep = orthogonality_report(ks)
     assert rep["diagonal_identity"] and rep["adjoint_vanishing"]
     assert twists == []
-    assert len(selfs) == 2 * m
+    assert len([pair for pair in exts if pair in selfs]) == 2 * m
 
 
 def test_kuenneth_helpers_reject_twisted_kernels(ks2):

@@ -15,13 +15,12 @@ from .modules import (Bimodule, ModuleAxiomError, ModuleRep,
 from .complexes import (ChainMap, ComplexError, FieldComplex, HomComplex,
                         ModuleComplex, ProjComplex, SideMismatch,
                         bar_resolution, cone, direct_sum, dualize,
-                        ext_profile, hom_complex, koszul_resolution,
-                        minimalize, module_complex_single,
-                        projective_resolution, single_projective,
-                        zero_complex)
+                        ext_profile, hom_complex, minimalize,
+                        module_complex_single, projective_resolution,
+                        single_projective, zero_complex)
 from .hochschild import (HHProfile, absolute_hh_cohomology,
                          absolute_hh_homology, diagonal_resolution,
-                         global_dimension,
+                         global_dimension, koszul_resolution,
                          hh_cohomology, hh_homology, hh_with_coefficients,
                          homology_via_serre_dual)
 from .exceptional import (ExceptionalCollection, MutationFailed, NotFull,
@@ -50,11 +49,12 @@ __all__ = [
     "ChainMap", "ComplexError", "FieldComplex", "HomComplex", "ModuleComplex",
     "ProjComplex",
     "SideMismatch", "bar_resolution", "cone", "direct_sum", "dualize",
-    "ext_profile", "hom_complex", "koszul_resolution", "minimalize",
+    "ext_profile", "hom_complex", "minimalize",
     "module_complex_single", "projective_resolution", "single_projective",
     "zero_complex",
     "HHProfile", "absolute_hh_cohomology", "absolute_hh_homology",
     "diagonal_resolution", "global_dimension", "hh_cohomology", "hh_homology",
+    "koszul_resolution",
     "hh_with_coefficients", "homology_via_serre_dual",
     "ExceptionalCollection", "MutationFailed", "NotFull", "NotStrong",
     "SodTower", "bdi_check", "dual_collection", "endomorphism_algebra",

@@ -274,7 +274,11 @@ class Algebra:
 
         def build():
             mult = {(j, i): x for (i, j), x in self.mult.items()}
-            op = Algebra(self.field, self.labels, mult, self.idempotents, self.vertex_names)
+            # b e_v = b in A^op exactly when e_v b = b in A; kept as tuples,
+            # like a grading derived from the table
+            op = Algebra(self.field, self.labels, mult, self.idempotents,
+                         self.vertex_names,
+                         grading=(tuple(self.tgt), tuple(self.src)))
             op._cache["op_of"] = self
             return op
         return self._derived("op", build)

@@ -109,14 +109,11 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def structure_hash(A: Algebra) -> str:
-    h = hashlib.sha256()
-    h.update(repr(A.field).encode())
-    for lbl in A.labels:
-        h.update(lbl.encode())
-        h.update(b"\0")
-    for i, j in sorted(A.mult):
-        x = A.mult[(i, j)]
-        for k in sorted(x):
-            h.update(f"{i},{j},{k},{x[k]};".encode())
-    h.update(",".join(str(e) for e in A.idempotents).encode())
-    return h.hexdigest()
+    """SHA-256 of one string: the field, each label ended by NUL, each
+    product term "i,j,k,c;" in sorted order, and the idempotents."""
+    terms = sorted((i, j, k, c) for (i, j), x in A.mult.items()
+                   for k, c in x.items())
+    text = "".join((repr(A.field), *(lbl + "\0" for lbl in A.labels),
+                    *("%s,%s,%s,%s;" % t for t in terms),
+                    ",".join(map(str, A.idempotents))))
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -18,6 +18,11 @@ A Hom complex always maps a ProjComplex into a complex of modules; a
 projective target is read as one through its realization (_as_modules).
 Its differential is placed by offsets into the target's vertex blocks.
 
+The resolutions built here are the relative bar resolution (a test
+oracle) and the minimal projective resolutions of modules.  The Koszul
+bimodule resolution lives in hochschild, beside the certificate that is
+its only user, and checks itself in A before it becomes a ProjComplex.
+
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
   cone(f)     C^n = Y^n (+) X^{n+1},  d(y, x) = (d_Y y + f x, -d_X x)
@@ -32,8 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (Algebra, AlgebraAxiomError, PathAlgebra, _lines,
-                      _radical_generators)
+from .algebra import Algebra, AlgebraAxiomError, _lines, _radical_generators
 from .linalg import (ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy,
                      rank)
 
@@ -1026,125 +1030,21 @@ def bar_augmentation_matrix(A: Algebra, bar: ProjComplex) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Koszul bimodule resolution
-
-
-def _koszul_spaces(A: PathAlgebra, n_max: int):
-    """Bases of the Koszul spaces K_1..K_{n_max} of a quadratic path
-    algebra, K_n the intersection of the V^i (x) R (x) V^{n-2-i} inside
-    the tensor powers of the arrow span V, with R = ker(V (x)_E V -> A).
-
-    K_1 is spanned by the arrows, and K_{n+1} is the kernel of K_n (x)_E V
-    -> V^{(x) n-1} (x)_E A_2, the map that multiplies the last two factors,
-    computed one endpoint block at a time.  spaces[n] lists each basis
-    element as (vec, right): vec is {arrow tuple: c} and right its
-    splitting {(j, b): c}, the element being the sum of c times basis
-    element j of K_{n-1} (x) b (for n = 1, j is the vertex tgt(b)).  The
-    list stops at n_max or after the first empty space."""
-    f = A.field
-    arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
-    ending_at = {}
-    for b in arrows:
-        ending_at.setdefault(A.tgt[b], []).append(b)
-    spaces = [None, [({(b,): f.one}, {(A.tgt[b], b): f.one}) for b in arrows]]
-    while len(spaces) <= n_max and spaces[-1]:
-        prev = spaces[-1]
-        blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
-        for j, (vec, _) in enumerate(prev):
-            t = next(iter(vec))
-            for b in ending_at.get(A.src[t[-1]], ()):
-                blocks.setdefault((A.tgt[t[0]], A.src[b]), []).append((j, b))
-        space = []
-        for _, cols in sorted(blocks.items()):
-            rows, images = {}, []
-            for j, b in cols:
-                img = {}
-                for t, c in prev[j][0].items():
-                    for s, c2 in A.product(t[-1], b).items():
-                        r = rows.setdefault((t[:-1], s), len(rows))
-                        img[r] = f.add(img.get(r, f.zero), f.mul(c, c2))
-                images.append({r: c for r, c in img.items() if c})
-            echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
-            for combo in echelon.kernel_basis():
-                vec = {}
-                for p, c in combo.items():
-                    j, b = cols[p]
-                    axpy(f, vec, {t + (b,): x for t, x in prev[j][0].items()}, c)
-                space.append((vec, {cols[p]: c for p, c in combo.items()}))
-        spaces.append(space)
-    return spaces
-
-
-def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
-    """Koszul bimodule resolution of a quadratic path algebra (Priddy): the
-    subcomplex A (x)_E K_n (x)_E A of the relative bar resolution, in
-    degree -n for n <= n_max, one summand per basis element of K_n (see
-    _koszul_spaces).  The inner faces of the bar differential vanish on
-    K_n, so the differential is its two outer faces: a (x) e_w times the
-    left splitting of an element into a (x) K_{n-1}, found by solving
-    against K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
-    resolves A exactly when A is Koszul; hochschild.diagonal_resolution
-    uses it only where that is certified."""
-    env = A.enveloping()
-    f = A.field
-    spaces = _koszul_spaces(A, n_max)
-    e = A.idempotents
-    terms = {0: tuple(env.vertex(v, v) for v in range(A.num_vertices))}
-    diffs = {}
-    for n, space in enumerate(spaces[1:], start=1):
-        if not space:
-            break
-        ends = [next(iter(vec)) for vec, _ in space]
-        terms[-n] = tuple(env.vertex(A.tgt[t[0]], A.src[t[-1]]) for t in ends)
-        if n > 1:   # K_{n-1} over the index of its arrow tuples
-            index = {}
-            basis = [{index.setdefault(t, len(index)): c
-                      for t, c in vec.items()} for vec, _ in spaces[n - 1]]
-            echelon = ColumnEchelon(Matrix(f, len(index), len(basis), basis))
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
-        d = diffs[-n] = {}
-        for col, ((vec, right), t0) in enumerate(zip(space, ends)):
-            v, w = A.tgt[t0[0]], A.src[t0[-1]]
-            if n == 1:
-                left = {(A.src[t0[0]], t0[0]): f.one}
-            else:
-                by_first = {}
-                for t, c in vec.items():
-                    r = index.setdefault(t[1:], len(index))
-                    by_first.setdefault(t[0], {})[r] = c
-                left = {}
-                for a, rest in by_first.items():
-                    x = echelon.solve(rest)
-                    if x is None:
-                        raise ComplexError(f"a basis element of K_{n} does "
-                                           f"not split off {A.labels[a]}")
-                    left.update({(j, a): c for j, c in x.items()})
-            # a and b are arrows, so no a (x) e_w is an e_v (x) b and no
-            # two terms meet in one coefficient: each is written, not added
-            for (j, a), c in left.items():
-                d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
-            for (j, b), c in right.items():
-                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = \
-                    f.mul(sign, c)
-    return ProjComplex(env, terms, diffs, check=True)
-
-
-# ---------------------------------------------------------------------------
 # Minimal projective resolutions of modules
 
 
 def _free_action(alg, basis):
     """Left multiplication on realize(P), basis the pairs (s, y) of a
     summand s and a basis element y of it: act(b, w) is b . w."""
-    f = alg.field
-    index = {sy: p for p, sy in enumerate(basis)}
+    f, index = alg.field, {sy: p for p, sy in enumerate(basis)}
 
     def act(b, w):
         out = {}
         for p, c in w.items():
             s, y = basis[p]
-            axpy(f, out, {index[s, y2]: c2 for y2, c2 in alg.product(b, y).items()}, c)
-        return out
+            for z, x in alg.product(b, y).items():
+                out[k] = f.add(out.get(k := index[s, z], f.zero), f.mul(c, x))
+        return {k: x for k, x in out.items() if x}
     return act
 
 

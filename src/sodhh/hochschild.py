@@ -8,6 +8,11 @@ of every one-sided complex K (x)_A S_u (Priddy's criterion), else the
 minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the homology
 of P_* (x)_{A^e} A over the same resolution.
 
+K is built here, next to its certificate: koszul_resolution keeps each
+column of a differential as a left table (terms a (x) e_w) and a right
+table (terms e_v (x) b), and checks slices and d^2 = 0 from them with A's
+multiplication table alone, before it writes the entries of A (x) A^op.
+
 Truncated *absolute* bar complexes are implemented as independent oracles;
 they share nothing with diagonal_resolution except the exact rank kernel.
 """
@@ -17,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, PathAlgebra, _lines
-from .complexes import (FieldComplex, ProjComplex, SideMismatch, ext_profile,
-                        koszul_resolution, projective_resolution)
-from .linalg import FieldSpec, Matrix
+from .complexes import (ComplexError, FieldComplex, ProjComplex, SideMismatch,
+                        ext_profile, projective_resolution)
+from .linalg import ColumnEchelon, FieldSpec, Matrix, axpy
 from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
 
 
@@ -57,6 +62,186 @@ class HHProfile:
 def _is_quadratic(A: Algebra) -> bool:
     return isinstance(A, PathAlgebra) and all(
         len(path) == 2 for rel in A.relations for _, path in rel.terms)
+
+
+# ---------------------------------------------------------------------------
+# Koszul bimodule resolution, checked in A
+
+
+def _koszul_spaces(A: PathAlgebra, n_max: int):
+    """Bases of the Koszul spaces K_1..K_{n_max} of a quadratic path
+    algebra, K_n the intersection of the V^i (x) R (x) V^{n-2-i} inside
+    the tensor powers of the arrow span V, with R = ker(V (x)_E V -> A).
+
+    K_1 is spanned by the arrows, and K_{n+1} is the kernel of K_n (x)_E V
+    -> V^{(x) n-1} (x)_E A_2, the map that multiplies the last two factors,
+    computed one endpoint block at a time.  spaces[n] lists each basis
+    element as (vec, right): vec is {arrow tuple: c} and right its
+    splitting {(j, b): c}, the element being the sum of c times basis
+    element j of K_{n-1} (x) b (for n = 1, j is the vertex tgt(b)).  The
+    list stops at n_max or after the first empty space."""
+    f = A.field
+    arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
+    ending_at = {}
+    for b in arrows:
+        ending_at.setdefault(A.tgt[b], []).append(b)
+    spaces = [None, [({(b,): f.one}, {(A.tgt[b], b): f.one}) for b in arrows]]
+    while len(spaces) <= n_max and spaces[-1]:
+        prev = spaces[-1]
+        blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
+        for j, (vec, _) in enumerate(prev):
+            t = next(iter(vec))
+            for b in ending_at.get(A.src[t[-1]], ()):
+                blocks.setdefault((A.tgt[t[0]], A.src[b]), []).append((j, b))
+        space = []
+        for _, cols in sorted(blocks.items()):
+            rows, images = {}, []
+            for j, b in cols:
+                img = {}
+                for t, c in prev[j][0].items():
+                    for s, c2 in A.product(t[-1], b).items():
+                        r = rows.setdefault((t[:-1], s), len(rows))
+                        img[r] = f.add(img.get(r, f.zero), f.mul(c, c2))
+                images.append({r: c for r, c in img.items() if c})
+            echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
+            for combo in echelon.kernel_basis():
+                vec = {}
+                for p, c in combo.items():
+                    j, b = cols[p]
+                    axpy(f, vec, {t + (b,): x for t, x in prev[j][0].items()}, c)
+                space.append((vec, {cols[p]: c for p, c in combo.items()}))
+        spaces.append(space)
+    return spaces
+
+
+def _koszul_tables(A: PathAlgebra, n_max: int):
+    """K's summands and differential, read in A: ends[n] lists the vertex
+    pair (v, w) of each summand A e_v (x) e_w A of degree -n (ends[0] the
+    (u, u)), and tables[n] (n >= 1) holds each column of d^{-n} as its
+    left table {(row, a): c}, the terms c a (x) e_w, and its right table
+    {(row, b): (-1)^n c}, the terms (-1)^n c e_v (x) b.  The left table is
+    the element's left splitting, found by solving against K_{n-1}, and the
+    right one its right splitting (see _koszul_spaces)."""
+    f = A.field
+    spaces = _koszul_spaces(A, n_max)
+    ends = [[(u, u) for u in range(A.num_vertices)]]
+    tables = [None]
+    for n, space in enumerate(spaces[1:], start=1):
+        if not space:
+            break
+        firsts = [next(iter(vec)) for vec, _ in space]
+        ends.append([(A.tgt[t[0]], A.src[t[-1]]) for t in firsts])
+        if n > 1:   # K_{n-1} over the index of its arrow tuples
+            index = {}
+            basis = [{index.setdefault(t, len(index)): c
+                      for t, c in vec.items()} for vec, _ in spaces[n - 1]]
+            echelon = ColumnEchelon(Matrix(f, len(index), len(basis), basis))
+        sign = f.one if n % 2 == 0 else f.neg(f.one)
+        columns = []
+        for (vec, right), t0 in zip(space, firsts):
+            if n == 1:
+                left = {(A.src[t0[0]], t0[0]): f.one}
+            else:
+                by_first = {}
+                for t, c in vec.items():
+                    r = index.setdefault(t[1:], len(index))
+                    by_first.setdefault(t[0], {})[r] = c
+                left = {}
+                for a, rest in by_first.items():
+                    x = echelon.solve(rest)
+                    if x is None:
+                        raise ComplexError(f"a basis element of K_{n} does "
+                                           f"not split off {A.labels[a]}")
+                    left.update({(j, a): c for j, c in x.items()})
+            columns.append((left, {jb: f.mul(sign, c)
+                                   for jb, c in right.items()}))
+        tables.append(columns)
+    return ends, tables
+
+
+def _check_koszul(A: PathAlgebra, ends, tables):
+    """Raise ComplexError unless the tables (see _koszul_tables) define a
+    complex, with the checks and messages of ProjComplex over A (x) A^op,
+    but with A's multiplication table only.
+
+    Each term c p (x) q of a column, p (x) q = a (x) e_w or e_v (x) b, must
+    lie in the slice of its summands: tgt p = v and src q = w for the
+    column's (v, w), and (src p, tgt q) is the row's pair.  By (p1 (x) p2)
+    (q1 (x) q2) = p1 q1 (x) q2 p2, each product of a term of d^{-n} with
+    one of d^{-n+1} is taken as the two products p1 q1 and q2 p2 in A, the
+    idempotent factors included, and added into its (row, p1 q1, q2 p2)
+    cell.  Those cells fall in three disjoint parts of the basis of
+    A (x) A^op: A_2 (x) e from two left terms (sums of a a'), a (x) b from
+    the cross terms (coefficients only) and e (x) A_2 from two right terms
+    (sums of b' b).  d^2 = 0 exactly when every cell vanishes."""
+    f = A.field
+    add, mul, zero, product = f.add, f.mul, f.zero, A.product
+    e, src, tgt = A.idempotents, A.src, A.tgt
+    prev = None   # the (row, p, q, c) of each column of d^{-n+1}
+    for n in range(1, len(tables)):
+        rows, cols = ends[n - 1], []
+        for (v, w), (left, right) in zip(ends[n], tables[n]):
+            col = [(j, a, e[w], c) for (j, a), c in left.items()]
+            col += [(j, e[v], b, c) for (j, b), c in right.items()]
+            for j, p, q, _ in col:
+                if not 0 <= j < len(rows):
+                    raise ComplexError(f"differential at degree {-n} has "
+                                       "the wrong shape")
+                if (tgt[p], src[q]) != (v, w) or (src[p], tgt[q]) != rows[j]:
+                    raise ComplexError("entry not in e_v L e_w slice at "
+                                       f"degree {-n}")
+            cols.append(col)
+        for col in cols if prev else ():
+            cell = {}
+            for i, p1, p2, c1 in col:
+                for h, q1, q2, c2 in prev[i]:
+                    c12 = mul(c1, c2)
+                    for s, u in product(p1, q1).items():
+                        for t, u2 in product(q2, p2).items():
+                            cell[h, s, t] = add(cell.get((h, s, t), zero),
+                                                mul(c12, mul(u, u2)))
+            if any(cell.values()):
+                raise ComplexError(f"d^2 != 0 at degree {-n}")
+        prev = cols
+
+
+def _koszul_entries(A: PathAlgebra, ends, tables):
+    """K's terms and differentials over A (x) A^op, written from the tables
+    (see _koszul_tables).  The a and b are arrows, so no a (x) e_w is an
+    e_v (x) b and no two terms meet in one coefficient: each is written,
+    not added."""
+    env, e = A.enveloping(), A.idempotents
+    terms = {-n: tuple(env.vertex(v, w) for v, w in pairs)
+             for n, pairs in enumerate(ends)}
+    diffs = {}
+    for n in range(1, len(tables)):
+        d = diffs[-n] = {}
+        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
+                                                          tables[n])):
+            for (j, a), c in left.items():
+                d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
+            for (j, b), c in right.items():
+                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = c
+    return terms, diffs
+
+
+def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
+    """Koszul bimodule resolution of a quadratic path algebra (Priddy): the
+    subcomplex A (x)_E K_n (x)_E A of the relative bar resolution, in
+    degree -n for n <= n_max, one summand per basis element of K_n (see
+    _koszul_spaces).  The inner faces of the bar differential vanish on
+    K_n, so the differential is its two outer faces: a (x) e_w times the
+    left splitting of an element into a (x) K_{n-1}, found by solving
+    against K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
+    resolves A exactly when A is Koszul; diagonal_resolution uses it only
+    where global_dimension has certified that.
+
+    Every build is checked, in A: _check_koszul certifies the tables, and
+    only then are the entries of A (x) A^op written, with check=False."""
+    ends, tables = _koszul_tables(A, n_max)
+    _check_koszul(A, ends, tables)
+    return ProjComplex(A.enveloping(), *_koszul_entries(A, ends, tables),
+                       check=False)
 
 
 def _koszul_homology(A: PathAlgebra, K: ProjComplex) -> dict:

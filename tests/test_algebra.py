@@ -244,6 +244,21 @@ def test_opposite_and_enveloping(algebras):
     assert len(env.idempotents) == A.num_vertices ** 2
 
 
+def test_opposite_grading_is_the_derived_one(algebras):
+    """A^op takes A's grading with src and tgt swapped; it equals the
+    grading derived from A^op's table by its idempotents, on every catalog
+    algebra and on generated P^2..P^4."""
+    from sodhh.cli import parse_quiver_document
+    algs = [algebras[name] for name in sorted(algebras)]
+    algs += [parse_quiver_document(_beilinson_doc(n, {"kind": "q"})).build()
+             for n in (2, 3, 4)]
+    for A in algs:
+        op = A.opposite()
+        derived = Algebra(op.field, op.labels, op.mult, op.idempotents,
+                          op.vertex_names)
+        assert (op.src, op.tgt) == (derived.src, derived.tgt)
+
+
 def test_subspace_reducer_normal_forms():
     red = SubspaceReducer(QQ, 3)
     red.add({0: QQ.coerce(1), 1: QQ.coerce(1)})

@@ -518,7 +518,7 @@ def test_cohomology_resolves_each_simple_once(monkeypatch):
     calls = counting_wrapper(monkeypatch, "projective_resolution",
                              ["complexes", "hochschild", "kernels", "cli"])
     koszul = counting_wrapper(monkeypatch, "koszul_resolution",
-                              ["complexes", "hochschild"])
+                              ["hochschild"])
     code, _ = run_command(["cohomology", "--catalog", "beilinson-p2"])
     assert code == 0
     assert calls == [] and len(koszul) == 1

@@ -460,8 +460,8 @@ def test_compose_matches_dense_on_random_sparse_matrices(field):
 CANCELLING_BREAKS = """
 from sodhh.catalog import get_entry
 from sodhh.complexes import (ChainMap, ComplexError, ProjComplex,
-                             bar_resolution, koszul_resolution,
-                             projective_resolution)
+                             bar_resolution, projective_resolution)
+from sodhh.hochschild import koszul_resolution
 from sodhh.linalg import QQ
 from sodhh.modules import simple_module
 A = get_entry("beilinson-p2").algebra(QQ)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from sodhh.algebra import Algebra, Quiver, Relation, build_path_algebra, center
 from sodhh.catalog import CATALOG
 from sodhh.complexes import (FieldComplex, bar_resolution, ext_profile,
-                             koszul_resolution, projective_resolution,
-                             radical_tuples)
+                             projective_resolution, radical_tuples)
 from sodhh.hochschild import (HHProfile, absolute_hh_cohomology,
                               absolute_hh_homology,
                               diagonal_resolution, global_dimension,
                               hh_cohomology, hh_homology,
-                              hh_with_coefficients, homology_via_serre_dual)
+                              hh_with_coefficients, homology_via_serre_dual,
+                              koszul_resolution)
 from sodhh.kernels import generalized_hoh
 from sodhh.linalg import GF, QQ, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule
@@ -182,7 +182,7 @@ def test_global_dimension_resolves_simples_once(monkeypatch):
     minimal = counting_wrapper(monkeypatch, "projective_resolution",
                                ["complexes", "hochschild"])
     koszul = counting_wrapper(monkeypatch, "koszul_resolution",
-                              ["complexes", "hochschild"])
+                              ["hochschild"])
     B = get_entry("beilinson-p2").algebra(QQ)
     assert [global_dimension(B, cap) for cap in (12, 6, 2, 1)] == \
         [2, 2, 2, None]
@@ -408,6 +408,179 @@ def test_koszul_route_matches_minimal_resolutions_off_koszul(field):
 @given(quadratic_quivers())
 def test_koszul_route_matches_minimal_resolutions_on_random_quivers(A):
     assert koszul_route(A) == minimal_route_oracle(A)
+
+
+def reference_koszul_resolution(A, n_max):
+    """The Koszul resolution as it was built before its check moved into A:
+    the entries of A (x) A^op written from the splittings of the Koszul
+    spaces, then ProjComplex's generic check (_check_blocks and _compose)."""
+    from sodhh.complexes import ComplexError, ProjComplex
+    from sodhh.hochschild import _koszul_spaces
+    from sodhh.linalg import ColumnEchelon
+    env = A.enveloping()
+    f = A.field
+    spaces = _koszul_spaces(A, n_max)
+    e = A.idempotents
+    terms = {0: tuple(env.vertex(v, v) for v in range(A.num_vertices))}
+    diffs = {}
+    for n, space in enumerate(spaces[1:], start=1):
+        if not space:
+            break
+        ends = [next(iter(vec)) for vec, _ in space]
+        terms[-n] = tuple(env.vertex(A.tgt[t[0]], A.src[t[-1]]) for t in ends)
+        if n > 1:
+            index = {}
+            basis = [{index.setdefault(t, len(index)): c
+                      for t, c in vec.items()} for vec, _ in spaces[n - 1]]
+            echelon = ColumnEchelon(Matrix(f, len(index), len(basis), basis))
+        sign = f.one if n % 2 == 0 else f.neg(f.one)
+        d = diffs[-n] = {}
+        for col, ((vec, right), t0) in enumerate(zip(space, ends)):
+            v, w = A.tgt[t0[0]], A.src[t0[-1]]
+            if n == 1:
+                left = {(A.src[t0[0]], t0[0]): f.one}
+            else:
+                by_first = {}
+                for t, c in vec.items():
+                    r = index.setdefault(t[1:], len(index))
+                    by_first.setdefault(t[0], {})[r] = c
+                left = {}
+                for a, rest in by_first.items():
+                    x = echelon.solve(rest)
+                    if x is None:
+                        raise ComplexError("no left splitting")
+                    left.update({(j, a): c for j, c in x.items()})
+            for (j, a), c in left.items():
+                d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
+            for (j, b), c in right.items():
+                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = \
+                    f.mul(sign, c)
+    return ProjComplex(env, terms, diffs, check=True)
+
+
+def _quadratic_catalog_and_generated():
+    from sodhh.catalog import catalog_names, get_entry
+    from sodhh.hochschild import _is_quadratic
+    algebras = [get_entry(name).algebra(field) for name in catalog_names()
+                for field in (QQ, GF(3))]
+    algebras += [_generated_beilinson(n) for n in (2, 3, 4)]
+    return [A for A in algebras if _is_quadratic(A)]
+
+
+def test_koszul_resolution_matches_the_generically_checked_build():
+    """K's terms and differentials, certified in A, are dict-equal to the
+    build checked over A (x) A^op, on every quadratic catalog algebra over
+    Q and F_3 and on generated P^2..P^4."""
+    algebras = _quadratic_catalog_and_generated()
+    assert len(algebras) >= 10
+    for A in algebras:
+        K, R = koszul_resolution(A, 6), reference_koszul_resolution(A, 6)
+        assert (K.terms, K.diffs) == (R.terms, R.diffs)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_koszul_resolution_matches_the_reference_on_random_quivers(A):
+    K, R = koszul_resolution(A, 5), reference_koszul_resolution(A, 5)
+    assert (K.terms, K.diffs) == (R.terms, R.diffs)
+
+
+def _perturbed(tables, n, col, side, key, value):
+    """A copy of K's tables with one entry of one column set to value, or
+    dropped when value is None."""
+    out = [None] + [[(dict(left), dict(right)) for left, right in cols]
+                    for cols in tables[1:]]
+    table = out[n][col][side]
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    return out
+
+
+def test_koszul_check_agrees_with_compose_on_perturbed_tables():
+    """On 150 seeded single-entry perturbations of K's tables (a sign
+    flip, a scaling by 2 or a dropped term) on generated P^3, beilinson-p2
+    over F_3 and loop-x2, the check in A raises exactly when _compose finds
+    a nonzero composite of the entries over A (x) A^op, naming the same
+    degree, and it accepts the tables as built."""
+    import random
+    from sodhh.catalog import get_entry
+    from sodhh.complexes import ComplexError, _compose
+    from sodhh.hochschild import (_check_koszul, _koszul_entries,
+                                  _koszul_tables)
+    rng = random.Random(24)
+    raised = 0
+    for A in (_generated_beilinson(3),
+              get_entry("beilinson-p2").algebra(GF(3)),
+              get_entry("loop-x2").algebra(QQ)):
+        f, env = A.field, A.enveloping()
+        ends, tables = _koszul_tables(A, 4)
+        _check_koszul(A, ends, tables)
+        for _ in range(50):
+            n = rng.randrange(1, len(tables))
+            col = rng.randrange(len(tables[n]))
+            side = rng.randrange(2)
+            key = rng.choice(sorted(tables[n][col][side]))
+            c = tables[n][col][side][key]
+            value = rng.choice([f.neg(c), f.mul(f.coerce(2), c), None])
+            changed = _perturbed(tables, n, col, side, key, value)
+            _, diffs = _koszul_entries(A, ends, changed)
+            expected = next((f"d^2 != 0 at degree {-m}"
+                             for m in range(2, len(tables))
+                             if _compose(env, diffs[-m], diffs[-m + 1])), None)
+            try:
+                _check_koszul(A, ends, changed)
+                verdict = None
+            except ComplexError as exc:
+                verdict = str(exc)
+            assert verdict == expected, (n, col, side, key, value)
+            raised += verdict is not None
+    assert raised > 0
+
+
+def test_koszul_resolution_raises_on_a_corrupted_table(monkeypatch):
+    """Every build of K is checked: a flipped sign raises d^2 != 0, and a
+    left term whose arrow does not join the column's and the row's
+    vertices raises the slice error, both from koszul_resolution."""
+    import sodhh.hochschild as hochschild
+    from sodhh.catalog import get_entry
+    from sodhh.complexes import ComplexError
+    A = get_entry("beilinson-p2").algebra(QQ)
+    ends, tables = hochschild._koszul_tables(A, 3)
+    (j, a), c = next(iter(tables[2][0][0].items()))
+    other = next(b for b in range(A.dim) if A.basis_paths[b]
+                 and len(A.basis_paths[b]) == 1
+                 and (A.src[b], A.tgt[b]) != (A.src[a], A.tgt[a]))
+    flipped = _perturbed(tables, 2, 0, 0, (j, a), A.field.neg(c))
+    moved = _perturbed(tables, 2, 0, 0, (j, a), None)
+    moved[2][0][0][j, other] = c
+    for bad, message in ((flipped, "d\\^2 != 0 at degree -2"),
+                         (moved, "entry not in e_v L e_w slice at degree -2")):
+        monkeypatch.setattr(hochschild, "_koszul_tables",
+                            lambda A, n_max, bad=bad: (ends, bad))
+        with pytest.raises(ComplexError, match=message):
+            koszul_resolution(A, 3)
+
+
+def test_global_dimension_makes_no_enveloping_products(monkeypatch):
+    """Certifying K on a fresh generated P^3 multiplies in A only:
+    global_dimension(A, 12) takes no product in A (x) A^op, while the
+    generic check of the same K takes them."""
+    from sodhh.algebra import TensorOpposite
+    from sodhh.complexes import ProjComplex
+    calls = []
+    real = TensorOpposite.product
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(TensorOpposite, "product", counting)
+    A = _generated_beilinson(3)
+    assert global_dimension(A, 12) == 3 and calls == []
+    ProjComplex(A.enveloping(), *A._cache["koszul_resolution"], check=True)
+    assert calls
 
 
 def test_truncated_koszul_complex_is_not_certified(monkeypatch):

@@ -485,18 +485,25 @@ def cmd_fullness(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
     coll = _default_collection(A)
-    if args.objects:
-        try:
-            picks = [int(s) - 1 for s in args.objects.split(",")]
-        except ValueError as exc:
-            raise SchemaError(f"--objects: {exc}") from exc
+    if args.objects is not None:
         m = len(coll)
-        for i in picks:
-            if not 0 <= i < m:
-                raise SchemaError(f"--objects: index {i + 1} is outside "
-                                  f"the valid range 1..{m}")
-        subobjs = [coll.objects[i] for i in picks]
-        coll = ExceptionalCollection(A, subobjs)
+        picks = []
+        for token in args.objects.split(","):
+            if not token.strip():
+                raise SchemaError(f"--objects: empty index in "
+                                  f"{args.objects!r}")
+            try:
+                i = int(token)
+            except ValueError:
+                raise SchemaError(f"--objects: {token.strip()!r} is not an "
+                                  "integer index") from None
+            if not 1 <= i <= m:
+                raise SchemaError(f"--objects: index {i} is outside the "
+                                  f"valid range 1..{m}")
+            if i - 1 in picks:
+                raise SchemaError(f"--objects: index {i} is repeated")
+            picks.append(i - 1)
+        coll = ExceptionalCollection(A, [coll.objects[i] for i in picks])
     cert = fullness_certificate(A, coll, args.max_degree)
     report.set("hh_homology", cert["hh_homology"])
     report.set("collection_length", cert["collection_length"])

@@ -122,9 +122,6 @@ class ProjComplex:
 
     # -- structure -----------------------------------------------------------
 
-    def degrees(self):
-        return sorted(self.terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -624,12 +621,11 @@ def minimalize(X: ProjComplex) -> ProjComplex:
 
 def _summands(X):
     """A complex as (terms, diffs) at summand level: a ProjComplex as it
-    is, a ModuleComplex or FieldComplex as one summand per degree (its
-    module or its dimension) whose differential entry is a matrix."""
+    is, a ModuleComplex as one summand per degree (its module) whose
+    differential entry is a matrix."""
     if isinstance(X, ProjComplex):
         return X.terms, X.diffs
-    objects = X.modules if isinstance(X, ModuleComplex) else X.dims
-    return ({n: (x,) for n, x in objects.items()},
+    return ({n: (M,) for n, M in X.modules.items()},
             {n: {(0, 0): m} for n, m in X.diffs.items()})
 
 
@@ -698,13 +694,6 @@ def _proj_diffs(index, entries):
     return diffs
 
 
-def _field_diffs(f, index, entries):
-    """Total-complex entries (scalar, k = None) as matrices."""
-    return {n: Matrix.from_entries(f, len(index[n + 1]), len(index[n]),
-                                   {(r, col): c for (r, col, _), c in ent.items()})
-            for n, ent in entries.items()}
-
-
 def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     """Convolution of bimodule complexes: P (x)_A Q, both over env(A)."""
     env = P.algebra
@@ -736,38 +725,12 @@ def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
     return ProjComplex(env, terms, _proj_diffs(index, entries), check=False)
 
 
-def tensor_env_left(P: ProjComplex, X: ProjComplex) -> ProjComplex:
-    """Apply a bimodule complex to a left-module complex: P (x)_A X."""
-    env = P.algebra
-    A = X.algebra
-    if env.factors[0] is not A:
-        raise SideMismatch("bimodule complex does not act on this algebra's "
-                           "left modules")
-    f = A.field
-
-    def middle(x, u):
-        v, w = env.vertex_pair(x)
-        return [(mu, v) for mu in A.slice_indices(w, u)]
-
-    def x_image(a, mu, u):
-        for i, j, c in env.terms(a):
-            for mu2, c2 in A.multiply({j: f.one}, {mu: f.one}).items():
-                yield mu2, i, f.mul(c, c2)
-
-    def y_image(b, mu, x):
-        e = A.idempotents[env.vertex_pair(x)[0]]
-        for mu2, c in A.multiply({mu: f.one}, b).items():
-            yield mu2, e, c
-
-    index, terms, entries = _tensor_total(f, P, X, middle, x_image, y_image)
-    return ProjComplex(A, terms, _proj_diffs(index, entries), check=False)
-
-
 def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     """P (x)_A M for a bimodule complex P and a single bimodule M: the
     termwise twist (A e_v (x) e_w A) (x)_A M = A e_v (x) e_w M, on which A
-    acts from the left on the first factor and from the right on M.  Used
-    to convolve kernels with the Serre kernel DA."""
+    acts from the left on the first factor and from the right on M.  With
+    M = DA it is the Serre-twisted target P o S that generalized_hoh
+    builds for a general kernel."""
     from .modules import Bimodule
     env = P.algebra
     A, _ = env.factors
@@ -872,58 +835,6 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
     return ModuleComplex(A, mods, diffs, check=False)
 
 
-def tensor_module_with_field_complex(Ycx: ModuleComplex, W: FieldComplex) -> ModuleComplex:
-    """Termwise M (x)_k W for a module complex and a vector-space complex."""
-    from .modules import ModuleRep
-    alg = Ycx.algebra
-    f = alg.field
-
-    def middle(M, d):
-        return [((m, r), M.grading[m]) for m in range(M.dim) for r in range(d)]
-
-    def x_image(dM, mr, d):
-        m, r = mr
-        for m2, c in dM.cols[m].items():
-            yield (m2, r), None, c
-
-    def y_image(dW, mr, M):
-        m, r = mr
-        for r2, c in dW.cols[r].items():
-            yield (m, r2), None, c
-
-    index, grading, entries = _tensor_total(f, Ycx, W, middle, x_image,
-                                            y_image)
-    mods = {}
-    for n, slots in index.items():
-        def column(i, col, slots=slots, keys=list(slots)):
-            p, _, _, (m, r) = keys[col]
-            return {slots[(p, 0, 0, (m2, r))]: c
-                    for m2, c in Ycx.modules[p].column(i, m).items()}
-        mods[n] = ModuleRep(alg, len(slots), column, grading[n], check=False)
-    return ModuleComplex(alg, mods, _field_diffs(f, index, entries),
-                         check=False)
-
-
-def tensor_proj_with_field_complex(X: ProjComplex, W: FieldComplex) -> ProjComplex:
-    """Termwise X (x)_k W; summands of X are repeated per basis slot of W."""
-    alg = X.algebra
-    f = alg.field
-
-    def middle(v, d):
-        return [(r, v) for r in range(d)]
-
-    def x_image(a, r, d):
-        for k, c in a.items():
-            yield r, k, c
-
-    def y_image(dW, r, v):
-        for r2, c in dW.cols[r].items():
-            yield r2, alg.idempotents[v], c
-
-    index, terms, entries = _tensor_total(f, X, W, middle, x_image, y_image)
-    return ProjComplex(alg, terms, _proj_diffs(index, entries), check=False)
-
-
 # ---------------------------------------------------------------------------
 # Relative bar resolution
 
@@ -1016,19 +927,6 @@ def bar_resolution(A: Algebra, n_max: int) -> ProjComplex:
     return ProjComplex(env, terms, diffs, check=True)
 
 
-def bar_augmentation_matrix(A: Algebra, bar: ProjComplex) -> Matrix:
-    """Multiplication map realize(B_0) -> A."""
-    env = A.enveloping()
-    f = A.field
-    bases = bar.realize_bases()[0]
-    entries = {}
-    for col, (s, k) in enumerate(bases):
-        i, j = env.index_pair(k)
-        for t, c in A.product(i, j).items():
-            entries[(t, col)] = f.add(entries.get((t, col), f.zero), c)
-    return Matrix.from_entries(f, A.dim, len(bases), entries)
-
-
 # ---------------------------------------------------------------------------
 # Minimal projective resolutions of modules
 
@@ -1063,7 +961,13 @@ def projective_resolution(M, length: int) -> ProjComplex:
     is checked to be graded and, where its generators are picked, to be
     mapped into its span by every g, which with the grading is invariance
     under all of L; either failure means M is not a module and raises
-    ModuleAxiomError."""
+    ModuleAxiomError.
+
+    Only the kernel of P_0 -> M can fail these checks: from Omega_1 on, the
+    action is left multiplication on a free module, so the kernel of each
+    later cover is a submodule.  The last cover, whose kernel
+    Omega_{length+1} would be dropped, is therefore skipped when length >= 1
+    and computed, for the checks alone, when length == 0."""
     from .modules import ModuleAxiomError
     alg = M.algebra
     f = alg.field
@@ -1102,6 +1006,8 @@ def projective_resolution(M, length: int) -> ProjComplex:
                 for p, c in w.items():
                     s0, y = prev_basis[p]
                     d.setdefault((s0, s), {})[y] = c
+        if step == length and step:
+            break   # Omega_{length+1} would only be dropped
         # cover realize(P_step) -> Omega_step, (s, y) |-> y . w_s
         basis, cols = [], []
         for s, (u, w) in enumerate(gens):

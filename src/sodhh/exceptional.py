@@ -51,10 +51,6 @@ def minimal_data(X: ProjComplex):
     return (tuple(sorted(m.multiplicity_data().items())), probe_tables(m))
 
 
-def same_object(X: ProjComplex, Y: ProjComplex) -> bool:
-    return minimal_data(X) == minimal_data(Y)
-
-
 def _assemble_map_from(pieces, maps, target) -> ChainMap:
     """Block chain map (+) pieces -> target from maps[p] : pieces[p] -> target."""
     S, offsets = direct_sum(pieces)

@@ -11,23 +11,26 @@ A kernel over A is one of
     a right-module complex, possibly carrying a symbolic Serre twist on
     one side (adjoints of decomposable kernels are DA-twists).
 
-Convolution is the derived tensor product over A; it is computed
-termwise, which is derived-correct because a contracted side is always
-projective termwise.  Decomposable kernels contract through their inner
-factors, read as a Hom complex: for a bounded complex X of finitely
-generated projective left modules, X^v (x)_A Y = Hom_A(X, Y).  A factor
-that carries DA is read by the Nakayama isomorphism, as the reflected
-homology (q -> -q) of a dual:
+Convolution is the derived tensor product over A.  Bimodule complexes
+are convolved termwise (tensor_env_env, tensor_env_module), which is
+derived-correct because a contracted side is always projective termwise.
+Of two decomposable kernels only the homology of the convolution is
+computed (convolution_homology_dims), through their inner factors read as
+a Hom complex: for a bounded complex X of finitely generated projective
+left modules, X^v (x)_A Y = Hom_A(X, Y).  A factor that carries DA is
+read by the Nakayama isomorphism, as the reflected homology (q -> -q) of
+a dual:
   DA (x)_A E = D Hom_A(E, A),   F' (x)_A DA = D Hom_{A^op}(F', A^op),
   Hom_A(X, DA (x)_A G) = D Hom_A(G, X).
 
 Ext between untwisted decomposable kernels, with or without the Serre
 twist, and their K_0 classes come from the two factors over A and A^op
 (decomposable_ext, decomposable_class; Kuenneth, exact over a field), the
-twisted A^op factor read by the same isomorphism; serre_twist_left runs
-only in kernel_apply and serre-check.  Their complex over A (x) A^op
-(decomposable_to_env) is built only by the general-kernel and convolution
-fallbacks, and is the tests' oracle.
+twisted A^op factor read by the same isomorphism; no kernel builds a
+Serre twist of a one-sided complex (serre_twist_left runs only in
+serre-check).  Their complex over A (x) A^op (decomposable_to_env) is
+built only by generalized_hoh's general-kernel route, and is the tests'
+oracle.
 
 The projection kernels P_i = E_i (x) F_i^v of a full collection of
 indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
@@ -39,12 +42,10 @@ kernel keeps (Kernel.resolves).
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import (ModuleHomComplex, ProjComplex, SideMismatch,
-                        _proj_diffs, _tensor_total, dualize, ext_profile,
-                        projective_resolution, serre_twist_left,
-                        tensor_env_env, tensor_env_left, tensor_env_module,
-                        tensor_module_with_field_complex,
-                        tensor_proj_with_field_complex)
+from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
+                        _tensor_total, dualize, ext_profile,
+                        projective_resolution, tensor_env_env,
+                        tensor_env_module)
 from .exceptional import ExceptionalCollection
 from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
                          hh_homology, hh_with_coefficients)
@@ -210,33 +211,15 @@ def decomposable_class(P: Kernel) -> dict:
             for w, b in right.items()}
 
 
-def kernel_apply(K: Kernel, X: ProjComplex):
-    """The kernel functor on objects: K ∘ X for a left-module complex X.
-    Returns a ProjComplex when possible, else a ModuleComplex.  A
-    decomposable kernel contracts through H'^v (x)_A X = Hom_A(H'^v, X)
-    (H' = K.right); the DA of a right twist is applied to X first."""
-    if K.kind == "diagonal":
-        return X
-    if K.kind == "serre":
-        return serre_twist_left(X)
-    if K.kind == "general":
-        return tensor_env_left(K.complex, X)
-    Y = serre_twist_left(X) if K.twist == "right" else X
-    W = ModuleHomComplex(dualize(K.right), Y).field_complex()
-    if K.twist == "left":   # (DA (x) G) (x) (H' (x)_A X)
-        return tensor_module_with_field_complex(serre_twist_left(K.left), W)
-    return tensor_proj_with_field_complex(K.left, W)
-
-
 def kernel_adjoint(K: Kernel, which: str) -> Kernel:
     """Left or right adjoint kernel.
 
     For K = E (x) F' the right adjoint is (DA (x)_A F'^v) (x) E^v and the
     left adjoint is F'^v (x) (E^v (x)_A DA); the DA factor stays symbolic
-    (a twist tag).  kernel_apply builds it; convolution_homology_dims
-    reads it by the Nakayama isomorphism, DA (x)_A E = D Hom_A(E, A),
-    F' (x)_A DA = D Hom_{A^op}(F', A^op) and Hom_A(X, DA (x)_A G) =
-    D Hom_A(G, X).  Taking the opposite adjoint of a twisted kernel undoes
+    (a twist tag).  convolution_homology_dims reads it by the Nakayama
+    isomorphism, DA (x)_A E = D Hom_A(E, A), F' (x)_A DA =
+    D Hom_{A^op}(F', A^op) and Hom_A(X, DA (x)_A G) = D Hom_A(G, X).
+    Taking the opposite adjoint of a twisted kernel undoes
     the twist by genuinely dualizing the parts again."""
     if which not in ("left", "right"):
         raise ValueError(f"adjoint side must be 'left' or 'right', got "
@@ -255,35 +238,6 @@ def kernel_adjoint(K: Kernel, which: str) -> Kernel:
         return Kernel.decomposable(dualize(K.right), dualize(K.left), twist=None)
     raise UnsupportedKernelShape(
         f"{which} adjoint of a {K.twist}-twisted kernel")
-
-
-def convolution(L: Kernel, K: Kernel, depth: int = 8):
-    """L ∘ K as a kernel; the diagonal acts as the unit and untwisted
-    decomposable pairs E (x) F', G (x) H' contract through the inner plain
-    complex F' (x)_A G = Hom_A(F'^v, G)."""
-    if K.kind == "diagonal":
-        return L
-    if L.kind == "diagonal":
-        return K
-    if K.kind == "serre":
-        if L.kind == "decomposable" and L.twist is None:
-            return Kernel.decomposable(L.left, L.right, twist="right")
-        if L.kind == "general":
-            return tensor_env_module(L.complex, K.module)
-        raise UnsupportedKernelShape(f"{L!r} ∘ serre")
-    if L.kind == "serre":
-        if K.kind == "decomposable" and K.twist is None:
-            return Kernel.decomposable(K.left, K.right, twist="left")
-        raise UnsupportedKernelShape(f"serre ∘ {K!r}")
-    if L.kind == "decomposable" and K.kind == "decomposable" \
-            and L.twist is None and K.twist is None:
-        W = ModuleHomComplex(dualize(L.right), K.left).field_complex()
-        E = tensor_proj_with_field_complex(L.left, W)
-        return Kernel.decomposable(E, K.right)
-    # fall back to projective bimodule complexes
-    P = as_env_complex(L, depth)
-    Q = as_env_complex(K, depth)
-    return Kernel.general(tensor_env_env(P, Q))
 
 
 def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:

@@ -453,21 +453,3 @@ def solve_linear(m: Matrix, rhs: Matrix):
             return None
         xcols.append(x)
     return Matrix(m.field, m.ncols, rhs.ncols, xcols)
-
-
-def kronecker_tensor(a: Matrix, b: Matrix) -> Matrix:
-    """Tensor product of matrices: entry ((i,j),(k,l)) = a[i,k] * b[j,l]."""
-    a._check(b)
-    f = a.field
-    cols = []
-    for k in range(a.ncols):
-        acol = a.cols[k]
-        for l in range(b.ncols):
-            bcol = b.cols[l]
-            c = {}
-            for i, av in acol.items():
-                base = i * b.nrows
-                for j, bv in bcol.items():
-                    c[base + j] = f.mul(av, bv)
-            cols.append(c)
-    return Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols, cols)

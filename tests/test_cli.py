@@ -199,15 +199,30 @@ def test_fullness_commands():
     assert report.data["verdict"] == "not full"
 
 
-@pytest.mark.parametrize("objects", ["0", "-1", "4", "1,4"])
+OBJECTS_ERRORS = {
+    "0": "--objects: index 0 is outside the valid range 1..3",
+    "-1": "--objects: index -1 is outside the valid range 1..3",
+    "4": "--objects: index 4 is outside the valid range 1..3",
+    "1,4": "--objects: index 4 is outside the valid range 1..3",
+    "": "--objects: empty index in ''",
+    "1,,2": "--objects: empty index in '1,,2'",
+    "2,": "--objects: empty index in '2,'",
+    "a": "--objects: 'a' is not an integer index",
+    "1,1.5": "--objects: '1.5' is not an integer index",
+    "1,1": "--objects: index 1 is repeated",
+    "3,2,3": "--objects: index 3 is repeated",
+}
+
+
+@pytest.mark.parametrize("objects", list(OBJECTS_ERRORS))
 def test_fullness_objects_out_of_range_exit_2(objects):
-    """beilinson-p2's collection has three objects; any index outside 1..3
-    is an input error naming the flag."""
+    """beilinson-p2's collection has three objects; an index outside 1..3,
+    an empty or non-integer entry and a repeated index are input errors
+    that name the flag and the entry."""
     code, report = run_command(
         ["fullness", "--objects", objects, "--catalog", "beilinson-p2"])
     assert code == 2
-    assert report.data["error"].startswith("--objects: index ")
-    assert report.data["error"].endswith("outside the valid range 1..3")
+    assert report.data["error"] == OBJECTS_ERRORS[objects]
 
 
 def test_golden_report():

@@ -9,7 +9,7 @@ from sodhh.exceptional import (ExceptionalCollection, NotFull, NotStrong,
                                bdi_check, dual_collection, endomorphism_algebra,
                                evaluation_map, is_exceptional_collection,
                                minimal_data, mutate, projective_collection,
-                               same_object, sod_project)
+                               sod_project)
 from sodhh.hochschild import hh_cohomology, hh_homology
 from sodhh.linalg import QQ
 from sodhh.modules import simple_module
@@ -83,7 +83,7 @@ def test_simple_over_loop_not_exceptional(algebras):
 def test_left_mutation_kronecker(coll2, K2):
     mut = mutate(coll2, 1, "left")
     assert mut.objects[0].multiplicity_data() == {-1: ((1, 2),), 0: ((0, 1),)}
-    assert same_object(mut.objects[1], coll2.objects[0])
+    assert minimal_data(mut.objects[1]) == minimal_data(coll2.objects[0])
 
 
 def test_mutations_mutually_inverse_all_catalog(algebras):
@@ -91,10 +91,10 @@ def test_mutations_mutually_inverse_all_catalog(algebras):
         m = len(coll)
         for i in range(1, m):
             back = mutate(mutate(coll, i, "left"), i + 1, "right")
-            assert all(same_object(x, y)
+            assert all(minimal_data(x) == minimal_data(y)
                        for x, y in zip(back.objects, coll.objects)), (name, i)
             forth = mutate(mutate(coll, i + 1, "right"), i, "left")
-            assert all(same_object(x, y)
+            assert all(minimal_data(x) == minimal_data(y)
                        for x, y in zip(forth.objects, coll.objects)), (name, i)
 
 
@@ -113,7 +113,8 @@ def test_braid_relation_beilinson(collB):
     s2 = lambda c: mutate(c, 3, "right")
     lhs = s1(s2(s1(collB)))
     rhs = s2(s1(s2(collB)))
-    assert all(same_object(x, y) for x, y in zip(lhs.objects, rhs.objects))
+    assert all(minimal_data(x) == minimal_data(y)
+               for x, y in zip(lhs.objects, rhs.objects))
 
 
 def test_mutation_preserves_exceptionality(collB):
@@ -147,7 +148,7 @@ def test_dual_single_object(K2):
     coll = ExceptionalCollection(K2, [single_projective(K2, 1)])
     duals, shifts = dual_collection(coll)
     assert shifts == [0]
-    assert same_object(duals[0], coll.objects[0])
+    assert minimal_data(duals[0]) == minimal_data(coll.objects[0])
 
 
 def test_dual_collections_catalog(algebras):
@@ -235,7 +236,7 @@ def test_sod_project_own_object(coll2, K2):
     assert tower.k0_checks["k0_additive"]
     nonzero = [F for F in tower.factors if not F.is_zero()]
     assert len(nonzero) == 1
-    assert same_object(nonzero[0], coll2.objects[0])
+    assert minimal_data(nonzero[0]) == minimal_data(coll2.objects[0])
 
 
 def test_sod_project_free_module(coll2, K2):

@@ -2,24 +2,23 @@ import pytest
 
 from sodhh.algebra import Quiver, Relation, build_path_algebra
 from sodhh.catalog import CATALOG
-from sodhh.complexes import (FieldComplex, ModuleHomComplex, _field_diffs,
+from sodhh.complexes import (FieldComplex, ModuleComplex, ModuleHomComplex,
                              _tensor_total, dualize, ext_profile,
                              module_complex_single, projective_resolution,
                              serre_twist_left, single_projective,
-                             tensor_env_module, tensor_proj_with_field_complex)
+                             tensor_env_env, tensor_env_module)
 from sodhh.exceptional import (ExceptionalCollection, dual_collection,
                                minimal_data, mutate, projective_collection)
 from sodhh.hochschild import hh_homology
 from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            UnsupportedKernelShape, additivity_check,
-                           as_env_complex, convolution,
-                           convolution_homology_dims, decomposable_class,
-                           decomposable_ext, decomposable_to_env,
-                           fullness_certificate, generalized_hoh,
-                           k0_identity_check, kernel_adjoint, kernel_apply,
+                           as_env_complex, convolution_homology_dims,
+                           decomposable_class, decomposable_ext,
+                           decomposable_to_env, fullness_certificate,
+                           generalized_hoh, k0_identity_check, kernel_adjoint,
                            les_check, orthogonality_report,
                            projection_kernels)
-from sodhh.linalg import GF, QQ
+from sodhh.linalg import GF, QQ, Matrix
 from sodhh.modules import (ModuleRep, dual_bimodule, free_gluing_bimodule,
                            simple_module)
 
@@ -57,49 +56,49 @@ def ksB(B):
 
 
 def test_diagonal_is_unit(K2, ks2):
-    P = Kernel.general(decomposable_to_env(ks2[0].left, ks2[0].right))
-    diag = Kernel.diagonal(K2)
-    assert convolution(diag, P) is P
-    assert convolution(P, diag) is P
-    assert convolution(diag, Kernel.serre(K2)).kind == "serre"
+    """The diagonal's resolution is a two-sided unit for the termwise
+    convolution of bimodule complexes, up to homotopy."""
+    D = as_env_complex(Kernel.diagonal(K2), 6)
+    P = decomposable_to_env(ks2[0].left, ks2[0].right)
+    assert minimal_data(tensor_env_env(D, P)) == minimal_data(P) == \
+        minimal_data(tensor_env_env(P, D))
 
 
 def test_convolution_associativity(K2, ks2):
-    gens = [Kernel.general(decomposable_to_env(k.left, k.right)) for k in ks2]
+    gens = [decomposable_to_env(k.left, k.right) for k in ks2]
     L, M, K = gens[0], gens[1], gens[0]
-    c1 = convolution(convolution(L, M), K).complex
-    c2 = convolution(L, convolution(M, K)).complex
+    c1 = tensor_env_env(tensor_env_env(L, M), K)
+    c2 = tensor_env_env(L, tensor_env_env(M, K))
     assert minimal_data(c1) == minimal_data(c2)
 
 
 def test_convolution_decomposable_contraction(K2, ks2):
-    """(E (x) F') o (G (x) H') has the contracted middle complex."""
+    """(E (x) F') o (G (x) H') contracts through the middle complex
+    F' (x)_A G: projections to orthogonal pieces compose to 0, and P_i o P_i
+    has the homology of P_i."""
     P1, P2 = ks2
-    conv = convolution(P1, P2)
-    assert conv.kind == "decomposable" and conv.twist is None
-    # P_1 o P_2 = 0 here (projections to orthogonal pieces compose to 0)
-    env = decomposable_to_env(conv.left, conv.right)
-    assert env.realize().homology_dims() == {} or \
-        minimal_data(env)[0] == tuple()
+    assert convolution_homology_dims(P1, P2) == {}
+    assert convolution_homology_dims(P2, P1) == {}
+    for P in ks2:
+        assert convolution_homology_dims(P, P) == \
+            decomposable_to_env(P.left, P.right).homology_dims()
 
 
 def test_convolution_termwise_dimensions(K2):
-    """(E (x) F') o (G (x) H') realizes with termwise dimension
-    dim E * dim(F' (x)_A G) * dim H', and F' (x)_A G = Hom_A(F'^v, G)."""
+    """(E (x) F') o (G (x) H') of single projectives has homology of
+    dimension dim E * dim(F' (x)_A G) * dim H' in degree 0, and
+    F' (x)_A G = Hom_A(F'^v, G)."""
     E = single_projective(K2, 1)          # A e_2
     Fp = dualize(single_projective(K2, 1))  # e_2 A
     G = single_projective(K2, 0)          # A e_1
     Hp = dualize(single_projective(K2, 1))
     L = Kernel.decomposable(E, Fp)
     K = Kernel.decomposable(G, Hp)
-    conv = convolution(L, K)
-    assert conv.kind == "decomposable"
     W = ModuleHomComplex(dualize(Fp), G).field_complex()   # e_2 A e_1
     assert W.dims == {0: 2}
-    env = decomposable_to_env(conv.left, conv.right)
     dimE = len(K2.column_indices(1))                 # dim A e_2 = 1
     dimH = len(K2.opposite().column_indices(1))      # dim e_2 A = 3
-    assert env.realize().dims == {0: dimE * 2 * dimH}
+    assert convolution_homology_dims(L, K) == {0: dimE * 2 * dimH}
 
 
 def test_bar_convolution_is_identity_on_homology(K2):
@@ -114,19 +113,15 @@ def test_bar_convolution_is_identity_on_homology(K2):
 
 def test_serre_point():
     A = point()
-    S = Kernel.serre(A)
-    X = single_projective(A, 0)
-    res = kernel_apply(S, X)
-    from sodhh.complexes import ModuleComplex
+    res = serre_twist_left(single_projective(A, 0))
     assert isinstance(res, ModuleComplex)
     assert res.modules[0].dim == 1
 
 
 def test_serre_duality_on_projectives(K2):
     """total dim Ext(A e_1, S(A e_2)) = dim Ext(A e_2, A e_1)."""
-    S = Kernel.serre(K2)
-    lhs = ModuleHomComplex(single_projective(K2, 0),
-                           kernel_apply(S, single_projective(K2, 1))).ext_profile()
+    SP = serre_twist_left(single_projective(K2, 1))
+    lhs = ModuleHomComplex(single_projective(K2, 0), SP).ext_profile()
     rhs = ext_profile(single_projective(K2, 1), single_projective(K2, 0))
     assert sum(lhs.values()) == sum(rhs.values()) == 2
 
@@ -137,7 +132,6 @@ def test_serre_duality_graded_probes(K2):
     probes = [single_projective(K2, v) for v in range(2)]
     probes += [projective_resolution(simple_module(K2, v), n + 1)
                for v in range(2)]
-    S = Kernel.serre(K2)
     for X in probes:
         for Y in probes:
             lhs = ModuleHomComplex(X, serre_twist_left(Y)).ext_profile()
@@ -161,6 +155,31 @@ def test_adjoint_rejects_general(K2, ks2):
         kernel_adjoint(P, "left")
 
 
+def applied(K, X):
+    """K o X = M (x)_k W for a decomposable kernel K = E (x) H' and a
+    left-module complex X, as M and the homology of W: M is E, or
+    DA (x)_A E for a left twist, and W = H' (x)_A X = Hom_A(H'^v, X), X
+    replaced by DA (x)_A X for a right twist."""
+    M = serre_twist_left(K.left) if K.twist == "left" else K.left
+    Y = serre_twist_left(X) if K.twist == "right" else X
+    return M, ModuleHomComplex(dualize(K.right), Y).field_complex() \
+        .homology_dims()
+
+
+def ext_from_applied(K, X, Y):
+    """dim Ext(K o X, Y) = Ext(M, Y) (x) D W by Kuenneth (M projective)."""
+    from test_complexes import kuenneth
+    M, hW = applied(K, X)
+    return kuenneth(ext_profile(M, Y), _reflected(hW))
+
+
+def ext_into_applied(X, K, Y):
+    """dim Ext(X, K o Y) = Ext(X, M) (x) W by Kuenneth."""
+    from test_complexes import kuenneth
+    M, hW = applied(K, Y)
+    return kuenneth(ext_profile(X, M), hW)
+
+
 def test_adjunction_probe(K2, ks2):
     """dim Hom(Phi_{P_1} S_v, S_w) = dim Hom(S_v, Phi_{P_1^!} S_w)."""
     P1 = ks2[0]
@@ -168,13 +187,10 @@ def test_adjunction_probe(K2, ks2):
     for v in range(2):
         for w in range(2):
             res_v = projective_resolution(simple_module(K2, v), 6)
-            lhs = ext_profile(
-                kernel_apply(P1, res_v),
-                module_complex_single(simple_module(K2, w)))
-            rhs = ModuleHomComplex(
-                res_v,
-                kernel_apply(radj, projective_resolution(
-                    simple_module(K2, w), 6))).ext_profile()
+            lhs = ext_from_applied(P1, res_v,
+                                   module_complex_single(simple_module(K2, w)))
+            rhs = ext_into_applied(res_v, radj, projective_resolution(
+                simple_module(K2, w), 6))
             assert lhs == rhs, (v, w)
 
 
@@ -186,10 +202,9 @@ def test_left_adjunction_probe(K2, ks2):
         for w in range(2):
             res_v = projective_resolution(simple_module(K2, v), 6)
             res_w = projective_resolution(simple_module(K2, w), 6)
-            lhs = ext_profile(
-                kernel_apply(ladj, res_v),
-                module_complex_single(simple_module(K2, w)))
-            rhs = ext_profile(res_v, kernel_apply(P1, res_w))
+            lhs = ext_from_applied(ladj, res_v,
+                                   module_complex_single(simple_module(K2, w)))
+            rhs = ext_into_applied(res_v, P1, res_w)
             assert lhs == rhs, (v, w)
 
 
@@ -526,9 +541,10 @@ def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
     into the simple S_i that F_i' resolves, are computed once, by
     projection_kernels, and read again by the additivity summands, the
     diagonal of the orthogonality table and generalized_hoh."""
+    import sodhh.complexes as cx
     import sodhh.kernels as kn
     twists, exts, built = [], [], []
-    real_twist, real_ext = kn.serre_twist_left, kn.ext_profile
+    real_twist, real_ext = cx.serre_twist_left, kn.ext_profile
     real_kernels = kn.projection_kernels
 
     def counting_twist(X):
@@ -546,7 +562,8 @@ def test_kernel_reports_build_no_twist_and_share_self_ext(B, monkeypatch):
     def self_factors(ks):
         return {(id(X), id(Y)) for P in ks
                 for X, Y in ((P.left, P.left), (P.right, P.resolves))}
-    monkeypatch.setattr(kn, "serre_twist_left", counting_twist)
+    assert not hasattr(kn, "serre_twist_left")
+    monkeypatch.setattr(cx, "serre_twist_left", counting_twist)
     monkeypatch.setattr(kn, "ext_profile", counting_ext)
     monkeypatch.setattr(kn, "projection_kernels", keeping_kernels)
     coll = projective_collection(B)
@@ -629,6 +646,13 @@ def test_nakayama_identity_on_the_serre_check_probes(field):
 
 
 # -- the adjoint convolutions against the tensor route -------------------------
+
+
+def _field_diffs(f, index, entries):
+    """Total-complex entries (scalar, k = None) as matrices."""
+    return {n: Matrix.from_entries(f, len(index[n + 1]), len(index[n]),
+                                   {(r, col): c for (r, col, _), c in ent.items()})
+            for n, ent in entries.items()}
 
 
 def tensor_right_left(F, G):
@@ -747,16 +771,3 @@ def test_shifted_adjoint_convolutions_match_the_tensor_route(field):
         (entry.algebra(field) for entry in CATALOG.values()
          if entry.has_collection), shift=1)
     assert any(set(dims) - {0} for dims in profiles)
-
-
-def test_convolution_matches_the_tensor_route(ks2, ksB):
-    """convolution(P_i, P_j) contracts through the Hom complex; its left
-    factor is the one the tensor route builds, up to isomorphism."""
-    for ks in (ks2, ksB):
-        for L in ks:
-            for K in ks:
-                conv = convolution(L, K)
-                assert conv.right is K.right
-                W = tensor_right_left(L.right, K.left)
-                assert minimal_data(conv.left) == minimal_data(
-                    tensor_proj_with_field_complex(L.left, W))

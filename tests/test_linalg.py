@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodhh.linalg import (ZERO_COLUMN, ColumnEchelon, FieldMismatch, GF,
-                          Matrix, QQ, SubspaceReducer, kronecker_tensor, rank,
-                          rank_kernel_image, solve_linear)
+                          Matrix, QQ, SubspaceReducer, rank, rank_kernel_image,
+                          solve_linear)
 
 
 def naive_row_reduction_rank(rows, field):
@@ -85,37 +85,6 @@ def test_rank_nullity():
             assert m.mul(kernel).is_zero()
 
 
-def test_kron_identity():
-    m = kronecker_tensor(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
-    assert m == Matrix.identity(QQ, 6)
-
-
-def test_kron_zero():
-    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    z = Matrix.zeros(QQ, 2, 2)
-    assert kronecker_tensor(a, z).is_zero()
-
-
-def test_kron_rank_multiplicative():
-    rng = Random(13)
-    for _ in range(10):
-        a, _ = random_matrix(rng, QQ, 3, 3)
-        b, _ = random_matrix(rng, QQ, 3, 3)
-        assert rank(kronecker_tensor(a, b)) == rank(a) * rank(b)
-
-
-def test_kron_entry_layout():
-    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    b = Matrix.from_rows(QQ, [[5, 6], [7, 8]])
-    k = kronecker_tensor(a, b)
-    for i in range(2):
-        for j in range(2):
-            for s in range(2):
-                for t in range(2):
-                    assert k.entry(i * 2 + s, j * 2 + t) == \
-                        a.entry(i, j) * b.entry(s, t)
-
-
 def test_solve_identity():
     b = Matrix.from_rows(QQ, [[1], [2], [3]])
     x = solve_linear(Matrix.identity(QQ, 3), b)
@@ -155,8 +124,6 @@ def test_field_mismatch():
     b = Matrix.identity(GF(5), 2)
     with pytest.raises(FieldMismatch):
         a.mul(b)
-    with pytest.raises(FieldMismatch):
-        kronecker_tensor(a, b)
 
 
 def test_scalar_canonical_forms():
@@ -494,7 +461,6 @@ def test_read_only_columns_give_the_same_results(field):
         assert rank_kernel_image(ra) == rank_kernel_image(a)
         assert solve_linear(ra, rb) == solve_linear(a, b)
         assert solve_linear(ra, read_only(a)) == solve_linear(a, a)
-        assert kronecker_tensor(ra, rc) == kronecker_tensor(a, c)
         ours = SubspaceReducer(field, n, ra.cols)
         plain = SubspaceReducer(field, n, a.cols)
         assert ours.cols == plain.cols

@@ -31,7 +31,8 @@ from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
                           dual_collection, mutate, projective_collection,
                           sod_project)
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
-                         hh_with_coefficients, homology_via_serre_dual)
+                         hh_with_coefficients, homology_via_serre_dual,
+                         koszul_slice)
 from .kernels import (NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
@@ -332,9 +333,11 @@ def cmd_serre_check(args, report):
     _algebra_summary(A, report)
     n = args.max_degree
     probes = [("P", v, single_projective(A, v)) for v in range(A.num_vertices)]
-    resolutions = {v: projective_resolution(simple_module(A, v), n + 1)
-                   for v in range(A.num_vertices)}
-    probes += [("S", v, resolutions[v]) for v in range(A.num_vertices)]
+    for v in range(A.num_vertices):
+        S = koszul_slice(A, v, "left", n + 1)
+        if S is None:
+            S = projective_resolution(simple_module(A, v), n + 1)
+        probes.append(("S", v, S))
     twisted = [serre_twist_left(Y) for _, _, Y in probes]
     table = {}
     ok = True
@@ -503,6 +506,13 @@ def cmd_fullness(args, report):
             if i - 1 in picks:
                 raise SchemaError(f"--objects: index {i} is repeated")
             picks.append(i - 1)
+        # a subcollection keeps the collection's order, and its errors
+        # would name positions in it, not the indices given here
+        for prev, i in zip(picks, picks[1:]):
+            if i < prev:
+                raise SchemaError(f"--objects: index {i + 1} follows index "
+                                  f"{prev + 1}; list the indices in "
+                                  "increasing order")
         coll = ExceptionalCollection(A, [coll.objects[i] for i in picks])
     cert = fullness_certificate(A, coll, args.max_degree)
     report.set("hh_homology", cert["hh_homology"])

@@ -328,6 +328,67 @@ def global_dimension(A: Algebra, cap: int):
     return worst
 
 
+def koszul_slice(A: Algebra, u: int, side: str, depth: int):
+    """The one-sided slice of the certified Koszul resolution K at the
+    vertex u, through degree -depth, or None when A has no certified K.
+
+    side "right" gives S_u (x)_A K, the minimal resolution of the simple
+    right module at u over A^op: K's summands A e_v (x) e_w A with v = u,
+    each becoming e_w A, with the right terms e_u (x) b of K's differential
+    (a left term a (x) e_w acts on S_u by an arrow, so as zero).  side
+    "left" gives K (x)_A S_u over A, the minimal resolution of the simple
+    left module at u: the summands with w = u, each becoming A e_v, with
+    the left terms.  Either resolves its simple, as K resolves A by
+    bimodules that are projective on each side, and is minimal, as its
+    entries are arrows.
+
+    K is read only as global_dimension cached it next to an exact value;
+    a quadratic algebra that has not been decided yet asks
+    global_dimension(A, depth) first.  The entries are decoded by
+    A (x) A^op's index arithmetic (TensorOpposite.index_pair, vertex_pair)
+    with no enveloping algebra built, and the slice is checked as a
+    ProjComplex."""
+    if side not in ("left", "right"):
+        raise ValueError(f"slice side must be 'left' or 'right', got {side!r}")
+    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
+        global_dimension(A, depth)
+    data = A._cache.get("koszul_resolution")
+    if data is None:
+        return None
+    terms, diffs = data
+    right, nv, dim, idems = side == "right", A.num_vertices, A.dim, A._idem_set
+    kept, out_terms = {}, {}   # kept[n]: K's summand -> slice summand
+    for n, t in terms.items():
+        if n < -depth:
+            continue
+        keep = kept[n] = {}
+        for s, code in enumerate(t):
+            v, w = divmod(code, nv)
+            if (v if right else w) == u:
+                keep[s] = len(keep)
+                out_terms.setdefault(n, []).append(w if right else v)
+    out_diffs = {}
+    for n, d in diffs.items():
+        if n not in kept or n + 1 not in kept:
+            continue
+        cols, rows, block = kept[n], kept[n + 1], {}
+        for (r, s), x in d.items():
+            if s not in cols:
+                continue
+            entry = {}
+            for k, c in x.items():
+                p, q = divmod(k, dim)
+                if right and p in idems:
+                    entry[q] = c
+                elif not right and q in idems:
+                    entry[p] = c
+            if entry:
+                block[rows[r], cols[s]] = entry
+        out_diffs[n] = block
+    return ProjComplex(A.opposite() if right else A, out_terms, out_diffs,
+                       check=True)
+
+
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """A projective bimodule resolution of A through degree -n_max.
 

@@ -35,7 +35,9 @@ oracle.
 The projection kernels P_i = E_i (x) F_i^v of a full collection of
 indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
 is the minimal projective resolution of the simple right module at v_i
-(projection_kernels), and Ext into it is Ext into that simple, which the
+(projection_kernels), sliced off the certified Koszul resolution where
+there is one (hochschild.koszul_slice), else built by
+projective_resolution, and Ext into it is Ext into that simple, which the
 kernel keeps (Kernel.resolves).
 """
 
@@ -48,7 +50,7 @@ from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         tensor_env_module)
 from .exceptional import ExceptionalCollection
 from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
-                         hh_homology, hh_with_coefficients)
+                         hh_homology, hh_with_coefficients, koszul_slice)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
                       simple_module)
 
@@ -356,9 +358,12 @@ def projection_kernels(coll: ExceptionalCollection):
     Ext^*(F_j, E_i) = delta_ij k says that F_j^v has one-dimensional
     homology, at v_j in degree 0 after the shift that condition fixes:
     F_i^v is the minimal projective resolution of the simple right module
-    at v_i, and the kernel records that simple for decomposable_ext.  A
-    full projective collection makes A directed, of global dimension at
-    most m - 1 for m vertices, so a resolution that reaches degree -m raises
+    at v_i, and the kernel records that simple for decomposable_ext.  On
+    an algebra with a certified Koszul resolution K it is the slice
+    S_{v_i} (x)_A K (koszul_slice), and nothing is resolved; on every
+    other algebra, projective_resolution builds it.  A full projective
+    collection makes A directed, of global dimension at most m - 1 for m
+    vertices, so a resolution that reaches degree -m raises
     NormalizationFailed, as does a failure of the K_0 identity
     sum_i [P_i] = [diagonal] or of Ext^0(P_i, P_i) >= 1."""
     A = coll.algebra
@@ -370,8 +375,11 @@ def projection_kernels(coll: ExceptionalCollection):
             raise UnsupportedKernelShape(
                 f"projection kernels need a collection of indecomposable "
                 f"projectives; E_{i+1} has terms {E.terms}")
-        S = simple_module(op, E.terms[0][0])
-        Fp = projective_resolution(S, m)
+        u = E.terms[0][0]
+        S = simple_module(op, u)
+        Fp = koszul_slice(A, u, "right", m)
+        if Fp is None:
+            Fp = projective_resolution(S, m)
         if -m in Fp.terms:
             raise NormalizationFailed(
                 f"the simple right module at the vertex of E_{i+1} has no "

@@ -225,6 +225,21 @@ def test_fullness_objects_out_of_range_exit_2(objects):
     assert report.data["error"] == OBJECTS_ERRORS[objects]
 
 
+@pytest.mark.parametrize("objects,error", [
+    ("3,1", "--objects: index 1 follows index 3; list the indices in "
+            "increasing order"),
+    ("2,1", "--objects: index 1 follows index 2; list the indices in "
+            "increasing order")])
+def test_fullness_objects_out_of_order_exit_2(objects, error):
+    """A subcollection keeps the collection's order, so an order that does
+    not increase is an input error that names the indices as given, not
+    positions in the subcollection."""
+    code, report = run_command(
+        ["fullness", "--objects", objects, "--catalog", "beilinson-p2"])
+    assert code == 2
+    assert report.data["error"] == error
+
+
 def test_golden_report():
     """Byte-stable serialization against a checked-in golden file."""
     import pathlib
@@ -415,14 +430,7 @@ def test_kernel_commands_take_ext_and_classes_from_the_factors(tmp_path,
 def test_kernel_commands_build_the_enveloping_algebra_once(monkeypatch):
     """A holds A (x) A^op only weakly; each kernel command builds it once
     and shares it between its stages."""
-    from sodhh import algebra
-    built = []
-    init = algebra.TensorOpposite.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-    monkeypatch.setattr(algebra.TensorOpposite, "__init__", counting_init)
+    built = count_builds(monkeypatch)
     for command in KERNEL_COMMANDS:
         built.clear()
         code, _ = run_command(command + ["--catalog", "beilinson-p2"])
@@ -526,6 +534,28 @@ def counting_wrapper(monkeypatch, name, modules):
     return calls
 
 
+def count_builds(monkeypatch):
+    """Record the arguments of every build of an enveloping algebra
+    B (x) C^op; returns the list."""
+    from sodhh import algebra
+    built = []
+    init = algebra.TensorOpposite.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(algebra.TensorOpposite, "__init__", counting_init)
+    return built
+
+
+def linear_a4_cubic():
+    """1 -a-> 2 -b-> 3 -c-> 4 with abc = 0: directed, not quadratic."""
+    from sodhh.algebra import Quiver, Relation, build_path_algebra
+    q = Quiver.make(("1", "2", "3", "4"),
+                    (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")))
+    return build_path_algebra(q, [Relation(((1, ("a", "b", "c")),))], QQ)
+
+
 def test_cohomology_resolves_each_simple_once(monkeypatch):
     """Each simple is resolved at most once per call, and not at all on a
     Koszul algebra: the summary's global dimension is read from the one
@@ -546,6 +576,73 @@ def test_kernels_additivity_builds_kernels_once(monkeypatch):
                            "beilinson-p2"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_kernel_commands_slice_the_right_factors_off_k(tmp_path,
+                                                       monkeypatch):
+    """On a Koszul algebra of finite global dimension the right factors are
+    slices of the certified K: `kernels additivity` on generated P^3 and
+    `kernels build` / `orthogonality` on beilinson-p2 resolve no simple,
+    and build A (x) A^op once, as before."""
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild", "kernels", "cli"])
+    sliced = counting_wrapper(monkeypatch, "koszul_slice",
+                              ["hochschild", "kernels", "cli"])
+    built = count_builds(monkeypatch)
+    p = tmp_path / "p3.json"
+    p.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
+        3, {"kind": "q"}, seed=1)))
+    for argv, vertices in ((["kernels", "additivity", "--file", str(p)], 4),
+                           (["kernels", "build", "--catalog",
+                             "beilinson-p2"], 3),
+                           (["kernels", "orthogonality", "--catalog",
+                             "beilinson-p2"], 3)):
+        sliced.clear()
+        built.clear()
+        code, report = run_command(argv)
+        assert code == 0 and report.all_passed(), argv
+        assert resolved == [] and len(sliced) == vertices, argv
+        assert len(built) == 1, argv
+
+
+def test_projection_kernels_resolve_the_simples_off_koszul(monkeypatch):
+    """A directed algebra with a relation of length 3 has no K: its right
+    factors are the minimal resolutions of the simple right modules, as
+    before, one per vertex."""
+    from sodhh.complexes import projective_resolution
+    from sodhh.exceptional import projective_collection
+    from sodhh.kernels import additivity_check, projection_kernels
+    from sodhh.modules import simple_module
+    A = linear_a4_cubic()
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild", "kernels", "cli"])
+    kernels = projection_kernels(projective_collection(A))
+    op = A.opposite()
+    assert [M.grading for M in resolved if M.algebra is op] == \
+        [P.left.terms[0] for P in kernels]
+    for P in kernels:
+        minimal = projective_resolution(simple_module(op, *P.left.terms[0]),
+                                        4)
+        assert (P.right.terms, P.right.diffs) == \
+            (minimal.terms, minimal.diffs)
+    assert additivity_check(A, projective_collection(A))["degreewise_equal"]
+
+
+def test_serre_check_slices_the_s_probes_off_k(monkeypatch):
+    """The S-probes of `serre-check` are left slices of the certified K on
+    beilinson-p2, and minimal resolutions on loop-x2, which has no
+    certified K (infinite global dimension)."""
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild", "kernels", "cli"])
+    sliced = counting_wrapper(monkeypatch, "koszul_slice",
+                              ["hochschild", "kernels", "cli"])
+    for name, vertices, minimal in (("beilinson-p2", 3, 0),
+                                    ("loop-x2", 1, 1)):
+        resolved.clear()
+        sliced.clear()
+        code, report = run_command(["serre-check", "--catalog", name])
+        assert code == 0 and report.all_passed(), name
+        assert len(sliced) == vertices and len(resolved) == minimal, name
 
 
 def test_serre_check_twists_each_probe_once(monkeypatch):

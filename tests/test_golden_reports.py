@@ -7,7 +7,8 @@ The calls are the 98 (catalog entry, subcommand) pairs that exit 0, plus
 rewritten (`python tests/test_golden_reports.py --write`) only by a change
 that means to change a report.  The `kernels` reports on generated
 Beilinson P^3 (seed 101), whose right factors are longer than any in the
-catalog, are pinned in GENERATED_P3_KERNELS.
+catalog, are pinned in GENERATED_P3_KERNELS, and its `serre-check` report,
+whose S-probes are resolutions of four simples, in GENERATED_P3_SERRE_CHECK.
 """
 
 import hashlib
@@ -42,6 +43,8 @@ GENERATED_P3_KERNELS = {
     "additivity":
         "2b5a1a74a9c959406e1c9dc359efc1e22970bce4e09dbef066dbfef3c213bc36",
 }
+GENERATED_P3_SERRE_CHECK = \
+    "76f01dec6fc8108922d8fa11bd4ad6663dd14866c26997f467bc588aacee42d0"
 
 
 def report_hash(argv):
@@ -75,19 +78,34 @@ def test_reports_match_golden_hashes():
     assert not mismatched
 
 
-def test_generated_p3_kernel_reports_match_pinned_hashes(tmp_path,
-                                                       monkeypatch):
-    """The `kernels build|orthogonality|additivity` JSON reports of
-    generated Beilinson P^3 (seed 101) keep their pinned sha256.  The input
-    is written under a relative name, so the report's `command` line does
-    not depend on the temporary directory."""
+def _write_generated_p3(tmp_path, monkeypatch):
+    """Generated Beilinson P^3 (seed 101), written under a relative name in
+    tmp_path, so a report's `command` line does not depend on the
+    temporary directory."""
     from test_cli import _benchmark_inputs
     doc = _benchmark_inputs().beilinson_quiver_doc(3, {"kind": "q"}, 101)
     monkeypatch.chdir(tmp_path)
     pathlib.Path("beilinson-p3.json").write_text(json.dumps(doc))
+    return "beilinson-p3.json"
+
+
+def test_generated_p3_kernel_reports_match_pinned_hashes(tmp_path,
+                                                       monkeypatch):
+    """The `kernels build|orthogonality|additivity` JSON reports of
+    generated Beilinson P^3 keep their pinned sha256."""
+    path = _write_generated_p3(tmp_path, monkeypatch)
     for sub, digest in GENERATED_P3_KERNELS.items():
-        assert report_hash(["kernels", sub, "--file", "beilinson-p3.json",
+        assert report_hash(["kernels", sub, "--file", path,
                             "--format", "json"]) == (0, digest), sub
+
+
+def test_generated_p3_serre_check_report_matches_pinned_hash(tmp_path,
+                                                           monkeypatch):
+    """The `serre-check` JSON report of generated Beilinson P^3 keeps its
+    pinned sha256."""
+    path = _write_generated_p3(tmp_path, monkeypatch)
+    assert report_hash(["serre-check", "--file", path, "--format",
+                        "json"]) == (0, GENERATED_P3_SERRE_CHECK)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from sodhh.complexes import (FieldComplex, bar_resolution, ext_profile,
 from sodhh.hochschild import (HHProfile, diagonal_resolution,
                               global_dimension, hh_cohomology, hh_homology,
                               hh_with_coefficients, homology_via_serre_dual,
-                              koszul_resolution)
+                              koszul_resolution, koszul_slice)
 from sodhh.kernels import generalized_hoh
 from sodhh.linalg import GF, QQ, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule
@@ -576,6 +576,90 @@ def test_koszul_resolution_matches_the_generically_checked_build():
 def test_koszul_resolution_matches_the_reference_on_random_quivers(A):
     K, R = koszul_resolution(A, 5), reference_koszul_resolution(A, 5)
     assert (K.terms, K.diffs) == (R.terms, R.diffs)
+
+
+def assert_slices_match_resolutions(A, depth, ordered=True):
+    """Both slices of A's certified K at every vertex against the minimal
+    resolution of the simple they resolve: equal terms (with `ordered`, in
+    the same order; else the same summands in each degree), a complex
+    under ProjComplex's generic check, and equal Ext into every simple.
+    The differentials are not compared as dicts: they may differ by a
+    change of basis and signs."""
+    from sodhh.complexes import ProjComplex
+    from sodhh.modules import simple_module
+    for side, B in (("right", A.opposite()), ("left", A)):
+        simples = [simple_module(B, w) for w in range(A.num_vertices)]
+        for u, S in enumerate(simples):
+            sliced = koszul_slice(A, u, side, depth)
+            minimal = projective_resolution(S, depth)
+            assert sliced.algebra is B
+            assert sliced.multiplicity_data() == \
+                minimal.multiplicity_data(), (side, u)
+            assert not ordered or sliced.terms == minimal.terms, (side, u)
+            ProjComplex(B, sliced.terms, sliced.diffs, check=True)
+            assert [ext_profile(sliced, T) for T in simples] == \
+                [ext_profile(minimal, T) for T in simples], (side, u)
+
+
+def test_koszul_slices_match_minimal_resolutions():
+    """On every catalog algebra with a certified K, over Q and F_3, and on
+    generated P^2..P^4, summand for summand in the same order (the order
+    the `kernels build` reports list), and on no other catalog algebra."""
+    sliced = []
+    for A in _quadratic_catalog_and_generated():
+        if global_dimension(A, 12) is None:
+            assert koszul_slice(A, 0, "right", 6) is None
+            continue
+        assert_slices_match_resolutions(A, 6)
+        sliced.append(A.num_vertices)
+    assert len(sliced) == 19 and max(sliced) == 5
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_koszul_slices_match_minimal_resolutions_on_random_quivers(A):
+    """The random quadratic quivers whose K is certified; on the others
+    there is no slice.  The quivers are acyclic with paths of length <= 4,
+    so depth 5 holds every resolution whole.  Within a degree the slice
+    lists its summands by vertex, as K does, and the minimal resolution in
+    the order its kernel bases give, which on some of these quivers is
+    another order of the same summands."""
+    if koszul_slice(A, 0, "left", 5) is None:
+        assert A._cache["koszul_resolution"] is None
+        return
+    assert_slices_match_resolutions(A, 5, ordered=False)
+
+
+def test_koszul_slices_need_a_certified_resolution():
+    """Off a certified K there is no slice: not on the quadratic algebra
+    that is not Koszul, not on k[x]/(x^2) (Koszul, of infinite global
+    dimension) and not on an algebra with a relation of length 3."""
+    from sodhh.catalog import get_entry
+    from test_cli import linear_a4_cubic
+    L = get_entry("loop-x2").algebra(QQ)
+    for A in (_not_koszul(QQ), L, linear_a4_cubic()):
+        assert koszul_slice(A, 0, "right", 6) is None
+        assert koszul_slice(A, 0, "left", 6) is None
+    with pytest.raises(ValueError, match="slice side"):
+        koszul_slice(L, 0, "middle", 6)
+
+
+def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
+    """Slices are read from the cached K by index arithmetic alone, and are
+    cut at the depth asked for."""
+    from sodhh.algebra import Algebra, TensorOpposite
+    A = _generated_beilinson(3)
+    assert global_dimension(A, 12) == 3
+    built = []
+    monkeypatch.setattr(Algebra, "enveloping",
+                        lambda self: built.append(self))
+    monkeypatch.setattr(TensorOpposite, "__init__",
+                        lambda self, *args: built.append(args))
+    for u in range(A.num_vertices):
+        for side in ("left", "right"):
+            assert min(koszul_slice(A, u, side, 1).terms) >= -1
+            koszul_slice(A, u, side, 3)
+    assert built == []
 
 
 def _perturbed(tables, n, col, side, key, value):

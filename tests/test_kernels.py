@@ -287,6 +287,55 @@ def test_projection_kernels_refuse_an_infinite_resolution():
         projection_kernels(coll)
 
 
+# k(1 <-> 2)/(ab) (paths in traversal order) is Koszul of global dimension
+# 2, the number of vertices, so K is certified and the simple right module
+# at 1, sliced off it, reaches degree -2.  A e_1 alone is exceptional.
+TWO_CYCLE_ONE_RELATION = """
+import sodhh.kernels as kernels
+from sodhh.algebra import Quiver, Relation, build_path_algebra
+from sodhh.complexes import single_projective
+from sodhh.exceptional import ExceptionalCollection
+from sodhh.linalg import QQ
+q = Quiver.make(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+A = build_path_algebra(q, [Relation(((1, ("a", "b")),))], QQ)
+resolved = []
+real = kernels.projective_resolution
+kernels.projective_resolution = lambda *args: resolved.append(args) or \\
+    real(*args)
+try:
+    kernels.projection_kernels(ExceptionalCollection(
+        A, [single_projective(A, 0)]))
+    print("accepted")
+except kernels.NormalizationFailed as exc:
+    print(f"{type(exc).__name__}: {exc}")
+print(A._cache["global_dimension"], len(resolved))
+"""
+
+
+TWO_CYCLE_ONE_RELATION_RAISED = [
+    "NormalizationFailed: the simple right module at the vertex of E_1 has "
+    "no resolution of length < 2; A is not directed, so the collection is "
+    "not full", "(2, None) 0"]
+
+
+def test_projection_kernels_refuse_a_long_koszul_slice(capsys, monkeypatch):
+    """The slice of the certified K raises as the minimal resolution did,
+    and nothing is resolved."""
+    import sodhh.kernels as kernels
+    # the script wraps kernels.projective_resolution; this puts it back
+    monkeypatch.setattr(kernels, "projective_resolution",
+                        kernels.projective_resolution)
+    exec(TWO_CYCLE_ONE_RELATION, {})
+    assert capsys.readouterr().out.splitlines() == \
+        TWO_CYCLE_ONE_RELATION_RAISED
+
+
+def test_projection_kernels_refuse_a_long_koszul_slice_under_optimized_python(
+        run_optimized):
+    assert run_optimized(TWO_CYCLE_ONE_RELATION) == \
+        TWO_CYCLE_ONE_RELATION_RAISED
+
+
 # -- additivity --------------------------------------------------------------------
 
 

@@ -616,10 +616,7 @@ COMMANDS = {
 def run_command(argv):
     """Dispatch a CLI invocation; returns (exit code, Report)."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        raise
+    args = parser.parse_args(argv)
     report = Report(" ".join(["sodhh"] + list(argv)))
     report.format_hint = getattr(args, "format", "table")
     try:

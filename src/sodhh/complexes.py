@@ -20,8 +20,9 @@ Its differential is placed by offsets into the target's vertex blocks.
 
 The resolutions built here are the relative bar resolution (a test
 oracle) and the minimal projective resolutions of modules.  The Koszul
-bimodule resolution lives in hochschild, beside the certificate that is
-its only user, and checks itself in A before it becomes a ProjComplex.
+bimodule resolution lives in hochschild, beside its certificate, and is
+built and checked in A as tables, read from them one-sidedly, and
+written over A (x) A^op only where a bimodule resolution is asked for.
 
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
@@ -167,26 +168,35 @@ class ProjComplex:
             return self._cache["realize"]
         alg = self.algebra
         f = alg.field
-        bases = {}
+        columns, bases = {}, {}   # columns: vertex v -> basis of L e_v
         for n, t in self.terms.items():
-            basis = []
+            basis = bases[n] = []
             for s, v in enumerate(t):
-                for k in alg.column_indices(v):
+                if v not in columns:
+                    columns[v] = alg.column_indices(v)
+                for k in columns[v]:
                     basis.append((s, k))
-            bases[n] = basis
         index = {n: {sk: i for i, sk in enumerate(b)} for n, b in bases.items()}
         dims = {n: len(b) for n, b in bases.items()}
         diffs = {}
+        add, mul, zero, product = f.add, f.mul, f.zero, alg.product
         for n, d in self.diffs.items():
             cols = _lines(d, 1)
             tgt_pos = index[n + 1]
-            entries = {}
-            for col, (j, y) in enumerate(bases[n]):
+            out = []
+            for j, y in bases[n]:   # y in summand j goes to y x in summand i
+                col = {}
                 for i, x in cols.get(j, ()):
-                    prod = alg.multiply({y: f.one}, x)
-                    for k, v in prod.items():
-                        entries[(tgt_pos[(i, k)], col)] = v
-            diffs[n] = Matrix.from_entries(f, dims.get(n + 1, 0), dims[n], entries)
+                    for p, c in x.items():
+                        for k, c1 in product(y, p).items():
+                            r = tgt_pos[i, k]
+                            total = add(col.get(r, zero), mul(c, c1))
+                            if total:
+                                col[r] = total
+                            elif r in col:
+                                del col[r]
+                out.append(col)
+            diffs[n] = Matrix(f, dims[n + 1], dims[n], out)
         fc = FieldComplex(f, dims, diffs)
         self._cache.update(realize=fc, realize_bases=bases, realize_index=index)
         return fc

@@ -8,10 +8,15 @@ of every one-sided complex K (x)_A S_u (Priddy's criterion), else the
 minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the homology
 of P_* (x)_{A^e} A over the same resolution.
 
-K is built here, next to its certificate: koszul_resolution keeps each
-column of a differential as a left table (terms a (x) e_w) and a right
-table (terms e_v (x) b), and checks slices and d^2 = 0 from them with A's
-multiplication table alone, before it writes the entries of A (x) A^op.
+K is built here, next to its certificate, and is kept in one form: its
+tables, each column of a differential as a left table (terms a (x) e_w)
+and a right table (terms e_v (x) b).  _check_koszul checks slices and
+d^2 = 0 from them with A's multiplication table alone; the certificate
+K (x)_A A_0 and the one-sided slices are selected from them
+(_one_sided); and A's cache holds them once certified.  The entries of
+A (x) A^op are written from them only where a bimodule resolution is
+asked for: by diagonal_resolution, once per algebra, and by
+koszul_resolution.
 """
 
 from __future__ import annotations
@@ -222,6 +227,34 @@ def _koszul_entries(A: PathAlgebra, ends, tables):
     return terms, diffs
 
 
+def _one_sided(ends, tables, side, u=None):
+    """(terms, diffs) of a one-sided complex read from K's tables (see
+    _koszul_tables).  side "left" gives K (x)_A S_u over A: the summands
+    A e_v (x) e_w A with w = u, each becoming A e_v, and the left terms
+    a (x) e_w as entries a.  side "right" gives S_u (x)_A K over A^op: the
+    summands with v = u, each becoming e_w A, and the right terms e_v (x) b
+    as entries b.  A term of the other side acts on S_u by an arrow, so as
+    zero.  With u None every summand is kept: K (x)_A A_0 on the left.
+    Parallel arrows give several terms in one (row, column) entry."""
+    right = side == "right"
+    kept, terms, diffs = [], {}, {}
+    for n, pairs in enumerate(ends):
+        keep = {}
+        for s, (v, w) in enumerate(pairs):
+            if u is None or (v if right else w) == u:
+                keep[s] = len(keep)
+                terms.setdefault(-n, []).append(w if right else v)
+        kept.append(keep)
+    for n in range(1, len(tables)):
+        rows, cols, d = kept[n - 1], kept[n], {}
+        for s, sides in enumerate(tables[n]):
+            if s in cols:
+                for (j, x), c in sides[1 if right else 0].items():
+                    d.setdefault((rows[j], cols[s]), {})[x] = c
+        diffs[-n] = d
+    return terms, diffs
+
+
 def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
     """Koszul bimodule resolution of a quadratic path algebra (Priddy): the
     subcomplex A (x)_E K_n (x)_E A of the relative bar resolution, in
@@ -241,62 +274,32 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
                        check=False)
 
 
-def _koszul_homology(A: PathAlgebra, K: ProjComplex) -> dict:
-    """Homology dimensions of K (x)_A A_0, the direct sum over the vertices
-    u of the one-sided Koszul complexes K (x)_A S_u, from ranks alone.  A
-    summand of K at the vertex (v, u) of A (x) A^op becomes A e_v, an entry
-    term p (x) e_u acts by y |-> y p, and a term whose right factor lies in
-    the radical acts as zero."""
-    f, env = A.field, K.algebra
-    columns = [A.column_indices(v) for v in range(A.num_vertices)]
-    bases = {n: [(s, y) for s, code in enumerate(t)
-                 for y in columns[env.vertex_pair(code)[0]]]
-             for n, t in K.terms.items()}
-    diffs = {}
-    for n, d in K.diffs.items():
-        rows = {sy: r for r, sy in enumerate(bases[n + 1])}
-        terms = {}   # column summand -> [(row summand, p, c)] for p (x) e_u
-        for (r, s), x in d.items():
-            for k, c in x.items():
-                p, q = env.index_pair(k)
-                if q in A._idem_set:
-                    terms.setdefault(s, []).append((r, p, c))
-        cols = []
-        for s, y in bases[n]:
-            col = {}
-            for r, p, c in terms.get(s, ()):
-                for k, c1 in A.product(y, p).items():
-                    row = rows[r, k]
-                    col[row] = f.add(col.get(row, f.zero), f.mul(c, c1))
-            cols.append({row: c for row, c in col.items() if c})
-        diffs[n] = Matrix(f, len(rows), len(cols), cols)
-    return FieldComplex(f, {n: len(b) for n, b in bases.items()},
-                        diffs).homology_dims()
-
-
 def global_dimension(A: Algebra, cap: int):
     """Global dimension, or None if it exceeds cap.
 
     On a path algebra whose relations all have length 2 it is first read
-    from K = koszul_resolution(A, cap + 1) by Priddy's criterion: A is
-    Koszul exactly when every K (x)_A S_u is exact apart from H_0 = k.
-    Each H_0 is at least k, as the entries of d^{-1} are arrows, so
-    _koszul_homology decides this through degree -cap.  If K ends by
-    degree -cap and passes, its terms are projective on the right and
-    every finite-dimensional module is an iterated extension of simples,
-    so K resolves A; each K (x)_A S_u, whose entries are arrows, is then
-    the minimal resolution of S_u, and the global dimension is K's
-    length.  If K has a term at -(cap + 1) and passes, the global
-    dimension exceeds cap: every element of K_{cap+1} has a nonzero left
-    splitting, so the minimal resolution of some S_u reaches that degree.
-    If it fails, A is not Koszul, and here as on every other algebra the
-    answer is the maximum length of the minimal projective resolutions
-    of the simple modules.
+    from K, built and checked through degree -(cap + 1) as in
+    koszul_resolution, by Priddy's criterion: A is Koszul exactly when
+    every K (x)_A S_u is exact apart from H_0 = k.  Each H_0 is at least
+    k, as the entries of d^{-1} are arrows, so the homology of
+    K (x)_A A_0, read from K's left tables (_one_sided) and ranked over
+    the field, decides this through degree -cap.  If K ends by degree
+    -cap and passes, its terms are projective on the right and every
+    finite-dimensional module is an iterated extension of simples, so K
+    resolves A; each K (x)_A S_u, whose entries are arrows, is then the
+    minimal resolution of S_u, and the global dimension is K's length.
+    If K has a term at -(cap + 1) and passes, the global dimension exceeds
+    cap: every element of K_{cap+1} has a nonzero left splitting, so the
+    minimal resolution of some S_u reaches that degree.  If it fails, A is
+    not Koszul, and here as on every other algebra the answer is the
+    maximum length of the minimal projective resolutions of the simple
+    modules.  The certificate builds no A (x) A^op and writes no entries.
 
     The answer is kept in A's cache as either the exact value, which
     answers every cap, or "exceeds c", which answers every cap <= c.
-    Under "koszul_resolution" the cache keeps the certified K as plain
-    (terms, diffs) next to an exact value, or None once the check failed."""
+    Under "koszul_resolution" the cache keeps the certified K as its
+    tables (ends, tables), plain ints and field elements, next to an
+    exact value, or None once the check failed."""
     exact, exceeds = A._cache.get("global_dimension", (None, -1))
     if exact is not None:
         return exact if exact <= cap else None
@@ -304,16 +307,18 @@ def global_dimension(A: Algebra, cap: int):
         return None
     # a cached "koszul_resolution" here can only be a failed check
     if _is_quadratic(A) and "koszul_resolution" not in A._cache:
-        K = koszul_resolution(A, cap + 1)
-        homology = _koszul_homology(A, K)
+        ends, tables = _koszul_tables(A, cap + 1)
+        _check_koszul(A, ends, tables)
+        homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
+                               check=False).homology_dims()
         if {n: h for n, h in homology.items() if n >= -cap} == \
                 {0: A.num_vertices}:
-            length = -min(K.terms)
+            length = len(ends) - 1
             if length > cap:
                 A._cache["global_dimension"] = (None, cap)
                 return None
             A._cache.update(global_dimension=(length, None),
-                            koszul_resolution=(K.terms, K.diffs))
+                            koszul_resolution=(ends, tables))
             return length
         A._cache["koszul_resolution"] = None
     worst = 0
@@ -342,79 +347,53 @@ def koszul_slice(A: Algebra, u: int, side: str, depth: int):
     bimodules that are projective on each side, and is minimal, as its
     entries are arrows.
 
-    K is read only as global_dimension cached it next to an exact value;
-    a quadratic algebra that has not been decided yet asks
-    global_dimension(A, depth) first.  The entries are decoded by
-    A (x) A^op's index arithmetic (TensorOpposite.index_pair, vertex_pair)
-    with no enveloping algebra built, and the slice is checked as a
+    K is read only as global_dimension cached it next to an exact value:
+    the slice is selected from its tables through degree -depth
+    (_one_sided), with no enveloping algebra built, and is checked as a
     ProjComplex."""
     if side not in ("left", "right"):
         raise ValueError(f"slice side must be 'left' or 'right', got {side!r}")
     if _is_quadratic(A) and "koszul_resolution" not in A._cache:
         global_dimension(A, depth)
-    data = A._cache.get("koszul_resolution")
-    if data is None:
+    K = A._cache.get("koszul_resolution")
+    if K is None:
         return None
-    terms, diffs = data
-    right, nv, dim, idems = side == "right", A.num_vertices, A.dim, A._idem_set
-    kept, out_terms = {}, {}   # kept[n]: K's summand -> slice summand
-    for n, t in terms.items():
-        if n < -depth:
-            continue
-        keep = kept[n] = {}
-        for s, code in enumerate(t):
-            v, w = divmod(code, nv)
-            if (v if right else w) == u:
-                keep[s] = len(keep)
-                out_terms.setdefault(n, []).append(w if right else v)
-    out_diffs = {}
-    for n, d in diffs.items():
-        if n not in kept or n + 1 not in kept:
-            continue
-        cols, rows, block = kept[n], kept[n + 1], {}
-        for (r, s), x in d.items():
-            if s not in cols:
-                continue
-            entry = {}
-            for k, c in x.items():
-                p, q = divmod(k, dim)
-                if right and p in idems:
-                    entry[q] = c
-                elif not right and q in idems:
-                    entry[p] = c
-            if entry:
-                block[rows[r], cols[s]] = entry
-        out_diffs[n] = block
-    return ProjComplex(A.opposite() if right else A, out_terms, out_diffs,
-                       check=True)
+    ends, tables = K
+    return ProjComplex(A.opposite() if side == "right" else A,
+                       *_one_sided(ends[:depth + 1], tables[:depth + 1],
+                                   side, u), check=True)
 
 
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """A projective bimodule resolution of A through degree -n_max.
 
-    The Koszul resolution that global_dimension certified and cached, if
-    it did: on a path algebra with quadratic relations that has not been
-    decided yet, global_dimension(A, n_max) is asked first.  The certified
-    resolution is complete and serves every n_max, also one below the
-    global dimension.  Otherwise the minimal bimodule resolution
+    The Koszul resolution that global_dimension certified, if it did: on a
+    path algebra with quadratic relations that has not been decided yet,
+    global_dimension(A, n_max) is asked first.  The certified resolution
+    is complete and serves every n_max, also one below the global
+    dimension.  Otherwise the minimal bimodule resolution
     projective_resolution(regular_bimodule(A), n_max), which needs no
     certificate.
 
-    Each is built once per algebra: A's cache keeps the certified Koszul
-    resolution (it does not depend on n_max) and the minimal one of each
-    depth, as plain (terms, diffs) that name A (x) A^op's vertices and
-    basis by index only, so the cache holds no reference back to A."""
+    Each is built once per algebra: A's cache keeps the entries of A (x)
+    A^op that _koszul_entries writes from the certified tables (they do
+    not depend on n_max), and the minimal resolution of each depth, as
+    plain (terms, diffs) that name A (x) A^op's vertices and basis by
+    index only, so the cache holds no reference back to A."""
     env = A.enveloping()
     if _is_quadratic(A) and "koszul_resolution" not in A._cache:
         global_dimension(A, n_max)
-    data = A._cache.get("koszul_resolution")
-    if data is None:
+    K = A._cache.get("koszul_resolution")
+    if K is not None:
+        key = "koszul_entries"
+        if key not in A._cache:
+            A._cache[key] = _koszul_entries(A, *K)
+    else:
         key = ("minimal_resolution", n_max)
         if key not in A._cache:
             P = projective_resolution(regular_bimodule(A), n_max)
             A._cache[key] = (P.terms, P.diffs)
-        data = A._cache[key]
-    return ProjComplex(env, *data, check=False)
+    return ProjComplex(env, *A._cache[key], check=False)
 
 
 def _finiteness_note(A: Algebra, n_max: int) -> str:

@@ -562,8 +562,7 @@ def test_cohomology_resolves_each_simple_once(monkeypatch):
     Koszul resolution that HH^* is then computed over."""
     calls = counting_wrapper(monkeypatch, "projective_resolution",
                              ["complexes", "hochschild", "kernels", "cli"])
-    koszul = counting_wrapper(monkeypatch, "koszul_resolution",
-                              ["hochschild"])
+    koszul = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     code, _ = run_command(["cohomology", "--catalog", "beilinson-p2"])
     assert code == 0
     assert calls == [] and len(koszul) == 1

@@ -1222,3 +1222,86 @@ def test_bimodule_resolution_reads_few_pair_actions(algebras):
     projective_resolution(M, 3)
     assert len(read) <= 54
     assert len({k for k, _ in read}) <= 42
+
+
+def reference_realize(X):
+    """The realization as realize built it before it summed the products
+    of each column itself: one column_indices lookup per summand, and
+    alg.multiply({y: 1}, x) per entry placed with Matrix.from_entries.
+    Returns (dims, diffs)."""
+    alg = X.algebra
+    f = alg.field
+    bases = {}
+    for n, t in X.terms.items():
+        basis = []
+        for s, v in enumerate(t):
+            for k in alg.column_indices(v):
+                basis.append((s, k))
+        bases[n] = basis
+    index = {n: {sk: i for i, sk in enumerate(b)} for n, b in bases.items()}
+    dims = {n: len(b) for n, b in bases.items()}
+    diffs = {}
+    for n, d in X.diffs.items():
+        cols = _lines(d, 1)
+        tgt_pos = index[n + 1]
+        entries = {}
+        for col, (j, y) in enumerate(bases[n]):
+            for i, x in cols.get(j, ()):
+                for k, v in alg.multiply({y: f.one}, x).items():
+                    entries[(tgt_pos[(i, k)], col)] = v
+        diffs[n] = Matrix.from_entries(f, dims.get(n + 1, 0), dims[n],
+                                       entries)
+    return dims, diffs
+
+
+def _random_in_slices(rng, alg, terms):
+    """A ProjComplex with the given terms whose every entry is a random
+    element of its e_v L e_w slice with up to four terms, coefficients in
+    -2, -1, 1, 2 (d^2 = 0 is not asked for)."""
+    f, diffs = alg.field, {}
+    for n, t in terms.items():
+        if n + 1 in terms:
+            diffs[n] = {}
+            for r, w in enumerate(terms[n + 1]):
+                for c, v in enumerate(t):
+                    ks = alg.slice_indices(v, w)
+                    x = {k: f.coerce(rng.choice([-2, -1, 1, 2]))
+                         for k in rng.sample(ks, min(4, len(ks)))}
+                    if x:
+                        diffs[n][r, c] = x
+    return ProjComplex(alg, terms, diffs, check=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_realize_matches_the_multiply_construction(field):
+    """realize gives the reference's bases and matrices on the minimal
+    bimodule resolutions of beilinson-p2, kronecker2 and loop-x2 (whose
+    entries a (x) 1 - 1 (x) a have two terms), the bar resolutions of the
+    first two, and complexes with random entries of up to four terms over
+    each of them, over 0 -a-> 1 =(b, c)=> 2 with ab = ac, and over their
+    A (x) A^op.  There a b and a c are one basis element, so the products
+    of one column meet in it and are summed, to zero when they cancel."""
+    import random
+    from sodhh.algebra import Relation
+    rng = random.Random(27)
+    parallel = build_path_algebra(
+        Quiver.make(("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"),
+                                      ("c", "1", "2"))),
+        [Relation(((1, ("a", "b")), (-1, ("a", "c"))))], field)
+    algebras = [CATALOG[name].algebra(field)
+                for name in ("beilinson-p2", "kronecker2", "loop-x2")]
+    complexes = [projective_resolution(regular_bimodule(A), 3)
+                 for A in algebras]
+    complexes += [bar_resolution(A, 3) for A in algebras[:2]]
+    for A in algebras + [parallel]:
+        for alg in (A, A.enveloping()):
+            nv = alg.num_vertices
+            complexes.append(_random_in_slices(rng, alg, {
+                n: [rng.randrange(nv) for _ in range(3)] for n in (-2, -1, 0)}))
+    assert any(len(x) > 1 for X in complexes for d in X.diffs.values()
+               for x in d.values())
+    for X in complexes:
+        dims, diffs = reference_realize(X)
+        fc = X.realize()
+        assert fc.dims == {n: m for n, m in dims.items() if m}
+        assert fc.diffs == diffs and diffs

@@ -274,8 +274,7 @@ def test_global_dimension_resolves_simples_once(monkeypatch):
     from test_cli import counting_wrapper
     minimal = counting_wrapper(monkeypatch, "projective_resolution",
                                ["complexes", "hochschild"])
-    koszul = counting_wrapper(monkeypatch, "koszul_resolution",
-                              ["hochschild"])
+    koszul = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     B = get_entry("beilinson-p2").algebra(QQ)
     assert [global_dimension(B, cap) for cap in (12, 6, 2, 1)] == \
         [2, 2, 2, None]
@@ -645,8 +644,8 @@ def test_koszul_slices_need_a_certified_resolution():
 
 
 def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
-    """Slices are read from the cached K by index arithmetic alone, and are
-    cut at the depth asked for."""
+    """Slices are read from the cached tables of K alone, and are cut at
+    the depth asked for."""
     from sodhh.algebra import Algebra, TensorOpposite
     A = _generated_beilinson(3)
     assert global_dimension(A, 12) == 3
@@ -660,6 +659,143 @@ def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
             assert min(koszul_slice(A, u, side, 1).terms) >= -1
             koszul_slice(A, u, side, 3)
     assert built == []
+
+
+def reference_koszul_homology(A, K):
+    """Homology dimensions of K (x)_A A_0 as they were found before the
+    certificate read K's tables: decoded from K's entries over A (x) A^op.
+    A summand at the vertex (v, u) becomes A e_v, an entry term p (x) e_u
+    acts by y |-> y p, and a term whose right factor lies in the radical
+    acts as zero."""
+    f, env = A.field, K.algebra
+    columns = [A.column_indices(v) for v in range(A.num_vertices)]
+    bases = {n: [(s, y) for s, code in enumerate(t)
+                 for y in columns[env.vertex_pair(code)[0]]]
+             for n, t in K.terms.items()}
+    diffs = {}
+    for n, d in K.diffs.items():
+        rows = {sy: r for r, sy in enumerate(bases[n + 1])}
+        terms = {}   # column summand -> [(row summand, p, c)] for p (x) e_u
+        for (r, s), x in d.items():
+            for k, c in x.items():
+                p, q = env.index_pair(k)
+                if q in A._idem_set:
+                    terms.setdefault(s, []).append((r, p, c))
+        cols = []
+        for s, y in bases[n]:
+            col = {}
+            for r, p, c in terms.get(s, ()):
+                for k, c1 in A.product(y, p).items():
+                    row = rows[r, k]
+                    col[row] = f.add(col.get(row, f.zero), f.mul(c, c1))
+            cols.append({row: c for row, c in col.items() if c})
+        diffs[n] = Matrix(f, len(rows), len(cols), cols)
+    return FieldComplex(f, {n: len(b) for n, b in bases.items()},
+                        diffs).homology_dims()
+
+
+def reference_koszul_slice(A, terms, diffs, u, side, depth):
+    """The slice of K at u as it was read before it came from K's tables:
+    K's entries (terms, diffs) over A (x) A^op decoded with the divmod
+    arithmetic of TensorOpposite's vertex and basis indices."""
+    from sodhh.complexes import ProjComplex
+    right, nv, dim, idems = side == "right", A.num_vertices, A.dim, A._idem_set
+    kept, out_terms = {}, {}   # kept[n]: K's summand -> slice summand
+    for n, t in terms.items():
+        if n < -depth:
+            continue
+        keep = kept[n] = {}
+        for s, code in enumerate(t):
+            v, w = divmod(code, nv)
+            if (v if right else w) == u:
+                keep[s] = len(keep)
+                out_terms.setdefault(n, []).append(w if right else v)
+    out_diffs = {}
+    for n, d in diffs.items():
+        if n not in kept or n + 1 not in kept:
+            continue
+        cols, rows, block = kept[n], kept[n + 1], {}
+        for (r, s), x in d.items():
+            if s not in cols:
+                continue
+            entry = {}
+            for k, c in x.items():
+                p, q = divmod(k, dim)
+                if right and p in idems:
+                    entry[q] = c
+                elif not right and q in idems:
+                    entry[p] = c
+            if entry:
+                block[rows[r], cols[s]] = entry
+        out_diffs[n] = block
+    return ProjComplex(A.opposite() if right else A, out_terms, out_diffs,
+                       check=True)
+
+
+def koszul_homology_matches_reference(A, n_max):
+    """The homology of K (x)_A A_0 read from K's tables through degree
+    -n_max, asserted equal to the reference decoding of K's entries; it is
+    returned."""
+    from sodhh.complexes import ProjComplex
+    from sodhh.hochschild import _koszul_entries, _koszul_tables, _one_sided
+    ends, tables = _koszul_tables(A, n_max)
+    K = ProjComplex(A.enveloping(), *_koszul_entries(A, ends, tables),
+                    check=False)
+    homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
+                           check=False).homology_dims()
+    assert homology == reference_koszul_homology(A, K)
+    return homology
+
+
+def assert_slices_match_reference_decoder(A):
+    """Where A has a certified K, every slice at every vertex, on both
+    sides and at depths 0..gd+1, is dict-equal (terms and diffs) to the
+    reference decoding of K's entries."""
+    from sodhh.hochschild import _koszul_entries
+    gd = global_dimension(A, 12)
+    if A._cache.get("koszul_resolution") is None:
+        return
+    entries = _koszul_entries(A, *A._cache["koszul_resolution"])
+    for depth in range(gd + 2):
+        for side in ("left", "right"):
+            for u in range(A.num_vertices):
+                ours = koszul_slice(A, u, side, depth)
+                ref = reference_koszul_slice(A, *entries, u, side, depth)
+                assert (ours.terms, ours.diffs) == (ref.terms, ref.diffs), \
+                    (side, u, depth)
+
+
+def test_koszul_tables_match_the_entry_decoders():
+    """On every quadratic catalog algebra over Q and F_3, generated
+    P^2..P^4 and the quadratic algebra that is not Koszul, K (x)_A A_0
+    read from K's tables has the homology of the reference decoding, with
+    K cut at -2 and at -6, and the slices are the reference slices.  The
+    truncations and the algebra that is not Koszul give homology outside
+    degree 0."""
+    algebras = _quadratic_catalog_and_generated() + [_not_koszul(QQ),
+                                                     _not_koszul(GF(3))]
+    nonzero = 0
+    for A in algebras:
+        for n_max in (2, 6):
+            homology = koszul_homology_matches_reference(A, n_max)
+            nonzero += set(homology) != {0}
+        assert_slices_match_reference_decoder(A)
+    assert nonzero >= 10
+    for field in (QQ, GF(3)):
+        assert set(koszul_homology_matches_reference(_not_koszul(field),
+                                                     6)) != {0}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_koszul_tables_match_the_entry_decoders_on_random_quivers(A):
+    """The random quadratic quivers: K cut at -1, at -2 and at -5
+    (complete, as their paths have length <= 4) and, where K is certified,
+    its slices.  Every one of the 60 draws is Koszul, so the nonzero
+    homology comes from the cuts: at -1 on 30 draws, at -2 on 5."""
+    for n_max in (1, 2, 5):
+        koszul_homology_matches_reference(A, n_max)
+    assert_slices_match_reference_decoder(A)
 
 
 def _perturbed(tables, n, col, side, key, value):
@@ -741,23 +877,19 @@ def test_koszul_resolution_raises_on_a_corrupted_table(monkeypatch):
 
 
 def test_global_dimension_makes_no_enveloping_products(monkeypatch):
-    """Certifying K on a fresh generated P^3 multiplies in A only:
-    global_dimension(A, 12) takes no product in A (x) A^op, while the
-    generic check of the same K takes them."""
-    from sodhh.algebra import TensorOpposite
+    """Certifying K on a fresh generated P^3 works in A only:
+    global_dimension(A, 12) builds no A (x) A^op at all, and the tables it
+    caches, written out with _koszul_entries, pass the generic check."""
     from sodhh.complexes import ProjComplex
-    calls = []
-    real = TensorOpposite.product
-
-    def counting(self, i, j):
-        calls.append((i, j))
-        return real(self, i, j)
-
-    monkeypatch.setattr(TensorOpposite, "product", counting)
+    from sodhh.hochschild import _koszul_entries
+    from test_cli import count_builds
+    built = count_builds(monkeypatch)
     A = _generated_beilinson(3)
-    assert global_dimension(A, 12) == 3 and calls == []
-    ProjComplex(A.enveloping(), *A._cache["koszul_resolution"], check=True)
-    assert calls
+    assert global_dimension(A, 12) == 3 and built == []
+    ProjComplex(A.enveloping(),
+                *_koszul_entries(A, *A._cache["koszul_resolution"]),
+                check=True)
+    assert built
 
 
 def test_truncated_koszul_complex_is_not_certified(monkeypatch):
@@ -767,15 +899,13 @@ def test_truncated_koszul_complex_is_not_certified(monkeypatch):
     diagonal_resolution to the minimal bimodule resolution."""
     import sodhh.hochschild as hochschild
     from sodhh.catalog import get_entry
-    from sodhh.complexes import ProjComplex
-    real = hochschild.koszul_resolution
+    real = hochschild._koszul_tables
 
     def truncated(A, n_max):
-        K = real(A, n_max)
-        return ProjComplex(K.algebra, {n: t for n, t in K.terms.items()
-                                       if n > min(K.terms)}, K.diffs)
+        ends, tables = real(A, n_max)
+        return ends[:-1], tables[:-1]
 
-    monkeypatch.setattr(hochschild, "koszul_resolution", truncated)
+    monkeypatch.setattr(hochschild, "_koszul_tables", truncated)
     B = get_entry("beilinson-p2").algebra(QQ)
     assert global_dimension(B, 6) == 2
     assert B._cache["koszul_resolution"] is None
@@ -959,17 +1089,12 @@ def test_hh_homology_matches_cyclic_complex_on_generated_beilinson(n):
 def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     """Every route to the diagonal reads one Koszul resolution per algebra:
     kernels build resolves it for the kernels and the K_0 identity check,
-    homology for HH_* and the Serre route."""
-    import sodhh.hochschild as hochschild
+    homology for HH_* and the Serre route.  Its tables are built once, and
+    its entries over A (x) A^op are written once."""
     from sodhh.cli import run_command
-    calls = []
-    real = hochschild.koszul_resolution
-
-    def counting(A, n_max):
-        calls.append(n_max)
-        return real(A, n_max)
-
-    monkeypatch.setattr(hochschild, "koszul_resolution", counting)
+    from test_cli import counting_wrapper
+    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    entries = counting_wrapper(monkeypatch, "_koszul_entries", ["hochschild"])
     code, report = run_command(argv + ["--catalog", "beilinson-p2"])
     assert code == 0 and report.all_passed()
-    assert len(calls) == 1
+    assert len(tables) == len(entries) == 1

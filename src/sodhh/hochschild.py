@@ -10,13 +10,15 @@ of P_* (x)_{A^e} A over the same resolution.
 
 K is built here, next to its certificate, and is kept in one form: its
 tables, each column of a differential as a left table (terms a (x) e_w)
-and a right table (terms e_v (x) b).  _check_koszul checks slices and
-d^2 = 0 from them with A's multiplication table alone; the certificate
-K (x)_A A_0 and the one-sided slices are selected from them
-(_one_sided); and A's cache holds them once certified.  The entries of
-A (x) A^op are written from them only where a bimodule resolution is
-asked for: by diagonal_resolution, once per algebra, and by
-koszul_resolution.
+and a right table (terms e_v (x) b), the left and right splittings of a
+basis element of the Koszul space K_n, which is never written out in the
+tensor powers of the arrows (_koszul_tables).  _check_koszul checks
+slices and d^2 = 0 from them with products of arrows in A alone; the
+certificate K (x)_A A_0 and the one-sided slices are selected from them
+(_one_sided); and A's cache holds them once certified
+(certified_koszul).  The entries of A (x) A^op are written from them
+only where a bimodule resolution is asked for: by diagonal_resolution,
+once per algebra, and by koszul_resolution.
 """
 
 from __future__ import annotations
@@ -70,94 +72,89 @@ def _is_quadratic(A: Algebra) -> bool:
 # Koszul bimodule resolution, checked in A
 
 
-def _koszul_spaces(A: PathAlgebra, n_max: int):
-    """Bases of the Koszul spaces K_1..K_{n_max} of a quadratic path
-    algebra, K_n the intersection of the V^i (x) R (x) V^{n-2-i} inside
-    the tensor powers of the arrow span V, with R = ker(V (x)_E V -> A).
-
-    K_1 is spanned by the arrows, and K_{n+1} is the kernel of K_n (x)_E V
-    -> V^{(x) n-1} (x)_E A_2, the map that multiplies the last two factors,
-    computed one endpoint block at a time.  spaces[n] lists each basis
-    element as (vec, right): vec is {arrow tuple: c} and right its
-    splitting {(j, b): c}, the element being the sum of c times basis
-    element j of K_{n-1} (x) b (for n = 1, j is the vertex tgt(b)).  The
-    list stops at n_max or after the first empty space."""
-    f = A.field
-    arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
-    ending_at = {}
-    for b in arrows:
-        ending_at.setdefault(A.tgt[b], []).append(b)
-    spaces = [None, [({(b,): f.one}, {(A.tgt[b], b): f.one}) for b in arrows]]
-    while len(spaces) <= n_max and spaces[-1]:
-        prev = spaces[-1]
-        blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
-        for j, (vec, _) in enumerate(prev):
-            t = next(iter(vec))
-            for b in ending_at.get(A.src[t[-1]], ()):
-                blocks.setdefault((A.tgt[t[0]], A.src[b]), []).append((j, b))
-        space = []
-        for _, cols in sorted(blocks.items()):
-            rows, images = {}, []
-            for j, b in cols:
-                img = {}
-                for t, c in prev[j][0].items():
-                    for s, c2 in A.product(t[-1], b).items():
-                        r = rows.setdefault((t[:-1], s), len(rows))
-                        img[r] = f.add(img.get(r, f.zero), f.mul(c, c2))
-                images.append({r: c for r, c in img.items() if c})
-            echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
-            for combo in echelon.kernel_basis():
-                vec = {}
-                for p, c in combo.items():
-                    j, b = cols[p]
-                    axpy(f, vec, {t + (b,): x for t, x in prev[j][0].items()}, c)
-                space.append((vec, {cols[p]: c for p, c in combo.items()}))
-        spaces.append(space)
-    return spaces
-
-
 def _koszul_tables(A: PathAlgebra, n_max: int):
     """K's summands and differential, read in A: ends[n] lists the vertex
     pair (v, w) of each summand A e_v (x) e_w A of degree -n (ends[0] the
     (u, u)), and tables[n] (n >= 1) holds each column of d^{-n} as its
     left table {(row, a): c}, the terms c a (x) e_w, and its right table
-    {(row, b): (-1)^n c}, the terms (-1)^n c e_v (x) b.  The left table is
-    the element's left splitting, found by solving against K_{n-1}, and the
-    right one its right splitting (see _koszul_spaces)."""
+    {(row, b): (-1)^n c}, the terms (-1)^n c e_v (x) b.  The list stops
+    at n_max (K_1 always included) or after the first empty space.
+
+    K_n is the intersection of the V^i (x) R (x) V^{n-2-i} in the tensor
+    powers of the arrow span V, R = ker(V (x)_E V -> A), and is kept as the
+    splittings of its basis elements.  K_1 is spanned by the arrows; K_n
+    is the kernel of K_{n-1} (x)_E V -> K_{n-2} (x)_E A_2, j (x) b |-> sum
+    r i (x) b' b over j's right splitting {(i, b'): r}, one endpoint block
+    at a time, and its kernel vectors are the right splittings.  As
+    K_{n-2} (x)_E A_2 embeds in V^{(x) n-2} (x)_E A_2, the basis is the
+    one the map on arrow tuples gives (ColumnEchelon.kernel_basis).  The
+    left splitting of xi = sum c j (x) b expands each j by its own into
+    a (x) i (x) b and gathers by first arrow a into rho_a in K_{n-1}, in
+    K_{n-1}'s column coordinates; rho_a's coefficient on a basis vector is
+    rho_a at its free column, and what the coefficients leave of rho_a
+    must vanish, else xi does not split off a (ComplexError)."""
     f = A.field
-    spaces = _koszul_spaces(A, n_max)
-    ends = [[(u, u) for u in range(A.num_vertices)]]
-    tables = [None]
-    for n, space in enumerate(spaces[1:], start=1):
-        if not space:
+    add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
+    product = A.product
+    arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
+    ending_at = {}
+    for b in arrows:
+        ending_at.setdefault(A.tgt[b], []).append(b)
+    ends, tables = [[(u, u) for u in range(A.num_vertices)]], [None]
+    # K_n's ends, splittings and free columns (j, b), starting at K_1
+    vws = [(A.tgt[b], A.src[b]) for b in arrows]
+    lefts = [{(A.src[a], a): one} for a in arrows]
+    rights = [{(A.tgt[b], b): one} for b in arrows]
+    frees = [(A.tgt[b], b) for b in arrows]
+    while vws:
+        n = len(ends)
+        sign = one if n % 2 == 0 else neg(one)
+        ends.append(vws)
+        tables.append([(left, {jb: mul(sign, c) for jb, c in right.items()})
+                       for left, right in zip(lefts, rights)])
+        if n >= n_max:
             break
-        firsts = [next(iter(vec)) for vec, _ in space]
-        ends.append([(A.tgt[t[0]], A.src[t[-1]]) for t in firsts])
-        if n > 1:   # K_{n-1} over the index of its arrow tuples
-            index = {}
-            basis = [{index.setdefault(t, len(index)): c
-                      for t, c in vec.items()} for vec, _ in spaces[n - 1]]
-            echelon = ColumnEchelon(Matrix(f, len(index), len(basis), basis))
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
-        columns = []
-        for (vec, right), t0 in zip(space, firsts):
-            if n == 1:
-                left = {(A.src[t0[0]], t0[0]): f.one}
-            else:
-                by_first = {}
-                for t, c in vec.items():
-                    r = index.setdefault(t[1:], len(index))
-                    by_first.setdefault(t[0], {})[r] = c
-                left = {}
-                for a, rest in by_first.items():
-                    x = echelon.solve(rest)
-                    if x is None:
-                        raise ComplexError(f"a basis element of K_{n} does "
-                                           f"not split off {A.labels[a]}")
-                    left.update({(j, a): c for j, c in x.items()})
-            columns.append((left, {jb: f.mul(sign, c)
-                                   for jb, c in right.items()}))
-        tables.append(columns)
+        blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
+        for j, (v, w) in enumerate(vws):
+            for b in ending_at.get(w, ()):
+                blocks.setdefault((v, A.src[b]), []).append((j, b))
+        vws, next_rights, next_frees = [], [], []
+        for vw, cols in sorted(blocks.items()):
+            rows, images = {}, []
+            for j, b in cols:
+                img = {}
+                for (i, b2), r in rights[j].items():
+                    for s, c in product(b2, b).items():
+                        row = rows.setdefault((i, s), len(rows))
+                        img[row] = add(img.get(row, zero), mul(r, c))
+                images.append({row: c for row, c in img.items() if c})
+            echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
+            for p, combo in zip(echelon.free_columns(),
+                                echelon.kernel_basis()):
+                vws.append(vw)
+                next_rights.append({cols[q]: c for q, c in combo.items()})
+                next_frees.append(cols[p])
+        at_free = {jb: m for m, jb in enumerate(frees)}
+        next_lefts = []
+        for right in next_rights:
+            by_first = {}   # first arrow a -> rho_a as {(i, b): c}
+            for (j, b), c in right.items():
+                for (i, a), c2 in lefts[j].items():
+                    rho = by_first.setdefault(a, {})
+                    rho[i, b] = add(rho.get((i, b), zero), mul(c, c2))
+            left = {}
+            for a, rho in by_first.items():
+                residual = dict(rho)
+                for jb, c in rho.items():
+                    m = at_free.get(jb)
+                    if m is not None and c:
+                        left[m, a] = c
+                        axpy(f, residual, rights[m], neg(c))
+                if any(residual.values()):
+                    raise ComplexError(f"a basis element of K_{n + 1} does "
+                                       f"not split off {A.labels[a]}")
+            next_lefts.append(left)
+        lefts, rights, frees = next_lefts, next_rights, next_frees
     return ends, tables
 
 
@@ -168,43 +165,56 @@ def _check_koszul(A: PathAlgebra, ends, tables):
 
     Each term c p (x) q of a column, p (x) q = a (x) e_w or e_v (x) b, must
     lie in the slice of its summands: tgt p = v and src q = w for the
-    column's (v, w), and (src p, tgt q) is the row's pair.  By (p1 (x) p2)
-    (q1 (x) q2) = p1 q1 (x) q2 p2, each product of a term of d^{-n} with
-    one of d^{-n+1} is taken as the two products p1 q1 and q2 p2 in A, the
-    idempotent factors included, and added into its (row, p1 q1, q2 p2)
-    cell.  Those cells fall in three disjoint parts of the basis of
-    A (x) A^op: A_2 (x) e from two left terms (sums of a a'), a (x) b from
-    the cross terms (coefficients only) and e (x) A_2 from two right terms
-    (sums of b' b).  d^2 = 0 exactly when every cell vanishes."""
+    column's (v, w), and (src p, tgt q) is the row's pair.  This is checked
+    for every term of a degree before its composites are taken.  By
+    (p1 (x) p2)(q1 (x) q2) = p1 q1 (x) q2 p2, the product of a term of
+    d^{-n} with one of d^{-n+1} (row h) falls in one of three disjoint parts
+    of the basis of A (x) A^op: two left terms give a a' (x) e_w, two right
+    terms e_v (x) b' b, and a left and a right term a (x) b.  Once the
+    slices pass, each idempotent factor is the unit of the arrow it meets,
+    and w or v is fixed by h, so the cells are (h, s) for s in a a',
+    (h, t) for t in b' b and (h, a, b), filled from arrow products alone.
+    d^2 = 0 exactly when every cell vanishes."""
     f = A.field
     add, mul, zero, product = f.add, f.mul, f.zero, A.product
     e, src, tgt = A.idempotents, A.src, A.tgt
-    prev = None   # the (row, p, q, c) of each column of d^{-n+1}
     for n in range(1, len(tables)):
-        rows, cols = ends[n - 1], []
+        rows = ends[n - 1]
         for (v, w), (left, right) in zip(ends[n], tables[n]):
-            col = [(j, a, e[w], c) for (j, a), c in left.items()]
-            col += [(j, e[v], b, c) for (j, b), c in right.items()]
-            for j, p, q, _ in col:
+            terms = [(j, a, e[w]) for j, a in left]
+            terms += [(j, e[v], b) for j, b in right]
+            for j, p, q in terms:
                 if not 0 <= j < len(rows):
                     raise ComplexError(f"differential at degree {-n} has "
                                        "the wrong shape")
                 if (tgt[p], src[q]) != (v, w) or (src[p], tgt[q]) != rows[j]:
                     raise ComplexError("entry not in e_v L e_w slice at "
                                        f"degree {-n}")
-            cols.append(col)
-        for col in cols if prev else ():
-            cell = {}
-            for i, p1, p2, c1 in col:
-                for h, q1, q2, c2 in prev[i]:
-                    c12 = mul(c1, c2)
-                    for s, u in product(p1, q1).items():
-                        for t, u2 in product(q2, p2).items():
-                            cell[h, s, t] = add(cell.get((h, s, t), zero),
-                                                mul(c12, mul(u, u2)))
-            if any(cell.values()):
+        for left, right in tables[n] if n > 1 else ():
+            lefts, cross, rights = {}, {}, {}
+            for (i, a), c in left.items():
+                prev_left, prev_right = tables[n - 1][i]
+                for (h, a2), c2 in prev_left.items():
+                    c12 = mul(c, c2)
+                    for s, u in product(a, a2).items():
+                        lefts[h, s] = add(lefts.get((h, s), zero),
+                                          mul(c12, u))
+                for (h, b2), c2 in prev_right.items():
+                    cross[h, a, b2] = add(cross.get((h, a, b2), zero),
+                                          mul(c, c2))
+            for (i, b), c in right.items():
+                prev_left, prev_right = tables[n - 1][i]
+                for (h, a2), c2 in prev_left.items():
+                    cross[h, a2, b] = add(cross.get((h, a2, b), zero),
+                                          mul(c, c2))
+                for (h, b2), c2 in prev_right.items():
+                    c12 = mul(c, c2)
+                    for t, u in product(b2, b).items():
+                        rights[h, t] = add(rights.get((h, t), zero),
+                                           mul(c12, u))
+            if any(lefts.values()) or any(cross.values()) or \
+                    any(rights.values()):
                 raise ComplexError(f"d^2 != 0 at degree {-n}")
-        prev = cols
 
 
 def _koszul_entries(A: PathAlgebra, ends, tables):
@@ -258,11 +268,12 @@ def _one_sided(ends, tables, side, u=None):
 def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
     """Koszul bimodule resolution of a quadratic path algebra (Priddy): the
     subcomplex A (x)_E K_n (x)_E A of the relative bar resolution, in
-    degree -n for n <= n_max, one summand per basis element of K_n (see
-    _koszul_spaces).  The inner faces of the bar differential vanish on
-    K_n, so the differential is its two outer faces: a (x) e_w times the
-    left splitting of an element into a (x) K_{n-1}, found by solving
-    against K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
+    degree -n for n <= n_max, one summand per basis element of K_n, the
+    kernel of K_{n-1} (x)_E V -> K_{n-2} (x)_E A_2 (see _koszul_tables).
+    The inner faces of the bar differential vanish on K_n, so the
+    differential is its two outer faces: a (x) e_w times the left
+    splitting of an element into a (x) K_{n-1}, read off the free columns
+    of K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
     resolves A exactly when A is Koszul; diagonal_resolution uses it only
     where global_dimension has certified that.
 
@@ -333,6 +344,17 @@ def global_dimension(A: Algebra, cap: int):
     return worst
 
 
+def certified_koszul(A: Algebra, cap: int):
+    """The tables (ends, tables) of A's certified Koszul resolution K (see
+    _koszul_tables), or None when A has none.  On a path algebra with
+    quadratic relations that has not been decided yet, global_dimension(A,
+    cap) is asked first; K is read only as it cached it next to an exact
+    value, complete, whatever the cap."""
+    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
+        global_dimension(A, cap)
+    return A._cache.get("koszul_resolution")
+
+
 def koszul_slice(A: Algebra, u: int, side: str, depth: int):
     """The one-sided slice of the certified Koszul resolution K at the
     vertex u, through degree -depth, or None when A has no certified K.
@@ -353,9 +375,7 @@ def koszul_slice(A: Algebra, u: int, side: str, depth: int):
     ProjComplex."""
     if side not in ("left", "right"):
         raise ValueError(f"slice side must be 'left' or 'right', got {side!r}")
-    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
-        global_dimension(A, depth)
-    K = A._cache.get("koszul_resolution")
+    K = certified_koszul(A, depth)
     if K is None:
         return None
     ends, tables = K
@@ -367,9 +387,8 @@ def koszul_slice(A: Algebra, u: int, side: str, depth: int):
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     """A projective bimodule resolution of A through degree -n_max.
 
-    The Koszul resolution that global_dimension certified, if it did: on a
-    path algebra with quadratic relations that has not been decided yet,
-    global_dimension(A, n_max) is asked first.  The certified resolution
+    The Koszul resolution that global_dimension certified, if it did
+    (certified_koszul(A, n_max)).  The certified resolution
     is complete and serves every n_max, also one below the global
     dimension.  Otherwise the minimal bimodule resolution
     projective_resolution(regular_bimodule(A), n_max), which needs no
@@ -381,9 +400,7 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     plain (terms, diffs) that name A (x) A^op's vertices and basis by
     index only, so the cache holds no reference back to A."""
     env = A.enveloping()
-    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
-        global_dimension(A, n_max)
-    K = A._cache.get("koszul_resolution")
+    K = certified_koszul(A, n_max)
     if K is not None:
         key = "koszul_entries"
         if key not in A._cache:

@@ -49,8 +49,9 @@ from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         projective_resolution, tensor_env_env,
                         tensor_env_module)
 from .exceptional import ExceptionalCollection
-from .hochschild import (HHProfile, diagonal_resolution, hh_cohomology,
-                         hh_homology, hh_with_coefficients, koszul_slice)
+from .hochschild import (HHProfile, certified_koszul, diagonal_resolution,
+                         hh_cohomology, hh_homology, hh_with_coefficients,
+                         koszul_slice)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
                       simple_module)
 
@@ -331,14 +332,26 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
 
 def diagonal_class(A: Algebra, cap: int = 32) -> dict:
     """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
-    A e_v (x) e_w A, from a resolution that ends by degree -cap."""
-    res = diagonal_resolution(A, cap + 1)
-    if -(cap + 1) in res.terms:
+    A e_v (x) e_w A, from a resolution that ends by degree -cap: the
+    alternating count of the summands of the certified Koszul resolution,
+    read off its tables' ends with no entry of A (x) A^op written, or else
+    of diagonal_resolution(A, cap + 1)."""
+    K = certified_koszul(A, cap + 1)
+    if K is not None:
+        terms = dict(enumerate(K[0]))
+    else:
+        res = diagonal_resolution(A, cap + 1)
+        terms = {-n: [res.algebra.vertex_pair(code) for code in t]
+                 for n, t in res.terms.items()}
+    if cap + 1 in terms:
         raise NormalizationFailed("the diagonal resolution does not end by "
                                   f"degree -{cap}; no K_0 class for the "
                                   "diagonal")
-    env = res.algebra
-    return {env.vertex_pair(code): c for code, c in res.euler_class().items()}
+    out = {}
+    for n, pairs in terms.items():
+        for vw in pairs:
+            out[vw] = out.get(vw, 0) + (-1) ** n
+    return {vw: c for vw, c in out.items() if c}
 
 
 def _class_sum(kernels) -> dict:

@@ -336,9 +336,18 @@ class ColumnEchelon:
                                "kernel_basis and solve need was not tracked")
         return self.combo
 
+    def free_columns(self):
+        """The columns in the span of the columns before them, in order."""
+        return [j for j, c in enumerate(self.reduced) if not c]
+
     def kernel_basis(self):
+        """The kernel vector of each free column p, in order: e_p plus
+        pivot columns below p only.  It is the one vector of that shape, so
+        it depends on the linear relations among the columns alone, not on
+        the rows, and a combination of the basis has its coefficient on the
+        vector of p as its entry at p."""
         combo = self._combos()
-        return [combo[j] for j, c in enumerate(self.reduced) if not c]
+        return [combo[j] for j in self.free_columns()]
 
     def image_basis(self):
         return [c for c in self.reduced if c]

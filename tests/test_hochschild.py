@@ -324,9 +324,13 @@ def quadratic_quivers(draw):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(quadratic_quivers())
 def test_diagonal_resolution_matches_bar_route(A):
+    assert_diagonal_resolution_matches_bar_route(A)
+
+
+def assert_diagonal_resolution_matches_bar_route(A):
     """Whichever route diagonal_resolution takes, Ext into the regular and
     the dual bimodule equals the bar route's (both resolutions are
-    complete: the quivers are acyclic with paths of length <= 4)."""
+    complete on acyclic quivers with paths of length <= 4)."""
     ours, bar = diagonal_resolution(A, 5), bar_resolution(A, 5)
     for M in (regular_bimodule(A), dual_bimodule(A)):
         assert ext_profile(ours, M) == ext_profile(bar, M)
@@ -345,6 +349,61 @@ def _not_koszul(field):
                  Relation(((1, ("c0", "d")),))]
     return build_path_algebra(Quiver.make(list("01234"), arrows), relations,
                               field)
+
+
+@st.composite
+def non_koszul_quivers(draw):
+    """_not_koszul with random nonzero coefficients in its middle relation
+    b1 c0 + lam b0 c0 + mu b1 c1, over Q or F_3, reversed (its opposite
+    algebra) or not, next to a random disjoint quadratic chain on up to
+    three vertices, its vertices and arrows listed in random orders.  A
+    product of algebras is Koszul only if each factor is, and mu != 0
+    keeps b1 c1 d = 0 a consequence that makes the first factor not
+    Koszul.  Paths have length <= 4."""
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    lam, mu = draw(st.lists(st.sampled_from([1, -1, 2]), min_size=2,
+                            max_size=2))
+    arrows = [("a", "0", "1"), ("b0", "1", "2"), ("b1", "1", "2"),
+              ("c0", "2", "3"), ("c1", "2", "3"), ("d", "3", "4")]
+    relations = [((1, ("a", "b1")),),
+                 ((1, ("b1", "c0")), (lam, ("b0", "c0")), (mu, ("b1", "c1"))),
+                 ((1, ("c0", "d")),)]
+    vertices = list("01234")
+    chain = draw(st.integers(0, 3))
+    vertices += [f"x{i}" for i in range(chain)]
+    steps = [[(f"y{i}{k}", f"x{i}", f"x{i + 1}")
+              for k in range(draw(st.integers(1, 2)))]
+             for i in range(chain - 1)]
+    arrows += [x for step in steps for x in step]
+    if len(steps) == 2:
+        paths = [(x[0], y[0]) for x in steps[0] for y in steps[1]]
+        coeffs = draw(st.lists(st.sampled_from([0, 1, -1]),
+                               min_size=len(paths), max_size=len(paths)))
+        terms = tuple((c, q) for c, q in zip(coeffs, paths) if c)
+        if terms:
+            relations.append(terms)
+    if draw(st.booleans()):
+        arrows = [(x, t, s) for x, s, t in arrows]
+        relations = [tuple((c, q[::-1]) for c, q in rel) for rel in relations]
+    quiver = Quiver.make(draw(st.permutations(vertices)),
+                         draw(st.permutations(arrows)))
+    return build_path_algebra(quiver, [Relation(r) for r in relations], field)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(non_koszul_quivers())
+def test_random_non_koszul_algebras_take_the_minimal_routes(A):
+    """Every draw fails Priddy's check: global_dimension caches no K, there
+    is no slice on either side, and diagonal_resolution is the minimal
+    bimodule resolution, with the Ext of the bar route."""
+    assert global_dimension(A, 12) is not None
+    assert A._cache["koszul_resolution"] is None
+    for u in range(A.num_vertices):
+        assert koszul_slice(A, u, "left", 5) is None
+        assert koszul_slice(A, u, "right", 5) is None
+    assert diagonal_resolution(A, 5).terms == \
+        projective_resolution(regular_bimodule(A), 5).terms
+    assert_diagonal_resolution_matches_bar_route(A)
 
 
 def test_diagonal_resolution_takes_the_koszul_route_when_certified(algebras):
@@ -460,11 +519,11 @@ def koszul_route(A, caps=ORACLE_CAPS):
     return out
 
 
-def _generated_beilinson(n):
+def _generated_beilinson(n, field=None):
     from sodhh.cli import parse_quiver_document
     from test_cli import _benchmark_inputs
     return parse_quiver_document(_benchmark_inputs().beilinson_quiver_doc(
-        n, {"kind": "q"}, 101)).build()
+        n, field or {"kind": "q"}, 101)).build()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
@@ -502,33 +561,73 @@ def test_koszul_route_matches_minimal_resolutions_on_random_quivers(A):
     assert koszul_route(A) == minimal_route_oracle(A)
 
 
-def reference_koszul_resolution(A, n_max):
-    """The Koszul resolution as it was built before its check moved into A:
-    the entries of A (x) A^op written from the splittings of the Koszul
-    spaces, then ProjComplex's generic check (_check_blocks and _compose)."""
-    from sodhh.complexes import ComplexError, ProjComplex
-    from sodhh.hochschild import _koszul_spaces
-    from sodhh.linalg import ColumnEchelon
-    env = A.enveloping()
+def reference_koszul_spaces(A, n_max):
+    """Bases of the Koszul spaces K_1..K_{n_max} as they were built before
+    K was kept in splitting coordinates: each basis element of K_n as
+    (vec, right), vec its vector {arrow tuple: c} in V^{(x) n} and right its
+    splitting {(j, b): c} over K_{n-1} (x) V (for n = 1, j is the vertex
+    tgt(b)).  K_{n+1} is the kernel of K_n (x)_E V -> V^{(x) n-1} (x)_E A_2,
+    which multiplies the last two factors, one endpoint block at a time.
+    The list stops at n_max or after the first empty space."""
+    from sodhh.linalg import ColumnEchelon, axpy
     f = A.field
-    spaces = _koszul_spaces(A, n_max)
-    e = A.idempotents
-    terms = {0: tuple(env.vertex(v, v) for v in range(A.num_vertices))}
-    diffs = {}
+    arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
+    ending_at = {}
+    for b in arrows:
+        ending_at.setdefault(A.tgt[b], []).append(b)
+    spaces = [None, [({(b,): f.one}, {(A.tgt[b], b): f.one}) for b in arrows]]
+    while len(spaces) <= n_max and spaces[-1]:
+        prev = spaces[-1]
+        blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
+        for j, (vec, _) in enumerate(prev):
+            t = next(iter(vec))
+            for b in ending_at.get(A.src[t[-1]], ()):
+                blocks.setdefault((A.tgt[t[0]], A.src[b]), []).append((j, b))
+        space = []
+        for _, cols in sorted(blocks.items()):
+            rows, images = {}, []
+            for j, b in cols:
+                img = {}
+                for t, c in prev[j][0].items():
+                    for s, c2 in A.product(t[-1], b).items():
+                        r = rows.setdefault((t[:-1], s), len(rows))
+                        img[r] = f.add(img.get(r, f.zero), f.mul(c, c2))
+                images.append({r: c for r, c in img.items() if c})
+            echelon = ColumnEchelon(Matrix(f, len(rows), len(cols), images))
+            for combo in echelon.kernel_basis():
+                vec = {}
+                for p, c in combo.items():
+                    j, b = cols[p]
+                    axpy(f, vec, {t + (b,): x for t, x in prev[j][0].items()}, c)
+                space.append((vec, {cols[p]: c for p, c in combo.items()}))
+        spaces.append(space)
+    return spaces
+
+
+def reference_koszul_tables(A, n_max):
+    """K's (ends, tables) as _koszul_tables built them before K was kept in
+    splitting coordinates: from the arrow-tuple vectors of the Koszul
+    spaces, the left splitting of each element solved, first arrow by first
+    arrow, against an echelon of K_{n-1}'s vectors."""
+    from sodhh.complexes import ComplexError
+    from sodhh.linalg import ColumnEchelon
+    f = A.field
+    spaces = reference_koszul_spaces(A, n_max)
+    ends = [[(u, u) for u in range(A.num_vertices)]]
+    tables = [None]
     for n, space in enumerate(spaces[1:], start=1):
         if not space:
             break
-        ends = [next(iter(vec)) for vec, _ in space]
-        terms[-n] = tuple(env.vertex(A.tgt[t[0]], A.src[t[-1]]) for t in ends)
-        if n > 1:
+        firsts = [next(iter(vec)) for vec, _ in space]
+        ends.append([(A.tgt[t[0]], A.src[t[-1]]) for t in firsts])
+        if n > 1:   # K_{n-1} over the index of its arrow tuples
             index = {}
             basis = [{index.setdefault(t, len(index)): c
                       for t, c in vec.items()} for vec, _ in spaces[n - 1]]
             echelon = ColumnEchelon(Matrix(f, len(index), len(basis), basis))
         sign = f.one if n % 2 == 0 else f.neg(f.one)
-        d = diffs[-n] = {}
-        for col, ((vec, right), t0) in enumerate(zip(space, ends)):
-            v, w = A.tgt[t0[0]], A.src[t0[-1]]
+        columns = []
+        for (vec, right), t0 in zip(space, firsts):
             if n == 1:
                 left = {(A.src[t0[0]], t0[0]): f.one}
             else:
@@ -540,14 +639,86 @@ def reference_koszul_resolution(A, n_max):
                 for a, rest in by_first.items():
                     x = echelon.solve(rest)
                     if x is None:
-                        raise ComplexError("no left splitting")
+                        raise ComplexError(f"a basis element of K_{n} does "
+                                           f"not split off {A.labels[a]}")
                     left.update({(j, a): c for j, c in x.items()})
+            columns.append((left, {jb: f.mul(sign, c)
+                                   for jb, c in right.items()}))
+        tables.append(columns)
+    return ends, tables
+
+
+def reference_koszul_resolution(A, n_max):
+    """The Koszul resolution as it was built before its check moved into A:
+    the entries of A (x) A^op written from the reference tables, then
+    ProjComplex's generic check (_check_blocks and _compose)."""
+    from sodhh.complexes import ProjComplex
+    env, e = A.enveloping(), A.idempotents
+    ends, tables = reference_koszul_tables(A, n_max)
+    terms = {-n: tuple(env.vertex(v, w) for v, w in pairs)
+             for n, pairs in enumerate(ends)}
+    diffs = {}
+    for n in range(1, len(tables)):
+        d = diffs[-n] = {}
+        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
+                                                          tables[n])):
             for (j, a), c in left.items():
                 d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
             for (j, b), c in right.items():
-                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = \
-                    f.mul(sign, c)
+                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = c
     return ProjComplex(env, terms, diffs, check=True)
+
+
+KOSZUL_TABLE_CAPS = (1, 2, 3, 6, 13)
+
+
+def assert_tables_match_reference(A, caps=KOSZUL_TABLE_CAPS):
+    from sodhh.hochschild import _koszul_tables
+    for cap in caps:
+        assert _koszul_tables(A, cap) == reference_koszul_tables(A, cap), cap
+
+
+def test_koszul_tables_match_the_arrow_tuple_build():
+    """K's ends and tables, built in splitting coordinates, are dict-equal
+    to the arrow-tuple build with solved left splittings, at caps 1, 2, 3,
+    6 and 13: on every quadratic catalog algebra over Q and F_3, generated
+    P^2..P^5 over Q and F_32003 and the algebra that is not Koszul."""
+    from sodhh.catalog import catalog_names, get_entry
+    from sodhh.hochschild import _is_quadratic
+    algebras = [get_entry(name).algebra(field) for name in catalog_names()
+                for field in (QQ, GF(3))]
+    algebras = [A for A in algebras if _is_quadratic(A)]
+    algebras += [_generated_beilinson(n, field) for n in (2, 3, 4, 5)
+                 for field in ({"kind": "q"}, {"kind": "fp", "p": 32003})]
+    algebras += [_not_koszul(QQ), _not_koszul(GF(3))]
+    assert len(algebras) >= 20
+    for A in algebras:
+        assert_tables_match_reference(A)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_koszul_tables_match_the_arrow_tuple_build_on_random_quivers(A):
+    assert_tables_match_reference(A)
+
+
+def test_global_dimension_solves_no_linear_system(monkeypatch):
+    """Certifying K on a fresh generated P^3 reads every left splitting
+    off K_{n-1}'s free columns: no ColumnEchelon.solve is called."""
+    from sodhh.linalg import ColumnEchelon
+    solved = []
+    real = ColumnEchelon.solve
+
+    def counting(self, vec):
+        solved.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(ColumnEchelon, "solve", counting)
+    A = _generated_beilinson(3)
+    assert global_dimension(A, 12) == 3
+    assert A._cache["koszul_resolution"] is not None and solved == []
+    reference_koszul_tables(A, 4)
+    assert solved
 
 
 def _quadratic_catalog_and_generated():
@@ -1085,16 +1256,20 @@ def test_hh_homology_matches_cyclic_complex_on_generated_beilinson(n):
 
 
 @pytest.mark.parametrize("argv", [["kernels", "build"],
-                                  ["kernels", "additivity"], ["homology"]])
+                                  ["kernels", "additivity"], ["homology"],
+                                  ["kernels", "orthogonality"]])
 def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     """Every route to the diagonal reads one Koszul resolution per algebra:
-    kernels build resolves it for the kernels and the K_0 identity check,
+    kernels build reads it for the kernels and the K_0 identity check,
     homology for HH_* and the Serre route.  Its tables are built once, and
-    its entries over A (x) A^op are written once."""
+    its entries over A (x) A^op are written once where HH_* needs them;
+    kernels build and orthogonality write none, as they read the
+    diagonal's K_0 class off K's ends."""
     from sodhh.cli import run_command
     from test_cli import counting_wrapper
     tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     entries = counting_wrapper(monkeypatch, "_koszul_entries", ["hochschild"])
     code, report = run_command(argv + ["--catalog", "beilinson-p2"])
     assert code == 0 and report.all_passed()
-    assert len(tables) == len(entries) == 1
+    assert len(tables) == 1
+    assert len(entries) == (argv[-1] in ("additivity", "homology"))

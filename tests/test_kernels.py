@@ -820,3 +820,46 @@ def test_shifted_adjoint_convolutions_match_the_tensor_route(field):
         (entry.algebra(field) for entry in CATALOG.values()
          if entry.has_collection), shift=1)
     assert any(set(dims) - {0} for dims in profiles)
+
+
+# -- the diagonal class ------------------------------------------------------
+
+
+def diagonal_class_from_resolution(A, cap):
+    """The K_0 class of the diagonal as it was read before it came from
+    K's ends: decoded from the Euler class of diagonal_resolution; the
+    string "raises" if that has a term at -(cap + 1)."""
+    from sodhh.hochschild import diagonal_resolution
+    res = diagonal_resolution(A, cap + 1)
+    if -(cap + 1) in res.terms:
+        return "raises"
+    env = res.algebra
+    return {env.vertex_pair(code): c for code, c in res.euler_class().items()}
+
+
+def test_diagonal_class_is_the_alternating_count_of_k():
+    """On every catalog algebra over Q and F_3 and on generated P^2..P^4,
+    each fresh, at caps 1, 2 and 32: diagonal_class equals the Euler class
+    of diagonal_resolution, or raises where that has a term at
+    -(cap + 1); the Koszul cases write no entry of A (x) A^op."""
+    from sodhh.catalog import catalog_names, get_entry
+    from sodhh.kernels import diagonal_class
+    from test_hochschild import _generated_beilinson
+    builds = [lambda f=field, name=name: get_entry(name).algebra(f)
+              for name in catalog_names() for field in (QQ, GF(3))]
+    builds += [lambda n=n: _generated_beilinson(n) for n in (2, 3, 4)]
+    read_off = raised = 0
+    for build in builds:
+        for cap in (1, 2, 32):
+            A = build()
+            try:
+                ours = diagonal_class(A, cap)
+            except NormalizationFailed:
+                ours = "raises"
+            if A._cache.get("koszul_resolution") is not None:
+                read_off += "koszul_entries" not in A._cache
+            raised += ours == "raises"
+            assert ours == diagonal_class_from_resolution(A, cap), \
+                (A.labels, cap)
+    assert read_off >= 50 and raised >= 10
+

@@ -275,6 +275,46 @@ def test_q_elimination_matches_fraction_oracle(system):
         for c in rhs.cols)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)],
+                         ids=["q", "f5", "f32003"])
+def test_kernel_basis_is_free_column_plus_pivots_below(field):
+    """On seeded random matrices, the kernel vector of free column p is e_p
+    plus earlier pivot columns only; the free columns are those that depend
+    on the columns before them; and the basis depends on the linear
+    relations among the columns alone: reordering the rows and embedding
+    them injectively (appending sums of rows) leaves it unchanged.  So a
+    combination of the basis has as its coefficient on the vector of p its
+    own entry at p."""
+    rng = Random(28)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 8)
+        m, rows = random_matrix(rng, field, nrows, ncols, density=0.5, span=2)
+        ech = ColumnEchelon(m)
+        free, kernel = ech.free_columns(), ech.kernel_basis()
+        assert len(free) == len(kernel) == ncols - ech.rank
+        assert free == [
+            j for j in range(ncols)
+            if naive_row_reduction_rank([r[:j + 1] for r in rows], field)
+            == naive_row_reduction_rank([r[:j] for r in rows], field)]
+        for p, vec in zip(free, kernel):
+            assert vec[p] == field.one and m.apply(vec) == {}
+            assert all(q == p or (q < p and q not in free) for q in vec)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        sums = [[a + b for a, b in zip(rng.choice(rows), rng.choice(rows))]
+                for _ in range(3)]
+        embedded = ColumnEchelon(Matrix.from_rows(field, shuffled + sums,
+                                                  ncols))
+        assert (embedded.free_columns(), embedded.kernel_basis()) == \
+            (free, kernel)
+        coeffs = [field.coerce(rng.randint(-3, 3)) for _ in kernel]
+        combo = {}
+        for c, vec in zip(coeffs, kernel):
+            for q, x in vec.items():
+                combo[q] = field.add(combo.get(q, field.zero), field.mul(c, x))
+        assert [combo.get(p, field.zero) for p in free] == coeffs
+
+
 def test_rank_only_echelon_refuses_kernel_and_solve():
     m = Matrix.from_rows(QQ, [[1, 2], [2, 4], [0, "-3/2"]])
     ech = ColumnEchelon(m, transform=False)

@@ -21,11 +21,11 @@ from .complexes import (ChainMap, ComplexError, FieldComplex, HomComplex,
 from .hochschild import (HHProfile, diagonal_resolution, global_dimension,
                          koszul_resolution, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual)
-from .exceptional import (ExceptionalCollection, MutationFailed, NotFull,
-                          NotStrong, SodTower, bdi_check, dual_collection,
-                          endomorphism_algebra, is_exceptional_collection,
-                          minimal_data, mutate, projective_collection,
-                          sod_project)
+from .exceptional import (ExceptionalCollection, MutationFailed,
+                          NotExceptional, NotFull, NotStrong, SodTower,
+                          bdi_check, dual_collection, endomorphism_algebra,
+                          is_exceptional_collection, minimal_data, mutate,
+                          projective_collection, sod_project)
 from .kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                       UnsupportedKernelShape, additivity_check,
                       fullness_certificate, generalized_hoh, k0_identity_check,
@@ -53,7 +53,8 @@ __all__ = [
     "HHProfile", "diagonal_resolution", "global_dimension", "hh_cohomology",
     "hh_homology", "koszul_resolution", "hh_with_coefficients",
     "homology_via_serre_dual",
-    "ExceptionalCollection", "MutationFailed", "NotFull", "NotStrong",
+    "ExceptionalCollection", "MutationFailed", "NotExceptional", "NotFull",
+    "NotStrong",
     "SodTower", "bdi_check", "dual_collection", "endomorphism_algebra",
     "is_exceptional_collection", "minimal_data", "mutate",
     "projective_collection", "sod_project",

@@ -21,15 +21,14 @@ import functools
 import json
 import sys
 
-from .algebra import (AlgebraAxiomError, NonAdmissible, NotFiniteDimensional,
-                      Quiver, Relation, build_path_algebra, center)
+from .algebra import (NonAdmissible, NotFiniteDimensional, Quiver, Relation,
+                      build_path_algebra, center)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
-from .complexes import (ComplexError, SideMismatch, ext_profile,
-                        projective_resolution, serre_twist_left,
+from .complexes import (ext_profile, projective_resolution, serre_twist_left,
                         single_projective)
-from .exceptional import (ExceptionalCollection, NotFull, bdi_check,
-                          dual_collection, mutate, projective_collection,
-                          sod_project)
+from .exceptional import (ExceptionalCollection, NotExceptional, NotFull,
+                          bdi_check, dual_collection, mutate,
+                          projective_collection, sod_project)
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual,
                          koszul_slice)
@@ -37,7 +36,7 @@ from .kernels import (NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
-from .linalg import GF, QQ, FieldSpec, Matrix, ShapeError
+from .linalg import GF, QQ, FieldSpec, Matrix
 from .modules import Bimodule, ModuleAxiomError, bimodule_from_actions, \
     dual_bimodule, regular_bimodule, simple_module
 from .report import Report
@@ -89,11 +88,16 @@ def parse_quiver_document(doc) -> QuiverDocument:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise SchemaError("vertices: expected a list of names")
+    declared = set()
+    for i, v in enumerate(vertices):
+        if v in declared:
+            raise SchemaError(f"vertices[{i}]: duplicate vertex name {v!r}")
+        declared.add(v)
     for key in ("arrows", "relations"):
         if not isinstance(doc[key], list):
             raise SchemaError(f"{key}: expected a list, got {doc[key]!r}")
     arrows = []
-    declared = set(vertices)
+    arrow_names = set()
     for i, a in enumerate(doc["arrows"]):
         if not isinstance(a, dict):
             raise SchemaError(f"arrows[{i}]: expected an object, got {a!r}")
@@ -106,8 +110,11 @@ def parse_quiver_document(doc) -> QuiverDocument:
             raise SchemaError(f"arrows[{i}].source: unknown vertex {a['source']!r}")
         if a["target"] not in declared:
             raise SchemaError(f"arrows[{i}].target: unknown vertex {a['target']!r}")
+        if a["name"] in declared or a["name"] in arrow_names:
+            raise SchemaError(f"arrows[{i}].name: {a['name']!r} names a "
+                              "vertex or an earlier arrow")
+        arrow_names.add(a["name"])
         arrows.append((a["name"], a["source"], a["target"]))
-    arrow_names = {a[0] for a in arrows}
     relations = []
     for i, rel in enumerate(doc["relations"]):
         if not isinstance(rel, list) or not rel:
@@ -625,11 +632,8 @@ def run_command(argv):
         report.set("error", str(exc))
         report.check(type(exc).__name__, False, str(exc))
         return 1, report
-    except (ComplexError, SideMismatch, AlgebraAxiomError, ModuleAxiomError,
-            ShapeError):
-        raise   # checks on the computation's own objects: internal faults
     except (SchemaError, IoError, NonAdmissible, NotFiniteDimensional,
-            ValueError) as exc:
+            NotExceptional) as exc:   # the input's faults; others propagate
         report.set("error", str(exc))
         return 2, report
     if code == 0 and not report.all_passed():

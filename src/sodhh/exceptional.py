@@ -27,6 +27,11 @@ class MutationFailed(RuntimeError):
     mutations always preserve exceptionality)."""
 
 
+class NotExceptional(ValueError):
+    """The objects are not an exceptional collection, or the algebra is not
+    directed, so its projectives have no exceptional order."""
+
+
 class NotStrong(ValueError):
     """Ext between collection members is not concentrated in degree 0."""
 
@@ -157,8 +162,8 @@ class ExceptionalCollection:
         if verify:
             self.self_ext, self.violations = _exceptional_tables(self.objects)
             if self.violations:
-                raise ValueError("not an exceptional collection: "
-                                 + "; ".join(self.violations))
+                raise NotExceptional("not an exceptional collection: "
+                                     + "; ".join(self.violations))
 
     def __len__(self):
         return len(self.objects)
@@ -190,7 +195,8 @@ def _directed_order(A: Algebra):
                 found = v
                 break
         if found is None:
-            raise ValueError("algebra is not directed; no exceptional order")
+            raise NotExceptional("algebra is not directed; no exceptional "
+                                 "order")
         order.append(found)
         remaining.discard(found)
     return order
@@ -218,7 +224,7 @@ def mutate(coll: ExceptionalCollection, i: int, direction: str) -> ExceptionalCo
         raise ValueError(direction)
     try:
         return ExceptionalCollection(coll.algebra, objs)
-    except ValueError as exc:
+    except NotExceptional as exc:
         raise MutationFailed(str(exc)) from exc
 
 

@@ -3,10 +3,10 @@
 Cohomology (and cohomology with bimodule coefficients) is the cohomology
 of Hom_{A-bimod}(P_*, M) for a projective bimodule resolution P_* of A,
 the one diagonal_resolution returns: the Koszul resolution K of a
-quadratic path algebra that global_dimension certifies by the exactness
-of every one-sided complex K (x)_A S_u (Priddy's criterion), else the
-minimal bimodule resolution.  Homology is Tor^{A^e}(A, A), the homology
-of P_* (x)_{A^e} A over the same resolution.
+quadratic path algebra through the depth to which certified_koszul
+certifies it by Priddy's criterion, else the minimal bimodule resolution.
+Homology is Tor^{A^e}(A, A), the homology of P_* (x)_{A^e} A over the
+same resolution.
 
 K is built here, next to its certificate, and is kept in one form: its
 tables, each column of a differential as a left table (terms a (x) e_w)
@@ -15,15 +15,18 @@ basis element of the Koszul space K_n, which is never written out in the
 tensor powers of the arrows (_koszul_tables).  _check_koszul checks
 slices and d^2 = 0 from them with products of arrows in A alone; the
 certificate K (x)_A A_0 and the one-sided slices are selected from them
-(_one_sided); and A's cache holds them once certified
-(certified_koszul).  The entries of A (x) A^op are written from them
-only where a bimodule resolution is asked for: by diagonal_resolution,
-once per algebra, and by koszul_resolution.
+(_one_sided).  certified_koszul alone builds, certifies and caches them,
+and every use of K (global_dimension, koszul_slice, diagonal_resolution,
+kernels.diagonal_class) asks it whether K is certified through the depth
+that use needs, on Koszul algebras of infinite global dimension too.  The
+entries of A (x) A^op are written from the tables only where a bimodule
+resolution is asked for: by diagonal_resolution and koszul_resolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .algebra import Algebra, PathAlgebra, _lines
 from .complexes import (ComplexError, FieldComplex, ProjComplex, SideMismatch,
@@ -274,8 +277,7 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
     differential is its two outer faces: a (x) e_w times the left
     splitting of an element into a (x) K_{n-1}, read off the free columns
     of K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
-    resolves A exactly when A is Koszul; diagonal_resolution uses it only
-    where global_dimension has certified that.
+    resolves A exactly when A is Koszul (certified_koszul).
 
     Every build is checked, in A: _check_koszul certifies the tables, and
     only then are the entries of A (x) A^op written, with check=False."""
@@ -285,53 +287,58 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
                        check=False)
 
 
+def certified_koszul(A: Algebra, depth: int):
+    """The tables (ends, tables) of A's Koszul resolution K through degree
+    -depth (see _koszul_tables), if K is certified exact above -depth, else
+    None: a resolution of A through -depth as projective_resolution gives
+    one, its terms in degrees -depth..0, exact above -depth.
+
+    K is built through -max(depth, 1) and checked (_check_koszul), and the
+    homology of K (x)_A A_0, read from K's left tables (_one_sided), is
+    Priddy's certificate: where it is A_0 in degree 0 and zero elsewhere,
+    K is exact, as the cone of K -> A is projective on the right and the
+    left module A is an iterated extension of simples.  Homology above
+    -depth means A is not Koszul.  No A (x) A^op is built.
+
+    A's cache keeps one entry for K: the tables, plain ints and field
+    elements, with the depth d they are certified to.  A complete K (its
+    last term above -d) and a failed certificate (kept as None) hold for
+    every depth; a K cut at -d serves every depth <= d, and a greater
+    depth builds K again."""
+    certified, K = A._cache.get("koszul", (-1, None))
+    if depth > certified and _is_quadratic(A):
+        n_max = max(depth, 1)
+        ends, tables = _koszul_tables(A, n_max)
+        _check_koszul(A, ends, tables)
+        homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
+                               check=False).homology_dims()
+        exact = {n: h for n, h in homology.items() if n > -n_max} == \
+            {0: A.num_vertices}
+        K = (ends, tables) if exact else None
+        certified = n_max if exact and len(ends) > n_max else math.inf
+        A._cache["koszul"] = (certified, K)
+    return None if K is None else (K[0][:depth + 1], K[1][:depth + 1])
+
+
 def global_dimension(A: Algebra, cap: int):
     """Global dimension, or None if it exceeds cap.
 
-    On a path algebra whose relations all have length 2 it is first read
-    from K, built and checked through degree -(cap + 1) as in
-    koszul_resolution, by Priddy's criterion: A is Koszul exactly when
-    every K (x)_A S_u is exact apart from H_0 = k.  Each H_0 is at least
-    k, as the entries of d^{-1} are arrows, so the homology of
-    K (x)_A A_0, read from K's left tables (_one_sided) and ranked over
-    the field, decides this through degree -cap.  If K ends by degree
-    -cap and passes, its terms are projective on the right and every
-    finite-dimensional module is an iterated extension of simples, so K
-    resolves A; each K (x)_A S_u, whose entries are arrows, is then the
-    minimal resolution of S_u, and the global dimension is K's length.
-    If K has a term at -(cap + 1) and passes, the global dimension exceeds
-    cap: every element of K_{cap+1} has a nonzero left splitting, so the
-    minimal resolution of some S_u reaches that degree.  If it fails, A is
-    not Koszul, and here as on every other algebra the answer is the
-    maximum length of the minimal projective resolutions of the simple
-    modules.  The certificate builds no A (x) A^op and writes no entries.
-
-    The answer is kept in A's cache as either the exact value, which
-    answers every cap, or "exceeds c", which answers every cap <= c.
-    Under "koszul_resolution" the cache keeps the certified K as its
-    tables (ends, tables), plain ints and field elements, next to an
-    exact value, or None once the check failed."""
+    Where K is certified through -(cap + 1) (certified_koszul), each
+    K (x)_A S_u, with arrows for entries, is the minimal resolution of S_u
+    that far: the global dimension is K's length if K ends by -cap, and
+    exceeds cap if K has a term at -(cap + 1).  On every other algebra it
+    is the longest minimal resolution of a simple module, and A's cache
+    keeps the answer as the exact value, which answers every cap, or
+    "exceeds c", which answers every cap <= c."""
+    K = certified_koszul(A, cap + 1)
+    if K is not None:
+        length = len(K[0]) - 1
+        return length if length <= cap else None
     exact, exceeds = A._cache.get("global_dimension", (None, -1))
     if exact is not None:
         return exact if exact <= cap else None
     if cap <= exceeds:
         return None
-    # a cached "koszul_resolution" here can only be a failed check
-    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
-        ends, tables = _koszul_tables(A, cap + 1)
-        _check_koszul(A, ends, tables)
-        homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
-                               check=False).homology_dims()
-        if {n: h for n, h in homology.items() if n >= -cap} == \
-                {0: A.num_vertices}:
-            length = len(ends) - 1
-            if length > cap:
-                A._cache["global_dimension"] = (None, cap)
-                return None
-            A._cache.update(global_dimension=(length, None),
-                            koszul_resolution=(ends, tables))
-            return length
-        A._cache["koszul_resolution"] = None
     worst = 0
     for v in range(A.num_vertices):
         length = -min(projective_resolution(simple_module(A, v),
@@ -344,20 +351,10 @@ def global_dimension(A: Algebra, cap: int):
     return worst
 
 
-def certified_koszul(A: Algebra, cap: int):
-    """The tables (ends, tables) of A's certified Koszul resolution K (see
-    _koszul_tables), or None when A has none.  On a path algebra with
-    quadratic relations that has not been decided yet, global_dimension(A,
-    cap) is asked first; K is read only as it cached it next to an exact
-    value, complete, whatever the cap."""
-    if _is_quadratic(A) and "koszul_resolution" not in A._cache:
-        global_dimension(A, cap)
-    return A._cache.get("koszul_resolution")
-
-
 def koszul_slice(A: Algebra, u: int, side: str, depth: int):
-    """The one-sided slice of the certified Koszul resolution K at the
-    vertex u, through degree -depth, or None when A has no certified K.
+    """The one-sided slice of A's Koszul resolution K at the vertex u
+    through degree -depth, or None when K is not certified that far
+    (certified_koszul): projective_resolution(S_u, depth), read off K.
 
     side "right" gives S_u (x)_A K, the minimal resolution of the simple
     right module at u over A^op: K's summands A e_v (x) e_w A with v = u,
@@ -365,49 +362,36 @@ def koszul_slice(A: Algebra, u: int, side: str, depth: int):
     (a left term a (x) e_w acts on S_u by an arrow, so as zero).  side
     "left" gives K (x)_A S_u over A, the minimal resolution of the simple
     left module at u: the summands with w = u, each becoming A e_v, with
-    the left terms.  Either resolves its simple, as K resolves A by
-    bimodules that are projective on each side, and is minimal, as its
-    entries are arrows.
-
-    K is read only as global_dimension cached it next to an exact value:
-    the slice is selected from its tables through degree -depth
-    (_one_sided), with no enveloping algebra built, and is checked as a
-    ProjComplex."""
+    the left terms.  Either resolves its simple as far as K resolves A, as
+    K's bimodules are projective on each side, and is minimal, as its
+    entries are arrows.  It is selected from K's tables (_one_sided), with
+    no enveloping algebra built, and checked as a ProjComplex."""
     if side not in ("left", "right"):
         raise ValueError(f"slice side must be 'left' or 'right', got {side!r}")
     K = certified_koszul(A, depth)
     if K is None:
         return None
-    ends, tables = K
     return ProjComplex(A.opposite() if side == "right" else A,
-                       *_one_sided(ends[:depth + 1], tables[:depth + 1],
-                                   side, u), check=True)
+                       *_one_sided(*K, side, u), check=True)
 
 
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
-    """A projective bimodule resolution of A through degree -n_max.
+    """A projective bimodule resolution of A through degree -n_max, as
+    projective_resolution gives one: K through -n_max where
+    certified_koszul certifies it that far (a complete K is whole from its
+    length on), else the minimal bimodule resolution
+    projective_resolution(regular_bimodule(A), n_max).
 
-    The Koszul resolution that global_dimension certified, if it did
-    (certified_koszul(A, n_max)).  The certified resolution
-    is complete and serves every n_max, also one below the global
-    dimension.  Otherwise the minimal bimodule resolution
-    projective_resolution(regular_bimodule(A), n_max), which needs no
-    certificate.
-
-    Each is built once per algebra: A's cache keeps the entries of A (x)
-    A^op that _koszul_entries writes from the certified tables (they do
-    not depend on n_max), and the minimal resolution of each depth, as
-    plain (terms, diffs) that name A (x) A^op's vertices and basis by
-    index only, so the cache holds no reference back to A."""
+    A's cache keeps either under one key per depth, as plain (terms,
+    diffs) that name A (x) A^op's vertices and basis by index only, so the
+    cache holds no reference back to A."""
     env = A.enveloping()
     K = certified_koszul(A, n_max)
-    if K is not None:
-        key = "koszul_entries"
-        if key not in A._cache:
+    key = ("diagonal_resolution", n_max if K is None else len(K[0]) - 1)
+    if key not in A._cache:
+        if K is not None:
             A._cache[key] = _koszul_entries(A, *K)
-    else:
-        key = ("minimal_resolution", n_max)
-        if key not in A._cache:
+        else:
             P = projective_resolution(regular_bimodule(A), n_max)
             A._cache[key] = (P.terms, P.diffs)
     return ProjComplex(env, *A._cache[key], check=False)
@@ -421,18 +405,18 @@ def _finiteness_note(A: Algebra, n_max: int) -> str:
     return ""
 
 
-def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int,
-                         note="") -> HHProfile:
+def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int) -> HHProfile:
     """Ext_{A-bimod}(A, M) in degrees 0..n_max via diagonal_resolution."""
     if M.algebra is not A.enveloping():
         raise SideMismatch("coefficients must be a bimodule over the algebra")
     prof = ext_profile(diagonal_resolution(A, n_max + 1), M)
-    return HHProfile.from_dict(prof, A.field, n_max, note)
+    return HHProfile.from_dict(prof, A.field, n_max)
 
 
 def hh_cohomology(A: Algebra, n_max: int) -> HHProfile:
-    return hh_with_coefficients(A, regular_bimodule(A), n_max,
-                                note=_finiteness_note(A, n_max))
+    # the resolution first: the note then reads the K it certified
+    prof = hh_with_coefficients(A, regular_bimodule(A), n_max)
+    return replace(prof, note=_finiteness_note(A, n_max))
 
 
 def homology_via_serre_dual(A: Algebra, n_max: int) -> HHProfile:

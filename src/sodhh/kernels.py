@@ -35,10 +35,10 @@ oracle.
 The projection kernels P_i = E_i (x) F_i^v of a full collection of
 indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
 is the minimal projective resolution of the simple right module at v_i
-(projection_kernels), sliced off the certified Koszul resolution where
-there is one (hochschild.koszul_slice), else built by
-projective_resolution, and Ext into it is Ext into that simple, which the
-kernel keeps (Kernel.resolves).
+(projection_kernels), sliced off the Koszul resolution where it is
+certified through the depth the slice needs (hochschild.koszul_slice),
+else built by projective_resolution, and Ext into it is Ext into that
+simple, which the kernel keeps (Kernel.resolves).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         tensor_env_module)
 from .exceptional import ExceptionalCollection
 from .hochschild import (HHProfile, certified_koszul, diagonal_resolution,
-                         hh_cohomology, hh_homology, hh_with_coefficients,
-                         koszul_slice)
+                         global_dimension, hh_cohomology, hh_homology,
+                         hh_with_coefficients, koszul_slice)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
                       simple_module)
 
@@ -333,9 +333,9 @@ def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
 def diagonal_class(A: Algebra, cap: int = 32) -> dict:
     """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
     A e_v (x) e_w A, from a resolution that ends by degree -cap: the
-    alternating count of the summands of the certified Koszul resolution,
-    read off its tables' ends with no entry of A (x) A^op written, or else
-    of diagonal_resolution(A, cap + 1)."""
+    alternating count of the summands of diagonal_resolution(A, cap + 1),
+    read off the ends of K's tables, with no entry of A (x) A^op written,
+    where K is certified through -(cap + 1)."""
     K = certified_koszul(A, cap + 1)
     if K is not None:
         terms = dict(enumerate(K[0]))
@@ -371,10 +371,10 @@ def projection_kernels(coll: ExceptionalCollection):
     Ext^*(F_j, E_i) = delta_ij k says that F_j^v has one-dimensional
     homology, at v_j in degree 0 after the shift that condition fixes:
     F_i^v is the minimal projective resolution of the simple right module
-    at v_i, and the kernel records that simple for decomposable_ext.  On
-    an algebra with a certified Koszul resolution K it is the slice
-    S_{v_i} (x)_A K (koszul_slice), and nothing is resolved; on every
-    other algebra, projective_resolution builds it.  A full projective
+    at v_i, and the kernel records that simple for decomposable_ext.
+    Where the Koszul resolution K is certified through -m it is the slice
+    S_{v_i} (x)_A K (koszul_slice), and nothing is resolved; elsewhere
+    projective_resolution builds it.  A full projective
     collection makes A directed, of global dimension at most m - 1 for m
     vertices, so a resolution that reaches degree -m raises
     NormalizationFailed, as does a failure of the K_0 identity
@@ -516,7 +516,6 @@ def fullness_certificate(A: Algebra, coll: ExceptionalCollection,
     exceptional component contributes exactly one dimension, so equality
     certifies fullness modulo the Nonvanishing Conjecture."""
     hh = hh_homology(A, n_max)
-    from .hochschild import global_dimension
     gd = global_dimension(A, n_max)
     if gd is None:
         raise RangeNotCertified(

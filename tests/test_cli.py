@@ -629,19 +629,36 @@ def test_projection_kernels_resolve_the_simples_off_koszul(monkeypatch):
 
 def test_serre_check_slices_the_s_probes_off_k(monkeypatch):
     """The S-probes of `serre-check` are left slices of the certified K on
-    beilinson-p2, and minimal resolutions on loop-x2, which has no
-    certified K (infinite global dimension)."""
+    beilinson-p2 and on loop-x2, whose K is infinite and certified through
+    the depth the probes need."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
                                 ["complexes", "hochschild", "kernels", "cli"])
     sliced = counting_wrapper(monkeypatch, "koszul_slice",
                               ["hochschild", "kernels", "cli"])
     for name, vertices, minimal in (("beilinson-p2", 3, 0),
-                                    ("loop-x2", 1, 1)):
+                                    ("loop-x2", 1, 0)):
         resolved.clear()
         sliced.clear()
         code, report = run_command(["serre-check", "--catalog", name])
         assert code == 0 and report.all_passed(), name
         assert len(sliced) == vertices and len(resolved) == minimal, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology"], ["homology"], ["coeffs", "--bimodule", "serre"],
+    ["coeffs", "--bimodule", "diagonal"], ["serre-check"],
+    ["cohomology", "--max-degree", "12"]])
+def test_loop_x2_takes_k_alone(argv, monkeypatch):
+    """k[x]/(x^2) is Koszul of infinite global dimension: every command
+    reads K, built once through the summary's cap and certified there, and
+    resolves nothing else, neither the diagonal nor a simple."""
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild", "kernels", "cli"])
+    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    code, report = run_command(argv + ["--catalog", "loop-x2"])
+    assert code == 0 and report.all_passed()
+    assert report.data["algebra"]["global_dimension"] is None
+    assert resolved == [] and len(tables) == 1
 
 
 def test_serre_check_twists_each_probe_once(monkeypatch):
@@ -767,6 +784,56 @@ def test_malformed_document_types_exit_2(tmp_path, doc, where):
     code, report = run_command(["info", "--file", str(p)])
     assert code == 2
     assert report.data["error"].startswith(where + ":")
+
+
+@pytest.mark.parametrize("vertices, arrows, where", [
+    (["1", "2", "1"], [], "vertices[2]"),
+    (["1", "2"], [("a", "1", "2"), ("a", "2", "1")], "arrows[1].name"),
+    (["1", "2"], [("a", "1", "2"), ("2", "1", "2")], "arrows[1].name")])
+def test_duplicate_names_exit_2(tmp_path, vertices, arrows, where):
+    """A repeated vertex name, a repeated arrow name and an arrow named
+    like a vertex are schema errors naming the entry."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({
+        "field": {"kind": "q"}, "vertices": vertices,
+        "arrows": [{"name": x, "source": v, "target": w}
+                   for x, v, w in arrows],
+        "relations": []}))
+    code, report = run_command(["info", "--file", str(p)])
+    assert code == 2
+    assert report.data["error"].startswith(where + ":")
+
+
+def test_algebras_without_an_exceptional_collection_exit_2(tmp_path):
+    """loop-x2's one projective has End = k[x]/(x^2), so it is not
+    exceptional, and a 2-cycle is not directed: input errors, exit 2."""
+    code, report = run_command(["kernels", "build", "--catalog", "loop-x2"])
+    assert code == 2
+    assert report.data["error"].startswith("not an exceptional collection")
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps({
+        "field": {"kind": "q"}, "vertices": ["1", "2"],
+        "arrows": [{"name": "a", "source": "1", "target": "2"},
+                   {"name": "b", "source": "2", "target": "1"}],
+        "relations": [[{"coeff": "1", "path": ["a", "b"]}],
+                      [{"coeff": "1", "path": ["b", "a"]}]]}))
+    code, report = run_command(["collection", "check", "--file", str(p)])
+    assert code == 2
+    assert report.data["error"] == \
+        "algebra is not directed; no exceptional order"
+
+
+def test_internal_value_errors_are_not_input_errors(monkeypatch):
+    """Only the input-error types exit 2: a plain ValueError raised inside
+    a command is a fault of the program and propagates."""
+    import sodhh.cli
+
+    def broken(args, report):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(sodhh.cli.COMMANDS, "info", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run_command(["info", "--catalog", "kronecker2"])
 
 
 @pytest.mark.parametrize("error", [ComplexError, SideMismatch,

@@ -6,8 +6,9 @@ from sodhh.algebra import Algebra, Quiver, Relation, build_path_algebra, center
 from sodhh.catalog import CATALOG
 from sodhh.complexes import (FieldComplex, bar_resolution, ext_profile,
                              projective_resolution, radical_tuples)
-from sodhh.hochschild import (HHProfile, diagonal_resolution,
-                              global_dimension, hh_cohomology, hh_homology,
+from sodhh.hochschild import (HHProfile, certified_koszul,
+                              diagonal_resolution, global_dimension,
+                              hh_cohomology, hh_homology,
                               hh_with_coefficients, homology_via_serre_dual,
                               koszul_resolution, koszul_slice)
 from sodhh.kernels import generalized_hoh
@@ -393,11 +394,11 @@ def non_koszul_quivers(draw):
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(non_koszul_quivers())
 def test_random_non_koszul_algebras_take_the_minimal_routes(A):
-    """Every draw fails Priddy's check: global_dimension caches no K, there
-    is no slice on either side, and diagonal_resolution is the minimal
-    bimodule resolution, with the Ext of the bar route."""
+    """Every draw fails Priddy's check through -13: global_dimension caches
+    no K, there is no slice on either side, and diagonal_resolution is the
+    minimal bimodule resolution, with the Ext of the bar route."""
     assert global_dimension(A, 12) is not None
-    assert A._cache["koszul_resolution"] is None
+    assert certified_koszul(A, 13) is None
     for u in range(A.num_vertices):
         assert koszul_slice(A, u, "left", 5) is None
         assert koszul_slice(A, u, "right", 5) is None
@@ -413,19 +414,23 @@ def test_diagonal_resolution_takes_the_koszul_route_when_certified(algebras):
     assert res.terms == koszul_resolution(B, 4).terms
 
 
-def test_known_global_dimension_takes_the_koszul_route_at_any_depth():
-    """Once A's cache holds an exact global dimension (the CLI summary
-    looks it up with cap 12), a degree bound below it still reads the
-    certified Koszul resolution and builds no minimal one."""
+def test_known_global_dimension_takes_the_koszul_route_at_any_depth(
+        monkeypatch):
+    """Once K is certified (the CLI summary asks global_dimension with cap
+    12), a degree bound below the global dimension still reads K, cut at
+    that depth, and builds no minimal resolution and no second K."""
     from sodhh.cli import parse_quiver_document
-    from test_cli import _benchmark_inputs
+    from test_cli import _benchmark_inputs, counting_wrapper
     inputs = _benchmark_inputs()
     A = parse_quiver_document(
         inputs.beilinson_quiver_doc(4, {"kind": "q"}, 101)).build()
     assert global_dimension(A, 12) == 4
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     assert hh_cohomology(A, 2).as_tuple() == (1, 24, 126)
-    assert ("minimal_resolution", 3) not in A._cache
-    assert diagonal_resolution(A, 3).terms == koszul_resolution(A, 5).terms
+    assert resolved == [] and tables == []
+    assert diagonal_resolution(A, 3).terms == koszul_resolution(A, 3).terms
 
 
 def test_diagonal_resolution_falls_back_to_minimal(algebras):
@@ -476,44 +481,51 @@ def test_resolutions_of_random_quiver_simples_match_reference(A):
 ORACLE_CAPS = (0, 1, 2, 3, 4, 5, 6, 12)
 
 
+def forget_k(A):
+    """Empty A's cache, so that K and the global dimension are decided
+    afresh.  Tests read K's state through certified_koszul, so the names of
+    its cache entries are written in hochschild.py alone."""
+    A._cache.clear()
+
+
 def minimal_route_oracle(A, caps=ORACLE_CAPS):
     """{cap: (global dimension or None, Koszul route)} by the minimal
     resolutions of the simples: the global dimension is the longest of
     them, and a quadratic path algebra takes the Koszul route at a cap
-    that bounds it exactly when, in every degree up to one past each
-    resolution's length, the minimal resolution of S_v has one A e_u per
+    exactly when K is exact through -cap, that is when, in every degree up
+    to cap + 1, the minimal resolution of each S_v has one A e_u per
     element of K_n from v to u."""
     from collections import Counter
-    from sodhh.algebra import PathAlgebra
+    from sodhh.hochschild import _is_quadratic
     from sodhh.modules import simple_module
-    res = [projective_resolution(simple_module(A, v), max(caps) + 1)
+    top = max(caps) + 1
+    res = [projective_resolution(simple_module(A, v), top)
            for v in range(A.num_vertices)]
     gd = max((-min(R.terms) for R in res), default=0)
-    koszul = False
-    if gd <= max(caps) and isinstance(A, PathAlgebra) and all(
-            len(path) == 2 for rel in A.relations for _, path in rel.terms):
-        K = koszul_resolution(A, gd + 1)
+    matches = [False] * top
+    if _is_quadratic(A):
+        K = koszul_resolution(A, top)
         pairs = {n: [K.algebra.vertex_pair(code) for code in t]
                  for n, t in K.terms.items()}
-        koszul = all(
-            Counter(end for end, start in pairs.get(-n, ()) if start == v)
-            == Counter(R.terms.get(-n, ()))
-            for v, R in enumerate(res) for n in range(1, gd + 2))
-    return {cap: (gd, koszul) if gd <= cap else (None, False)
+        matches = [all(Counter(end for end, start in pairs.get(-n, ())
+                               if start == v) == Counter(R.terms.get(-n, ()))
+                       for v, R in enumerate(res))
+                   for n in range(1, top + 1)]
+    return {cap: (gd if gd <= cap else None, all(matches[:cap + 1]))
             for cap in caps}
 
 
 def koszul_route(A, caps=ORACLE_CAPS):
     """{cap: (global_dimension(A, cap), Koszul route)}, each cap asked of
-    an empty cache, then every cap asked again in turn of one cache."""
+    an empty cache, then every cap asked again in turn of one cache.  The
+    route is K's when global_dimension read a K certified through
+    -(cap + 1) (so exact through -cap)."""
     out = {}
     for cap in caps:
-        A._cache.pop("global_dimension", None)
-        A._cache.pop("koszul_resolution", None)
+        forget_k(A)
         out[cap] = (global_dimension(A, cap),
-                    A._cache.get("koszul_resolution") is not None)
-    A._cache.pop("global_dimension", None)
-    A._cache.pop("koszul_resolution", None)
+                    certified_koszul(A, cap + 1) is not None)
+    forget_k(A)
     assert [global_dimension(A, cap) for cap in caps] == \
         [gd for gd, _ in out.values()]
     return out
@@ -535,7 +547,7 @@ def test_koszul_route_matches_minimal_resolutions_on_the_catalog(field):
         expected = minimal_route_oracle(A)
         assert koszul_route(A) == expected, name
         routes.update(expected.values())
-    assert (None, False) in routes and (2, True) in routes
+    assert routes == {(0, True), (1, True), (2, True), (None, True)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -548,9 +560,12 @@ def test_koszul_route_matches_minimal_resolutions_on_generated_beilinson(n):
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_koszul_route_matches_minimal_resolutions_off_koszul(field):
-    """The non-Koszul algebra takes the minimal route at every cap."""
+    """K of the non-Koszul algebra is exact through -1 only: it takes K's
+    route at caps 0 and 1, where the global dimension exceeds the cap, and
+    the minimal route from cap 2 on."""
     A = _not_koszul(field)
     expected = minimal_route_oracle(A)
+    assert expected[1] == (None, True) and expected[2] == (None, False)
     assert expected[12] == (3, False)
     assert koszul_route(A) == expected
 
@@ -559,6 +574,116 @@ def test_koszul_route_matches_minimal_resolutions_off_koszul(field):
 @given(quadratic_quivers())
 def test_koszul_route_matches_minimal_resolutions_on_random_quivers(A):
     assert koszul_route(A) == minimal_route_oracle(A)
+
+
+# ---------------------------------------------------------------------------
+# Koszul algebras of infinite global dimension: K is the only route
+
+
+def radical_square_zero(vertices, arrows, field=QQ):
+    """The path algebra of the quiver modulo all paths of length 2."""
+    relations = [Relation(((1, (x[0], y[0])),))
+                 for x in arrows for y in arrows if x[2] == y[1]]
+    return build_path_algebra(Quiver.make(vertices, arrows), relations, field)
+
+
+def exterior_algebra(n, field=QQ):
+    """The exterior algebra on n generators: x_i^2 = 0, x_i x_j = -x_j x_i."""
+    xs = [f"x{i}" for i in range(n)]
+    relations = [Relation(((1, (x, x)),)) for x in xs]
+    relations += [Relation(((1, (x, y)), (1, (y, x))))
+                  for i, x in enumerate(xs) for y in xs[i + 1:]]
+    return build_path_algebra(
+        Quiver.make(["1"], [(x, "1", "1") for x in xs]), relations, field)
+
+
+def xyz_radical_square():
+    return radical_square_zero(["1"], [(x, "1", "1") for x in "xyz"])
+
+
+def assert_k_is_the_route(A, caps=range(13), degree=5):
+    """A is Koszul of infinite global dimension.  Both slices at every
+    vertex have the summands of the minimal resolutions of the simples
+    through -(degree + 1), Ext into A and into DA through K's prefix is
+    that of the minimal bimodule resolution through `degree`, and
+    global_dimension is None at every cap, read off K certified through
+    -(max cap + 1) (asked first, as the CLI summary does)."""
+    from sodhh.modules import simple_module
+    depth = degree + 1
+    assert [global_dimension(A, cap) for cap in sorted(caps, reverse=True)] \
+        == [None] * len(caps)
+    assert certified_koszul(A, max(caps) + 1) is not None
+    for side, B in (("right", A.opposite()), ("left", A)):
+        for u in range(A.num_vertices):
+            minimal = projective_resolution(simple_module(B, u), depth)
+            assert koszul_slice(A, u, side, depth).multiplicity_data() == \
+                minimal.multiplicity_data(), (side, u)
+    ours = diagonal_resolution(A, depth)
+    minimal = projective_resolution(regular_bimodule(A), depth)
+    assert ours.multiplicity_data() == minimal.multiplicity_data()
+    for M in (regular_bimodule(A), dual_bimodule(A)):
+        assert [ext_profile(ours, M).get(n, 0) for n in range(depth)] == \
+            [ext_profile(minimal, M).get(n, 0) for n in range(depth)]
+
+
+@pytest.mark.parametrize("build, caps", [
+    (lambda: CATALOG["loop-x2"].algebra(QQ), range(13)),
+    (lambda: CATALOG["loop-x2"].algebra(GF(3)), range(13)),
+    (lambda: exterior_algebra(2), range(13)),
+    (lambda: exterior_algebra(3), range(13)),
+    (xyz_radical_square, range(6))])
+def test_koszul_algebras_of_infinite_global_dimension_take_k(build, caps):
+    """k[x]/(x^2), the exterior algebras on 2 and 3 generators and
+    k<x,y,z>/rad^2.  K_n of the last has 3^n elements, so it is certified
+    through -6 only: caps 0..5."""
+    assert_k_is_the_route(build(), caps)
+
+
+@st.composite
+def radical_square_zero_cyclic_quivers(draw):
+    """A quiver on 1..3 vertices with an oriented cycle through a random
+    subset of them (a loop on one) and up to two arrows from the cycle to
+    the other vertices, or all of it reversed, modulo all paths of length
+    2, over Q or F_3: Koszul, of infinite global dimension.  With no second
+    cycle, K_n grows linearly in n."""
+    vertices = draw(st.permutations([str(i) for i in
+                                     range(draw(st.integers(1, 3)))]))
+    k = draw(st.integers(1, len(vertices)))
+    cycle, rest = vertices[:k], vertices[k:]
+    arrows = [(f"c{i}", v, w) for i, (v, w)
+              in enumerate(zip(cycle, cycle[1:] + cycle[:1]))]
+    if rest:
+        extra = draw(st.lists(st.tuples(st.sampled_from(cycle),
+                                        st.sampled_from(rest)), max_size=2))
+        arrows += [(f"e{i}", v, w) for i, (v, w) in enumerate(extra)]
+    if draw(st.booleans()):
+        arrows = [(x, w, v) for x, v, w in arrows]
+    return radical_square_zero(sorted(vertices), arrows,
+                               draw(st.sampled_from([QQ, GF(3)])))
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(radical_square_zero_cyclic_quivers())
+def test_radical_square_zero_cycles_take_k(A):
+    assert_k_is_the_route(A)
+
+
+@pytest.mark.parametrize("build", [lambda: CATALOG["loop-x2"].algebra(QQ),
+                                   xyz_radical_square])
+@pytest.mark.parametrize("hh", [hh_cohomology, hh_homology])
+def test_hh_builds_k_once_and_resolves_nothing(build, hh, monkeypatch):
+    """On a fresh Koszul algebra of infinite global dimension, HH^* and
+    HH_* through degree 3 build K once, through -4, for the resolution and
+    the note alike, and resolve neither the diagonal nor a simple."""
+    from test_cli import counting_wrapper
+    A = build()
+    resolved = counting_wrapper(monkeypatch, "projective_resolution",
+                                ["complexes", "hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    profile = hh(A, 3)
+    assert len(tables) == 1 and resolved == [] and profile.note == ""
+    if A.dim == 2:
+        assert profile.as_tuple() == (2, 1, 1, 1)
 
 
 def reference_koszul_spaces(A, n_max):
@@ -716,7 +841,7 @@ def test_global_dimension_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(ColumnEchelon, "solve", counting)
     A = _generated_beilinson(3)
     assert global_dimension(A, 12) == 3
-    assert A._cache["koszul_resolution"] is not None and solved == []
+    assert certified_koszul(A, 13) is not None and solved == []
     reference_koszul_tables(A, 4)
     assert solved
 
@@ -772,17 +897,16 @@ def assert_slices_match_resolutions(A, depth, ordered=True):
 
 
 def test_koszul_slices_match_minimal_resolutions():
-    """On every catalog algebra with a certified K, over Q and F_3, and on
-    generated P^2..P^4, summand for summand in the same order (the order
-    the `kernels build` reports list), and on no other catalog algebra."""
+    """On every catalog algebra, over Q and F_3, and on generated
+    P^2..P^4, summand for summand in the same order (the order the
+    `kernels build` reports list): each has K certified through -6,
+    loop-x2 too, whose global dimension is infinite."""
     sliced = []
     for A in _quadratic_catalog_and_generated():
-        if global_dimension(A, 12) is None:
-            assert koszul_slice(A, 0, "right", 6) is None
-            continue
         assert_slices_match_resolutions(A, 6)
-        sliced.append(A.num_vertices)
-    assert len(sliced) == 19 and max(sliced) == 5
+        sliced.append((A.num_vertices, global_dimension(A, 12)))
+    assert len(sliced) == 21 and max(sliced)[0] == 5
+    assert sliced.count((1, None)) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -795,19 +919,19 @@ def test_koszul_slices_match_minimal_resolutions_on_random_quivers(A):
     the order its kernel bases give, which on some of these quivers is
     another order of the same summands."""
     if koszul_slice(A, 0, "left", 5) is None:
-        assert A._cache["koszul_resolution"] is None
+        assert certified_koszul(A, 5) is None
         return
     assert_slices_match_resolutions(A, 5, ordered=False)
 
 
 def test_koszul_slices_need_a_certified_resolution():
     """Off a certified K there is no slice: not on the quadratic algebra
-    that is not Koszul, not on k[x]/(x^2) (Koszul, of infinite global
-    dimension) and not on an algebra with a relation of length 3."""
+    that is not Koszul, whose K is exact through -1 only, and not on an
+    algebra with a relation of length 3."""
     from sodhh.catalog import get_entry
     from test_cli import linear_a4_cubic
     L = get_entry("loop-x2").algebra(QQ)
-    for A in (_not_koszul(QQ), L, linear_a4_cubic()):
+    for A in (_not_koszul(QQ), linear_a4_cubic()):
         assert koszul_slice(A, 0, "right", 6) is None
         assert koszul_slice(A, 0, "left", 6) is None
     with pytest.raises(ValueError, match="slice side"):
@@ -920,14 +1044,15 @@ def koszul_homology_matches_reference(A, n_max):
 
 def assert_slices_match_reference_decoder(A):
     """Where A has a certified K, every slice at every vertex, on both
-    sides and at depths 0..gd+1, is dict-equal (terms and diffs) to the
-    reference decoding of K's entries."""
+    sides and at depths 0..gd+1 (0..13 where gd is infinite), is
+    dict-equal (terms and diffs) to the reference decoding of K's
+    entries."""
     from sodhh.hochschild import _koszul_entries
-    gd = global_dimension(A, 12)
-    if A._cache.get("koszul_resolution") is None:
+    K = certified_koszul(A, 13)
+    if K is None:
         return
-    entries = _koszul_entries(A, *A._cache["koszul_resolution"])
-    for depth in range(gd + 2):
+    entries = _koszul_entries(A, *K)
+    for depth in range(min(len(K[0]), 13) + 1):
         for side in ("left", "right"):
             for u in range(A.num_vertices):
                 ours = koszul_slice(A, u, side, depth)
@@ -1058,7 +1183,7 @@ def test_global_dimension_makes_no_enveloping_products(monkeypatch):
     A = _generated_beilinson(3)
     assert global_dimension(A, 12) == 3 and built == []
     ProjComplex(A.enveloping(),
-                *_koszul_entries(A, *A._cache["koszul_resolution"]),
+                *_koszul_entries(A, *certified_koszul(A, 13)),
                 check=True)
     assert built
 
@@ -1079,7 +1204,7 @@ def test_truncated_koszul_complex_is_not_certified(monkeypatch):
     monkeypatch.setattr(hochschild, "_koszul_tables", truncated)
     B = get_entry("beilinson-p2").algebra(QQ)
     assert global_dimension(B, 6) == 2
-    assert B._cache["koszul_resolution"] is None
+    assert certified_koszul(B, 7) is None
     assert diagonal_resolution(B, 4).terms == \
         projective_resolution(regular_bimodule(B), 4).terms
 

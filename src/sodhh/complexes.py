@@ -27,8 +27,9 @@ written over A (x) A^op only where a bimodule resolution is asked for.
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
   cone(f)     C^n = Y^n (+) X^{n+1},  d(y, x) = (d_Y y + f x, -d_X x)
-  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X, applied only in
-              ModuleHomComplex, behind HomComplex and ext_profile
+  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X, applied in
+              ModuleHomComplex, behind HomComplex and ext_profile, and
+              for HH in hochschild._hom_complex (d_Y = 0 there)
   tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, applied only
               in _tensor_total, behind every builder of a total tensor complex
   dual        entries transposed, scaled by (-1)^m at source degree m
@@ -415,7 +416,9 @@ def _as_modules(Y):
 
 
 class ModuleHomComplex:
-    """Total Hom complex from a ProjComplex X into Y, the one Hom assembler.
+    """Total Hom complex from a ProjComplex X into Y, the Hom assembler of
+    one-sided Ext and the kernels (HH reads the diagonal resolution's
+    terms in hochschild._hom_complex instead).
 
     Y is a ModuleComplex, or a ProjComplex read as a complex of modules
     through its realization (see _as_modules).  Hom(L e_v, M) is the

@@ -2,11 +2,15 @@
 
 Cohomology (and cohomology with bimodule coefficients) is the cohomology
 of Hom_{A-bimod}(P_*, M) for a projective bimodule resolution P_* of A,
-the one diagonal_resolution returns: the Koszul resolution K of a
+the one diagonal_resolution describes: the Koszul resolution K of a
 quadratic path algebra through the depth to which certified_koszul
 certifies it by Priddy's criterion, else the minimal bimodule resolution.
 Homology is Tor^{A^e}(A, A), the homology of P_* (x)_{A^e} A over the
-same resolution.
+same resolution.  Both complexes read each entry of P's differential as
+terms c p (x) q, p and q basis elements of A (_diagonal_terms): on K's
+route straight from its tables, else from the minimal resolution's
+entries.  A term acts on a bimodule as m |-> c p m q (_hom_complex) and
+on A in P (x)_{A^e} A as m |-> c q m p (_tensor_complex).
 
 K is built here, next to its certificate, and is kept in one form: its
 tables, each column of a differential as a left table (terms a (x) e_w)
@@ -19,8 +23,8 @@ certificate K (x)_A A_0 and the one-sided slices are selected from them
 and every use of K (global_dimension, koszul_slice, diagonal_resolution,
 kernels.diagonal_class) asks it whether K is certified through the depth
 that use needs, on Koszul algebras of infinite global dimension too.  The
-entries of A (x) A^op are written from the tables only where a bimodule
-resolution is asked for: by diagonal_resolution and koszul_resolution.
+entries of A (x) A^op are written from the tables only for the kernel
+side, by diagonal_resolution, and by koszul_resolution; HH writes none.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .algebra import Algebra, PathAlgebra, _lines
+from .algebra import Algebra, PathAlgebra
 from .complexes import (ComplexError, FieldComplex, ProjComplex, SideMismatch,
-                        ext_profile, projective_resolution)
+                        projective_resolution)
 from .linalg import ColumnEchelon, FieldSpec, Matrix, axpy
-from .modules import ModuleRep, dual_bimodule, regular_bimodule, simple_module
+from .modules import (Bimodule, ModuleRep, _image, dual_bimodule,
+                      regular_bimodule, simple_module)
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,9 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
 
     A's cache keeps either under one key per depth, as plain (terms,
     diffs) that name A (x) A^op's vertices and basis by index only, so the
-    cache holds no reference back to A."""
+    cache holds no reference back to A.  The kernels read it, and HH on
+    the minimal route (_diagonal_terms); HH on K's route reads K's tables
+    and writes no entry."""
     env = A.enveloping()
     K = certified_koszul(A, n_max)
     key = ("diagonal_resolution", n_max if K is None else len(K[0]) - 1)
@@ -405,11 +412,192 @@ def _finiteness_note(A: Algebra, n_max: int) -> str:
     return ""
 
 
+# ---------------------------------------------------------------------------
+# Hochschild complexes, read from the resolution's p (x) q terms
+
+
+def _diagonal_terms(A: Algebra, depth: int):
+    """diagonal_resolution(A, depth) as (ends, terms): ends[n] lists the
+    vertex pair (v, w) of each summand A e_v (x) e_w A of degree -n, and
+    terms[n] (n >= 1) the terms (row, col, p, q, c) of d^{-n}, each the
+    part c p (x) q of the entry from summand col to summand row, p and q
+    basis elements of A.  Where certified_koszul certifies K through
+    -depth they are read off K's tables, a left term (row, a): c of the
+    summand (v, w) as (row, col, a, e_w, c) and a right term (row, b): c
+    as (row, col, e_v, b, c), and no entry of A (x) A^op is written; else
+    they are the terms of the minimal resolution's entries."""
+    K = certified_koszul(A, depth)
+    if K is not None:
+        (ends, tables), e, terms = K, A.idempotents, [None]
+        for n in range(1, len(ends)):
+            terms.append(out := [])
+            for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
+                                                              tables[n])):
+                out += [(j, col, a, e[w], c) for (j, a), c in left.items()]
+                out += [(j, col, e[v], b, c) for (j, b), c in right.items()]
+        return ends, terms
+    P = diagonal_resolution(A, depth)
+    env = P.algebra
+    ends = [[env.vertex_pair(code) for code in P.terms[-n]]
+            for n in range(len(P.terms))]
+    return ends, [None] + [
+        [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
+         for p, q, c in env.terms(x)]
+        for n in range(1, len(ends))]
+
+
+def _action(A: Algebra, M: ModuleRep):
+    """split(p, q) = (column, k) with column(k, m) the vector p m q, for
+    basis elements p, q of A and a position m of the A-bimodule M.  M's
+    grading is checked first: the idempotents of each position's declared
+    vertex (v, w) must fix it, e_v on the left and e_w on the right on a
+    Bimodule, e_v (x) e_w on a plain module over A (x) A^op, else
+    ComplexError.  On a Bimodule, p m q is left_col(p, .) after
+    right_col(q, m), an idempotent factor skipped: e_w acts on m as 1
+    where w is m's right vertex, and the Hom assembler checks that the
+    image of a term stays at the vertex of its summand, so that e_v acts
+    on m q as 1.  A plain module acts through column(pair_index(p, q), m)."""
+    env, f, e = M.algebra, A.field, A.idempotents
+    bimodule = isinstance(M, Bimodule)
+    pairs = {code: env.vertex_pair(code) for code in set(M.grading)}
+    for m, code in enumerate(M.grading):
+        (v, w), unit = pairs[code], {m: f.one}
+        if bimodule:
+            fixed = M.left_col(e[v], m) == unit == M.right_col(e[w], m)
+        else:
+            fixed = M.column(env.idempotents[code], m) == unit
+        if not fixed:
+            raise ComplexError(f"position {m} of the coefficients is not at "
+                               "its declared vertex")
+    if not bimodule:
+        return lambda p, q: (M.column, env.pair_index(p, q))
+    left_col, right_col = M.left_col, M.right_col
+    idempotent, images = set(e), {}
+
+    def both(pq, m):   # memoized: one (p, q) recurs in many entries
+        image = images.get((pq, m))
+        if image is None:
+            image = images[pq, m] = _image(f, left_col, pq[0],
+                                           right_col(pq[1], m))
+        return image
+
+    def split(p, q):
+        if q in idempotent:
+            return left_col, p
+        return (right_col, q) if p in idempotent else (both, (p, q))
+    return split
+
+
+def _layout(keys, summands):
+    """The positions m of a module graded by keys[m], laid out over the
+    summands of each degree n, keyed by summands[n]: (place, offsets,
+    blocks, sizes), place[m] m's place among the positions of its key,
+    offsets[n][s] where summand s's block starts, blocks[n][s] its
+    positions and sizes[n] the total."""
+    by_key, place = {}, []
+    for m, key in enumerate(keys):
+        place.append(len(by_key.setdefault(key, [])))
+        by_key[key].append(m)
+    offsets, blocks, sizes = [], [], []
+    for row in summands:
+        blocks.append([by_key.get(key, ()) for key in row])
+        offsets.append([0] * len(row))
+        start = 0
+        for s, block in enumerate(blocks[-1]):
+            offsets[-1][s] = start
+            start += len(block)
+        sizes.append(start)
+    return place, offsets, blocks, sizes
+
+
+def _hom_complex(A: Algebra, M: ModuleRep, ends, terms) -> FieldComplex:
+    """Hom_{A^e}(P, M) for the resolution P = (ends, terms) of
+    _diagonal_terms, in ModuleHomComplex's layout for M in degree 0: the
+    cochains of degree n are (s, m), summand s of P in degree -n and a
+    position m of M in its block at that summand's vertex, in that order.
+    The cochain (s, m) goes to -(-1)^n c p m q on summand t for each term
+    (s, t, p, q, c) of d^{-n-1}, read through _action, which checks M's
+    grading; each image is checked to stay in t's block, raising
+    ComplexError as ModuleHomComplex does."""
+    env, f, grading = M.algebra, A.field, M.grading
+    add, mul, neg = f.add, f.mul, f.neg
+    codes = [[env.vertex(v, w) for v, w in pairs] for pairs in ends]
+    place, offsets, blocks, sizes = _layout(grading, codes)
+    dims = {n: size for n, size in enumerate(sizes) if size}
+    split, mats = _action(A, M), {}
+    for n in dims:
+        if n + 1 not in dims:
+            continue
+        cols = [{} for _ in range(dims[n])]
+        for s, t, p, q, c in terms[n + 1]:
+            code, base = codes[n + 1][t], offsets[n + 1][t]
+            c, start = c if n % 2 else neg(c), offsets[n][s]
+            column, k = split(p, q)
+            for m in blocks[n][s]:
+                col = cols[start + place[m]]
+                for m2, x in column(k, m).items():
+                    if grading[m2] != code:
+                        raise ComplexError("a term of the diagonal resolution "
+                                           "moves a position of the "
+                                           f"coefficients off vertex {code}")
+                    r, x = base + place[m2], mul(c, x)
+                    y = col.get(r)
+                    if y is not None:
+                        x = add(x, y)
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+        mats[n] = Matrix(f, dims[n + 1], dims[n], cols)
+    return FieldComplex(f, dims, mats)
+
+
+def _tensor_complex(A: Algebra, ends, terms) -> FieldComplex:
+    """P (x)_{A^e} A for the resolution P = (ends, terms) of
+    _diagonal_terms, in degrees -n: a summand at (v, w) contributes
+    e_w A e_v, its basis in A's order, and a term (row, col, p, q, c)
+    sends m in col's block to c q m p in row's.  An idempotent factor is
+    skipped, as it fixes m: P's entries lie in their slices."""
+    f = A.field
+    add, mul, product = f.add, f.mul, A.product
+    idempotent = set(A.idempotents)
+    place, offsets, blocks, sizes = _layout(zip(A.src, A.tgt), ends)
+    diffs = {}
+    for n in range(1, len(ends)):
+        cols = [{} for _ in range(sizes[n])]
+        for j, s, p, q, c in terms[n]:
+            base, start = offsets[n - 1][j], offsets[n][s]
+            for m in blocks[n][s]:
+                if q in idempotent:
+                    image = product(m, p)
+                elif p in idempotent:
+                    image = product(q, m)
+                else:
+                    image = {}
+                    for k, c1 in product(q, m).items():
+                        axpy(f, image, product(k, p), c1)
+                col = cols[start + place[m]]
+                for k, x in image.items():
+                    r, x = base + place[k], mul(c, x)
+                    y = col.get(r)
+                    if y is not None:
+                        x = add(x, y)
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+        diffs[-n] = Matrix(f, sizes[n - 1], sizes[n], cols)
+    return FieldComplex(f, {-n: size for n, size in enumerate(sizes)}, diffs)
+
+
 def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int) -> HHProfile:
-    """Ext_{A-bimod}(A, M) in degrees 0..n_max via diagonal_resolution."""
+    """Ext_{A-bimod}(A, M) in degrees 0..n_max: the cohomology of
+    Hom_{A^e}(P, M) for P = diagonal_resolution(A, n_max + 1), assembled
+    from P's p (x) q terms (_diagonal_terms, _hom_complex), on K's route
+    straight from its tables."""
     if M.algebra is not A.enveloping():
         raise SideMismatch("coefficients must be a bimodule over the algebra")
-    prof = ext_profile(diagonal_resolution(A, n_max + 1), M)
+    prof = _hom_complex(A, M, *_diagonal_terms(A, n_max + 1)).homology_dims()
     return HHProfile.from_dict(prof, A.field, n_max)
 
 
@@ -427,33 +615,10 @@ def homology_via_serre_dual(A: Algebra, n_max: int) -> HHProfile:
 
 def hh_homology(A: Algebra, n_max: int) -> HHProfile:
     """Hochschild homology Tor^{A^e}(A, A): the homology of P (x)_{A^e} A
-    for P = diagonal_resolution(A, n_max + 1).  A summand of P at the
-    vertex (v, w) contributes e_w A e_v, and an entry c (a (x) b) of P's
-    differential sends m to c (b m a)."""
-    f = A.field
-    P = diagonal_resolution(A, n_max + 1)
-    env = P.algebra
-    at_vertex = {}   # vertex (v, w) of A (x) A^op -> basis of e_w A e_v
-    for m in range(A.dim):
-        at_vertex.setdefault(env.vertex(A.src[m], A.tgt[m]), []).append(m)
-    bases = {n: [(s, m) for s, code in enumerate(t)
-                 for m in at_vertex.get(code, ())]
-             for n, t in P.terms.items()}
-    diffs = {}
-    for n, d in P.diffs.items():
-        rows = {sm: r for r, sm in enumerate(bases[n + 1])}
-        d_cols = _lines(d, 1)
-        entries = {}
-        for col, (s, m) in enumerate(bases[n]):
-            for i, x in d_cols.get(s, ()):
-                for a, b, c in env.terms(x):
-                    for k, c1 in A.product(b, m).items():
-                        for k2, c2 in A.product(k, a).items():
-                            key = (rows[(i, k2)], col)
-                            entries[key] = f.add(entries.get(key, f.zero),
-                                                 f.mul(c, f.mul(c1, c2)))
-        diffs[n] = Matrix.from_entries(f, len(rows), len(bases[n]), entries)
-    homology = FieldComplex(f, {n: len(b) for n, b in bases.items()},
-                            diffs).homology_dims()
-    return HHProfile.from_dict({-n: h for n, h in homology.items()}, f, n_max,
-                               _finiteness_note(A, n_max))
+    for P = diagonal_resolution(A, n_max + 1), assembled from P's
+    p (x) q terms (_diagonal_terms, _tensor_complex), on K's route
+    straight from its tables."""
+    homology = _tensor_complex(A, *_diagonal_terms(A, n_max + 1)) \
+        .homology_dims()
+    return HHProfile.from_dict({-n: h for n, h in homology.items()}, A.field,
+                               n_max, _finiteness_note(A, n_max))

@@ -1382,19 +1382,162 @@ def test_hh_homology_matches_cyclic_complex_on_generated_beilinson(n):
 
 @pytest.mark.parametrize("argv", [["kernels", "build"],
                                   ["kernels", "additivity"], ["homology"],
-                                  ["kernels", "orthogonality"]])
+                                  ["kernels", "orthogonality"], ["cohomology"],
+                                  ["coeffs", "--bimodule", "serre"]])
 def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     """Every route to the diagonal reads one Koszul resolution per algebra:
     kernels build reads it for the kernels and the K_0 identity check,
     homology for HH_* and the Serre route.  Its tables are built once, and
-    its entries over A (x) A^op are written once where HH_* needs them;
-    kernels build and orthogonality write none, as they read the
-    diagonal's K_0 class off K's ends."""
+    no command writes its entries over A (x) A^op: HH^*, HH_* and the
+    coefficients read the p (x) q terms off the tables, and kernels build
+    and orthogonality read the diagonal's K_0 class off K's ends.  The HH
+    commands build no ModuleHomComplex either."""
     from sodhh.cli import run_command
+    from sodhh.complexes import ModuleHomComplex
     from test_cli import counting_wrapper
     tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     entries = counting_wrapper(monkeypatch, "_koszul_entries", ["hochschild"])
+    homs, init = [], ModuleHomComplex.__init__
+
+    def counting_init(self, *args):
+        homs.append(args)
+        init(self, *args)
+    monkeypatch.setattr(ModuleHomComplex, "__init__", counting_init)
     code, report = run_command(argv + ["--catalog", "beilinson-p2"])
     assert code == 0 and report.all_passed()
     assert len(tables) == 1
-    assert len(entries) == (argv[-1] in ("additivity", "homology"))
+    assert entries == []
+    assert (homs == []) == (argv[0] != "kernels")
+
+
+# ---------------------------------------------------------------------------
+# HH read from the resolution's p (x) q terms, against the A^e entries
+
+
+def reference_tensor_complex(A, P):
+    """P (x)_{A^e} A decoded from P's entries over A (x) A^op, the
+    reference for hochschild._tensor_complex: a summand of P at the
+    vertex (v, w) contributes e_w A e_v, and each term c (a (x) b) of an
+    entry of P's differential sends m to c (b m a)."""
+    f, env = A.field, P.algebra
+    at_vertex = {}   # vertex (v, w) of A (x) A^op -> basis of e_w A e_v
+    for m in range(A.dim):
+        at_vertex.setdefault(env.vertex(A.src[m], A.tgt[m]), []).append(m)
+    bases = {n: [(s, m) for s, code in enumerate(t)
+                 for m in at_vertex.get(code, ())]
+             for n, t in P.terms.items()}
+    diffs = {}
+    for n, d in P.diffs.items():
+        rows = {sm: r for r, sm in enumerate(bases[n + 1])}
+        d_cols = {}
+        for (i, s), x in d.items():
+            d_cols.setdefault(s, []).append((i, x))
+        entries = {}
+        for col, (s, m) in enumerate(bases[n]):
+            for i, x in d_cols.get(s, ()):
+                for a, b, c in env.terms(x):
+                    for k, c1 in A.product(b, m).items():
+                        for k2, c2 in A.product(k, a).items():
+                            key = (rows[(i, k2)], col)
+                            entries[key] = f.add(entries.get(key, f.zero),
+                                                 f.mul(c, f.mul(c1, c2)))
+        diffs[n] = Matrix.from_entries(f, len(rows), len(bases[n]), entries)
+    return FieldComplex(f, {n: len(b) for n, b in bases.items()}, diffs)
+
+
+def plain_module(M):
+    """M as a plain module over A (x) A^op: its column function alone."""
+    from sodhh.modules import ModuleRep
+    return ModuleRep(M.algebra, M.dim, M.column, M.grading, check=False)
+
+
+def assert_hh_complexes_match_references(A, depth=5):
+    """The Hom complexes into A, DA, file-style A and DA (rebuilt from
+    whole action matrices, as --bimodule files are read) and A and DA as
+    plain A^e modules, and the tensor complex P (x)_{A^e} A, all read
+    from _diagonal_terms, equal the ModuleHomComplex and the A^e-entry
+    loop over diagonal_resolution(A, depth), matrix for matrix."""
+    from sodhh.complexes import ModuleHomComplex, module_complex_single
+    from sodhh.hochschild import (_diagonal_terms, _hom_complex,
+                                  _tensor_complex)
+    from test_modules import file_style
+    P, terms = diagonal_resolution(A, depth), _diagonal_terms(A, depth)
+    R, D = regular_bimodule(A), dual_bimodule(A)
+    for M in (R, D, file_style(R), file_style(D), plain_module(R),
+              plain_module(D)):
+        ours = _hom_complex(A, M, *terms)
+        ref = ModuleHomComplex(P, module_complex_single(M))
+        assert ours.dims == ref.dims and ours.diffs == ref.mats
+    ours, ref = _tensor_complex(A, *terms), reference_tensor_complex(A, P)
+    assert ours.dims == ref.dims and ours.diffs == ref.diffs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hh_complexes_match_references_on_the_catalog(field):
+    for entry in CATALOG.values():
+        assert_hh_complexes_match_references(entry.algebra(field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hh_complexes_match_references_on_generated_beilinson(n):
+    assert_hh_complexes_match_references(_generated_beilinson(n))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_hh_complexes_match_references_on_random_quivers(A):
+    assert_hh_complexes_match_references(A)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(non_koszul_quivers())
+def test_hh_complexes_match_references_off_koszul(A):
+    """The minimal route: the terms come from the minimal bimodule
+    resolution's entries."""
+    assert certified_koszul(A, 5) is None
+    assert_hh_complexes_match_references(A)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _three_cycle(QQ), lambda: _three_cycle(GF(5)),
+    lambda: exterior_algebra(2), lambda: exterior_algebra(3, GF(3))],
+    ids=["three-cycle-q", "three-cycle-f5", "exterior-2", "exterior-3-f3"])
+def test_hh_complexes_match_references_on_cycles(build):
+    """Oriented cycles give the tensor complex nonzero blocks e_w A e_v
+    beyond degree 0, and a noncommutative one tells q m p from p m q."""
+    assert_hh_complexes_match_references(build())
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(cyclic_monomial_quivers())
+def test_hh_complexes_match_references_on_cyclic_monomial_quivers(A):
+    """Quadratic draws take K, cubic ones the minimal route."""
+    assert_hh_complexes_match_references(A)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(radical_square_zero_cyclic_quivers())
+def test_hh_complexes_match_references_on_radical_square_zero_cycles(A):
+    assert_hh_complexes_match_references(A)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadratic_quivers())
+def test_hh_euler_characteristic_is_counted_from_k(A):
+    """Every draw is Koszul of global dimension at most 4, so K is
+    certified and ends, and the Euler characteristic of HH^*(A, M) for
+    M = A and DA is that of the cochains of Hom(K, M): the alternating
+    sum over K's summands (v, w) of the dimension of M's block at (v, w),
+    counted from K's ends alone."""
+    K = certified_koszul(A, 6)
+    assert K is not None and len(K[0]) <= 5
+    ends, env = K[0], A.enveloping()
+    for M in (regular_bimodule(A), dual_bimodule(A)):
+        blocks = {}
+        for code in M.grading:
+            blocks[code] = blocks.get(code, 0) + 1
+        cochains = sum((-1) ** n * blocks.get(env.vertex(v, w), 0)
+                       for n, pairs in enumerate(ends) for v, w in pairs)
+        hh = hh_with_coefficients(A, M, len(ends))
+        assert sum((-1) ** n * d for n, d in enumerate(hh.as_tuple())) == \
+            cochains

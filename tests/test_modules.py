@@ -357,6 +357,47 @@ def test_bad_bimodules_raise_under_optimized_python(run_optimized):
         "ModuleAxiomError: left and right actions do not commute on x, x"]
 
 
+MISGRADED_COEFFICIENTS = """
+from sodhh.catalog import CATALOG
+from sodhh.complexes import ComplexError
+from sodhh.hochschild import hh_with_coefficients
+from sodhh.linalg import QQ
+from sodhh.modules import Bimodule, ModuleRep, dual_bimodule, regular_bimodule
+A = CATALOG["kronecker2"].algebra(QQ)
+env, R, D = A.enveloping(), regular_bimodule(A), dual_bimodule(A)
+idempotents = set(A.idempotents)
+
+
+def in_place(i, m):   # an arrow that leaves m at its vertex
+    return R.left_col(i, m) if i in idempotents else {m: QQ.one}
+
+
+for M in (Bimodule(env, R.dim, R.left_col, R.right_col, D.grading,
+                   check=False),
+          ModuleRep(env, R.dim, R.column, D.grading, check=False),
+          Bimodule(env, R.dim, in_place, R.right_col, R.grading,
+                   check=False)):
+    try:
+        hh_with_coefficients(A, M, 2)
+        print("accepted")
+    except ComplexError as exc:
+        print("ComplexError:", exc)
+"""
+
+
+def test_misgraded_coefficients_raise_under_optimized_python(run_optimized):
+    """Coefficients built with check=False are checked where HH reads
+    them, by raising, so `python -O` keeps the checks: A with DA's
+    grading, as a bimodule and as a plain A^e module, fails the grading
+    check, and arrows that leave each position at its vertex fail the
+    check that every image stays at the vertex of its summand."""
+    assert run_optimized(MISGRADED_COEFFICIENTS) == [
+        "ComplexError: position 2 of the coefficients is not at its "
+        "declared vertex"] * 2 + [
+        "ComplexError: a term of the diagonal resolution moves a position "
+        "of the coefficients off vertex 2"]
+
+
 def test_gluing_needs_a_bimodule_over_the_pieces(algebras):
     A = algebras["kronecker2"]
     with pytest.raises(SideMismatch):

@@ -309,9 +309,6 @@ def cmd_coeffs(args, report):
 
 def cmd_generalized(args, report):
     A, _ = _load_algebra(args)
-    # A keeps A (x) A^op only weakly; held for the call, it is built once
-    # for every stage that reaches it (diagonal K_0 class, Serre kernel, HH_*)
-    env = A.enveloping()  # noqa: F841
     _algebra_summary(A, report)
     if args.coeff == "diagonal":
         e = "diagonal"
@@ -434,7 +431,6 @@ def _parse_object_spec(spec, A):
 
 def cmd_kernels(args, report):
     A, _ = _load_algebra(args)
-    env = A.enveloping()  # noqa: F841  (held, as in cmd_generalized)
     _algebra_summary(A, report)
     coll = _default_collection(A)
     if args.subcommand == "build":

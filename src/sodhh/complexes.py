@@ -31,7 +31,7 @@ Sign conventions used throughout:
               ModuleHomComplex, behind HomComplex and ext_profile, and
               for HH in hochschild._hom_complex (d_Y = 0 there)
   tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, applied only
-              in _tensor_total, behind every builder of a total tensor complex
+              in _tensor_total, behind kernels.decomposable_to_env
   dual        entries transposed, scaled by (-1)^m at source degree m
 """
 
@@ -707,45 +707,17 @@ def _proj_diffs(index, entries):
     return diffs
 
 
-def tensor_env_env(P: ProjComplex, Q: ProjComplex) -> ProjComplex:
-    """Convolution of bimodule complexes: P (x)_A Q, both over env(A)."""
-    env = P.algebra
-    if Q.algebra is not env:
-        raise SideMismatch("convolution needs bimodule complexes over the "
-                           "same algebra")
-    A, _ = env.factors
-    f = A.field
-
-    def middle(x, y):
-        (v, w), (v2, w2) = env.vertex_pair(x), env.vertex_pair(y)
-        return [(mu, env.vertex(v, w2)) for mu in A.slice_indices(w, v2)]
-
-    def x_image(a, mu, y):
-        # new middle b . mu; outer entry a (x) e_{w2}
-        e = A.idempotents[env.vertex_pair(y)[1]]
-        for i, j, c in env.terms(a):
-            for mu2, c2 in A.multiply({j: f.one}, {mu: f.one}).items():
-                yield mu2, env.pair_index(i, e), f.mul(c, c2)
-
-    def y_image(b, mu, x):
-        # new middle mu . a; outer entry e_v (x) b
-        e = A.idempotents[env.vertex_pair(x)[0]]
-        for i, j, c in env.terms(b):
-            for mu2, c2 in A.multiply({mu: f.one}, {i: f.one}).items():
-                yield mu2, env.pair_index(e, j), f.mul(c, c2)
-
-    index, terms, entries = _tensor_total(f, P, Q, middle, x_image, y_image)
-    return ProjComplex(env, terms, _proj_diffs(index, entries), check=False)
-
-
 def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     """P (x)_A M for a bimodule complex P and a single bimodule M: the
     termwise twist (A e_v (x) e_w A) (x)_A M = A e_v (x) e_w M, on which A
     acts from the left on the first factor and from the right on M.  With
-    M = DA it is the Serre-twisted target P o S that generalized_hoh
-    builds for a general kernel."""
+    M = DA it is the Serre-twisted target P o S, which the tests take Ext
+    into as the oracle of kernels.decomposable_ext."""
     from .modules import Bimodule
     env = P.algebra
+    if M.algebra is not env:
+        raise SideMismatch("P (x)_A M needs a bimodule over the complex's "
+                           "algebra")
     A, _ = env.factors
     f = A.field
     sides = [env.vertex_pair(code) for code in M.grading]

@@ -9,8 +9,9 @@ Homology is Tor^{A^e}(A, A), the homology of P_* (x)_{A^e} A over the
 same resolution.  Both complexes read each entry of P's differential as
 terms c p (x) q, p and q basis elements of A (_diagonal_terms): on K's
 route straight from its tables, else from the minimal resolution's
-entries.  A term acts on a bimodule as m |-> c p m q (_hom_complex) and
-on A in P (x)_{A^e} A as m |-> c q m p (_tensor_complex).
+entries, decoded once.  A term acts on a bimodule as m |-> c p m q
+(_hom_complex) and on A in P (x)_{A^e} A as m |-> c q m p
+(_tensor_complex).
 
 K is built here, next to its certificate, and is kept in one form: its
 tables, each column of a differential as a left table (terms a (x) e_w)
@@ -23,8 +24,9 @@ certificate K (x)_A A_0 and the one-sided slices are selected from them
 and every use of K (global_dimension, koszul_slice, diagonal_resolution,
 kernels.diagonal_class) asks it whether K is certified through the depth
 that use needs, on Koszul algebras of infinite global dimension too.  The
-entries of A (x) A^op are written from the tables only for the kernel
-side, by diagonal_resolution, and by koszul_resolution; HH writes none.
+entries of A (x) A^op are written (_env_entries) only by
+diagonal_resolution and koszul_resolution, which no command calls: HH
+and the diagonal's K_0 class read the p (x) q terms.
 """
 
 from __future__ import annotations
@@ -225,26 +227,6 @@ def _check_koszul(A: PathAlgebra, ends, tables):
                 raise ComplexError(f"d^2 != 0 at degree {-n}")
 
 
-def _koszul_entries(A: PathAlgebra, ends, tables):
-    """K's terms and differentials over A (x) A^op, written from the tables
-    (see _koszul_tables).  The a and b are arrows, so no a (x) e_w is an
-    e_v (x) b and no two terms meet in one coefficient: each is written,
-    not added."""
-    env, e = A.enveloping(), A.idempotents
-    terms = {-n: tuple(env.vertex(v, w) for v, w in pairs)
-             for n, pairs in enumerate(ends)}
-    diffs = {}
-    for n in range(1, len(tables)):
-        d = diffs[-n] = {}
-        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
-                                                          tables[n])):
-            for (j, a), c in left.items():
-                d.setdefault((j, col), {})[env.pair_index(a, e[w])] = c
-            for (j, b), c in right.items():
-                d.setdefault((j, col), {})[env.pair_index(e[v], b)] = c
-    return terms, diffs
-
-
 def _one_sided(ends, tables, side, u=None):
     """(terms, diffs) of a one-sided complex read from K's tables (see
     _koszul_tables).  side "left" gives K (x)_A S_u over A: the summands
@@ -285,10 +267,12 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
     resolves A exactly when A is Koszul (certified_koszul).
 
     Every build is checked, in A: _check_koszul certifies the tables, and
-    only then are the entries of A (x) A^op written, with check=False."""
+    only then are the entries of A (x) A^op written (_env_entries), with
+    check=False."""
     ends, tables = _koszul_tables(A, n_max)
     _check_koszul(A, ends, tables)
-    return ProjComplex(A.enveloping(), *_koszul_entries(A, ends, tables),
+    return ProjComplex(A.enveloping(),
+                       *_env_entries(A, ends, _table_terms(A, ends, tables)),
                        check=False)
 
 
@@ -385,23 +369,13 @@ def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
     projective_resolution gives one: K through -n_max where
     certified_koszul certifies it that far (a complete K is whole from its
     length on), else the minimal bimodule resolution
-    projective_resolution(regular_bimodule(A), n_max).
-
-    A's cache keeps either under one key per depth, as plain (terms,
-    diffs) that name A (x) A^op's vertices and basis by index only, so the
-    cache holds no reference back to A.  The kernels read it, and HH on
-    the minimal route (_diagonal_terms); HH on K's route reads K's tables
-    and writes no entry."""
-    env = A.enveloping()
-    K = certified_koszul(A, n_max)
-    key = ("diagonal_resolution", n_max if K is None else len(K[0]) - 1)
-    if key not in A._cache:
-        if K is not None:
-            A._cache[key] = _koszul_entries(A, *K)
-        else:
-            P = projective_resolution(regular_bimodule(A), n_max)
-            A._cache[key] = (P.terms, P.diffs)
-    return ProjComplex(env, *A._cache[key], check=False)
+    projective_resolution(regular_bimodule(A), n_max).  Its entries over
+    A (x) A^op are written from the p (x) q terms of _diagonal_terms
+    (_env_entries), which HH and the kernels' K_0 class read instead; no
+    command writes them."""
+    return ProjComplex(A.enveloping(),
+                       *_env_entries(A, *_diagonal_terms(A, n_max)),
+                       check=False)
 
 
 def _finiteness_note(A: Algebra, n_max: int) -> str:
@@ -422,28 +396,55 @@ def _diagonal_terms(A: Algebra, depth: int):
     terms[n] (n >= 1) the terms (row, col, p, q, c) of d^{-n}, each the
     part c p (x) q of the entry from summand col to summand row, p and q
     basis elements of A.  Where certified_koszul certifies K through
-    -depth they are read off K's tables, a left term (row, a): c of the
-    summand (v, w) as (row, col, a, e_w, c) and a right term (row, b): c
-    as (row, col, e_v, b, c), and no entry of A (x) A^op is written; else
-    they are the terms of the minimal resolution's entries."""
+    -depth they are read off K's tables (_table_terms); else they are the
+    terms of the minimal resolution's entries, decoded once and kept in
+    A's cache, plain ints and field elements, under one key per depth."""
     K = certified_koszul(A, depth)
     if K is not None:
-        (ends, tables), e, terms = K, A.idempotents, [None]
-        for n in range(1, len(ends)):
-            terms.append(out := [])
-            for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
-                                                              tables[n])):
-                out += [(j, col, a, e[w], c) for (j, a), c in left.items()]
-                out += [(j, col, e[v], b, c) for (j, b), c in right.items()]
-        return ends, terms
-    P = diagonal_resolution(A, depth)
-    env = P.algebra
-    ends = [[env.vertex_pair(code) for code in P.terms[-n]]
-            for n in range(len(P.terms))]
-    return ends, [None] + [
-        [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
-         for p, q, c in env.terms(x)]
-        for n in range(1, len(ends))]
+        return K[0], _table_terms(A, *K)
+    key = ("diagonal_terms", depth)
+    if key not in A._cache:
+        P = projective_resolution(regular_bimodule(A), depth)
+        env = P.algebra
+        ends = [[env.vertex_pair(code) for code in P.terms[-n]]
+                for n in range(len(P.terms))]
+        A._cache[key] = ends, [None] + [
+            [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
+             for p, q, c in env.terms(x)]
+            for n in range(1, len(ends))]
+    return A._cache[key]
+
+
+def _table_terms(A: Algebra, ends, tables):
+    """The terms (row, col, p, q, c) of K's differentials (see
+    _diagonal_terms) read off its tables: a left term (row, a): c of the
+    summand (v, w) is (row, col, a, e_w, c) and a right term (row, b): c
+    is (row, col, e_v, b, c)."""
+    e, terms = A.idempotents, [None]
+    for n in range(1, len(ends)):
+        terms.append(out := [])
+        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
+                                                          tables[n])):
+            out += [(j, col, a, e[w], c) for (j, a), c in left.items()]
+            out += [(j, col, e[v], b, c) for (j, b), c in right.items()]
+    return terms
+
+
+def _env_entries(A: Algebra, ends, terms):
+    """(terms, diffs) over A (x) A^op of the resolution (ends, terms) of
+    _diagonal_terms: the summand at (v, w) becomes A (x) A^op's vertex
+    (v, w), and the term (row, col, p, q, c) the coefficient c of p (x) q
+    in the entry (row, col) of d^{-n}.  No two terms of an entry share
+    p (x) q (on K's route a and b are arrows), so each is written, not
+    added."""
+    env = A.enveloping()
+    diffs = {}
+    for n in range(1, len(ends)):
+        d = diffs[-n] = {}
+        for j, col, p, q, c in terms[n]:
+            d.setdefault((j, col), {})[env.pair_index(p, q)] = c
+    return {-n: tuple(env.vertex(v, w) for v, w in pairs)
+            for n, pairs in enumerate(ends)}, diffs
 
 
 def _action(A: Algebra, M: ModuleRep):

@@ -1,36 +1,29 @@
 """Bimodule kernel calculus.
 
-A kernel over A is one of
-  * the diagonal (the algebra itself; the convolution unit, resolved on
-    demand by hochschild.diagonal_resolution),
-  * the Serre kernel (the dual bimodule DA; convolving with it realizes
-    the Serre functor),
-  * a general kernel (a bounded complex of projective bimodules, i.e. a
-    ProjComplex over the enveloping algebra), or
-  * a decomposable kernel E (x)_k F' with E a left-module complex and F'
-    a right-module complex, possibly carrying a symbolic Serre twist on
-    one side (adjoints of decomposable kernels are DA-twists).
+A kernel over A is a decomposable kernel E (x)_k F' (Kernel), E a
+complex of projective left A-modules and F' one of right modules,
+possibly carrying a symbolic Serre twist on one side (adjoints of
+decomposable kernels are DA-twists).  The diagonal is A itself, resolved
+by hochschild.diagonal_resolution, and the Serre kernel is the dual
+bimodule DA (modules.dual_bimodule); generalized_hoh reads either as the
+coefficients of Hochschild cohomology.
 
-Convolution is the derived tensor product over A.  Bimodule complexes
-are convolved termwise (tensor_env_env, tensor_env_module), which is
-derived-correct because a contracted side is always projective termwise.
-Of two decomposable kernels only the homology of the convolution is
-computed (convolution_homology_dims), through their inner factors read as
-a Hom complex: for a bounded complex X of finitely generated projective
-left modules, X^v (x)_A Y = Hom_A(X, Y).  A factor that carries DA is
-read by the Nakayama isomorphism, as the reflected homology (q -> -q) of
-a dual:
+Convolution is the derived tensor product over A.  Of two kernels only
+the homology of the convolution is computed (convolution_homology_dims),
+through their inner factors read as a Hom complex: for a bounded complex
+X of finitely generated projective left modules, X^v (x)_A Y =
+Hom_A(X, Y).  A factor that carries DA is read by the Nakayama
+isomorphism, as the reflected homology (q -> -q) of a dual:
   DA (x)_A E = D Hom_A(E, A),   F' (x)_A DA = D Hom_{A^op}(F', A^op),
   Hom_A(X, DA (x)_A G) = D Hom_A(G, X).
 
-Ext between untwisted decomposable kernels, with or without the Serre
-twist, and their K_0 classes come from the two factors over A and A^op
-(decomposable_ext, decomposable_class; Kuenneth, exact over a field), the
-twisted A^op factor read by the same isomorphism; no kernel builds a
-Serre twist of a one-sided complex (serre_twist_left runs only in
-serre-check).  Their complex over A (x) A^op (decomposable_to_env) is
-built only by generalized_hoh's general-kernel route, and is the tests'
-oracle.
+Ext between untwisted kernels, with or without the Serre twist, and their
+K_0 classes come from the two factors over A and A^op (decomposable_ext,
+decomposable_class; Kuenneth, exact over a field), the twisted A^op
+factor read by the same isomorphism; no kernel builds a Serre twist of a
+one-sided complex (serre_twist_left runs only in serre-check).  Their
+complex over A (x) A^op (decomposable_to_env) is built by no command; it
+is the tests' oracle.
 
 The projection kernels P_i = E_i (x) F_i^v of a full collection of
 indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
@@ -46,10 +39,9 @@ from __future__ import annotations
 from .algebra import Algebra
 from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         _tensor_total, dualize, ext_profile,
-                        projective_resolution, tensor_env_env,
-                        tensor_env_module)
+                        projective_resolution)
 from .exceptional import ExceptionalCollection
-from .hochschild import (HHProfile, certified_koszul, diagonal_resolution,
+from .hochschild import (HHProfile, _diagonal_terms, certified_koszul,
                          global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, koszul_slice)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
@@ -57,7 +49,8 @@ from .modules import (Bimodule, dual_bimodule, regular_bimodule,
 
 
 class UnsupportedKernelShape(ValueError):
-    """Adjoints are only available for diagonal and decomposable kernels."""
+    """A Serre twist where the operation takes none (or two where it takes
+    one), or a collection that is not of indecomposable projectives."""
 
 
 class NormalizationFailed(RuntimeError):
@@ -72,60 +65,24 @@ class RangeNotCertified(RuntimeError):
 
 
 class Kernel:
-    def __init__(self, algebra, kind, complex=None, module=None,
-                 left=None, right=None, twist=None, resolves=None):
-        self.algebra = algebra
-        self.kind = kind
-        self.complex = complex      # general: ProjComplex over env(A)
-        self.module = module        # serre: the dual bimodule
-        self.left = left            # decomposable: ProjComplex over A
-        self.right = right          # decomposable: ProjComplex over op(A)
+    """The decomposable kernel E (x)_k F' over A, E a ProjComplex over A
+    and F' one over A^op, or a Serre twist of one: twist 'left' stands for
+    (DA (x)_A E) (x) F', 'right' for E (x) (F' (x)_A DA).  `resolves` is a
+    module that F' resolves, if known (F' -> resolves a
+    quasi-isomorphism), which Ext into F' reads."""
+
+    def __init__(self, E: ProjComplex, Fp: ProjComplex, twist=None,
+                 resolves=None):
+        self.algebra = E.algebra if twist != "left" \
+            else Fp.algebra.opposite()
+        self.left = E
+        self.right = Fp
         self.twist = twist          # None | 'left' | 'right'
-        self.resolves = resolves    # decomposable: a module right resolves
-        self._env = None            # untwisted decomposable: E (x)_k F'
+        self.resolves = resolves
         self._self_ext = None       # (Ext(E, E), Ext(F', _right_target))
 
-    @staticmethod
-    def diagonal(A: Algebra) -> "Kernel":
-        return Kernel(A, "diagonal")
-
-    @staticmethod
-    def serre(A: Algebra) -> "Kernel":
-        return Kernel(A, "serre", module=dual_bimodule(A))
-
-    @staticmethod
-    def general(P: ProjComplex) -> "Kernel":
-        A, _ = P.algebra.factors
-        return Kernel(A, "general", complex=P)
-
-    @staticmethod
-    def decomposable(E: ProjComplex, Fp: ProjComplex, twist=None,
-                     resolves=None) -> "Kernel":
-        """E (x)_k F'; `resolves` is a module that F' resolves, if known
-        (F' -> resolves a quasi-isomorphism), which Ext into F' reads."""
-        return Kernel(E.algebra if twist != "left" else Fp.algebra.opposite(),
-                      "decomposable", left=E, right=Fp, twist=twist,
-                      resolves=resolves)
-
     def __repr__(self):
-        return f"Kernel({self.kind}{', twist=' + self.twist if self.twist else ''})"
-
-
-def as_env_complex(K: Kernel, depth: int) -> ProjComplex:
-    """A projective bimodule complex representing the kernel (for the
-    diagonal, diagonal_resolution truncated at `depth`; an untwisted
-    decomposable kernel builds its complex once and keeps it)."""
-    A = K.algebra
-    if K.kind == "general":
-        return K.complex
-    if K.kind == "diagonal":
-        return diagonal_resolution(A, depth)
-    if K.kind == "decomposable" and K.twist is None:
-        if K._env is None:
-            K._env = decomposable_to_env(K.left, K.right)
-        return K._env
-    raise UnsupportedKernelShape(f"cannot realize {K!r} as a projective "
-                                 "bimodule complex")
+        return f"Kernel(twist={self.twist!r})"
 
 
 def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
@@ -153,9 +110,9 @@ def decomposable_to_env(E: ProjComplex, Fp: ProjComplex) -> ProjComplex:
 
 
 def _require_untwisted(P: Kernel, what: str):
-    if P.kind != "decomposable" or P.twist is not None:
+    if P.twist is not None:
         raise UnsupportedKernelShape(
-            f"{what} needs an untwisted decomposable kernel, got {P!r}")
+            f"{what} needs an untwisted kernel, got {P!r}")
 
 
 def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
@@ -227,18 +184,11 @@ def kernel_adjoint(K: Kernel, which: str) -> Kernel:
     if which not in ("left", "right"):
         raise ValueError(f"adjoint side must be 'left' or 'right', got "
                          f"{which!r}")
-    if K.kind == "diagonal":
-        return K
-    if K.kind != "decomposable":
-        raise UnsupportedKernelShape(
-            f"adjoints of {K.kind} kernels are not supported")
     if K.twist is None:
-        return Kernel.decomposable(dualize(K.right), dualize(K.left),
-                                   twist=("left" if which == "right" else "right"))
-    if K.twist == "left" and which == "left":
-        return Kernel.decomposable(dualize(K.right), dualize(K.left), twist=None)
-    if K.twist == "right" and which == "right":
-        return Kernel.decomposable(dualize(K.right), dualize(K.left), twist=None)
+        return Kernel(dualize(K.right), dualize(K.left),
+                      twist=("left" if which == "right" else "right"))
+    if K.twist == which:
+        return Kernel(dualize(K.right), dualize(K.left))
     raise UnsupportedKernelShape(
         f"{which} adjoint of a {K.twist}-twisted kernel")
 
@@ -255,10 +205,6 @@ def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
               the homology of dualize(E) or dualize(H') reflected.
 
     No Serre twist and no tensor complex is built."""
-    if L.kind != "decomposable" or K.kind != "decomposable":
-        raise UnsupportedKernelShape(
-            f"convolution homology needs decomposable kernels, got {L!r} "
-            f"and {K!r}")
     if L.twist == "right" and K.twist == "left":
         raise UnsupportedKernelShape("convolution of doubly twisted kernels")
     Fv = dualize(L.right)
@@ -282,48 +228,31 @@ def _reflected(prof: dict) -> dict:
 
 
 def generalized_hoh(e, t, n_max: int, algebra=None) -> HHProfile:
-    """Hochschild cohomology with support t and coefficients e:
-    the graded dimensions of Ext(e, e ∘ t).
+    """Hochschild cohomology with support t and coefficients e: the graded
+    dimensions of Ext(e, e ∘ t) over A (x) A^op.
 
-    e: a Kernel, a projective bimodule complex, or 'diagonal';
-    t: a Kernel, 'diagonal', 'serre', or a projective bimodule complex.
-    The diagonal with diagonal or Serre support is Ext into A or DA itself
-    (hh_with_coefficients): a truncated resolution would add false classes.
-    """
-    if isinstance(e, ProjComplex):
-        e = Kernel.general(e)
-    elif e == "diagonal":
+    e: 'diagonal' (with `algebra`) or an untwisted Kernel;
+    t: 'diagonal' or 'serre', the Serre kernel DA.
+    The diagonal is Ext into A or DA itself (hh_with_coefficients): a
+    truncated resolution would add false classes.  A kernel is Ext(P, P)
+    or Ext(P, P ∘ S) by Kuenneth (decomposable_ext)."""
+    if t not in ("diagonal", "serre"):
+        raise ValueError(f"support must be 'diagonal' or 'serre', got {t!r}")
+    if e == "diagonal":
         if algebra is None:
             raise ValueError("diagonal coefficients need the algebra")
-        e = Kernel.diagonal(algebra)
-    A = e.algebra
-    if isinstance(t, ProjComplex):
-        t = Kernel.general(t)
-    elif t == "diagonal":
-        t = Kernel.diagonal(A)
-    elif t == "serre":
-        t = Kernel.serre(A)
-    if e.kind == "diagonal" and t.kind in ("diagonal", "serre"):
-        return hh_with_coefficients(
-            A, regular_bimodule(A) if t.kind == "diagonal" else t.module, n_max)
-    if e.kind == "decomposable" and e.twist is None \
-            and t.kind in ("diagonal", "serre"):
-        prof = decomposable_ext(e, e, serre=t.kind == "serre")
-    else:
-        depth = n_max + 1
-        src = as_env_complex(e, depth)
-        if t.kind == "diagonal":
-            tgt = src
-        elif t.kind == "serre":
-            tgt = tensor_env_module(src, t.module)
-        else:
-            tgt = tensor_env_env(src, as_env_complex(t, depth))
-        prof = ext_profile(src, tgt)
+        M = regular_bimodule(algebra) if t == "diagonal" \
+            else dual_bimodule(algebra)
+        return hh_with_coefficients(algebra, M, n_max)
+    if not isinstance(e, Kernel):
+        raise ValueError("coefficients must be 'diagonal' or a Kernel, got "
+                         f"{e!r}")
+    prof = decomposable_ext(e, e, serre=t == "serre")
     for n in prof:
         if n < 0:
             raise ValueError(f"negative-degree class at {n}; not a support "
                              "profile")
-    return HHProfile.from_dict(prof, A.field, n_max)
+    return HHProfile.from_dict(prof, e.algebra.field, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +263,17 @@ def diagonal_class(A: Algebra, cap: int = 32) -> dict:
     """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
     A e_v (x) e_w A, from a resolution that ends by degree -cap: the
     alternating count of the summands of diagonal_resolution(A, cap + 1),
-    read off the ends of K's tables, with no entry of A (x) A^op written,
-    where K is certified through -(cap + 1)."""
+    read off its ends, K's where certified_koszul certifies K through
+    -(cap + 1), else those of hochschild._diagonal_terms, with no entry
+    of A (x) A^op written."""
     K = certified_koszul(A, cap + 1)
-    if K is not None:
-        terms = dict(enumerate(K[0]))
-    else:
-        res = diagonal_resolution(A, cap + 1)
-        terms = {-n: [res.algebra.vertex_pair(code) for code in t]
-                 for n, t in res.terms.items()}
-    if cap + 1 in terms:
+    ends = K[0] if K is not None else _diagonal_terms(A, cap + 1)[0]
+    if len(ends) > cap + 1:
         raise NormalizationFailed("the diagonal resolution does not end by "
                                   f"degree -{cap}; no K_0 class for the "
                                   "diagonal")
     out = {}
-    for n, pairs in terms.items():
+    for n, pairs in enumerate(ends):
         for vw in pairs:
             out[vw] = out.get(vw, 0) + (-1) ** n
     return {vw: c for vw, c in out.items() if c}
@@ -398,9 +323,9 @@ def projection_kernels(coll: ExceptionalCollection):
                 f"the simple right module at the vertex of E_{i+1} has no "
                 f"resolution of length < {m}; A is not directed, so the "
                 "collection is not full")
-        kernels.append(Kernel.decomposable(E, Fp, resolves=S))
+        kernels.append(Kernel(E, Fp, resolves=S))
     # the classes are compared as (v, w) pairs, so only the diagonal's
-    # resolution needs A (x) A^op
+    # minimal resolution, off K's route, needs A (x) A^op
     if _class_sum(kernels) != diagonal_class(A):
         raise NormalizationFailed(
             "the kernel classes do not sum to the diagonal class (the "

@@ -204,14 +204,18 @@ def test_criterion_11_structural_suite(algebras):
         assert rank(bar_augmentation_matrix(A, bar)) == A.dim, name
     # run the d^2 = 0 / slice validator over derived complexes too
     from sodhh.kernels import decomposable_to_env
-    from sodhh.complexes import cone, tensor_env_env
+    from sodhh.complexes import ModuleComplex, cone, tensor_env_module
     from sodhh.exceptional import evaluation_map
+    from sodhh.modules import dual_bimodule
     K2 = algebras["kronecker2"]
     ks = projection_kernels(projective_collection(K2))
     for P in ks:
         decomposable_to_env(P.left, P.right)._validate()
     envs = [decomposable_to_env(P.left, P.right) for P in ks]
-    tensor_env_env(envs[0], envs[1])._validate()
+    twisted = tensor_env_module(envs[0], dual_bimodule(K2))
+    for M in twisted.modules.values():
+        M.check_axioms()
+    ModuleComplex(twisted.algebra, twisted.modules, twisted.diffs)
     from sodhh.complexes import single_projective
     cone(evaluation_map(single_projective(K2, 1),
                         single_projective(K2, 0)))._validate()

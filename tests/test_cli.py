@@ -414,7 +414,6 @@ def test_kernel_commands_take_ext_and_classes_from_the_factors(tmp_path,
     from sodhh import complexes, kernels
     called = []
     for module, name in ((kernels, "decomposable_to_env"),
-                         (kernels, "tensor_env_module"),
                          (complexes, "tensor_env_module")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name: called.append(name))
@@ -427,14 +426,20 @@ def test_kernel_commands_take_ext_and_classes_from_the_factors(tmp_path,
     assert called == []
 
 
-def test_kernel_commands_build_the_enveloping_algebra_once(monkeypatch):
-    """A holds A (x) A^op only weakly; each kernel command builds it once
-    and shares it between its stages."""
+def test_kernel_commands_build_the_enveloping_algebra_once(tmp_path,
+                                                          monkeypatch):
+    """The kernel commands on a Koszul algebra, catalog beilinson-p2 and
+    generated P^2, build A (x) A^op not even once: Ext and the K_0 classes
+    come from the factors over A and A^op, the diagonal's class from K's
+    ends and HH_* from K's tables."""
+    p = tmp_path / "p2.json"
+    p.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
+        2, {"kind": "q"}, seed=1)))
     built = count_builds(monkeypatch)
-    for command in KERNEL_COMMANDS:
-        built.clear()
-        code, _ = run_command(command + ["--catalog", "beilinson-p2"])
-        assert code == 0 and len(built) == 1, command
+    for source in (["--catalog", "beilinson-p2"], ["--file", str(p)]):
+        for command in KERNEL_COMMANDS:
+            code, _ = run_command(command + source)
+            assert code == 0 and built == [], (command, source)
 
 
 def test_kernels_additivity_of_generated_p4(tmp_path):
@@ -582,7 +587,7 @@ def test_kernel_commands_slice_the_right_factors_off_k(tmp_path,
     """On a Koszul algebra of finite global dimension the right factors are
     slices of the certified K: `kernels additivity` on generated P^3 and
     `kernels build` / `orthogonality` on beilinson-p2 resolve no simple,
-    and build A (x) A^op once, as before."""
+    and build no A (x) A^op."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
                                 ["complexes", "hochschild", "kernels", "cli"])
     sliced = counting_wrapper(monkeypatch, "koszul_slice",
@@ -601,7 +606,7 @@ def test_kernel_commands_slice_the_right_factors_off_k(tmp_path,
         code, report = run_command(argv)
         assert code == 0 and report.all_passed(), argv
         assert resolved == [] and len(sliced) == vertices, argv
-        assert len(built) == 1, argv
+        assert built == [], argv
 
 
 def test_projection_kernels_resolve_the_simples_off_koszul(monkeypatch):

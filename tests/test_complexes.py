@@ -8,12 +8,11 @@ from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
                              compose_chainmaps, cone, direct_sum, dualize,
                              ext_profile, minimalize, module_complex_single,
                              projective_resolution, serre_twist_left,
-                             single_projective, tensor_env_env,
-                             tensor_env_module, zero_complex)
+                             single_projective, tensor_env_module,
+                             zero_complex)
 from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
-from sodhh.kernels import (Kernel, as_env_complex, decomposable_to_env,
-                           projection_kernels)
+from sodhh.kernels import decomposable_to_env, projection_kernels
 from sodhh.linalg import GF, QQ, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule, simple_module
 
@@ -105,9 +104,10 @@ def test_ext_projective_is_exceptional(A2):
 
 def test_tensor_unit_bar(A2):
     """A (x)_A A = A at the derived level: the bar resolution convolved
-    with itself has homology A in degree 0."""
+    with the diagonal A has homology A in degree 0."""
     bar = bar_resolution(A2, 6)
-    assert tensor_env_env(bar, bar).homology_dims() == {0: A2.dim}
+    assert checked(tensor_env_module(bar, regular_bimodule(A2))) == \
+        {0: A2.dim}
 
 
 def test_tensor_decomposable_contraction(A2):
@@ -570,7 +570,7 @@ from sodhh.catalog import get_entry
 from sodhh.complexes import (ModuleHomComplex, SideMismatch, bar_resolution,
                              direct_sum, dualize, module_complex_single,
                              projective_resolution, single_projective,
-                             tensor_env_env)
+                             tensor_env_module)
 from sodhh.hochschild import hh_with_coefficients
 from sodhh.kernels import decomposable_to_env
 from sodhh.linalg import QQ
@@ -581,7 +581,8 @@ for build in (
         lambda: ModuleHomComplex(
             projective_resolution(simple_module(K2, 0), 3),
             module_complex_single(simple_module(K3, 0))).ext_profile(),
-        lambda: tensor_env_env(bar_resolution(K2, 2), bar_resolution(K3, 2)),
+        lambda: tensor_env_module(bar_resolution(K2, 2),
+                                  regular_bimodule(K3)),
         lambda: direct_sum([single_projective(K2, 0),
                             single_projective(K3, 0)]),
         lambda: decomposable_to_env(single_projective(K2, 0),
@@ -597,7 +598,7 @@ for build in (
 
 SIDE_RAISED = [
     "SideMismatch: Hom requires a complex and modules over the same algebra",
-    "SideMismatch: convolution needs bimodule complexes over the same algebra",
+    "SideMismatch: P (x)_A M needs a bimodule over the complex's algebra",
     "SideMismatch: direct sum of complexes over different algebras",
     "SideMismatch: decomposable kernel needs a right complex over the left "
     "complex's algebra",
@@ -683,8 +684,7 @@ def test_tensor_builders_pass_checks_and_kuenneth(algebras):
                                              F.homology_dims())
             nonzero += bool(envP.diffs)
         for P in [bar] + envs[-2:]:
-            for Q in [bar] + envs[-2:]:
-                checked(tensor_env_env(P, Q))
+            checked(tensor_env_module(P, dual_bimodule(A)))
         twists = [serre_twist_left(R) for R in res]
         Ws = []
         for E, F in parts:
@@ -836,7 +836,7 @@ def test_sparse_form_invariants(algebras):
                     assert_minimalized(C)
                     cones += bool(C.diffs)
         envs = [decomposable_to_env(R, dualize(S)) for R in res for S in res]
-        for T in [tensor_env_env(bar, bar)] + envs:
+        for T in envs:
             assert_sparse_complex(T)
     assert cones > 0
 
@@ -960,10 +960,10 @@ def test_hom_assembler_matches_the_two_it_replaced(algebras):
         for M in (regular_bimodule(A), dual_bimodule(A)):
             nonzero += check_hom(bar, module_complex_single(M))
         if CATALOG[name].has_collection:
-            serre = Kernel.serre(A)
+            DA = dual_bimodule(A)
             for P in projection_kernels(projective_collection(A)):
-                envP = as_env_complex(P, 0)
-                nonzero += check_hom(envP, tensor_env_module(envP, serre.module))
+                envP = decomposable_to_env(P.left, P.right)
+                nonzero += check_hom(envP, tensor_env_module(envP, DA))
                 nonzero += check_hom(envP, envP)
     assert nonzero > 0
 

@@ -250,14 +250,19 @@ def test_prime_field_agreement():
 
 def test_generalized_matches_named_routes(algebras):
     """The paper's Ext(P_D, P_D) and Ext(P_D, P_D o S) over the diagonal
-    resolution P_D itself, and the 'diagonal' coefficients, which take Ext
-    into A and DA, give HH^* and HH_*."""
+    resolution P_D itself, P_D o S = P_D (x)_A DA, and the 'diagonal'
+    coefficients, which take Ext into A and DA, give HH^* and HH_*."""
+    from sodhh.complexes import tensor_env_module
     A = algebras["kronecker2"]
-    for e in (diagonal_resolution(A, 5), "diagonal"):
-        assert generalized_hoh(e, "diagonal", 4, algebra=A).as_tuple() == \
-            hh_cohomology(A, 4).as_tuple()
-        assert generalized_hoh(e, "serre", 4, algebra=A).as_tuple() == \
-            hh_homology(A, 4).as_tuple()
+    P = diagonal_resolution(A, 5)
+    hh, hh_lower = hh_cohomology(A, 4).as_tuple(), hh_homology(A, 4).as_tuple()
+    assert tuple(ext_profile(P, P).get(n, 0) for n in range(5)) == hh
+    assert tuple(ext_profile(P, tensor_env_module(P, dual_bimodule(A)))
+                 .get(n, 0) for n in range(5)) == hh_lower
+    assert generalized_hoh("diagonal", "diagonal", 4, algebra=A) \
+        .as_tuple() == hh
+    assert generalized_hoh("diagonal", "serre", 4, algebra=A) \
+        .as_tuple() == hh_lower
 
 
 def test_profile_bound_enforced(algebras):
@@ -956,6 +961,13 @@ def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
     assert built == []
 
 
+def koszul_entries(A, ends, tables):
+    """K's terms and differentials over A (x) A^op, written from its
+    tables, as koszul_resolution writes them without its check."""
+    from sodhh.hochschild import _env_entries, _table_terms
+    return _env_entries(A, ends, _table_terms(A, ends, tables))
+
+
 def reference_koszul_homology(A, K):
     """Homology dimensions of K (x)_A A_0 as they were found before the
     certificate read K's tables: decoded from K's entries over A (x) A^op.
@@ -1032,9 +1044,9 @@ def koszul_homology_matches_reference(A, n_max):
     -n_max, asserted equal to the reference decoding of K's entries; it is
     returned."""
     from sodhh.complexes import ProjComplex
-    from sodhh.hochschild import _koszul_entries, _koszul_tables, _one_sided
+    from sodhh.hochschild import _koszul_tables, _one_sided
     ends, tables = _koszul_tables(A, n_max)
-    K = ProjComplex(A.enveloping(), *_koszul_entries(A, ends, tables),
+    K = ProjComplex(A.enveloping(), *koszul_entries(A, ends, tables),
                     check=False)
     homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
                            check=False).homology_dims()
@@ -1047,11 +1059,10 @@ def assert_slices_match_reference_decoder(A):
     sides and at depths 0..gd+1 (0..13 where gd is infinite), is
     dict-equal (terms and diffs) to the reference decoding of K's
     entries."""
-    from sodhh.hochschild import _koszul_entries
     K = certified_koszul(A, 13)
     if K is None:
         return
-    entries = _koszul_entries(A, *K)
+    entries = koszul_entries(A, *K)
     for depth in range(min(len(K[0]), 13) + 1):
         for side in ("left", "right"):
             for u in range(A.num_vertices):
@@ -1116,8 +1127,7 @@ def test_koszul_check_agrees_with_compose_on_perturbed_tables():
     import random
     from sodhh.catalog import get_entry
     from sodhh.complexes import ComplexError, _compose
-    from sodhh.hochschild import (_check_koszul, _koszul_entries,
-                                  _koszul_tables)
+    from sodhh.hochschild import _check_koszul, _koszul_tables
     rng = random.Random(24)
     raised = 0
     for A in (_generated_beilinson(3),
@@ -1134,7 +1144,7 @@ def test_koszul_check_agrees_with_compose_on_perturbed_tables():
             c = tables[n][col][side][key]
             value = rng.choice([f.neg(c), f.mul(f.coerce(2), c), None])
             changed = _perturbed(tables, n, col, side, key, value)
-            _, diffs = _koszul_entries(A, ends, changed)
+            _, diffs = koszul_entries(A, ends, changed)
             expected = next((f"d^2 != 0 at degree {-m}"
                              for m in range(2, len(tables))
                              if _compose(env, diffs[-m], diffs[-m + 1])), None)
@@ -1175,15 +1185,14 @@ def test_koszul_resolution_raises_on_a_corrupted_table(monkeypatch):
 def test_global_dimension_makes_no_enveloping_products(monkeypatch):
     """Certifying K on a fresh generated P^3 works in A only:
     global_dimension(A, 12) builds no A (x) A^op at all, and the tables it
-    caches, written out with _koszul_entries, pass the generic check."""
+    caches, written out over A (x) A^op, pass the generic check."""
     from sodhh.complexes import ProjComplex
-    from sodhh.hochschild import _koszul_entries
     from test_cli import count_builds
     built = count_builds(monkeypatch)
     A = _generated_beilinson(3)
     assert global_dimension(A, 12) == 3 and built == []
     ProjComplex(A.enveloping(),
-                *_koszul_entries(A, *certified_koszul(A, 13)),
+                *koszul_entries(A, *certified_koszul(A, 13)),
                 check=True)
     assert built
 
@@ -1396,7 +1405,7 @@ def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     from sodhh.complexes import ModuleHomComplex
     from test_cli import counting_wrapper
     tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
-    entries = counting_wrapper(monkeypatch, "_koszul_entries", ["hochschild"])
+    entries = counting_wrapper(monkeypatch, "_env_entries", ["hochschild"])
     homs, init = [], ModuleHomComplex.__init__
 
     def counting_init(self, *args):
@@ -1456,12 +1465,18 @@ def assert_hh_complexes_match_references(A, depth=5):
     whole action matrices, as --bimodule files are read) and A and DA as
     plain A^e modules, and the tensor complex P (x)_{A^e} A, all read
     from _diagonal_terms, equal the ModuleHomComplex and the A^e-entry
-    loop over diagonal_resolution(A, depth), matrix for matrix."""
+    loop over the resolution P, matrix for matrix: K, written out over
+    A (x) A^op by diagonal_resolution, where K is certified through
+    -depth, else the minimal bimodule resolution as projective_resolution
+    builds it, not the entries written back from the terms."""
     from sodhh.complexes import ModuleHomComplex, module_complex_single
     from sodhh.hochschild import (_diagonal_terms, _hom_complex,
                                   _tensor_complex)
     from test_modules import file_style
-    P, terms = diagonal_resolution(A, depth), _diagonal_terms(A, depth)
+    P = diagonal_resolution(A, depth) \
+        if certified_koszul(A, depth) is not None \
+        else projective_resolution(regular_bimodule(A), depth)
+    terms = _diagonal_terms(A, depth)
     R, D = regular_bimodule(A), dual_bimodule(A)
     for M in (R, D, file_style(R), file_style(D), plain_module(R),
               plain_module(D)):

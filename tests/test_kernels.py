@@ -6,13 +6,13 @@ from sodhh.complexes import (FieldComplex, ModuleComplex, ModuleHomComplex,
                              _tensor_total, dualize, ext_profile,
                              module_complex_single, projective_resolution,
                              serre_twist_left, single_projective,
-                             tensor_env_env, tensor_env_module)
+                             tensor_env_module)
 from sodhh.exceptional import (ExceptionalCollection, dual_collection,
                                minimal_data, mutate, projective_collection)
-from sodhh.hochschild import hh_homology
+from sodhh.hochschild import diagonal_resolution, hh_homology
 from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            UnsupportedKernelShape, additivity_check,
-                           as_env_complex, convolution_homology_dims,
+                           convolution_homology_dims,
                            decomposable_class, decomposable_ext,
                            decomposable_to_env, fullness_certificate,
                            generalized_hoh, k0_identity_check, kernel_adjoint,
@@ -20,7 +20,7 @@ from sodhh.kernels import (Kernel, NormalizationFailed, RangeNotCertified,
                            projection_kernels)
 from sodhh.linalg import GF, QQ, Matrix
 from sodhh.modules import (ModuleRep, dual_bimodule, free_gluing_bimodule,
-                           simple_module)
+                           regular_bimodule, simple_module)
 
 
 def kron(n):
@@ -55,23 +55,6 @@ def ksB(B):
 # -- convolution --------------------------------------------------------------
 
 
-def test_diagonal_is_unit(K2, ks2):
-    """The diagonal's resolution is a two-sided unit for the termwise
-    convolution of bimodule complexes, up to homotopy."""
-    D = as_env_complex(Kernel.diagonal(K2), 6)
-    P = decomposable_to_env(ks2[0].left, ks2[0].right)
-    assert minimal_data(tensor_env_env(D, P)) == minimal_data(P) == \
-        minimal_data(tensor_env_env(P, D))
-
-
-def test_convolution_associativity(K2, ks2):
-    gens = [decomposable_to_env(k.left, k.right) for k in ks2]
-    L, M, K = gens[0], gens[1], gens[0]
-    c1 = tensor_env_env(tensor_env_env(L, M), K)
-    c2 = tensor_env_env(L, tensor_env_env(M, K))
-    assert minimal_data(c1) == minimal_data(c2)
-
-
 def test_convolution_decomposable_contraction(K2, ks2):
     """(E (x) F') o (G (x) H') contracts through the middle complex
     F' (x)_A G: projections to orthogonal pieces compose to 0, and P_i o P_i
@@ -92,8 +75,8 @@ def test_convolution_termwise_dimensions(K2):
     Fp = dualize(single_projective(K2, 1))  # e_2 A
     G = single_projective(K2, 0)          # A e_1
     Hp = dualize(single_projective(K2, 1))
-    L = Kernel.decomposable(E, Fp)
-    K = Kernel.decomposable(G, Hp)
+    L = Kernel(E, Fp)
+    K = Kernel(G, Hp)
     W = ModuleHomComplex(dualize(Fp), G).field_complex()   # e_2 A e_1
     assert W.dims == {0: 2}
     dimE = len(K2.column_indices(1))                 # dim A e_2 = 1
@@ -102,10 +85,11 @@ def test_convolution_termwise_dimensions(K2):
 
 
 def test_bar_convolution_is_identity_on_homology(K2):
-    bar = Kernel.diagonal(K2)
-    P = as_env_complex(bar, 6)
-    from sodhh.complexes import tensor_env_env
-    assert tensor_env_env(P, P).homology_dims() == {0: K2.dim}
+    """The diagonal's resolution P convolved with the diagonal A,
+    P (x)_A A, has the homology of A."""
+    T = tensor_env_module(diagonal_resolution(K2, 6), regular_bimodule(K2))
+    assert FieldComplex(K2.field, {n: M.dim for n, M in T.modules.items()},
+                        T.diffs).homology_dims() == {0: K2.dim}
 
 
 # -- Serre kernel ---------------------------------------------------------------
@@ -141,18 +125,6 @@ def test_serre_duality_graded_probes(K2):
 
 
 # -- adjoints --------------------------------------------------------------------
-
-
-def test_adjoint_of_diagonal(K2):
-    diag = Kernel.diagonal(K2)
-    assert kernel_adjoint(diag, "left") is diag
-    assert kernel_adjoint(diag, "right") is diag
-
-
-def test_adjoint_rejects_general(K2, ks2):
-    P = Kernel.general(decomposable_to_env(ks2[0].left, ks2[0].right))
-    with pytest.raises(UnsupportedKernelShape):
-        kernel_adjoint(P, "left")
 
 
 def applied(K, X):
@@ -431,8 +403,12 @@ def test_fullness_point():
 
 
 def test_generalized_unit_support(K2, ks2):
-    env = decomposable_to_env(ks2[0].left, ks2[0].right)
-    assert generalized_hoh(env, "diagonal", 4).as_tuple() == (1, 0, 0, 0, 0)
+    """HH^* of an exceptional component, Ext(P, P) of its projection
+    kernel, is k (test_projection_kernels_selfext checks the same over
+    A (x) A^op)."""
+    for P in ks2:
+        assert generalized_hoh(P, "diagonal", 4).as_tuple() == \
+            (1, 0, 0, 0, 0)
 
 
 def test_generalized_serre_support_matches_homology(K2):
@@ -444,10 +420,15 @@ def test_generalized_additivity_on_kernel_triangle(K2, ks2):
     """dim HOH_S(diagonal) = sum of dim HOH_S(P_i): the direct-sum
     consequence of the projection-kernel filtration of the diagonal."""
     total = generalized_hoh("diagonal", "serre", 4, algebra=K2)
-    parts = [generalized_hoh(decomposable_to_env(P.left, P.right), "serre", 4)
-             for P in ks2]
+    DA = dual_bimodule(K2)
+    parts = []
+    for P in ks2:
+        env = decomposable_to_env(P.left, P.right)
+        parts.append(ext_profile(env, tensor_env_module(env, DA)))
+        assert generalized_hoh(P, "serre", 4).as_tuple() == \
+            tuple(parts[-1].get(n, 0) for n in range(5))
     for n in range(5):
-        assert total.dim(n) == sum(p.dim(n) for p in parts)
+        assert total.dim(n) == sum(p.get(n, 0) for p in parts)
 
 
 # Caller errors in the kernel calculus raise real exceptions, so
@@ -455,15 +436,19 @@ def test_generalized_additivity_on_kernel_triangle(K2, ks2):
 KERNEL_MISUSE = """
 from sodhh.catalog import get_entry
 from sodhh.exceptional import projective_collection
-from sodhh.kernels import (Kernel, convolution_homology_dims,
-                           generalized_hoh, kernel_adjoint,
-                           projection_kernels)
+from sodhh.kernels import (convolution_homology_dims, generalized_hoh,
+                           kernel_adjoint, projection_kernels)
 from sodhh.linalg import QQ
 A = get_entry("kronecker2").algebra(QQ)
 P = projection_kernels(projective_collection(A))[0]
 for build in (
         lambda: kernel_adjoint(P, "up"),
-        lambda: convolution_homology_dims(Kernel.serre(A), P),
+        lambda: kernel_adjoint(kernel_adjoint(P, "left"), "left"),
+        lambda: convolution_homology_dims(kernel_adjoint(P, "left"),
+                                          kernel_adjoint(P, "right")),
+        lambda: generalized_hoh(kernel_adjoint(P, "left"), "serre", 2),
+        lambda: generalized_hoh(P, "general", 2),
+        lambda: generalized_hoh("P1", "serre", 2),
         lambda: generalized_hoh("diagonal", "diagonal", 2)):
     try:
         build()
@@ -475,8 +460,12 @@ for build in (
 
 KERNEL_MISUSE_RAISED = [
     "ValueError: adjoint side must be 'left' or 'right', got 'up'",
-    "UnsupportedKernelShape: convolution homology needs decomposable "
-    "kernels, got Kernel(serre) and Kernel(decomposable)",
+    "UnsupportedKernelShape: left adjoint of a right-twisted kernel",
+    "UnsupportedKernelShape: convolution of doubly twisted kernels",
+    "UnsupportedKernelShape: Kuenneth Ext needs an untwisted kernel, got "
+    "Kernel(twist='right')",
+    "ValueError: support must be 'diagonal' or 'serre', got 'general'",
+    "ValueError: coefficients must be 'diagonal' or a Kernel, got 'P1'",
     "ValueError: diagonal coefficients need the algebra"]
 
 
@@ -487,13 +476,6 @@ def test_kernel_misuse_raises(capsys):
 
 def test_kernel_misuse_raises_under_optimized_python(run_optimized):
     assert run_optimized(KERNEL_MISUSE) == KERNEL_MISUSE_RAISED
-
-
-def test_projection_kernels_keep_their_env_complex(ksB):
-    for P in ksB:
-        envP = as_env_complex(P, 0)
-        assert as_env_complex(P, 3) is envP
-        assert envP.terms == decomposable_to_env(P.left, P.right).terms
 
 
 # -- Kuenneth over A and A^op against the A (x) A^op route ----------------------
@@ -569,7 +551,7 @@ def test_projection_kernels_match_the_mutation_route(name, field,
     assert mutations == []
     duals, shifts = dual_collection(coll)
     assert len(mutations) == len(coll) * (len(coll) - 1) // 2
-    oracle = [Kernel.decomposable(E, dualize(F.shift(s)))
+    oracle = [Kernel(E, dualize(F.shift(s)))
               for E, F, s in zip(coll.objects, duals, shifts)]
     for P, Q in zip(ks, oracle):
         assert P.resolves.grading == P.left.terms[0]
@@ -785,7 +767,7 @@ def compare_adjoint_convolutions(algebras, shift=0):
     profiles compared."""
     profiles = []
     for A in algebras:
-        ks = [Kernel.decomposable(P.left.shift(shift),
+        ks = [Kernel(P.left.shift(shift),
                                   P.right.shift(-2 * shift))
               for P in projection_kernels(projective_collection(A))]
         shapes = ks + [kernel_adjoint(P, side) for side in ("left", "right")
@@ -827,10 +809,13 @@ def test_shifted_adjoint_convolutions_match_the_tensor_route(field):
 
 def diagonal_class_from_resolution(A, cap):
     """The K_0 class of the diagonal as it was read before it came from
-    K's ends: decoded from the Euler class of diagonal_resolution; the
-    string "raises" if that has a term at -(cap + 1)."""
-    from sodhh.hochschild import diagonal_resolution
-    res = diagonal_resolution(A, cap + 1)
+    K's ends: decoded from the Euler class of diagonal_resolution, off
+    K's route of the minimal bimodule resolution itself; the string
+    "raises" if that has a term at -(cap + 1)."""
+    from sodhh.hochschild import certified_koszul
+    res = diagonal_resolution(A, cap + 1) \
+        if certified_koszul(A, cap + 1) is not None \
+        else projective_resolution(regular_bimodule(A), cap + 1)
     if -(cap + 1) in res.terms:
         return "raises"
     env = res.algebra
@@ -847,7 +832,7 @@ def test_diagonal_class_is_the_alternating_count_of_k(monkeypatch):
     from sodhh.kernels import diagonal_class
     from test_cli import counting_wrapper
     from test_hochschild import _generated_beilinson
-    entries = counting_wrapper(monkeypatch, "_koszul_entries", ["hochschild"])
+    entries = counting_wrapper(monkeypatch, "_env_entries", ["hochschild"])
     builds = [lambda f=field, name=name: get_entry(name).algebra(f)
               for name in catalog_names() for field in (QQ, GF(3))]
     builds += [lambda n=n: _generated_beilinson(n) for n in (2, 3, 4)]

@@ -24,21 +24,20 @@ import sys
 from .algebra import (NonAdmissible, NotFiniteDimensional, Quiver, Relation,
                       build_path_algebra, center)
 from .catalog import CATALOG, catalog_names, get_entry, structure_hash
-from .complexes import (ext_profile, projective_resolution, serre_twist_left,
-                        single_projective)
+from .complexes import ext_profile, serre_twist_left, single_projective
 from .exceptional import (ExceptionalCollection, NotExceptional, NotFull,
                           bdi_check, dual_collection, mutate,
                           projective_collection, sod_project)
 from .hochschild import (global_dimension, hh_cohomology, hh_homology,
                          hh_with_coefficients, homology_via_serre_dual,
-                         koszul_slice)
+                         simple_resolution)
 from .kernels import (NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
 from .linalg import GF, QQ, FieldSpec, Matrix
 from .modules import Bimodule, ModuleAxiomError, bimodule_from_actions, \
-    dual_bimodule, regular_bimodule, simple_module
+    dual_bimodule, regular_bimodule
 from .report import Report
 
 
@@ -241,10 +240,6 @@ def _load_algebra(args):
     raise SchemaError("one of --catalog or --file is required")
 
 
-def _default_collection(A):
-    return projective_collection(A)
-
-
 def _algebra_summary(A, report: Report):
     """Write the algebra section; returns dim Z(A) for reuse."""
     cdim, _ = center(A)
@@ -318,7 +313,7 @@ def cmd_generalized(args, report):
         except ValueError:
             raise SchemaError(f"--coeff: expected 'diagonal' or 'P<i>' with "
                               f"an integer i, got {args.coeff!r}") from None
-        coll = _default_collection(A)
+        coll = projective_collection(A)
         if not 1 <= idx <= len(coll):
             raise SchemaError(f"--coeff: index {idx} out of range")
         e = projection_kernels(coll)[idx - 1]
@@ -337,11 +332,8 @@ def cmd_serre_check(args, report):
     _algebra_summary(A, report)
     n = args.max_degree
     probes = [("P", v, single_projective(A, v)) for v in range(A.num_vertices)]
-    for v in range(A.num_vertices):
-        S = koszul_slice(A, v, "left", n + 1)
-        if S is None:
-            S = projective_resolution(simple_module(A, v), n + 1)
-        probes.append(("S", v, S))
+    probes += [("S", v, simple_resolution(A, v, "left", n + 1))
+               for v in range(A.num_vertices)]
     twisted = [serre_twist_left(Y) for _, _, Y in probes]
     table = {}
     ok = True
@@ -370,7 +362,7 @@ def _collection_summary(coll):
 def cmd_collection(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
-    coll = _default_collection(A)
+    coll = projective_collection(A)
     report.set("collection", _collection_summary(coll))
     if args.subcommand == "check":
         report.set("violations", coll.violations)
@@ -425,14 +417,14 @@ def _parse_object_spec(spec, A):
     if kind == "P":
         return single_projective(A, v)
     if kind == "S":
-        return projective_resolution(simple_module(A, v), 2 * A.dim)
+        return simple_resolution(A, v, "left", 2 * A.dim)
     raise SchemaError(f"--object: bad spec {spec!r}")
 
 
 def cmd_kernels(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
-    coll = _default_collection(A)
+    coll = projective_collection(A)
     if args.subcommand == "build":
         ks = projection_kernels(coll)
         report.set("projection_kernels", [
@@ -490,7 +482,7 @@ def cmd_les_check(args, report):
 def cmd_fullness(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
-    coll = _default_collection(A)
+    coll = projective_collection(A)
     if args.objects is not None:
         m = len(coll)
         picks = []

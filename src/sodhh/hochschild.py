@@ -20,13 +20,14 @@ basis element of the Koszul space K_n, which is never written out in the
 tensor powers of the arrows (_koszul_tables).  _check_koszul checks
 slices and d^2 = 0 from them with products of arrows in A alone; the
 certificate K (x)_A A_0 and the one-sided slices are selected from them
-(_one_sided).  certified_koszul alone builds, certifies and caches them,
-and every use of K (global_dimension, koszul_slice, diagonal_resolution,
-kernels.diagonal_class) asks it whether K is certified through the depth
-that use needs, on Koszul algebras of infinite global dimension too.  The
-entries of A (x) A^op are written (_env_entries) only by
-diagonal_resolution and koszul_resolution, which no command calls: HH
-and the diagonal's K_0 class read the p (x) q terms.
+(_one_sided).  certified_koszul alone builds and certifies them, and
+every use of K (global_dimension, simple_resolution, _diagonal_terms)
+asks it whether K is certified through the depth that use needs.  A's
+cache keeps each resolution once, with the depth it reaches (_kept): K,
+the diagonal's p (x) q terms and each simple's (simple_resolution, the
+one place a simple is resolved).  Entries over A (x) A^op are written
+(_env_entries) only by diagonal_resolution and koszul_resolution, which
+no command calls: HH and the diagonal's K_0 class read the terms.
 """
 
 from __future__ import annotations
@@ -276,6 +277,19 @@ def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
                        check=False)
 
 
+def _kept(A: Algebra, key, depth: int, build):
+    """The value kept in A's cache under key, good through -depth: the
+    cache holds (reach, value), and build(depth) gives the value through
+    -depth and its reach, math.inf where it has ended, else depth.  A
+    depth up to the reach is served from the cache, a deeper one builds
+    again, and the caller cuts the value to the depth."""
+    reach, value = A._cache.get(key, (-1, None))
+    if depth > reach:
+        value, reach = build(depth)
+        A._cache[key] = reach, value
+    return value
+
+
 def certified_koszul(A: Algebra, depth: int):
     """The tables (ends, tables) of A's Koszul resolution K through degree
     -depth (see _koszul_tables), if K is certified exact above -depth, else
@@ -289,23 +303,24 @@ def certified_koszul(A: Algebra, depth: int):
     left module A is an iterated extension of simples.  Homology above
     -depth means A is not Koszul.  No A (x) A^op is built.
 
-    A's cache keeps one entry for K: the tables, plain ints and field
-    elements, with the depth d they are certified to.  A complete K (its
-    last term above -d) and a failed certificate (kept as None) hold for
-    every depth; a K cut at -d serves every depth <= d, and a greater
-    depth builds K again."""
-    certified, K = A._cache.get("koszul", (-1, None))
-    if depth > certified and _is_quadratic(A):
+    K is kept under "koszul" (_kept): its tables, plain ints and field
+    elements, certified for every depth once complete or failed (None, as
+    for an algebra that is not quadratic), else through the depth they
+    were built to."""
+    def build(depth):
+        if not _is_quadratic(A):
+            return None, math.inf
         n_max = max(depth, 1)
         ends, tables = _koszul_tables(A, n_max)
         _check_koszul(A, ends, tables)
         homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
                                check=False).homology_dims()
-        exact = {n: h for n, h in homology.items() if n > -n_max} == \
-            {0: A.num_vertices}
-        K = (ends, tables) if exact else None
-        certified = n_max if exact and len(ends) > n_max else math.inf
-        A._cache["koszul"] = (certified, K)
+        if {n: h for n, h in homology.items() if n > -n_max} != \
+                {0: A.num_vertices}:
+            return None, math.inf
+        return (ends, tables), n_max if len(ends) > n_max else math.inf
+
+    K = _kept(A, "koszul", depth, build)
     return None if K is None else (K[0][:depth + 1], K[1][:depth + 1])
 
 
@@ -316,52 +331,47 @@ def global_dimension(A: Algebra, cap: int):
     K (x)_A S_u, with arrows for entries, is the minimal resolution of S_u
     that far: the global dimension is K's length if K ends by -cap, and
     exceeds cap if K has a term at -(cap + 1).  On every other algebra it
-    is the longest minimal resolution of a simple module, and A's cache
-    keeps the answer as the exact value, which answers every cap, or
-    "exceeds c", which answers every cap <= c."""
+    is the longest minimal resolution of a simple left module
+    (simple_resolution through -(cap + 1)), read until one exceeds cap."""
     K = certified_koszul(A, cap + 1)
     if K is not None:
         length = len(K[0]) - 1
         return length if length <= cap else None
-    exact, exceeds = A._cache.get("global_dimension", (None, -1))
-    if exact is not None:
-        return exact if exact <= cap else None
-    if cap <= exceeds:
-        return None
     worst = 0
     for v in range(A.num_vertices):
-        length = -min(projective_resolution(simple_module(A, v),
-                                            cap + 1).terms)
+        length = -min(simple_resolution(A, v, "left", cap + 1).terms)
         if length > cap:
-            A._cache["global_dimension"] = (None, cap)
             return None
         worst = max(worst, length)
-    A._cache["global_dimension"] = (worst, None)
     return worst
 
 
-def koszul_slice(A: Algebra, u: int, side: str, depth: int):
-    """The one-sided slice of A's Koszul resolution K at the vertex u
-    through degree -depth, or None when K is not certified that far
-    (certified_koszul): projective_resolution(S_u, depth), read off K.
+def simple_resolution(A: Algebra, u: int, side: str, depth: int):
+    """projective_resolution(S_u, depth) for the simple module at the
+    vertex u, left over A or right over A^op (side), kept under
+    ("simple", u, side) (_kept) and cut at -depth.
 
-    side "right" gives S_u (x)_A K, the minimal resolution of the simple
-    right module at u over A^op: K's summands A e_v (x) e_w A with v = u,
-    each becoming e_w A, with the right terms e_u (x) b of K's differential
-    (a left term a (x) e_w acts on S_u by an arrow, so as zero).  side
-    "left" gives K (x)_A S_u over A, the minimal resolution of the simple
-    left module at u: the summands with w = u, each becoming A e_v, with
-    the left terms.  Either resolves its simple as far as K resolves A, as
-    K's bimodules are projective on each side, and is minimal, as its
-    entries are arrows.  It is selected from K's tables (_one_sided), with
-    no enveloping algebra built, and checked as a ProjComplex."""
+    Where K is certified through -depth (certified_koszul) it is K's
+    slice K (x)_A S_u or S_u (x)_A K, selected from K's tables
+    (_one_sided) with no enveloping algebra built and checked as a
+    ProjComplex: it resolves S_u as far as K resolves A, as K's bimodules
+    are projective on each side, and is minimal, as its entries are
+    arrows.  Elsewhere projective_resolution builds it."""
     if side not in ("left", "right"):
         raise ValueError(f"slice side must be 'left' or 'right', got {side!r}")
-    K = certified_koszul(A, depth)
-    if K is None:
-        return None
-    return ProjComplex(A.opposite() if side == "right" else A,
-                       *_one_sided(*K, side, u), check=True)
+    B = A.opposite() if side == "right" else A
+
+    def build(depth):
+        K = certified_koszul(A, depth)
+        P = projective_resolution(simple_module(B, u), depth) if K is None \
+            else ProjComplex(B, *_one_sided(*K, side, u), check=True)
+        # a minimal resolution with no term at -depth has ended
+        return P, depth if -depth in P.terms else math.inf
+
+    P = _kept(A, ("simple", u, side), depth, build)
+    return P if min(P.terms) >= -depth else ProjComplex(
+        B, {n: t for n, t in P.terms.items() if n >= -depth}, P.diffs,
+        check=False)
 
 
 def diagonal_resolution(A: Algebra, n_max: int) -> ProjComplex:
@@ -397,22 +407,25 @@ def _diagonal_terms(A: Algebra, depth: int):
     part c p (x) q of the entry from summand col to summand row, p and q
     basis elements of A.  Where certified_koszul certifies K through
     -depth they are read off K's tables (_table_terms); else they are the
-    terms of the minimal resolution's entries, decoded once and kept in
-    A's cache, plain ints and field elements, under one key per depth."""
-    K = certified_koszul(A, depth)
-    if K is not None:
-        return K[0], _table_terms(A, *K)
-    key = ("diagonal_terms", depth)
-    if key not in A._cache:
-        P = projective_resolution(regular_bimodule(A), depth)
-        env = P.algebra
-        ends = [[env.vertex_pair(code) for code in P.terms[-n]]
-                for n in range(len(P.terms))]
-        A._cache[key] = ends, [None] + [
-            [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
-             for p, q, c in env.terms(x)]
-            for n in range(1, len(ends))]
-    return A._cache[key]
+    terms of the minimal resolution's entries, decoded once; either is
+    kept under "diagonal_terms" (_kept), plain ints and field elements."""
+    def build(depth):
+        K = certified_koszul(A, depth)
+        if K is not None:
+            ends, terms = K[0], _table_terms(A, *K)
+        else:
+            P = projective_resolution(regular_bimodule(A), depth)
+            env = P.algebra
+            ends = [[env.vertex_pair(code) for code in P.terms[-n]]
+                    for n in range(len(P.terms))]
+            terms = [None] + [
+                [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
+                 for p, q, c in env.terms(x)]
+                for n in range(1, len(ends))]
+        return (ends, terms), depth if len(ends) > depth else math.inf
+
+    ends, terms = _kept(A, "diagonal_terms", depth, build)
+    return ends[:depth + 1], terms[:depth + 1]
 
 
 def _table_terms(A: Algebra, ends, tables):

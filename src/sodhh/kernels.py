@@ -28,10 +28,10 @@ is the tests' oracle.
 The projection kernels P_i = E_i (x) F_i^v of a full collection of
 indecomposable projectives E_i = A e_{v_i} need no dual collection: F_i^v
 is the minimal projective resolution of the simple right module at v_i
-(projection_kernels), sliced off the Koszul resolution where it is
-certified through the depth the slice needs (hochschild.koszul_slice),
-else built by projective_resolution, and Ext into it is Ext into that
-simple, which the kernel keeps (Kernel.resolves).
+(projection_kernels), which hochschild.simple_resolution gives and keeps
+(sliced off the Koszul resolution where it is certified that far), and
+Ext into it is Ext into that simple, which the kernel keeps
+(Kernel.resolves).
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         _tensor_total, dualize, ext_profile,
                         projective_resolution)
 from .exceptional import ExceptionalCollection
-from .hochschild import (HHProfile, _diagonal_terms, certified_koszul,
-                         global_dimension, hh_cohomology, hh_homology,
-                         hh_with_coefficients, koszul_slice)
+from .hochschild import (HHProfile, _diagonal_terms, global_dimension,
+                         hh_cohomology, hh_homology, hh_with_coefficients,
+                         simple_resolution)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
                       simple_module)
 
@@ -263,11 +263,9 @@ def diagonal_class(A: Algebra, cap: int = 32) -> dict:
     """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
     A e_v (x) e_w A, from a resolution that ends by degree -cap: the
     alternating count of the summands of diagonal_resolution(A, cap + 1),
-    read off its ends, K's where certified_koszul certifies K through
-    -(cap + 1), else those of hochschild._diagonal_terms, with no entry
-    of A (x) A^op written."""
-    K = certified_koszul(A, cap + 1)
-    ends = K[0] if K is not None else _diagonal_terms(A, cap + 1)[0]
+    read off the ends of hochschild._diagonal_terms, with no entry of
+    A (x) A^op written."""
+    ends = _diagonal_terms(A, cap + 1)[0]
     if len(ends) > cap + 1:
         raise NormalizationFailed("the diagonal resolution does not end by "
                                   f"degree -{cap}; no K_0 class for the "
@@ -297,13 +295,12 @@ def projection_kernels(coll: ExceptionalCollection):
     homology, at v_j in degree 0 after the shift that condition fixes:
     F_i^v is the minimal projective resolution of the simple right module
     at v_i, and the kernel records that simple for decomposable_ext.
-    Where the Koszul resolution K is certified through -m it is the slice
-    S_{v_i} (x)_A K (koszul_slice), and nothing is resolved; elsewhere
-    projective_resolution builds it.  A full projective
-    collection makes A directed, of global dimension at most m - 1 for m
-    vertices, so a resolution that reaches degree -m raises
-    NormalizationFailed, as does a failure of the K_0 identity
-    sum_i [P_i] = [diagonal] or of Ext^0(P_i, P_i) >= 1."""
+    hochschild.simple_resolution gives it: where the Koszul resolution K
+    is certified through -m it is the slice S_{v_i} (x)_A K, and nothing
+    is resolved.  A full projective collection makes A directed, of
+    global dimension at most m - 1 for m vertices, so a resolution that
+    reaches degree -m raises NormalizationFailed, as does a failure of the
+    K_0 identity sum_i [P_i] = [diagonal] or of Ext^0(P_i, P_i) >= 1."""
     A = coll.algebra
     m = A.num_vertices
     op = A.opposite()
@@ -315,9 +312,7 @@ def projection_kernels(coll: ExceptionalCollection):
                 f"projectives; E_{i+1} has terms {E.terms}")
         u = E.terms[0][0]
         S = simple_module(op, u)
-        Fp = koszul_slice(A, u, "right", m)
-        if Fp is None:
-            Fp = projective_resolution(S, m)
+        Fp = simple_resolution(A, u, "right", m)
         if -m in Fp.terms:
             raise NormalizationFailed(
                 f"the simple right module at the vertex of E_{i+1} has no "

@@ -566,7 +566,7 @@ def test_cohomology_resolves_each_simple_once(monkeypatch):
     Koszul algebra: the summary's global dimension is read from the one
     Koszul resolution that HH^* is then computed over."""
     calls = counting_wrapper(monkeypatch, "projective_resolution",
-                             ["complexes", "hochschild", "kernels", "cli"])
+                             ["complexes", "hochschild", "kernels"])
     koszul = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     code, _ = run_command(["cohomology", "--catalog", "beilinson-p2"])
     assert code == 0
@@ -589,8 +589,8 @@ def test_kernel_commands_slice_the_right_factors_off_k(tmp_path,
     `kernels build` / `orthogonality` on beilinson-p2 resolve no simple,
     and build no A (x) A^op."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
-                                ["complexes", "hochschild", "kernels", "cli"])
-    sliced = counting_wrapper(monkeypatch, "koszul_slice",
+                                ["complexes", "hochschild", "kernels"])
+    sliced = counting_wrapper(monkeypatch, "simple_resolution",
                               ["hochschild", "kernels", "cli"])
     built = count_builds(monkeypatch)
     p = tmp_path / "p3.json"
@@ -619,7 +619,7 @@ def test_projection_kernels_resolve_the_simples_off_koszul(monkeypatch):
     from sodhh.modules import simple_module
     A = linear_a4_cubic()
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
-                                ["complexes", "hochschild", "kernels", "cli"])
+                                ["complexes", "hochschild", "kernels"])
     kernels = projection_kernels(projective_collection(A))
     op = A.opposite()
     assert [M.grading for M in resolved if M.algebra is op] == \
@@ -632,13 +632,51 @@ def test_projection_kernels_resolve_the_simples_off_koszul(monkeypatch):
     assert additivity_check(A, projective_collection(A))["degreewise_equal"]
 
 
+LINEAR_A4_CUBIC_DOC = {
+    "field": {"kind": "q"}, "vertices": ["1", "2", "3", "4"],
+    "arrows": [{"name": x, "source": v, "target": w}
+               for x, v, w in (("a", "1", "2"), ("b", "2", "3"),
+                               ("c", "3", "4"))],
+    "relations": [[{"coeff": "1", "path": ["a", "b", "c"]}]]}
+
+
+@pytest.mark.parametrize("argv, simples, bimodules", [
+    (["kernels", "additivity"], 8, 1),
+    (["serre-check"], 4, 0),
+    (["collection", "project", "--object", "S1"], 4, 0)],
+    ids=["kernels-additivity", "serre-check", "collection-project-S1"])
+def test_off_koszul_each_resolution_is_built_once(tmp_path, monkeypatch,
+                                                  argv, simples, bimodules):
+    """linear_a4_cubic has no K, and every resolution it needs ends.  The
+    summary resolves the four simple left modules through -13, and every
+    later use is served from A's cache: the S-probes of `serre-check` and
+    the object S1 of `collection project`, and the diagonal of `kernels
+    additivity`, resolved through -33 for its K_0 class and read again
+    for HH_*.  The right factors add the four simple right modules.  Every
+    module that imports projective_resolution is counted."""
+    import importlib
+    from sodhh.modules import Bimodule
+    modules = [m for m in ("complexes", "hochschild", "kernels", "cli")
+               if hasattr(importlib.import_module(f"sodhh.{m}"),
+                          "projective_resolution")]
+    resolved = counting_wrapper(monkeypatch, "projective_resolution", modules)
+    p = tmp_path / "a4.json"
+    p.write_text(json.dumps(LINEAR_A4_CUBIC_DOC))
+    code, report = run_command(argv + ["--file", str(p)])
+    assert code == 0 and report.all_passed()
+    kinds = [isinstance(M, Bimodule) for M in resolved]
+    assert (kinds.count(False), kinds.count(True)) == (simples, bimodules)
+    assert len({(id(M.algebra), M.grading) for M in resolved}) == \
+        len(resolved)
+
+
 def test_serre_check_slices_the_s_probes_off_k(monkeypatch):
     """The S-probes of `serre-check` are left slices of the certified K on
     beilinson-p2 and on loop-x2, whose K is infinite and certified through
     the depth the probes need."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
-                                ["complexes", "hochschild", "kernels", "cli"])
-    sliced = counting_wrapper(monkeypatch, "koszul_slice",
+                                ["complexes", "hochschild", "kernels"])
+    sliced = counting_wrapper(monkeypatch, "simple_resolution",
                               ["hochschild", "kernels", "cli"])
     for name, vertices, minimal in (("beilinson-p2", 3, 0),
                                     ("loop-x2", 1, 0)):
@@ -658,7 +696,7 @@ def test_loop_x2_takes_k_alone(argv, monkeypatch):
     reads K, built once through the summary's cap and certified there, and
     resolves nothing else, neither the diagonal nor a simple."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
-                                ["complexes", "hochschild", "kernels", "cli"])
+                                ["complexes", "hochschild", "kernels"])
     tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     code, report = run_command(argv + ["--catalog", "loop-x2"])
     assert code == 0 and report.all_passed()

@@ -10,7 +10,7 @@ from sodhh.hochschild import (HHProfile, certified_koszul,
                               diagonal_resolution, global_dimension,
                               hh_cohomology, hh_homology,
                               hh_with_coefficients, homology_via_serre_dual,
-                              koszul_resolution, koszul_slice)
+                              koszul_resolution, simple_resolution)
 from sodhh.kernels import generalized_hoh
 from sodhh.linalg import GF, QQ, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule
@@ -400,13 +400,19 @@ def non_koszul_quivers(draw):
 @given(non_koszul_quivers())
 def test_random_non_koszul_algebras_take_the_minimal_routes(A):
     """Every draw fails Priddy's check through -13: global_dimension caches
-    no K, there is no slice on either side, and diagonal_resolution is the
-    minimal bimodule resolution, with the Ext of the bar route."""
+    no K, the simples on either side are resolved by
+    projective_resolution, and diagonal_resolution is the minimal bimodule
+    resolution, with the Ext of the bar route."""
+    from sodhh.modules import simple_module
     assert global_dimension(A, 12) is not None
     assert certified_koszul(A, 13) is None
     for u in range(A.num_vertices):
-        assert koszul_slice(A, u, "left", 5) is None
-        assert koszul_slice(A, u, "right", 5) is None
+        for side, B in (("left", A), ("right", A.opposite())):
+            ours = simple_resolution(A, u, side, 5)
+            minimal = projective_resolution(simple_module(B, u), 5)
+            assert ours.algebra is B
+            assert (ours.terms, ours.diffs) == \
+                (minimal.terms, minimal.diffs), (side, u)
     assert diagonal_resolution(A, 5).terms == \
         projective_resolution(regular_bimodule(A), 5).terms
     assert_diagonal_resolution_matches_bar_route(A)
@@ -621,7 +627,8 @@ def assert_k_is_the_route(A, caps=range(13), degree=5):
     for side, B in (("right", A.opposite()), ("left", A)):
         for u in range(A.num_vertices):
             minimal = projective_resolution(simple_module(B, u), depth)
-            assert koszul_slice(A, u, side, depth).multiplicity_data() == \
+            assert simple_resolution(A, u, side,
+                                     depth).multiplicity_data() == \
                 minimal.multiplicity_data(), (side, u)
     ours = diagonal_resolution(A, depth)
     minimal = projective_resolution(regular_bimodule(A), depth)
@@ -890,7 +897,7 @@ def assert_slices_match_resolutions(A, depth, ordered=True):
     for side, B in (("right", A.opposite()), ("left", A)):
         simples = [simple_module(B, w) for w in range(A.num_vertices)]
         for u, S in enumerate(simples):
-            sliced = koszul_slice(A, u, side, depth)
+            sliced = simple_resolution(A, u, side, depth)
             minimal = projective_resolution(S, depth)
             assert sliced.algebra is B
             assert sliced.multiplicity_data() == \
@@ -917,30 +924,101 @@ def test_koszul_slices_match_minimal_resolutions():
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(quadratic_quivers())
 def test_koszul_slices_match_minimal_resolutions_on_random_quivers(A):
-    """The random quadratic quivers whose K is certified; on the others
-    there is no slice.  The quivers are acyclic with paths of length <= 4,
+    """The random quadratic quivers whose K is certified; the others have
+    no slice to compare.  The quivers are acyclic with paths of length <= 4,
     so depth 5 holds every resolution whole.  Within a degree the slice
     lists its summands by vertex, as K does, and the minimal resolution in
     the order its kernel bases give, which on some of these quivers is
     another order of the same summands."""
-    if koszul_slice(A, 0, "left", 5) is None:
-        assert certified_koszul(A, 5) is None
+    if certified_koszul(A, 5) is None:
         return
     assert_slices_match_resolutions(A, 5, ordered=False)
 
 
 def test_koszul_slices_need_a_certified_resolution():
-    """Off a certified K there is no slice: not on the quadratic algebra
-    that is not Koszul, whose K is exact through -1 only, and not on an
-    algebra with a relation of length 3."""
+    """Off a certified K a simple is resolved by projective_resolution:
+    on the quadratic algebra that is not Koszul, whose K is exact through
+    -1 only, and on an algebra with a relation of length 3, the simple
+    resolutions at every vertex, on both sides, are dict-equal to
+    projective_resolution's.  A side that is neither is refused."""
     from sodhh.catalog import get_entry
+    from sodhh.modules import simple_module
     from test_cli import linear_a4_cubic
     L = get_entry("loop-x2").algebra(QQ)
     for A in (_not_koszul(QQ), linear_a4_cubic()):
-        assert koszul_slice(A, 0, "right", 6) is None
-        assert koszul_slice(A, 0, "left", 6) is None
+        assert certified_koszul(A, 6) is None
+        for side, B in (("right", A.opposite()), ("left", A)):
+            for u in range(A.num_vertices):
+                ours = simple_resolution(A, u, side, 6)
+                minimal = projective_resolution(simple_module(B, u), 6)
+                assert (ours.terms, ours.diffs) == \
+                    (minimal.terms, minimal.diffs), (side, u)
     with pytest.raises(ValueError, match="slice side"):
-        koszul_slice(L, 0, "middle", 6)
+        simple_resolution(L, 0, "middle", 6)
+
+
+def rad_cube(field=QQ):
+    """k<a0,a1,a2>/(all paths of length 3): monomial, of infinite global
+    dimension, so no resolution of its simples ends."""
+    from itertools import product
+    xs = ["a0", "a1", "a2"]
+    return build_path_algebra(
+        Quiver.make(["1"], [(x, "1", "1") for x in xs]),
+        [Relation(((1, p),)) for p in product(xs, repeat=3)], field)
+
+
+def test_a_cut_resolution_is_the_shallower_resolution():
+    """The premise of the resolution store (hochschild._kept): for d < D,
+    projective_resolution(M, D) cut at -d is projective_resolution(M, d),
+    the same terms and diffs.  So is simple_resolution(A, u, side, d)
+    asked after depth D, which serves the kept resolution cut.  Checked on
+    the simple left and right modules of _not_koszul, linear_a4_cubic and
+    rad^3, whose resolutions never end, and on the regular bimodules of
+    linear_a4_cubic and _not_koszul."""
+    from sodhh.complexes import ProjComplex
+    from sodhh.modules import simple_module
+    from test_cli import linear_a4_cubic
+    cases = []
+    for A, D in ((_not_koszul(QQ), 6), (linear_a4_cubic(), 6),
+                 (rad_cube(), 4)):
+        for side, B in (("left", A), ("right", A.opposite())):
+            for u in range(A.num_vertices):
+                simple_resolution(A, u, side, D)
+                cases.append((simple_module(B, u), D, (A, u, side)))
+    cases += [(regular_bimodule(A), 6, None)
+              for A in (linear_a4_cubic(), _not_koszul(QQ))]
+    for M, D, kept in cases:
+        deep = projective_resolution(M, D)
+        for d in range(D):
+            fresh = projective_resolution(M, d)
+            cut = ProjComplex(M.algebra, {n: t for n, t in deep.terms.items()
+                                          if n >= -d}, deep.diffs,
+                              check=False)
+            assert (cut.terms, cut.diffs) == (fresh.terms, fresh.diffs), d
+            if kept is not None:
+                ours = simple_resolution(*kept, d)
+                assert (ours.terms, ours.diffs) == \
+                    (fresh.terms, fresh.diffs), (kept, d)
+
+
+@pytest.mark.parametrize("name", ["beilinson-p2", "loop-x2",
+                                  "linear-a4-cubic", "x^3"])
+def test_diagonal_terms_asked_shallower_are_the_fresh_ones(name):
+    """_diagonal_terms(A, d) asked after depth 6 equals _diagonal_terms on
+    a freshly built copy at depth d, for every d < 6: on K's route, with K
+    complete (beilinson-p2) or certified through the depth asked
+    (loop-x2), and on the minimal route, with a resolution that ends
+    (linear_a4_cubic) or does not (k[x]/(x^3))."""
+    from sodhh.hochschild import _diagonal_terms
+    from test_algebra import truncated_polynomials
+    from test_cli import linear_a4_cubic
+    build = {"linear-a4-cubic": linear_a4_cubic,
+             "x^3": lambda: truncated_polynomials(3)}.get(
+                 name, lambda: CATALOG[name].algebra(QQ))
+    A = build()
+    _diagonal_terms(A, 6)
+    for d in range(6):
+        assert _diagonal_terms(A, d) == _diagonal_terms(build(), d), d
 
 
 def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
@@ -956,8 +1034,8 @@ def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
                         lambda self, *args: built.append(args))
     for u in range(A.num_vertices):
         for side in ("left", "right"):
-            assert min(koszul_slice(A, u, side, 1).terms) >= -1
-            koszul_slice(A, u, side, 3)
+            assert min(simple_resolution(A, u, side, 1).terms) >= -1
+            simple_resolution(A, u, side, 3)
     assert built == []
 
 
@@ -1066,7 +1144,7 @@ def assert_slices_match_reference_decoder(A):
     for depth in range(min(len(K[0]), 13) + 1):
         for side in ("left", "right"):
             for u in range(A.num_vertices):
-                ours = koszul_slice(A, u, side, depth)
+                ours = simple_resolution(A, u, side, depth)
                 ref = reference_koszul_slice(A, *entries, u, side, depth)
                 assert (ours.terms, ours.diffs) == (ref.terms, ref.diffs), \
                     (side, u, depth)

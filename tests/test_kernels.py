@@ -263,6 +263,7 @@ def test_projection_kernels_refuse_an_infinite_resolution():
 # 2, the number of vertices, so K is certified and the simple right module
 # at 1, sliced off it, reaches degree -2.  A e_1 alone is exceptional.
 TWO_CYCLE_ONE_RELATION = """
+import sodhh.hochschild as hochschild
 import sodhh.kernels as kernels
 from sodhh.algebra import Quiver, Relation, build_path_algebra
 from sodhh.complexes import single_projective
@@ -271,8 +272,8 @@ from sodhh.linalg import QQ
 q = Quiver.make(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
 A = build_path_algebra(q, [Relation(((1, ("a", "b")),))], QQ)
 resolved = []
-real = kernels.projective_resolution
-kernels.projective_resolution = lambda *args: resolved.append(args) or \\
+real = hochschild.projective_resolution
+hochschild.projective_resolution = lambda *args: resolved.append(args) or \\
     real(*args)
 try:
     kernels.projection_kernels(ExceptionalCollection(
@@ -293,10 +294,10 @@ TWO_CYCLE_ONE_RELATION_RAISED = [
 def test_projection_kernels_refuse_a_long_koszul_slice(capsys, monkeypatch):
     """The slice of the certified K raises as the minimal resolution did,
     and nothing is resolved."""
-    import sodhh.kernels as kernels
-    # the script wraps kernels.projective_resolution; this puts it back
-    monkeypatch.setattr(kernels, "projective_resolution",
-                        kernels.projective_resolution)
+    import sodhh.hochschild as hochschild
+    # the script wraps hochschild.projective_resolution; this puts it back
+    monkeypatch.setattr(hochschild, "projective_resolution",
+                        hochschild.projective_resolution)
     exec(TWO_CYCLE_ONE_RELATION, {})
     assert capsys.readouterr().out.splitlines() == \
         TWO_CYCLE_ONE_RELATION_RAISED

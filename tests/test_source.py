@@ -1,6 +1,7 @@
 """Source hygiene of the sodhh package, checked with the standard library
-alone: every module uses each name it imports, and no binding is kept
-only by silencing the unused-variable warning."""
+alone: every module uses each name it imports, no binding is kept only
+by silencing the unused-variable warning, and the modules that resolve
+write an algebra's cache only through hochschild._kept."""
 
 import ast
 import pathlib
@@ -11,6 +12,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sodhh"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the modules that resolve, whose cache entries are resolutions
+RESOLVING = ["hochschild.py", "kernels.py", "cli.py"]
 
 
 def unused_imports(tree):
@@ -59,3 +62,77 @@ def test_the_checks_catch_an_unused_import_and_a_held_binding(tmp_path):
                     "    env = A.enveloping()  # noqa: F841\n"
                     "    return A\n")
     assert held_bindings(held) == [2]
+
+
+def _is_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_cache" or \
+        isinstance(node, ast.Name) and node.id == "_cache"
+
+
+def _writes_cache(node):
+    """Whether the statement or call writes into an _cache mapping: an
+    assignment or deletion of _cache[...] (in any target, unpacking
+    included), or a call of its setdefault or update."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return isinstance(f, ast.Attribute) and _is_cache(f.value) and \
+            f.attr in ("setdefault", "update")
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Delete):
+        targets = node.targets
+    else:
+        return False
+    return any(isinstance(t, ast.Subscript) and _is_cache(t.value)
+               for target in targets for t in ast.walk(target))
+
+
+def cache_writes_outside_kept(tree):
+    """(line, function) of each write into an _cache mapping (see
+    _writes_cache) that no function named _kept encloses; function is the
+    innermost enclosing one, or None at module level."""
+    out = []
+
+    def visit(node, funcs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = funcs + (node.name,)
+        if _writes_cache(node) and "_kept" not in funcs:
+            out.append((node.lineno, funcs[-1] if funcs else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, funcs)
+    visit(tree, ())
+    return out
+
+
+@pytest.mark.parametrize("name", RESOLVING)
+def test_only_kept_writes_an_algebras_cache(name):
+    """A resolution gets its depth policy from hochschild._kept alone."""
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert cache_writes_outside_kept(tree) == []
+
+
+def test_the_check_catches_a_cache_written_outside_kept():
+    """A per-function cache policy, as global_dimension once kept one, is
+    found in every form of write; the writes inside _kept are not."""
+    tree = ast.parse("def global_dimension(A, cap):\n"
+                     "    exact, exceeds = A._cache.get('gd', (None, -1))\n"
+                     "    if cap > 3:\n"
+                     "        A._cache['gd'] = (None, cap)\n"
+                     "    A._cache['gd'], x = (3, None), 1\n"
+                     "    A._cache.setdefault('gd', 3)\n"
+                     "    def build(d):\n"
+                     "        A._cache.update(gd=d)\n"
+                     "        del A._cache['gd']\n"
+                     "    return exact\n"
+                     "def _kept(A, key, depth, build):\n"
+                     "    def store(value):\n"
+                     "        A._cache[key] = value\n"
+                     "    A._cache[key] = build(depth)\n"
+                     "_cache = {}\n"
+                     "_cache['x'] = 1\n")
+    assert cache_writes_outside_kept(tree) == [
+        (4, "global_dimension"), (5, "global_dimension"),
+        (6, "global_dimension"), (8, "build"), (9, "build"), (16, None)]

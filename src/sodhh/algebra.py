@@ -497,8 +497,11 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
     maps of shorter lengths.  The columns that are not pivots are the
     residue words of length L, and the normal form of column (w, a) is the
     arrow map w -> w a.  The product "q then p" applies p's arrows to q
-    through the same maps.  Raises NotFiniteDimensional when a residue
-    word longer than 2 |arrows| + 2 survives.
+    through the same maps.  A single basis element with coefficient one,
+    such as the x of x r or a product that is one word, extends by an arrow
+    to a copy of its arrow map, so no two products in the table are one
+    dict.  Raises NotFiniteDimensional when a residue word longer than
+    2 |arrows| + 2 survives.
     """
     quiver = Quiver.make(quiver.vertices, quiver.arrows)
     for idx, rel in enumerate(relations):
@@ -530,6 +533,11 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
 
     def extend(vec, arrow_seq):
         for a in arrow_seq:
+            if len(vec) == 1:
+                (k, c), = vec.items()
+                if c == one:   # b_k alone extends to a copy of its map
+                    vec = dict(amap[k, a])
+                    continue
             out = {}
             for k, c in vec.items():
                 axpy(field, out, amap[k, a], c)
@@ -618,18 +626,24 @@ def center(a: Algebra):
     """(dimension, basis vectors) of the center {z : zx = xz for all x}.
     z commutes with the e_v exactly when it lies in the sum of the e_v A
     e_v, and then it is central exactly when it commutes with the radical
-    generators, which generate A with the e_v."""
+    generators, which generate A with the e_v.  Each column is written in
+    place from the products b_d g_r and g_r b_d, whose rows r * dim + k
+    no other generator shares, and its zeros are dropped once."""
     f = a.field
-    diag = [k for k in range(a.dim) if a.src[k] == a.tgt[k]]
+    sub, zero, product, dim = f.sub, f.zero, a.product, a.dim
+    diag = [k for k in range(dim) if a.src[k] == a.tgt[k]]
     gens = _radical_generators(a)
     # row r * dim + k, column n: the b_k coefficient of b_d g_r - g_r b_d, d = diag[n]
     cols = []
     for d in diag:
         col = {}
         for r, g in enumerate(gens):
-            for x, c in ((a.product(d, g), f.one), (a.product(g, d), f.neg(f.one))):
-                axpy(f, col, {r * a.dim + k: v for k, v in x.items()}, c)
-        cols.append(col)
+            base = r * dim
+            for k, v in product(d, g).items():
+                col[base + k] = v
+            for k, v in product(g, d).items():
+                col[base + k] = sub(col.get(base + k, zero), v)
+        cols.append({i: c for i, c in col.items() if c})
     kernel = ColumnEchelon(Matrix(f, len(gens) * a.dim, len(diag), cols)).kernel_basis()
     basis = [{diag[n]: c for n, c in z.items()} for z in kernel]
     return len(basis), basis

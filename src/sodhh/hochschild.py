@@ -19,15 +19,17 @@ and a right table (terms e_v (x) b), the left and right splittings of a
 basis element of the Koszul space K_n, which is never written out in the
 tensor powers of the arrows (_koszul_tables).  _check_koszul checks
 slices and d^2 = 0 from them with products of arrows in A alone; the
-certificate K (x)_A A_0 and the one-sided slices are selected from them
-(_one_sided).  certified_koszul alone builds and certifies them, and
-every use of K (global_dimension, simple_resolution, _diagonal_terms)
-asks it whether K is certified through the depth that use needs.  A's
-cache keeps each resolution once, with the depth it reaches (_kept): K,
-the diagonal's p (x) q terms and each simple's (simple_resolution, the
-one place a simple is resolved).  Entries over A (x) A^op are written
-(_env_entries) only by diagonal_resolution and koszul_resolution, which
-no command calls: HH and the diagonal's K_0 class read the terms.
+certificate K (x)_A A_0 is written from the left tables straight into a
+complex of vector spaces (_koszul_certificate), and the one-sided slices
+are selected from them (_one_sided).  certified_koszul alone builds and
+certifies them, and every use of K (global_dimension, simple_resolution,
+_diagonal_terms) asks it whether K is certified through the depth that
+use needs.  A's cache keeps each resolution once, with the depth it
+reaches (_kept): K, the diagonal's p (x) q terms and each simple's
+(simple_resolution, the one place a simple is resolved).  Entries over
+A (x) A^op are written (_env_entries) only by diagonal_resolution and
+koszul_resolution, which no command calls: HH and the diagonal's K_0
+class read the terms.
 """
 
 from __future__ import annotations
@@ -228,21 +230,59 @@ def _check_koszul(A: PathAlgebra, ends, tables):
                 raise ComplexError(f"d^2 != 0 at degree {-n}")
 
 
-def _one_sided(ends, tables, side, u=None):
-    """(terms, diffs) of a one-sided complex read from K's tables (see
+def _koszul_certificate(A: PathAlgebra, ends, tables) -> FieldComplex:
+    """K (x)_A A_0, Priddy's certificate, as a complex of vector spaces
+    written from K's left tables (see _koszul_tables).  In degree -n each
+    summand A e_v (x) e_w A of K_n becomes A e_v, laid out at its offset
+    with A's paths starting at v, in index order, as its basis (_layout).
+    A left term (row, a): c sends y to c y a in the row's block; a right
+    term e_v (x) b acts on A_0 by an arrow, so as zero.  Right
+    multiplication by an arrow is read off A's table once per call, in
+    places: the terms (place y, place k, x) of each x b_k in y a."""
+    f = A.field
+    add, mul, product = f.add, f.mul, A.product
+    place, offsets, blocks, sizes = _layout(
+        A.src, [[v for v, _ in pairs] for pairs in ends])
+    times, diffs = {}, {}   # times: arrow a -> the terms of y |-> y a
+    for n in range(1, len(tables)):
+        base, cols = offsets[n - 1], []
+        for block, (left, _) in zip(blocks[n], tables[n]):
+            block_cols = [{} for _ in block]
+            for (row, a), c in left.items():
+                terms = times.get(a)
+                if terms is None:   # block is A e_v, v = tgt a (_check_koszul)
+                    terms = times[a] = [(place[y], place[k], x)
+                                        for y in block
+                                        for k, x in product(y, a).items()]
+                start = base[row]
+                for i, p, x in terms:
+                    col, r, x = block_cols[i], start + p, mul(c, x)
+                    prev = col.get(r)
+                    if prev is not None:
+                        x = add(x, prev)
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+            cols += block_cols
+        diffs[-n] = Matrix(f, sizes[n - 1], sizes[n], cols)
+    return FieldComplex(f, {-n: size for n, size in enumerate(sizes)}, diffs)
+
+
+def _one_sided(ends, tables, side, u):
+    """(terms, diffs) of a one-sided slice of K read from its tables (see
     _koszul_tables).  side "left" gives K (x)_A S_u over A: the summands
     A e_v (x) e_w A with w = u, each becoming A e_v, and the left terms
     a (x) e_w as entries a.  side "right" gives S_u (x)_A K over A^op: the
     summands with v = u, each becoming e_w A, and the right terms e_v (x) b
     as entries b.  A term of the other side acts on S_u by an arrow, so as
-    zero.  With u None every summand is kept: K (x)_A A_0 on the left.
-    Parallel arrows give several terms in one (row, column) entry."""
+    zero.  Parallel arrows give several terms in one (row, column) entry."""
     right = side == "right"
     kept, terms, diffs = [], {}, {}
     for n, pairs in enumerate(ends):
         keep = {}
         for s, (v, w) in enumerate(pairs):
-            if u is None or (v if right else w) == u:
+            if (v if right else w) == u:
                 keep[s] = len(keep)
                 terms.setdefault(-n, []).append(w if right else v)
         kept.append(keep)
@@ -297,11 +337,12 @@ def certified_koszul(A: Algebra, depth: int):
     one, its terms in degrees -depth..0, exact above -depth.
 
     K is built through -max(depth, 1) and checked (_check_koszul), and the
-    homology of K (x)_A A_0, read from K's left tables (_one_sided), is
-    Priddy's certificate: where it is A_0 in degree 0 and zero elsewhere,
-    K is exact, as the cone of K -> A is projective on the right and the
-    left module A is an iterated extension of simples.  Homology above
-    -depth means A is not Koszul.  No A (x) A^op is built.
+    homology of K (x)_A A_0, written from K's left tables as a complex of
+    vector spaces (_koszul_certificate) and ranked whole, is Priddy's
+    certificate: where it is A_0 in degree 0 and zero elsewhere, K is
+    exact, as the cone of K -> A is projective on the right and the left
+    module A is an iterated extension of simples.  Homology above -depth
+    means A is not Koszul.  No A (x) A^op and no ProjComplex is built.
 
     K is kept under "koszul" (_kept): its tables, plain ints and field
     elements, certified for every depth once complete or failed (None, as
@@ -313,8 +354,7 @@ def certified_koszul(A: Algebra, depth: int):
         n_max = max(depth, 1)
         ends, tables = _koszul_tables(A, n_max)
         _check_koszul(A, ends, tables)
-        homology = ProjComplex(A, *_one_sided(ends, tables, "left"),
-                               check=False).homology_dims()
+        homology = _koszul_certificate(A, ends, tables).homology_dims()
         if {n: h for n, h in homology.items() if n > -n_max} != \
                 {0: A.num_vertices}:
             return None, math.inf

@@ -21,11 +21,13 @@ both of them and elsewhere, is the one `axpy`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
 
 ZERO_COLUMN = MappingProxyType({})   # the one shared, read-only empty column
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class FieldMismatch(ValueError):
@@ -95,6 +97,8 @@ class FieldSpec:
         if self.kind == "rationals":
             if type(x) is int:
                 return x
+            if isinstance(x, str) and _INTEGER.fullmatch(x):
+                return int(x)   # what Fraction(x) gives, without its parser
             x = Fraction(x)
             return x.numerator if x.denominator == 1 else x
         p = self.characteristic

@@ -913,6 +913,29 @@ def reference_center(a):
     return kernel.ncols
 
 
+def center_by_axpy(a):
+    """center as it was computed before its columns were written in place:
+    each product remapped to the rows r * dim + k and added by axpy.  The
+    oracle for the dimension and the basis, dict for dict."""
+    from sodhh.algebra import _radical_generators
+    from sodhh.linalg import ColumnEchelon, axpy
+    f = a.field
+    diag = [k for k in range(a.dim) if a.src[k] == a.tgt[k]]
+    gens = _radical_generators(a)
+    cols = []
+    for d in diag:
+        col = {}
+        for r, g in enumerate(gens):
+            for x, c in ((a.product(d, g), f.one),
+                         (a.product(g, d), f.neg(f.one))):
+                axpy(f, col, {r * a.dim + k: v for k, v in x.items()}, c)
+        cols.append(col)
+    kernel = ColumnEchelon(Matrix(f, len(gens) * a.dim, len(diag),
+                                  cols)).kernel_basis()
+    basis = [{diag[n]: c for n, c in z.items()} for z in kernel]
+    return len(basis), basis
+
+
 def plain_algebra(A):
     """The same table as a plain Algebra, which records no radical index."""
     return Algebra(A.field, A.labels, A.mult, A.idempotents, A.vertex_names)
@@ -934,6 +957,7 @@ BEILINSON_FIELDS = ({"kind": "q"}, {"kind": "fp", "p": 32003})
 def _assert_center(A):
     dim, basis = center(A)
     assert dim == len(basis) == reference_center(A)
+    assert (dim, basis) == center_by_axpy(A)
     for z in basis:
         for k in range(A.dim):
             bk = {k: A.field.one}
@@ -984,6 +1008,20 @@ def test_center_matches_reference_on_catalog_and_beilinson(algebras):
               for n in (2, 3, 4, 5) for fd in BEILINSON_FIELDS]
     for A in cases:
         assert center(A)[0] == reference_center(A)
+        assert center(A) == center_by_axpy(A)
+
+
+def test_no_two_products_are_one_dict(algebras):
+    """build_path_algebra puts a copy of an arrow map into the table, never
+    the map itself: no two values of A.mult are the same object, on the
+    catalog over Q and F_3 and on generated P^2..P^4."""
+    from sodhh.cli import parse_quiver_document
+    cases = list(algebras.values())
+    cases += [entry.algebra(GF(3)) for entry in CATALOG.values()]
+    cases += [parse_quiver_document(_beilinson_doc(n, fd)).build()
+              for n in (2, 3, 4) for fd in BEILINSON_FIELDS]
+    for A in cases:
+        assert len({id(x) for x in A.mult.values()}) == len(A.mult)
 
 
 def _assert_recorded_matches_plain(A):

@@ -149,6 +149,27 @@ def test_scalar_canonical_forms():
         GF(6)
 
 
+def test_integer_strings_coerce_as_fraction_parses_them():
+    """Over Q a string of ASCII digits with an optional sign becomes an int
+    without Fraction's parser; every string keeps the value, the type and
+    the accept/reject of Fraction(x), canonicalized as coerce did for all
+    strings before (an over-long integer too)."""
+    def reference(x):
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
+
+    for x in ("1", "-1", "+3", "007", "-4/2", "3/2", "1.5", " 2 ", "1_0",
+              "", "x", "--1", "+", "١٢", "9" * 5000):
+        try:
+            expected = reference(x)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                QQ.coerce(x)
+            continue
+        got = QQ.coerce(x)
+        assert (got, type(got)) == (expected, type(expected)), x
+
+
 # ---------------------------------------------------------------------------
 # Oracle for elimination over Q: the all-Fraction column reduction that
 # linalg used before its scalars became integer-first.  It performs the same

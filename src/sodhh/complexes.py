@@ -14,9 +14,9 @@ entry from a summand L e_v to a summand L e_w is an element x of
 e_v L e_w acting by right multiplication y |-> y x.  Composites therefore
 multiply left-to-right: "first a, then c" is the element a*c.
 
-A Hom complex always maps a ProjComplex into a complex of modules; a
-projective target is read as one through its realization (_as_modules).
-Its differential is placed by offsets into the target's vertex blocks.
+Every Hom complex, from a complex of projectives into a complex of
+modules read by vertex blocks (_as_modules), is assembled by _hom: for
+one-sided Ext and the kernels by ModuleHomComplex, for HH^* in hochschild.
 
 The resolutions built here are the relative bar resolution (a test
 oracle) and the minimal projective resolutions of modules.  The Koszul
@@ -27,9 +27,8 @@ written over A (x) A^op only where a bimodule resolution is asked for.
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
   cone(f)     C^n = Y^n (+) X^{n+1},  d(y, x) = (d_Y y + f x, -d_X x)
-  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X, applied in
-              ModuleHomComplex, behind HomComplex and ext_profile, and
-              for HH in hochschild._hom_complex (d_Y = 0 there)
+  Hom         (d phi)_n = d_Y . phi - (-1)^n phi . d_X, applied only
+              in _hom
   tensor      d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, applied only
               in _tensor_total, behind kernels.decomposable_to_env
   dual        entries transposed, scaled by (-1)^m at source degree m
@@ -388,46 +387,105 @@ class ModuleComplex:
 
 
 def _as_modules(Y):
-    """Y read as a complex of modules: (gradings, diffs, act) with
+    """Y read as a complex of modules: (gradings, diffs, column) with
     gradings[j] the vertex of each basis position of Y^j, diffs[j] the
-    matrix of d_Y^j and act(j, a, m) the image {m2: c} of position m of Y^j
-    under the element a.  A ProjComplex is read through its realization:
-    position m = (s, t) of realize_bases()[j] is graded by tgt(t) and a
-    acts on it as (s, a t)."""
+    matrix of d_Y^j and column(j, k) = (col, x) with col(x, m) the image
+    of position m of Y^j under the basis element b_k.  A ProjComplex
+    is read through its realization: position m = (s, t) of
+    realize_bases()[j] is graded by tgt(t) and b_k acts on it as
+    (s, b_k t)."""
     alg = Y.algebra
-    f = alg.field
     if isinstance(Y, ModuleComplex):
         modules = Y.modules
+        return ({j: M.grading for j, M in modules.items()}, Y.diffs,
+                lambda j, k: (modules[j].column, k))
+    bases, index, product = Y.realize_bases(), Y.realize_index(), alg.product
 
-        def act(j, a, m):   # the columns k of m, scaled by a_k
-            column, out = modules[j].column, {}
-            for k, x in a.items():
-                axpy(f, out, column(k, m), x)
-            return out
-        return ({j: M.grading for j, M in modules.items()}, Y.diffs, act)
-    bases, index = Y.realize_bases(), Y.realize_index()
-
-    def act(j, a, m):
+    def col(jk, m):
+        j, k = jk
         s, t = bases[j][m]
-        return {index[j][(s, k)]: c
-                for k, c in alg.multiply(a, {t: f.one}).items()}
+        return {index[j][s, k2]: c for k2, c in product(k, t).items()}
     return ({j: [alg.tgt[t] for _, t in b] for j, b in bases.items()},
-            Y.realize().diffs, act)
+            Y.realize().diffs, lambda j, k: (col, (j, k)))
+
+
+def _hom(f, x_terms, x_entries, read, off_vertex):
+    """Hom from X into Y, the one Hom assembler, as (blocks, place,
+    offsets, dims, mats).  X is given by x_terms[i], the vertex v of each
+    summand L e_v of X^i, and x_entries[i], the terms (row, col, key, c)
+    of d_X^i; Y by read = (gradings, diffs, column) as _as_modules gives
+    it.  Hom(L e_v, Y^j) is the block blocks[j][v] of Y^j's positions at
+    v: the cochain (i, s, m) of degree n sits at offsets[n][i][s] +
+    place[i + n][m].  (d phi)_n = d_Y . phi - (-1)^n phi . d_X: for each
+    term of d_X^{i-1} from summand t to s, with (col, x) = column(i + n,
+    key), (i, s, m) goes to -(-1)^n c col(x, m) in t's block; the terms
+    of one entry add up, and a cell that cancels is dropped.  An image
+    off the vertex of its block raises ComplexError, for d_X with the
+    text off_vertex.format(j=Y degree, w=vertex)."""
+    gradings, y_diffs, column = read
+    add, mul, neg = f.add, f.mul, f.neg
+    blocks, place = {}, {}
+    for j, grading in gradings.items():
+        at, places = blocks[j], place[j] = {}, []
+        for m, u in enumerate(grading):
+            places.append(len(at.setdefault(u, [])))
+            at[u].append(m)
+    offsets, dims = {}, {}
+    for n in {j - i for i in x_terms for j in blocks}:
+        starts, start = offsets.setdefault(n, {}), 0
+        for i in sorted(x_terms):
+            at = blocks.get(i + n)
+            for v in x_terms[i] if at is not None else ():
+                starts.setdefault(i, []).append(start)
+                start += len(at.get(v, ()))
+        if start:
+            dims[n] = start
+    mats = {}
+    for n in dims:
+        if n + 1 not in dims:
+            continue
+        cols, tgt = [{} for _ in range(dims[n])], offsets[n + 1]
+        for i, starts in offsets[n].items():
+            j, vertices = i + n, x_terms[i]
+            at, grading, places = blocks[j], gradings[j], place[j]
+            dY = y_diffs.get(j)
+            for s, v in enumerate(vertices) if dY is not None else ():
+                base = tgt[i][s]
+                for m in at.get(v, ()):
+                    col = cols[starts[s] + places[m]]
+                    for m2, c in dY.cols[m].items():
+                        if gradings[j + 1][m2] != v:
+                            raise ComplexError(f"d_Y^{j} moves a position "
+                                               f"off vertex {v}")
+                        col[base + place[j + 1][m2]] = c
+            ws, bases = x_terms.get(i - 1), tgt.get(i - 1)
+            for s, t, key, c in x_entries.get(i - 1, ()):
+                w, base = ws[t], bases[t]
+                c, start = c if n % 2 else neg(c), starts[s]
+                col_of, k = column(j, key)
+                for m in at.get(vertices[s], ()):
+                    col = cols[start + places[m]]
+                    for m2, x in col_of(k, m).items():
+                        if grading[m2] != w:
+                            raise ComplexError(off_vertex.format(j=j, w=w))
+                        r, x = base + places[m2], mul(c, x)
+                        y = col.get(r)
+                        if y is not None:
+                            x = add(x, y)
+                        if x:
+                            col[r] = x
+                        else:
+                            del col[r]
+        mats[n] = Matrix(f, dims[n + 1], dims[n], cols)
+    return blocks, place, offsets, dims, mats
 
 
 class ModuleHomComplex:
-    """Total Hom complex from a ProjComplex X into Y, the Hom assembler of
-    one-sided Ext and the kernels (HH reads the diagonal resolution's
-    terms in hochschild._hom_complex instead).
-
-    Y is a ModuleComplex, or a ProjComplex read as a complex of modules
-    through its realization (see _as_modules).  Hom(L e_v, M) is the
-    graded block e_v M, so the basis cochains in degree n are (i, sX, m):
-    source degree i, summand sX = L e_v of X^i, and a basis position m of
-    Y^{i+n} graded by v, at _offsets[n][i][sX] + the place of m among
-    the positions of Y^{i+n} at v.  Y is asked for the image of m under
-    an entry a of d_X once per (Y degree, a, m).
-    """
+    """Total Hom complex from a ProjComplex X into Y, a ModuleComplex or a
+    ProjComplex read through its realization (see _as_modules), assembled
+    by _hom from the basis terms c b_k of X's entries: its basis cochain
+    (i, sX, m) of degree n sends summand sX = L e_v of X^i to the position
+    m of Y^{i+n} at v, at _offsets[n][i][sX] + _place[i + n][m]."""
 
     def __init__(self, X: ProjComplex, Y):
         if X.algebra is not Y.algebra:
@@ -435,67 +493,12 @@ class ModuleHomComplex:
                                "same algebra")
         self.X, self.Y = X, Y
         self._field = X.algebra.field
-        read = _as_modules(Y)   # (gradings, d_Y, act)
-        # the positions of each Y^j by vertex, and each one's place there
-        self._blocks, self._place = {}, {}
-        for j, grading in read[0].items():
-            blocks, place = self._blocks[j], self._place[j] = {}, []
-            for m, u in enumerate(grading):
-                place.append(len(blocks.setdefault(u, [])))
-                blocks[u].append(m)
-        self._offsets, self.dims = {}, {}
-        for n in {j - i for i in X.terms for j in self._blocks}:
-            offsets, start = self._offsets.setdefault(n, {}), 0
-            for i in sorted(X.terms):
-                blocks = self._blocks.get(i + n)
-                for v in X.terms[i] if blocks is not None else ():
-                    offsets.setdefault(i, []).append(start)
-                    start += len(blocks.get(v, ()))
-            if start:
-                self.dims[n] = start
-        # d_X^i by row: (column, the entry's content as a key, the entry)
-        x_rows = {i: {r: [(c, tuple(a.items()), a) for c, a in row]
-                      for r, row in _lines(d, 0).items()}
-                  for i, d in X.diffs.items()}
-        images = {}   # (Y degree, entry key, position) -> a . m
-        self.mats = {n: self._differential(n, read, x_rows, images)
-                     for n in self.dims if (n + 1) in self.dims}
-
-    def _differential(self, n, read, x_rows, images):
-        """The degree-n matrix, column by column; `read` is _as_modules(Y)
-        and `images` holds the a . m read so far."""
-        (gradings, y_diffs, act), f, odd = read, self._field, n % 2
-        terms, tgt, cols = self.X.terms, self._offsets[n + 1], []
-        for i in self._offsets[n]:
-            j = i + n
-            dY, rows = y_diffs.get(j), x_rows.get(i - 1, {})
-            grading, place = gradings[j], self._place[j]
-            if dY is not None:
-                grading1, place1 = gradings[j + 1], self._place[j + 1]
-            for sX, v in enumerate(terms[i]):
-                for m in self._blocks[j].get(v, ()):
-                    col = {}
-                    # d_Y . phi, inside the block of (i, sX)
-                    for m2, c in (dY.cols[m] if dY is not None else {}).items():
-                        if grading1[m2] != v:
-                            raise ComplexError(f"d_Y^{j} moves a position "
-                                               f"off vertex {v}")
-                        col[tgt[i][sX] + place1[m2]] = c
-                    # -(-1)^n phi . d_X : the entry a of d_X, then phi,
-                    # inside the block of (i - 1, j2)
-                    for j2, key, a in rows.get(sX, ()):
-                        img = images.get((j, key, m))
-                        if img is None:
-                            img = images[j, key, m] = act(j, a, m)
-                        base, w = tgt[i - 1][j2], terms[i - 1][j2]
-                        for m2, c in img.items():
-                            if grading[m2] != w:
-                                raise ComplexError(f"an entry of d_X moves a "
-                                                   f"position of Y^{j} off "
-                                                   f"vertex {w}")
-                            col[base + place[m2]] = c if odd else f.neg(c)
-                    cols.append(col)
-        return Matrix(f, self.dims[n + 1], self.dims[n], cols)
+        entries = {i: [(r, c, k, x) for (r, c), a in d.items()
+                       for k, x in a.items()]
+                   for i, d in X.diffs.items()}
+        self._blocks, self._place, self._offsets, self.dims, self.mats = _hom(
+            self._field, X.terms, entries, _as_modules(Y),
+            "an entry of d_X moves a position of Y^{j} off vertex {w}")
 
     def field_complex(self) -> FieldComplex:
         """The Hom complex as a complex of vector spaces."""

@@ -9,9 +9,9 @@ Homology is Tor^{A^e}(A, A), the homology of P_* (x)_{A^e} A over the
 same resolution.  Both complexes read each entry of P's differential as
 terms c p (x) q, p and q basis elements of A (_diagonal_terms): on K's
 route straight from its tables, else from the minimal resolution's
-entries, decoded once.  A term acts on a bimodule as m |-> c p m q
-(_hom_complex) and on A in P (x)_{A^e} A as m |-> c q m p
-(_tensor_complex).
+entries, decoded once.  A term acts on a bimodule as m |-> c p m q in
+complexes._hom, the Hom assembler of one-sided Ext too (_hom_complex),
+and on A in P (x)_{A^e} A as m |-> c q m p (_tensor_complex).
 
 K is built here, next to its certificate, and is kept in one form: its
 tables, each column of a differential as a left table (terms a (x) e_w)
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import Algebra, PathAlgebra
 from .complexes import (ComplexError, FieldComplex, ProjComplex, SideMismatch,
-                        projective_resolution)
+                        _hom, projective_resolution)
 from .linalg import ColumnEchelon, FieldSpec, Matrix, axpy
 from .modules import (Bimodule, ModuleRep, _image, dual_bimodule,
                       regular_bimodule, simple_module)
@@ -443,7 +443,7 @@ def _finiteness_note(A: Algebra, n_max: int) -> str:
 def _diagonal_terms(A: Algebra, depth: int):
     """diagonal_resolution(A, depth) as (ends, terms): ends[n] lists the
     vertex pair (v, w) of each summand A e_v (x) e_w A of degree -n, and
-    terms[n] (n >= 1) the terms (row, col, p, q, c) of d^{-n}, each the
+    terms[n] (n >= 1) the terms (row, col, (p, q), c) of d^{-n}, each the
     part c p (x) q of the entry from summand col to summand row, p and q
     basis elements of A.  Where certified_koszul certifies K through
     -depth they are read off K's tables (_table_terms); else they are the
@@ -459,7 +459,7 @@ def _diagonal_terms(A: Algebra, depth: int):
             ends = [[env.vertex_pair(code) for code in P.terms[-n]]
                     for n in range(len(P.terms))]
             terms = [None] + [
-                [(j, col, p, q, c) for (j, col), x in P.diff(-n).items()
+                [(j, col, (p, q), c) for (j, col), x in P.diff(-n).items()
                  for p, q, c in env.terms(x)]
                 for n in range(1, len(ends))]
         return (ends, terms), depth if len(ends) > depth else math.inf
@@ -469,24 +469,24 @@ def _diagonal_terms(A: Algebra, depth: int):
 
 
 def _table_terms(A: Algebra, ends, tables):
-    """The terms (row, col, p, q, c) of K's differentials (see
+    """The terms (row, col, (p, q), c) of K's differentials (see
     _diagonal_terms) read off its tables: a left term (row, a): c of the
-    summand (v, w) is (row, col, a, e_w, c) and a right term (row, b): c
-    is (row, col, e_v, b, c)."""
+    summand (v, w) is (row, col, (a, e_w), c) and a right term (row, b): c
+    is (row, col, (e_v, b), c)."""
     e, terms = A.idempotents, [None]
     for n in range(1, len(ends)):
         terms.append(out := [])
         for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
                                                           tables[n])):
-            out += [(j, col, a, e[w], c) for (j, a), c in left.items()]
-            out += [(j, col, e[v], b, c) for (j, b), c in right.items()]
+            out += [(j, col, (a, e[w]), c) for (j, a), c in left.items()]
+            out += [(j, col, (e[v], b), c) for (j, b), c in right.items()]
     return terms
 
 
 def _env_entries(A: Algebra, ends, terms):
     """(terms, diffs) over A (x) A^op of the resolution (ends, terms) of
     _diagonal_terms: the summand at (v, w) becomes A (x) A^op's vertex
-    (v, w), and the term (row, col, p, q, c) the coefficient c of p (x) q
+    (v, w), and the term (row, col, (p, q), c) the coefficient c of p (x) q
     in the entry (row, col) of d^{-n}.  No two terms of an entry share
     p (x) q (on K's route a and b are arrows), so each is written, not
     added."""
@@ -494,15 +494,16 @@ def _env_entries(A: Algebra, ends, terms):
     diffs = {}
     for n in range(1, len(ends)):
         d = diffs[-n] = {}
-        for j, col, p, q, c in terms[n]:
+        for j, col, (p, q), c in terms[n]:
             d.setdefault((j, col), {})[env.pair_index(p, q)] = c
     return {-n: tuple(env.vertex(v, w) for v, w in pairs)
             for n, pairs in enumerate(ends)}, diffs
 
 
 def _action(A: Algebra, M: ModuleRep):
-    """split(p, q) = (column, k) with column(k, m) the vector p m q, for
-    basis elements p, q of A and a position m of the A-bimodule M.  M's
+    """split(j, (p, q)) = (column, k) with column(k, m) the vector p m q,
+    for basis elements p, q of A and a position m of the A-bimodule M, in
+    the degree j = 0 of complexes._hom's target, whose column it is.  M's
     grading is checked first: the idempotents of each position's declared
     vertex (v, w) must fix it, e_v on the left and e_w on the right on a
     Bimodule, e_v (x) e_w on a plain module over A (x) A^op, else
@@ -524,7 +525,7 @@ def _action(A: Algebra, M: ModuleRep):
             raise ComplexError(f"position {m} of the coefficients is not at "
                                "its declared vertex")
     if not bimodule:
-        return lambda p, q: (M.column, env.pair_index(p, q))
+        return lambda _, pq: (M.column, env.pair_index(*pq))
     left_col, right_col = M.left_col, M.right_col
     idempotent, images = set(e), {}
 
@@ -535,10 +536,11 @@ def _action(A: Algebra, M: ModuleRep):
                                            right_col(pq[1], m))
         return image
 
-    def split(p, q):
+    def split(_, pq):
+        p, q = pq
         if q in idempotent:
             return left_col, p
-        return (right_col, q) if p in idempotent else (both, (p, q))
+        return (right_col, q) if p in idempotent else (both, pq)
     return split
 
 
@@ -566,50 +568,24 @@ def _layout(keys, summands):
 
 def _hom_complex(A: Algebra, M: ModuleRep, ends, terms) -> FieldComplex:
     """Hom_{A^e}(P, M) for the resolution P = (ends, terms) of
-    _diagonal_terms, in ModuleHomComplex's layout for M in degree 0: the
-    cochains of degree n are (s, m), summand s of P in degree -n and a
-    position m of M in its block at that summand's vertex, in that order.
-    The cochain (s, m) goes to -(-1)^n c p m q on summand t for each term
-    (s, t, p, q, c) of d^{-n-1}, read through _action, which checks M's
-    grading; each image is checked to stay in t's block, raising
-    ComplexError as ModuleHomComplex does."""
-    env, f, grading = M.algebra, A.field, M.grading
-    add, mul, neg = f.add, f.mul, f.neg
-    codes = [[env.vertex(v, w) for v, w in pairs] for pairs in ends]
-    place, offsets, blocks, sizes = _layout(grading, codes)
-    dims = {n: size for n, size in enumerate(sizes) if size}
-    split, mats = _action(A, M), {}
-    for n in dims:
-        if n + 1 not in dims:
-            continue
-        cols = [{} for _ in range(dims[n])]
-        for s, t, p, q, c in terms[n + 1]:
-            code, base = codes[n + 1][t], offsets[n + 1][t]
-            c, start = c if n % 2 else neg(c), offsets[n][s]
-            column, k = split(p, q)
-            for m in blocks[n][s]:
-                col = cols[start + place[m]]
-                for m2, x in column(k, m).items():
-                    if grading[m2] != code:
-                        raise ComplexError("a term of the diagonal resolution "
-                                           "moves a position of the "
-                                           f"coefficients off vertex {code}")
-                    r, x = base + place[m2], mul(c, x)
-                    y = col.get(r)
-                    if y is not None:
-                        x = add(x, y)
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
-        mats[n] = Matrix(f, dims[n + 1], dims[n], cols)
-    return FieldComplex(f, dims, mats)
+    _diagonal_terms, with M in degree 0, assembled by complexes._hom: the
+    summand at (v, w) is A (x) A^op's vertex (v, w), and the key (p, q) of
+    a term acts on a position m of M as p m q, read through _action,
+    which checks M's grading first."""
+    *_, dims, mats = _hom(
+        A.field, {-n: [M.algebra.vertex(v, w) for v, w in pairs]
+                  for n, pairs in enumerate(ends)},
+        {-n: terms[n] for n in range(1, len(terms))},
+        ({0: M.grading}, {}, _action(A, M)),
+        "a term of the diagonal resolution moves a position of the "
+        "coefficients off vertex {w}")
+    return FieldComplex(A.field, dims, mats)
 
 
 def _tensor_complex(A: Algebra, ends, terms) -> FieldComplex:
     """P (x)_{A^e} A for the resolution P = (ends, terms) of
     _diagonal_terms, in degrees -n: a summand at (v, w) contributes
-    e_w A e_v, its basis in A's order, and a term (row, col, p, q, c)
+    e_w A e_v, its basis in A's order, and a term (row, col, (p, q), c)
     sends m in col's block to c q m p in row's.  An idempotent factor is
     skipped, as it fixes m: P's entries lie in their slices."""
     f = A.field
@@ -619,7 +595,7 @@ def _tensor_complex(A: Algebra, ends, terms) -> FieldComplex:
     diffs = {}
     for n in range(1, len(ends)):
         cols = [{} for _ in range(sizes[n])]
-        for j, s, p, q, c in terms[n]:
+        for j, s, (p, q), c in terms[n]:
             base, start = offsets[n - 1][j], offsets[n][s]
             for m in blocks[n][s]:
                 if q in idempotent:

@@ -1053,25 +1053,85 @@ def test_hom_images_outside_their_block_raise(A2):
         ModuleHomComplex(single_projective(A2, 0), Y)
 
 
-def test_koszul_hom_reads_each_action_once(monkeypatch):
-    """HH^* of generated P^4 asks Y for a . m once per distinct (Y degree,
-    entry, position): 1,365 reads, where reading per cochain took 3,840."""
+def test_cancelling_terms_leave_no_stored_zero(monkeypatch):
+    """The terms c b_k of an entry of d_X add up in one cell: on kronecker2
+    the entry a - b from A e_2 to A e_1, into k (+) k at vertices 1 and 2
+    with a and b both acting as 1, cancels, so the degree-0 column is
+    empty.  And no column of a Hom matrix that kernels orthogonality or
+    serre-check assembles on the catalog holds a zero."""
     import sodhh.complexes as complexes
-    from sodhh.hochschild import hh_cohomology
+    from sodhh.cli import run_command
+    from sodhh.linalg import ZERO_COLUMN
+    from sodhh.modules import ModuleRep
+    A = CATALOG["kronecker2"].algebra(QQ)
+    a, b = A.labels.index("a"), A.labels.index("b")
+    X = ProjComplex(A, {-1: (1,), 0: (0,)}, {-1: {(0, 0): {a: 1, b: -1}}})
+
+    def column(k, m):
+        if k == A.idempotents[m]:
+            return {m: 1}
+        return {1: 1} if k in (a, b) and m == 0 else ZERO_COLUMN
+    hom = ModuleHomComplex(X, module_complex_single(ModuleRep(A, 2, column,
+                                                              (0, 1))))
+    assert hom.mats[0].cols == [{}]
+    assert hom.ext_profile() == {0: 1, 1: 1}
+    mats, real = [], complexes._hom
+
+    def kept(*args):
+        out = real(*args)
+        mats.extend(out[-1].values())
+        return out
+    monkeypatch.setattr(complexes, "_hom", kept)
+    for name, entry in CATALOG.items():
+        for argv in (["kernels", "orthogonality"], ["serre-check"]):
+            if entry.has_collection or argv == ["serre-check"]:
+                code, _ = run_command(argv + ["--catalog", name])
+                assert code == 0, (name, argv)
+    assert mats and all(all(col.values()) for m in mats for col in m.cols)
+
+
+def test_koszul_hom_reads_each_action_once(monkeypatch):
+    """HH^* of generated P^4 is assembled by the shared complexes._hom,
+    which asks _action's split once per term (s, t, (p, q), c) of the
+    diagonal resolution and reads the image p m q once per position m of
+    the block of the term's summand s; every split is asked inside _hom."""
+    import sodhh.hochschild as hochschild
     from test_hochschild import _generated_beilinson
-    reads, real = [], complexes._as_modules
+    splits, reads, inside = [], [], []
+    real_action, real_hom = hochschild._action, hochschild._hom
 
-    def counting(Y):
-        gradings, diffs, act = real(Y)
+    def counting_action(A, M):
+        split = real_action(A, M)
 
-        def counted(j, a, m):
-            reads.append((j, tuple(sorted(a.items())), m))
-            return act(j, a, m)
-        return gradings, diffs, counted
-    monkeypatch.setattr(complexes, "_as_modules", counting)
+        def counted(j, pq):
+            splits.append(bool(inside))
+            col, k = split(j, pq)
+
+            def read(k, m):
+                reads.append((*pq, m))
+                return col(k, m)
+            return read, k
+        return counted
+
+    def hom(*args):
+        inside.append(True)
+        try:
+            return real_hom(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(hochschild, "_action", counting_action)
+    monkeypatch.setattr(hochschild, "_hom", hom)
     A = _generated_beilinson(4)
-    assert hh_cohomology(A, 5).as_tuple() == (1, 24, 126, 224, 126, 0)
-    assert len(reads) == len(set(reads)) <= 1365
+    M = regular_bimodule(A)
+    assert hochschild.hh_cohomology(A, 5).as_tuple() == (1, 24, 126, 224,
+                                                         126, 0)
+    ends, terms = hochschild._diagonal_terms(A, 6)
+    expected = [(p, q, m) for n in range(1, len(terms))
+                for s, _, (p, q), _ in terms[n]
+                for m in range(M.dim)
+                if M.grading[m] == M.algebra.vertex(*ends[n - 1][s])]
+    assert splits == [True] * sum(len(t) for t in terms[1:])
+    assert sorted(reads) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1579,13 +1579,15 @@ def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     homology for HH_* and the Serre route.  Its tables are built once, and
     no command writes its entries over A (x) A^op: HH^*, HH_* and the
     coefficients read the p (x) q terms off the tables, and kernels build
-    and orthogonality read the diagonal's K_0 class off K's ends.  The HH
-    commands build no ModuleHomComplex either."""
+    and orthogonality read the diagonal's K_0 class off K's ends, with no
+    term transcribed from the tables.  The HH commands build no
+    ModuleHomComplex either."""
     from sodhh.cli import run_command
     from sodhh.complexes import ModuleHomComplex
     from test_cli import counting_wrapper
     tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
     entries = counting_wrapper(monkeypatch, "_env_entries", ["hochschild"])
+    terms = counting_wrapper(monkeypatch, "_table_terms", ["hochschild"])
     homs, init = [], ModuleHomComplex.__init__
 
     def counting_init(self, *args):
@@ -1596,6 +1598,7 @@ def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     assert code == 0 and report.all_passed()
     assert len(tables) == 1
     assert entries == []
+    assert len(terms) == (argv[1:] not in (["build"], ["orthogonality"]))
     assert (homs == []) == (argv[0] != "kernels")
 
 

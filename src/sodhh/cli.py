@@ -354,16 +354,15 @@ def cmd_serre_check(args, report):
     return 0
 
 
-def _collection_summary(coll):
-    return [{"terms": {str(k): list(v) for k, v in o.terms.items()}}
-            for o in coll.objects]
+def _terms(X):
+    return {str(k): list(v) for k, v in X.terms.items()}
 
 
 def cmd_collection(args, report):
     A, _ = _load_algebra(args)
     _algebra_summary(A, report)
     coll = projective_collection(A)
-    report.set("collection", _collection_summary(coll))
+    report.set("collection", [{"terms": _terms(o)} for o in coll.objects])
     if args.subcommand == "check":
         report.set("violations", coll.violations)
         report.check("exceptional collection", not coll.violations)
@@ -376,13 +375,12 @@ def cmd_collection(args, report):
                               f"{args.index} is outside the valid range "
                               f"{lo}..{hi}")
         new = mutate(coll, args.index, args.dir)
-        report.set("mutated", _collection_summary(new))
+        report.set("mutated", [{"terms": _terms(o)} for o in new.objects])
         report.check("mutated collection is exceptional", True)
     elif args.subcommand == "dual":
         duals, shifts = dual_collection(coll)
-        report.set("dual_objects", [
-            {"terms": {str(k): list(v) for k, v in d.terms.items()},
-             "shift": s} for d, s in zip(duals, shifts)])
+        report.set("dual_objects", [{"terms": _terms(d), "shift": s}
+                                    for d, s in zip(duals, shifts)])
         report.check("delta-property Hom tables",
                      all(bdi_check(coll, i + 1, (duals, shifts))
                          for i in range(len(coll))))
@@ -394,8 +392,8 @@ def cmd_collection(args, report):
             report.check("projection tower", False, str(exc))
             return 1
         report.set("factors", [
-            {"terms": {str(k): list(v) for k, v in F.terms.items()},
-             "k0_class": F.euler_class()} for F in tower.factors])
+            {"terms": _terms(F), "k0_class": F.euler_class()}
+            for F in tower.factors])
         report.set("object_k0_class", tower.object.euler_class())
         report.check("K0 classes of factors sum to the object class",
                      tower.k0_checks["k0_additive"])
@@ -428,8 +426,7 @@ def cmd_kernels(args, report):
     if args.subcommand == "build":
         ks = projection_kernels(coll)
         report.set("projection_kernels", [
-            {"left_terms": {str(k): list(v) for k, v in P.left.terms.items()},
-             "right_terms": {str(k): list(v) for k, v in P.right.terms.items()}}
+            {"left_terms": _terms(P.left), "right_terms": _terms(P.right)}
             for P in ks])
         report.check("K0 identity: sum of kernel classes equals the "
                      "diagonal class", k0_identity_check(ks, A))
@@ -613,7 +610,7 @@ def run_command(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     report = Report(" ".join(["sodhh"] + list(argv)))
-    report.format_hint = getattr(args, "format", "table")
+    report.format_hint = args.format
     try:
         code = COMMANDS[args.command](args, report)
     except (NormalizationFailed, RangeNotCertified, NotFull) as exc:
@@ -635,8 +632,8 @@ def main(argv=None):
         code, report = run_command(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = getattr(report, "format_hint", "table")
-    text = report.to_json() if fmt == "json" else report.to_table()
+    text = report.to_json() if report.format_hint == "json" \
+        else report.to_table()
     sys.stdout.write(text)
     return code
 

@@ -21,8 +21,9 @@ one-sided Ext and the kernels by ModuleHomComplex, for HH^* in hochschild.
 The resolutions built here are the relative bar resolution (a test
 oracle) and the minimal projective resolutions of modules.  The Koszul
 bimodule resolution lives in hochschild, beside its certificate, and is
-built and checked in A as tables, read from them one-sidedly, and
-written over A (x) A^op only where a bimodule resolution is asked for.
+built and checked in A as its p (x) q terms, sliced from them
+one-sidedly, and written over A (x) A^op only where a bimodule
+resolution is asked for.
 
 Sign conventions used throughout:
   shift       (X[s])^n = X^{n+s},  d_{X[s]} = (-1)^s d_X
@@ -41,10 +42,8 @@ from functools import cached_property
 from .algebra import Algebra, AlgebraAxiomError, _lines, _radical_generators
 from .linalg import (ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy,
                      rank)
-
-
-class SideMismatch(ValueError):
-    """Complexes or modules with incompatible module structures."""
+from .modules import (Bimodule, ModuleAxiomError, ModuleRep, SideMismatch,
+                      _dual_columns)
 
 
 class ComplexError(ValueError):
@@ -716,7 +715,6 @@ def tensor_env_module(P: ProjComplex, M) -> ModuleComplex:
     acts from the left on the first factor and from the right on M.  With
     M = DA it is the Serre-twisted target P o S, which the tests take Ext
     into as the oracle of kernels.decomposable_ext."""
-    from .modules import Bimodule
     env = P.algebra
     if M.algebra is not env:
         raise SideMismatch("P (x)_A M needs a bimodule over the complex's "
@@ -777,7 +775,6 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
     """DA (x)_A X for a left-module complex X: the Serre functor applied
     termwise (DA (x)_A A e_v = D(e_v A), which is injective, not
     projective)."""
-    from .modules import ModuleRep, _dual_columns
     A = X.algebra
     f = A.field
     blocks = {}
@@ -956,7 +953,6 @@ def projective_resolution(M, length: int) -> ProjComplex:
     later cover is a submodule.  The last cover, whose kernel
     Omega_{length+1} would be dropped, is therefore skipped when length >= 1
     and computed, for the checks alone, when length == 0."""
-    from .modules import ModuleAxiomError
     alg = M.algebra
     f = alg.field
     gens_at = {}

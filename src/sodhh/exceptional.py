@@ -18,7 +18,8 @@ from __future__ import annotations
 from .algebra import Algebra, PathAlgebra, algebra_from_structure
 from .complexes import (ChainMap, ProjComplex, compose_chainmaps, cone,
                         direct_sum, ext_profile, hom_complex, minimalize,
-                        single_projective)
+                        single_projective, zero_complex)
+from .linalg import Matrix, solve_linear
 from .modules import simple_module
 
 
@@ -97,7 +98,6 @@ def evaluation_map(E: ProjComplex, F: ProjComplex) -> ChainMap:
             pieces.append(cm.source)
             maps.append(cm)
     if not pieces:
-        from .complexes import zero_complex
         return ChainMap(zero_complex(E.algebra), F, {})
     return _assemble_map_from(pieces, maps, F)
 
@@ -115,7 +115,6 @@ def coevaluation_map(F: ProjComplex, E: ProjComplex) -> ChainMap:
             pieces.append(shifted.target)
             maps.append(shifted)
     if not pieces:
-        from .complexes import zero_complex
         return ChainMap(F, zero_complex(F.algebra), {})
     return _assemble_map_to(F, pieces, maps)
 
@@ -388,7 +387,6 @@ def endomorphism_algebra(coll: ExceptionalCollection,
     def class_coefficients(i, k, cm):
         """Coefficients of a degree-0 cocycle (given as a chain map
         E_i -> E_k) over the chosen basis, modulo coboundaries."""
-        from .linalg import Matrix, solve_linear
         h = hcxs[(i, k)]
         dim0 = h.dims.get(0, 0)
         prev = h.mats.get(-1)

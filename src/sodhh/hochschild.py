@@ -8,28 +8,23 @@ certifies it by Priddy's criterion, else the minimal bimodule resolution.
 Homology is Tor^{A^e}(A, A), the homology of P_* (x)_{A^e} A over the
 same resolution.  Both complexes read each entry of P's differential as
 terms c p (x) q, p and q basis elements of A (_diagonal_terms): on K's
-route straight from its tables, else from the minimal resolution's
+route the terms K is kept as, else those of the minimal resolution's
 entries, decoded once.  A term acts on a bimodule as m |-> c p m q in
 complexes._hom, the Hom assembler of one-sided Ext too (_hom_complex),
 and on A in P (x)_{A^e} A as m |-> c q m p (_tensor_complex).
 
-K is built here, next to its certificate, and is kept in one form: its
-tables, each column of a differential as a left table (terms a (x) e_w)
-and a right table (terms e_v (x) b), the left and right splittings of a
-basis element of the Koszul space K_n, which is never written out in the
-tensor powers of the arrows (_koszul_tables).  _check_koszul checks
-slices and d^2 = 0 from them with products of arrows in A alone; the
-certificate K (x)_A A_0 is written from the left tables straight into a
-complex of vector spaces (_koszul_certificate), and the one-sided slices
-are selected from them (_one_sided).  certified_koszul alone builds and
-certifies them, and every use of K (global_dimension, simple_resolution,
-_diagonal_terms) asks it whether K is certified through the depth that
-use needs.  A's cache keeps each resolution once, with the depth it
-reaches (_kept): K, the diagonal's p (x) q terms and each simple's
-(simple_resolution, the one place a simple is resolved).  Entries over
-A (x) A^op are written (_env_entries) only by diagonal_resolution and
-koszul_resolution, which no command calls: HH and the diagonal's K_0
-class read the terms.
+K is built here, next to its certificate, and kept in that one form: the
+terms a (x) e_w and e_v (x) b of the left and right splittings of each
+basis element of K_n (_koszul_terms), which are checked in A
+(_check_koszul), certified (_koszul_certificate) and sliced one-sidedly
+(_one_sided) as they are.  certified_koszul alone builds and certifies K,
+and every use of K (global_dimension, simple_resolution, _diagonal_terms)
+asks it whether K is certified through the depth that use needs.  A's
+cache keeps each resolution once, with the depth it reaches (_kept): K,
+the minimal route's p (x) q terms and each simple's (simple_resolution,
+the one place a simple is resolved).  Entries over A (x) A^op are written
+(_env_entries) only by diagonal_resolution and koszul_resolution, which
+no command calls: HH and the diagonal's K_0 class read the terms.
 """
 
 from __future__ import annotations
@@ -85,13 +80,13 @@ def _is_quadratic(A: Algebra) -> bool:
 # Koszul bimodule resolution, checked in A
 
 
-def _koszul_tables(A: PathAlgebra, n_max: int):
-    """K's summands and differential, read in A: ends[n] lists the vertex
-    pair (v, w) of each summand A e_v (x) e_w A of degree -n (ends[0] the
-    (u, u)), and tables[n] (n >= 1) holds each column of d^{-n} as its
-    left table {(row, a): c}, the terms c a (x) e_w, and its right table
-    {(row, b): (-1)^n c}, the terms (-1)^n c e_v (x) b.  The list stops
-    at n_max (K_1 always included) or after the first empty space.
+def _koszul_terms(A: PathAlgebra, n_max: int):
+    """K's summands and differential, read in A, as (ends, terms) (see
+    _diagonal_terms), ends[0] the (u, u): column by column, the left
+    splitting {(row, a): c} of a basis element of K_n gives the terms
+    (row, col, (a, e_w), c), then its right one {(row, b): c} the terms
+    (row, col, (e_v, b), (-1)^n c).  The list stops at n_max (K_1 always
+    included) or after the first empty space.
 
     K_n is the intersection of the V^i (x) R (x) V^{n-2-i} in the tensor
     powers of the arrow span V, R = ker(V (x)_E V -> A), and is kept as the
@@ -108,12 +103,12 @@ def _koszul_tables(A: PathAlgebra, n_max: int):
     must vanish, else xi does not split off a (ComplexError)."""
     f = A.field
     add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
-    product = A.product
+    product, e = A.product, A.idempotents
     arrows = [k for k, p in enumerate(A.basis_paths) if p and len(p) == 1]
     ending_at = {}
     for b in arrows:
         ending_at.setdefault(A.tgt[b], []).append(b)
-    ends, tables = [[(u, u) for u in range(A.num_vertices)]], [None]
+    ends, terms = [[(u, u) for u in range(A.num_vertices)]], [None]
     # K_n's ends, splittings and free columns (j, b), starting at K_1
     vws = [(A.tgt[b], A.src[b]) for b in arrows]
     lefts = [{(A.src[a], a): one} for a in arrows]
@@ -123,8 +118,11 @@ def _koszul_tables(A: PathAlgebra, n_max: int):
         n = len(ends)
         sign = one if n % 2 == 0 else neg(one)
         ends.append(vws)
-        tables.append([(left, {jb: mul(sign, c) for jb, c in right.items()})
-                       for left, right in zip(lefts, rights)])
+        terms.append(out := [])
+        for col, ((v, w), left, right) in enumerate(zip(vws, lefts, rights)):
+            out += [(j, col, (a, e[w]), c) for (j, a), c in left.items()]
+            out += [(j, col, (e[v], b), mul(sign, c))
+                    for (j, b), c in right.items()]
         if n >= n_max:
             break
         blocks = {}   # (end, start) vertex -> columns (j, b) of K_n (x) V
@@ -168,152 +166,149 @@ def _koszul_tables(A: PathAlgebra, n_max: int):
                                        f"not split off {A.labels[a]}")
             next_lefts.append(left)
         lefts, rights, frees = next_lefts, next_rights, next_frees
-    return ends, tables
+    return ends, terms
 
 
-def _check_koszul(A: PathAlgebra, ends, tables):
-    """Raise ComplexError unless the tables (see _koszul_tables) define a
-    complex, with the checks and messages of ProjComplex over A (x) A^op,
-    but with A's multiplication table only.
+def _check_koszul(A: Algebra, ends, terms):
+    """Raise ComplexError unless (ends, terms) (see _diagonal_terms) define
+    a complex, with the checks and messages of ProjComplex over
+    A (x) A^op, but with A's multiplication table only.
 
-    Each term c p (x) q of a column, p (x) q = a (x) e_w or e_v (x) b, must
-    lie in the slice of its summands: tgt p = v and src q = w for the
-    column's (v, w), and (src p, tgt q) is the row's pair.  This is checked
-    for every term of a degree before its composites are taken.  By
-    (p1 (x) p2)(q1 (x) q2) = p1 q1 (x) q2 p2, the product of a term of
-    d^{-n} with one of d^{-n+1} (row h) falls in one of three disjoint parts
-    of the basis of A (x) A^op: two left terms give a a' (x) e_w, two right
-    terms e_v (x) b' b, and a left and a right term a (x) b.  Once the
-    slices pass, each idempotent factor is the unit of the arrow it meets,
-    and w or v is fixed by h, so the cells are (h, s) for s in a a',
-    (h, t) for t in b' b and (h, a, b), filled from arrow products alone.
-    d^2 = 0 exactly when every cell vanishes."""
+    Every term c p (x) q of a degree must lie in the slice of its
+    summands, tgt p = v and src q = w for its column's (v, w) and
+    (src p, tgt q) its row's pair, before the composites are taken: with
+    a term c2 p2 (x) q2 of d^{-n+1} from its row into row h, it adds
+    c c2 p p2 (x) q2 q to the composite, to the cells (h, s, t) of its
+    column for s in p p2 and t in q2 q.  Once the slices pass, an
+    idempotent factor is the unit of the other, so A's table is read only
+    for two factors in the radical.  d^2 = 0 when every cell vanishes."""
     f = A.field
     add, mul, zero, product = f.add, f.mul, f.zero, A.product
-    e, src, tgt = A.idempotents, A.src, A.tgt
-    for n in range(1, len(tables)):
-        rows = ends[n - 1]
-        for (v, w), (left, right) in zip(ends[n], tables[n]):
-            terms = [(j, a, e[w]) for j, a in left]
-            terms += [(j, e[v], b) for j, b in right]
-            for j, p, q in terms:
-                if not 0 <= j < len(rows):
-                    raise ComplexError(f"differential at degree {-n} has "
-                                       "the wrong shape")
-                if (tgt[p], src[q]) != (v, w) or (src[p], tgt[q]) != rows[j]:
-                    raise ComplexError("entry not in e_v L e_w slice at "
-                                       f"degree {-n}")
-        for left, right in tables[n] if n > 1 else ():
-            lefts, cross, rights = {}, {}, {}
-            for (i, a), c in left.items():
-                prev_left, prev_right = tables[n - 1][i]
-                for (h, a2), c2 in prev_left.items():
-                    c12 = mul(c, c2)
-                    for s, u in product(a, a2).items():
-                        lefts[h, s] = add(lefts.get((h, s), zero),
-                                          mul(c12, u))
-                for (h, b2), c2 in prev_right.items():
-                    cross[h, a, b2] = add(cross.get((h, a, b2), zero),
-                                          mul(c, c2))
-            for (i, b), c in right.items():
-                prev_left, prev_right = tables[n - 1][i]
-                for (h, a2), c2 in prev_left.items():
-                    cross[h, a2, b] = add(cross.get((h, a2, b), zero),
-                                          mul(c, c2))
-                for (h, b2), c2 in prev_right.items():
-                    c12 = mul(c, c2)
-                    for t, u in product(b2, b).items():
-                        rights[h, t] = add(rights.get((h, t), zero),
-                                           mul(c12, u))
-            if any(lefts.values()) or any(cross.values()) or \
-                    any(rights.values()):
+    idempotent, src, tgt = A._idem_set, A.src, A.tgt
+    for n in range(1, len(terms)):
+        rows, cols = ends[n - 1], ends[n]
+        at = [[] for _ in cols]   # the terms of d^{-n} by column
+        for term in terms[n]:
+            j, col, (p, q), c = term
+            if not (0 <= j < len(rows) and 0 <= col < len(cols)):
+                raise ComplexError(f"differential at degree {-n} has the "
+                                   "wrong shape")
+            if (tgt[p], src[q]) != cols[col] or (src[p], tgt[q]) != rows[j]:
+                raise ComplexError("entry not in e_v L e_w slice at degree "
+                                   f"{-n}")
+            at[col].append(term)
+        for column in at if n > 1 else ():
+            cells = {}
+            for i, _, (p, q), c in column:
+                pe, qe = p in idempotent, q in idempotent
+                for h, _, (p2, q2), c2 in prev[i]:
+                    x = mul(c, c2)
+                    s = p2 if pe else p if p2 in idempotent else None
+                    t = q2 if qe else q if q2 in idempotent else None
+                    if s is not None and t is not None:
+                        cells[h, s, t] = add(cells.get((h, s, t), zero), x)
+                    elif t is not None:
+                        for s, u in product(p, p2).items():
+                            cell = h, s, t
+                            cells[cell] = add(cells.get(cell, zero), mul(x, u))
+                    elif s is not None:
+                        for t, u in product(q2, q).items():
+                            cell = h, s, t
+                            cells[cell] = add(cells.get(cell, zero), mul(x, u))
+                    else:
+                        for s, u in product(p, p2).items():
+                            y = mul(x, u)
+                            for t, u in product(q2, q).items():
+                                cell = h, s, t
+                                cells[cell] = add(cells.get(cell, zero),
+                                                  mul(y, u))
+            if any(cells.values()):
                 raise ComplexError(f"d^2 != 0 at degree {-n}")
+        prev = at
 
 
-def _koszul_certificate(A: PathAlgebra, ends, tables) -> FieldComplex:
+def _koszul_certificate(A: PathAlgebra, ends, terms) -> FieldComplex:
     """K (x)_A A_0, Priddy's certificate, as a complex of vector spaces
-    written from K's left tables (see _koszul_tables).  In degree -n each
-    summand A e_v (x) e_w A of K_n becomes A e_v, laid out at its offset
-    with A's paths starting at v, in index order, as its basis (_layout).
-    A left term (row, a): c sends y to c y a in the row's block; a right
-    term e_v (x) b acts on A_0 by an arrow, so as zero.  Right
-    multiplication by an arrow is read off A's table once per call, in
-    places: the terms (place y, place k, x) of each x b_k in y a."""
+    written from K's terms (see _koszul_terms).  In degree -n each summand
+    A e_v (x) e_w A of K_n becomes A e_v, laid out at its offset with A's
+    paths starting at v, in index order, as its basis (_layout).  A term
+    (row, col, (a, e_w), c) sends y in col's block to c y a in row's; a
+    term whose right factor is an arrow acts on A_0 by it, so as zero.
+    Right multiplication by an arrow is read off A's table once per call,
+    in places: the terms (place y, place k, x) of each x b_k in y a."""
     f = A.field
-    add, mul, product = f.add, f.mul, A.product
+    add, mul, product, idempotent = f.add, f.mul, A.product, A._idem_set
     place, offsets, blocks, sizes = _layout(
         A.src, [[v for v, _ in pairs] for pairs in ends])
     times, diffs = {}, {}   # times: arrow a -> the terms of y |-> y a
-    for n in range(1, len(tables)):
-        base, cols = offsets[n - 1], []
-        for block, (left, _) in zip(blocks[n], tables[n]):
-            block_cols = [{} for _ in block]
-            for (row, a), c in left.items():
-                terms = times.get(a)
-                if terms is None:   # block is A e_v, v = tgt a (_check_koszul)
-                    terms = times[a] = [(place[y], place[k], x)
-                                        for y in block
-                                        for k, x in product(y, a).items()]
-                start = base[row]
-                for i, p, x in terms:
-                    col, r, x = block_cols[i], start + p, mul(c, x)
-                    prev = col.get(r)
-                    if prev is not None:
-                        x = add(x, prev)
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
-            cols += block_cols
+    for n in range(1, len(terms)):
+        base, start = offsets[n - 1], offsets[n]
+        cols = [{} for _ in range(sizes[n])]
+        for row, s, (a, q), c in terms[n]:
+            if q not in idempotent:
+                continue
+            images = times.get(a)
+            if images is None:   # s's block: A e_v, v = tgt a (_check_koszul)
+                images = times[a] = [(place[y], place[k], x)
+                                     for y in blocks[n][s]
+                                     for k, x in product(y, a).items()]
+            top, first = base[row], start[s]
+            for i, p, x in images:
+                col, r, x = cols[first + i], top + p, mul(c, x)
+                prev = col.get(r)
+                if prev is not None:
+                    x = add(x, prev)
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
         diffs[-n] = Matrix(f, sizes[n - 1], sizes[n], cols)
     return FieldComplex(f, {-n: size for n, size in enumerate(sizes)}, diffs)
 
 
-def _one_sided(ends, tables, side, u):
-    """(terms, diffs) of a one-sided slice of K read from its tables (see
-    _koszul_tables).  side "left" gives K (x)_A S_u over A: the summands
-    A e_v (x) e_w A with w = u, each becoming A e_v, and the left terms
+def _one_sided(A: Algebra, ends, terms, side, u):
+    """(terms, diffs) of a one-sided slice of K = (ends, terms) (see
+    _koszul_terms).  side "left" gives K (x)_A S_u over A: the summands
+    A e_v (x) e_w A with w = u, each becoming A e_v, and the terms
     a (x) e_w as entries a.  side "right" gives S_u (x)_A K over A^op: the
-    summands with v = u, each becoming e_w A, and the right terms e_v (x) b
-    as entries b.  A term of the other side acts on S_u by an arrow, so as
-    zero.  Parallel arrows give several terms in one (row, column) entry."""
-    right = side == "right"
-    kept, terms, diffs = [], {}, {}
+    summands with v = u, each becoming e_w A, and the terms e_v (x) b as
+    entries b; a term whose other factor is an arrow acts on S_u as zero,
+    and parallel arrows give several terms in one entry."""
+    right, idempotent = side == "right", A._idem_set
+    kept, vertices, diffs = [], {}, {}
     for n, pairs in enumerate(ends):
         keep = {}
         for s, (v, w) in enumerate(pairs):
             if (v if right else w) == u:
                 keep[s] = len(keep)
-                terms.setdefault(-n, []).append(w if right else v)
+                vertices.setdefault(-n, []).append(w if right else v)
         kept.append(keep)
-    for n in range(1, len(tables)):
+    for n in range(1, len(terms)):
         rows, cols, d = kept[n - 1], kept[n], {}
-        for s, sides in enumerate(tables[n]):
-            if s in cols:
-                for (j, x), c in sides[1 if right else 0].items():
-                    d.setdefault((rows[j], cols[s]), {})[x] = c
+        for j, s, (p, q), c in terms[n]:
+            if s in cols and (p if right else q) in idempotent:
+                d.setdefault((rows[j], cols[s]), {})[q if right else p] = c
         diffs[-n] = d
-    return terms, diffs
+    return vertices, diffs
 
 
 def koszul_resolution(A: PathAlgebra, n_max: int) -> ProjComplex:
     """Koszul bimodule resolution of a quadratic path algebra (Priddy): the
     subcomplex A (x)_E K_n (x)_E A of the relative bar resolution, in
     degree -n for n <= n_max, one summand per basis element of K_n, the
-    kernel of K_{n-1} (x)_E V -> K_{n-2} (x)_E A_2 (see _koszul_tables).
+    kernel of K_{n-1} (x)_E V -> K_{n-2} (x)_E A_2 (see _koszul_terms).
     The inner faces of the bar differential vanish on K_n, so the
     differential is its two outer faces: a (x) e_w times the left
     splitting of an element into a (x) K_{n-1}, read off the free columns
     of K_{n-1}, and (-1)^n e_v (x) b times its right splitting.  It
     resolves A exactly when A is Koszul (certified_koszul).
 
-    Every build is checked, in A: _check_koszul certifies the tables, and
+    Every build is checked, in A: _check_koszul certifies the terms, and
     only then are the entries of A (x) A^op written (_env_entries), with
     check=False."""
-    ends, tables = _koszul_tables(A, n_max)
-    _check_koszul(A, ends, tables)
-    return ProjComplex(A.enveloping(),
-                       *_env_entries(A, ends, _table_terms(A, ends, tables)),
+    ends, terms = _koszul_terms(A, n_max)
+    _check_koszul(A, ends, terms)
+    return ProjComplex(A.enveloping(), *_env_entries(A, ends, terms),
                        check=False)
 
 
@@ -331,20 +326,20 @@ def _kept(A: Algebra, key, depth: int, build):
 
 
 def certified_koszul(A: Algebra, depth: int):
-    """The tables (ends, tables) of A's Koszul resolution K through degree
-    -depth (see _koszul_tables), if K is certified exact above -depth, else
+    """A's Koszul resolution K as (ends, terms) through degree -depth (see
+    _koszul_terms), if K is certified exact above -depth, else
     None: a resolution of A through -depth as projective_resolution gives
     one, its terms in degrees -depth..0, exact above -depth.
 
     K is built through -max(depth, 1) and checked (_check_koszul), and the
-    homology of K (x)_A A_0, written from K's left tables as a complex of
+    homology of K (x)_A A_0, written from K's terms as a complex of
     vector spaces (_koszul_certificate) and ranked whole, is Priddy's
     certificate: where it is A_0 in degree 0 and zero elsewhere, K is
     exact, as the cone of K -> A is projective on the right and the left
     module A is an iterated extension of simples.  Homology above -depth
     means A is not Koszul.  No A (x) A^op and no ProjComplex is built.
 
-    K is kept under "koszul" (_kept): its tables, plain ints and field
+    K is kept under "koszul" (_kept): its terms, plain ints and field
     elements, certified for every depth once complete or failed (None, as
     for an algebra that is not quadratic), else through the depth they
     were built to."""
@@ -352,13 +347,13 @@ def certified_koszul(A: Algebra, depth: int):
         if not _is_quadratic(A):
             return None, math.inf
         n_max = max(depth, 1)
-        ends, tables = _koszul_tables(A, n_max)
-        _check_koszul(A, ends, tables)
-        homology = _koszul_certificate(A, ends, tables).homology_dims()
+        ends, terms = _koszul_terms(A, n_max)
+        _check_koszul(A, ends, terms)
+        homology = _koszul_certificate(A, ends, terms).homology_dims()
         if {n: h for n, h in homology.items() if n > -n_max} != \
                 {0: A.num_vertices}:
             return None, math.inf
-        return (ends, tables), n_max if len(ends) > n_max else math.inf
+        return (ends, terms), n_max if len(ends) > n_max else math.inf
 
     K = _kept(A, "koszul", depth, build)
     return None if K is None else (K[0][:depth + 1], K[1][:depth + 1])
@@ -392,7 +387,7 @@ def simple_resolution(A: Algebra, u: int, side: str, depth: int):
     ("simple", u, side) (_kept) and cut at -depth.
 
     Where K is certified through -depth (certified_koszul) it is K's
-    slice K (x)_A S_u or S_u (x)_A K, selected from K's tables
+    slice K (x)_A S_u or S_u (x)_A K, selected from K's terms
     (_one_sided) with no enveloping algebra built and checked as a
     ProjComplex: it resolves S_u as far as K resolves A, as K's bimodules
     are projective on each side, and is minimal, as its entries are
@@ -404,7 +399,7 @@ def simple_resolution(A: Algebra, u: int, side: str, depth: int):
     def build(depth):
         K = certified_koszul(A, depth)
         P = projective_resolution(simple_module(B, u), depth) if K is None \
-            else ProjComplex(B, *_one_sided(*K, side, u), check=True)
+            else ProjComplex(B, *_one_sided(A, *K, side, u), check=True)
         # a minimal resolution with no term at -depth has ended
         return P, depth if -depth in P.terms else math.inf
 
@@ -446,41 +441,26 @@ def _diagonal_terms(A: Algebra, depth: int):
     terms[n] (n >= 1) the terms (row, col, (p, q), c) of d^{-n}, each the
     part c p (x) q of the entry from summand col to summand row, p and q
     basis elements of A.  Where certified_koszul certifies K through
-    -depth they are read off K's tables (_table_terms); else they are the
-    terms of the minimal resolution's entries, decoded once; either is
-    kept under "diagonal_terms" (_kept), plain ints and field elements."""
+    -depth they are K as it keeps it; else they are the terms of the
+    minimal resolution's entries, decoded once and kept under
+    "diagonal_terms" (_kept), plain ints and field elements."""
+    K = certified_koszul(A, depth)
+    if K is not None:
+        return K
+
     def build(depth):
-        K = certified_koszul(A, depth)
-        if K is not None:
-            ends, terms = K[0], _table_terms(A, *K)
-        else:
-            P = projective_resolution(regular_bimodule(A), depth)
-            env = P.algebra
-            ends = [[env.vertex_pair(code) for code in P.terms[-n]]
-                    for n in range(len(P.terms))]
-            terms = [None] + [
-                [(j, col, (p, q), c) for (j, col), x in P.diff(-n).items()
-                 for p, q, c in env.terms(x)]
-                for n in range(1, len(ends))]
+        P = projective_resolution(regular_bimodule(A), depth)
+        env = P.algebra
+        ends = [[env.vertex_pair(code) for code in P.terms[-n]]
+                for n in range(len(P.terms))]
+        terms = [None] + [
+            [(j, col, (p, q), c) for (j, col), x in P.diff(-n).items()
+             for p, q, c in env.terms(x)]
+            for n in range(1, len(ends))]
         return (ends, terms), depth if len(ends) > depth else math.inf
 
     ends, terms = _kept(A, "diagonal_terms", depth, build)
     return ends[:depth + 1], terms[:depth + 1]
-
-
-def _table_terms(A: Algebra, ends, tables):
-    """The terms (row, col, (p, q), c) of K's differentials (see
-    _diagonal_terms) read off its tables: a left term (row, a): c of the
-    summand (v, w) is (row, col, (a, e_w), c) and a right term (row, b): c
-    is (row, col, (e_v, b), c)."""
-    e, terms = A.idempotents, [None]
-    for n in range(1, len(ends)):
-        terms.append(out := [])
-        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
-                                                          tables[n])):
-            out += [(j, col, (a, e[w]), c) for (j, a), c in left.items()]
-            out += [(j, col, (e[v], b), c) for (j, b), c in right.items()]
-    return terms
 
 
 def _env_entries(A: Algebra, ends, terms):
@@ -624,7 +604,7 @@ def hh_with_coefficients(A: Algebra, M: ModuleRep, n_max: int) -> HHProfile:
     """Ext_{A-bimod}(A, M) in degrees 0..n_max: the cohomology of
     Hom_{A^e}(P, M) for P = diagonal_resolution(A, n_max + 1), assembled
     from P's p (x) q terms (_diagonal_terms, _hom_complex), on K's route
-    straight from its tables."""
+    the terms K is kept as."""
     if M.algebra is not A.enveloping():
         raise SideMismatch("coefficients must be a bimodule over the algebra")
     prof = _hom_complex(A, M, *_diagonal_terms(A, n_max + 1)).homology_dims()
@@ -646,8 +626,8 @@ def homology_via_serre_dual(A: Algebra, n_max: int) -> HHProfile:
 def hh_homology(A: Algebra, n_max: int) -> HHProfile:
     """Hochschild homology Tor^{A^e}(A, A): the homology of P (x)_{A^e} A
     for P = diagonal_resolution(A, n_max + 1), assembled from P's
-    p (x) q terms (_diagonal_terms, _tensor_complex), on K's route
-    straight from its tables."""
+    p (x) q terms (_diagonal_terms, _tensor_complex), on K's route the
+    terms K is kept as."""
     homology = _tensor_complex(A, *_diagonal_terms(A, n_max + 1)) \
         .homology_dims()
     return HHProfile.from_dict({-n: h for n, h in homology.items()}, A.field,

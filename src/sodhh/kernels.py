@@ -41,11 +41,11 @@ from .complexes import (ProjComplex, SideMismatch, _proj_diffs,
                         _tensor_total, dualize, ext_profile,
                         projective_resolution)
 from .exceptional import ExceptionalCollection
-from .hochschild import (HHProfile, _diagonal_terms, certified_koszul,
-                         global_dimension, hh_cohomology, hh_homology,
-                         hh_with_coefficients, simple_resolution)
+from .hochschild import (HHProfile, _diagonal_terms, global_dimension,
+                         hh_cohomology, hh_homology, hh_with_coefficients,
+                         simple_resolution)
 from .modules import (Bimodule, dual_bimodule, regular_bimodule,
-                      simple_module)
+                      simple_module, triangular_gluing)
 
 
 class UnsupportedKernelShape(ValueError):
@@ -263,10 +263,9 @@ def diagonal_class(A: Algebra, cap: int = 32) -> dict:
     """K_0 class of the diagonal as {(v, w): c}, the multiplicity of
     A e_v (x) e_w A, from a resolution that ends by degree -cap: the
     alternating count of the summands of diagonal_resolution(A, cap + 1),
-    read off K's ends where certified_koszul answers, else off those of
-    hochschild._diagonal_terms, with no entry of A (x) A^op written."""
-    K = certified_koszul(A, cap + 1)
-    ends = K[0] if K is not None else _diagonal_terms(A, cap + 1)[0]
+    read off the ends of hochschild._diagonal_terms, with no entry of
+    A (x) A^op written."""
+    ends = _diagonal_terms(A, cap + 1)[0]
     if len(ends) > cap + 1:
         raise NormalizationFailed("the diagonal resolution does not end by "
                                   f"degree -{cap}; no K_0 class for the "
@@ -390,7 +389,6 @@ def les_check(b: Algebra, c: Algebra, m: Bimodule, n_max: int = 6) -> dict:
     """Euler identity (and, in the hereditary case, the full dimension
     chase) for the long exact sequence relating HH of a triangular gluing
     to HH of its pieces and the endomorphisms of the gluing bimodule."""
-    from .modules import triangular_gluing
     glued = triangular_gluing(b, c, m)
     hhA = hh_cohomology(glued, n_max)
     hhb = hh_cohomology(b, n_max)

@@ -210,9 +210,6 @@ class Matrix:
 
     # -- basics ------------------------------------------------------------
 
-    def entry(self, i, j):
-        return self.cols[j].get(i, self.field.zero)
-
     def is_zero(self):
         return all(not c for c in self.cols)
 

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from .algebra import (Algebra, PathAlgebra, TensorOpposite, _radical_generators,
                       algebra_from_structure, tensor_opposite)
-from .complexes import SideMismatch
 from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, axpy, rank_kernel_image
+
+
+class SideMismatch(ValueError):
+    """Complexes or modules with incompatible module structures."""
 
 
 class ModuleAxiomError(ValueError):

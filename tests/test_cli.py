@@ -431,7 +431,7 @@ def test_kernel_commands_build_the_enveloping_algebra_once(tmp_path,
     """The kernel commands on a Koszul algebra, catalog beilinson-p2 and
     generated P^2, build A (x) A^op not even once: Ext and the K_0 classes
     come from the factors over A and A^op, the diagonal's class from K's
-    ends and HH_* from K's tables."""
+    ends and HH_* from K's terms."""
     p = tmp_path / "p2.json"
     p.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
         2, {"kind": "q"}, seed=1)))
@@ -567,7 +567,7 @@ def test_cohomology_resolves_each_simple_once(monkeypatch):
     Koszul resolution that HH^* is then computed over."""
     calls = counting_wrapper(monkeypatch, "projective_resolution",
                              ["complexes", "hochschild", "kernels"])
-    koszul = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    koszul = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     code, _ = run_command(["cohomology", "--catalog", "beilinson-p2"])
     assert code == 0
     assert calls == [] and len(koszul) == 1
@@ -697,7 +697,7 @@ def test_loop_x2_takes_k_alone(argv, monkeypatch):
     resolves nothing else, neither the diagonal nor a simple."""
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
                                 ["complexes", "hochschild", "kernels"])
-    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     code, report = run_command(argv + ["--catalog", "loop-x2"])
     assert code == 0 and report.all_passed()
     assert report.data["algebra"]["global_dimension"] is None

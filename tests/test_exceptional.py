@@ -276,16 +276,15 @@ def test_sod_project_not_full(coll2, K2):
 # (endomorphism_algebra).
 CHECK_FAILURES = """
 import sodhh.exceptional as ex
-import sodhh.linalg
 from sodhh.catalog import get_entry
 from sodhh.linalg import QQ
 A = get_entry("beilinson-p2").algebra(QQ)
 coll = ex.projective_collection(A)
-real_ext, real_solve = ex.ext_profile, sodhh.linalg.solve_linear
+real_ext, real_solve = ex.ext_profile, ex.solve_linear
 for patch, call in (
         (lambda: setattr(ex, "ext_profile", lambda X, Y: {0: 1}),
          lambda: ex.sod_project(ex.single_projective(A, 0), coll)),
-        (lambda: setattr(sodhh.linalg, "solve_linear", lambda m, rhs: None),
+        (lambda: setattr(ex, "solve_linear", lambda m, rhs: None),
          lambda: ex.endomorphism_algebra(coll))):
     patch()
     try:
@@ -294,7 +293,7 @@ for patch, call in (
     except ex.MutationFailed as exc:
         print("MutationFailed:", exc)
     finally:
-        ex.ext_profile, sodhh.linalg.solve_linear = real_ext, real_solve
+        ex.ext_profile, ex.solve_linear = real_ext, real_solve
 """
 
 

@@ -280,7 +280,7 @@ def test_global_dimension_resolves_simples_once(monkeypatch):
     from test_cli import counting_wrapper
     minimal = counting_wrapper(monkeypatch, "projective_resolution",
                                ["complexes", "hochschild"])
-    koszul = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    koszul = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     B = get_entry("beilinson-p2").algebra(QQ)
     assert [global_dimension(B, cap) for cap in (12, 6, 2, 1)] == \
         [2, 2, 2, None]
@@ -438,7 +438,7 @@ def test_known_global_dimension_takes_the_koszul_route_at_any_depth(
     assert global_dimension(A, 12) == 4
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
                                 ["complexes", "hochschild"])
-    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     assert hh_cohomology(A, 2).as_tuple() == (1, 24, 126)
     assert resolved == [] and tables == []
     assert diagonal_resolution(A, 3).terms == koszul_resolution(A, 3).terms
@@ -691,7 +691,7 @@ def test_hh_builds_k_once_and_resolves_nothing(build, hh, monkeypatch):
     A = build()
     resolved = counting_wrapper(monkeypatch, "projective_resolution",
                                 ["complexes", "hochschild"])
-    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     profile = hh(A, 3)
     assert len(tables) == 1 and resolved == [] and profile.note == ""
     if A.dim == 2:
@@ -806,13 +806,31 @@ def reference_koszul_resolution(A, n_max):
     return ProjComplex(env, terms, diffs, check=True)
 
 
+def table_terms(A, ends, tables):
+    """K's (ends, terms) transcribed from its tables, as K was kept before
+    it was kept as its terms: a left term (row, a): c of the column col at
+    (v, w) is (row, col, (a, e_w), c) and a right term (row, b): c is
+    (row, col, (e_v, b), c), column by column, left terms first."""
+    e, terms = A.idempotents, [None]
+    for n in range(1, len(ends)):
+        terms.append(out := [])
+        for col, ((v, w), (left, right)) in enumerate(zip(ends[n],
+                                                          tables[n])):
+            out += [(j, col, (a, e[w]), c) for (j, a), c in left.items()]
+            out += [(j, col, (e[v], b), c) for (j, b), c in right.items()]
+    return ends, terms
+
+
 KOSZUL_TABLE_CAPS = (1, 2, 3, 6, 13)
 
 
 def assert_tables_match_reference(A, caps=KOSZUL_TABLE_CAPS):
-    from sodhh.hochschild import _koszul_tables
+    """K's (ends, terms), entry for entry and in order, against the
+    reference tables transcribed by table_terms."""
+    from sodhh.hochschild import _koszul_terms
     for cap in caps:
-        assert _koszul_tables(A, cap) == reference_koszul_tables(A, cap), cap
+        assert _koszul_terms(A, cap) == \
+            table_terms(A, *reference_koszul_tables(A, cap)), cap
 
 
 def test_koszul_tables_match_the_arrow_tuple_build():
@@ -1039,13 +1057,6 @@ def test_koszul_slices_build_no_enveloping_algebra(monkeypatch):
     assert built == []
 
 
-def koszul_entries(A, ends, tables):
-    """K's terms and differentials over A (x) A^op, written from its
-    tables, as koszul_resolution writes them without its check."""
-    from sodhh.hochschild import _env_entries, _table_terms
-    return _env_entries(A, ends, _table_terms(A, ends, tables))
-
-
 def reference_koszul_homology(A, K):
     """Homology dimensions of K (x)_A A_0 as they were found before the
     certificate read K's tables: decoded from K's entries over A (x) A^op.
@@ -1117,30 +1128,31 @@ def reference_koszul_slice(A, terms, diffs, u, side, depth):
                        check=True)
 
 
-def whole_left_complex(ends, tables):
+def whole_left_complex(A, ends, terms):
     """K (x)_A A_0 as the certificate selected it from K's left tables
     before it was written out directly: (terms, diffs) of a ProjComplex
-    over A, every summand (v, w) of K_n becoming A e_v and each left term
-    (row, a): c the coefficient c of the arrow a in its entry."""
-    terms = {-n: [v for v, _ in pairs] for n, pairs in enumerate(ends)}
+    over A, every summand (v, w) of K_n becoming A e_v and each term
+    (row, col, (a, e_w), c) the coefficient c of the arrow a in its
+    entry; a term e_v (x) b acts on A_0 as zero."""
+    vertices = {-n: [v for v, _ in pairs] for n, pairs in enumerate(ends)}
     diffs = {}
-    for n in range(1, len(tables)):
+    for n in range(1, len(terms)):
         d = diffs[-n] = {}
-        for s, (left, _) in enumerate(tables[n]):
-            for (j, a), c in left.items():
+        for j, s, (a, q), c in terms[n]:
+            if q in A._idem_set:
                 d.setdefault((j, s), {})[a] = c
-    return terms, diffs
+    return vertices, diffs
 
 
-def certificate_matches_realization(A, ends, tables):
-    """Priddy's certificate, written from K's tables (ends, tables), is the
+def certificate_matches_realization(A, ends, terms):
+    """Priddy's certificate, written from K's terms (ends, terms), is the
     realization of whole_left_complex, matrix for matrix, so it has the
     homology of ProjComplex(A, *whole_left_complex(...)), which is
     returned."""
     from sodhh.complexes import ProjComplex
     from sodhh.hochschild import _koszul_certificate
-    ours = _koszul_certificate(A, ends, tables)
-    ref = ProjComplex(A, *whole_left_complex(ends, tables),
+    ours = _koszul_certificate(A, ends, terms)
+    ref = ProjComplex(A, *whole_left_complex(A, ends, terms),
                       check=False).realize()
     assert (ours.dims, ours.diffs) == (ref.dims, ref.diffs)
     return ours.homology_dims()
@@ -1148,15 +1160,15 @@ def certificate_matches_realization(A, ends, tables):
 
 def koszul_homology_matches_reference(A, n_max):
     """The homology of Priddy's certificate K (x)_A A_0, written from K's
-    tables through degree -n_max, asserted equal to the reference decoding
+    terms through degree -n_max, asserted equal to the reference decoding
     of K's entries and to the realization of the one-sided complex
     (certificate_matches_realization); it is returned."""
     from sodhh.complexes import ProjComplex
-    from sodhh.hochschild import _koszul_tables
-    ends, tables = _koszul_tables(A, n_max)
-    K = ProjComplex(A.enveloping(), *koszul_entries(A, ends, tables),
+    from sodhh.hochschild import _env_entries, _koszul_terms
+    ends, terms = _koszul_terms(A, n_max)
+    K = ProjComplex(A.enveloping(), *_env_entries(A, ends, terms),
                     check=False)
-    homology = certificate_matches_realization(A, ends, tables)
+    homology = certificate_matches_realization(A, ends, terms)
     assert homology == reference_koszul_homology(A, K)
     return homology
 
@@ -1166,10 +1178,11 @@ def assert_slices_match_reference_decoder(A):
     sides and at depths 0..gd+1 (0..13 where gd is infinite), is
     dict-equal (terms and diffs) to the reference decoding of K's
     entries."""
+    from sodhh.hochschild import _env_entries
     K = certified_koszul(A, 13)
     if K is None:
         return
-    entries = koszul_entries(A, *K)
+    entries = _env_entries(A, *K)
     for depth in range(min(len(K[0]), 13) + 1):
         for side in ("left", "right"):
             for u in range(A.num_vertices):
@@ -1236,14 +1249,14 @@ def test_certificate_is_the_realized_one_sided_complex_on_cycles(A):
 
 
 def assert_certificate_is_realized_at_every_cut(A):
-    """At every n_max 1..8, K cut there (as _koszul_tables(A, n_max)
+    """At every n_max 1..8, K cut there (as _koszul_terms(A, n_max)
     stops), Priddy's certificate is the realization of the whole left
     complex."""
-    from sodhh.hochschild import _koszul_tables
-    ends, tables = _koszul_tables(A, 8)
+    from sodhh.hochschild import _koszul_terms
+    ends, terms = _koszul_terms(A, 8)
     for n_max in range(1, 9):
         certificate_matches_realization(A, ends[:n_max + 1],
-                                        tables[:n_max + 1])
+                                        terms[:n_max + 1])
 
 
 def test_global_dimension_builds_no_projective_complex(monkeypatch):
@@ -1285,78 +1298,146 @@ def test_hh_and_the_kernels_leave_the_table_unchanged():
         assert A.mult == before
 
 
-def _perturbed(tables, n, col, side, key, value):
-    """A copy of K's tables with one entry of one column set to value, or
-    dropped when value is None."""
-    out = [None] + [[(dict(left), dict(right)) for left, right in cols]
-                    for cols in tables[1:]]
-    table = out[n][col][side]
+def _perturbed(terms, n, index, value):
+    """A copy of the terms with the coefficient of terms[n][index] set to
+    value, or the term dropped when value is None."""
+    out = [None] + [list(t) for t in terms[1:]]
+    j, col, pq, _ = out[n][index]
     if value is None:
-        del table[key]
+        del out[n][index]
     else:
-        table[key] = value
+        out[n][index] = (j, col, pq, value)
     return out
 
 
+def check_and_compose_verdicts(A, ends, terms):
+    """(_check_koszul's ComplexError text or None, the d^2 text of the
+    first degree where _compose finds a nonzero composite of the entries
+    over A (x) A^op that _env_entries writes from the terms, or None)."""
+    from sodhh.complexes import ComplexError, _compose
+    from sodhh.hochschild import _check_koszul, _env_entries
+    env = A.enveloping()
+    _, diffs = _env_entries(A, ends, terms)
+    expected = next((f"d^2 != 0 at degree {-m}"
+                     for m in range(2, len(terms))
+                     if _compose(env, diffs[-m], diffs[-m + 1])), None)
+    try:
+        _check_koszul(A, ends, terms)
+    except ComplexError as exc:
+        return str(exc), expected
+    return None, expected
+
+
+def assert_check_agrees_with_compose(A, ends, terms, rng, count):
+    """count seeded single-term perturbations of (ends, terms) (a sign
+    flip, a scaling by 2 or a dropped term): _check_koszul raises exactly
+    when _compose finds a nonzero composite of the entries over
+    A (x) A^op, naming the same degree, and it accepts the terms as
+    given.  Returns how many raised."""
+    f = A.field
+    assert check_and_compose_verdicts(A, ends, terms) == (None, None)
+    raised = 0
+    for _ in range(count):
+        n = rng.randrange(1, len(terms))
+        index = rng.randrange(len(terms[n]))
+        c = terms[n][index][3]
+        value = rng.choice([f.neg(c), f.mul(f.coerce(2), c), None])
+        changed = _perturbed(terms, n, index, value)
+        verdict, expected = check_and_compose_verdicts(A, ends, changed)
+        assert verdict == expected, (n, terms[n][index], value)
+        raised += verdict is not None
+    return raised
+
+
 def test_koszul_check_agrees_with_compose_on_perturbed_tables():
-    """On 150 seeded single-entry perturbations of K's tables (a sign
-    flip, a scaling by 2 or a dropped term) on generated P^3, beilinson-p2
-    over F_3 and loop-x2, the check in A raises exactly when _compose finds
-    a nonzero composite of the entries over A (x) A^op, naming the same
-    degree, and it accepts the tables as built."""
+    """On 150 seeded perturbations of K's terms on generated P^3,
+    beilinson-p2 over F_3 and loop-x2, the check in A agrees with
+    _compose over A (x) A^op (assert_check_agrees_with_compose)."""
     import random
     from sodhh.catalog import get_entry
-    from sodhh.complexes import ComplexError, _compose
-    from sodhh.hochschild import _check_koszul, _koszul_tables
+    from sodhh.hochschild import _koszul_terms
     rng = random.Random(24)
     raised = 0
     for A in (_generated_beilinson(3),
               get_entry("beilinson-p2").algebra(GF(3)),
               get_entry("loop-x2").algebra(QQ)):
-        f, env = A.field, A.enveloping()
-        ends, tables = _koszul_tables(A, 4)
-        _check_koszul(A, ends, tables)
-        for _ in range(50):
-            n = rng.randrange(1, len(tables))
-            col = rng.randrange(len(tables[n]))
-            side = rng.randrange(2)
-            key = rng.choice(sorted(tables[n][col][side]))
-            c = tables[n][col][side][key]
-            value = rng.choice([f.neg(c), f.mul(f.coerce(2), c), None])
-            changed = _perturbed(tables, n, col, side, key, value)
-            _, diffs = koszul_entries(A, ends, changed)
-            expected = next((f"d^2 != 0 at degree {-m}"
-                             for m in range(2, len(tables))
-                             if _compose(env, diffs[-m], diffs[-m + 1])), None)
-            try:
-                _check_koszul(A, ends, changed)
-                verdict = None
-            except ComplexError as exc:
-                verdict = str(exc)
-            assert verdict == expected, (n, col, side, key, value)
-            raised += verdict is not None
+        raised += assert_check_agrees_with_compose(A, *_koszul_terms(A, 4),
+                                                   rng, 50)
     assert raised > 0
+
+
+def test_the_check_takes_the_minimal_routes_terms():
+    """The composite rule where both factors lie in the radical, a shape
+    no term of K has: _check_koszul accepts the minimal route's terms
+    through -4 on rad^3 and on the quadratic algebra that is not Koszul,
+    over Q and F_3, and on 150 seeded perturbations of them (50 each on
+    rad^3 over Q and on _not_koszul over Q and F_3) it agrees with
+    _compose on the entries diagonal_resolution writes from them
+    (assert_check_agrees_with_compose)."""
+    import random
+    from sodhh.hochschild import _diagonal_terms
+    rng = random.Random(35)
+    raised = 0
+    for A, count in ((rad_cube(QQ), 50), (rad_cube(GF(3)), 0),
+                     (_not_koszul(QQ), 50), (_not_koszul(GF(3)), 50)):
+        ends, terms = _diagonal_terms(A, 4)
+        assert certified_koszul(A, 4) is None
+        assert any(p not in A._idem_set and q not in A._idem_set
+                   for n in range(1, len(terms))
+                   for _, _, (p, q), _ in terms[n])
+        raised += assert_check_agrees_with_compose(A, ends, terms, rng,
+                                                   count)
+    assert raised > 0
+
+
+def test_the_composite_rule_agrees_with_compose_on_radical_terms():
+    """Where both factors of both terms lie in the radical, the composite
+    shows only in cells that neither factor's idempotent fast path fills:
+    on 100 seeded random two-step term lists over rad^3, two summands at
+    each of degrees 0, -1 and -2 and every factor a path of length 1 or
+    2, _check_koszul raises exactly when _compose finds d^2 != 0 over
+    A (x) A^op, and both verdicts occur."""
+    import random
+    rng = random.Random(36)
+    A = rad_cube(QQ)
+    radical = [k for k, path in enumerate(A.basis_paths)
+               if path and len(path) <= 2]
+    ends = [[(0, 0)] * 2] * 3
+    seen = set()
+    for _ in range(100):
+        terms = [None] + [
+            [(j, col, pq, c) for (j, col, pq), c in {
+                (rng.randrange(2), rng.randrange(2),
+                 (rng.choice(radical), rng.choice(radical))):
+                rng.choice([1, -1, 2]) for _ in range(4)}.items()]
+            for _ in (1, 2)]
+        verdict, expected = check_and_compose_verdicts(A, ends, terms)
+        assert verdict == expected, terms
+        seen.add(verdict)
+    assert seen == {None, "d^2 != 0 at degree -2"}
 
 
 def test_koszul_resolution_raises_on_a_corrupted_table(monkeypatch):
     """Every build of K is checked: a flipped sign raises d^2 != 0, and a
-    left term whose arrow does not join the column's and the row's
+    term a (x) e_w whose arrow does not join the column's and the row's
     vertices raises the slice error, both from koszul_resolution."""
     import sodhh.hochschild as hochschild
     from sodhh.catalog import get_entry
     from sodhh.complexes import ComplexError
     A = get_entry("beilinson-p2").algebra(QQ)
-    ends, tables = hochschild._koszul_tables(A, 3)
-    (j, a), c = next(iter(tables[2][0][0].items()))
+    ends, terms = hochschild._koszul_terms(A, 3)
+    index, (j, col, (a, e_w), c) = next(
+        (i, t) for i, t in enumerate(terms[2])
+        if t[1] == 0 and t[2][1] in A._idem_set)
     other = next(b for b in range(A.dim) if A.basis_paths[b]
                  and len(A.basis_paths[b]) == 1
                  and (A.src[b], A.tgt[b]) != (A.src[a], A.tgt[a]))
-    flipped = _perturbed(tables, 2, 0, 0, (j, a), A.field.neg(c))
-    moved = _perturbed(tables, 2, 0, 0, (j, a), None)
-    moved[2][0][0][j, other] = c
+    flipped = _perturbed(terms, 2, index, A.field.neg(c))
+    moved = _perturbed(terms, 2, index, c)
+    moved[2][index] = (j, col, (other, e_w), c)
     for bad, message in ((flipped, "d\\^2 != 0 at degree -2"),
                          (moved, "entry not in e_v L e_w slice at degree -2")):
-        monkeypatch.setattr(hochschild, "_koszul_tables",
+        monkeypatch.setattr(hochschild, "_koszul_terms",
                             lambda A, n_max, bad=bad: (ends, bad))
         with pytest.raises(ComplexError, match=message):
             koszul_resolution(A, 3)
@@ -1364,15 +1445,16 @@ def test_koszul_resolution_raises_on_a_corrupted_table(monkeypatch):
 
 def test_global_dimension_makes_no_enveloping_products(monkeypatch):
     """Certifying K on a fresh generated P^3 works in A only:
-    global_dimension(A, 12) builds no A (x) A^op at all, and the tables it
+    global_dimension(A, 12) builds no A (x) A^op at all, and the terms it
     caches, written out over A (x) A^op, pass the generic check."""
     from sodhh.complexes import ProjComplex
+    from sodhh.hochschild import _env_entries
     from test_cli import count_builds
     built = count_builds(monkeypatch)
     A = _generated_beilinson(3)
     assert global_dimension(A, 12) == 3 and built == []
     ProjComplex(A.enveloping(),
-                *koszul_entries(A, *certified_koszul(A, 13)),
+                *_env_entries(A, *certified_koszul(A, 13)),
                 check=True)
     assert built
 
@@ -1384,13 +1466,13 @@ def test_truncated_koszul_complex_is_not_certified(monkeypatch):
     diagonal_resolution to the minimal bimodule resolution."""
     import sodhh.hochschild as hochschild
     from sodhh.catalog import get_entry
-    real = hochschild._koszul_tables
+    real = hochschild._koszul_terms
 
     def truncated(A, n_max):
-        ends, tables = real(A, n_max)
-        return ends[:-1], tables[:-1]
+        ends, terms = real(A, n_max)
+        return ends[:-1], terms[:-1]
 
-    monkeypatch.setattr(hochschild, "_koszul_tables", truncated)
+    monkeypatch.setattr(hochschild, "_koszul_terms", truncated)
     B = get_entry("beilinson-p2").algebra(QQ)
     assert global_dimension(B, 6) == 2
     assert certified_koszul(B, 7) is None
@@ -1576,30 +1658,60 @@ def test_hh_homology_matches_cyclic_complex_on_generated_beilinson(n):
 def test_diagonal_resolution_is_built_once_per_call(argv, monkeypatch):
     """Every route to the diagonal reads one Koszul resolution per algebra:
     kernels build reads it for the kernels and the K_0 identity check,
-    homology for HH_* and the Serre route.  Its tables are built once, and
-    no command writes its entries over A (x) A^op: HH^*, HH_* and the
-    coefficients read the p (x) q terms off the tables, and kernels build
-    and orthogonality read the diagonal's K_0 class off K's ends, with no
-    term transcribed from the tables.  The HH commands build no
-    ModuleHomComplex either."""
+    homology for HH_* and the Serre route.  Its terms are built once and
+    kept once, under "koszul": no command writes its entries over
+    A (x) A^op or keeps a second copy of its terms, as HH^*, HH_*, the
+    coefficients and the diagonal's K_0 class read the terms K is kept
+    as.  The HH commands build no ModuleHomComplex either."""
+    import sodhh.hochschild as hochschild
     from sodhh.cli import run_command
     from sodhh.complexes import ModuleHomComplex
     from test_cli import counting_wrapper
-    tables = counting_wrapper(monkeypatch, "_koszul_tables", ["hochschild"])
+    tables = counting_wrapper(monkeypatch, "_koszul_terms", ["hochschild"])
     entries = counting_wrapper(monkeypatch, "_env_entries", ["hochschild"])
-    terms = counting_wrapper(monkeypatch, "_table_terms", ["hochschild"])
+    keys, kept = [], hochschild._kept
     homs, init = [], ModuleHomComplex.__init__
+
+    def recording_kept(A, key, depth, build):
+        keys.append(key)
+        return kept(A, key, depth, build)
 
     def counting_init(self, *args):
         homs.append(args)
         init(self, *args)
+    monkeypatch.setattr(hochschild, "_kept", recording_kept)
     monkeypatch.setattr(ModuleHomComplex, "__init__", counting_init)
     code, report = run_command(argv + ["--catalog", "beilinson-p2"])
     assert code == 0 and report.all_passed()
     assert len(tables) == 1
     assert entries == []
-    assert len(terms) == (argv[1:] not in (["build"], ["orthogonality"]))
+    assert "koszul" in keys and "diagonal_terms" not in keys
     assert (homs == []) == (argv[0] != "kernels")
+
+
+@pytest.mark.parametrize("argv", [["cohomology"], ["homology"],
+                                  ["kernels", "additivity"]])
+def test_the_diagonal_terms_are_k_itself(argv, tmp_path, monkeypatch):
+    """K is stored once: after a command on generated P^3, A's cache holds
+    no "diagonal_terms" entry, and at every depth _diagonal_terms returns
+    the very term lists that certified_koszul keeps."""
+    import json
+    from sodhh.cli import run_command
+    from sodhh.hochschild import _diagonal_terms
+    from test_cli import _benchmark_inputs, counting_wrapper
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(_benchmark_inputs().beilinson_quiver_doc(
+        3, {"kind": "q"}, seed=101)))
+    algebras = counting_wrapper(monkeypatch, "_diagonal_terms",
+                                ["hochschild", "kernels"])
+    code, report = run_command(argv + ["--file", str(path)])
+    assert code == 0 and report.all_passed() and algebras
+    for A in algebras:
+        assert "diagonal_terms" not in A._cache
+        for d in range(8):
+            ours, K = _diagonal_terms(A, d)[1], certified_koszul(A, d)[1]
+            assert len(ours) == len(K) and \
+                all(x is y for x, y in zip(ours, K)), d
 
 
 # ---------------------------------------------------------------------------

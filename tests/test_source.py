@@ -1,7 +1,9 @@
 """Source hygiene of the sodhh package, checked with the standard library
 alone: every module uses each name it imports, no binding is kept only
-by silencing the unused-variable warning, and the modules that resolve
-write an algebra's cache only through hochschild._kept."""
+by silencing the unused-variable warning, no function imports a sodhh
+module (the layering is acyclic, so every import sits at the top), and
+the modules that resolve write an algebra's cache only through
+hochschild._kept."""
 
 import ast
 import pathlib
@@ -62,6 +64,52 @@ def test_the_checks_catch_an_unused_import_and_a_held_binding(tmp_path):
                     "    env = A.enveloping()  # noqa: F841\n"
                     "    return A\n")
     assert held_bindings(held) == [2]
+
+
+def _imports_sodhh(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "sodhh"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "sodhh" for alias in node.names)
+
+
+def function_imports(tree):
+    """(line, function) of each import of a sodhh module, relative or by
+    name, made inside a function; function is the innermost enclosing
+    one."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func is not None and _imports_sodhh(node):
+            out.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+    visit(tree, None)
+    return out
+
+
+def test_no_function_imports_a_sodhh_module():
+    hits = [(path.name, line, func) for path in sorted(SRC.glob("*.py"))
+            for line, func in function_imports(
+                ast.parse(path.read_text(), filename=str(path)))]
+    assert hits == []
+
+
+def test_the_check_catches_a_function_level_import():
+    """Relative and absolute imports of sodhh inside functions, nested
+    ones included, are found; top-level ones and other packages' are
+    not."""
+    tree = ast.parse("from .algebra import Algebra\n"
+                     "def f(A):\n"
+                     "    import json\n"
+                     "    from .modules import simple_module\n"
+                     "    def g():\n"
+                     "        import sodhh.linalg\n"
+                     "        from sodhh import cli\n"
+                     "    return json, simple_module, g\n")
+    assert function_imports(tree) == [(4, "f"), (6, "g"), (7, "g")]
 
 
 def _is_cache(node):

@@ -62,6 +62,17 @@ class QuiverDocument:
         return build_path_algebra(quiver, self.relations, self.field)
 
 
+def _is_digits(s):
+    return isinstance(s, str) and s.isascii() and s.isdigit()
+
+
+def _prime_field(p: int, where):
+    try:
+        return GF(p)
+    except ValueError as exc:   # not prime, or too large to decide
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def parse_field_spec(obj, where="field") -> FieldSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'kind' key")
@@ -70,10 +81,12 @@ def parse_field_spec(obj, where="field") -> FieldSpec:
     if obj["kind"] == "fp":
         if "p" not in obj:
             raise SchemaError(f"{where}: prime-field spec needs 'p'")
-        try:
-            return GF(int(obj["p"]))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{where}.p: {exc}") from exc
+        p = obj["p"]
+        if _is_digits(p):
+            p = int(p)
+        if type(p) is not int:   # a float or a bool is refused, not truncated
+            raise SchemaError(f"{where}.p: expected a prime integer, got {p!r}")
+        return _prime_field(p, f"{where}.p")
     raise SchemaError(f"{where}.kind: expected 'q' or 'fp', got {obj['kind']!r}")
 
 
@@ -138,7 +151,7 @@ def parse_quiver_document(doc) -> QuiverDocument:
                         f"relations[{i}][{j}].path: unknown arrow {name!r}")
             try:
                 coeff = field.coerce(term["coeff"])
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise SchemaError(f"relations[{i}][{j}].coeff: {exc}") from exc
             terms.append((coeff, tuple(path)))
         relations.append(Relation(tuple(terms)))
@@ -190,7 +203,7 @@ def parse_bimodule_file(path, A) -> Bimodule:
                 raise SchemaError(f"{which}.{lbl}: expected a {d} x {d} matrix")
             try:
                 out[label_pos[lbl]] = Matrix.from_rows(A.field, rows, d)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise SchemaError(f"{which}.{lbl}: {exc}") from exc
         return out
 
@@ -213,11 +226,8 @@ def parse_bimodule_file(path, A) -> Bimodule:
 def _field_from_flag(s: str) -> FieldSpec:
     if s == "q":
         return QQ
-    if s.startswith("fp:"):
-        try:
-            return GF(int(s[3:]))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+    if s.startswith("fp:") and _is_digits(s[3:]):
+        return _prime_field(int(s[3:]), "--field")
     raise SchemaError(f"--field: expected 'q' or 'fp:<prime>', got {s!r}")
 
 

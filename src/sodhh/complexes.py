@@ -40,8 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import Algebra, AlgebraAxiomError, _lines, _radical_generators
-from .linalg import (ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy,
-                     rank)
+from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy
 from .modules import (Bimodule, ModuleAxiomError, ModuleRep, SideMismatch,
                       _dual_columns)
 
@@ -343,7 +342,22 @@ class FieldComplex:
         return Matrix.zeros(self.field, self.dims.get(n + 1, 0), self.dims.get(n, 0))
 
     def homology_dims(self):
-        ranks = {n: rank(m) for n, m in self.diffs.items()}
+        """{n: dim H^n}, assuming d^2 = 0 (every caller's complex was
+        checked at construction).  The differentials are ranked in
+        increasing degree, each on the complement of the previous image
+        ("clearing"): the lows of d^(n-1)'s echelon are positions of C^n,
+        the unit vectors off them span a complement of im d^(n-1), and
+        d^n kills that image, so rank d^n is the rank of its columns off
+        those lows.  A degree with no differential into it clears none."""
+        ranks = {}
+        lows = {}
+        for n in sorted(self.diffs):
+            m = self.diffs[n]
+            if n - 1 in ranks and lows:
+                m = Matrix(m.field, m.nrows, m.ncols - len(lows),
+                           [c for j, c in enumerate(m.cols) if j not in lows])
+            lows = ColumnEchelon(m, transform=False).pivots
+            ranks[n] = len(lows)
         out = {}
         for n, d in self.dims.items():
             h = d - ranks.get(n, 0) - ranks.get(n - 1, 0)

@@ -39,17 +39,42 @@ class ShapeError(ValueError):
     operands of a sum, product or solve, or rank + nullity != columns."""
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to these bases decides primality exactly below this bound
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017)).
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  ValueError for an n >= PRIME_BOUND with
+    no factor among the bases, where the test is no longer exact."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= PRIME_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: primality is "
+                         f"decided exactly only below {PRIME_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _not_a_scalar(x):
+    return ValueError(f"expected an integer or a fraction like '-3/2', "
+                      f"got {x!r}")
 
 
 class FieldSpec:
@@ -93,23 +118,40 @@ class FieldSpec:
     # Fraction result is demoted to its numerator when it became integral.
 
     def coerce(self, x):
-        """Canonical scalar from an int, Fraction, or string like '-3/2'."""
+        """Canonical scalar from an int, a Fraction or a string like '-3/2'.
+        Anything else, a float or a bool say, raises ValueError: over F_7
+        the float 0.1 would become 0 and drop a relation's term."""
         if self.kind == "rationals":
             if type(x) is int:
                 return x
-            if isinstance(x, str) and _INTEGER.fullmatch(x):
-                return int(x)   # what Fraction(x) gives, without its parser
-            x = Fraction(x)
+            if isinstance(x, str):
+                if _INTEGER.fullmatch(x):
+                    return int(x)   # what Fraction(x) gives, without its parser
+                try:
+                    x = Fraction(x)
+                except ValueError:
+                    raise _not_a_scalar(x) from None
+                except ZeroDivisionError:
+                    raise ValueError(f"denominator is zero in {x!r}") from None
+            elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise _not_a_scalar(x)
             return x.numerator if x.denominator == 1 else x
         p = self.characteristic
+        if type(x) is int:
+            return x % p
         if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                return int(num) * pow(int(den), -1, p) % p
-            x = int(x)
-        if isinstance(x, Fraction):
-            return x.numerator * pow(x.denominator, -1, p) % p
-        return int(x) % p
+            num, slash, den = x.partition("/")
+            try:
+                num, den = int(num), int(den) if slash else 1
+            except ValueError:
+                raise _not_a_scalar(x) from None
+        elif isinstance(x, Fraction):
+            num, den = x.numerator, x.denominator
+        else:
+            raise _not_a_scalar(x)
+        if not den % p:
+            raise ValueError(f"denominator {den} is zero mod {p}")
+        return num * pow(den, -1, p) % p
 
     def add(self, a, b):
         s = a + b
@@ -188,7 +230,10 @@ class Matrix:
             if len(row) != ncols:
                 raise ShapeError(f"row {i} has {len(row)} entries, not {ncols}")
             for j, x in enumerate(row):
-                v = field.coerce(x)
+                try:
+                    v = field.coerce(x)
+                except ValueError as exc:
+                    raise ValueError(f"row {i}, column {j}: {exc}") from None
                 if v:
                     cols[j][i] = v
         return Matrix(field, nrows, ncols, cols)

@@ -847,6 +847,87 @@ def test_duplicate_names_exit_2(tmp_path, vertices, arrows, where):
     assert report.data["error"].startswith(where + ":")
 
 
+NOT_A_SCALAR = "expected an integer or a fraction like '-3/2', got "
+
+
+@pytest.mark.parametrize("field, coeff, error", [
+    ({"kind": "fp", "p": 7}, 0.1, "relations[0][0].coeff: " + NOT_A_SCALAR + "0.1"),
+    ({"kind": "fp", "p": 7}, 1.5, "relations[0][0].coeff: " + NOT_A_SCALAR + "1.5"),
+    ({"kind": "q"}, 0.5, "relations[0][0].coeff: " + NOT_A_SCALAR + "0.5"),
+    ({"kind": "q"}, True, "relations[0][0].coeff: " + NOT_A_SCALAR + "True"),
+    ({"kind": "fp", "p": 7}, True, "relations[0][0].coeff: " + NOT_A_SCALAR + "True"),
+    ({"kind": "q"}, "1/0", "relations[0][0].coeff: denominator is zero in '1/0'"),
+    ({"kind": "fp", "p": 7}, "1/7",
+     "relations[0][0].coeff: denominator 7 is zero mod 7"),
+    ({"kind": "fp", "p": 7}, "one", "relations[0][0].coeff: " + NOT_A_SCALAR + "'one'"),
+    ({"kind": "fp", "p": 7.9}, "1", "field.p: expected a prime integer, got 7.9"),
+    ({"kind": "fp", "p": True}, "1", "field.p: expected a prime integer, got True"),
+    ({"kind": "fp", "p": "abc"}, "1", "field.p: expected a prime integer, got 'abc'"),
+    ({"kind": "fp", "p": 2 ** 89 - 1}, "1",
+     f"field.p: cannot decide whether {2 ** 89 - 1} is prime: primality is "
+     "decided exactly only below 3317044064679887385961981"),
+])
+def test_inexact_numbers_and_zero_denominators_exit_2(tmp_path, field, coeff,
+                                                      error):
+    """A float, a bool or a zero denominator is refused where it sits, in
+    sodhh's words.  Over F_7 a coefficient 0.1 once became 0, which dropped
+    the relation x y and returned x y as a basis element with exit 0."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(dict(PATH_DOC, field=field, relations=[
+        [{"coeff": coeff, "path": ["x", "y"]}]])))
+    code, report = run_command(["info", "--file", str(p)])
+    assert (code, report.data["error"]) == (2, error)
+
+
+def test_large_prime_moduli_are_decided_at_once(tmp_path):
+    """2^61 - 1 on the flag and 10^18 + 9 in a file are primes, accepted
+    without trial division; 2^89 - 1 lies past the bound where primality is
+    decided exactly, and the flag names that bound."""
+    from time import perf_counter
+    start = perf_counter()
+    code, report = run_command(["info", "--catalog", "kronecker2", "--field",
+                                f"fp:{2 ** 61 - 1}"])
+    assert (code, report.data["algebra"]["field"]) == (0, f"GF({2 ** 61 - 1})")
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(dict(PATH_DOC, relations=[],
+                                 field={"kind": "fp", "p": 10 ** 18 + 9})))
+    code, report = run_command(["info", "--file", str(p)])
+    assert (code, report.data["algebra"]["field"]) == (0, f"GF({10 ** 18 + 9})")
+    assert perf_counter() - start < 5
+    code, report = run_command(["info", "--catalog", "kronecker2", "--field",
+                                f"fp:{2 ** 89 - 1}"])
+    assert code == 2
+    assert report.data["error"].startswith("--field: cannot decide whether")
+    assert report.data["error"].endswith("below 3317044064679887385961981")
+
+
+@pytest.mark.parametrize("flag, error", [
+    ("fp:abc", "--field: expected 'q' or 'fp:<prime>', got 'fp:abc'"),
+    ("fp:-7", "--field: expected 'q' or 'fp:<prime>', got 'fp:-7'"),
+    ("fp:", "--field: expected 'q' or 'fp:<prime>', got 'fp:'"),
+    ("fp:6", "--field: 6 is not prime"),
+])
+def test_field_flag_errors_name_the_flag(flag, error):
+    code, report = run_command(["info", "--catalog", "kronecker2", "--field",
+                                flag])
+    assert (code, report.data["error"]) == (2, error)
+
+
+@pytest.mark.parametrize("entry, field, error", [
+    (0.5, "q", "left_action.e(1): row 0, column 0: " + NOT_A_SCALAR + "0.5"),
+    (True, "q", "left_action.e(1): row 0, column 0: " + NOT_A_SCALAR + "True"),
+    ("1/7", "fp:7",
+     "left_action.e(1): row 0, column 0: denominator 7 is zero mod 7"),
+])
+def test_bimodule_entries_must_be_exact(tmp_path, entry, field, error):
+    p = tmp_path / "bim.json"
+    p.write_text(json.dumps({"dimension": 1, "left_action": {"e(1)": [[entry]]},
+                             "right_action": {"e(1)": [[1]]}}))
+    code, report = run_command(["coeffs", "--bimodule", str(p), "--catalog",
+                                "kxk", "--field", field])
+    assert (code, report.data["error"]) == (2, error)
+
+
 def test_algebras_without_an_exceptional_collection_exit_2(tmp_path):
     """loop-x2's one projective has End = k[x]/(x^2), so it is not
     exceptional, and a 2-cycle is not directed: input errors, exit 2."""

@@ -1,4 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodhh.algebra import Quiver, _lines, build_path_algebra
 from sodhh.catalog import CATALOG
@@ -12,9 +16,14 @@ from sodhh.complexes import (ChainMap, ComplexError, FieldComplex,
                              zero_complex)
 from sodhh.exceptional import (coevaluation_map, evaluation_map, minimal_data,
                                projective_collection)
-from sodhh.kernels import decomposable_to_env, projection_kernels
-from sodhh.linalg import GF, QQ, Matrix, rank
+from sodhh.hochschild import (global_dimension, hh_cohomology, hh_homology,
+                              homology_via_serre_dual, simple_resolution)
+from sodhh.kernels import (decomposable_to_env, orthogonality_report,
+                           projection_kernels)
+from sodhh.linalg import GF, QQ, ColumnEchelon, Matrix, rank
 from sodhh.modules import dual_bimodule, regular_bimodule, simple_module
+from test_hochschild import (cyclic_monomial_quivers, non_koszul_quivers,
+                             quadratic_quivers)
 
 
 def kron(n):
@@ -1365,3 +1374,179 @@ def test_realize_matches_the_multiply_construction(field):
         fc = X.realize()
         assert fc.dims == {n: m for n, m in dims.items() if m}
         assert fc.diffs == diffs and diffs
+
+
+# ---------------------------------------------------------------------------
+# Clearing: FieldComplex.homology_dims ranks each differential on the
+# complement of the previous image.  The oracle ranks each on its own.
+
+
+def independent_rank_dims(fc):
+    """homology_dims without clearing: every differential ranked alone."""
+    ranks = {n: rank(m) for n, m in fc.diffs.items()}
+    out = {}
+    for n, d in fc.dims.items():
+        h = d - ranks.get(n, 0) - ranks.get(n - 1, 0)
+        if h:
+            out[n] = h
+    return out
+
+
+@contextmanager
+def homology_checked_by_independent_ranks():
+    """Inside the block every FieldComplex.homology_dims is compared with
+    independent_rank_dims.  Yields counts of the complexes compared and of
+    those with columns to clear (a nonzero d^(n-1) before a d^n)."""
+    counts = {"complexes": 0, "cleared": 0}
+    clearing = FieldComplex.homology_dims
+
+    def checked(fc):
+        dims = clearing(fc)
+        assert dims == independent_rank_dims(fc)
+        counts["complexes"] += 1
+        counts["cleared"] += any(n - 1 in fc.diffs and not fc.diffs[n - 1].is_zero()
+                                 for n in fc.diffs)
+        return dims
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldComplex, "homology_dims", checked)
+        yield counts
+
+
+def read_every_homology(A, n_max, directed):
+    """What sodhh reads homology from on A: Priddy's certificate (through
+    global_dimension), HH^*, HH_* and the Serre route; on a directed
+    algebra also the Ext of serre-check's probes and of the kernels'
+    orthogonality report, all through ext_profile."""
+    global_dimension(A, n_max)
+    hh_cohomology(A, n_max)
+    hh_homology(A, n_max)
+    homology_via_serre_dual(A, n_max)
+    if not directed:
+        return
+    probes = [single_projective(A, v) for v in range(A.num_vertices)]
+    probes += [simple_resolution(A, v, "left", n_max + 1)
+               for v in range(A.num_vertices)]
+    for Y in probes:
+        SY = serre_twist_left(Y)
+        for X in probes:
+            ext_profile(X, SY)
+            ext_profile(Y, X)
+    orthogonality_report(projection_kernels(projective_collection(A)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_clearing_matches_independent_ranks_on_catalog_and_beilinson(field):
+    """Every catalog algebra and generated P^2-P^4: equal dims on each
+    complex (805 per field today, 80 of them with columns to clear; most
+    Ext complexes of a probe have one differential)."""
+    from sodhh.cli import parse_quiver_document
+    from test_cli import _benchmark_inputs
+    inputs = _benchmark_inputs()
+    kind = {"kind": "q"} if field == QQ else {"kind": "fp", "p": 3}
+    with homology_checked_by_independent_ranks() as counts:
+        for entry in CATALOG.values():
+            read_every_homology(entry.algebra(field), 4, entry.has_collection)
+        for n in (2, 3, 4):
+            A = parse_quiver_document(
+                inputs.beilinson_quiver_doc(n, kind, 101)).build()
+            read_every_homology(A, n + 1, n < 4)
+    assert counts["cleared"] >= 50
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(quadratic_quivers())
+def test_clearing_matches_independent_ranks_on_random_quadratic_quivers(A):
+    with homology_checked_by_independent_ranks() as counts:
+        read_every_homology(A, 4, True)
+    assert counts["complexes"]
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.one_of(non_koszul_quivers(), cyclic_monomial_quivers()))
+def test_clearing_matches_independent_ranks_off_koszul(A):
+    """The non-Koszul family takes the minimal bimodule resolution; the
+    cyclic monomial quivers have oriented cycles and no collection."""
+    with homology_checked_by_independent_ranks() as counts:
+        read_every_homology(A, 3, False)
+    assert counts["complexes"]
+
+
+@pytest.mark.parametrize("dims, diffs, expected", [
+    # a zero-dimensional degree 2 between two nonzero stretches
+    ({0: 1, 1: 1, 2: 0, 3: 1, 4: 1}, {0: [[1]], 3: [[1]]}, {}),
+    # no differential into degree 2: d^1 is zero and not given
+    ({0: 1, 1: 1, 2: 1, 3: 1}, {0: [[1]], 2: [[1]]}, {}),
+    # a zero d^1 given explicitly clears nothing either
+    ({0: 1, 1: 1, 2: 1, 3: 1}, {0: [[1]], 1: [[0]], 2: [[1]]}, {}),
+    # d^0 hits position 0 of C^1, so d^1 is ranked on position 1 only
+    ({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]}, {}),
+    ({0: 1, 1: 2, 2: 2}, {0: [[1], [1]], 1: [[1, -1], [1, -1]]}, {2: 1}),
+])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_clearing_resets_at_a_gap(dims, diffs, expected, field):
+    """The lows of d^(n-1) clear columns of d^n only: after a missing
+    degree or differential they do not carry over.  Were the lows {0} of
+    d^0 carried past the gap, column 0 of the last differential would be
+    dropped and its rank read as 0."""
+    fc = FieldComplex(field, dims, {
+        n: Matrix.from_rows(field, rows) for n, rows in diffs.items()},
+        check=True)
+    assert fc.homology_dims() == independent_rank_dims(fc) == expected
+
+
+@contextmanager
+def recorded_echelons():
+    """The rank-only echelons that homology_dims builds, in order."""
+    import sodhh.complexes
+    made = []
+
+    class Recording(ColumnEchelon):
+        __slots__ = ()
+
+        def __init__(self, m, transform=True):
+            super().__init__(m, transform)
+            made.append(self)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sodhh.complexes, "ColumnEchelon", Recording)
+        yield made
+
+
+def _generated_p3(field):
+    from sodhh.cli import parse_quiver_document
+    from test_cli import _benchmark_inputs
+    kind = {"kind": "q"} if field == QQ else {"kind": "fp", "p": 32003}
+    return parse_quiver_document(
+        _benchmark_inputs().beilinson_quiver_doc(3, kind, 101)).build()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp"])
+def test_clearing_leaves_no_zero_column_on_the_certificate(field):
+    """Priddy's certificate of P^3 is exact off H_0 = k, so the columns
+    left after clearing are independent: none reduces to zero."""
+    from sodhh.hochschild import _koszul_certificate, certified_koszul
+    A = _generated_p3(field)
+    ends, terms = certified_koszul(A, 4)
+    cert = _koszul_certificate(A, ends, terms)
+    with recorded_echelons() as made:
+        dims = cert.homology_dims()
+    assert dims == independent_rank_dims(cert) == {0: A.num_vertices}
+    assert len(made) == len(cert.diffs) > 2
+    assert [j for ech in made for j in ech.free_columns()] == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp"])
+def test_clearing_drops_rank_of_the_previous_differential(field):
+    """On Hom(K, A) of P^3 the columns dropped from d^n number rank
+    d^(n-1), and the first differential is ranked as given."""
+    from sodhh.hochschild import _diagonal_terms, _hom_complex
+    A = _generated_p3(field)
+    fc = _hom_complex(A, regular_bimodule(A), *_diagonal_terms(A, 5))
+    with recorded_echelons() as made:
+        fc.homology_dims()
+    degrees = sorted(fc.diffs)
+    assert degrees == list(range(degrees[0], degrees[0] + len(degrees)))
+    assert [ech.matrix for ech in made][:1] == [fc.diffs[degrees[0]]]
+    dropped = [fc.diffs[n].ncols - ech.matrix.ncols
+               for n, ech in zip(degrees, made)]
+    assert dropped[0] == 0 and sum(dropped) > 0
+    assert dropped[1:] == [rank(fc.diffs[n]) for n in degrees[:-1]]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodhh.linalg import (ZERO_COLUMN, ColumnEchelon, FieldMismatch, GF,
-                          Matrix, QQ, SubspaceReducer, rank, rank_kernel_image,
-                          solve_linear)
+from sodhh.linalg import (PRIME_BOUND, ZERO_COLUMN, ColumnEchelon,
+                          FieldMismatch, GF, Matrix, QQ, SubspaceReducer,
+                          _is_prime, rank, rank_kernel_image, solve_linear)
 
 
 def naive_row_reduction_rank(rows, field):
@@ -129,7 +129,7 @@ def test_field_mismatch():
 def test_scalar_canonical_forms():
     assert QQ.coerce("6/4") == Fraction(3, 2)
     # over Q a scalar is a Fraction exactly when its denominator is not 1
-    for x in (QQ.coerce("4/2"), QQ.coerce(Fraction(6, 3)), QQ.coerce(True),
+    for x in (QQ.coerce("4/2"), QQ.coerce(Fraction(6, 3)),
               QQ.add(Fraction(1, 2), Fraction(1, 2)),
               QQ.sub(Fraction(5, 3), Fraction(2, 3)),
               QQ.mul(Fraction(2, 3), 3), QQ.div(6, -3),
@@ -147,6 +147,57 @@ def test_scalar_canonical_forms():
     assert f.coerce("3/2") == (3 * pow(2, -1, 7)) % 7
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_coerce_refuses_inexact_and_boolean_scalars():
+    """A float or a bool is not a scalar: truncating 0.1 to 0 over F_7 would
+    drop a relation's term.  A zero denominator mod p, or one over Q, is
+    named as such; ints, Fractions and strings keep their values."""
+    f = GF(7)
+    for field in (QQ, f):
+        for x in (0.1, 1.5, 1.0, True, False, None, [1], "x", "1.5/2"):
+            with pytest.raises(ValueError, match="expected an integer or a "
+                               "fraction like '-3/2', got"):
+                field.coerce(x)
+    with pytest.raises(ValueError, match="denominator 7 is zero mod 7"):
+        f.coerce("1/7")
+    with pytest.raises(ValueError, match="denominator 14 is zero mod 7"):
+        f.coerce(Fraction(3, 14))
+    with pytest.raises(ValueError, match="denominator is zero in '1/0'"):
+        QQ.coerce("1/0")
+    assert [f.coerce(x) for x in (-1, 10, "-8", "3/2", Fraction(3, 2))] == \
+        [6, 3, 6, 5, 5]
+    assert [QQ.coerce(x) for x in (-1, "-3/2", Fraction(4, 2), "1.5")] == \
+        [-1, Fraction(-3, 2), 2, Fraction(3, 2)]
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_decides_large_moduli():
+    """Carmichael numbers fool the Fermat test to every coprime base;
+    3215031751 is also a strong pseudoprime to the bases 2, 3, 5 and 7.
+    2^61 - 1 is a Mersenne prime and is decided at once.  Past the bound
+    where the thirteen bases are exact, an n without a small factor is
+    refused rather than guessed."""
+    from time import perf_counter
+    assert not _is_prime(561) and not _is_prime(3215031751)
+    start = perf_counter()
+    assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 9)
+    assert not _is_prime(1000000007 * 998244353)
+    assert perf_counter() - start < 1
+    assert GF(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+    assert not _is_prime(2 * PRIME_BOUND)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        _is_prime(PRIME_BOUND)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        GF(2 ** 89 - 1)
 
 
 def test_integer_strings_coerce_as_fraction_parses_them():

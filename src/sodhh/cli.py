@@ -35,7 +35,7 @@ from .kernels import (NormalizationFailed, RangeNotCertified,
                       additivity_check, fullness_certificate, generalized_hoh,
                       k0_identity_check, les_check, orthogonality_report,
                       projection_kernels)
-from .linalg import GF, QQ, FieldSpec, Matrix
+from .linalg import GF, QQ, FieldSpec, Matrix, too_many_digits
 from .modules import Bimodule, ModuleAxiomError, bimodule_from_actions, \
     dual_bimodule, regular_bimodule
 from .report import Report
@@ -161,12 +161,19 @@ def parse_quiver_document(doc) -> QuiverDocument:
 
 def _read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except ValueError as exc:   # an integer literal over the digit limit
+        raise SchemaError(f"{path}: {too_many_digits()}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: arrays or objects nested too deeply "
+                          "to read") from exc
 
 
 def parse_quiver_file(path) -> QuiverDocument:

@@ -11,6 +11,12 @@ Left and right mutations are the object-level cone formulas
     L_E F = cone(ev : Hom*(E, F) (x) E -> F)
     R_E F = cone(coev : F -> Hom*(F, E)* (x) E)[-1]
 assembled from explicit cocycle bases of the Hom complexes.
+
+An ExceptionalCollection keeps one Ext table, ext(i, j) = Ext*(E_{i+1},
+E_{j+1}), each ordered pair computed once.  A shift only re-indexes it,
+    Ext^d(E[s], F[t]) = Ext^(d + t - s)(E, F),
+so verification, the strongness shifts, endomorphism_algebra and
+bdi_check all read that one table.
 """
 
 from __future__ import annotations
@@ -129,43 +135,46 @@ def right_mutation_object(F: ProjComplex, E: ProjComplex) -> ProjComplex:
 
 def is_exceptional_collection(objects):
     """(ok, violations): endomorphisms k and backwards Ext vanishing."""
-    _, violations = _exceptional_tables(objects)
+    objects = list(objects)
+    algebra = objects[0].algebra if objects else None
+    violations = _violations(ExceptionalCollection(algebra, objects,
+                                                   verify=False))
     return (not violations), violations
 
 
-def _exceptional_tables(objects):
-    """(Ext*(E_i, E_i) for each i, violations)."""
-    violations = []
-    objects = list(objects)
-    self_ext = tuple(ext_profile(X, X) for X in objects)
-    for i, prof in enumerate(self_ext):
-        if prof != {0: 1}:
-            violations.append(f"Ext*(E_{i+1}, E_{i+1}) = {prof}, expected k in degree 0")
-    for j in range(len(objects)):
-        for i in range(j):
-            prof = ext_profile(objects[j], objects[i])
-            if prof:
-                violations.append(
-                    f"Ext*(E_{j+1}, E_{i+1}) = {prof}, expected 0 (i < j)")
-    return self_ext, violations
+def _violations(coll):
+    """Diagonal Ext other than k in degree 0, then nonzero backward Ext."""
+    m = len(coll)
+    return ([f"Ext*(E_{i+1}, E_{i+1}) = {coll.ext(i, i)}, expected k in degree 0"
+             for i in range(m) if coll.ext(i, i) != {0: 1}]
+            + [f"Ext*(E_{j+1}, E_{i+1}) = {coll.ext(j, i)}, expected 0 (i < j)"
+               for j in range(m) for i in range(j) if coll.ext(j, i)])
 
 
 class ExceptionalCollection:
-    """Verification keeps `self_ext`, the Ext*(E_i, E_i), and the (empty)
-    `violations`; both are None when `verify` is off."""
+    """Objects E_1, ..., E_m (minimalized) and their Ext table `ext`.
+    Verification reads the table's diagonal and backward pairs and keeps
+    the (empty) `violations`, None when `verify` is off."""
 
     def __init__(self, algebra: Algebra, objects, verify=True):
         self.algebra = algebra
         self.objects = tuple(minimalize(X) for X in objects)
-        self.self_ext = self.violations = None
+        self._ext = {}
+        self.violations = None
         if verify:
-            self.self_ext, self.violations = _exceptional_tables(self.objects)
+            self.violations = _violations(self)
             if self.violations:
                 raise NotExceptional("not an exceptional collection: "
                                      + "; ".join(self.violations))
 
     def __len__(self):
         return len(self.objects)
+
+    def ext(self, i, j):
+        """Ext*(E_{i+1}, E_{j+1}) as {degree: dim}, computed on first use."""
+        if (i, j) not in self._ext:
+            self._ext[(i, j)] = ext_profile(self.objects[i], self.objects[j])
+        return self._ext[(i, j)]
 
 
 def projective_collection(A: Algebra, order=None) -> ExceptionalCollection:
@@ -247,27 +256,23 @@ def dual_collection(coll: ExceptionalCollection):
             raise MutationFailed(
                 f"dual object F_{i+1} has Ext table {table} against E_{i+1}")
         shifts.append(next(iter(table)))
-    # delta property across the collection
+    # delta property off the diagonal
     for i in range(m):
         for j in range(m):
-            table = tables[i][j]
-            expected = {shifts[j]: 1} if i == j else {}
-            if table != expected:
+            if i != j and tables[i][j]:
                 raise MutationFailed(
-                    f"Ext*(F_{j+1}, E_{i+1}) = {table}, expected {expected}")
+                    f"Ext*(F_{j+1}, E_{i+1}) = {tables[i][j]}, expected {{}}")
     return duals, shifts
 
 
 def bdi_check(coll: ExceptionalCollection, i: int, dual=None) -> bool:
-    """Graded dims of Ext*(BD_i(E_i), E_i) equal those of Ext*(E_i, E_i)
-    after applying the shift recorded by the dual collection (`dual`, if
-    the caller has it)."""
-    duals, shifts = dual_collection(coll) if dual is None else dual
-    E = coll.objects[i - 1]
-    table = ext_profile(duals[i - 1], E)
-    shifted = {n - shifts[i - 1]: d for n, d in table.items()}
-    own = ext_profile(E, E) if coll.self_ext is None else coll.self_ext[i - 1]
-    return shifted == own
+    """Graded dims of Ext*(BD_i(E_i), E_i), shifted by the dual collection's
+    s_i (`dual`, if the caller has it), equal those of Ext*(E_i, E_i).
+    dual_collection verified Ext*(F_i, E_i) = {s_i: 1}, so the shifted side
+    is {0: 1}, and Ext*(E_i, E_i) is read from the collection's table."""
+    if dual is None:
+        dual_collection(coll)
+    return coll.ext(i - 1, i - 1) == {0: 1}
 
 
 class SodTower:
@@ -315,19 +320,18 @@ def sod_project(x: ProjComplex, coll: ExceptionalCollection) -> SodTower:
     return SodTower(x, tower, factors, {"k0_additive": k0_ok})
 
 
-def _strongness_shifts(objs):
+def _strongness_shifts(coll):
     """Per-object shifts making every Ext land in degree 0, or NotStrong.
 
     Mutations introduce shifts, so a collection can be strong only after
-    renormalizing each object; the shift vector solves s_i - s_j = d_ij
-    over the graph of nonzero Hom spaces (d_ij the single Ext degree)."""
-    m = len(objs)
+    renormalizing each object; by the shift rule the shift vector solves
+    s_j - s_i = d_ij over the nonzero entries of the Ext table, d_ij the
+    single degree, which on the diagonal asks d_ii = 0."""
+    m = len(coll)
     deg = {}
     for i in range(m):
         for j in range(m):
-            if i == j:
-                continue
-            prof = ext_profile(objs[i], objs[j])
+            prof = coll.ext(i, j)
             if not prof:
                 continue
             if len(prof) > 1:
@@ -335,8 +339,6 @@ def _strongness_shifts(objs):
                     f"Ext*(E_{i+1}, E_{j+1}) has degrees {sorted(prof)}; "
                     "no shift makes the collection strong")
             deg[(i, j)] = next(iter(prof))
-    # Ext^d(E_i[s_i], E_j[s_j]) = Ext^{d + s_j - s_i}(E_i, E_j), so strength
-    # needs s_j - s_i = d_ij on every edge of the Hom graph
     shifts = [None] * m
     for start in range(m):
         if shifts[start] is not None:
@@ -364,39 +366,36 @@ def endomorphism_algebra(coll: ExceptionalCollection,
     """Basic endomorphism algebra of (+) E_i for a strong collection
     (strong after the per-object shift normalization that mutations make
     necessary), re-presented as a quiver with relations recovered by
-    linear algebra on compositions of Hom-space bases."""
-    shifts = _strongness_shifts(coll.objects)
+    linear algebra on compositions of Hom-space bases.  Hom complexes of
+    the shifted objects are built for the pairs i != j with nonzero Ext,
+    and for any other pair a composite lands in."""
+    shifts = _strongness_shifts(coll)
     objs = tuple(E if s == 0 else E.shift(s)
                  for E, s in zip(coll.objects, shifts))
     m = len(objs)
-    for i in range(m):
-        for j in range(m):
-            prof = ext_profile(objs[i], objs[j])
-            if set(prof) - {0}:
-                raise NotStrong(
-                    f"Ext*(E_{i+1}, E_{j+1}) has degrees {sorted(prof)}")
     f = coll.algebra.field
     # cocycle bases of the degree-0 Hom spaces, as cochains and chain maps
-    hcxs, reps, hom_bases = {}, {}, {}
-    for i in range(m):
-        for j in range(m):
-            h = hcxs[(i, j)] = hom_complex(objs[i], objs[j])
-            reps[(i, j)] = h.cocycle_representatives(0) if i != j else []
-            hom_bases[(i, j)] = [h.cochain_to_chainmap(v, 0) for v in reps[(i, j)]]
+    hcxs = {(i, j): hom_complex(objs[i], objs[j]) for i in range(m)
+            for j in range(m) if i != j and coll.ext(i, j)}
+    reps = {ij: h.cocycle_representatives(0) for ij, h in hcxs.items()}
+    hom_bases = {ij: [hcxs[ij].cochain_to_chainmap(v, 0) for v in vs]
+                 for ij, vs in reps.items()}
 
     def class_coefficients(i, k, cm):
         """Coefficients of a degree-0 cocycle (given as a chain map
         E_i -> E_k) over the chosen basis, modulo coboundaries."""
-        h = hcxs[(i, k)]
+        if (i, k) not in hcxs:   # no basis cocycles there: cm is a coboundary
+            hcxs[(i, k)] = hom_complex(objs[i], objs[k])
+        h, basis = hcxs[(i, k)], reps.get((i, k), [])
         dim0 = h.dims.get(0, 0)
         prev = h.mats.get(-1)
-        cols = reps[(i, k)] + (prev.cols if prev is not None else [])
+        cols = basis + (prev.cols if prev is not None else [])
         sol = solve_linear(Matrix(f, dim0, len(cols), cols),
                            Matrix(f, dim0, 1, [h.chainmap_to_cochain(cm, 0)]))
         if sol is None:
             raise MutationFailed("composite is not a combination of basis "
                                  "cocycles")
-        return {b: sol.cols[0][b] for b in range(len(reps[(i, k)]))
+        return {b: sol.cols[0][b] for b in range(len(basis))
                 if b in sol.cols[0]}
 
     if vertex_names is None:

@@ -22,6 +22,7 @@ both of them and elsewhere, is the one `axpy`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -72,7 +73,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def too_many_digits():
+    """The error for an integer string longer than Python's limit on the
+    digits of an integer read from text (sys.get_int_max_str_digits)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return ValueError(f"an integer has more than {limit} digits, the limit "
+                      "on integers read from text")
+
+
 def _not_a_scalar(x):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and isinstance(x, str) and any(
+            len(run) > limit for run in re.findall(r"\d+", x)):
+        return too_many_digits()
     return ValueError(f"expected an integer or a fraction like '-3/2', "
                       f"got {x!r}")
 
@@ -125,9 +138,9 @@ class FieldSpec:
             if type(x) is int:
                 return x
             if isinstance(x, str):
-                if _INTEGER.fullmatch(x):
-                    return int(x)   # what Fraction(x) gives, without its parser
                 try:
+                    if _INTEGER.fullmatch(x):
+                        return int(x)   # what Fraction(x) gives, without its parser
                     x = Fraction(x)
                 except ValueError:
                     raise _not_a_scalar(x) from None

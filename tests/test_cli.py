@@ -115,6 +115,34 @@ def test_schema_error_exit_2(tmp_path):
     assert "relations[0]" in report.data["error"]
 
 
+def _info_error(path, data):
+    path.write_bytes(data)
+    code, report = run_command(["info", "--file", str(path)])
+    assert code == 2
+    return report.data["error"]
+
+
+def test_over_long_integer_literal_exit_2(tmp_path):
+    p = tmp_path / "big.json"
+    doc = json.dumps({**KRON3_DOC, "relations": [[{"coeff": 0, "path": ["a"]}]]})
+    error = _info_error(p, doc.replace('"coeff": 0', '"coeff": ' + "9" * 5000)
+                        .encode())
+    assert error == (f"{p}: an integer has more than 4300 digits, the limit "
+                     "on integers read from text")
+
+
+def test_file_not_utf8_exit_2(tmp_path):
+    p = tmp_path / "utf16.json"
+    error = _info_error(p, b"\xff\xfe" + json.dumps(KRON3_DOC).encode("utf-16-le"))
+    assert error == f"{p}: not UTF-8 text (byte 0)"
+
+
+def test_deeply_nested_file_exit_2(tmp_path):
+    p = tmp_path / "deep.json"
+    error = _info_error(p, b"[" * 200000)
+    assert error == f"{p}: arrays or objects nested too deeply to read"
+
+
 def test_collection_on_undirected_exit_2():
     code, report = run_command(["collection", "check", "--catalog", "loop-x2"])
     assert code == 2

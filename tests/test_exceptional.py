@@ -1,6 +1,7 @@
 import pytest
 
 from sodhh.algebra import Quiver, build_path_algebra
+from sodhh.catalog import structure_hash
 from sodhh.complexes import (ChainMap, cone, direct_sum, ext_profile,
                              hom_complex, minimalize,
                              module_complex_single, projective_resolution,
@@ -189,8 +190,9 @@ def test_collection_commands_reuse_what_they_computed(monkeypatch):
     """`collection check` reports the violations the collection's
     verification found, and `collection dual` computes the dual collection
     once.  On beilinson-p2 (m = 3) that is the verification's m + m(m-1)/2
-    = 6 Ext profiles, the m^2 = 9 of the delta table and one Ext*(F_i, E_i)
-    per bdi_check; Ext*(E_i, E_i) is the verification's."""
+    = 6 Ext profiles and the m^2 = 9 of the delta table: bdi_check reads
+    Ext*(F_i, E_i) from the delta check and Ext*(E_i, E_i) from the
+    collection's table."""
     import sodhh.cli as cli
     import sodhh.exceptional as ex
     exts, duals = [], []
@@ -214,18 +216,77 @@ def test_collection_commands_reuse_what_they_computed(monkeypatch):
     code, _ = cli.run_command(["collection", "dual", "--catalog",
                                "beilinson-p2"])
     assert code == 0
-    assert len(duals) == 1 and len(exts) == 6 + 9 + 3
+    assert len(duals) == 1 and len(exts) == 6 + 9
 
 
 def test_bdi_check_reads_the_verification(collB):
-    """A verified collection keeps Ext*(E_i, E_i) and its (empty) violations
-    from the verification; an unverified one keeps neither, and bdi_check
-    computes Ext*(E_i, E_i) for it."""
-    assert collB.violations == [] and collB.self_ext == ({0: 1},) * 3
+    """A verified collection keeps the diagonal and backward pairs of its
+    Ext table and its (empty) violations; an unverified one starts with an
+    empty table and no violations, and bdi_check computes Ext*(E_i, E_i)
+    into the table on demand."""
+    m = len(collB)
+    assert collB.violations == []
+    assert collB._ext == {**{(i, i): {0: 1} for i in range(m)},
+                          **{(j, i): {} for j in range(m) for i in range(j)}}
     bare = ExceptionalCollection(collB.algebra, collB.objects, verify=False)
-    assert bare.self_ext is None and bare.violations is None
+    assert bare._ext == {} and bare.violations is None
     dual = dual_collection(collB)
     assert all(bdi_check(bare, i, dual) for i in (1, 2, 3))
+    assert bare._ext == {(i, i): {0: 1} for i in range(m)}
+
+
+def test_each_ordered_pair_ext_is_computed_once(monkeypatch):
+    """On generated P^3's mutation route (the reversed dual collection of
+    the projectives) and on the projectives themselves, each ordered pair's
+    Ext is computed once per collection: verification, bdi_check and
+    endomorphism_algebra, run twice, read one table.  endomorphism_algebra builds the 6 forward Ext
+    profiles the verification left out and a Hom complex for each of those
+    6 nonzero pairs: 12 builds, not the 44 of rebuilding every pair."""
+    import sodhh.complexes as cx
+    import sodhh.exceptional as ex
+    from test_hochschild import _generated_beilinson
+    A = _generated_beilinson(3)
+    exts, homs = [], []
+    real_ext, init = ex.ext_profile, cx.ModuleHomComplex.__init__
+
+    def counting_ext(X, Y):
+        exts.append((id(X), id(Y)))
+        return real_ext(X, Y)
+
+    def counting_init(self, X, Y):
+        homs.append((X, Y))
+        init(self, X, Y)
+    monkeypatch.setattr(ex, "ext_profile", counting_ext)
+    monkeypatch.setattr(cx.ModuleHomComplex, "__init__", counting_init)
+    coll = projective_collection(A)
+    computed = [list(exts)]
+    dual = dual_collection(coll)   # its own table, of Ext*(F_j, E_i)
+    exts.clear()
+    assert all(bdi_check(coll, i, dual) for i in range(1, len(coll) + 1))
+    endomorphism_algebra(coll)
+    endomorphism_algebra(coll)
+    computed[0] += exts
+    exts.clear()
+    route = ExceptionalCollection(A, list(reversed(dual[0])))
+    homs.clear()
+    E = endomorphism_algebra(route)
+    assert len(homs) <= 12
+    assert structure_hash(endomorphism_algebra(route)) == structure_hash(E)
+    computed.append(exts)
+    for pairs in computed:
+        assert len(pairs) == len(set(pairs)) == len(coll) ** 2
+
+
+def test_not_strong_on_the_diagonal(K2):
+    """An unverified collection whose diagonal Ext is not in degree 0, A e_1
+    (+) A e_1[1], is not strong: the diagonal pairs of the Ext table ask
+    s_i - s_i = d."""
+    P = single_projective(K2, 0)
+    X, _ = direct_sum([P, P.shift(1)])
+    bad = ExceptionalCollection(K2, [X], verify=False)
+    assert bad.ext(0, 0) == {-1: 1, 0: 2, 1: 1}
+    with pytest.raises(NotStrong):
+        endomorphism_algebra(bad)
 
 
 # -- projection towers ---------------------------------------------------------
@@ -349,3 +410,30 @@ def test_morita_invariance_once_mutated(B, collB):
     E = endomorphism_algebra(mut)
     assert hh_cohomology(E, 6).as_tuple() == (1, 8, 10, 0, 0, 0, 0)
     assert hh_homology(E, 6).as_tuple() == (3, 0, 0, 0, 0, 0, 0)
+
+
+# structure_hash of endomorphism_algebra, recorded while it still rebuilt
+# the Hom complex of every ordered pair: the mutation route of generated
+# P^2-P^4 (seed 101, Q) and four mutations of beilinson-p2's projectives.
+ENDOMORPHISM_HASHES = {
+    "P2": "42c1bb253b7a0a4df6edcd20b3ea91416b6d1a583eb46f54b16988980b5c6080",
+    "P3": "bd3d30350c86545d47f89ab67e14a8ffe912d25ae3e170442b55e51e5439b65e",
+    "P4": "54923e30b09f21e1b941f149f1771fd394a34856bcf4b1438325e782176aac3b",
+    (1, "left"): "3970c09e083cb54ac204d8f277337f09f1396c6736889105074d44e40e73b7e4",
+    (2, "left"): "82cfc1a025ea8b8fafbe16b9c1d96a157a7c4a254937b87c47801362fcfe6297",
+    (2, "right"): "82cfc1a025ea8b8fafbe16b9c1d96a157a7c4a254937b87c47801362fcfe6297",
+    (3, "right"): "4a984eba6b953a296be30e0ac147c29757e864713261ff24c650daafe6714603",
+}
+
+
+@pytest.mark.parametrize("key", list(ENDOMORPHISM_HASHES), ids=str)
+def test_endomorphism_algebras_are_unchanged(key, collB):
+    """The basis, labels and products of these endomorphism algebras."""
+    if isinstance(key, str):
+        from test_hochschild import _generated_beilinson
+        A = _generated_beilinson(int(key[1:]))
+        coll = ExceptionalCollection(
+            A, list(reversed(dual_collection(projective_collection(A))[0])))
+    else:
+        coll = mutate(collB, *key)
+    assert structure_hash(endomorphism_algebra(coll)) == ENDOMORPHISM_HASHES[key]

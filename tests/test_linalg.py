@@ -221,6 +221,20 @@ def test_integer_strings_coerce_as_fraction_parses_them():
         assert (got, type(got)) == (expected, type(expected)), x
 
 
+def test_over_long_integer_strings_name_the_digit_limit():
+    """A numerator or denominator of more than 4300 digits is refused over
+    both fields with the digit limit named, not as a malformed scalar."""
+    long = "9" * 5000
+    for field in (QQ, GF(7)):
+        for x in (long, f"-{long}", f"1/{long}", f"{long}/2"):
+            with pytest.raises(ValueError) as exc:
+                field.coerce(x)
+            assert str(exc.value) == ("an integer has more than 4300 digits, "
+                                      "the limit on integers read from text")
+    with pytest.raises(ValueError, match="expected an integer or a fraction"):
+        GF(7).coerce("9" * 4300 + "x")
+
+
 # ---------------------------------------------------------------------------
 # Oracle for elimination over Q: the all-Fraction column reduction that
 # linalg used before its scalars became integer-first.  It performs the same

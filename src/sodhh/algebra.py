@@ -493,21 +493,24 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
     length L the columns are the pairs (w, a) of a residue word w of
     length L-1 and an arrow a leaving its end, in lexicographic order.
     One SubspaceReducer takes the x r for residue words x and relations r
-    of total length L, each computed one arrow at a time through the arrow
-    maps of shorter lengths.  The columns that are not pivots are the
-    residue words of length L, and the normal form of column (w, a) is the
-    arrow map w -> w a.  The product "q then p" applies p's arrows to q
-    through the same maps.  A single basis element with coefficient one,
-    such as the x of x r or a product that is one word, extends by an arrow
-    to a copy of its arrow map, so no two products in the table are one
-    dict.  Raises NotFiniteDimensional when a residue word longer than
-    2 |arrows| + 2 survives.
+    of total length L, each term written straight into its columns: x
+    followed by the term's first arrow is read off that arrow map, and the
+    other arrows but the last are followed through the arrow maps of
+    shorter lengths.  The arrow map w -> w a of column (w, a) is its
+    normal form.  A column that is not a pivot is a residue word of length
+    L, so its arrow map is the unit vector of that word, set when the word
+    is appended; only the pivot columns take a normal form.  The product
+    "q then p" applies p's arrows to q through the same maps.  A single
+    basis element with coefficient one, such as a product that is one
+    word, extends by an arrow to a copy of its arrow map, so no two
+    products in the table are one dict.  Raises NotFiniteDimensional when
+    a residue word longer than 2 |arrows| + 2 survives.
     """
     quiver = Quiver.make(quiver.vertices, quiver.arrows)
     for idx, rel in enumerate(relations):
         validate_relation(quiver, rel, idx)
     cap = 2 * len(quiver.arrows) + 2
-    one = field.one
+    one, add, mul = field.one, field.add, field.mul
     arrows = quiver.arrows
     arrow_ix = {a.name: i for i, a in enumerate(arrows)}
     vpos = {v: i for i, v in enumerate(quiver.vertices)}
@@ -531,18 +534,16 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
     amap = {(vpos[a.source], i): {nv + i: one} for i, a in enumerate(arrows)}
     levels = [list(range(nv)), list(range(nv, len(paths)))]  # by length
 
-    def extend(vec, arrow_seq):
-        for a in arrow_seq:
-            if len(vec) == 1:
-                (k, c), = vec.items()
-                if c == one:   # b_k alone extends to a copy of its map
-                    vec = dict(amap[k, a])
-                    continue
-            out = {}
-            for k, c in vec.items():
-                axpy(field, out, amap[k, a], c)
-            vec = out
-        return vec
+    def follow(vec, a):
+        """vec then arrow a, as a new dict."""
+        if len(vec) == 1:
+            (k, c), = vec.items()
+            if c == one:   # b_k alone extends to a copy of its map
+                return dict(amap[k, a])
+        out = {}
+        for k, c in vec.items():
+            axpy(field, out, amap[k, a], c)
+        return out
 
     while levels[-1]:
         length = len(levels)
@@ -552,21 +553,32 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
         for m, start, rvec in rels:
             for x in levels[length - m] if m <= length else ():
                 if tgt[x] == start:
-                    g = {}
+                    g = {}   # x r, written term by term into its columns
                     for c, t in rvec:
-                        axpy(field, g, {col_of[k, t[-1]]: y for k, y in
-                                        extend({x: one}, t[:-1]).items()}, c)
+                        xt = amap[x, t[0]]
+                        for a in t[1:-1]:
+                            xt = follow(xt, a)
+                        for k, y in xt.items():
+                            n = col_of[k, t[-1]]
+                            s = add(g.get(n, 0), mul(c, y))
+                            if s:
+                                g[n] = s
+                            elif n in g:
+                                del g[n]
                     gens.append(g)
         reducer = SubspaceReducer(field, len(cols), gens)
         pos = {}
         for n, (k, a) in enumerate(cols):
-            if n not in reducer.cols:
+            if n in reducer.cols:
+                # a pivot: its normal form lies on the residue columns before it
+                amap[k, a] = {pos[r]: v for r, v in
+                              reducer.normal_form({n: one}).items()}
+            else:
                 pos[n] = len(paths)
+                amap[k, a] = {pos[n]: one}
                 paths.append(paths[k] + (a,))
                 tgt.append(vpos[arrows[a].target])
                 prefix.append(k)
-        for n, ka in enumerate(cols):
-            amap[ka] = {pos[m]: v for m, v in reducer.normal_form({n: one}).items()}
         levels.append(list(pos.values()))
         if pos and length > cap:
             raise NotFiniteDimensional(
@@ -591,12 +603,14 @@ def build_path_algebra(quiver: Quiver, relations, field: FieldSpec) -> PathAlgeb
         for j in ending_at[v]:
             mult[(v, j)] = {j: one}
     for i in range(nv, len(paths)):
-        start = src[i]
+        start, a = src[i], paths[i][-1]
         mult[(i, start)] = {i: one}
         for j in ending_at[start]:
-            pq = extend(mult.get((prefix[i], j), {}), paths[i][-1:])
-            if pq:
-                mult[(i, j)] = pq
+            x = mult.get((prefix[i], j))
+            if x is not None:
+                pq = follow(x, a)
+                if pq:
+                    mult[(i, j)] = pq
     alg = PathAlgebra(field, labels, mult, list(range(nv)), quiver.vertices,
                       quiver, relations, basis_paths, (tuple(src), tuple(tgt)))
     # graded by length, so rad^N is spanned by the words of length >= N

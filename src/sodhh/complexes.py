@@ -42,7 +42,7 @@ from functools import cached_property
 from .algebra import Algebra, AlgebraAxiomError, _lines, _radical_generators
 from .linalg import ZERO_COLUMN, ColumnEchelon, Matrix, SubspaceReducer, axpy
 from .modules import (Bimodule, ModuleAxiomError, ModuleRep, SideMismatch,
-                      _dual_columns)
+                      _dual_actions)
 
 
 class ComplexError(ValueError):
@@ -794,7 +794,7 @@ def serre_twist_left(X: ProjComplex) -> ModuleComplex:
     blocks = {}
     pos = {}
     mods = {}
-    dual_left, dual_right = _dual_columns(A, 1), _dual_columns(A, 0)
+    dual_left, dual_right = _dual_actions(A)
     for q, t in X.terms.items():
         basis = []
         grading = []

@@ -247,8 +247,10 @@ def dual_collection(coll: ExceptionalCollection):
         for j in range(i + 1, m):
             T = right_mutation_object(T, objs[j])
         duals.append(T)
-    # tables[i][j] = Ext*(F_j, E_i); the diagonal gives the shifts
-    tables = [[ext_profile(F, E) for F in duals] for E in objs]
+    # tables[i][j] = Ext*(F_j, E_i); the diagonal gives the shifts.  F_m
+    # is E_m itself, so its column is read from the collection's table.
+    tables = [[ext_profile(F, E) for F in duals[:-1]] + [coll.ext(m - 1, i)]
+              for i, E in enumerate(objs)]
     shifts = []
     for i in range(m):
         table = tables[i][i]

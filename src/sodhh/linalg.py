@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import neg
 from types import MappingProxyType
 
 
@@ -90,14 +91,58 @@ def _not_a_scalar(x):
                       f"got {x!r}")
 
 
+# -- scalar arithmetic -----------------------------------------------------
+# Over Q the result of +, - and * is an int when both operands are; a
+# Fraction result is demoted to its numerator when it became integral.
+
+def _q_add(a, b):
+    s = a + b
+    return s if type(s) is int or s.denominator != 1 else s.numerator
+
+
+def _q_sub(a, b):
+    s = a - b
+    return s if type(s) is int or s.denominator != 1 else s.numerator
+
+
+def _q_mul(a, b):
+    s = a * b
+    return s if type(s) is int or s.denominator != 1 else s.numerator
+
+
+def _q_div(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    s = a / b
+    return s if s.denominator != 1 else s.numerator
+
+
+def _q_inv(a):
+    return _q_div(1, a)
+
+
+_Q_OPS = (_q_add, _q_sub, _q_mul, neg, _q_inv, _q_div)
+
+
+def _fp_ops(p):
+    """add, sub, mul, neg, inv and div mod p."""
+    return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
+            (lambda a, b: a * b % p), (lambda a: -a % p),
+            (lambda a: pow(a, -1, p)), (lambda a, b: a * pow(b, -1, p) % p))
+
+
 class FieldSpec:
     """An exact coefficient field: the rationals or F_p for a prime p.
 
     Over Q every operation returns the canonical scalar: an int when the
-    value is integral, a Fraction only when its denominator is not 1.
+    value is integral, a Fraction only when its denominator is not 1.  The
+    scalar ops add, sub, mul, neg, inv and div are the field's own
+    functions, picked once when it is made.
     """
 
-    __slots__ = ("kind", "characteristic")
+    __slots__ = ("kind", "characteristic",
+                 "add", "sub", "mul", "neg", "inv", "div")
 
     zero = 0
     one = 1
@@ -113,6 +158,9 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.characteristic = characteristic
+        # the scalar ops, chosen here once rather than by kind on every call
+        (self.add, self.sub, self.mul, self.neg, self.inv,
+         self.div) = _fp_ops(characteristic) if characteristic else _Q_OPS
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.kind == other.kind
@@ -125,10 +173,6 @@ class FieldSpec:
         if self.kind == "rationals":
             return "QQ"
         return f"GF({self.characteristic})"
-
-    # -- scalar arithmetic -------------------------------------------------
-    # Over Q the result of +, - and * is an int when both operands are; a
-    # Fraction result is demoted to its numerator when it became integral.
 
     def coerce(self, x):
         """Canonical scalar from an int, a Fraction or a string like '-3/2'.
@@ -165,41 +209,6 @@ class FieldSpec:
         if not den % p:
             raise ValueError(f"denominator {den} is zero mod {p}")
         return num * pow(den, -1, p) % p
-
-    def add(self, a, b):
-        s = a + b
-        if self.kind == "rationals":
-            return s if type(s) is int or s.denominator != 1 else s.numerator
-        return s % self.characteristic
-
-    def sub(self, a, b):
-        s = a - b
-        if self.kind == "rationals":
-            return s if type(s) is int or s.denominator != 1 else s.numerator
-        return s % self.characteristic
-
-    def mul(self, a, b):
-        s = a * b
-        if self.kind == "rationals":
-            return s if type(s) is int or s.denominator != 1 else s.numerator
-        return s % self.characteristic
-
-    def neg(self, a):
-        return -a if self.kind == "rationals" else (-a) % self.characteristic
-
-    def inv(self, a):
-        if self.kind == "rationals":
-            return self.div(1, a)
-        return pow(a, -1, self.characteristic)
-
-    def div(self, a, b):
-        if self.kind == "rationals":
-            if type(a) is int and type(b) is int:
-                q, r = divmod(a, b)
-                return q if not r else Fraction(a, b)
-            s = a / b
-            return s if s.denominator != 1 else s.numerator
-        return self.mul(a, self.inv(b))
 
 
 QQ = FieldSpec("rationals")
@@ -335,13 +344,28 @@ class Matrix:
 
 
 def axpy(field, acc, vec, scale):
-    """acc += scale * vec, in place on the sparse vector acc."""
+    """acc += scale * vec, in place on the sparse vector acc: one loop per
+    field with the arithmetic inline, each entry written canonical and a
+    zero deleted."""
+    p = field.characteristic
+    get = acc.get
+    if p:
+        for i, v in vec.items():
+            s = (get(i, 0) + scale * v) % p
+            if s:
+                acc[i] = s
+            elif i in acc:
+                del acc[i]
+        return
     for i, v in vec.items():
-        s = field.add(acc.get(i, field.zero), field.mul(scale, v))
-        if s:
+        s = get(i, 0) + scale * v
+        if not s:
+            if i in acc:
+                del acc[i]
+        elif type(s) is int or s.denominator != 1:
             acc[i] = s
-        elif i in acc:
-            del acc[i]
+        else:
+            acc[i] = s.numerator
 
 
 class ColumnEchelon:

@@ -192,23 +192,25 @@ def regular_bimodule(A: Algebra) -> Bimodule:
                     check=False)
 
 
-def _dual_columns(A: Algebra, axis):
-    """The action of A on DA as {(i, p): column}, the column of b_i at the
-    basis vector p*: {k: coeff_p(b_k b_i)} for the left action (axis 1,
-    (b_i.f)(x) = f(x b_i)) and {k: coeff_p(b_i b_k)} for the right one
-    (axis 0, (f.b_i)(x) = f(b_i x)); built once over the nonzero products."""
-    out = {}
-    for pair, x in A.mult.items():
-        i, k = pair[axis], pair[1 - axis]
+def _dual_actions(A: Algebra):
+    """The left and right actions of A on DA as two tables {(i, p):
+    column}, the column of b_i at the basis vector p*: {k: coeff_p(b_k
+    b_i)} for the left action ((b_i.f)(x) = f(x b_i)) and {k: coeff_p(b_i
+    b_k)} for the right one ((f.b_i)(x) = f(b_i x)); both built in one pass
+    over the nonzero products."""
+    left, right = {}, {}
+    left_col, right_col = left.setdefault, right.setdefault
+    for (i, k), x in A.mult.items():   # x = b_i b_k
         for p, c in x.items():
-            out.setdefault((i, p), {})[k] = c
-    return out
+            left_col((k, p), {})[i] = c
+            right_col((i, p), {})[k] = c
+    return left, right
 
 
 def dual_bimodule(A: Algebra) -> Bimodule:
     """DA = Hom_k(A, k) with (a.f.b)(x) = f(b x a); the Serre kernel."""
     env = A.enveloping()
-    left, right = _dual_columns(A, 1), _dual_columns(A, 0)
+    left, right = _dual_actions(A)
     grading = tuple(env.vertex(A.src[k], A.tgt[k]) for k in range(A.dim))
     return Bimodule(env, A.dim, lambda i, p: left.get((i, p), ZERO_COLUMN),
                     lambda j, p: right.get((j, p), ZERO_COLUMN), grading,

@@ -469,10 +469,10 @@ def _dense_copy(env):
 def test_fresh_enveloping_algebra_reads_like_its_dense_copy(field):
     """The readers that take `mult` as the whole table agree with a dense
     copy on an A^e whose products were never asked for: the structure
-    hash, the radical index (N + N - 1), the opposite, the dual columns
+    hash, the radical index (N + N - 1), the opposite, the dual actions
     and, through the regular bimodule, HH^* of A^e; and the table of
     A^e (x) A^op, whose first factor's table is itself a view."""
-    from sodhh.modules import _dual_columns
+    from sodhh.modules import _dual_actions
     for name, entry in sorted(CATALOG.items()):
         env = entry.algebra(field).enveloping()
         dense = _dense_copy(tensor_opposite(*env.factors))
@@ -483,8 +483,7 @@ def test_fresh_enveloping_algebra_reads_like_its_dense_copy(field):
         op, dense_op = env.opposite(), dense.opposite()
         assert (op.mult, op.src, op.tgt) == \
             (dense_op.mult, dense_op.src, dense_op.tgt), name
-        for axis in (0, 1):
-            assert _dual_columns(env, axis) == _dual_columns(dense, axis)
+        assert _dual_actions(env) == _dual_actions(dense)
         if name in ("a2-quiver", "kronecker1"):
             assert hh_cohomology(env, 3).as_tuple() == \
                 hh_cohomology(dense, 3).as_tuple() == (1, 0, 0, 0), name
@@ -889,6 +888,42 @@ def test_right_extension_matches_reference_build(case):
     assert list(A.mult) == list(ref.mult)
     assert A.mult == ref.mult
     assert structure_hash(A) == structure_hash(ref)
+
+
+def test_build_reduces_only_relation_multiples_and_pivot_columns(monkeypatch):
+    """Building generated P^3 takes one SubspaceReducer.normal_form per
+    relation multiple x r (36, through SubspaceReducer.add) and one per
+    pivot column (w, a) (32): 68.  A residue column's arrow map is the
+    unit vector of its new word, so it takes none; the 40 residue columns
+    had taken 40 more (108).  Both counts are read off the built algebra's
+    words and relations."""
+    from sodhh.cli import parse_quiver_document
+    calls = []
+    real = SubspaceReducer.normal_form
+
+    def counting(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+    doc = parse_quiver_document(_beilinson_doc(3, {"kind": "q"}))
+    monkeypatch.setattr(SubspaceReducer, "normal_form", counting)
+    A = doc.build()
+    monkeypatch.undo()
+    vpos = {v: i for i, v in enumerate(A.vertex_names)}
+    arrows = {a.name: a for a in A.quiver.arrows}
+    out_degree = [sum(vpos[a.source] == v for a in arrows.values())
+                  for v in range(A.num_vertices)]
+    words = [(len(p) if p else 0, A.tgt[k]) for k, p in enumerate(A.basis_paths)]
+    longest = max(n for n, _ in words)
+    multiples = 0
+    for rel in A.relations:
+        first = rel.terms[0][1]
+        start = vpos[arrows[first[0]].source]
+        multiples += sum(n + len(first) <= longest + 1 and t == start
+                         for n, t in words)
+    columns = sum(out_degree[t] for n, t in words if n)
+    pivots = columns - sum(n >= 2 for n, _ in words)
+    assert (multiples, pivots, columns) == (36, 32, 72)
+    assert len(calls) == multiples + pivots == 68
 
 
 # ---------------------------------------------------------------------------

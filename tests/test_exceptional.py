@@ -160,9 +160,11 @@ def test_dual_collections_catalog(algebras):
 
 
 def test_dual_collection_computes_each_ext_once(collB, monkeypatch):
-    """One Hom complex per (F_j, E_i), m^2 in all: the shifts are read from
-    the diagonal of the delta table.  A bad diagonal entry and a bad
-    off-diagonal one raise the messages that name them."""
+    """One Hom complex per (F_j, E_i) with j < m, m(m-1) in all: the last
+    dual F_m is E_m itself, so its column Ext*(E_m, E_i) is read from the
+    collection's table, and the shifts from the diagonal of the delta
+    table.  A bad diagonal entry and a bad off-diagonal one raise the
+    messages that name them."""
     import sodhh.exceptional as ex
     calls, real = [], ex.ext_profile
 
@@ -172,7 +174,8 @@ def test_dual_collection_computes_each_ext_once(collB, monkeypatch):
     monkeypatch.setattr(ex, "ext_profile", counting)
     dual_collection(collB)
     m = len(collB)
-    assert len(calls) == len({(id(F), id(E)) for F, E in calls}) == m * m
+    assert len(calls) == len({(id(F), id(E)) for F, E in calls}) == m * (m - 1)
+    assert all(F is not collB.objects[-1] for F, _ in calls)
     for table, message in [
             ({3: 2}, "dual object F_1 has Ext table {3: 2} against E_1"),
             ({0: 1}, "Ext*(F_2, E_1) = {0: 1}, expected {}")]:
@@ -190,9 +193,10 @@ def test_collection_commands_reuse_what_they_computed(monkeypatch):
     """`collection check` reports the violations the collection's
     verification found, and `collection dual` computes the dual collection
     once.  On beilinson-p2 (m = 3) that is the verification's m + m(m-1)/2
-    = 6 Ext profiles and the m^2 = 9 of the delta table: bdi_check reads
-    Ext*(F_i, E_i) from the delta check and Ext*(E_i, E_i) from the
-    collection's table."""
+    = 6 Ext profiles and the m(m-1) = 6 of the delta table whose dual is
+    mutated: the last dual F_m is E_m itself, so its column Ext*(E_m, E_i)
+    is the verification's.  bdi_check reads Ext*(F_i, E_i) from the delta
+    check and Ext*(E_i, E_i) from the collection's table."""
     import sodhh.cli as cli
     import sodhh.exceptional as ex
     exts, duals = [], []
@@ -216,7 +220,7 @@ def test_collection_commands_reuse_what_they_computed(monkeypatch):
     code, _ = cli.run_command(["collection", "dual", "--catalog",
                                "beilinson-p2"])
     assert code == 0
-    assert len(duals) == 1 and len(exts) == 6 + 9
+    assert len(duals) == 1 and len(exts) == 6 + 6
 
 
 def test_bdi_check_reads_the_verification(collB):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from sodhh.linalg import (PRIME_BOUND, ZERO_COLUMN, ColumnEchelon,
                           FieldMismatch, GF, Matrix, QQ, SubspaceReducer,
-                          _is_prime, rank, rank_kernel_image, solve_linear)
+                          _is_prime, axpy, rank, rank_kernel_image,
+                          solve_linear)
 
 
 def naive_row_reduction_rank(rows, field):
@@ -147,6 +148,83 @@ def test_scalar_canonical_forms():
     assert f.coerce("3/2") == (3 * pow(2, -1, 7)) % 7
     with pytest.raises(ValueError):
         GF(6)
+
+
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(32003), GF(2 ** 61 - 1)]
+
+
+def _reference(field, x):
+    """The Fraction x as the field's canonical scalar, by Fraction and
+    modular reference arithmetic."""
+    p = field.characteristic
+    if p:
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return x.numerator if x.denominator == 1 else x
+
+
+def _is_canonical(field, x):
+    p = field.characteristic
+    if p:
+        return type(x) is int and 0 <= x < p
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _oracle_scalar(rng, field):
+    """A canonical scalar: over Q small numerators and denominators, so
+    that sums and products are often integral or zero."""
+    p = field.characteristic
+    if p:
+        return rng.choice([0, 1, p - 1, rng.randrange(p)])
+    return QQ.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_scalar_ops_and_axpy_match_reference_arithmetic(field):
+    """Every FieldSpec scalar op, and axpy entry by entry, equal Fraction
+    arithmetic reduced to the field's canonical scalar, and write nothing
+    else: over Q an int unless the denominator is not 1, over F_p a
+    representative in [0, p); an entry that cancels is deleted, a key
+    missing from acc is read as 0, and acc keeps no other key."""
+    rng = Random(2 ** 20 + field.characteristic)
+    ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+           "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+    for _ in range(300):
+        a, b = _oracle_scalar(rng, field), _oracle_scalar(rng, field)
+        fa, fb = Fraction(a), Fraction(b)
+        for name, ref in ops.items():
+            if name == "div" and not b:
+                continue
+            got = getattr(field, name)(a, b)
+            assert got == _reference(field, ref(fa, fb)), (name, a, b)
+            assert _is_canonical(field, got), (name, a, b, got)
+        got = [field.neg(a)] + ([field.inv(a)] if a else [])
+        assert got == [_reference(field, x) for x in [-fa] + ([1 / fa] if a else [])]
+        assert all(_is_canonical(field, x) for x in got)
+    seen = {"cancelled": 0, "integral product": 0, "missing key": 0}
+    for _ in range(300):
+        acc = {i: x for i in range(6) if (x := _oracle_scalar(rng, field))}
+        vec = {i: x for i in range(6) if (x := _oracle_scalar(rng, field))}
+        scale = _oracle_scalar(rng, field)
+        if vec and rng.random() < 0.5:   # make one entry cancel
+            i = rng.choice(sorted(vec))
+            acc[i] = _reference(field, -Fraction(scale) * Fraction(vec[i]))
+            acc = {k: x for k, x in acc.items() if x}
+        expect = {}
+        for i in set(acc) | set(vec):
+            x = Fraction(acc.get(i, 0)) + Fraction(scale) * Fraction(vec.get(i, 0))
+            if _reference(field, x):
+                expect[i] = _reference(field, x)
+        before = dict(acc)
+        axpy(field, acc, vec, scale)
+        assert acc == expect, (before, vec, scale)
+        assert all(x and _is_canonical(field, x) for x in acc.values())
+        seen["cancelled"] += any(i in before and i not in acc for i in vec)
+        seen["missing key"] += any(i not in before for i in vec)
+        seen["integral product"] += any(
+            type(scale * v) is Fraction and (scale * v).denominator == 1
+            for v in vec.values())
+    assert seen["cancelled"] and seen["missing key"]
+    assert seen["integral product"] or field.characteristic
 
 
 def test_coerce_refuses_inexact_and_boolean_scalars():

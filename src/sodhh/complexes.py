@@ -434,7 +434,10 @@ def _hom(f, x_terms, x_entries, read, off_vertex):
     key), (i, s, m) goes to -(-1)^n c col(x, m) in t's block; the terms
     of one entry add up, and a cell that cancels is dropped.  An image
     off the vertex of its block raises ComplexError, for d_X with the
-    text off_vertex.format(j=Y degree, w=vertex)."""
+    text off_vertex.format(j=Y degree, w=vertex).  A term's image depends
+    only on (key, v), v the vertex of s, and its check only on w, the
+    vertex of t: each (key, v, w) of a degree pair (n, i) is read and
+    checked once, and each of its terms adds c times it."""
     gradings, y_diffs, column = read
     add, mul, neg = f.add, f.mul, f.neg
     blocks, place = {}, {}
@@ -471,24 +474,28 @@ def _hom(f, x_terms, x_entries, read, off_vertex):
                             raise ComplexError(f"d_Y^{j} moves a position "
                                                f"off vertex {v}")
                         col[base + place[j + 1][m2]] = c
-            ws, bases = x_terms.get(i - 1), tgt.get(i - 1)
+            ws, bases, images = x_terms.get(i - 1), tgt.get(i - 1), {}
             for s, t, key, c in x_entries.get(i - 1, ()):
-                w, base = ws[t], bases[t]
-                c, start = c if n % 2 else neg(c), starts[s]
-                col_of, k = column(j, key)
-                for m in at.get(vertices[s], ()):
-                    col = cols[start + places[m]]
-                    for m2, x in col_of(k, m).items():
-                        if grading[m2] != w:
-                            raise ComplexError(off_vertex.format(j=j, w=w))
-                        r, x = base + places[m2], mul(c, x)
-                        y = col.get(r)
-                        if y is not None:
-                            x = add(x, y)
-                        if x:
-                            col[r] = x
-                        else:
-                            del col[r]
+                v, w = vertices[s], ws[t]
+                image = images.get((key, v, w))
+                if image is None:
+                    image = images[key, v, w] = []
+                    col_of, k = column(j, key)
+                    for m in at.get(v, ()):
+                        for m2, x in col_of(k, m).items():
+                            if grading[m2] != w:
+                                raise ComplexError(off_vertex.format(j=j, w=w))
+                            image.append((places[m], places[m2], x))
+                c, start, base = c if n % 2 else neg(c), starts[s], bases[t]
+                for pm, pm2, x in image:
+                    col, r, x = cols[start + pm], base + pm2, mul(c, x)
+                    y = col.get(r)
+                    if y is not None:
+                        x = add(x, y)
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
         mats[n] = Matrix(f, dims[n + 1], dims[n], cols)
     return blocks, place, offsets, dims, mats
 

@@ -31,7 +31,8 @@ is the minimal projective resolution of the simple right module at v_i
 (projection_kernels), which hochschild.simple_resolution gives and keeps
 (sliced off the Koszul resolution where it is certified that far), and
 Ext into it is Ext into that simple, which the kernel keeps
-(Kernel.resolves).
+(Kernel.resolves); orthogonality_report reads the middles of the adjoint
+convolutions of projection kernels the same way.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
     G' -> S gives Ext(F', G') = Ext(F', S).  When the A factor has no Ext
     the A^op factor is skipped; a kernel keeps its two self-Ext factors
     (P is Q) once computed."""
+    return _decomposable_ext(P, Q, serre, ext_profile)
+
+
+def _decomposable_ext(P: Kernel, Q: Kernel, serre: bool, right_ext) -> dict:
+    """decomposable_ext with the A^op factor of P is not Q taken by
+    right_ext(X, Y)."""
     _require_untwisted(P, "Kuenneth Ext")
     _require_untwisted(Q, "Kuenneth Ext")
     if P is Q:
@@ -143,10 +150,10 @@ def decomposable_ext(P: Kernel, Q: Kernel, serre: bool = False) -> dict:
         ext_left = ext_profile(P.left, Q.left)
         if not ext_left:
             return {}
-        ext_right = ext_profile(Q.right, _right_target(P)) if serre \
-            else ext_profile(P.right, _right_target(Q))
+        ext_right = right_ext(Q.right, _right_target(P)) if serre \
+            else right_ext(P.right, _right_target(Q))
     if serre:
-        ext_right = {-q: b for q, b in ext_right.items()}
+        ext_right = _reflected(ext_right)
     out = {}
     for p, a in ext_left.items():
         for q, b in ext_right.items():
@@ -210,6 +217,12 @@ def convolution_homology_dims(L: Kernel, K: Kernel) -> dict:
     Fv = dualize(L.right)
     hW = _reflected(ext_profile(K.left, Fv)) \
         if L.twist == "right" or K.twist == "left" else ext_profile(Fv, K.left)
+    return _convolution_dims(L, hW, K)
+
+
+def _convolution_dims(L: Kernel, hW: dict, K: Kernel) -> dict:
+    """Kuenneth: the homology of L ∘ K from that of its middle, hW, and of
+    its outer factors."""
     hL = _reflected(dualize(L.left).homology_dims()) if L.twist == "left" \
         else L.left.homology_dims()
     hR = _reflected(dualize(K.right).homology_dims()) if K.twist == "right" \
@@ -335,21 +348,42 @@ def projection_kernels(coll: ExceptionalCollection):
 def orthogonality_report(kernels) -> dict:
     """Ext(P_i, P_j ∘ S) for all ordered pairs, plus the vanishing of the
     adjoint convolutions P_i ∘ P_j^* (i < j) and P_i ∘ P_j^! (i > j).
-    P_j's adjoints are built once."""
-    left_adj = [kernel_adjoint(P, "left") for P in kernels]
-    right_adj = [kernel_adjoint(P, "right") for P in kernels]
+
+    The middle of P_i ∘ P_j^* is Ext_A(F_i'^v, F_j'^v) =
+    Ext_{A^op}(F_j', F_i'), and that of P_i ∘ P_j^! is Ext_{A^op}(F_i', F_j')
+    reflected.  Where the target factor, F_i' or F_j', resolves a module
+    S_i or S_j, the middle is Ext_{A^op} into that simple (F' -> S is a
+    quasi-isomorphism): the same A^op pairs as the table's Kuenneth
+    factors, each taken once per report.  A kernel that resolves nothing
+    keeps convolution_homology_dims' route."""
+    right = {}
+
+    def right_ext(X, Y):
+        """Ext_{A^op}(X, Y), once per pair of a right factor and a target."""
+        if (id(X), id(Y)) not in right:
+            right[id(X), id(Y)] = ext_profile(X, Y)
+        return right[id(X), id(Y)]
+
+    def convolution(i, j):
+        """P_i ∘ P_j^* for i < j, P_i ∘ P_j^! for i > j."""
+        P, K = kernels[i], adjoints[j][i > j]
+        lo, hi = kernels[min(i, j)], kernels[max(i, j)]
+        if lo.resolves is None:
+            return convolution_homology_dims(P, K)
+        middle = right_ext(hi.right, lo.resolves)
+        return _convolution_dims(P, _reflected(middle) if i > j else middle,
+                                 K)
+    adjoints = [(kernel_adjoint(P, "left"), kernel_adjoint(P, "right"))
+                for P in kernels]
     table = {}
     adjoint_vanishing = {}
     for i, P in enumerate(kernels):
         for j, Q in enumerate(kernels):
-            prof = decomposable_ext(P, Q, serre=True)
+            prof = _decomposable_ext(P, Q, True, right_ext)
             table[(i + 1, j + 1)] = dict(sorted(prof.items()))
-            if i < j:
-                adjoint_vanishing[(i + 1, j + 1, "left")] = \
-                    convolution_homology_dims(P, left_adj[j])
-            elif i > j:
-                adjoint_vanishing[(i + 1, j + 1, "right")] = \
-                    convolution_homology_dims(P, right_adj[j])
+            if i != j:
+                side = "left" if i < j else "right"
+                adjoint_vanishing[(i + 1, j + 1, side)] = convolution(i, j)
     offdiag_zero = all(not prof for (i, j), prof in table.items() if i != j)
     diag_ok = all(prof == {0: 1} for (i, j), prof in table.items() if i == j)
     adj_zero = all(not v for v in adjoint_vanishing.values())

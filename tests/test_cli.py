@@ -743,6 +743,58 @@ def test_serre_check_twists_each_probe_once(monkeypatch):
     assert len(calls) == len({id(Y) for Y in calls}) == 6
 
 
+SERRE_PROBE_CASES = [(name, field) for field in ("q", "f3")
+                     for name in catalog_names()] + \
+    [(f"generated-p{n}", field) for field in ("q", "f3") for n in (2, 3)]
+
+
+@pytest.mark.parametrize("name,field", SERRE_PROBE_CASES)
+def test_ended_s_probes_give_ext_into_the_simple(name, field):
+    """For every S-probe X of serre-check that has ended (no term at
+    -(n+1)) and every probe Y: Ext(Y, S_x) = Ext(Y, X), in every degree.
+    loop-x2's S-probe never ends."""
+    from sodhh.complexes import ext_profile, single_projective
+    from sodhh.hochschild import simple_resolution
+    from sodhh.modules import simple_module
+    from test_kernels import _case_algebra
+    n = 6
+    A = _case_algebra(name, field)
+    probes = [single_projective(A, v) for v in range(A.num_vertices)]
+    probes += [simple_resolution(A, v, "left", n + 1)
+               for v in range(A.num_vertices)]
+    ended = [(v, X) for v, X in enumerate(probes[A.num_vertices:])
+             if -(n + 1) not in X.terms]
+    assert bool(ended) == (name != "loop-x2")
+    for v, X in ended:
+        S = simple_module(A, v)
+        for Y in probes:
+            assert ext_profile(Y, S) == ext_profile(Y, X)
+
+
+@pytest.mark.parametrize("name,into_simples", [("loop-x2", 0),
+                                               ("beilinson-p2", 18)])
+def test_serre_check_reverse_ext_goes_into_ended_simples(monkeypatch, name,
+                                                        into_simples):
+    """The right side Ext(Y, X) of serre-check is taken into the simple S_x
+    where the S-probe X has ended: on beilinson-p2 for each of the 18
+    pairs (Y, S-probe), on loop-x2, whose S-probe has not ended, for none."""
+    import sodhh.cli
+    from sodhh.modules import ModuleRep
+    calls, real = [], sodhh.cli.ext_profile
+
+    def counting(X, Y):
+        calls.append((X, Y))
+        return real(X, Y)
+    monkeypatch.setattr(sodhh.cli, "ext_profile", counting)
+    code, report = run_command(["serre-check", "--catalog", name])
+    assert code == 0 and report.all_passed()
+    probes = len(report.data["serre_duality_table"])
+    assert len(calls) == 2 * probes
+    simples = [Y for _, Y in calls if isinstance(Y, ModuleRep)]
+    assert len(simples) == into_simples
+    assert all(len(Y.grading) == 1 for Y in simples)
+
+
 @pytest.mark.parametrize("support,command,key", [
     ("diagonal", "cohomology", "hh_cohomology"),
     ("serre", "homology", "hh_homology")])
@@ -1004,3 +1056,146 @@ def test_failed_internal_checks_are_not_input_errors(monkeypatch, error):
     monkeypatch.setitem(sodhh.cli.COMMANDS, "info", broken)
     with pytest.raises(error):
         run_command(["info", "--catalog", "kronecker2"])
+
+
+# -- the one-pass JSON writer against json.dumps --------------------------------
+
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sodhh.hochschild import HHProfile
+from sodhh.report import Report, jsonable
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def dumps(data):
+    """What Report.to_json writes, as json.dumps writes it."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def written(data):
+    report = Report("oracle")
+    report.data = data
+    return report.to_json()
+
+
+def test_writer_matches_json_dumps_on_every_golden_report(tmp_path,
+                                                         monkeypatch):
+    """Every golden-report command and the pinned generated-P^3 `kernels`
+    and `serre-check` reports serialize to json.dumps' bytes."""
+    from test_golden_reports import GOLDEN, _write_generated_p3
+    calls = [key.split() for key in json.loads(GOLDEN.read_text())]
+    path = _write_generated_p3(tmp_path, monkeypatch)
+    calls += [[*sub, "--file", path, "--format", "json"]
+              for sub in (["kernels", "build"], ["kernels", "orthogonality"],
+                          ["kernels", "additivity"], ["serre-check"])]
+    for argv in calls:
+        code, report = run_command(argv)
+        assert code == 0 and report.to_json() == dumps(report.data), argv
+    assert len(calls) == 144
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | \
+    st.sampled_from(["", "é", "ÿĀ", "☃", "\U0001f600", '"',
+                     "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "a\"b\\c"])
+SCALARS = (st.none() | st.booleans() | TEXT
+           | st.integers(-2 ** 70, 2 ** 70)
+           | st.integers(-2 ** 70, 2 ** 70).map(lambda n: n * 10 ** 40)
+           | st.fractions(max_denominator=50)
+           | st.sampled_from([[], {}, [[]], [{}], {"": {}}, {"a": [[], {}]}]))
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(NESTED)
+def test_writer_matches_json_dumps_on_nested_values(value):
+    """Non-ASCII and control characters, quotes and backslashes, empty and
+    nested-empty containers, large ints, bools and None; Fractions once
+    jsonable has turned them into strings."""
+    data = jsonable({"value": value})
+    assert written(data) == dumps(data)
+
+
+@pytest.mark.parametrize("value", [
+    {2: "int keys", -1: [], 10 ** 30: {}}, {2.5: "float keys", -0.5: 1},
+    {True: "t", False: "f"}, {None: "n"}, {Count(3): Label("subclasses")},
+    {"x": float("nan"), "y": [float("inf"), -0.0, 1e300]},
+    (1, ("nested", ()), {"t": (True, None)}),
+])
+def test_writer_matches_json_dumps_beyond_jsonable(value):
+    """Keys json converts and floats, which jsonable never yields."""
+    assert written(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 1}, [object()], {"a": {1j}},
+                                   {1: 1, None: 2}])
+def test_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        written(value)
+    with pytest.raises(TypeError) as theirs:
+        dumps(value)
+    assert str(ours.value) == str(theirs.value)
+
+
+def reference_jsonable(value):
+    """jsonable as an isinstance chain, before the exact-type fast path."""
+    if isinstance(value, HHProfile):
+        out = {"dims": list(value.dims), "certified_through": value.bound}
+        if value.note:
+            out["note"] = value.note
+        return out
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {reference_key(k): reference_jsonable(v)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
+
+
+def reference_key(k):
+    if isinstance(k, (tuple, list)):
+        return ",".join(str(x) for x in k)
+    return str(k)
+
+
+KEYS = TEXT | st.integers(-5, 5) | st.tuples(st.integers(0, 3), TEXT) \
+    | st.sampled_from([Label("k"), Count(3), None, True, 1.5])
+ODD = st.sampled_from([Label("s"), Count(7), 2.5, QQ, object(),
+                       HHProfile((1, 0, 2), QQ, 2),
+                       HHProfile((1,), QQ, 0, "a note")])
+MIXED = st.recursive(
+    SCALARS | ODD,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(MIXED)
+def test_jsonable_matches_the_isinstance_chain(value):
+    """The exact-type fast path gives what the isinstance chain gives, on
+    subclasses of str and int, HHProfiles, Fractions, floats, tuple keys
+    and objects that fall back to str."""
+    ours = jsonable(value)
+    assert ours == reference_jsonable(value)
+    assert written({"v": ours}) == dumps({"v": ours})

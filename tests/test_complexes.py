@@ -1062,6 +1062,19 @@ def test_hom_images_outside_their_block_raise(A2):
         ModuleHomComplex(single_projective(A2, 0), Y)
 
 
+def test_shared_images_are_checked_per_row_vertex(A2):
+    """Two terms with the same key into the same summand vertex share one
+    image, but each is checked at its own row vertex: e_0 from L e_0 to
+    L e_0 is fine, e_0 from L e_1 to L e_0 raises, in either order."""
+    for vertices in ((0, 1), (1, 0)):
+        X = ProjComplex(A2, {-1: vertices, 0: (0,)},
+                        {-1: {(0, c): A2.idem(0) for c in range(2)}},
+                        check=False)
+        with pytest.raises(ComplexError,
+                           match="moves a position of Y\\^0 off vertex 1"):
+            ModuleHomComplex(X, single_projective(A2, 0))
+
+
 def test_cancelling_terms_leave_no_stored_zero(monkeypatch):
     """The terms c b_k of an entry of d_X add up in one cell: on kronecker2
     the entry a - b from A e_2 to A e_1, into k (+) k at vertices 1 and 2
@@ -1101,9 +1114,12 @@ def test_cancelling_terms_leave_no_stored_zero(monkeypatch):
 
 def test_koszul_hom_reads_each_action_once(monkeypatch):
     """HH^* of generated P^4 is assembled by the shared complexes._hom,
-    which asks _action's split once per term (s, t, (p, q), c) of the
-    diagonal resolution and reads the image p m q once per position m of
-    the block of the term's summand s; every split is asked inside _hom."""
+    which builds the image of each (key, v, w) once per degree: _action's
+    split is asked once per distinct (n, (p, q), v, w) over the terms
+    (s, t, (p, q), c) of the diagonal resolution's degree n, v and w the
+    vertices of the summands s and t, and the image p m q is read once per
+    such group and position m of v's block; every split is asked inside
+    _hom.  The terms outnumber the groups, so images are shared."""
     import sodhh.hochschild as hochschild
     from test_hochschild import _generated_beilinson
     splits, reads, inside = [], [], []
@@ -1113,7 +1129,7 @@ def test_koszul_hom_reads_each_action_once(monkeypatch):
         split = real_action(A, M)
 
         def counted(j, pq):
-            splits.append(bool(inside))
+            splits.append((bool(inside), pq))
             col, k = split(j, pq)
 
             def read(k, m):
@@ -1135,12 +1151,55 @@ def test_koszul_hom_reads_each_action_once(monkeypatch):
     assert hochschild.hh_cohomology(A, 5).as_tuple() == (1, 24, 126, 224,
                                                          126, 0)
     ends, terms = hochschild._diagonal_terms(A, 6)
-    expected = [(p, q, m) for n in range(1, len(terms))
-                for s, _, (p, q), _ in terms[n]
-                for m in range(M.dim)
-                if M.grading[m] == M.algebra.vertex(*ends[n - 1][s])]
-    assert splits == [True] * sum(len(t) for t in terms[1:])
+    groups = {(n, pq, ends[n - 1][s], ends[n][t]) for n in range(1, len(terms))
+              for s, t, pq, _ in terms[n]}
+    expected = [(*pq, m) for _, pq, v, _ in groups for m in range(M.dim)
+                if M.grading[m] == M.algebra.vertex(*v)]
+    assert sorted(splits) == sorted((True, pq) for _, pq, _, _ in groups)
+    assert len(groups) < sum(len(t) for t in terms[1:])
     assert sorted(reads) == sorted(expected)
+
+
+@pytest.mark.parametrize("generated", [False, True],
+                         ids=["beilinson-p2", "generated-p3"])
+def test_serre_twist_columns_are_read_once_per_hom(monkeypatch, generated):
+    """On the serre-check probe pairs (X, serre_twist_left(Y)) of
+    beilinson-p2 and generated P^3, no column (j, key, m) of the twist is
+    read twice within one Hom assembly: the terms that share a key share
+    its image, and on these directed algebras a key of d_X occurs in one
+    degree only."""
+    import sodhh.complexes as complexes
+    reads, real = [], complexes._as_modules
+
+    def counting(Y):
+        gradings, diffs, column = real(Y)
+
+        def counted(j, key):
+            col, k = column(j, key)
+
+            def read(k2, m):
+                reads.append((j, key, m))
+                return col(k2, m)
+            return read, k
+        return gradings, diffs, counted
+    monkeypatch.setattr(complexes, "_as_modules", counting)
+    if generated:
+        from test_hochschild import _generated_beilinson
+        A = _generated_beilinson(3)
+    else:
+        A = CATALOG["beilinson-p2"].algebra(QQ)
+    probes = [single_projective(A, v) for v in range(A.num_vertices)]
+    probes += [simple_resolution(A, v, "left", 7)
+               for v in range(A.num_vertices)]
+    total = 0
+    for Y in probes:
+        SY = serre_twist_left(Y)
+        for X in probes:
+            reads.clear()
+            ModuleHomComplex(X, SY)
+            assert len(reads) == len(set(reads))
+            total += len(reads)
+    assert total
 
 
 # ---------------------------------------------------------------------------

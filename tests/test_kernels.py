@@ -677,6 +677,69 @@ def test_nakayama_identity_on_the_serre_check_probes(field):
                     entry.name
 
 
+@pytest.mark.parametrize("name,field", NAKAYAMA_CASES)
+def test_adjoint_middles_are_ext_into_the_simples(name, field):
+    """For every ordered pair (P, Q) of projection kernels, P = Q included,
+    Ext_{A^op}(Q.right, P.resolves) equals Ext_A(P.right^v, Q.right^v),
+    the middle convolution_homology_dims computes: F_P' -> S_P is a
+    quasi-isomorphism.  The diagonal is {0: 1}; the pairs P before Q,
+    which the adjoint convolutions read, vanish, and some pairs Q before P
+    do not."""
+    A = _case_algebra(name, field)
+    ks = projection_kernels(projective_collection(A))
+    nonzero = 0
+    for i, P in enumerate(ks):
+        for j, Q in enumerate(ks):
+            middle = ext_profile(Q.right, P.resolves)
+            assert middle == ext_profile(dualize(P.right), dualize(Q.right))
+            if i == j:
+                assert middle == {0: 1}
+            elif i < j:
+                assert middle == {}
+            nonzero += i > j and bool(middle)
+    assert nonzero >= 1 or name == "kxk"
+
+
+def reference_orthogonality(kernels):
+    """orthogonality_report as it was before the middles were read off the
+    simples: Kuenneth Ext per pair and every adjoint convolution through
+    convolution_homology_dims."""
+    left_adj = [kernel_adjoint(P, "left") for P in kernels]
+    right_adj = [kernel_adjoint(P, "right") for P in kernels]
+    table, adjoint = {}, {}
+    for i, P in enumerate(kernels):
+        for j, Q in enumerate(kernels):
+            prof = decomposable_ext(P, Q, serre=True)
+            table[(i + 1, j + 1)] = dict(sorted(prof.items()))
+            if i < j:
+                adjoint[(i + 1, j + 1, "left")] = \
+                    convolution_homology_dims(P, left_adj[j])
+            elif i > j:
+                adjoint[(i + 1, j + 1, "right")] = \
+                    convolution_homology_dims(P, right_adj[j])
+    return table, adjoint
+
+
+@pytest.mark.parametrize("name,field", NAKAYAMA_CASES)
+def test_orthogonality_report_matches_the_convolution_route(name, field):
+    """orthogonality_report's table and adjoint convolutions equal the
+    reference's, in the collection's order (all middles zero) and
+    reversed (middles nonzero, as the pairs swap), and on kernels that
+    resolve nothing, which take convolution_homology_dims' route."""
+    A = _case_algebra(name, field)
+    ks = projection_kernels(projective_collection(A))
+    bare = [Kernel(P.left, P.right) for P in ks]
+    nonzero = 0
+    for kernels in (ks, ks[::-1], bare, bare[::-1]):
+        rep = orthogonality_report(kernels)
+        table, adjoint = reference_orthogonality(kernels)
+        assert rep["ext_serre_table"] == table
+        assert list(rep["adjoint_convolutions"].items()) == \
+            list(adjoint.items())
+        nonzero += sum(map(bool, adjoint.values()))
+    assert nonzero or name == "kxk"
+
+
 # -- the adjoint convolutions against the tensor route -------------------------
 
 
